@@ -1,30 +1,32 @@
 """BitKernel ablation: packed, fused and direction-optimized sweep variants.
 
-PR 7 rebuilt the engine's inner loop around bit-packed ``uint64`` frontier
-words (``repro.engine.bitops``).  This harness isolates each ingredient on
-the Figure-5 scaling workload, batching many roots per sweep so the block
-width ``R`` is realistic:
+The engine's inner loop runs on bit-packed ``uint64`` frontier words
+(``repro.engine.bitops``).  This harness isolates each ingredient on the
+Figure-5 scaling workload, batching many roots per sweep so the block width
+``R`` is realistic:
 
-* **classic** — the byte-per-cell oracle loops (``sweep_mode="classic"``);
-* **packed**  — fused sweep with push *and* pull disabled: packed state and
-  the fused causal carry, but every spatial advance is the dense CSR x
-  block product (isolates the packing + fusion win);
+* **packed**  — push *and* pull disabled: packed state and the fused causal
+  carry, but every spatial advance is the dense CSR x block product;
 * **fused**   — push enabled, pull disabled (adds the sparse-frontier
   direction choice);
-* **fused+pull** — the shipped default: push and pull both enabled.
+* **fused_pull** — the shipped default: push and pull both enabled.
 
+The reference is the pure-Python Algorithm-1 oracle
+(``evolving_bfs(..., backend="python")``), as in every other gated report.
 Two claims are checked and written to ``bitkernel_ablation.json`` for the
 ``check_regressions.py`` gate:
 
-* fused+pull beats classic by >= 2x at the largest Figure-5 size (the
-  floor relaxes in quick/CI mode, where smaller blocks shrink the classic
-  baseline toward fixed overheads);
-* every variant returns bit-identical distance blocks (the fused
-  equivalence suites re-checked outside the unit tests, at bench size).
+* fused_pull's per-root sweep time beats the oracle's per-root search time
+  by at least :data:`SPEEDUP_FLOOR` at the largest Figure-5 size (the gated
+  ``fused_sweep`` speedup);
+* every variant's distances decode to exactly the oracle's ``reached``
+  dictionaries on the first :data:`ORACLE_ROOTS` roots.
 
-Timings cover ``distance_blocks`` — the sweep up to the readout boundary;
-the per-root dictionary decode of ``batch`` is byte-for-byte identical
-across modes and would dilute the ablation.
+fused_pull over packed is reported but not gated: it measured 0.81-0.98x in
+quick mode and 1.12x at full scale on a 2-core x86 host, too flat to hold a
+floor.  Timings cover ``distance_blocks`` — the sweep up to the readout
+boundary; the per-root dictionary decode of ``batch`` is identical across
+variants and would dilute the ablation.
 
 Run with::
 
@@ -33,11 +35,11 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.core import evolving_bfs
 from repro.engine import FrontierKernel
-from repro.engine.bitops import sweep_thresholds, use_sweep_mode
+from repro.engine.bitops import sweep_thresholds
 from repro.generators import random_evolving_graph
 
 from .conftest import SCALE, median_seconds, scaled, write_json_report, write_report
@@ -47,43 +49,37 @@ NUM_NODES = scaled(2_000)
 NUM_TIMESTAMPS = 10
 NUM_ROOTS = 64
 
-#: Quick/CI runs (REPRO_BENCH_SCALE < 1) shrink the blocks until constant
-#: overheads dominate the classic baseline, so the asserted floor relaxes.
-SPEEDUP_FLOOR = 2.0 if SCALE >= 1.0 else 1.1
+#: Roots the Python oracle times and checks the variants against (the
+#: oracle walks dictionaries, so a handful keeps the harness quick).
+ORACLE_ROOTS = 4
 
-#: (variant name, sweep mode, (push_fraction, pull_fraction) overrides)
+#: Asserted floor on the oracle-over-fused_pull per-root speedup.  On a 2-core
+#: x86 host quick mode measured 160-195x (18 ms per oracle root, 6.5 ms per
+#: 64-root block) and full scale 219x, so this only trips when sweeps fall
+#: off the packed engine path.
+SPEEDUP_FLOOR = 20.0
+
+#: (variant name, (push_fraction, pull_fraction) overrides)
 VARIANTS = [
-    ("classic", "classic", None),
-    ("packed", "fused", (0, 0)),
-    ("fused", "fused", (8, 0)),
-    ("fused_pull", "fused", (8, 4)),
+    ("packed", (0, 0)),
+    ("fused", (8, 0)),
+    ("fused_pull", (8, 4)),
 ]
 
 
-def _run_variant(kernel, roots, mode, thresholds):
+def _run_variant(kernel, roots, thresholds):
     # time the block-sweep boundary itself (``distance_blocks``): the batch
     # readout that decodes distances into per-root dictionaries is identical
-    # across modes and would swamp the sweep at small scales
+    # across variants and would swamp the sweep at small scales
     def run():
-        with use_sweep_mode(mode):
-            if thresholds is None:
-                return [
-                    dist
-                    for _, dist in kernel.distance_blocks(
-                        roots, chunk_size=NUM_ROOTS
-                    )
-                ]
-            with sweep_thresholds(*thresholds):
-                return [
-                    dist
-                    for _, dist in kernel.distance_blocks(
-                        roots, chunk_size=NUM_ROOTS
-                    )
-                ]
+        with sweep_thresholds(*thresholds):
+            return [
+                dist for _, dist in kernel.distance_blocks(roots, chunk_size=NUM_ROOTS)
+            ]
 
-    # 5 samples instead of the default 3: the asserted floor sits close to
-    # the measured ratio, so buy extra median stability
-    return median_seconds(run, repeats=5), run()
+    # a 64-root block sweeps in milliseconds, so 9 samples instead of the
+    # default 3 are cheap and keep a short stall on the host out of the median
+    return median_seconds(run, repeats=9), run()
 
 
 @pytest.fixture(scope="module")
@@ -94,71 +90,84 @@ def sweep():
         graph = random_evolving_graph(NUM_NODES, NUM_TIMESTAMPS, num_edges, seed=2016)
         kernel = FrontierKernel(graph)
         roots = graph.active_temporal_nodes()[:NUM_ROOTS]
+        oracle_roots = roots[:ORACLE_ROOTS]
+        oracle_s = median_seconds(
+            lambda: [evolving_bfs(graph, r, backend="python") for r in oracle_roots]
+        )
         timings = {}
         results = {}
-        for name, mode, thresholds in VARIANTS:
-            timings[name], results[name] = _run_variant(
-                kernel, roots, mode, thresholds
-            )
+        for name, thresholds in VARIANTS:
+            timings[name], results[name] = _run_variant(kernel, roots, thresholds)
         points.append(
             {
                 "edges": graph.num_static_edges(),
                 "num_roots": len(roots),
+                "python_per_root_s": oracle_s / len(oracle_roots),
                 "timings": timings,
                 "results": results,
+                "kernel": kernel,
+                "oracle": {
+                    r: evolving_bfs(graph, r, backend="python").reached
+                    for r in oracle_roots
+                },
             }
         )
     return points
 
 
 def test_all_variants_bit_identical(sweep):
-    """Packed/fused/pull sweeps must match the classic oracle exactly."""
+    """Packed/fused/pull sweeps must match the Python oracle exactly."""
     for point in sweep:
-        classic = point["results"]["classic"]
-        for name, _, _ in VARIANTS[1:]:
-            variant = point["results"][name]
-            assert len(variant) == len(classic), name
-            for got, want in zip(variant, classic):
-                np.testing.assert_array_equal(got, want, err_msg=name)
+        kernel = point["kernel"]
+        for name, _ in VARIANTS:
+            (dist,) = point["results"][name]
+            for col, (root, reached) in enumerate(point["oracle"].items()):
+                assert kernel._reached_dict(dist, col) == reached, (name, root)
 
 
 def test_bitkernel_speedup_and_report(sweep, report_dir):
-    """The tentpole claim: fused+pull >= 2x over classic at the largest size."""
+    """fused_pull's per-root sweep beats the Python oracle at the largest size."""
     workload_points = []
     lines = [
-        "BitKernel ablation - batched sweeps, classic vs packed/fused variants",
+        "BitKernel ablation - batched sweeps vs the Python oracle",
         f"Workload   : {NUM_NODES} nodes, {NUM_TIMESTAMPS} time stamps, "
         f"{NUM_ROOTS} roots per batch, |E~| sweep {EDGE_TARGETS} "
         "(Figure-5 construction, seed 2016).",
-        "Variants   : classic (byte-per-cell oracle), packed (bit-packed +",
-        "             fused causal, dense advances), fused (+push),",
-        "             fused_pull (+pull; the shipped default).",
+        f"Reference  : evolving_bfs(backend='python'), per root, over "
+        f"{ORACLE_ROOTS} roots.",
+        "Variants   : packed (bit-packed + fused causal, dense advances),",
+        "             fused (+push), fused_pull (+pull; the shipped default).",
         "",
-        f"{'|E~|':>10} {'classic':>9} {'packed':>9} {'fused':>9} "
-        f"{'fused_pull':>11} {'speedup':>9}",
+        f"{'|E~|':>10} {'python/root':>12} {'packed':>9} {'fused':>9} "
+        f"{'fused_pull':>11} {'pull/packed':>12} {'speedup':>9}",
     ]
     for point in sweep:
         t = point["timings"]
-        speedup = t["classic"] / max(t["fused_pull"], 1e-12)
+        per_root = t["fused_pull"] / point["num_roots"]
+        speedup = point["python_per_root_s"] / max(per_root, 1e-12)
+        pull_gain = t["packed"] / max(t["fused_pull"], 1e-12)
         workload_points.append(
             {
                 "edges": point["edges"],
                 "num_roots": point["num_roots"],
-                "classic_s": t["classic"],
+                "python_per_root_s": point["python_per_root_s"],
                 "packed_s": t["packed"],
                 "fused_s": t["fused"],
                 "fused_pull_s": t["fused_pull"],
+                "fused_pull_over_packed": pull_gain,
                 "speedup": speedup,
             }
         )
         lines.append(
-            f"{point['edges']:>10d} {t['classic']:>8.4f}s {t['packed']:>8.4f}s "
-            f"{t['fused']:>8.4f}s {t['fused_pull']:>10.4f}s {speedup:>8.1f}x"
+            f"{point['edges']:>10d} {1e3 * point['python_per_root_s']:>10.2f}ms "
+            f"{t['packed']:>8.4f}s {t['fused']:>8.4f}s {t['fused_pull']:>10.4f}s "
+            f"{pull_gain:>11.2f}x {speedup:>8.1f}x"
         )
     lines.append("")
     lines.append(
         f"speedup at largest size: {workload_points[-1]['speedup']:.1f}x "
-        f"(required floor {SPEEDUP_FLOOR}x at REPRO_BENCH_SCALE={SCALE})"
+        f"(python per root / fused_pull per root; required floor "
+        f"{SPEEDUP_FLOOR}x at REPRO_BENCH_SCALE={SCALE})"
     )
     write_report(report_dir, "bitkernel_ablation.txt", lines)
     payload = {
@@ -166,13 +175,14 @@ def test_bitkernel_speedup_and_report(sweep, report_dir):
         "num_nodes": NUM_NODES,
         "num_timestamps": NUM_TIMESTAMPS,
         "num_roots": NUM_ROOTS,
+        "oracle_roots": ORACLE_ROOTS,
         "speedup_floor": SPEEDUP_FLOOR,
         "seed": 2016,
         "workloads": {"fused_sweep": workload_points},
     }
     write_json_report(report_dir, "bitkernel_ablation.json", payload)
     assert workload_points[-1]["speedup"] >= SPEEDUP_FLOOR, (
-        f"fused+pull sweep only {workload_points[-1]['speedup']:.2f}x faster "
-        f"than classic at |E~|={workload_points[-1]['edges']} "
+        f"fused_pull sweep only {workload_points[-1]['speedup']:.1f}x faster "
+        f"per root than the Python oracle at |E~|={workload_points[-1]['edges']} "
         f"(floor {SPEEDUP_FLOOR}x)"
     )

@@ -82,11 +82,6 @@ class IncrementalBFS:
         ``"vectorized"`` (default) maintains the distances on the frontier
         engine over the delta-recompiled artifact; ``"python"`` is the
         dictionary-walking reference implementation.
-    sweep_mode:
-        Engine sweep implementation for the vectorized backend (``"fused"`` /
-        ``"classic"``; ``None`` follows the process-wide default), applied to
-        both the initial search and every decrease-only re-sweep.  Distances
-        are bit-identical across modes; the python backend ignores it.
 
     Examples
     --------
@@ -104,17 +99,13 @@ class IncrementalBFS:
         root: TemporalNodeTuple,
         *,
         backend: str = "vectorized",
-        sweep_mode: str | None = None,
     ) -> None:
         if not isinstance(graph, AdjacencyListEvolvingGraph):
             raise GraphError(
                 "IncrementalBFS requires the mutable adjacency-list representation"
             )
-        from repro.engine import resolve_backend, resolve_sweep_mode
+        from repro.engine import resolve_backend
 
-        if sweep_mode is not None:
-            resolve_sweep_mode(sweep_mode)  # validate eagerly, resolve per sweep
-        self._sweep_mode = sweep_mode
         self._backend = resolve_backend(backend)
         self._graph = graph
         self._root: TemporalNodeTuple = (root[0], root[1])
@@ -362,9 +353,7 @@ class IncrementalBFS:
 
         kernel = get_kernel(self._graph)
         self._axes = kernel.compiled
-        self._dist = np.ascontiguousarray(
-            kernel.distance_block(self._root, sweep_mode=self._sweep_mode)
-        )
+        self._dist = np.ascontiguousarray(kernel.distance_block(self._root))
         self._decoded = None
 
     def _decode(self) -> dict[TemporalNodeTuple, int]:
@@ -453,10 +442,7 @@ class IncrementalBFS:
         if compiled is not self._axes:
             self._remap(compiled)
         kernel.patch_distance_block(
-            self._dist,
-            batch,
-            pinned=compiled.slot(*self._root),
-            sweep_mode=self._sweep_mode,
+            self._dist, batch, pinned=compiled.slot(*self._root)
         )
 
     def _shrink_batch(
@@ -505,9 +491,7 @@ class IncrementalBFS:
             self._dist = None
             self._axes = None
             return
-        kernel.shrink_distance_block(
-            self._dist, removals, prev_active, sweep_mode=self._sweep_mode
-        )
+        kernel.shrink_distance_block(self._dist, removals, prev_active)
 
     # ------------------------------------------------------------------ #
     # python-oracle internals                                             #
@@ -584,11 +568,8 @@ class IncrementalEarliestArrival:
         root: TemporalNodeTuple,
         *,
         backend: str = "vectorized",
-        sweep_mode: str | None = None,
     ) -> None:
-        self._inner = IncrementalBFS(
-            graph, root, backend=backend, sweep_mode=sweep_mode
-        )
+        self._inner = IncrementalBFS(graph, root, backend=backend)
 
     @property
     def root(self) -> TemporalNodeTuple:

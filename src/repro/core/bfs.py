@@ -121,7 +121,6 @@ def evolving_bfs(
     neighbor_fn: Callable[[Hashable, Hashable], Iterable[TemporalNodeTuple]]
     | None = None,
     backend: str = "vectorized",
-    sweep_mode: str | None = None,
 ) -> BFSResult:
     """Breadth-first search over an evolving graph from ``root`` (Algorithm 1).
 
@@ -144,11 +143,6 @@ def evolving_bfs(
         ``"vectorized"`` (default) runs on the sparse frontier engine;
         ``"python"`` runs the original reference implementation.  Tracking
         options and ``neighbor_fn`` always use the Python path.
-    sweep_mode:
-        Engine sweep implementation for the vectorized backend (``"fused"``
-        bit-packed sweeps or the ``"classic"`` oracle loops; ``None`` follows
-        the process-wide default).  Results are bit-identical across modes;
-        the python backend ignores it.
 
     Returns
     -------
@@ -168,7 +162,7 @@ def evolving_bfs(
         and not track_frontiers
         and graph.num_timestamps > 0
     ):
-        return get_kernel(graph).bfs(root, sweep_mode=sweep_mode)
+        return get_kernel(graph).bfs(root)
     expand = neighbor_fn if neighbor_fn is not None else graph.forward_neighbors
 
     reached: dict[TemporalNodeTuple, int] = {root: 0}
@@ -209,7 +203,6 @@ def multi_source_bfs(
     neighbor_fn: Callable[[Hashable, Hashable], Iterable[TemporalNodeTuple]]
     | None = None,
     backend: str = "vectorized",
-    sweep_mode: str | None = None,
 ) -> BFSResult:
     """BFS from several roots at once: distance to the *nearest* root.
 
@@ -218,8 +211,7 @@ def multi_source_bfs(
     Inactive roots are skipped (their temporal paths are empty); if every root
     is inactive, an :class:`InactiveNodeError` is raised.  With
     ``backend="vectorized"`` (default) all roots seed one engine frontier, so
-    the whole search costs a single traversal; ``sweep_mode`` picks the
-    engine's fused or classic sweep implementation as in :func:`evolving_bfs`.
+    the whole search costs a single traversal.
     """
     from repro.engine import get_kernel, resolve_backend
 
@@ -239,7 +231,7 @@ def multi_source_bfs(
         and not track_parents
         and graph.num_timestamps > 0
     ):
-        return get_kernel(graph).multi_source(active_roots, sweep_mode=sweep_mode)
+        return get_kernel(graph).multi_source(active_roots)
 
     reached: dict[TemporalNodeTuple, int] = {r: 0 for r in active_roots}
     parents: dict[TemporalNodeTuple, TemporalNodeTuple] = (

@@ -1,9 +1,9 @@
 """Unified sparse execution engine for evolving-graph searches.
 
-* :class:`~repro.engine.frontier.FrontierKernel` — frontiers as NumPy
-  boolean/index arrays advanced by CSR SpMV per snapshot, with a batched
-  multi-source mode that packs many roots into one CSR × dense-block
-  product, plus the batched analytics primitives (identity reach counts,
+* :class:`~repro.engine.frontier.FrontierKernel` — frontiers as bit-packed
+  ``uint64`` words advanced by one sparse product per snapshot, with a
+  batched multi-source mode that packs many roots into the columns of one
+  block, plus the batched analytics primitives (identity reach counts,
   harmonic-closeness sums, Katz series) the ported algorithms layer uses.
 * :func:`~repro.engine.dispatch.get_compiled` — per-graph cache of the
   shared :class:`~repro.graph.compiled.CompiledTemporalGraph` artifact,
@@ -37,34 +37,26 @@
   ``backend`` flag shared by every search entry point.
 * :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` — the pipelined
   execution layer over :class:`~repro.graph.sharded.ShardedTemporalGraph`
-  time shards: each shard runs the same fused bit-packed sweeps and hands a
-  packed :class:`~repro.engine.sharded_sweep.BoundaryBlock` downstream, so
-  chunks of roots flow through the shard chain concurrently (thread or
-  persistent-process backends) or shard-major with eviction (serial backend
-  over a memory-mapped store — the out-of-core path).  Results are
+  time shards: each shard calls the kernels' own sweep loops, started from
+  the incoming :class:`~repro.engine.sharded_sweep.BoundaryBlock` (a
+  monolithic sweep is the one-shard, empty-boundary case), and hands the
+  merged block downstream, so chunks of roots flow through the shard chain
+  concurrently (thread or persistent-process backends) or shard-major with
+  eviction (serial backend over a memory-mapped store — the out-of-core
+  path).  Results are
   bit-identical to the monolithic kernels;
   :func:`~repro.engine.dispatch.get_sharded_driver` is the version-exact
   cache behind the algorithm layer's ``shards=`` flag.
-* :mod:`~repro.engine.bitops` — the bit-packed fused sweep core behind the
-  ``sweep_mode`` flag: ``"fused"`` (default) keeps frontier/visited state
-  packed in ``uint64`` words, fuses each snapshot's spatial advance with the
-  causal carry into one pass over the operator stack, and
-  direction-optimizes push vs pull vs dense per snapshot per round from
-  packed popcounts; ``"classic"`` is the original byte-per-cell loop, kept
-  as the in-repo oracle.  :func:`~repro.engine.bitops.set_sweep_mode` /
-  :func:`~repro.engine.bitops.use_sweep_mode` switch the process-wide
-  default; every kernel entry point also takes a per-call ``sweep_mode``
-  override.  Results are bit-identical across modes.
+* :mod:`~repro.engine.bitops` — the bit-packed sweep primitives every
+  sweep family runs on: frontier/visited state stays packed in ``uint64``
+  words, each snapshot's spatial advance is fused with the causal carry into
+  one pass over the operator stack, and every advance direction-optimizes
+  push vs pull vs dense per snapshot per round from packed popcounts.  Each
+  family has exactly one engine loop; the pure-Python Algorithm-1 functions
+  (``backend="python"``) are the equivalence reference.
 """
 
 from repro.engine import bitops
-from repro.engine.bitops import (
-    SWEEP_MODES,
-    get_sweep_mode,
-    resolve_sweep_mode,
-    set_sweep_mode,
-    use_sweep_mode,
-)
 from repro.engine.dispatch import (
     BACKENDS,
     get_compiled,
@@ -88,7 +80,6 @@ from repro.engine.spectral import SpectralKernel, SpectralOpStats
 __all__ = [
     "BACKENDS",
     "SHARD_BACKENDS",
-    "SWEEP_MODES",
     "BoundaryBlock",
     "FrontierKernel",
     "LabelKernel",
@@ -101,11 +92,7 @@ __all__ = [
     "get_label_kernel",
     "get_sharded_driver",
     "get_spectral_kernel",
-    "get_sweep_mode",
     "invalidate_kernel",
     "resolve_backend",
-    "resolve_sweep_mode",
     "resweep_cached_block",
-    "set_sweep_mode",
-    "use_sweep_mode",
 ]

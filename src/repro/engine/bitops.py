@@ -1,9 +1,9 @@
 """Bit-packed frontier words and the direction-optimizing sweep primitives.
 
 Every kernel sweep in this package advances boolean ``(T, N, R)`` blocks.
-Stored byte-per-cell those blocks are 8× larger than they need to be, and
-the causal cumulative-OR touches every byte once per round.  This module is
-the packed alternative the fused sweep paths run on:
+Stored byte-per-cell those blocks would be 8× larger than they need to be,
+and the causal cumulative-OR would touch every byte once per round.  This
+module is the packed form every sweep loop runs on:
 
 * a bit block is a ``uint64`` word array whose **last axis** holds
   ``words_for(n)`` words; node ``v`` lives in word ``v >> 6`` at bit
@@ -26,18 +26,18 @@ the packed alternative the fused sweep paths run on:
   the words — optionally compiled with numba when the ``[jit]`` extra is
   installed (the pure-NumPy fallback is bit-identical and always available).
 
-The ``sweep_mode`` flag selecting between this fused core and the classic
-byte-per-cell loops lives here too (re-exported from :mod:`repro.engine`):
-``"fused"`` is the default, ``"classic"`` keeps the original loops as the
-in-repo oracle the equivalence suites compare against.
+These primitives are the only engine implementation of every sweep family:
+the kernels' packed loops are checked against the pure-Python Algorithm-1
+oracles, not against a second engine loop.  :func:`sweep_thresholds` forces
+one advance direction (tests and the ``bench_bitkernel.py`` ablation use it).
 
 Accounting: the sweep loops charge packed bookkeeping to
 ``OperationCounter.word_ops`` (one unit per 64-bit word operation;
 :data:`FUSED_UPDATE_WORD_OPS` words ops per word per fused update), while
 :func:`advance_blocked` charges ``multiply_adds`` for the actual sparse
 work: ``2 · Σ out-degree(frontier)`` on push, ``2 · nnz(rows) · R`` on
-pull, ``2 · nnz · R`` on the dense fallback — so fused sweeps are directly
-comparable to the classic Theorem 5/6 numbers.
+pull, ``2 · nnz · R`` on the dense fallback — the last is the Theorem 5/6
+charge of a blocked product, so the counts stay comparable to that model.
 """
 
 from __future__ import annotations
@@ -50,35 +50,23 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import GraphError
-
 __all__ = [
     "FUSED_UPDATE_WORD_OPS",
     "JIT_ACTIVE",
-    "SWEEP_MODES",
     "WORD_BITS",
     "advance_blocked",
     "causal_or_accumulate",
     "fused_update",
-    "get_sweep_mode",
     "pack_bits",
     "packed_nonzero",
     "popcount",
-    "resolve_sweep_mode",
     "set_bits",
-    "set_sweep_mode",
     "sweep_thresholds",
     "unpack_bits",
-    "use_sweep_mode",
     "words_for",
 ]
 
 WORD_BITS = 64
-
-#: Recognised values of the ``sweep_mode`` flag.
-SWEEP_MODES = ("fused", "classic")
-
-_sweep_mode: str = "fused"
 
 #: Push (frontier-driven sparse × sparse) is chosen when the frontier
 #: occupies less than ``1 / PUSH_BLOCK_FRACTION`` of the block's slots; 0
@@ -95,46 +83,8 @@ PULL_ROW_FRACTION = 4
 
 
 # --------------------------------------------------------------------------- #
-# sweep-mode flag                                                             #
+# direction thresholds                                                        #
 # --------------------------------------------------------------------------- #
-
-
-def get_sweep_mode() -> str:
-    """The current process-wide default sweep mode (``"fused"`` initially)."""
-    return _sweep_mode
-
-
-def set_sweep_mode(mode: str) -> str:
-    """Set the process-wide default sweep mode; returns the previous value."""
-    global _sweep_mode
-    if mode not in SWEEP_MODES:
-        raise GraphError(
-            f"unsupported sweep_mode {mode!r}; expected one of {SWEEP_MODES}"
-        )
-    previous = _sweep_mode
-    _sweep_mode = mode
-    return previous
-
-
-def resolve_sweep_mode(mode: str | None) -> str:
-    """Validate a per-call ``sweep_mode`` override; ``None`` means the default."""
-    if mode is None:
-        return _sweep_mode
-    if mode not in SWEEP_MODES:
-        raise GraphError(
-            f"unsupported sweep_mode {mode!r}; expected one of {SWEEP_MODES}"
-        )
-    return mode
-
-
-@contextmanager
-def use_sweep_mode(mode: str) -> Iterator[str]:
-    """Temporarily override the process-wide default sweep mode."""
-    previous = set_sweep_mode(mode)
-    try:
-        yield mode
-    finally:
-        set_sweep_mode(previous)
 
 
 @contextmanager
@@ -261,8 +211,8 @@ def causal_or_accumulate(
 
     Returns the block whose snapshot ``t`` is the OR of all strictly earlier
     (``forward=True``) or strictly later snapshots, optionally masked by the
-    packed ``(T, W)`` activeness words — the packed twin of the classic
-    shifted ``np.logical_or.accumulate``.
+    packed ``(T, W)`` activeness words — the packed form of a shifted
+    ``np.logical_or.accumulate`` along the time axis.
     """
     out = np.zeros_like(block)
     t_count = block.shape[0]
@@ -347,8 +297,8 @@ def fused_update(
     discovered slots), then folds ``out`` into ``visited`` and the snapshot's
     old ``frontier`` into ``carry`` — the whole per-snapshot tail of a sweep
     round in one pass over the words, with no boolean temporaries.  ``carry``
-    accumulates *pre-update* frontiers, so a level's causal reach matches the
-    classic shifted cumulative OR bit for bit.
+    accumulates *pre-update* frontiers, so a level's causal reach is the
+    shifted cumulative OR of the level's frontier, bit for bit.
     """
     if _fused_update_jit is not None:  # pragma: no cover - requires numba
         return _fused_update_jit(spatial, carry, active_row, visited, frontier, out)
@@ -387,7 +337,7 @@ def advance_blocked(
       undiscovered (requires ``visited_words``): row-slice the operator to
       the candidate rows and multiply against the unpacked frontier; cost
       ``nnz(candidate rows) · R``;
-    * **dense** — otherwise: the classic CSR × dense-block product.
+    * **dense** — otherwise: the plain CSR × dense-block product.
 
     ``out_degrees`` (the operator's per-column entry counts) makes the push
     accounting exact; ``active_row`` additionally excludes inactive rows

@@ -298,7 +298,6 @@ def resweep_cached_block(
     insertions,
     *,
     pinned=None,
-    sweep_mode: str | None = None,
 ) -> int:
     """Patch a cached forward-search distance block for a pure-insertion batch.
 
@@ -314,9 +313,7 @@ def resweep_cached_block(
     must prune, not patch, when the universe changed).  Returns the number of
     slots whose distance improved.
     """
-    return get_kernel(graph).patch_distance_block(
-        dist, insertions, pinned=pinned, sweep_mode=sweep_mode
-    )
+    return get_kernel(graph).patch_distance_block(dist, insertions, pinned=pinned)
 
 
 def invalidate_kernel(graph: BaseEvolvingGraph) -> None:

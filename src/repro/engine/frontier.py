@@ -6,20 +6,25 @@ sparse product per snapshot plus the ``⊙`` activeness masks for the causal
 blocks.  :class:`FrontierKernel` is that computation expressed on NumPy/SciPy
 arrays instead of Python dictionaries:
 
-* the frontier is a boolean array of shape ``(T, N, R)`` — ``T`` snapshots,
-  ``N`` nodes in the shared universe, ``R`` independent searches;
+* the frontier of ``R`` independent searches over ``T`` snapshots and ``N``
+  nodes is a bit-packed ``(T, R, W)`` ``uint64`` block
+  (:func:`~repro.engine.bitops.pack_bits`), and so is the visited set;
 * the **spatial step** applies the compiled forward operator ``F[t]``
   (out-edge expansion) or its transpose (in-edge expansion) to each
-  snapshot's frontier block — one CSR sparse-matrix × dense-block product
-  per snapshot, so ``R`` roots share a single traversal of the matrix (the
+  snapshot's frontier — one direction-optimized sparse product per snapshot
+  (:func:`~repro.engine.bitops.advance_blocked`: push, pull or dense), so
+  ``R`` roots share a single traversal of the matrix (the
   ``multi_source``/``batch`` amortization);
-* the **causal step** is a cumulative logical OR along the time axis masked
-  by the per-snapshot activeness pattern — exactly the action of all
+* the **causal step** is a running OR carry along the time axis masked by
+  the per-snapshot activeness pattern — exactly the action of all
   off-diagonal blocks ``M[s, t]^T`` at once, computed without forming them
   (the ``⊙`` product of :func:`repro.core.algebraic.odot`, vectorized);
-* visited bookkeeping is a ``(T, N, R)`` distance array: a temporal node is
-  newly reached at level ``k`` when a candidate bit lands on a slot whose
-  distance is still ``-1``.
+  each level walks the snapshots once and fuses the advance, the carry and
+  every mask into one pass over the words
+  (:func:`~repro.engine.bitops.fused_update`);
+* a temporal node is newly reached at level ``k`` when a bit lands on a
+  slot outside the visited words; only those coordinates are unpacked to
+  write the ``(T, N, R)`` int32 distance block.
 
 Since PR 2 the kernel no longer compiles the graph itself: it executes over
 a shared :class:`~repro.graph.compiled.CompiledTemporalGraph` (pass either
@@ -31,48 +36,35 @@ harmonic-closeness sums, and the Katz series over the temporal block matrix.
 The kernel produces exactly the ``reached`` dictionaries of the pure-Python
 reference implementations (Theorem 4 equivalence); the property-based suites
 ``tests/test_engine.py`` and ``tests/test_algorithms_vectorized.py`` assert
-this on random evolving graphs.  Since PR 3 the engine loop can also track
-*parent slots*: ``_run(track_parents=True)`` records the discovering
-``(t, v)`` per level, so :meth:`FrontierKernel.bfs` can hand back a valid
-shortest-path tree (used by the ported sampled betweenness).  The tree may
-differ from the Python implementation's discovery order on ties, so searches
-whose *documented* behaviour is that insertion order (``track_frontiers``,
-``neighbor_fn`` overrides, ``evolving_bfs(track_parents=True)``) still run
-the Python reference path — see :func:`repro.core.bfs.evolving_bfs`.
-
-Since PR 7 every sweep runs in one of two modes (``sweep_mode``, default
-``"fused"``; see :mod:`repro.engine.bitops`):
-
-* ``"classic"`` — the original byte-per-cell loops above, kept verbatim as
-  the in-repo oracle the equivalence suites compare against;
-* ``"fused"`` — frontier/visited state stays bit-packed in ``uint64`` words
-  across rounds (:func:`~repro.engine.bitops.pack_bits`), each round makes
-  a *single* ascending-time pass that fuses the per-snapshot spatial
-  advance with the masked causal carry
-  (:func:`~repro.engine.bitops.fused_update`), and every spatial advance
-  direction-optimizes between push, pull and the dense product from packed
-  popcounts (:func:`~repro.engine.bitops.advance_blocked`).  Distances are
-  written straight from the packed nonzero coordinates, so results are
-  bit-identical to classic — the hypothesis suites assert this for every
-  kernel family.  ``track_parents`` searches always run classic (their
-  discovery-order bookkeeping is inherently slot-at-a-time).
+this on random evolving graphs.  :meth:`FrontierKernel._run` is the one
+sweep loop of the BFS family: it optionally starts from an incoming
+boundary (the state earlier time shards reached), so the sharded driver's
+shard sweeps call it too and a monolithic sweep is the one-shard,
+empty-boundary case.  ``bfs(track_parents=True)`` reads a valid
+shortest-path tree off the finished distance block in one pass (used by the
+ported sampled betweenness).  The tree may differ from the Python
+implementation's discovery order on ties, so searches whose *documented*
+behaviour is that insertion order (``track_frontiers``, ``neighbor_fn``
+overrides, ``evolving_bfs(track_parents=True)``) still run the Python
+reference path — see :func:`repro.core.bfs.evolving_bfs`.
 
 Cost model: with a :class:`~repro.linalg.csr.OperationCounter` attached, the
-kernel accounts ``2 · nnz(A[t]) · R`` multiply-adds per spatial product
-(one gaxpy per column, matching :meth:`CSRMatrix.matmat
-<repro.linalg.csr.CSRMatrix.matmat>`) and ``T · N · R`` column checks per
-causal step, which is the Theorem 5/6 accounting of the blocked algorithm.
-Fused sweeps charge the actually-gathered sparse work to ``multiply_adds``
-(push: ``2 · Σ out-degree`` over frontier cells; pull: ``2 · nnz`` of the
-candidate rows per column; dense: the classic number) and their packed
-bookkeeping to ``word_ops`` — one unit per 64-bit word operation — so a
-fused sweep's total is strictly below its classic twin on any multi-snapshot
-graph.
+kernel charges the actually-gathered sparse work to ``multiply_adds`` (push:
+``2 · Σ out-degree`` over frontier cells; pull: ``2 · nnz`` of the
+candidate rows per column; dense: ``2 · nnz(A[t]) · R``, one gaxpy per
+column as in :meth:`CSRMatrix.matmat <repro.linalg.csr.CSRMatrix.matmat>`)
+and its packed bookkeeping to ``word_ops`` — one unit per 64-bit word
+operation.  Each advance charges at most the dense product, and a packed
+level costs a few word ops per 64 slots, so the total stays below the
+Theorem 5/6 charge of the blocked algorithm (a dense product for every
+snapshot holding a frontier slot plus ``T · N · R`` column checks per
+level) once blocks are more than a few words wide; the unit tests assert
+this on a few hundred nodes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +75,9 @@ from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
 from repro.linalg.csr import OperationCounter
 
+if TYPE_CHECKING:
+    from repro.engine.sharded_sweep import BoundaryBlock
+
 __all__ = ["FrontierKernel"]
 
 _DIRECTIONS = ("forward", "backward")
@@ -91,6 +86,17 @@ _DIRECTIONS = ("forward", "backward")
 #: (large enough that ``_UNREACHED`` never wins a minimum, small enough that
 #: ``_UNREACHED + 1`` cannot overflow int32).
 _UNREACHED = np.int32(2**30)
+
+
+def _chunked(items: list, chunk_size: int) -> list[list]:
+    """``items`` split into consecutive chunks of ``chunk_size``.
+
+    The one chunk-size check of every batched kernel surface: widths below 1
+    raise :class:`~repro.exceptions.GraphError`.
+    """
+    if chunk_size < 1:
+        raise GraphError(f"chunk_size must be at least 1, got {chunk_size}")
+    return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
 
 
 def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
@@ -219,7 +225,6 @@ class FrontierKernel:
         direction: str = "forward",
         reverse_edges: bool = False,
         track_parents: bool = False,
-        sweep_mode: str | None = None,
     ) -> BFSResult:
         """Single-source search from ``root``; equals Algorithm 1 on ``reached``.
 
@@ -229,35 +234,26 @@ class FrontierKernel:
         keeping the time direction — the expansion the Section V citation
         mining uses, where influence flows against the citation edges.
         ``track_parents=True`` additionally records, per reached slot, the
-        discovering ``(t, v)`` slot of one shortest-path tree: distances are
-        identical to the Python reference, but the tree may pick a different
-        (equally shortest) parent than the dict implementation's discovery
-        order.  ``sweep_mode`` picks the fused or classic engine loop
-        (``None``: the process-wide default); results are identical
-        (``track_parents`` searches always run classic).
+        ``(t, v)`` slot of one shortest-path tree (:meth:`_parent_slots`):
+        distances are identical to the Python reference, but the tree may
+        pick a different (equally shortest) parent than the dict
+        implementation's discovery order.
         """
         root = (root[0], root[1])
-        seed = self._seed_index(root)
-        if track_parents:
-            dist, parent_t, parent_v = self._run(
-                [[seed]], direction, reverse_edges=reverse_edges, track_parents=True
-            )
-            return BFSResult(
-                root=root,
-                reached=self._reached_dict(dist, 0),
-                parents=self._parents_dict(dist, parent_t, parent_v, 0),
-            )
         dist = self._run(
-            [[seed]], direction, reverse_edges=reverse_edges, sweep_mode=sweep_mode
+            [[self._seed_index(root)]], direction, reverse_edges=reverse_edges
         )
-        return BFSResult(root=root, reached=self._reached_dict(dist, 0))
+        result = BFSResult(root=root, reached=self._reached_dict(dist, 0))
+        if track_parents:
+            parent_t, parent_v = self._parent_slots(dist, direction, reverse_edges)
+            result.parents = self._parents_dict(dist, parent_t, parent_v, 0)
+        return result
 
     def multi_source(
         self,
         roots: Iterable[TemporalNodeTuple],
         *,
         direction: str = "forward",
-        sweep_mode: str | None = None,
     ) -> BFSResult:
         """One search seeded at several roots: distance to the *nearest* root.
 
@@ -272,7 +268,7 @@ class FrontierKernel:
                 raise InactiveNodeError(*root_list[0])
             raise ValueError("multi_source requires at least one root")
         seeds = [self._seed_index(r) for r in active_roots]
-        dist = self._run([seeds], direction, sweep_mode=sweep_mode)
+        dist = self._run([seeds], direction)
         return BFSResult(root=tuple(active_roots), reached=self._reached_dict(dist, 0))
 
     def batch(
@@ -281,7 +277,6 @@ class FrontierKernel:
         *,
         direction: str = "forward",
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, BFSResult]:
         """Many *independent* single-source searches, amortized over one traversal.
 
@@ -291,16 +286,11 @@ class FrontierKernel:
         Inactive roots are skipped silently (matching
         :func:`repro.parallel.batch.batch_bfs`).
         """
-        if chunk_size < 1:
-            raise GraphError("chunk_size must be at least 1")
         root_list = [(r[0], r[1]) for r in roots]
         active_roots = [r for r in root_list if self.is_active(*r)]
         results: dict[TemporalNodeTuple, BFSResult] = {}
-        for chunk, dist in self._chunked_distances(
-            active_roots,
-            direction=direction,
-            chunk_size=chunk_size,
-            sweep_mode=sweep_mode,
+        for chunk, dist in self.distance_blocks(
+            active_roots, direction=direction, chunk_size=chunk_size
         ):
             for col, root in enumerate(chunk):
                 results[root] = BFSResult(
@@ -312,9 +302,7 @@ class FrontierKernel:
     # incremental maintenance (the streaming layer)                       #
     # ------------------------------------------------------------------ #
 
-    def distance_block(
-        self, root: TemporalNodeTuple, *, sweep_mode: str | None = None
-    ) -> np.ndarray:
+    def distance_block(self, root: TemporalNodeTuple) -> np.ndarray:
         """Single-source distances as a raw ``(T, N)`` int32 block.
 
         ``-1`` marks unreachable slots.  This is the array form of
@@ -323,14 +311,12 @@ class FrontierKernel:
         dictionaries only on demand).
         """
         seed = self._seed_index((root[0], root[1]))
-        return self._run([[seed]], "forward", sweep_mode=sweep_mode)[:, :, 0]
+        return self._run([[seed]], "forward")[:, :, 0]
 
     def decrease_only_resweep(
         self,
         dist: np.ndarray,
         seeds: Sequence[tuple[int, int, int]],
-        *,
-        sweep_mode: str | None = None,
     ) -> int:
         """Masked decrease-only relaxation from dirty slots, in place.
 
@@ -366,10 +352,7 @@ class FrontierKernel:
                 improved[ti, vi] = True
         if not improved.any():
             return 0
-        if bitops.resolve_sweep_mode(sweep_mode) == "fused":
-            changed = self._resweep_fused(work, improved, active)
-        else:
-            changed = self._resweep_classic(work, improved, active)
+        changed = self._resweep_fused(work, improved, active)
         dist[:] = np.where(work >= _UNREACHED, -1, work)
         return changed
 
@@ -379,7 +362,6 @@ class FrontierKernel:
         insertions: Sequence[tuple],
         *,
         pinned: tuple[int, int] | None = None,
-        sweep_mode: str | None = None,
     ) -> int:
         """Fold a pure-insertion edge batch into a ``(T, N)`` distance block.
 
@@ -489,7 +471,6 @@ class FrontierKernel:
                     candidate[improvable].tolist(),
                 )
             ),
-            sweep_mode=sweep_mode,
         )
 
     def patch_distance_blocks(
@@ -498,7 +479,6 @@ class FrontierKernel:
         insertions: Sequence[tuple],
         *,
         pinned: Sequence[tuple[int, int] | None] | None = None,
-        sweep_mode: str | None = None,
     ) -> list[int]:
         """Fold one pure-insertion batch into many ``(T, N)`` blocks at once.
 
@@ -516,12 +496,11 @@ class FrontierKernel:
         is the same Dial discipline with empty rounds interleaved, and every
         column's frontier only ever expands into its own column.  ``pinned``
         optionally names each block's root slot (excluded from seeding, as
-        in the single-block form).  ``sweep_mode`` is accepted for API
-        symmetry; the group rounds always advance as dense blocks — the
-        packed push path exists for the single-block form where frontiers
-        are one column wide.  Returns the improved-slot count per block.
+        in the single-block form).  The group rounds advance as dense blocks
+        (:meth:`_resweep_group`); the packed push path is the single-block
+        form's, where frontiers are one column wide.  Returns the
+        improved-slot count per block.
         """
-        del sweep_mode
         compiled = self.compiled
         active = compiled.active_mask
         t_count, n = active.shape
@@ -619,8 +598,6 @@ class FrontierKernel:
         dist: np.ndarray,
         removals: Sequence[tuple],
         previous_active: np.ndarray,
-        *,
-        sweep_mode: str | None = None,
     ) -> int:
         """Fold a pure-removal edge batch into a ``(T, N)`` distance block.
 
@@ -668,7 +645,7 @@ class FrontierKernel:
         tt, vv, _ = np.nonzero(seeds_mask)
         if tt.size:
             seeds = [(ti, vi, level) for ti, vi in zip(tt.tolist(), vv.tolist())]
-            self.decrease_only_resweep(dist, seeds, sweep_mode=sweep_mode)
+            self.decrease_only_resweep(dist, seeds)
         return int((dist != old).sum())
 
     def shrink_distance_blocks(
@@ -676,8 +653,6 @@ class FrontierKernel:
         blocks: Sequence[np.ndarray],
         removals: Sequence[tuple],
         previous_active: np.ndarray,
-        *,
-        sweep_mode: str | None = None,
     ) -> list[int]:
         """Fold one pure-removal batch into many ``(T, N)`` blocks at once.
 
@@ -688,12 +663,9 @@ class FrontierKernel:
         with one CSR × ``(N, R)`` step per touched snapshot, and the
         redescent itself runs through the same grouped rounds as
         :meth:`patch_distance_blocks` — bit-identical per block to shrinking
-        it alone.  ``sweep_mode`` is accepted for API symmetry; the group
-        rounds always advance as dense blocks.  Raises when any column's
-        root was deactivated (drop those blocks first).  Returns the
-        changed-slot count per block.
+        it alone.  Raises when any column's root was deactivated (drop those
+        blocks first).  Returns the changed-slot count per block.
         """
-        del sweep_mode
         compiled = self.compiled
         active = compiled.active_mask
         t_count, n = active.shape
@@ -809,11 +781,12 @@ class FrontierKernel:
     ) -> list[int]:
         """Re-sweep rounds over a stacked ``(T, N, R)`` work array.
 
-        The ``(T, N)`` rounds of :meth:`_resweep_classic`, widened to R
+        Dial's bucket rounds of :meth:`decrease_only_resweep`, widened to R
         independent columns: one round pops every improved slot at the
         current global level across all columns, so each snapshot's spatial
-        step is one CSR × ``(N, R)`` product instead of R SpMVs spread over
-        R separate relaxations.
+        step is one CSR × ``(N, R)`` product instead of R packed advances
+        spread over R separate relaxations (:meth:`_resweep_fused`), and the
+        causal step is one cumulative OR over the stacked frontier.
         """
         t_count, n, r_count = work.shape
         mats = self.compiled.forward_operators
@@ -841,52 +814,16 @@ class FrontierKernel:
                 improved |= better
         return changed.tolist()
 
-    def _resweep_classic(
-        self, work: np.ndarray, improved: np.ndarray, active: np.ndarray
-    ) -> int:
-        """The byte-per-cell re-sweep rounds (the fused path's oracle)."""
-        t_count, n = active.shape
-        mats = self.compiled.forward_operators
-        counter = self.counter
-        changed = 0
-        while improved.any():
-            level = int(work[improved].min())
-            frontier = improved & (work == level)
-            changed += int(frontier.sum())
-            improved &= ~frontier
-            # spatial step: one cast for the whole round and one SpMV per
-            # *touched* snapshot, instead of scanning all T rows and paying
-            # a per-row astype inside the Python loop
-            reach = np.zeros((t_count, n), dtype=bool)
-            touched = np.flatnonzero(frontier.any(axis=1))
-            if touched.size:
-                rows = frontier[touched].astype(np.int32)
-                for pos, ti in enumerate(touched.tolist()):
-                    reach[ti] = (mats[ti] @ rows[pos]) > 0
-                    if counter is not None:
-                        counter.multiply_adds += 2 * int(mats[ti].nnz)
-            # causal step: cumulative OR along time, masked by activeness
-            if t_count > 1:
-                carried = np.logical_or.accumulate(frontier, axis=0)
-                reach[1:] |= carried[:-1]
-                if counter is not None:
-                    counter.column_checks += t_count * n
-            better = reach & active & (work > level + 1)
-            if better.any():
-                work[better] = level + 1
-                improved |= better
-        return changed
-
     def _resweep_fused(
         self, work: np.ndarray, improved: np.ndarray, active: np.ndarray
     ) -> int:
-        """Packed re-sweep rounds: push-or-dense advances plus a word carry.
+        """Single-block re-sweep rounds: push-or-dense advances plus a word carry.
 
         Re-sweep frontiers are the dirty region of a mutation batch —
         usually a few slots — so the push direction dominates; the causal
         step is a running ``(1, W)`` word carry folded into each snapshot's
-        reach, replacing the classic full ``(T, N)`` accumulate.  Pull is
-        not attempted here: the undiscovered set of a re-sweep ("slots whose
+        reach instead of a full ``(T, N)`` accumulate.  Pull is not
+        attempted here: the undiscovered set of a re-sweep ("slots whose
         distance can still improve") is not tracked packed, and the dirty
         regions are too small for pull to win.
         """
@@ -938,7 +875,6 @@ class FrontierKernel:
         direction: str = "forward",
         reverse_edges: bool = False,
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, int]:
         """Per root: how many *other* node identities its search reaches.
 
@@ -950,12 +886,11 @@ class FrontierKernel:
         ``temporal_in_reach`` and ``top_influencers``.
         """
         out: dict[TemporalNodeTuple, int] = {}
-        for chunk, dist in self._chunked_distances(
+        for chunk, dist in self.distance_blocks(
             roots,
             direction=direction,
             reverse_edges=reverse_edges,
             chunk_size=chunk_size,
-            sweep_mode=sweep_mode,
         ):
             identity_reached = (dist >= 0).any(axis=0)  # (N, R)
             counts = identity_reached.sum(axis=0)
@@ -970,7 +905,6 @@ class FrontierKernel:
         *,
         direction: str = "forward",
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, float]:
         """Per root: ``sum(1/d)`` over reached temporal nodes at distance > 0.
 
@@ -983,8 +917,8 @@ class FrontierKernel:
         monolithic and sharded sums are bit-identical on every backend.
         """
         out: dict[TemporalNodeTuple, float] = {}
-        for chunk, dist in self._chunked_distances(
-            roots, direction=direction, chunk_size=chunk_size, sweep_mode=sweep_mode
+        for chunk, dist in self.distance_blocks(
+            roots, direction=direction, chunk_size=chunk_size
         ):
             sums = _harmonic_accumulate(_harmonic_rows(dist))
             for col, root in enumerate(chunk):
@@ -1078,9 +1012,8 @@ class FrontierKernel:
         direction: str = "forward",
         reverse_edges: bool = False,
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
-        """Run independent searches ``chunk_size`` roots at a time (public form).
+        """Run independent searches ``chunk_size`` roots at a time.
 
         Yields ``(chunk, dist)`` pairs where ``dist`` is the raw ``(T, N, R)``
         int32 distance block whose column ``r`` belongs to ``chunk[r]``
@@ -1088,40 +1021,21 @@ class FrontierKernel:
         label kernel and the engine-backed algorithms layer (influence-leaf
         detection, community unions) consume when they want whole blocks
         rather than decoded per-root dictionaries; :meth:`batch` is the
-        decoded convenience form.
+        decoded convenience form.  ``chunk_size`` is checked on the call;
+        each chunk's sweep runs when the iterator reaches it.
         """
-        return self._chunked_distances(
-            roots,
-            direction=direction,
-            reverse_edges=reverse_edges,
-            chunk_size=chunk_size,
-            sweep_mode=sweep_mode,
-        )
-
-    def _chunked_distances(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        reverse_edges: bool = False,
-        chunk_size: int = 128,
-        sweep_mode: str | None = None,
-    ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
-        """Run independent searches ``chunk_size`` roots at a time.
-
-        Yields ``(chunk, dist)`` pairs where ``dist`` is the ``(T, N, R)``
-        distance block whose column ``r`` belongs to ``chunk[r]``.
-        """
-        root_list = [(r[0], r[1]) for r in roots]
-        for start in range(0, len(root_list), chunk_size):
-            chunk = root_list[start : start + chunk_size]
-            dist = self._run(
-                [[self._seed_index(r)] for r in chunk],
-                direction,
-                reverse_edges=reverse_edges,
-                sweep_mode=sweep_mode,
+        chunks = _chunked([(r[0], r[1]) for r in roots], chunk_size)
+        return (
+            (
+                chunk,
+                self._run(
+                    [[self._seed_index(r)] for r in chunk],
+                    direction,
+                    reverse_edges=reverse_edges,
+                ),
             )
-            yield chunk, dist
+            for chunk in chunks
+        )
 
     def _packed_active(self) -> np.ndarray:
         """The packed ``(T, W)`` activeness words, built once per kernel."""
@@ -1148,21 +1062,33 @@ class FrontierKernel:
             self._operator_degrees_cache[use_forward_ops] = degrees
         return degrees
 
-    def _run_fused(
+    def _run(
         self,
-        seeds_per_column: list[list[tuple[int, int]]],
+        seeds_per_column: Sequence[Sequence[tuple[int, int]]],
         direction: str,
         *,
         reverse_edges: bool = False,
+        boundary: BoundaryBlock | None = None,
     ) -> np.ndarray:
-        """The bit-packed twin of :meth:`_run`: identical distances, one pass.
+        """Level-synchronous expansion of ``R`` seed sets; ``(T, N, R)`` distances.
 
-        Frontier and visited state stay packed ``(T, R, W)`` uint64 across
-        rounds; each level walks the operator stack once in time order,
-        fusing the direction-optimized spatial advance with the causal carry
-        and every mask (:func:`repro.engine.bitops.fused_update`), and
-        unpacks only the newly discovered coordinates to write distances.
+        The one sweep loop of the BFS family.  Frontier and visited state
+        stay packed ``(T, R, W)`` uint64 across rounds; each level walks the
+        operator stack once in time order, fusing the direction-optimized
+        spatial advance with the causal carry and every mask
+        (:func:`repro.engine.bitops.fused_update`), and unpacks only the
+        newly discovered coordinates to write distances.
+
+        ``boundary`` is the state earlier time shards reached (a
+        :class:`~repro.engine.sharded_sweep.BoundaryBlock`; ``None`` for a
+        monolithic sweep): at the round assigning distance ``m + 1`` the
+        nodes it holds at minimal level ``m`` seed the causal carry —
+        exactly the words a monolithic carry would hold when entering this
+        snapshot range at that level — and rounds keep running past frontier
+        death while later boundary levels can still revive the sweep.
         """
+        if direction not in _DIRECTIONS:
+            raise GraphError(f"unsupported direction {direction!r}")
         forward = direction == "forward"
         active_mask = self.compiled.active_mask
         t_count, n = active_mask.shape
@@ -1178,6 +1104,9 @@ class FrontierKernel:
                 frontier[ti, col, vi >> 6] |= np.uint64(1 << (vi & 63))
                 dist[ti, col, vi] = 0
         visited = frontier.copy()
+        # spatial expansion: forward time follows out-edges (the forward
+        # operator), backward time follows in-edges (its transpose);
+        # reverse_edges flips that choice for the citation-mining searches
         use_forward_ops = forward != reverse_edges
         mats = (
             self.compiled.forward_operators
@@ -1188,16 +1117,18 @@ class FrontierKernel:
         active_words = self._packed_active()
         counter = self.counter
         # the causal carry runs with time for forward searches and against
-        # it for backward ones, so one ordered pass replaces the classic
-        # full-block accumulate-shift-mask sequence
+        # it for backward ones, so one ordered pass per level covers every
+        # causal block
         order = list(range(t_count)) if forward else list(range(t_count - 1, -1, -1))
         scratch = np.zeros_like(frontier)
+        max_ext = boundary.max_level if boundary is not None else -1
         level = 0
         alive = bool(frontier.any())
-        while alive:
+        while alive or level <= max_ext:
             level += 1
             alive = False
-            carry = np.zeros((r, w), dtype=np.uint64)
+            ext = boundary.words(level - 1) if boundary is not None else None
+            carry = ext.copy() if ext is not None else np.zeros((r, w), np.uint64)
             for ti in order:
                 f_t = frontier[ti]
                 new_t = scratch[ti]
@@ -1211,8 +1142,7 @@ class FrontierKernel:
                 if not remaining.any():
                     # every active node is already visited in every column, so
                     # no bit can come out of the masked update: drop the whole
-                    # spatial product.  The classic oracle has no such exit —
-                    # it pays the full block product every level.
+                    # spatial product
                     new_t[:] = 0
                     if f_any:
                         carry |= f_t
@@ -1244,139 +1174,74 @@ class FrontierKernel:
             frontier, scratch = scratch, frontier
         return dist.transpose(0, 2, 1)
 
-    def _run(
-        self,
-        seeds_per_column: list[list[tuple[int, int]]],
-        direction: str,
-        *,
-        reverse_edges: bool = False,
-        track_parents: bool = False,
-        sweep_mode: str | None = None,
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Level-synchronous expansion of ``R`` seed sets; ``(T, N, R)`` distances.
+    def _parent_slots(
+        self, dist: np.ndarray, direction: str, reverse_edges: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One shortest-path-tree parent per reached slot of a ``(T, N, R)`` block.
 
-        ``sweep_mode`` selects the packed fused path or the classic
-        byte-per-cell loop (``None``: the process-wide default, normally
-        ``"fused"``); both produce bit-identical distances.  With
-        ``track_parents=True`` the sweep always runs classic and the return
-        value is the triple ``(dist, parent_t, parent_v)``: for every
-        reached slot, the ``(parent_t, parent_v)`` arrays hold the slot that
-        discovered it (one valid shortest-path-tree parent; seeds point at
-        themselves).  Slots discovered spatially record the in-snapshot
-        source node, slots discovered causally record the same node at the
-        discovering time.
+        Read off the finished distances in one pass, with a fixed tie rule:
+        a slot at distance ``d`` takes as parent the highest-index spatial
+        in-neighbour (in the sweep's operator orientation) at ``d - 1`` in
+        the same snapshot; failing that, the same node at ``d - 1`` at the
+        latest earlier snapshot (for backward searches, the latest later
+        snapshot).  Seeds point at themselves.  Returns ``(parent_t,
+        parent_v)`` int32 blocks, ``-1`` on unreached slots.
         """
-        if direction not in _DIRECTIONS:
-            raise GraphError(f"unsupported direction {direction!r}")
-        mode = bitops.resolve_sweep_mode(sweep_mode)
-        if mode == "fused" and not track_parents:
-            return self._run_fused(
-                seeds_per_column, direction, reverse_edges=reverse_edges
-            )
         forward = direction == "forward"
-        active_mask = self.compiled.active_mask
-        t_count, n = active_mask.shape
-        r = len(seeds_per_column)
-        dist = np.full((t_count, n, r), -1, dtype=np.int32)
-        frontier = np.zeros((t_count, n, r), dtype=bool)
-        parent_t = parent_v = None
-        if track_parents:
-            parent_t = np.full((t_count, n, r), -1, dtype=np.int32)
-            parent_v = np.full((t_count, n, r), -1, dtype=np.int32)
-        for col, seeds in enumerate(seeds_per_column):
-            for ti, vi in seeds:
-                frontier[ti, vi, col] = True
-                dist[ti, vi, col] = 0
-                if track_parents:
-                    parent_t[ti, vi, col] = ti
-                    parent_v[ti, vi, col] = vi
-
-        # spatial expansion: forward time follows out-edges (the forward
-        # operator), backward time follows in-edges (its transpose);
-        # reverse_edges flips that choice for the citation-mining searches
         use_forward_ops = forward != reverse_edges
-        mats = (
-            self.compiled.forward_operators
-            if use_forward_ops
-            else self.compiled.backward_operators
-        )
-        coords = None
-        if track_parents:
-            coords = self._parent_coords.get(use_forward_ops)
-            if coords is None:
-                # (dst row, src column) pairs per snapshot; cached because
-                # the compiled stacks never change under this kernel
-                coords = [
-                    (
-                        np.repeat(np.arange(n, dtype=np.int32), np.diff(m.indptr)),
-                        m.indices.astype(np.int32),
-                    )
-                    for m in mats
-                ]
-                self._parent_coords[use_forward_ops] = coords
-        active = active_mask[:, :, None]
-        counter = self.counter
-        time_stamp = np.arange(1, t_count + 1, dtype=np.int32)[:, None, None]
-        level = 0
-        while frontier.any():
-            level += 1
-            # spatial step: one SpMM per snapshot covers all R searches at once
-            spatial = np.zeros_like(frontier)
-            spatial_src = None
-            if track_parents:
-                spatial_src = np.zeros((t_count, n, r), dtype=np.int32)
-            for ti in range(t_count):
-                block = frontier[ti]
-                if block.any():
-                    product = mats[ti] @ block.astype(np.int32)
-                    spatial[ti] = product > 0
-                    if counter is not None:
-                        counter.multiply_adds += 2 * int(mats[ti].nnz) * r
-                    if track_parents and mats[ti].nnz:
-                        # per (dst, column): any frontier source on the row
-                        # (the max shifted index picks one deterministically)
-                        rows, cols = coords[ti]
-                        candidates = np.where(block[cols], cols[:, None] + 1, 0)
-                        np.maximum.at(spatial_src[ti], rows, candidates)
-            # causal step: cumulative OR along time, masked by activeness (⊙)
-            causal = np.zeros_like(frontier)
-            causal_src_t = None
-            if t_count > 1:
-                if forward:
-                    carried = np.logical_or.accumulate(frontier, axis=0)
-                    causal[1:] = carried[:-1]
-                else:
-                    carried = np.logical_or.accumulate(frontier[::-1], axis=0)[::-1]
-                    causal[:-1] = carried[1:]
-                causal &= active
-                if counter is not None:
-                    counter.column_checks += t_count * n * r
-                if track_parents:
-                    # nearest frontier appearance of the same node in time:
-                    # a running max of shifted time stamps over the frontier
-                    stamps = np.where(frontier, time_stamp, 0)
-                    causal_src_t = np.zeros((t_count, n, r), dtype=np.int32)
-                    if forward:
-                        run = np.maximum.accumulate(stamps, axis=0)
-                        causal_src_t[1:] = run[:-1]
-                    else:
-                        run = np.maximum.accumulate(stamps[::-1], axis=0)[::-1]
-                        causal_src_t[:-1] = run[1:]
-            frontier = (spatial | causal) & active & (dist < 0)
-            dist[frontier] = level
-            if track_parents:
-                took_spatial = frontier & spatial
-                tt, vv, cc = np.nonzero(took_spatial)
-                parent_t[tt, vv, cc] = tt
-                parent_v[tt, vv, cc] = spatial_src[tt, vv, cc] - 1
-                if causal_src_t is not None:
-                    took_causal = frontier & ~spatial
-                    tt, vv, cc = np.nonzero(took_causal)
-                    parent_t[tt, vv, cc] = causal_src_t[tt, vv, cc] - 1
-                    parent_v[tt, vv, cc] = vv
-        if track_parents:
-            return dist, parent_t, parent_v
-        return dist
+        t_count, n, r = dist.shape
+        coords = self._parent_coords.get(use_forward_ops)
+        if coords is None:
+            mats = (
+                self.compiled.forward_operators
+                if use_forward_ops
+                else self.compiled.backward_operators
+            )
+            # (dst row, src column) pairs per snapshot; cached because the
+            # compiled stacks never change under this kernel
+            coords = [
+                (
+                    np.repeat(np.arange(n, dtype=np.int32), np.diff(m.indptr)),
+                    m.indices.astype(np.int32),
+                )
+                for m in mats
+            ]
+            self._parent_coords[use_forward_ops] = coords
+        parent_t = np.full((t_count, n, r), -1, dtype=np.int32)
+        parent_v = np.full((t_count, n, r), -1, dtype=np.int32)
+        nodes = np.arange(n, dtype=np.int32)[:, None]
+        # spatial parents: the highest in-neighbour one level closer
+        for ti, (rows, cols) in enumerate(coords):
+            if not rows.size:
+                continue
+            src = dist[ti, cols]
+            tight = (src >= 0) & (dist[ti, rows] == src + 1)
+            source = np.zeros((n, r), dtype=np.int32)  # source index + 1
+            np.maximum.at(source, rows, np.where(tight, cols[:, None] + 1, 0))
+            took = source > 0
+            parent_t[ti][took] = ti
+            parent_v[ti][took] = source[took] - 1
+        # causal parents: a time scan keeping each node's smallest distance
+        # so far and the latest snapshot holding it — the causal parent of a
+        # slot at d exists exactly when that smallest earlier distance is d - 1
+        best = np.full((n, r), _UNREACHED, dtype=np.int32)
+        best_t = np.zeros((n, r), dtype=np.int32)
+        order = range(t_count) if forward else range(t_count - 1, -1, -1)
+        for ti in order:
+            d = dist[ti]
+            causal = (parent_t[ti] < 0) & (d > 0) & (best == d - 1)
+            parent_t[ti][causal] = best_t[causal]
+            parent_v[ti] = np.where(causal, nodes, parent_v[ti])
+            reached = d >= 0
+            # ties move to the later snapshot; a backward scan meets the
+            # latest snapshot first, so there only strict improvements move
+            better = reached & ((d <= best) if forward else (d < best))
+            best[better] = d[better]
+            best_t[better] = ti
+        tt, vv, cc = np.nonzero(dist == 0)  # seeds point at themselves
+        parent_t[tt, vv, cc] = tt
+        parent_v[tt, vv, cc] = vv
+        return parent_t, parent_v
 
     def _reached_dict(
         self,

@@ -28,6 +28,12 @@ own Definition-6 distance (a cross-check the test suite exercises), and
 saturated to a fixpoint between unit-cost expansions, which is exactly
 Dijkstra with 0/1 weights expressed as blocked sparse products.
 
+Each family has one packed sweep loop (:meth:`LabelKernel._zero_one_run`,
+:meth:`LabelKernel._tang_sweep`; the time readouts ride
+:meth:`FrontierKernel._run <repro.engine.frontier.FrontierKernel._run>`),
+which optionally starts from the state earlier time shards reached — the
+sharded driver's shard sweeps call these same loops.
+
 Use :func:`repro.engine.get_label_kernel` for the cached instance; the
 algorithms layer (:mod:`repro.algorithms.temporal_paths`,
 :mod:`repro.algorithms.tang_distance`) rides it behind the usual
@@ -36,15 +42,18 @@ algorithms layer (:mod:`repro.algorithms.temporal_paths`,
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.engine import bitops
-from repro.engine.frontier import FrontierKernel
+from repro.engine.frontier import FrontierKernel, _chunked
 from repro.exceptions import GraphError
 from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
+
+if TYPE_CHECKING:
+    from repro.engine.sharded_sweep import BoundaryBlock
 
 __all__ = ["LabelKernel"]
 
@@ -100,7 +109,6 @@ class LabelKernel:
         roots: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
         """Per root: the earliest reachable time stamp of *every* node identity.
 
@@ -109,8 +117,8 @@ class LabelKernel:
         with ``(v, t)`` reached.  Roots themselves map to their own time.
         """
         out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        for chunk, dist in self.frontier._chunked_distances(
-            roots, direction="forward", chunk_size=chunk_size, sweep_mode=sweep_mode
+        for chunk, dist in self.frontier.distance_blocks(
+            roots, direction="forward", chunk_size=chunk_size
         ):
             reached = dist >= 0  # (T, N, R)
             hit = reached.any(axis=0)
@@ -127,7 +135,6 @@ class LabelKernel:
         targets: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
         """Per target: the latest time stamp from which every node can still reach it.
 
@@ -137,8 +144,8 @@ class LabelKernel:
         """
         t_count = self.compiled.num_snapshots
         out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        for chunk, dist in self.frontier._chunked_distances(
-            targets, direction="backward", chunk_size=chunk_size, sweep_mode=sweep_mode
+        for chunk, dist in self.frontier.distance_blocks(
+            targets, direction="backward", chunk_size=chunk_size
         ):
             reached = dist >= 0
             hit = reached.any(axis=0)
@@ -161,7 +168,6 @@ class LabelKernel:
         spatial_cost: int = 1,
         causal_cost: int = 0,
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
         """(min, +) labels with per-edge-family costs drawn from ``{0, 1}``.
 
@@ -172,106 +178,61 @@ class LabelKernel:
         masked step, spatial edges via repeated SpMM), then take one
         unit-cost expansion.  ``(spatial_cost=1, causal_cost=0)`` is the
         Grindrod–Higham fewest-spatial-hops convention; ``(1, 1)`` recovers
-        the paper's Definition-6 distance.
+        the paper's Definition-6 distance.  The costs and ``chunk_size`` are
+        checked on the call; each chunk's sweep runs when the iterator
+        reaches it.
         """
         cost_flags = ((spatial_cost, "spatial_cost"), (causal_cost, "causal_cost"))
         for cost, name in cost_flags:
             if cost not in (0, 1):
                 raise GraphError(f"{name} must be 0 or 1, got {cost!r}")
-        mode = bitops.resolve_sweep_mode(sweep_mode)
-        run = self._zero_one_run_fused if mode == "fused" else self._zero_one_run
-        root_list = [(r[0], r[1]) for r in roots]
-        for start in range(0, len(root_list), chunk_size):
-            chunk = root_list[start : start + chunk_size]
-            seeds = [self.frontier._seed_index(r) for r in chunk]
-            yield chunk, run(seeds, spatial_cost, causal_cost)
+        chunks = _chunked([(r[0], r[1]) for r in roots], chunk_size)
+        seed = self.frontier._seed_index
+        return (
+            (
+                chunk,
+                self._zero_one_run(
+                    [[seed(r)] for r in chunk], spatial_cost, causal_cost
+                ),
+            )
+            for chunk in chunks
+        )
 
     def _zero_one_run(
         self,
-        seeds: Sequence[tuple[int, int]],
+        seeds_per_column: Sequence[Sequence[tuple[int, int]]],
         spatial_cost: int,
         causal_cost: int,
+        *,
+        boundary: BoundaryBlock | None = None,
     ) -> np.ndarray:
-        active = self.compiled.active_mask[:, :, None]
-        t_count, n, _ = active.shape
-        r = len(seeds)
-        mats = self.compiled.forward_operators
-        labels = np.full((t_count, n, r), -1, dtype=np.int32)
-        frontier = np.zeros((t_count, n, r), dtype=bool)
-        for col, (ti, vi) in enumerate(seeds):
-            frontier[ti, vi, col] = True
-            labels[ti, vi, col] = 0
-        reached = frontier.copy()
-
-        def spatial_step(block: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(block)
-            for ti in range(t_count):
-                sub = block[ti]
-                if sub.any() and mats[ti].nnz:
-                    out[ti] = (mats[ti] @ sub.astype(np.int32)) > 0
-            return out
-
-        def causal_step(block: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(block)
-            if t_count > 1:
-                carried = np.logical_or.accumulate(block, axis=0)
-                out[1:] = carried[:-1]
-                out &= active
-            return out
-
-        cost = 0
-        while frontier.any():
-            # saturate zero-cost edge families at the current cost level
-            while True:
-                grow = np.zeros_like(frontier)
-                if causal_cost == 0:
-                    grow |= causal_step(frontier)
-                if spatial_cost == 0:
-                    grow |= spatial_step(frontier)
-                grow = grow & active & ~reached
-                if not grow.any():
-                    break
-                labels[grow] = cost
-                reached |= grow
-                frontier |= grow
-            # one unit-cost expansion
-            step = np.zeros_like(frontier)
-            if spatial_cost == 1:
-                step |= spatial_step(frontier)
-            if causal_cost == 1:
-                step |= causal_step(frontier)
-            frontier = step & active & ~reached
-            cost += 1
-            labels[frontier] = cost
-            reached |= frontier
-        return labels
-
-    def _zero_one_run_fused(
-        self,
-        seeds: Sequence[tuple[int, int]],
-        spatial_cost: int,
-        causal_cost: int,
-    ) -> np.ndarray:
-        """The packed twin of :meth:`_zero_one_run` — bit-identical labels.
+        """The one sweep loop of the 0/1 family; ``(T, N, R)`` int32 labels.
 
         State lives as ``(T, R, W)`` uint64 words; the spatial step is the
         direction-optimizing :func:`~repro.engine.bitops.advance_blocked`
         per snapshot and the causal step is the word-wise
         :func:`~repro.engine.bitops.causal_or_accumulate`, so each level's
-        saturation/expansion makes one pass over packed words instead of
-        byte-per-cell blocks.
+        saturation/expansion makes one pass over packed words.
+
+        ``boundary`` is the state earlier time shards reached (``None`` for
+        a monolithic sweep).  Its nodes at minimal label ``m`` are injected
+        where the monolithic causal step would deliver them: into the
+        cost-``m`` zero-cost saturation when causal edges are free, or into
+        the cost-``m`` unit expansion (producing ``m + 1``) when causal
+        edges cost one.
         """
         t_count, n = self.compiled.active_mask.shape
-        r = len(seeds)
+        r = len(seeds_per_column)
         w = bitops.words_for(n)
         mats = self.compiled.forward_operators
         degrees = self.frontier._operator_degrees(True)
         active_words = self.frontier._packed_active()
         labels = np.full((t_count, n, r), -1, dtype=np.int32)
         frontier = np.zeros((t_count, r, w), dtype=np.uint64)
-        for col, (ti, vi) in enumerate(seeds):
-            frontier[ti, col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
-            labels[ti, vi, col] = 0
+        for col, seeds in enumerate(seeds_per_column):
+            for ti, vi in seeds:
+                frontier[ti, col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
+                labels[ti, vi, col] = 0
         reached = frontier.copy()
 
         def spatial_step(block: np.ndarray) -> np.ndarray:
@@ -288,13 +249,22 @@ class LabelKernel:
                     )
             return out
 
+        max_ext = boundary.max_level if boundary is not None else -1
         cost = 0
-        while frontier.any():
+        while frontier.any() or cost <= max_ext:
+            ext = boundary.words(cost) if boundary is not None else None
+            # an external node is strictly earlier than every snapshot here, so
+            # its causal reach is the node's bit at all of them, active-masked
+            ext_block = (
+                ext[None, :, :] & active_words[:, None, :] if ext is not None else None
+            )
             # saturate zero-cost edge families at the current cost level
             while True:
                 grow = np.zeros_like(frontier)
                 if causal_cost == 0:
                     grow |= bitops.causal_or_accumulate(frontier, active_words)
+                    if ext_block is not None:
+                        grow |= ext_block
                 if spatial_cost == 0:
                     grow |= spatial_step(frontier)
                 grow &= active_words[:, None, :]
@@ -311,6 +281,8 @@ class LabelKernel:
                 step |= spatial_step(frontier)
             if causal_cost == 1:
                 step |= bitops.causal_or_accumulate(frontier, active_words)
+                if ext_block is not None:
+                    step |= ext_block
             frontier = step & active_words[:, None, :] & ~reached
             cost += 1
             mask = bitops.unpack_bits(frontier, n)
@@ -323,7 +295,6 @@ class LabelKernel:
         roots: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]]:
         """Per root: minimal static-edge count to every reachable temporal node.
 
@@ -336,7 +307,6 @@ class LabelKernel:
             spatial_cost=1,
             causal_cost=0,
             chunk_size=chunk_size,
-            sweep_mode=sweep_mode,
         ):
             for col, root in enumerate(chunk):
                 t_arr, v_arr = np.nonzero(labels[:, :, col] >= 0)
@@ -360,7 +330,6 @@ class LabelKernel:
         horizon: int = 1,
         start_index: int = 0,
         chunk_size: int = 128,
-        sweep_mode: str | None = None,
     ) -> dict[Node, dict[Node, int]]:
         """Per source node: Tang snapshot-count distance to every node identity.
 
@@ -374,13 +343,11 @@ class LabelKernel:
         """
         if start_index < 0 or start_index >= self.compiled.num_snapshots:
             raise GraphError(f"start_index {start_index} out of range")
-        mode = bitops.resolve_sweep_mode(sweep_mode)
-        run = self._tang_chunk_fused if mode == "fused" else self._tang_chunk_classic
-        sources = list(source_nodes)
         out: dict[Node, dict[Node, int]] = {}
-        for start in range(0, len(sources), chunk_size):
-            chunk = sources[start : start + chunk_size]
-            steps = run(chunk, horizon, start_index)
+        for chunk in _chunked(list(source_nodes), chunk_size):
+            steps = self.tang_steps_block(
+                chunk, horizon=horizon, start_index=start_index
+            )
             for col, source in enumerate(chunk):
                 known = np.nonzero(steps[:, col] >= 0)[0]
                 out[source] = {
@@ -394,7 +361,6 @@ class LabelKernel:
         *,
         horizon: int = 1,
         start_index: int = 0,
-        sweep_mode: str | None = None,
     ) -> np.ndarray:
         """Raw ``(N, R)`` Tang step block for one chunk of sources.
 
@@ -404,9 +370,18 @@ class LabelKernel:
         """
         if start_index < 0 or start_index >= self.compiled.num_snapshots:
             raise GraphError(f"start_index {start_index} out of range")
-        mode = bitops.resolve_sweep_mode(sweep_mode)
-        run = self._tang_chunk_fused if mode == "fused" else self._tang_chunk_classic
-        return run(list(source_nodes), horizon, start_index)
+        node_index = self.compiled._node_index
+        n = self.compiled.num_nodes
+        chunk = list(source_nodes)
+        informed = np.zeros((len(chunk), bitops.words_for(n)), dtype=np.uint64)
+        steps = np.full((n, len(chunk)), -1, dtype=np.int32)
+        for col, source in enumerate(chunk):
+            vi = node_index.get(source)
+            if vi is not None:
+                informed[col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
+                steps[vi, col] = 0
+        self._tang_sweep(informed, steps, start_index, 1, horizon)
+        return steps
 
     def tang_patch(
         self,
@@ -454,78 +429,38 @@ class LabelKernel:
         s0 = ti_min - start_index + 1
         old = steps.copy()
         steps[steps >= s0] = -1
-        informed = steps >= 0
-        mats = compiled.forward_operators
-        for step, ti in enumerate(range(ti_min, t_count), start=s0):
-            if not mats[ti].nnz:
-                continue
-            for _ in range(max(1, horizon)):
-                spread = (mats[ti] @ informed.astype(np.int32)) > 0
-                newly = spread & ~informed
-                if not newly.any():
-                    break
-                informed |= newly
-            fresh = informed & (steps < 0)
-            steps[fresh] = step
-            if informed.all():
-                break
+        informed = bitops.pack_bits((steps >= 0).T)
+        self._tang_sweep(informed, steps, ti_min, s0, horizon)
         return int((steps != old).sum())
 
-    def _tang_chunk_classic(
-        self, chunk: Sequence[Node], horizon: int, start_index: int
-    ) -> np.ndarray:
-        node_index = self.compiled._node_index
-        mats = self.compiled.forward_operators
-        t_count = self.compiled.num_snapshots
-        n = self.compiled.num_nodes
-        r = len(chunk)
-        informed = np.zeros((n, r), dtype=bool)
-        steps = np.full((n, r), -1, dtype=np.int32)
-        for col, source in enumerate(chunk):
-            vi = node_index.get(source)
-            if vi is not None:
-                informed[vi, col] = True
-                steps[vi, col] = 0
-        for step, ti in enumerate(range(start_index, t_count), start=1):
-            if not mats[ti].nnz:
-                continue
-            for _ in range(max(1, horizon)):
-                spread = (mats[ti] @ informed.astype(np.int32)) > 0
-                newly = spread & ~informed
-                if not newly.any():
-                    break
-                informed |= newly
-            fresh = informed & (steps < 0)
-            steps[fresh] = step
-            if informed.all():
-                break
-        return steps
+    def _tang_sweep(
+        self,
+        informed: np.ndarray,
+        steps: np.ndarray,
+        first_snapshot: int,
+        first_step: int,
+        horizon: int,
+    ) -> None:
+        """The one sweep loop of the Tang family, in place.
 
-    def _tang_chunk_fused(
-        self, chunk: Sequence[Node], horizon: int, start_index: int
-    ) -> np.ndarray:
-        """Packed twin of :meth:`_tang_chunk_classic` — bit-identical steps.
-
-        ``informed`` lives as ``(R, W)`` uint64 words; each within-snapshot
-        round is one :func:`~repro.engine.bitops.advance_blocked` (no
-        ``active_row`` — Tang's convention has no activeness requirement)
-        and the newly-informed readout decodes only the fresh words.
+        ``informed`` holds the packed ``(R, W)`` words of the nodes informed
+        before ``first_snapshot``; snapshot ``first_snapshot + k`` is step
+        ``first_step + k``, and every node it newly informs gets that step
+        in the ``(N, R)`` block ``steps``.  Each within-snapshot round is
+        one :func:`~repro.engine.bitops.advance_blocked` (no ``active_row``
+        — Tang's convention has no activeness requirement) and only the
+        fresh words are decoded.  The Tang state is time-free, so the words
+        left in ``informed`` are the whole state a later time shard needs.
         """
-        node_index = self.compiled._node_index
         mats = self.compiled.forward_operators
         t_count = self.compiled.num_snapshots
         n = self.compiled.num_nodes
-        r = len(chunk)
-        w = bitops.words_for(n)
+        r, w = informed.shape
         degrees = self.frontier._operator_degrees(True)
-        informed = np.zeros((r, w), dtype=np.uint64)
-        steps = np.full((n, r), -1, dtype=np.int32)
-        for col, source in enumerate(chunk):
-            vi = node_index.get(source)
-            if vi is not None:
-                informed[col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
-                steps[vi, col] = 0
-        for step, ti in enumerate(range(start_index, t_count), start=1):
+        counter = self.frontier.counter
+        for step, ti in enumerate(range(first_snapshot, t_count), start=first_step):
+            if bitops.popcount(informed) == n * r:
+                break
             if not mats[ti].nnz:
                 continue
             fresh = np.zeros((r, w), dtype=np.uint64)
@@ -536,6 +471,7 @@ class LabelKernel:
                     n,
                     out_degrees=degrees[ti],
                     visited_words=informed,
+                    counter=counter,
                 )
                 newly = spread & ~informed
                 if not newly.any():
@@ -544,9 +480,6 @@ class LabelKernel:
                 fresh |= newly
             if fresh.any():
                 steps.T[bitops.unpack_bits(fresh, n)] = step
-            if bitops.popcount(informed) == n * r:
-                break
-        return steps
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,23 +5,26 @@ snapshots: influence crosses a time-shard boundary only forward (or, for
 backward searches, only backward), and the complete cross-boundary state of
 a sweep is one packed block per root column — which node identities the
 earlier shards reached, at what minimal level.  That is what makes the
-monolithic fused sweeps of :class:`~repro.engine.frontier.FrontierKernel`
-and :class:`~repro.engine.labels.LabelKernel` shardable *bit-identically*:
+sweeps of :class:`~repro.engine.frontier.FrontierKernel` and
+:class:`~repro.engine.labels.LabelKernel` shardable *bit-identically* (the
+paper's Theorem 4 reading: causal blocks act only forward in time):
 
-* shard ``i`` runs the exact fused sweep loop over its own ``(T_i, R, W)``
-  words, with one addition — at round ``m + 1`` the external nodes whose
-  minimal earlier-shard level is ``m`` are injected into the causal carry
-  (BFS), the zero-cost saturation (``causal_cost=0`` label sweeps) or the
-  unit expansion (``causal_cost=1``), which is precisely when and how the
-  monolithic sweep's carry would have delivered them;
+* shard ``i`` calls the kernel's own sweep loop over its ``(T_i, R, W)``
+  words, started from the incoming boundary — the loop injects the
+  external nodes whose minimal earlier-shard level is ``m`` into the causal
+  carry at round ``m + 1`` (BFS), the zero-cost saturation
+  (``causal_cost=0`` label sweeps) or the unit expansion
+  (``causal_cost=1``), which is precisely when and how a monolithic carry
+  would have delivered them.  A monolithic sweep is the one-shard,
+  empty-boundary case of the same loop;
 * injecting each node once, at its *minimal* level, is exact: a causal
   carry reaches every later snapshot of the node in one step, so the first
-  injection visits every slot a later appearance could, and the monolithic
-  sweep's visited masking makes the later firings no-ops;
+  injection visits every slot a later appearance could, and the sweep's
+  visited masking makes the later firings no-ops;
 * the shard hands downstream a :class:`BoundaryBlock` — the element-wise
   minimum of its own per-node levels with the incoming block — and the
   Tang sweep, whose state is time-free, hands its raw ``(R, W)`` informed
-  words.
+  words.  This module only does that bookkeeping; it holds no sweep loop.
 
 :class:`ShardedSweepDriver` schedules those shard sweeps three ways:
 
@@ -59,10 +62,13 @@ import numpy as np
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
 from repro.engine.frontier import (
+    _DIRECTIONS,
     FrontierKernel,
+    _chunked,
     _harmonic_accumulate,
     _harmonic_rows,
 )
+from repro.engine.labels import LabelKernel
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph.base import Node, TemporalNodeTuple, Time
 from repro.graph.sharded import ShardedTemporalGraph
@@ -165,6 +171,24 @@ class BoundaryBlock:
 # --------------------------------------------------------------------------- #
 
 
+def _bfs_spec(direction: str, reverse_edges: bool = False) -> tuple:
+    """The picklable spec of a BFS-family sweep; unknown directions raise."""
+    if direction not in _DIRECTIONS:
+        raise GraphError(f"unsupported direction {direction!r}")
+    return ("bfs", direction == "forward", bool(reverse_edges))
+
+
+def _handoff(block: np.ndarray, boundary: BoundaryBlock) -> BoundaryBlock:
+    """The outgoing boundary: the incoming one merged with a shard's minima.
+
+    ``block`` is the shard's ``(T_i, N, R)`` level block (``-1`` = none);
+    its per-node minimum over the shard's snapshots is the only part of it
+    a later shard needs.
+    """
+    shard_min = np.where(block >= 0, block, _FAR).min(axis=0).T  # (R, N)
+    return boundary.merged_with(shard_min)
+
+
 def _bfs_shard_sweep(
     kernel: FrontierKernel,
     seeds_per_column: Sequence[Sequence[tuple[int, int]]],
@@ -173,227 +197,18 @@ def _bfs_shard_sweep(
     forward: bool,
     reverse_edges: bool,
 ) -> tuple[np.ndarray, BoundaryBlock]:
-    """One shard's slice of a fused BFS sweep; ``((T_i, N, R) dist, boundary out)``.
+    """One shard's slice of a BFS sweep; ``((T_i, N, R) dist, boundary out)``.
 
-    This is ``FrontierKernel._run_fused`` verbatim over the shard's own
-    snapshots, plus the boundary injection: at the round assigning distance
-    ``m + 1``, the external nodes at minimal earlier-shard distance ``m``
-    seed the causal carry — exactly the words the monolithic carry would
-    hold when entering this shard's snapshot range at that level.
+    :meth:`FrontierKernel._run` over the shard's own snapshots, started
+    from ``boundary``.
     """
-    compiled = kernel.compiled
-    active_mask = compiled.active_mask
-    t_count, n = active_mask.shape
-    r = boundary.num_columns
-    w = bitops.words_for(n)
-    dist = np.full((t_count, r, n), -1, dtype=np.int32)
-    frontier = np.zeros((t_count, r, w), dtype=np.uint64)
-    for col, seeds in enumerate(seeds_per_column):
-        for ti, vi in seeds:
-            frontier[ti, col, vi >> 6] |= np.uint64(1 << (vi & 63))
-            dist[ti, col, vi] = 0
-    visited = frontier.copy()
-    use_forward_ops = forward != reverse_edges
-    mats = (
-        compiled.forward_operators if use_forward_ops else compiled.backward_operators
+    block = kernel._run(
+        seeds_per_column,
+        "forward" if forward else "backward",
+        reverse_edges=reverse_edges,
+        boundary=boundary,
     )
-    degrees = kernel._operator_degrees(use_forward_ops)
-    active_words = kernel._packed_active()
-    counter = kernel.counter
-    order = list(range(t_count)) if forward else list(range(t_count - 1, -1, -1))
-    scratch = np.zeros_like(frontier)
-    max_ext = boundary.max_level
-    level = 0
-    alive = bool(frontier.any())
-    # rounds keep running past frontier death while later boundary levels can
-    # still revive the shard (an empty round is a handful of word probes)
-    while alive or level <= max_ext:
-        level += 1
-        alive = False
-        ext = boundary.words(level - 1)
-        carry = (
-            ext.copy() if ext is not None else np.zeros((r, w), dtype=np.uint64)
-        )
-        for ti in order:
-            f_t = frontier[ti]
-            new_t = scratch[ti]
-            f_any = bool(f_t.any())
-            if not f_any and not carry.any():
-                new_t[:] = 0
-                continue
-            remaining = active_words[ti] & ~visited[ti]
-            if counter is not None:
-                counter.word_ops += 2 * new_t.size
-            if not remaining.any():
-                new_t[:] = 0
-                if f_any:
-                    carry |= f_t
-                continue
-            if f_any and mats[ti].nnz:
-                spatial = bitops.advance_blocked(
-                    mats[ti],
-                    f_t,
-                    n,
-                    out_degrees=degrees[ti],
-                    active_row=active_words[ti],
-                    visited_words=visited[ti],
-                    counter=counter,
-                )
-            else:
-                spatial = np.zeros((r, w), dtype=np.uint64)
-            bitops.fused_update(
-                spatial, carry, active_words[ti], visited[ti], f_t, new_t
-            )
-            if counter is not None:
-                counter.word_ops += bitops.FUSED_UPDATE_WORD_OPS * new_t.size
-            if new_t.any():
-                alive = True
-                mask = bitops.unpack_bits(new_t, n)
-                dist[ti] += np.multiply(mask, level + 1, dtype=np.int32)
-        frontier, scratch = scratch, frontier
-    shard_min = np.where(dist >= 0, dist, _FAR).min(axis=0)  # (R, N)
-    return dist.transpose(0, 2, 1), boundary.merged_with(shard_min)
-
-
-def _zero_one_shard_sweep(
-    kernel: FrontierKernel,
-    seeds_per_column: Sequence[Sequence[tuple[int, int]]],
-    boundary: BoundaryBlock,
-    spatial_cost: int,
-    causal_cost: int,
-) -> tuple[np.ndarray, BoundaryBlock]:
-    """One shard's slice of the 0/1-semiring sweep; ``((T_i, N, R), boundary out)``.
-
-    ``LabelKernel._zero_one_run_fused`` over the shard's snapshots, with the
-    boundary injected where the monolithic causal step would deliver it:
-    external nodes at minimal label ``m`` join the cost-``m`` zero-cost
-    saturation when causal edges are free, or the cost-``m`` unit expansion
-    (producing ``m + 1``) when causal edges cost one.
-    """
-    compiled = kernel.compiled
-    t_count, n = compiled.active_mask.shape
-    r = boundary.num_columns
-    w = bitops.words_for(n)
-    mats = compiled.forward_operators
-    degrees = kernel._operator_degrees(True)
-    active_words = kernel._packed_active()
-    labels = np.full((t_count, n, r), -1, dtype=np.int32)
-    frontier = np.zeros((t_count, r, w), dtype=np.uint64)
-    for col, seeds in enumerate(seeds_per_column):
-        for ti, vi in seeds:
-            frontier[ti, col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
-            labels[ti, vi, col] = 0
-    reached = frontier.copy()
-
-    def spatial_step(block: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(block)
-        for ti in range(t_count):
-            if mats[ti].nnz and block[ti].any():
-                out[ti] = bitops.advance_blocked(
-                    mats[ti],
-                    block[ti],
-                    n,
-                    out_degrees=degrees[ti],
-                    active_row=active_words[ti],
-                    visited_words=reached[ti],
-                )
-        return out
-
-    max_ext = boundary.max_level
-    cost = 0
-    while frontier.any() or cost <= max_ext:
-        ext = boundary.words(cost)
-        # an external node is strictly earlier than every snapshot here, so
-        # its causal reach is the node's bit at all of them, active-masked
-        ext_block = (
-            ext[None, :, :] & active_words[:, None, :] if ext is not None else None
-        )
-        # saturate zero-cost edge families at the current cost level
-        while True:
-            grow = np.zeros_like(frontier)
-            if causal_cost == 0:
-                grow |= bitops.causal_or_accumulate(frontier, active_words)
-                if ext_block is not None:
-                    grow |= ext_block
-            if spatial_cost == 0:
-                grow |= spatial_step(frontier)
-            grow &= active_words[:, None, :]
-            grow &= ~reached
-            if not grow.any():
-                break
-            mask = bitops.unpack_bits(grow, n)
-            labels[mask.transpose(0, 2, 1)] = cost
-            reached |= grow
-            frontier |= grow
-        # one unit-cost expansion
-        step = np.zeros_like(frontier)
-        if spatial_cost == 1:
-            step |= spatial_step(frontier)
-        if causal_cost == 1:
-            step |= bitops.causal_or_accumulate(frontier, active_words)
-            if ext_block is not None:
-                step |= ext_block
-        frontier = step & active_words[:, None, :] & ~reached
-        cost += 1
-        mask = bitops.unpack_bits(frontier, n)
-        labels[mask.transpose(0, 2, 1)] = cost
-        reached |= frontier
-    shard_min = np.where(labels >= 0, labels, _FAR).min(axis=0).T  # (R, N)
-    return labels, boundary.merged_with(shard_min)
-
-
-def _tang_shard_sweep(
-    kernel: FrontierKernel,
-    informed: np.ndarray,
-    *,
-    horizon: int,
-    start_index: int,
-    global_start: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One shard's slice of the Tang sweep; ``((N, R) step partial, informed out)``.
-
-    The Tang state is time-free — the ``(R, W)`` informed words *are* the
-    boundary — so this is ``LabelKernel._tang_chunk_fused`` restricted to
-    the shard's snapshots, with global step numbering
-    (``global snapshot - start_index + 1``) and the incoming words carried
-    forward.  Nodes informed before this shard are never "fresh" here, so
-    the per-shard step partials are disjoint.
-    """
-    compiled = kernel.compiled
-    mats = compiled.forward_operators
-    t_count = compiled.num_snapshots
-    n = compiled.num_nodes
-    r = informed.shape[0]
-    degrees = kernel._operator_degrees(True)
-    informed = informed.copy()
-    steps = np.full((n, r), -1, dtype=np.int32)
-    if bitops.popcount(informed) == n * r:
-        return steps, informed
-    local_start = max(0, start_index - global_start)
-    for ti in range(local_start, t_count):
-        if not mats[ti].nnz:
-            continue
-        step = global_start + ti - start_index + 1
-        fresh = np.zeros((r, bitops.words_for(n)), dtype=np.uint64)
-        for _ in range(max(1, horizon)):
-            spread = bitops.advance_blocked(
-                mats[ti],
-                informed,
-                n,
-                out_degrees=degrees[ti],
-                visited_words=informed,
-                counter=kernel.counter,
-            )
-            newly = spread & ~informed
-            if not newly.any():
-                break
-            informed |= newly
-            fresh |= newly
-        if fresh.any():
-            steps.T[bitops.unpack_bits(fresh, n)] = step
-        if bitops.popcount(informed) == n * r:
-            break
-    return steps, informed
+    return block, _handoff(block, boundary)
 
 
 def _run_shard_task(
@@ -411,25 +226,31 @@ def _run_shard_task(
     start_index)`` — and ``kind`` picks the partial shipped back to the
     driver, so the process backend returns reductions (reach masks, harmonic
     sums, hit indices, decoded dictionaries) instead of full blocks whenever
-    the readout allows.
+    the readout allows.  Label-family sweeps run through a
+    :class:`LabelKernel` built on the shard's kernel.
     """
     family = spec[0]
     if family == "tang":
-        return _tang_shard_sweep(
-            kernel,
-            boundary,
-            horizon=spec[1],
-            start_index=spec[2],
-            global_start=global_start,
+        # the incoming informed words are the boundary; global step numbers
+        # (global snapshot - start_index + 1) keep the per-shard partials
+        # disjoint, because nodes informed upstream are never fresh here
+        _, horizon, start_index = spec
+        informed = boundary.copy()
+        steps = np.full((kernel.num_nodes, informed.shape[0]), -1, dtype=np.int32)
+        first = max(0, start_index - global_start)
+        LabelKernel(kernel)._tang_sweep(
+            informed, steps, first, global_start + first - start_index + 1, horizon
         )
+        return steps, informed
     if family == "bfs":
         block, boundary_out = _bfs_shard_sweep(
             kernel, seeds, boundary, forward=spec[1], reverse_edges=spec[2]
         )
     else:
-        block, boundary_out = _zero_one_shard_sweep(
-            kernel, seeds, boundary, spec[1], spec[2]
+        block = LabelKernel(kernel)._zero_one_run(
+            seeds, spec[1], spec[2], boundary=boundary
         )
+        boundary_out = _handoff(block, boundary)
     return _reduce_block(kernel, kind, block, global_start), boundary_out
 
 
@@ -688,6 +509,11 @@ class ShardedSweepDriver:
             ]
         return list(range(count))
 
+    def _chunks(self, items: Iterable, chunk_size: int | None) -> list[list]:
+        """``items`` in chunks of ``chunk_size`` (``None``: the driver default)."""
+        width = self.chunk_size if chunk_size is None else chunk_size
+        return _chunked(list(items), width)
+
     def _split_seeds(
         self, seeds_per_column: Sequence[Sequence[tuple[int, int]]]
     ) -> list[list[list[tuple[int, int]]]]:
@@ -902,22 +728,23 @@ class ShardedSweepDriver:
         Every chunk's plan is built up front so the thread/process backends
         can overlap chunks at different chain positions (software pipelining
         over root-batches); the merged partials are then yielded chunk by
-        chunk in root order, matching the kernels' chunked iterators.
+        chunk in root order, matching the kernels' chunked iterators.  The
+        chunk width is checked on the call, the sweeps run on iteration.
         """
-        size = chunk_size or self.chunk_size
-        if size < 1:
-            raise GraphError("chunk_size must be at least 1")
+        chunks = self._chunks(roots, chunk_size)
         n = self.sharded.num_nodes
-        chunks: list[list[TemporalNodeTuple]] = []
-        plans: list[tuple] = []
-        for start in range(0, len(roots), size):
-            chunk = list(roots[start : start + size])
-            seeds = [[self._seed_index(r)] for r in chunk]
-            chunks.append(chunk)
-            plans.append(
-                (self._split_seeds(seeds), BoundaryBlock.empty(len(chunk), n))
-            )
-        yield from zip(chunks, self._run_chunks(spec, kind, plans))
+
+        def pipeline() -> Iterator[tuple[list[TemporalNodeTuple], object]]:
+            plans = [
+                (
+                    self._split_seeds([[self._seed_index(r)] for r in chunk]),
+                    BoundaryBlock.empty(len(chunk), n),
+                )
+                for chunk in chunks
+            ]
+            yield from zip(chunks, self._run_chunks(spec, kind, plans))
+
+        return pipeline()
 
     def bfs(
         self,
@@ -925,16 +752,10 @@ class ShardedSweepDriver:
         *,
         direction: str = "forward",
         reverse_edges: bool = False,
-        sweep_mode: str | None = None,
     ) -> BFSResult:
-        """Single-source search; equals ``FrontierKernel.bfs`` bit-for-bit.
-
-        ``sweep_mode`` is accepted for kernel-surface compatibility and
-        ignored: shard sweeps always run the fused loops (whose results the
-        monolithic suites pin to classic).
-        """
+        """Single-source search; equals ``FrontierKernel.bfs`` bit-for-bit."""
         root = (root[0], root[1])
-        spec = ("bfs", direction == "forward", bool(reverse_edges))
+        spec = _bfs_spec(direction, reverse_edges)
         for _, merged in self._frontier_chunks([root], spec, "reached", 1):
             return BFSResult(root=root, reached=merged[0])
         raise GraphError("empty sweep")  # pragma: no cover - single chunk above
@@ -944,9 +765,9 @@ class ShardedSweepDriver:
         roots: Iterable[TemporalNodeTuple],
         *,
         direction: str = "forward",
-        sweep_mode: str | None = None,
     ) -> BFSResult:
         """One search seeded at several roots, as ``FrontierKernel.multi_source``."""
+        spec = _bfs_spec(direction)
         root_list = [(r[0], r[1]) for r in roots]
         active_roots = [r for r in root_list if self.is_active(*r)]
         if not active_roots:
@@ -956,7 +777,6 @@ class ShardedSweepDriver:
         seeds = [[self._seed_index(r) for r in active_roots]]
         boundary = BoundaryBlock.empty(1, self.sharded.num_nodes)
         plan = (self._split_seeds(seeds), boundary)
-        spec = ("bfs", direction == "forward", False)
         (merged,) = self._run_chunks(spec, "reached", [plan])
         return BFSResult(root=tuple(active_roots), reached=merged[0])
 
@@ -966,12 +786,11 @@ class ShardedSweepDriver:
         *,
         direction: str = "forward",
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, BFSResult]:
         """Many independent searches, as ``FrontierKernel.batch`` (inactive skipped)."""
+        spec = _bfs_spec(direction)
         root_list = [(r[0], r[1]) for r in roots]
         active_roots = [r for r in root_list if self.is_active(*r)]
-        spec = ("bfs", direction == "forward", False)
         results: dict[TemporalNodeTuple, BFSResult] = {}
         for chunk, merged in self._frontier_chunks(
             active_roots, spec, "reached", chunk_size
@@ -987,10 +806,9 @@ class ShardedSweepDriver:
         direction: str = "forward",
         reverse_edges: bool = False,
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
         """Raw global ``(T, N, R)`` distance blocks, chunked as the kernel's."""
-        spec = ("bfs", direction == "forward", bool(reverse_edges))
+        spec = _bfs_spec(direction, reverse_edges)
         root_list = [(r[0], r[1]) for r in roots]
         return self._frontier_chunks(root_list, spec, "block", chunk_size)
 
@@ -1001,14 +819,13 @@ class ShardedSweepDriver:
         direction: str = "forward",
         reverse_edges: bool = False,
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, int]:
         """Per root: reached node identities minus itself, pipelined per shard.
 
         Shards ship ``(N, R)`` identity-hit masks; the driver ORs and counts,
         so the result is bit-identical to the monolithic reduction.
         """
-        spec = ("bfs", direction == "forward", bool(reverse_edges))
+        spec = _bfs_spec(direction, reverse_edges)
         out: dict[TemporalNodeTuple, int] = {}
         root_list = [(r[0], r[1]) for r in roots]
         for chunk, merged in self._frontier_chunks(
@@ -1025,7 +842,6 @@ class ShardedSweepDriver:
         *,
         direction: str = "forward",
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, float]:
         """Per root: ``sum(1/d)`` over reached slots at distance > 0.
 
@@ -1035,7 +851,7 @@ class ShardedSweepDriver:
         snapshot order and folds sequentially, so the float sums are
         *bit-identical* to the monolithic kernel — not merely close.
         """
-        spec = ("bfs", direction == "forward", False)
+        spec = _bfs_spec(direction)
         out: dict[TemporalNodeTuple, float] = {}
         root_list = [(r[0], r[1]) for r in roots]
         for chunk, merged in self._frontier_chunks(
@@ -1054,7 +870,6 @@ class ShardedSweepDriver:
         roots: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
         """Per root: earliest reachable time per node identity (forward sweep).
 
@@ -1062,7 +877,7 @@ class ShardedSweepDriver:
         keeps the minimum, which equals the monolithic running-minimum
         readout exactly.
         """
-        spec = ("bfs", True, False)
+        spec = _bfs_spec("forward")
         out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
         root_list = [(r[0], r[1]) for r in roots]
         for chunk, first in self._frontier_chunks(
@@ -1081,10 +896,9 @@ class ShardedSweepDriver:
         targets: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
         """Per target: latest departing time per node identity (backward sweep)."""
-        spec = ("bfs", False, False)
+        spec = _bfs_spec("backward")
         out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
         target_list = [(r[0], r[1]) for r in targets]
         for chunk, last in self._frontier_chunks(
@@ -1105,7 +919,6 @@ class ShardedSweepDriver:
         spatial_cost: int = 1,
         causal_cost: int = 0,
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
         """(min, +) labels with 0/1 edge-family costs, as the label kernel's."""
         for cost, name in (
@@ -1123,7 +936,6 @@ class ShardedSweepDriver:
         roots: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]]:
         """Per root: minimal static-edge count per reached slot (hops decoded)."""
         spec = ("zero_one", 1, 0)
@@ -1143,26 +955,20 @@ class ShardedSweepDriver:
         horizon: int = 1,
         start_index: int = 0,
         chunk_size: int | None = None,
-        sweep_mode: str | None = None,
     ) -> dict[Node, dict[Node, int]]:
         """Tang snapshot-count distances, the informed words flowing shard to shard."""
         if start_index < 0 or start_index >= self.sharded.num_snapshots:
             raise GraphError(f"start_index {start_index} out of range")
         spec = ("tang", int(horizon), int(start_index))
-        size = chunk_size or self.chunk_size
-        n = self.sharded.num_nodes
-        w = bitops.words_for(n)
-        sources = list(source_nodes)
-        chunks: list[list[Node]] = []
+        w = bitops.words_for(self.sharded.num_nodes)
+        chunks = self._chunks(source_nodes, chunk_size)
         plans: list[tuple] = []
-        for start in range(0, len(sources), size):
-            chunk = sources[start : start + size]
+        for chunk in chunks:
             informed = np.zeros((len(chunk), w), dtype=np.uint64)
             for col, source in enumerate(chunk):
                 vi = self._node_index.get(source)
                 if vi is not None:
                     informed[col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
-            chunks.append(chunk)
             plans.append((None, informed))
         out: dict[Node, dict[Node, int]] = {}
         for chunk, steps in zip(chunks, self._run_chunks(spec, "steps", plans)):

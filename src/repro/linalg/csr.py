@@ -35,12 +35,13 @@ class OperationCounter:
     """Mutable counter of the work performed by :class:`CSRMatrix` kernels.
 
     ``multiply_adds``/``column_checks``/``row_checks`` are the Theorem 5/6
-    cost model of the classic byte-per-cell sweeps.  ``word_ops`` accounts
-    the packed bookkeeping of the fused sweep paths
-    (:mod:`repro.engine.bitops`): one unit per 64-bit word operation, so 64
-    slot-level boolean operations cost one ``word_op`` — which is how the
-    test suite asserts that a fused sweep does strictly less total work than
-    its classic twin.
+    cost model of the blocked algorithm; the engine sweeps charge the sparse
+    work they actually gather to ``multiply_adds``.  ``word_ops`` accounts
+    the packed bookkeeping of those sweeps (:mod:`repro.engine.bitops`): one
+    unit per 64-bit word operation, so 64 slot-level boolean operations cost
+    one ``word_op`` — which is how the test suite asserts that a packed
+    sweep does strictly less total work than the Theorem 5/6 charge of the
+    same search.
     """
 
     multiply_adds: int = 0

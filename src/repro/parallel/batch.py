@@ -49,27 +49,21 @@ from repro.graph.compiled import CompiledTemporalGraph
 __all__ = ["batch_bfs", "fan_out_chunks", "map_over_roots"]
 
 _WORKER_KERNEL = None
-_WORKER_SWEEP_MODE: str | None = None
 
 
-def _init_worker(
-    compiled: CompiledTemporalGraph, sweep_mode: str | None = None
-) -> None:
+def _init_worker(compiled: CompiledTemporalGraph) -> None:
     """Build one frontier kernel per worker over the shipped compiled artifact."""
     from repro.engine.frontier import FrontierKernel
 
-    global _WORKER_KERNEL, _WORKER_SWEEP_MODE
+    global _WORKER_KERNEL
     _WORKER_KERNEL = FrontierKernel(compiled)
-    _WORKER_SWEEP_MODE = sweep_mode
 
 
 def _worker_batch(
     chunk: list[TemporalNodeTuple],
 ) -> dict[TemporalNodeTuple, dict]:
     assert _WORKER_KERNEL is not None, "worker not initialised"
-    results = _WORKER_KERNEL.batch(
-        chunk, chunk_size=len(chunk), sweep_mode=_WORKER_SWEEP_MODE
-    )
+    results = _WORKER_KERNEL.batch(chunk, chunk_size=len(chunk))
     # ship plain reached dictionaries back; BFSResult is rebuilt in the parent
     return {root: result.reached for root, result in results.items()}
 
@@ -137,7 +131,6 @@ def batch_bfs(
     chunk_size: int = 128,
     mp_context: str | None = None,
     compiled: CompiledTemporalGraph | None = None,
-    sweep_mode: str | None = None,
     shards: int | None = None,
 ) -> dict[TemporalNodeTuple, BFSResult]:
     """Run one evolving-graph BFS per root and collect the results.
@@ -158,12 +151,6 @@ def batch_bfs(
     :func:`repro.generators.stream.apply_stream` — instead of resolving it
     through the dispatch cache.  It must describe ``graph``'s current
     contents (``compiled.is_current(graph)``); the python backends ignore it.
-
-    ``sweep_mode`` selects the engine sweep implementation (``"fused"`` /
-    ``"classic"``; ``None`` follows the process-wide default) for the
-    vectorized and process backends — worker processes receive it through
-    the pool initializer, so the parent's choice applies everywhere.  The
-    python backends ignore it; results are bit-identical regardless.
 
     ``shards`` (vectorized backend only) routes the batched sweeps through
     the pipelined time-shard driver
@@ -189,7 +176,7 @@ def batch_bfs(
         driver = get_sharded_driver(
             graph, shards, num_workers=num_workers, chunk_size=chunk_size
         )
-        return driver.batch(root_list, chunk_size=chunk_size, sweep_mode=sweep_mode)
+        return driver.batch(root_list, chunk_size=chunk_size)
     if compiled is not None and backend in ("vectorized", "process"):
         if not compiled.is_current(graph):
             raise GraphError(
@@ -220,9 +207,7 @@ def batch_bfs(
         # compiled artifact, so nothing is recompiled per worker or per call
         results = {}
         for part in fan_out_chunks(
-            lambda chunk: kernel.batch(
-                chunk, chunk_size=chunk_size, sweep_mode=sweep_mode
-            ),
+            lambda chunk: kernel.batch(chunk, chunk_size=chunk_size),
             active_roots,
             chunk_size=chunk_size,
             num_workers=num_workers or 1,
@@ -267,7 +252,7 @@ def batch_bfs(
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(compiled, sweep_mode),
+            initargs=(compiled,),
             mp_context=context,
         ) as pool:
             for part in pool.map(_worker_batch, chunks):

@@ -84,16 +84,10 @@ def execute_group(
     *,
     chunk_size: int = 128,
     num_workers: int = 1,
-    sweep_mode: str | None = None,
     driver=None,
     warm_blocks: bool = False,
 ) -> GroupOutcome:
     """Answer every query in one sweep-shape group with shared kernel work.
-
-    ``sweep_mode`` selects the kernel sweep implementation (``"fused"`` /
-    ``"classic"``; ``None`` follows the process-wide default) and is threaded
-    to every batched kernel call below — results are bit-identical either
-    way, so served answers never depend on the mode.
 
     ``driver`` (a :class:`~repro.engine.sharded_sweep.ShardedSweepDriver`)
     reroutes the frontier, zero-one, Tang and reach-count families through
@@ -116,20 +110,17 @@ def execute_group(
             queries,
             chunk_size,
             num_workers,
-            sweep_mode,
             driver,
             warm_blocks,
         )
     if family == "zero_one":
         return _zero_one_group(
-            graph, sweep_key, queries, chunk_size, num_workers, sweep_mode, driver
+            graph, sweep_key, queries, chunk_size, num_workers, driver
         )
     if family == "tang":
-        return _tang_group(graph, sweep_key, queries, chunk_size, sweep_mode, driver)
+        return _tang_group(graph, sweep_key, queries, chunk_size, driver)
     if family == "reach_counts":
-        return _reach_counts_group(
-            graph, sweep_key, queries, chunk_size, sweep_mode, driver
-        )
+        return _reach_counts_group(graph, sweep_key, queries, chunk_size, driver)
     if family == "spectral":
         return _spectral_group(graph, sweep_key, queries)
     raise GraphError(f"unknown sweep family {family!r}")
@@ -215,7 +206,6 @@ def _frontier_group(
     queries: list[Query],
     chunk_size: int,
     num_workers: int,
-    sweep_mode: str | None,
     driver=None,
     warm_blocks: bool = False,
 ) -> GroupOutcome:
@@ -262,7 +252,6 @@ def _frontier_group(
                 direction=direction,
                 reverse_edges=reverse_edges,
                 chunk_size=chunk_size,
-                sweep_mode=sweep_mode,
             )
         )
 
@@ -307,7 +296,6 @@ def _zero_one_group(
     queries: list[Query],
     chunk_size: int,
     num_workers: int,
-    sweep_mode: str | None,
     driver=None,
 ) -> GroupOutcome:
     """Fewest-spatial-hops sources packed into one 0/1-semiring sweep."""
@@ -344,7 +332,6 @@ def _zero_one_group(
                 spatial_cost=spatial_cost,
                 causal_cost=causal_cost,
                 chunk_size=chunk_size,
-                sweep_mode=sweep_mode,
             )
         )
 
@@ -375,7 +362,6 @@ def _tang_group(
     sweep_key: tuple,
     queries: list[Query],
     chunk_size: int,
-    sweep_mode: str | None,
     driver=None,
 ) -> GroupOutcome:
     """Tang snapshot-count sources packed into one batched time sweep."""
@@ -408,7 +394,6 @@ def _tang_group(
         horizon=horizon,
         start_index=start_index,
         chunk_size=chunk_size,
-        sweep_mode=sweep_mode,
     )
     outcome.columns = len(sources)
     outcome.sweeps = 1
@@ -424,7 +409,6 @@ def _reach_counts_group(
     sweep_key: tuple,
     queries: list[Query],
     chunk_size: int,
-    sweep_mode: str | None,
     driver=None,
 ) -> GroupOutcome:
     """One whole-graph reach-count sweep serves every top-k ranking in the group."""
@@ -440,7 +424,7 @@ def _reach_counts_group(
 
             sweeper = get_kernel(graph)
         counts = sweeper.identity_reach_counts(
-            roots, direction=direction, chunk_size=chunk_size, sweep_mode=sweep_mode
+            roots, direction=direction, chunk_size=chunk_size
         )
         outcome.columns = len(roots)
         outcome.sweeps = 1

@@ -79,7 +79,6 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from repro.algorithms.queries import Query, Submission
-from repro.engine.bitops import resolve_sweep_mode
 from repro.exceptions import (
     DeadlineExceededError,
     GraphError,
@@ -367,12 +366,6 @@ class QueryServer:
         When > 1, a coalesced group whose roots span several chunks fans the
         chunks over this many threads
         (:func:`repro.parallel.batch.fan_out_chunks`).
-    sweep_mode:
-        Kernel sweep implementation for every coalesced group: ``"fused"``
-        (bit-packed direction-optimizing sweeps), ``"classic"`` (the
-        byte-per-cell oracle loops), or ``None`` to follow the process-wide
-        :func:`repro.engine.get_sweep_mode` default at execution time.
-        Served results are bit-identical across modes.
     warm_start:
         Retain the ``(T, N)`` distance block behind every plain-forward
         frontier-family answer (one int32 block per distinct root, bounded
@@ -407,7 +400,6 @@ class QueryServer:
         cache_entries: int = 1024,
         chunk_size: int = 128,
         num_workers: int = 1,
-        sweep_mode: str | None = None,
         warm_start: bool = True,
         sharded=None,
     ) -> None:
@@ -426,9 +418,6 @@ class QueryServer:
             )
         if chunk_size < 1:
             raise GraphError(f"chunk_size must be at least 1, got {chunk_size}")
-        if sweep_mode is not None:
-            resolve_sweep_mode(sweep_mode)  # validate eagerly, resolve at sweep time
-        self._sweep_mode = sweep_mode
         self._graph = graph
         if isinstance(sharded, int):
             from repro.engine import get_sharded_driver
@@ -890,9 +879,7 @@ class QueryServer:
             carried.append((key, warm))
         if not carried:
             return 0
-        kernel.patch_distance_blocks(
-            blocks, insertions, pinned=pins, sweep_mode=self._sweep_mode
-        )
+        kernel.patch_distance_blocks(blocks, insertions, pinned=pins)
         moves = [
             (key, decode_warm_block(kernel, warm.query, warm.block), warm)
             for key, warm in carried
@@ -957,9 +944,7 @@ class QueryServer:
             carried.append((key, warm))
         if not carried:
             return []
-        kernel.shrink_distance_blocks(
-            blocks, removed, prev_active, sweep_mode=self._sweep_mode
-        )
+        kernel.shrink_distance_blocks(blocks, removed, prev_active)
         for _key, warm in carried:
             warm.surface = compiled
         return carried
@@ -1016,9 +1001,7 @@ class QueryServer:
         if not kept:
             return 0
         if insertions:
-            kernel.patch_distance_blocks(
-                blocks, insertions, pinned=pins, sweep_mode=self._sweep_mode
-            )
+            kernel.patch_distance_blocks(blocks, insertions, pinned=pins)
         moves = [
             (key, decode_warm_block(kernel, warm.query, warm.block), warm)
             for key, warm in kept
@@ -1099,7 +1082,6 @@ class QueryServer:
                     queries,
                     chunk_size=self._chunk_size,
                     num_workers=self._num_workers,
-                    sweep_mode=self._sweep_mode,
                     driver=self._sharded_driver,
                     warm_blocks=self._warm_start,
                 )

@@ -10,25 +10,24 @@ including the ragged ``n % 64 != 0`` tails where packing bugs live:
 * :func:`~repro.engine.bitops.popcount` vs ``np.count_nonzero``;
 * :func:`~repro.engine.bitops.packed_nonzero` vs ``np.nonzero`` (same
   coordinates, same order) and ``set_bits`` as its inverse;
-* :func:`~repro.engine.bitops.causal_or_accumulate` vs the classic shifted
+* :func:`~repro.engine.bitops.causal_or_accumulate` vs the unpacked shifted
   ``np.logical_or.accumulate`` (both directions, with/without activeness);
 * :func:`~repro.engine.bitops.fused_update` vs its unfused boolean formula;
 * :func:`~repro.engine.bitops.advance_blocked` vs the dense CSR product
   under every push/pull threshold configuration (the three branches must
   agree wherever new discoveries are possible);
-* the ``sweep_mode`` flag plumbing (validation, context restore).
+* the process-wide sweep configuration: the push/pull thresholds that pick
+  the advance mode (context restore) and the JIT report.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import bitops
-from repro.exceptions import GraphError
 
 BITOPS_SETTINGS = settings(
     max_examples=60,
@@ -140,7 +139,7 @@ def causal_blocks(draw):
 def test_causal_or_accumulate_matches_logical_accumulate(block_active, forward):
     block, active = block_active
     n = block.shape[-1]
-    # the classic shifted accumulate, on the (T, R, n) boolean layout
+    # the unpacked shifted accumulate, on the (T, R, n) boolean layout
     expected = np.zeros_like(block)
     if block.shape[0] > 1:
         if forward:
@@ -316,40 +315,13 @@ def test_advance_blocked_counts_multiply_adds_per_branch():
 
 
 # --------------------------------------------------------------------------- #
-# sweep-mode flag plumbing                                                     #
+# process-wide sweep configuration                                             #
 # --------------------------------------------------------------------------- #
 
 
 class TestSweepModeFlag:
-    def test_default_is_fused(self):
-        assert bitops.get_sweep_mode() == "fused"
-        assert bitops.resolve_sweep_mode(None) == bitops.get_sweep_mode()
-
-    def test_set_returns_previous_and_validates(self):
-        previous = bitops.set_sweep_mode("classic")
-        try:
-            assert previous == "fused"
-            assert bitops.get_sweep_mode() == "classic"
-            with pytest.raises(GraphError):
-                bitops.set_sweep_mode("turbo")
-            assert bitops.get_sweep_mode() == "classic"
-        finally:
-            bitops.set_sweep_mode(previous)
-
-    def test_resolve_rejects_unknown_modes(self):
-        with pytest.raises(GraphError):
-            bitops.resolve_sweep_mode("turbo")
-        assert bitops.resolve_sweep_mode("classic") == "classic"
-
-    def test_use_sweep_mode_restores_on_exit(self):
-        before = bitops.get_sweep_mode()
-        with bitops.use_sweep_mode("classic"):
-            assert bitops.get_sweep_mode() == "classic"
-        assert bitops.get_sweep_mode() == before
-        with pytest.raises(GraphError):
-            with bitops.use_sweep_mode("turbo"):
-                pass  # pragma: no cover - never entered
-        assert bitops.get_sweep_mode() == before
+    """The sweep's advance mode (push, pull or dense) is picked per call from
+    the process-wide thresholds; :func:`bitops.sweep_thresholds` scopes them."""
 
     def test_thresholds_restore_on_exit(self):
         push, pull = bitops.PUSH_BLOCK_FRACTION, bitops.PULL_ROW_FRACTION

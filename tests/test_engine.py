@@ -25,12 +25,10 @@ from repro.core import (
 )
 from repro.engine import (
     BACKENDS,
-    SWEEP_MODES,
     FrontierKernel,
     get_kernel,
     invalidate_kernel,
     resolve_backend,
-    use_sweep_mode,
 )
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph import (
@@ -345,87 +343,89 @@ class TestOperationCounting:
 
 
 # --------------------------------------------------------------------------- #
-# fused (bit-packed) sweeps vs the classic oracle                              #
+# the packed sweep loop vs the Python oracles                                  #
 # --------------------------------------------------------------------------- #
+
+def _flipped(graph):
+    """The same evolving graph with every edge turned around: ``(v, u, t)``."""
+    return AdjacencyListEvolvingGraph(
+        [(v, u, t) for u, v, t in graph.temporal_edges()],
+        timestamps=list(graph.timestamps),
+        directed=graph.is_directed,
+    )
+
 
 @ENGINE_SETTINGS
 @given(graphs_with_roots(), st.sampled_from(["forward", "backward"]),
        st.booleans())
-def test_fused_bfs_bit_identical_to_classic(graph_root, direction, reverse_edges):
+def test_bfs_bit_identical_to_python_oracle(graph_root, direction, reverse_edges):
+    """Both time directions, with and without ``reverse_edges`` — whose
+    reference is the Python search over the same edges turned around."""
     graph, root = graph_root
+    search = evolving_bfs if direction == "forward" else backward_bfs
+    reference = search(_flipped(graph) if reverse_edges else graph, root,
+                       backend="python")
     kernel = FrontierKernel(graph)
-    classic = kernel.bfs(root, direction=direction, reverse_edges=reverse_edges,
-                         sweep_mode="classic")
-    fused = kernel.bfs(root, direction=direction, reverse_edges=reverse_edges,
-                       sweep_mode="fused")
-    assert fused.reached == classic.reached
+    packed = kernel.bfs(root, direction=direction, reverse_edges=reverse_edges)
+    assert packed.reached == reference.reached
 
 
 @ENGINE_SETTINGS
 @given(evolving_graphs(), st.data())
-def test_fused_multi_source_and_batch_bit_identical_to_classic(graph, data):
+def test_multi_source_and_batch_bit_identical_to_python_oracle(graph, data):
     active = graph.active_temporal_nodes()
     if not active:
         graph.add_edge(0, 1, 0)
         active = graph.active_temporal_nodes()
     roots = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=5))
     kernel = FrontierKernel(graph)
-    assert (kernel.multi_source(roots, sweep_mode="fused").reached
-            == kernel.multi_source(roots, sweep_mode="classic").reached)
-    classic = kernel.batch(roots, sweep_mode="classic", chunk_size=3)
-    fused = kernel.batch(roots, sweep_mode="fused", chunk_size=3)
-    assert set(classic) == set(fused)
-    for root in classic:
-        assert fused[root].reached == classic[root].reached
-
-
-@ENGINE_SETTINGS
-@given(graphs_with_roots())
-def test_process_wide_sweep_mode_matches_per_call_override(graph_root):
-    graph, root = graph_root
-    kernel = FrontierKernel(graph)
-    with use_sweep_mode("classic"):
-        ambient = kernel.bfs(root)
-    assert ambient.reached == kernel.bfs(root, sweep_mode="fused").reached
+    assert (kernel.multi_source(roots).reached
+            == multi_source_bfs(graph, roots, backend="python").reached)
+    batched = kernel.batch(roots, chunk_size=3)
+    assert set(batched) == set(roots)
+    for root in batched:
+        assert (batched[root].reached
+                == evolving_bfs(graph, root, backend="python").reached)
 
 
 class TestFusedSweeps:
-    def test_sweep_modes_exported(self):
-        assert set(SWEEP_MODES) == {"fused", "classic"}
+    def test_track_parents_reads_tree_off_packed_sweep(self):
+        """The parent pass's tie rule: the highest-index spatial in-neighbour
+        one level closer, else the same node at the latest earlier snapshot
+        (latest later snapshot for backward searches)."""
+        graph = AdjacencyListEvolvingGraph(
+            [(0, 1, 0), (0, 2, 0), (1, 3, 0), (2, 3, 0)], directed=True
+        )
+        kernel = FrontierKernel(graph)
+        assert kernel.node_labels == [0, 1, 2, 3]
+        traced = kernel.bfs((0, 0), track_parents=True)
+        assert traced.reached == kernel.bfs((0, 0)).reached
+        assert traced.parents[(0, 0)] == (0, 0)
+        assert traced.parents[(3, 0)] == (2, 0)  # 1 and 2 tie; 2 wins
 
-    @pytest.mark.parametrize("sweep_mode", SWEEP_MODES)
-    def test_inactive_root_raises_in_both_modes(self, figure1, sweep_mode):
-        kernel = FrontierKernel(figure1)
-        with pytest.raises(InactiveNodeError):
-            kernel.bfs((4, "t1"), sweep_mode=sweep_mode)
-        with pytest.raises(InactiveNodeError):
-            kernel.multi_source([(4, "t1")], sweep_mode=sweep_mode)
-
-    @pytest.mark.parametrize("sweep_mode", SWEEP_MODES)
-    def test_batch_skips_inactive_roots_in_both_modes(self, figure1, sweep_mode):
-        kernel = FrontierKernel(figure1)
-        results = kernel.batch([(1, "t1"), (4, "t1")], sweep_mode=sweep_mode)
-        assert set(results) == {(1, "t1")}
-
-    def test_unknown_sweep_mode_rejected(self, figure1):
-        kernel = FrontierKernel(figure1)
-        with pytest.raises(GraphError):
-            kernel.bfs((1, "t1"), sweep_mode="turbo")
-
-    def test_track_parents_always_runs_classic(self, figure1):
-        """Parent tracking is classic-only; the fused default must not break it."""
-        kernel = FrontierKernel(figure1)
-        traced = kernel.bfs((1, "t1"), track_parents=True)
-        plain = kernel.bfs((1, "t1"))
-        assert traced.reached == plain.reached
-        assert traced.parents[(1, "t1")] == (1, "t1")
+        # node 5 sits at distance 2 at t=0 and t=1 on the way from (0, 0),
+        # and at distance 2 at t=1 and t=2 on the way back from (9, 2)
+        graph = AdjacencyListEvolvingGraph(
+            [(0, 1, 0), (1, 5, 0), (7, 5, 0), (0, 5, 1), (5, 9, 1),
+             (5, 7, 2), (5, 1, 2), (1, 9, 2)],
+            timestamps=[0, 1, 2], directed=True,
+        )
+        kernel = FrontierKernel(graph)
+        forward = kernel.bfs((0, 0), track_parents=True)
+        assert forward.reached[(5, 0)] == forward.reached[(5, 1)] == 2
+        assert forward.parents[(5, 2)] == (5, 1)
+        backward = kernel.bfs((9, 2), direction="backward", track_parents=True)
+        assert backward.reached[(5, 1)] == backward.reached[(5, 2)] == 2
+        assert backward.parents[(5, 0)] == (5, 2)
 
     def test_fused_does_strictly_less_accounted_work(self):
-        """On a non-trivial graph the fused sweep's total accounted work
-        (multiply-adds + word ops) undercuts the classic byte-per-cell
-        total (multiply-adds + column checks).  Tiny graphs can invert
-        this — word bookkeeping has a fixed per-snapshot floor — so the
-        assertion runs on a few hundred nodes, where packing pays."""
+        """On a non-trivial graph the packed sweep's total accounted work
+        (multiply-adds + word ops) undercuts the Theorem-5/6 charge of the
+        blocked algorithm, read off the distance block: a dense product,
+        ``2 · nnz(t) · R``, for every level and snapshot holding a frontier
+        slot, plus ``T · N · R`` column checks per level.  Tiny graphs can
+        invert this — word bookkeeping has a fixed per-snapshot floor — so
+        the assertion runs on a few hundred nodes, where packing pays."""
         rng = np.random.default_rng(7)
         edges = [
             (int(rng.integers(250)), int(rng.integers(250)), int(rng.integers(6)))
@@ -436,23 +436,27 @@ class TestFusedSweeps:
         )
         kernel = FrontierKernel(graph, counter=OperationCounter())
         roots = graph.active_temporal_nodes()[:32]
-
-        classic = kernel.batch(roots, sweep_mode="classic")
-        classic_total = kernel.counter.total()
-        assert kernel.counter.word_ops == 0  # classic never touches words
-
-        kernel.counter.reset()
-        fused = kernel.batch(roots, sweep_mode="fused")
-        fused_total = kernel.counter.total()
+        packed = kernel.batch(roots)
+        packed_total = kernel.counter.total()
         assert kernel.counter.word_ops > 0
         assert kernel.counter.multiply_adds > 0
-        assert fused_total < classic_total
 
-        for root in classic:
-            assert fused[root].reached == classic[root].reached
+        ((_, dist),) = FrontierKernel(graph).distance_blocks(roots)
+        t_count, n, r = dist.shape
+        nnz = np.array([m.nnz for m in kernel.compiled.forward_operators])
+        theorem = 0
+        for level in range(int(dist.max()) + 1):
+            holds = (dist == level).any(axis=(1, 2))
+            theorem += 2 * int(nnz[holds].sum()) * r + t_count * n * r
+        assert theorem == 4_018_688
+        assert packed_total < theorem
+
+        for root in roots:
+            assert (packed[root].reached
+                    == evolving_bfs(graph, root, backend="python").reached)
 
     def test_resweep_bit_identical_and_batched(self):
-        """decrease_only_resweep: fused and classic agree with a fresh search."""
+        """decrease_only_resweep: the packed rounds agree with a fresh search."""
         rng = np.random.default_rng(5)
         for _ in range(10):
             n_nodes = int(rng.integers(3, 40))
@@ -472,11 +476,10 @@ class TestFusedSweeps:
             kernel = FrontierKernel(graph)
             fresh = kernel.distance_block(root)
             # degrade some distances, then re-sweep from the fresh seeds
-            for mode in SWEEP_MODES:
-                degraded = np.where(fresh >= 0, fresh + 2, fresh)
-                seeds = [(*kernel._seed_index(root), 0)]
-                kernel.decrease_only_resweep(degraded, seeds, sweep_mode=mode)
-                np.testing.assert_array_equal(degraded, fresh)
+            degraded = np.where(fresh >= 0, fresh + 2, fresh)
+            seeds = [(*kernel._seed_index(root), 0)]
+            kernel.decrease_only_resweep(degraded, seeds)
+            np.testing.assert_array_equal(degraded, fresh)
 
 
 # --------------------------------------------------------------------------- #

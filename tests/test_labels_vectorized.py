@@ -12,6 +12,7 @@ yield *a* valid shortest-path tree over the oracle's distances).
 
 from __future__ import annotations
 
+import heapq
 import pickle
 
 import numpy as np
@@ -253,8 +254,10 @@ def test_pagerank_unknown_backend_rejected():
 # engine parent-slot tracking                                                  #
 # --------------------------------------------------------------------------- #
 
-def _assert_valid_shortest_path_tree(graph, result, reference_reached):
-    """``result.parents`` must encode a valid shortest-path tree for the oracle distances."""
+def _assert_valid_shortest_path_tree(graph, result, reference_reached,
+                                     reverse_edges=False):
+    """``result.parents`` must encode a valid shortest-path tree for the oracle
+    distances; with ``reverse_edges`` every spatial hop runs against an edge."""
     assert result.reached == reference_reached
     for child, parent in result.parents.items():
         if child == parent:
@@ -264,7 +267,10 @@ def _assert_valid_shortest_path_tree(graph, result, reference_reached):
         assert result.reached[parent] == result.reached[child] - 1
         (cv, ct), (pv, pt) = child, parent
         if pt == ct:
-            assert graph.has_edge(pv, cv, ct)
+            if reverse_edges:
+                assert graph.has_edge(cv, pv, ct)
+            else:
+                assert graph.has_edge(pv, cv, ct)
         else:
             # causal hop: same node, strictly earlier active appearance
             assert pv == cv
@@ -273,13 +279,26 @@ def _assert_valid_shortest_path_tree(graph, result, reference_reached):
             assert graph.is_active(pv, pt) and graph.is_active(cv, ct)
 
 
+def _flipped(graph):
+    """The same evolving graph with every edge turned around: ``(v, u, t)``."""
+    return AdjacencyListEvolvingGraph(
+        [(v, u, t) for u, v, t in graph.temporal_edges()],
+        timestamps=list(graph.timestamps),
+        directed=graph.is_directed,
+    )
+
+
 @ALGO_SETTINGS
-@given(graphs_with_roots())
-def test_engine_parent_pointers_form_shortest_path_tree(graph_root):
+@given(graphs_with_roots(), st.booleans())
+def test_engine_parent_pointers_form_shortest_path_tree(graph_root, reverse_edges):
     graph, root = graph_root
-    python = evolving_bfs(graph, root, track_parents=True, backend="python")
-    engine = get_kernel(graph).bfs(root, track_parents=True)
-    _assert_valid_shortest_path_tree(graph, engine, python.reached)
+    # reverse_edges searches the same edges turned around
+    searched = _flipped(graph) if reverse_edges else graph
+    python = evolving_bfs(searched, root, track_parents=True, backend="python")
+    engine = get_kernel(graph).bfs(
+        root, reverse_edges=reverse_edges, track_parents=True
+    )
+    _assert_valid_shortest_path_tree(graph, engine, python.reached, reverse_edges)
     # every python-reachable target reconstructs a path of the same length
     for target in list(python.reached)[:10]:
         engine_path = engine.path_to(*target)
@@ -393,30 +412,54 @@ def test_compiled_graph_pickle_roundtrip(medium_random_graph):
 
 
 # --------------------------------------------------------------------------- #
-# fused (bit-packed) label sweeps vs the classic oracle                        #
+# batched label sweeps vs the Python oracles                                   #
 # --------------------------------------------------------------------------- #
 
 @ALGO_SETTINGS
 @given(evolving_graphs(), st.data())
-def test_fused_time_readouts_bit_identical_to_classic(graph, data):
+def test_time_readouts_bit_identical_to_python(graph, data):
     active = graph.active_temporal_nodes()
     if not active:
         graph.add_edge(0, 1, 0)
         active = graph.active_temporal_nodes()
     roots = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=4))
     kernel = LabelKernel(graph)
-    assert (kernel.earliest_arrivals(roots, sweep_mode="fused")
-            == kernel.earliest_arrivals(roots, sweep_mode="classic"))
-    assert (kernel.latest_departures(roots, sweep_mode="fused")
-            == kernel.latest_departures(roots, sweep_mode="classic"))
-    assert (kernel.fewest_hops(roots, sweep_mode="fused")
-            == kernel.fewest_hops(roots, sweep_mode="classic"))
+    assert kernel.earliest_arrivals(roots) == {
+        root: earliest_arrival_times(graph, root, backend="python") for root in roots
+    }
+    assert kernel.latest_departures(roots) == {
+        root: latest_departure_times(graph, root, backend="python") for root in roots
+    }
+    assert kernel.fewest_hops(roots) == {
+        root: fewest_spatial_hops_from(graph, root, backend="python")
+        for root in roots
+    }
+
+
+def _zero_one_dijkstra(graph, source, spatial_cost, causal_cost):
+    """The Python Dijkstra of ``fewest_spatial_hops_from`` with both edge
+    families' costs pluggable (a causal hop keeps the node identity)."""
+    best = {source: 0}
+    heap = [(0, 0, source)]
+    counter = 0
+    while heap:
+        cost, _, current = heapq.heappop(heap)
+        if cost > best.get(current, float("inf")):
+            continue
+        v, t = current
+        for nxt in graph.forward_neighbors(v, t):
+            new_cost = cost + (causal_cost if nxt[0] == v else spatial_cost)
+            if new_cost < best.get(nxt, float("inf")):
+                best[nxt] = new_cost
+                counter += 1
+                heapq.heappush(heap, (new_cost, counter, nxt))
+    return best
 
 
 @ALGO_SETTINGS
 @given(evolving_graphs(), st.data(),
        st.sampled_from([(1, 0), (0, 1), (1, 1), (0, 0)]))
-def test_fused_zero_one_labels_bit_identical_to_classic(graph, data, costs):
+def test_zero_one_labels_bit_identical_to_python_dijkstra(graph, data, costs):
     spatial_cost, causal_cost = costs
     active = graph.active_temporal_nodes()
     if not active:
@@ -424,31 +467,42 @@ def test_fused_zero_one_labels_bit_identical_to_classic(graph, data, costs):
         active = graph.active_temporal_nodes()
     roots = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=4))
     kernel = LabelKernel(graph)
-    classic = list(kernel.zero_one_labels(
-        roots, spatial_cost=spatial_cost, causal_cost=causal_cost,
-        sweep_mode="classic"))
-    fused = list(kernel.zero_one_labels(
-        roots, spatial_cost=spatial_cost, causal_cost=causal_cost,
-        sweep_mode="fused"))
-    assert len(classic) == len(fused)
-    for (chunk_c, block_c), (chunk_f, block_f) in zip(classic, fused):
-        assert chunk_c == chunk_f
-        np.testing.assert_array_equal(block_f, block_c)
+    seen = []
+    for chunk, block in kernel.zero_one_labels(
+        roots, spatial_cost=spatial_cost, causal_cost=causal_cost, chunk_size=3
+    ):
+        for col, root in enumerate(chunk):
+            t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
+            decoded = {
+                (kernel._labels[vi], kernel._times[ti]): int(block[ti, vi, col])
+                for ti, vi in zip(t_arr.tolist(), v_arr.tolist())
+            }
+            assert decoded == _zero_one_dijkstra(
+                graph, root, spatial_cost, causal_cost
+            )
+            seen.append(root)
+    assert seen == roots
 
 
 @ALGO_SETTINGS
 @given(evolving_graphs(), st.data(), st.integers(min_value=1, max_value=3))
-def test_fused_tang_steps_bit_identical_to_classic(graph, data, horizon):
+def test_tang_steps_bit_identical_to_python(graph, data, horizon):
     nodes = sorted(graph.nodes()) or [0]
     sources = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
     sources.append("never-a-node")  # inactive/missing sources skip seeding
     start_index = data.draw(
         st.integers(min_value=0, max_value=max(0, graph.num_timestamps - 1)))
-    kernel = get_label_kernel(graph)
-    assert (kernel.tang_steps(sources, horizon=horizon, start_index=start_index,
-                              sweep_mode="fused")
-            == kernel.tang_steps(sources, horizon=horizon,
-                                 start_index=start_index, sweep_mode="classic"))
+    start_time = list(graph.timestamps)[start_index]
+    steps = get_label_kernel(graph).tang_steps(
+        sources, horizon=horizon, start_index=start_index
+    )
+    for source in sources:
+        # a source outside the compiled universe still informs itself
+        steps[source].setdefault(source, 0)
+        assert steps[source] == temporal_distances_tang_from(
+            graph, source, start_time=start_time, horizon=horizon,
+            backend="python",
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -442,55 +442,6 @@ def test_server_parameter_validation():
 
 
 # --------------------------------------------------------------------------- #
-# fused (bit-packed) group sweeps vs the classic oracle                        #
-# --------------------------------------------------------------------------- #
-
-
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(served_graphs(), st.sampled_from(["fused", "classic", None]))
-def test_served_results_identical_across_sweep_modes(case, sweep_mode):
-    """Every query family serves bit-identical answers in every sweep mode."""
-    graph, _ = case
-    queries = _query_mix(graph)
-    with QueryServer(graph, window_s=0.005, sweep_mode=sweep_mode) as server:
-        served = server.query_many(queries)
-    with QueryServer(graph, window_s=0.005, sweep_mode="classic") as server:
-        oracle = server.query_many(queries)
-    for query, got, want in zip(queries, served, oracle):
-        assert got == want, describe(query)
-
-
-def test_server_rejects_unknown_sweep_mode():
-    graph = AdjacencyListEvolvingGraph([(0, 1, 0)])
-    with pytest.raises(GraphError):
-        QueryServer(graph, sweep_mode="turbo")
-
-
-def test_coalescing_stats_unchanged_by_sweep_mode():
-    """Fused sweeps change the kernel inner loop, not the coalescing plan."""
-    graph = AdjacencyListEvolvingGraph(
-        [(0, 1, 0), (1, 2, 0), (2, 3, 1), (0, 3, 1)], directed=True
-    )
-    roots = graph.active_temporal_nodes()[:4]
-    per_mode = {}
-    for mode in ("fused", "classic"):
-        with QueryServer(graph, window_s=0.5, sweep_mode=mode) as server:
-            futures = [server.submit(BFSQuery(root=r)) for r in roots]
-            results = [f.result(timeout=30) for f in futures]
-            per_mode[mode] = (results, server.stats.sweeps,
-                              server.stats.sweep_columns)
-    fused_results, fused_sweeps, fused_cols = per_mode["fused"]
-    classic_results, classic_sweeps, classic_cols = per_mode["classic"]
-    assert fused_results == classic_results
-    assert fused_sweeps == classic_sweeps == 1
-    assert fused_cols == classic_cols == len(roots)
-
-
-# --------------------------------------------------------------------------- #
 # warm-start invalidation                                                      #
 # --------------------------------------------------------------------------- #
 
@@ -633,8 +584,8 @@ def test_warm_start_out_of_universe_insertion_prunes():
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(served_graphs(), st.sampled_from(["fused", "classic"]))
-def test_warm_start_served_answers_bit_identical(case, sweep_mode):
+@given(served_graphs())
+def test_warm_start_served_answers_bit_identical(case):
     """Across arbitrary insertion batches — patched or pruned — every re-served
     answer equals the direct function on the mutated graph."""
     graph, batches = case
@@ -643,7 +594,7 @@ def test_warm_start_served_answers_bit_identical(case, sweep_mode):
         EarliestArrivalQuery(source=roots[0]),
         ReachabilityQuery(root=roots[0], target=roots[-1]),
     ]
-    with QueryServer(graph, window_s=0.005, sweep_mode=sweep_mode) as server:
+    with QueryServer(graph, window_s=0.005) as server:
         server.query_many(queries)
         for batch in batches:
             server.mutate(batch).result(timeout=30)

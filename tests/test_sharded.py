@@ -506,6 +506,74 @@ def test_shard_layout_and_validation():
         ShardedSweepDriver(sharded, backend="bogus")
 
 
+@pytest.mark.parametrize(
+    "method",
+    [
+        "bfs",
+        "multi_source",
+        "batch",
+        "distance_blocks",
+        "identity_reach_counts",
+        "harmonic_closeness_sums",
+    ],
+)
+def test_driver_rejects_unknown_direction(method):
+    """A misspelled direction raises, as on the kernel, instead of silently
+    running a backward search."""
+    graph = _banded_graph(num_nodes=10, snapshots=6, seed=2)
+    root = graph.active_temporal_nodes()[0]
+    driver = ShardedSweepDriver(
+        ShardedTemporalGraph.from_compiled(get_compiled(graph), 3)
+    )
+    with pytest.raises(GraphError, match="unsupported direction 'fwd'"):
+        getattr(driver, method)(root if method == "bfs" else [root], direction="fwd")
+    with pytest.raises(GraphError, match="unsupported direction 'fwd'"):
+        get_kernel(graph).bfs(root, direction="fwd")
+
+
+_CHUNKED_METHODS = [
+    "batch",
+    "distance_blocks",
+    "identity_reach_counts",
+    "harmonic_closeness_sums",
+    "earliest_arrivals",
+    "latest_departures",
+    "zero_one_labels",
+    "fewest_hops",
+    "tang_steps",
+]
+
+
+@pytest.mark.parametrize(
+    "surface, method",
+    [("kernel", m) for m in _CHUNKED_METHODS[:4]]
+    + [("labels", m) for m in _CHUNKED_METHODS[4:]]
+    + [("driver", m) for m in _CHUNKED_METHODS],
+)
+def test_chunk_size_below_one_raises(surface, method):
+    """Every chunked surface rejects ``chunk_size < 1`` with GraphError on the
+    call; the driver keeps ``None`` as "its default width"."""
+    graph = _banded_graph(num_nodes=10, snapshots=6, seed=2)
+    compiled = get_compiled(graph)
+    roots = graph.active_temporal_nodes()[:3]
+    if surface == "kernel":
+        sweeper = FrontierKernel(compiled)
+    elif surface == "labels":
+        sweeper = LabelKernel(compiled)
+    else:
+        sweeper = ShardedSweepDriver(ShardedTemporalGraph.from_compiled(compiled, 3))
+    items = [root[0] for root in roots] if method == "tang_steps" else roots
+    call = getattr(sweeper, method)
+    for width in (0, -1):
+        with pytest.raises(GraphError, match="chunk_size must be at least 1"):
+            call(items, chunk_size=width)
+    if surface == "driver":
+        default = call(items, chunk_size=None)
+        if method in ("distance_blocks", "zero_one_labels"):
+            default = list(default)
+        assert default
+
+
 def test_batch_bfs_shards_flag_validation():
     graph = AdjacencyListEvolvingGraph([(0, 1, 0)], directed=False)
     with pytest.raises(GraphError):
@@ -549,7 +617,10 @@ def _mutate_last_snapshot(graph):
 
 def test_sharded_driver_delta_recompile_reuses_clean_shards():
     graph = _banded_graph(num_nodes=20, snapshots=6, seed=7)
-    driver1 = get_sharded_driver(graph, 3)
+    # kernel adoption is an in-process feature (process workers own their
+    # kernels remotely), so the serial backend is pinned even when the
+    # environment forces another one
+    driver1 = get_sharded_driver(graph, 3, backend="serial")
     root = graph.active_temporal_nodes()[0]
     roots = graph.active_temporal_nodes()[:5]
     driver1.bfs(root)  # warm every shard kernel (serial backend sweeps all)
@@ -558,7 +629,7 @@ def test_sharded_driver_delta_recompile_reuses_clean_shards():
     assert warmed  # the sweep above must have materialized shard kernels
 
     last = _mutate_last_snapshot(graph)
-    driver2 = get_sharded_driver(graph, 3)
+    driver2 = get_sharded_driver(graph, 3, backend="serial")
     assert driver2 is not driver1
     sharded = driver2.sharded
     dirty = sharded.shard_of_snapshot(sharded.times.index(last))
