@@ -35,12 +35,12 @@ Two ISSUE-9 phases ride the same module:
   while the overflow is shed or expired *before* spending sweep columns,
   with the wait/service latency histograms quantifying the survivors' cost;
 * **warm_start** — the same insertion-only mutation + re-serve trace through
-  a ``warm_start=True`` server (cached frontier entries patched forward by
-  the decrease-only re-sweep) and a ``warm_start=False`` one (exact
-  pruning + recomputation).  Answers must match 1:1 — patched entries are
-  bit-identical to fresh ones — at least half the reusable entries must
-  survive each mutation, and the re-serve speedup is gated like every other
-  workload.
+  a ``warm_start=True`` server (cached frontier entries refreshed by one
+  packed re-sweep of their roots at each mutation) and a
+  ``warm_start=False`` one (exact pruning + recomputation).  Answers must
+  match 1:1 — refreshed entries are bit-identical to fresh ones — at least
+  half the reusable entries must survive each mutation, and the re-serve
+  speedup is gated like every other workload.
 
 Results go to ``benchmark_reports/serving_ablation.json`` (CI uploads it and
 gates on it via ``check_regressions.py``) plus plain-text twins.
@@ -84,14 +84,14 @@ OVERLOAD_QUERIES = 400
 MAX_PENDING = 32
 
 #: Warm-start phase (ISSUE 9): re-serve this many frontier-family entries
-#: across insertion-only mutation batches, patched vs pruned.
+#: across insertion-only mutation batches, refreshed vs pruned.
 WARM_QUERY_ROOTS = 24
 WARM_MUTATION_BATCHES = 3
 WARM_BATCH_EDGES = 40
 
 #: The warm-start acceptance bar: at least this fraction of the reusable
 #: (forward frontier) cache entries must survive each pure-insertion
-#: mutation via patching instead of being pruned.
+#: mutation via the refresh instead of being pruned.
 WARM_RETAINED_FLOOR = 0.5
 
 #: Traffic shape: bursts of queries over a Zipf-skewed root set, each burst
@@ -338,7 +338,7 @@ def _replay_warm(graph, queries, batches, warm_start):
 
 
 def _warm_start_point(num_edges):
-    """Patched vs pruned re-serving over identical insertion-only traces."""
+    """Refreshed vs pruned re-serving over identical insertion-only traces."""
     rng = np.random.default_rng(916)
     warm_graph = random_evolving_graph(NUM_NODES, NUM_TIMESTAMPS, num_edges, seed=916)
     pruned_graph = warm_graph.copy()
@@ -350,7 +350,7 @@ def _warm_start_point(num_edges):
     )
 
     # the pruned replay recomputes every entry fresh at each version, so
-    # equality here is the bit-identity claim for patched entries
+    # equality here is the bit-identity claim for refreshed entries
     assert warm_answers == pruned_answers
 
     reconciled = warm_stats["entries_patched"] + warm_stats["entries_invalidated"]
@@ -467,10 +467,10 @@ def test_overload_bounded_queue_and_load_shedding(ablation, report_dir):
 
 def test_warm_start_retention_and_report(ablation, report_dir):
     """ISSUE 9: insertion-only mutations retain >= 50% of reusable entries via
-    patching, bit-identical to recomputation (asserted inside the fixture)."""
+    the refresh, bit-identical to recomputation (asserted inside the fixture)."""
     points = ablation["warm_start"]
     lines = [
-        "Warm-start invalidation - patched vs pruned re-serving across "
+        "Warm-start invalidation - refreshed vs pruned re-serving across "
         "insertion-only mutations",
         f"Workload: {points[0]['num_queries']} forward frontier-family entries "
         f"re-served after each of {WARM_MUTATION_BATCHES} insertion-only "
@@ -478,12 +478,12 @@ def test_warm_start_retention_and_report(ablation, report_dir):
         f"{NUM_TIMESTAMPS} time stamps, seed 916).",
         "",
         f"{'|E~|':>9} {'pruned [s]':>11} {'warm [s]':>9} {'speedup':>9} "
-        f"{'patched':>8} {'pruned':>7} {'retained':>9}",
+        f"{'refreshed':>9} {'pruned':>7} {'retained':>9}",
     ]
     for p in points:
         lines.append(
             f"{p['edges']:>9d} {p['pruned_s']:>11.4f} {p['warm_s']:>9.4f} "
-            f"{p['speedup']:>8.1f}x {p['entries_patched']:>8d} "
+            f"{p['speedup']:>8.1f}x {p['entries_patched']:>9d} "
             f"{p['entries_invalidated']:>7d} {p['retained_fraction']:>8.0%}"
         )
     largest = points[-1]
@@ -501,6 +501,6 @@ def test_warm_start_retention_and_report(ablation, report_dir):
             f"the insertion-only mutations at |E~|={p['edges']} "
             f"(floor {WARM_RETAINED_FLOOR:.0%})"
         )
-        # patched entries serve from the cache: the warm replay never pays
+        # refreshed entries serve from the cache: the warm replay never pays
         # more sweep columns than the pruned one
         assert p["warm_sweep_columns"] <= p["pruned_sweep_columns"]

@@ -422,9 +422,8 @@ class IncrementalBFS:
         """Fold one batch of new edges into the distance block.
 
         The seeding rule and its decrease-only propagation live on the
-        kernel (:meth:`~repro.engine.frontier.FrontierKernel.patch_distance_block`,
-        shared with the serving layer's warm-start invalidation); this
-        wrapper only keeps the block aligned with the delta-recompiled
+        kernel (:meth:`~repro.engine.frontier.FrontierKernel.patch_distance_block`);
+        this wrapper only keeps the block aligned with the delta-recompiled
         artifact and pins the root slot at distance 0.
         """
         self._decoded = None

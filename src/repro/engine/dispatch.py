@@ -301,8 +301,8 @@ def resweep_cached_block(
 ) -> int:
     """Patch a cached forward-search distance block for a pure-insertion batch.
 
-    The warm-start entry point of the serving layer (and any caller that
-    keeps decoded-on-demand ``(T, N)`` distance blocks across mutations):
+    The entry point for any caller that keeps decoded-on-demand ``(T, N)``
+    distance blocks across mutations:
     resolves the version-exact cached kernel for ``graph`` — delta-recompiled
     if the graph moved — and folds ``insertions`` into ``dist`` in place via
     :meth:`~repro.engine.frontier.FrontierKernel.patch_distance_block`, the

@@ -99,6 +99,29 @@ def _chunked(items: list, chunk_size: int) -> list[list]:
     return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
 
 
+def _slot_keys(labels: Sequence[Node], times: Sequence[Time]) -> np.ndarray:
+    """The ``(node, time)`` label of every slot, in ``t * N + v`` order.
+
+    An object array, so one fancy index picks the keys of many slots and
+    every answer decoded through it shares the same key tuples.
+    """
+    return np.fromiter(
+        ((label, time) for time in times for label in labels),
+        dtype=object,
+        count=len(times) * len(labels),
+    )
+
+
+def _decode_column(keys: np.ndarray, dist: np.ndarray, col: int) -> dict:
+    """``{(node, time): distance}`` of one ``(T, N, R)`` column's reached slots.
+
+    Iterates in ``(t, v)``-major order, as :func:`numpy.nonzero` does.
+    """
+    column = dist[:, :, col].ravel()
+    flat = np.flatnonzero(column >= 0)
+    return dict(zip(keys[flat].tolist(), column[flat].tolist()))
+
+
 def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
     """Per-snapshot harmonic partial rows of a ``(T, N, R)`` distance block.
 
@@ -169,9 +192,11 @@ class FrontierKernel:
             )
         self.compiled = compiled
         self.counter = counter
-        # decode tables, copied once so per-root result decoding stays cheap
+        # decode tables, copied once so per-root result decoding stays cheap;
+        # the slot key table is built on the first decode
         self._labels: list[Node] = compiled.node_labels
         self._times: tuple[Time, ...] = compiled.times
+        self._keys: np.ndarray | None = None
         # (dst row, src column) coordinate expansions for parent attribution,
         # built lazily once per operator stack (the artifact is immutable)
         self._parent_coords: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -378,8 +403,7 @@ class FrontierKernel:
         row slice, causal predecessors one masked column prefix-minimum), and
         :meth:`decrease_only_resweep` propagates the improvements.  The
         result is bit-identical to a fresh search on the post-insertion
-        artifact — the serving layer's warm-start invalidation and
-        ``IncrementalBFS`` both rely on exactly this contract.
+        artifact — ``IncrementalBFS`` relies on exactly this contract.
 
         ``pinned`` names one ``(t, v)`` slot whose distance is fixed (the
         search root, at distance 0); it is excluded from seeding.  Endpoints
@@ -480,118 +504,20 @@ class FrontierKernel:
         *,
         pinned: Sequence[tuple[int, int] | None] | None = None,
     ) -> list[int]:
-        """Fold one pure-insertion batch into many ``(T, N)`` blocks at once.
+        """Fold one pure-insertion batch into many ``(T, N)`` blocks.
 
-        Group form of :meth:`patch_distance_block` for callers holding many
-        independent forward-search blocks against the same compiled axes —
-        the serving layer's warm-start invalidation patches its whole cache
-        generation through here.  The dirty-slot discovery runs once (it
-        depends only on the insertions), the candidate reads broadcast over
-        a stacked ``(T, N, R)`` work array, and every re-sweep round
-        advances all R columns with one CSR × ``(N, R)`` product per
-        touched snapshot — the same amortization the coalesced group sweeps
-        get, instead of R separate single-block relaxations.  Each block is
-        updated in place, bit-identical to patching it alone: the rounds pop
-        improvements in increasing *global* distance order, which per column
-        is the same Dial discipline with empty rounds interleaved, and every
-        column's frontier only ever expands into its own column.  ``pinned``
-        optionally names each block's root slot (excluded from seeding, as
-        in the single-block form).  The group rounds advance as dense blocks
-        (:meth:`_resweep_group`); the packed push path is the single-block
-        form's, where frontiers are one column wide.  Returns the
-        improved-slot count per block.
+        :meth:`patch_distance_block` applied to each block in turn, after
+        every block's shape has been checked, so a mismatched block raises
+        before any block is modified.  ``pinned`` optionally names each
+        block's root slot.  Returns the improved-slot count per block.
         """
-        compiled = self.compiled
-        active = compiled.active_mask
-        t_count, n = active.shape
-        r_count = len(blocks)
-        if not r_count:
-            return []
-        for block in blocks:
-            if block.shape != (t_count, n):
-                raise GraphError(
-                    f"distance block shape {block.shape} does not match the "
-                    f"compiled artifact's {(t_count, n)}"
-                )
+        self._check_blocks(blocks)
         if pinned is None:
-            pinned = [None] * r_count
-        time_index = compiled.time_index
-        node_index = compiled.node_index
-        endpoint_t: list[int] = []
-        endpoint_v: list[int] = []
-        for u, v, t in insertions:
-            ti = time_index.get(t)
-            if ti is None:
-                continue
-            for endpoint in (u, v):
-                vi = node_index.get(endpoint)
-                if vi is not None:
-                    endpoint_t.append(ti)
-                    endpoint_v.append(vi)
-        if not endpoint_t:
-            return [0] * r_count
-        ep_t = np.asarray(endpoint_t, dtype=np.int64)
-        ep_v = np.asarray(endpoint_v, dtype=np.int64)
-        columns = active[:, ep_v]  # (T, E)
-        touched = columns & (np.arange(t_count)[:, None] > ep_t[None, :])
-        touched[ep_t, np.arange(ep_t.size)] = columns[ep_t, np.arange(ep_t.size)]
-        tt, ee = np.nonzero(touched)
-        keys = np.unique(tt * n + ep_v[ee])
-        seed_t, seed_v = keys // n, keys % n
-        if not seed_t.size:
-            return [0] * r_count
-        big = _UNREACHED
-        dist = np.stack(blocks, axis=2).astype(np.int32)  # (T, N, R)
-        # causal candidates, broadcast over R: best reached earlier
-        # appearance of each seeded node, per column
-        seed_cols = np.unique(seed_v)
-        col_of = np.searchsorted(seed_cols, seed_v)
-        masked = np.where(
-            active[:, seed_cols, None] & (dist[:, seed_cols, :] >= 0),
-            dist[:, seed_cols, :],
-            big,
-        )
-        run = np.minimum.accumulate(masked, axis=0)
-        causal = np.full((seed_t.size, r_count), big, dtype=np.int32)
-        has_earlier = seed_t > 0
-        causal[has_earlier] = run[seed_t[has_earlier] - 1, col_of[has_earlier], :]
-        # spatial candidates: the same ragged CSR gather as the single-block
-        # form, with the segment minima reduced across all R columns at once
-        spatial = np.full((seed_t.size, r_count), big, dtype=np.int32)
-        forward = compiled.forward_operators
-        for t in np.unique(seed_t).tolist():
-            sel = np.nonzero(seed_t == t)[0]
-            operator = forward[t]
-            starts = operator.indptr[seed_v[sel]]
-            lens = operator.indptr[seed_v[sel] + 1] - starts
-            total = int(lens.sum())
-            if not total:
-                continue
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            gather = np.repeat(starts - offsets[:-1], lens) + np.arange(total)
-            vals = dist[t, operator.indices[gather], :]  # (total, R)
-            vals = np.where(vals >= 0, vals, big).astype(np.int32)
-            mins = np.full((sel.size, r_count), big, dtype=np.int32)
-            nonempty = lens > 0
-            mins[nonempty] = np.minimum.reduceat(vals, offsets[:-1][nonempty], axis=0)
-            spatial[sel] = mins
-        candidate = np.minimum(spatial, causal).astype(np.int64) + 1  # (S, R)
-        current = dist[seed_t, seed_v, :]
-        improvable = candidate < np.where(current < 0, int(big), current)
-        for col, pin in enumerate(pinned):
-            if pin is not None:  # each block's root distance is pinned at 0
-                improvable[(seed_t == pin[0]) & (seed_v == pin[1]), col] = False
-        if not improvable.any():
-            return [0] * r_count
-        work = np.where(dist < 0, _UNREACHED, dist)
-        improved = np.zeros((t_count, n, r_count), dtype=bool)
-        s_idx, r_idx = np.nonzero(improvable)
-        work[seed_t[s_idx], seed_v[s_idx], r_idx] = candidate[s_idx, r_idx]
-        improved[seed_t[s_idx], seed_v[s_idx], r_idx] = True
-        changed = self._resweep_group(work, improved, active)
-        for col, block in enumerate(blocks):
-            block[:] = np.where(work[:, :, col] >= _UNREACHED, -1, work[:, :, col])
-        return changed
+            pinned = [None] * len(blocks)
+        return [
+            self.patch_distance_block(block, insertions, pinned=pin)
+            for block, pin in zip(blocks, pinned, strict=True)
+        ]
 
     def shrink_distance_block(
         self,
@@ -615,9 +541,8 @@ class FrontierKernel:
         ONE masked spatial+causal step from the complete ``dmin - 1`` level
         and let :meth:`decrease_only_resweep` redescend from there.  The
         result is bit-identical to a fresh search on the post-removal
-        artifact — ``IncrementalBFS`` and the serving layer's warm-start
-        patching rely on exactly this contract for the removal phase of a
-        mixed batch.
+        artifact — ``IncrementalBFS`` relies on exactly this contract for the
+        removal phase of a mixed batch.
 
         Raises :class:`~repro.exceptions.GraphError` when a removal
         deactivated the search root itself (``dmin == 0``) — the caller must
@@ -654,51 +579,44 @@ class FrontierKernel:
         removals: Sequence[tuple],
         previous_active: np.ndarray,
     ) -> list[int]:
-        """Fold one pure-removal batch into many ``(T, N)`` blocks at once.
+        """Fold one pure-removal batch into many ``(T, N)`` blocks.
 
-        Group form of :meth:`shrink_distance_block` for callers holding many
-        independent forward-search blocks against the same compiled axes
-        (the serving layer's warm cache).  The cut levels are computed per
-        column in one vectorized pass, the redescent frontier is discovered
-        with one CSR × ``(N, R)`` step per touched snapshot, and the
-        redescent itself runs through the same grouped rounds as
-        :meth:`patch_distance_blocks` — bit-identical per block to shrinking
-        it alone.  Raises when any column's root was deactivated (drop those
-        blocks first).  Returns the changed-slot count per block.
+        :meth:`shrink_distance_block` applied to each block in turn.  Every
+        shape is checked first, and so is every root: when the removals
+        deactivated a slot that some block holds at distance 0, this raises
+        :class:`~repro.exceptions.GraphError` before any block is modified
+        (drop those blocks first).  Returns the changed-slot count per block.
         """
-        compiled = self.compiled
-        active = compiled.active_mask
-        t_count, n = active.shape
-        r_count = len(blocks)
-        if not r_count:
-            return []
+        self._check_blocks(blocks, previous_active)
+        deactivated = previous_active & ~self.compiled.active_mask
+        if any((block[deactivated] == 0).any() for block in blocks):
+            raise GraphError(
+                "a removal batch deactivated a search root; drop the block "
+                "and recompute it from scratch"
+            )
+        return [
+            self.shrink_distance_block(block, removals, previous_active)
+            for block in blocks
+        ]
+
+    def _check_blocks(
+        self,
+        blocks: Sequence[np.ndarray],
+        previous_active: np.ndarray | None = None,
+    ) -> None:
+        """Raise unless the blocks and the mask have the artifact's ``(T, N)`` shape."""
+        shape = self.compiled.active_mask.shape
         for block in blocks:
-            if block.shape != (t_count, n):
+            if block.shape != shape:
                 raise GraphError(
                     f"distance block shape {block.shape} does not match the "
-                    f"compiled artifact's {(t_count, n)}"
+                    f"compiled artifact's {shape}"
                 )
-        if previous_active.shape != (t_count, n):
+        if previous_active is not None and previous_active.shape != shape:
             raise GraphError(
                 f"previous_active shape {previous_active.shape} does not "
-                f"match the compiled artifact's {(t_count, n)}"
+                f"match the compiled artifact's {shape}"
             )
-        dist = np.stack(blocks, axis=2).astype(np.int32)  # (T, N, R)
-        old = np.stack(blocks, axis=2)
-        prepared = self._shrink_levels(dist, removals, previous_active)
-        if prepared is not None:
-            dmin, seeds_mask = prepared
-            work = np.where(dist < 0, _UNREACHED, dist)
-            work = np.where(
-                seeds_mask, dmin[None, None, :].astype(np.int32), work
-            )
-            if seeds_mask.any():
-                self._resweep_group(work, seeds_mask, active)
-            dist = np.where(work >= _UNREACHED, -1, work)
-        changed = (dist != old).sum(axis=(0, 1))
-        for col, block in enumerate(blocks):
-            block[:] = dist[:, :, col]
-        return [int(c) for c in changed]
 
     def _shrink_levels(
         self,
@@ -775,44 +693,6 @@ class FrontierKernel:
             & (dmin < big)[None, None, :]
         )
         return dmin, seeds_mask
-
-    def _resweep_group(
-        self, work: np.ndarray, improved: np.ndarray, active: np.ndarray
-    ) -> list[int]:
-        """Re-sweep rounds over a stacked ``(T, N, R)`` work array.
-
-        Dial's bucket rounds of :meth:`decrease_only_resweep`, widened to R
-        independent columns: one round pops every improved slot at the
-        current global level across all columns, so each snapshot's spatial
-        step is one CSR × ``(N, R)`` product instead of R packed advances
-        spread over R separate relaxations (:meth:`_resweep_fused`), and the
-        causal step is one cumulative OR over the stacked frontier.
-        """
-        t_count, n, r_count = work.shape
-        mats = self.compiled.forward_operators
-        counter = self.counter
-        changed = np.zeros(r_count, dtype=np.int64)
-        while improved.any():
-            level = int(work[improved].min())
-            frontier = improved & (work == level)
-            changed += frontier.sum(axis=(0, 1))
-            improved &= ~frontier
-            reach = np.zeros((t_count, n, r_count), dtype=bool)
-            touched = np.flatnonzero(frontier.any(axis=(1, 2)))
-            for ti in touched.tolist():
-                reach[ti] = (mats[ti] @ frontier[ti].astype(np.int32)) > 0
-                if counter is not None:
-                    counter.multiply_adds += 2 * int(mats[ti].nnz) * r_count
-            if t_count > 1:
-                carried = np.logical_or.accumulate(frontier, axis=0)
-                reach[1:] |= carried[:-1]
-                if counter is not None:
-                    counter.column_checks += t_count * n * r_count
-            better = reach & active[:, :, None] & (work > level + 1)
-            if better.any():
-                work[better] = level + 1
-                improved |= better
-        return changed.tolist()
 
     def _resweep_fused(
         self, work: np.ndarray, improved: np.ndarray, active: np.ndarray
@@ -1243,20 +1123,19 @@ class FrontierKernel:
         parent_v[tt, vv, cc] = vv
         return parent_t, parent_v
 
+    def _key_table(self) -> np.ndarray:
+        """The ``(node, time)`` key of every slot (:func:`_slot_keys`), built once."""
+        if self._keys is None:
+            self._keys = _slot_keys(self._labels, self._times)
+        return self._keys
+
     def _reached_dict(
         self,
         dist: np.ndarray,
         col: int,
     ) -> dict[TemporalNodeTuple, int]:
         """Decode one column of the distance array back into temporal-node labels."""
-        labels = self._labels
-        times = self._times
-        t_arr, v_arr = np.nonzero(dist[:, :, col] >= 0)
-        d_arr = dist[t_arr, v_arr, col]
-        reached: dict[TemporalNodeTuple, int] = {}
-        for ti, vi, d in zip(t_arr.tolist(), v_arr.tolist(), d_arr.tolist()):
-            reached[(labels[vi], times[ti])] = d
-        return reached
+        return _decode_column(self._key_table(), dist, col)
 
     def _parents_dict(
         self,
@@ -1266,17 +1145,12 @@ class FrontierKernel:
         col: int,
     ) -> dict[TemporalNodeTuple, TemporalNodeTuple]:
         """Decode one column of the parent-slot arrays into temporal-node labels."""
-        labels = self._labels
-        times = self._times
-        t_arr, v_arr = np.nonzero(dist[:, :, col] >= 0)
-        pt_arr = parent_t[t_arr, v_arr, col]
-        pv_arr = parent_v[t_arr, v_arr, col]
-        parents: dict[TemporalNodeTuple, TemporalNodeTuple] = {}
-        for ti, vi, pt, pv in zip(
-            t_arr.tolist(), v_arr.tolist(), pt_arr.tolist(), pv_arr.tolist()
-        ):
-            parents[(labels[vi], times[ti])] = (labels[pv], times[pt])
-        return parents
+        keys = self._key_table()
+        flat = np.flatnonzero(dist[:, :, col].ravel() >= 0)
+        parents = parent_t[:, :, col].ravel()[flat].astype(np.int64)
+        parents *= self.compiled.num_nodes
+        parents += parent_v[:, :, col].ravel()[flat]
+        return dict(zip(keys[flat].tolist(), keys[parents].tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

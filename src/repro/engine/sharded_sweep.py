@@ -65,8 +65,10 @@ from repro.engine.frontier import (
     _DIRECTIONS,
     FrontierKernel,
     _chunked,
+    _decode_column,
     _harmonic_accumulate,
     _harmonic_rows,
+    _slot_keys,
 )
 from repro.engine.labels import LabelKernel
 from repro.exceptions import GraphError, InactiveNodeError
@@ -407,6 +409,7 @@ class ShardedSweepDriver:
         self._labels = sharded.node_labels
         self._node_index = sharded.node_index
         self._times = sharded.times
+        self._keys: np.ndarray | None = None  # slot key table, built on first decode
         self._kernels: dict[int, FrontierKernel] = {}
         self._processes: list = []
         self._task_queues: dict[int, object] = {}
@@ -990,12 +993,9 @@ class ShardedSweepDriver:
         self, dist: np.ndarray, col: int
     ) -> dict[TemporalNodeTuple, int]:
         """Decode one column of a global ``(T, N, R)`` block, as the kernel does."""
-        t_arr, v_arr = np.nonzero(dist[:, :, col] >= 0)
-        d_arr = dist[t_arr, v_arr, col]
-        return {
-            (self._labels[vi], self._times[ti]): int(d)
-            for ti, vi, d in zip(t_arr.tolist(), v_arr.tolist(), d_arr.tolist())
-        }
+        if self._keys is None:
+            self._keys = _slot_keys(self._labels, self._times)
+        return _decode_column(self._keys, dist, col)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -56,25 +56,15 @@ class GroupOutcome:
     of the pair is set per query; ``errors[i] is None`` on success).
     ``columns`` counts the distinct roots packed into the shared sweep
     (``1`` for whole-graph groups), ``sweeps`` the number of batched kernel
-    executions (one per group unless the group was empty).
-
-    When the caller requested warm-start state (``execute_group(...,
-    warm_blocks=True)``) and the group ran the plain-forward monolithic
-    frontier sweep, ``warm[i]`` is the ``(root, block)`` pair backing query
-    ``i`` — ``block`` a contiguous writable ``(T, N)`` int32 distance copy of
-    the root's sweep column, shared between queries with equal roots — and
-    ``surface`` is the compiled artifact the sweep ran on (the axes a later
-    patch must match).  Other families, backward/reversed sweeps and sharded
-    executions have no decrease-only patch rule, so their ``warm`` stays
-    ``None``-filled.
+    executions (one per group unless the group was empty).  No distance
+    block outlives the group: a server refreshing a cached answer across a
+    mutation re-sweeps its root instead.
     """
 
     results: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     columns: int = 0
     sweeps: int = 0
-    warm: list | None = None
-    surface: object | None = None
 
 
 def execute_group(
@@ -85,7 +75,6 @@ def execute_group(
     chunk_size: int = 128,
     num_workers: int = 1,
     driver=None,
-    warm_blocks: bool = False,
 ) -> GroupOutcome:
     """Answer every query in one sweep-shape group with shared kernel work.
 
@@ -96,22 +85,11 @@ def execute_group(
     fan-out is bypassed.  The spectral family has no sharded formulation
     (its resolvent chains are global in time) and always executes on the
     monolithic kernel.
-
-    ``warm_blocks`` asks the plain-forward monolithic frontier path to also
-    return the per-root distance blocks (``GroupOutcome.warm``) so the caller
-    can keep them for decrease-only re-sweeps across pure-insertion
-    mutations; every other path ignores the flag.
     """
     family = sweep_key[0]
     if family == "frontier":
         return _frontier_group(
-            graph,
-            sweep_key,
-            queries,
-            chunk_size,
-            num_workers,
-            driver,
-            warm_blocks,
+            graph, sweep_key, queries, chunk_size, num_workers, driver
         )
     if family == "zero_one":
         return _zero_one_group(
@@ -157,8 +135,8 @@ def _decode_frontier(query: Query, dist: np.ndarray, col: int, *, surface, bfs_d
     """Decode one frontier-family query from its ``(T, N, R)`` sweep column.
 
     The single decode used both for fresh coalesced sweeps and for
-    warm-start blocks patched across mutations
-    (:func:`decode_warm_block`) — sharing it is what makes patched answers
+    warm-start answers refreshed across mutations
+    (:func:`decode_warm_block`) — sharing it is what makes refreshed answers
     bit-identical to fresh ones by construction.  ``bfs_decode`` is the
     sweeper's ``{(node, time): distance}`` readout (kernel or shard driver).
     """
@@ -183,12 +161,15 @@ def _decode_frontier(query: Query, dist: np.ndarray, col: int, *, surface, bfs_d
 
 
 def decode_warm_block(kernel, query: Query, block: np.ndarray):
-    """Re-decode a warm-start ``(T, N)`` distance block into ``query``'s answer.
+    """Decode ``query``'s answer from its root's ``(T, N)`` distance column.
 
-    Used by the server after :meth:`FrontierKernel.patch_distance_block`
-    folded a pure-insertion batch into ``block``: wraps the block as a
-    one-column sweep and runs the exact same decode as a fresh coalesced
-    sweep, so patched answers cannot drift from recomputed ones.
+    Used by the server when it refreshes a warm cache entry across a
+    mutation: ``block`` is the root's column of a fresh
+    :meth:`FrontierKernel.distance_blocks
+    <repro.engine.frontier.FrontierKernel.distance_blocks>` sweep on the
+    post-mutation artifact (any ``(T, N)`` view), wrapped as a one-column
+    sweep and run through the exact decode of a coalesced sweep, so a
+    refreshed answer equals a recomputed one.
     """
     dist = block[:, :, None]
     return _decode_frontier(
@@ -207,7 +188,6 @@ def _frontier_group(
     chunk_size: int,
     num_workers: int,
     driver=None,
-    warm_blocks: bool = False,
 ) -> GroupOutcome:
     """BFS / reachability / earliest-arrival / latest-departure, one sweep."""
     _, direction, reverse_edges = sweep_key
@@ -274,19 +254,6 @@ def _frontier_group(
         outcome.results[i] = _decode_frontier(
             query, dist, col, surface=surface, bfs_decode=decode
         )
-
-    # warm-start state only exists for the plain-forward monolithic sweep —
-    # the only shape patch_distance_block's decrease-only rule applies to
-    if warm_blocks and driver is None and direction == "forward" and not reverse_edges:
-        copies = {
-            root: np.ascontiguousarray(dist[:, :, col])
-            for root, (dist, col) in blocks.items()
-        }
-        outcome.warm = [None] * len(queries)
-        for i in pending:
-            root = _query_root(queries[i])
-            outcome.warm[i] = (root, copies[root])
-        outcome.surface = surface
     return outcome
 
 

@@ -21,7 +21,7 @@ server answers them with far less kernel work than one sweep per query:
    compiled artifact is refreshed through the PR-4 delta path
    (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile` — only
    touched snapshots rebuild), and every cache entry whose version no longer
-   matches is either **warm-start patched** forward or invalidated.  Queries
+   matches is either **warm-start refreshed** or invalidated.  Queries
    therefore always execute against a consistent ``(graph, artifact)`` pair.
 
 Overload robustness (this PR) adds three mechanisms on the admission side:
@@ -39,21 +39,19 @@ Overload robustness (this PR) adds three mechanisms on the admission side:
   and the micro-batch gathering window never waits past the earliest
   pending deadline.  A query that expires while its sweep runs still fails,
   flagged ``swept=True``.
-* **warm-start invalidation** — mutation batches do not prune the forward
-  frontier-family cache entries: their retained ``(T, N)`` distance blocks
-  are carried across the mutation in two sound phases driven by the
-  graph's signed mutation journal.  Removals are folded in first with the
-  engine's increase-aware shrink re-sweep
-  (:meth:`~repro.engine.frontier.FrontierKernel.shrink_distance_blocks`)
-  against the mid-batch artifact, then insertions run the decrease-only
-  re-sweep
-  (:meth:`~repro.engine.frontier.FrontierKernel.patch_distance_blocks`)
-  against the final one, and every entry is re-decoded through the exact
-  coalesce readouts — so patched answers are bit-identical to
-  recomputation at the new version, for pure-insert, pure-remove and mixed
-  batches alike.  Entries whose artifact axes changed (a node or timestamp
-  appeared or vanished) and entries whose search root a removal
-  deactivated keep the exact prune semantics.
+* **warm-start invalidation** — mutation batches do not prune the
+  plain-forward frontier-family cache entries (BFS, reachability,
+  earliest-arrival): once the batch is applied and the artifact
+  delta-recompiled, the distinct roots of those entries are re-swept
+  together in one packed
+  :meth:`~repro.engine.frontier.FrontierKernel.distance_blocks` sweep — the
+  sweep a cache miss runs — and every entry is re-decoded through the exact
+  coalesce readouts and rekeyed to the new version.  Refreshed answers
+  therefore equal recomputation by construction, for insertions, removals
+  and mixed batches alike, whatever the batch does to the node and
+  timestamp axes.  Entries whose search root the batch deactivated, and
+  every entry of a refresh that raises, keep the exact prune semantics.
+  No entry retains a distance block between mutations.
 
 Freshness contract: a query is answered at *some* mutation version at least
 as new as the one current when it was submitted (the usual serving model);
@@ -85,7 +83,7 @@ from repro.exceptions import (
     ServerOverloadedError,
 )
 from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple
-from repro.serving.coalesce import decode_warm_block, execute_group
+from repro.serving.coalesce import _query_root, decode_warm_block, execute_group
 
 __all__ = ["ADMISSION_POLICIES", "LatencyHistogram", "QueryServer", "ServingStats"]
 
@@ -180,8 +178,9 @@ class ServingStats:
     marks (most recent :data:`_DEPTH_SAMPLES` kept).  ``wait_latency``
     (admission → drain) and ``service_latency`` (drain → resolution) are
     :class:`LatencyHistogram` instances.  ``entries_patched`` counts cache
-    entries carried across a mutation by the warm-start decrease-only
-    re-sweep instead of being pruned (``entries_invalidated``).
+    entries carried across a mutation by the warm-start refresh instead of
+    being pruned (``entries_invalidated``); the refresh sweeps are not
+    counted in ``sweeps`` or ``sweep_columns``, which count query sweeps.
     """
 
     submitted: int = 0
@@ -250,26 +249,9 @@ class _Ticket(_Waiter):
 
 
 @dataclass
-class _WarmState:
-    """Warm-start sidecar of a cached frontier answer.
-
-    ``block`` is the contiguous writable ``(T, N)`` int32 distance block the
-    answer decodes from (shared between entries with equal roots, so a
-    mutation patches each block once); ``surface`` the compiled artifact the
-    block currently matches — a patch is legal only while the new artifact
-    keeps those axes.
-    """
-
-    query: Query
-    root: tuple
-    block: object
-    surface: object
-
-
-@dataclass
 class _CacheEntry:
     value: object
-    warm: _WarmState | None = None
+    warm: Query | None = None  # the query a mutation re-sweeps to refresh it
 
 
 class _VersionedLRU:
@@ -297,7 +279,7 @@ class _VersionedLRU:
         self._entries.move_to_end(full_key)
         return entry.value, True
 
-    def put(self, version: int, key: tuple, value, warm: _WarmState | None = None):
+    def put(self, version: int, key: tuple, value, warm: Query | None = None):
         full_key = (version, key)
         self._entries[full_key] = _CacheEntry(value, warm)
         self._entries.move_to_end(full_key)
@@ -305,7 +287,7 @@ class _VersionedLRU:
             self._entries.popitem(last=False)
 
     def warm_entries(self, version: int) -> list[tuple[tuple, _CacheEntry]]:
-        """The ``(cache_key, entry)`` pairs at ``version`` carrying warm state."""
+        """The ``(cache_key, entry)`` pairs at ``version`` a mutation refreshes."""
         return [
             (full_key[1], entry)
             for full_key, entry in self._entries.items()
@@ -315,7 +297,7 @@ class _VersionedLRU:
     def rekey(
         self, old_version: int, new_version: int, key: tuple, value, warm
     ) -> None:
-        """Move one entry forward across a mutation (warm-start patching)."""
+        """Move one entry forward across a mutation (warm-start refresh)."""
         self._entries.pop((old_version, key), None)
         self.put(new_version, key, value, warm=warm)
 
@@ -367,13 +349,13 @@ class QueryServer:
         chunks over this many threads
         (:func:`repro.parallel.batch.fan_out_chunks`).
     warm_start:
-        Retain the ``(T, N)`` distance block behind every plain-forward
-        frontier-family answer (one int32 block per distinct root, bounded
-        by the cache capacity) so pure-insertion mutations can patch cached
-        entries forward with the engine's decrease-only re-sweep instead of
-        pruning them.  Patched answers are re-decoded through the exact
-        coalesce readouts, hence bit-identical to recomputation.  Disable to
-        trade the warm-restart hit rate for the block memory.
+        Refresh every cached plain-forward frontier-family answer (BFS,
+        reachability, earliest-arrival) across a mutation instead of
+        pruning it: the writer re-sweeps the entries' distinct roots in one
+        packed sweep on the new artifact and re-decodes each entry through
+        the exact coalesce readouts, so refreshed answers equal
+        recomputation.  Disable to prune every entry on a mutation, which
+        shortens the mutation stall and makes the next queries miss.
     sharded:
         Serve the frontier, zero-one, Tang and reach-count families through
         the pipelined time-shard driver instead of the monolithic kernels —
@@ -432,7 +414,7 @@ class QueryServer:
         self._admission = admission
         self._chunk_size = int(chunk_size)
         self._num_workers = max(1, int(num_workers))
-        # warm-start blocks only exist on the monolithic forward path
+        # a sharded server is read-only, so it never refreshes
         self._warm_start = bool(warm_start) and sharded is None
         self.stats = ServingStats()
         self._lock = threading.Lock()
@@ -653,10 +635,9 @@ class QueryServer:
 
         Applied between micro-batches: ``removals`` are removed, ``edges``
         added, the shared artifact is delta-recompiled, and the result cache
-        is reconciled — a pure-insertion batch (no ``removals``, confirmed by
-        the graph's insertion journal) *patches* warm frontier entries
-        forward to the new version with the decrease-only re-sweep; anything
-        else, and every entry without (still-valid) warm state, is
+        is reconciled — with ``warm_start``, the plain-forward frontier
+        entries whose root is still active are *refreshed* to the new
+        version by one packed re-sweep of their roots; every other entry is
         invalidated.  The future resolves to the graph's new
         ``mutation_version``.
         """
@@ -766,251 +747,73 @@ class QueryServer:
         """Single-writer admission of one streamed edge batch."""
         from repro.engine import get_compiled
 
-        warm_carried: list | None = None
-        removed: list[TemporalEdgeTuple] = []
         try:
             before = self._graph.mutation_version
-            # phase 1 — removals: capture the pre-removal activeness (the
-            # mask every warm block was computed under), mutate, then fold
-            # the removals into the warm blocks with the increase-aware
-            # shrink against the mid-batch artifact
-            prev_active = None
-            if self._warm_start and removals:
-                prev_active = get_compiled(self._graph).active_mask
             for u, v, t in removals:
-                if self._graph.remove_edge(u, v, t):
-                    removed.append((u, v, t))
-            mid = self._graph.mutation_version
-            if self._warm_start and removed:
-                try:
-                    warm_carried = self._shrink_warm_entries(
-                        before, removed, prev_active
-                    )
-                except Exception:
-                    # a failed shrink must never wedge the writer: entries
-                    # stay keyed at the old version, so the prune below
-                    # restores the exact invalidation semantics
-                    warm_carried = None
-            # phase 2 — insertions, then refresh the artifact through the
-            # delta path so the next micro-batch pays nothing; snapshots
-            # the batch did not touch are shared with the previous artifact
+                self._graph.remove_edge(u, v, t)
             if batch:
                 self._graph.add_edges_from(batch)
+            # refresh the artifact through the delta path so the next
+            # micro-batch pays nothing; snapshots the batch did not touch are
+            # shared with the previous artifact
             get_compiled(self._graph)
             version = self._graph.mutation_version
         except Exception as exc:
             future.set_exception(exc)
             return
-        patched = 0
+        refreshed = 0
         if self._warm_start and version != before:
             try:
-                if removed:
-                    patched = self._finish_warm_patch(
-                        before, mid, version, warm_carried or []
-                    )
-                else:
-                    insertions = self._graph.edge_insertions_since(before)
-                    if insertions is not None:
-                        patched = self._patch_warm_entries(
-                            before, version, insertions
-                        )
+                refreshed = self._refresh_warm_entries(before, version)
             except Exception:
-                # a failed patch must never wedge the writer: the prune
-                # below restores the exact invalidation semantics
-                patched = 0
+                # a failed refresh must never wedge the writer: entries stay
+                # keyed at the old version, so the prune below restores the
+                # exact invalidation semantics
+                refreshed = 0
         with self._lock:
             self.stats.mutations += 1
             self.stats.edges_streamed += len(batch) + len(removals)
-            self.stats.entries_patched += patched
+            self.stats.entries_patched += refreshed
             self.stats.entries_invalidated += self._cache.prune_stale(version)
         future.set_result(version)
 
-    def _patch_warm_entries(
-        self, before: int, version: int, insertions: list[TemporalEdgeTuple]
-    ) -> int:
-        """Carry warm cache entries across a pure-insertion mutation.
+    def _refresh_warm_entries(self, before: int, version: int) -> int:
+        """Carry warm cache entries across a mutation with one fresh re-sweep.
 
-        The retained ``(T, N)`` distance blocks are folded forward in one
-        grouped decrease-only re-sweep
-        (:meth:`~repro.engine.frontier.FrontierKernel.patch_distance_blocks`
-        stacks them into a single ``(T, N, R)`` relaxation, and blocks
-        shared between entries with equal roots are deduplicated by
-        identity), then every owning entry is re-decoded through the exact
-        coalesce readouts and rekeyed to the new version — so a later cache
-        hit serves a value bit-identical to recomputation.  Entries whose
-        artifact axes changed (the insertion introduced a node or timestamp)
-        are left behind for the pruning pass.  Returns the number of entries
-        carried forward.
+        The distinct roots of the warm entries keyed at ``before`` that are
+        still active are swept together on the post-mutation artifact — the
+        same :meth:`~repro.engine.frontier.FrontierKernel.distance_blocks`
+        sweep a cache miss runs — and every entry is decoded from its root's
+        column through :func:`~repro.serving.coalesce.decode_warm_block` and
+        rekeyed to ``version``, so a later hit serves exactly the value a
+        recomputation would.  Entries whose root the mutation deactivated
+        stay keyed at ``before`` for the pruning pass.  Returns the number of
+        entries carried forward.
         """
-        from repro.engine import get_compiled, get_kernel
+        from repro.engine import get_kernel
 
-        compiled = get_compiled(self._graph)
         kernel = get_kernel(self._graph)
         with self._lock:
             entries = self._cache.warm_entries(before)
-        if not entries:
-            return 0
-        axes_ok: dict[int, bool] = {}
-        block_ids: set[int] = set()
-        blocks: list = []
-        pins: list = []
-        carried = []
-        for key, entry in entries:
-            warm = entry.warm
-            surface = warm.surface
-            ok = axes_ok.get(id(surface))
-            if ok is None:
-                ok = surface is compiled or (
-                    surface.num_nodes == compiled.num_nodes
-                    and surface.num_snapshots == compiled.num_snapshots
-                    and list(surface.node_labels) == list(compiled.node_labels)
-                    and tuple(surface.times) == tuple(compiled.times)
-                )
-                axes_ok[id(surface)] = ok
-            if not ok:
-                continue
-            slot = compiled.slot(*warm.root)
-            if slot is None:  # pragma: no cover - axes match implies a slot
-                continue
-            if id(warm.block) not in block_ids:
-                block_ids.add(id(warm.block))
-                blocks.append(warm.block)
-                pins.append(slot)
-            carried.append((key, warm))
-        if not carried:
-            return 0
-        kernel.patch_distance_blocks(blocks, insertions, pinned=pins)
-        moves = [
-            (key, decode_warm_block(kernel, warm.query, warm.block), warm)
-            for key, warm in carried
+        carried = [
+            (key, entry.warm)
+            for key, entry in entries
+            if kernel.is_active(*_query_root(entry.warm))
         ]
-        for _key, warm in carried:
-            warm.surface = compiled
-        with self._lock:
-            for key, value, warm in moves:
-                self._cache.rekey(before, version, key, value, warm)
-        return len(moves)
-
-    def _shrink_warm_entries(
-        self,
-        before: int,
-        removed: list[TemporalEdgeTuple],
-        prev_active,
-    ) -> list:
-        """Phase 1 of a mixed-batch warm patch: fold the removals in.
-
-        Runs against the *mid-batch* artifact (post-removal,
-        pre-insertion).  Collects every warm entry keyed at ``before``
-        whose axes survived and whose root is still active, shrinks their
-        retained blocks with one grouped increase-aware re-sweep
-        (:meth:`~repro.engine.frontier.FrontierKernel.shrink_distance_blocks`),
-        and returns the carried ``(key, warm)`` pairs for
-        :meth:`_finish_warm_patch`.  Entries are *not* rekeyed here — they
-        stay at the old version until the whole two-phase patch succeeds,
-        so any failure leaves them for the exact pruning pass.
-        """
-        from repro.engine import get_compiled, get_kernel
-
-        compiled = get_compiled(self._graph)  # the mid-batch artifact
-        kernel = get_kernel(self._graph)
-        with self._lock:
-            entries = self._cache.warm_entries(before)
-        if not entries or prev_active is None:
-            return []
-        axes_ok: dict[int, bool] = {}
-        block_ids: set[int] = set()
-        blocks: list = []
-        carried = []
-        for key, entry in entries:
-            warm = entry.warm
-            surface = warm.surface
-            ok = axes_ok.get(id(surface))
-            if ok is None:
-                ok = surface is compiled or (
-                    surface.num_nodes == compiled.num_nodes
-                    and surface.num_snapshots == compiled.num_snapshots
-                    and list(surface.node_labels) == list(compiled.node_labels)
-                    and tuple(surface.times) == tuple(compiled.times)
-                )
-                axes_ok[id(surface)] = ok
-            if not ok:
-                continue
-            slot = compiled.slot(*warm.root)
-            if slot is None or not compiled.active_mask[slot]:
-                continue  # the removals deactivated this root: prune it
-            if id(warm.block) not in block_ids:
-                block_ids.add(id(warm.block))
-                blocks.append(warm.block)
-            carried.append((key, warm))
-        if not carried:
-            return []
-        kernel.shrink_distance_blocks(blocks, removed, prev_active)
-        for _key, warm in carried:
-            warm.surface = compiled
-        return carried
-
-    def _finish_warm_patch(
-        self, before: int, mid: int, version: int, carried: list
-    ) -> int:
-        """Phase 2 of a mixed-batch warm patch: fold the insertions, rekey.
-
-        The ``mid → version`` journal window contains only the batch's
-        insertions (the removals all landed before ``mid``), so the carried
-        blocks — already exact at the mid-batch artifact — take the usual
-        grouped decrease-only re-sweep against the final artifact, are
-        re-decoded through the exact coalesce readouts, and only then
-        rekeyed from ``before`` to ``version``.  Any entry that drops out
-        along the way (axes changed, journal unavailable) simply stays at
-        the old version for the pruning pass.
-        """
-        from repro.engine import get_compiled, get_kernel
-
         if not carried:
             return 0
-        insertions = self._graph.edge_insertions_since(mid)
-        if insertions is None:
-            return 0
-        compiled = get_compiled(self._graph)  # the final artifact
-        kernel = get_kernel(self._graph)
-        axes_ok: dict[int, bool] = {}
-        block_ids: set[int] = set()
-        blocks: list = []
-        pins: list = []
-        kept = []
-        for key, warm in carried:
-            surface = warm.surface
-            ok = axes_ok.get(id(surface))
-            if ok is None:
-                ok = surface is compiled or (
-                    surface.num_nodes == compiled.num_nodes
-                    and surface.num_snapshots == compiled.num_snapshots
-                    and list(surface.node_labels) == list(compiled.node_labels)
-                    and tuple(surface.times) == tuple(compiled.times)
-                )
-                axes_ok[id(surface)] = ok
-            if not ok:
-                continue
-            slot = compiled.slot(*warm.root)
-            if slot is None:  # pragma: no cover - axes match implies a slot
-                continue
-            if id(warm.block) not in block_ids:
-                block_ids.add(id(warm.block))
-                blocks.append(warm.block)
-                pins.append(slot)
-            kept.append((key, warm))
-        if not kept:
-            return 0
-        if insertions:
-            kernel.patch_distance_blocks(blocks, insertions, pinned=pins)
+        roots = list(dict.fromkeys(_query_root(query) for _key, query in carried))
+        columns = {}
+        for chunk, dist in kernel.distance_blocks(roots, chunk_size=self._chunk_size):
+            for col, root in enumerate(chunk):
+                columns[root] = dist[:, :, col]
         moves = [
-            (key, decode_warm_block(kernel, warm.query, warm.block), warm)
-            for key, warm in kept
+            (key, decode_warm_block(kernel, query, columns[_query_root(query)]), query)
+            for key, query in carried
         ]
-        for _key, warm in kept:
-            warm.surface = compiled
         with self._lock:
-            for key, value, warm in moves:
-                self._cache.rekey(before, version, key, value, warm)
+            for key, value, query in moves:
+                self._cache.rekey(before, version, key, value, query)
         return len(moves)
 
     def _execute_micro_batch(self, tickets: list[_Ticket], drained_at: float) -> None:
@@ -1069,6 +872,12 @@ class QueryServer:
 
         for sweep_key, members in groups.items():
             queries = [ticket.query for ticket in members]
+            # only plain-forward frontier answers are refreshed by a mutation
+            refreshable = self._warm_start and sweep_key == (
+                "frontier",
+                "forward",
+                False,
+            )
             try:
                 if self._sharded_driver is not None:
                     # a read-only sharded server never mutates the graph
@@ -1083,7 +892,6 @@ class QueryServer:
                     chunk_size=self._chunk_size,
                     num_workers=self._num_workers,
                     driver=self._sharded_driver,
-                    warm_blocks=self._warm_start,
                 )
                 results, errors = outcome.results, outcome.errors
             except Exception as exc:  # whole-group failure
@@ -1100,18 +908,14 @@ class QueryServer:
                 if outcome is not None:
                     self.stats.sweeps += outcome.sweeps
                     self.stats.sweep_columns += outcome.columns
-                for i, (ticket, result, error) in enumerate(
-                    zip(members, results, errors, strict=True)
-                ):
+                for ticket, result, error in zip(members, results, errors, strict=True):
                     if error is None:
-                        warm = None
-                        if outcome is not None and outcome.warm is not None:
-                            pair = outcome.warm[i]
-                            if pair is not None:
-                                warm = _WarmState(
-                                    ticket.query, pair[0], pair[1], outcome.surface
-                                )
-                        self._cache.put(version, ticket.key, result, warm=warm)
+                        self._cache.put(
+                            version,
+                            ticket.key,
+                            result,
+                            warm=ticket.query if refreshable else None,
+                        )
                     waiters = ticket.live + self._inflight.pop(ticket.key, [])
                     for waiter in waiters:
                         self.stats.service_latency.record(scattered_at - drained_at)

@@ -584,6 +584,26 @@ class TestShrinkResweep:
         for g, s in zip(blocks, singles):
             assert np.array_equal(g, s)
 
+    def test_group_shrink_raises_before_touching_any_block(self):
+        graph = AdjacencyListEvolvingGraph(
+            [(0, 1, 0), (1, 2, 0), (2, 0, 1), (0, 1, 1)], directed=True
+        )
+        kernel = get_kernel(graph)
+        # the removal below deactivates the last root, and would change the
+        # first block, which reaches (2, 0) at distance 2
+        roots = [(0, 0), (0, 1), (2, 0)]
+        blocks = [kernel.distance_block(r) for r in roots]
+        originals = [b.copy() for b in blocks]
+        prev_active = kernel.compiled.active_mask
+        graph.remove_edge(1, 2, 0)
+        kernel = get_kernel(graph)
+        with pytest.raises(GraphError):
+            kernel.shrink_distance_blocks(blocks, [(1, 2, 0)], prev_active)
+        for block, original in zip(blocks, originals):
+            assert np.array_equal(block, original)
+        # the first block alone does shrink
+        assert kernel.shrink_distance_block(blocks[0], [(1, 2, 0)], prev_active) > 0
+
     def test_root_deactivating_removal_raises(self):
         graph = AdjacencyListEvolvingGraph(
             [(0, 1, 0), (1, 2, 0), (2, 0, 1), (0, 1, 1)], directed=True

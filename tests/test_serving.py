@@ -51,6 +51,7 @@ from repro.generators import random_evolving_graph
 from repro.graph import AdjacencyListEvolvingGraph
 from repro.linalg import OperationCounter
 from repro.serving import QueryServer
+from repro.serving import server as server_module
 
 # --------------------------------------------------------------------------- #
 # strategies                                                                   #
@@ -80,19 +81,54 @@ def served_graphs(draw):
     return graph, batches
 
 
+@st.composite
+def signed_served_graphs(draw):
+    """A small evolving graph plus signed ``(insertions, removals)`` batches.
+
+    Removals are drawn from the graph's edges, so they can deactivate a
+    root; insertions may use node labels 10-12, outside the graph's
+    universe, and timestamps it does not have yet.
+    """
+    graph, _ = draw(served_graphs())
+    existing = sorted(graph.temporal_edges_unordered())
+    new_labels = st.integers(min_value=0, max_value=12)
+    insertions = st.tuples(new_labels, new_labels, time_labels).filter(
+        lambda e: e[0] != e[1]
+    )
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.lists(insertions, max_size=4),
+                st.lists(st.sampled_from(existing), max_size=4, unique=True),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return graph, batches
+
+
 def _direct_answers(graph, queries):
-    """The direct-function oracle for a query list, on the graph as-is."""
+    """The direct-function oracle for a query list, on the graph as-is.
+
+    The frontier family runs the pure-Python searches, so the oracle shares
+    no decode with the served path.
+    """
     answers = []
     for query in queries:
         if isinstance(query, BFSQuery):
-            answers.append(evolving_bfs(graph, query.root, backend="vectorized").reached)
+            answers.append(evolving_bfs(graph, query.root, backend="python").reached)
         elif isinstance(query, ReachabilityQuery):
-            result = evolving_bfs(graph, query.root, backend="vectorized")
+            result = evolving_bfs(graph, query.root, backend="python")
             answers.append(result.distance(*query.target))
         elif isinstance(query, EarliestArrivalQuery):
-            answers.append(earliest_arrival_times(graph, query.source))
+            answers.append(
+                earliest_arrival_times(graph, query.source, backend="python")
+            )
         elif isinstance(query, LatestDepartureQuery):
-            answers.append(latest_departure_times(graph, query.target))
+            answers.append(
+                latest_departure_times(graph, query.target, backend="python")
+            )
         elif isinstance(query, FewestHopsQuery):
             answers.append(fewest_spatial_hops_from(graph, query.source))
         elif isinstance(query, TangDistanceQuery):
@@ -255,7 +291,7 @@ def test_micro_batch_coalesces_into_one_sweep():
     assert served_counter.column_checks == batched_counter.column_checks
 
     for root, result in zip(roots, results):
-        assert result == evolving_bfs(graph, root, backend="vectorized").reached
+        assert result == evolving_bfs(graph, root, backend="python").reached
 
 
 def test_cross_family_queries_share_the_forward_sweep():
@@ -329,15 +365,21 @@ def test_invalidation_exactly_on_version_move():
         server.query(BFSQuery(root=root))
         assert server.stats.cache_hits == 2
 
-        # a real insertion moves the version: the entry is invalidated and
-        # the recomputed answer reflects the new graph
+        # a real insertion moves the version: the entry is refreshed at the
+        # new version (a hit, not a miss), and the value served is the new
+        # graph's answer, never the old version's
         fresh = (root[0], -1, times[0])  # -1 is outside the generator's universe
         new_version = server.mutate([fresh]).result(timeout=30)
         assert new_version > version
-        assert server.stats.entries_invalidated >= 1
-        recomputed = server.query(BFSQuery(root=root))
-        assert recomputed == evolving_bfs(graph, root, backend="vectorized").reached
-        assert server.stats.cache_misses >= 2
+        assert server.stats.entries_patched == 1
+        assert server.stats.entries_invalidated == 0
+        misses = server.stats.cache_misses
+        refreshed = server.query(BFSQuery(root=root))
+        assert refreshed == evolving_bfs(graph, root, backend="python").reached
+        assert (-1, times[0]) in refreshed
+        assert refreshed != first
+        assert server.stats.cache_misses == misses
+        assert server.stats.cache_hits == 3
 
 
 def test_mutation_future_resolves_to_new_version_and_uses_delta_path():
@@ -353,7 +395,7 @@ def test_mutation_future_resolves_to_new_version_and_uses_delta_path():
         # the artifact was refreshed by the writer, not rebuilt per query
         assert stats is None or stats["rebuilt"] <= len(times)
         assert server.query(BFSQuery(root=root)) == evolving_bfs(
-            graph, root, backend="vectorized"
+            graph, root, backend="python"
         ).reached
 
 
@@ -406,7 +448,7 @@ def test_concurrent_readers_and_writer_stress():
         # quiesced: every answer now equals the direct call on the final graph
         for root in roots:
             assert server.query(BFSQuery(root=root)) == evolving_bfs(
-                graph, root, backend="vectorized"
+                graph, root, backend="python"
             ).reached
         assert server.stats.mutations == len(batches)
 
@@ -418,7 +460,7 @@ def test_server_close_and_reject_after_close():
     future = server.submit(BFSQuery(root=root))
     server.close()
     assert future.result(timeout=5) == evolving_bfs(
-        graph, root, backend="vectorized"
+        graph, root, backend="python"
     ).reached
     with pytest.raises(GraphError):
         server.submit(BFSQuery(root=root))
@@ -466,17 +508,17 @@ def test_warm_start_patches_pure_insertion_mutations():
         server.query_many(forward + [backward])
         server.join()
 
-        # first pure-insertion batch: forward entries are patched forward,
-        # the backward entry (no decrease-only rule) is pruned
+        # first pure-insertion batch: forward entries are refreshed, the
+        # backward entry (not a plain-forward sweep) is pruned
         server.mutate([(0, 5, 1), (2, 7, 0)]).result(timeout=30)
         server.join()
         stats = server.stats.snapshot()
         assert stats["entries_patched"] == len(forward)
         assert stats["entries_invalidated"] == 1
 
-        # patched entries hit the cache at the new version, bit-identical to
-        # the direct functions on the mutated graph; only the pruned
-        # backward entry costs a recompute
+        # refreshed entries hit the cache at the new version, equal to the
+        # direct functions on the mutated graph; only the pruned backward
+        # entry costs a recompute
         misses_before = stats["cache_misses"]
         for query, got in zip(forward + [backward], _direct_answers(
             graph, forward + [backward]
@@ -485,7 +527,7 @@ def test_warm_start_patches_pure_insertion_mutations():
         stats = server.stats.snapshot()
         assert stats["cache_misses"] == misses_before + 1
 
-        # a second insertion batch patches the already-patched blocks again
+        # a second insertion batch refreshes the refreshed entries again
         server.mutate([(4, 9, 2)]).result(timeout=30)
         server.join()
         stats = server.stats.snapshot()
@@ -504,7 +546,7 @@ def test_warm_start_disabled_prunes_on_insertions():
         assert stats["entries_patched"] == 0
         assert stats["entries_invalidated"] == 1
         assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
-            graph, (0, 0), backend="vectorized"
+            graph, (0, 0), backend="python"
         ).reached
 
 
@@ -512,9 +554,7 @@ def test_warm_start_mixed_batches_patch_through():
     graph = _warm_graph()
     with QueryServer(graph, window_s=0.002) as server:
         server.query(BFSQuery(root=(0, 0)))
-        # a mixed insert/remove batch rides the two-phase warm patch: the
-        # removal shrinks the retained block against the mid-batch artifact,
-        # the insertion then folds in decrease-only — no pruning
+        # a mixed insert/remove batch refreshes the entry: no pruning
         server.mutate([(0, 5, 1)], removals=[(3, 4, 1)]).result(timeout=30)
         server.join()
         stats = server.stats.snapshot()
@@ -523,7 +563,7 @@ def test_warm_start_mixed_batches_patch_through():
         assert not graph.has_edge(3, 4, 1)
         misses_before = stats["cache_misses"]
         assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
-            graph, (0, 0), backend="vectorized"
+            graph, (0, 0), backend="python"
         ).reached
         assert server.stats.snapshot()["cache_misses"] == misses_before
 
@@ -538,7 +578,7 @@ def test_warm_start_pure_removal_batches_patch_through():
         assert stats["entries_patched"] == 1
         assert stats["entries_invalidated"] == 0
         assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
-            graph, (0, 0), backend="vectorized"
+            graph, (0, 0), backend="python"
         ).reached
 
 
@@ -553,8 +593,8 @@ def test_warm_start_root_deactivating_removal_prunes():
         root = (2, 0)
         assert graph.is_active(*root)
         server.query(BFSQuery(root=root))
-        # the warm entry's root is deactivated: no sound shrink exists for
-        # it, so it must fall back to exact pruning
+        # the warm entry's root is deactivated: there is no sweep to
+        # refresh it from, so it must fall back to exact pruning
         server.mutate([], removals=[(1, 2, 0)]).result(timeout=30)
         server.join()
         stats = server.stats.snapshot()
@@ -563,20 +603,105 @@ def test_warm_start_root_deactivating_removal_prunes():
         assert not graph.is_active(*root)
 
 
-def test_warm_start_out_of_universe_insertion_prunes():
+def test_warm_start_out_of_universe_insertion_refreshes():
     graph = _warm_graph()
     with QueryServer(graph, window_s=0.002) as server:
         server.query(BFSQuery(root=(0, 0)))
-        # a brand-new node changes the artifact axes: the retained block is
-        # unpatchable and the entry must fall back to exact pruning
+        # a brand-new node changes the artifact axes; the refresh re-sweeps
+        # on whatever axes the new artifact has, so the entry is carried
         server.mutate([(0, 99, 1)]).result(timeout=30)
         server.join()
         stats = server.stats.snapshot()
+        assert stats["entries_patched"] == 1
+        assert stats["entries_invalidated"] == 0
+        answer = server.query(BFSQuery(root=(0, 0)))
+        assert answer == evolving_bfs(graph, (0, 0), backend="python").reached
+        assert (99, 1) in answer
+        assert server.stats.snapshot()["cache_misses"] == stats["cache_misses"]
+
+
+def test_warm_start_refresh_failure_prunes(monkeypatch):
+    graph = _warm_graph()
+    queries = [BFSQuery(root=(0, 0)), EarliestArrivalQuery(source=(3, 1))]
+    with QueryServer(graph, window_s=0.002) as server:
+        server.query_many(queries)
+        server.join()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected decode failure")
+
+        # the refresh raises mid-way: the writer must still publish the new
+        # version and fall back to pruning every warm entry
+        monkeypatch.setattr(server_module, "decode_warm_block", broken)
+        version = server.mutate([(0, 5, 1)], removals=[(3, 4, 1)]).result(timeout=30)
+        assert version == graph.mutation_version
+        stats = server.stats.snapshot()
+        assert stats["entries_invalidated"] == len(queries)
         assert stats["entries_patched"] == 0
-        assert stats["entries_invalidated"] == 1
-        assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
-            graph, (0, 0), backend="vectorized"
-        ).reached
+        for query, want in zip(queries, _direct_answers(graph, queries)):
+            assert server.query(query) == want, describe(query)
+
+
+def _assert_served(server, graph, queries):
+    """Every query, submitted at once, equals the oracle or raises like it.
+
+    Returns the queries that were answered, hence cached.
+    """
+    futures = [server.submit(query) for query in queries]
+    answered = []
+    for query, future in zip(queries, futures):
+        try:
+            want = _direct_answers(graph, [query])[0]
+        except InactiveNodeError:
+            with pytest.raises(InactiveNodeError):
+                future.result(timeout=30)
+        else:
+            assert future.result(timeout=30) == want, describe(query)
+            answered.append(query)
+    return answered
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(signed_served_graphs())
+def test_warm_start_refresh_across_signed_batches(case):
+    """Removals (some deactivating a root) and insertions outside the universe:
+    every re-served answer equals the Python oracle, and each mutation
+    refreshes every warm entry whose root is still active and invalidates
+    the rest."""
+    graph, batches = case
+    roots = graph.active_temporal_nodes()[:4]
+    queries = [BFSQuery(root=r) for r in roots] + [
+        EarliestArrivalQuery(source=roots[0]),
+        ReachabilityQuery(root=roots[-1], target=roots[0]),
+    ]
+    root_of = {
+        query: query.source if isinstance(query, EarliestArrivalQuery) else query.root
+        for query in queries
+    }
+    with QueryServer(graph, window_s=0.005) as server:
+        cached = _assert_served(server, graph, queries)
+        for insertions, removals in batches:
+            server.join()
+            assert server.cache_size == len(cached)  # all plain-forward
+            before = server.stats_snapshot()
+            version = graph.mutation_version
+            server.mutate(insertions, removals=removals).result(timeout=30)
+            server.join()
+            after = server.stats_snapshot()
+            patched = after["entries_patched"] - before["entries_patched"]
+            pruned = after["entries_invalidated"] - before["entries_invalidated"]
+            if graph.mutation_version == version:
+                assert patched == pruned == 0
+            else:
+                live = sum(graph.is_active(*root_of[query]) for query in cached)
+                assert patched == live
+                assert pruned == len(cached) - live
+            assert server.cache_size == len(cached) - pruned
+            cached = _assert_served(server, graph, queries)
 
 
 @settings(
@@ -586,8 +711,8 @@ def test_warm_start_out_of_universe_insertion_prunes():
 )
 @given(served_graphs())
 def test_warm_start_served_answers_bit_identical(case):
-    """Across arbitrary insertion batches — patched or pruned — every re-served
-    answer equals the direct function on the mutated graph."""
+    """Across arbitrary insertion batches — refreshed or pruned — every
+    re-served answer equals the direct function on the mutated graph."""
     graph, batches = case
     roots = graph.active_temporal_nodes()[:4]
     queries = [BFSQuery(root=r) for r in roots] + [
