@@ -1,7 +1,7 @@
 """Unified sparse execution engine for evolving-graph searches.
 
-* :class:`~repro.engine.frontier.FrontierKernel` — frontiers as bit-packed
-  ``uint64`` words advanced by one sparse product per snapshot, with a
+* :class:`~repro.engine.frontier.FrontierKernel` — frontiers as packed
+  root lanes advanced by one CSR gather per snapshot, with a
   batched multi-source mode that packs many roots into the columns of one
   block, plus the batched analytics primitives (identity reach counts,
   harmonic-closeness sums, Katz series) the ported algorithms layer uses.
@@ -47,11 +47,13 @@
   bit-identical to the monolithic kernels;
   :func:`~repro.engine.dispatch.get_sharded_driver` is the version-exact
   cache behind the algorithm layer's ``shards=`` flag.
-* :mod:`~repro.engine.bitops` — the bit-packed sweep primitives every
-  sweep family runs on: frontier/visited state stays packed in ``uint64``
-  words, each snapshot's spatial advance is fused with the causal carry into
-  one pass over the operator stack, and every advance direction-optimizes
-  push vs pull vs dense per snapshot per round from packed popcounts.  Each
+* :mod:`~repro.engine.bitops` — the packed sweep primitives every sweep
+  family runs on: frontier/visited state stays packed as node-major root
+  lanes (one bitset of root columns per node, the MS-BFS layout), each
+  snapshot's spatial advance ORs neighbour lanes along the CSR and is fused
+  with the causal carry into one pass over the operator stack, and every
+  advance direction-optimizes push vs pull vs dense per snapshot per round
+  from lane popcounts.  Each
   family has exactly one engine loop; the pure-Python Algorithm-1 functions
   (``backend="python"``) are the equivalence reference.
 """

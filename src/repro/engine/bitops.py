@@ -1,30 +1,36 @@
-"""Bit-packed frontier words and the direction-optimizing sweep primitives.
+"""Root-lane frontier state and the direction-optimizing sweep primitives.
 
-Every kernel sweep in this package advances boolean ``(T, N, R)`` blocks.
-Stored byte-per-cell those blocks would be 8× larger than they need to be,
-and the causal cumulative-OR would touch every byte once per round.  This
-module is the packed form every sweep loop runs on:
+Every kernel sweep in this package advances boolean ``(T, N, R)`` blocks:
+``R`` independent searches over ``N`` nodes in ``T`` snapshots.  Stored
+byte-per-cell those blocks would be 8× larger than they need to be, so this
+module keeps them packed the way MS-BFS does (Then et al., "The More the
+Merrier", PVLDB 2014): node-major **root lanes** ``(T, N, L)``, one bitset
+of root columns per node.
 
-* a bit block is a ``uint64`` word array whose **last axis** holds
-  ``words_for(n)`` words; node ``v`` lives in word ``v >> 6`` at bit
-  ``v & 63`` (little-endian bit order, so :func:`pack_bits` /
-  :func:`unpack_bits` are plain ``np.packbits``/``np.unpackbits`` with an
-  8-byte-aligned tail).  Tail bits past ``n`` are always zero;
-* the causal step becomes a word-wise ``bitwise_or.accumulate``
-  (:func:`causal_or_accumulate`) — 64 node slots per word op instead of one
-  byte op per slot;
-* frontier densities are read off packed words via :func:`popcount`
-  (``np.bitwise_count``), which is what the push/pull direction choice and
-  the fixpoint/termination checks key on;
-* :func:`advance_blocked` is the direction-optimizing spatial step: per
-  snapshot it picks **push** (a sparse × sparse product over the frontier's
-  nonzero columns) when the packed popcount says the frontier is sparse,
-  **pull** (a CSR row-slice product over the still-unvisited rows) when the
-  undiscovered region is small, and the dense CSR × block product otherwise;
+* a lane is the narrowest unsigned integer that fits ``R`` bits (``uint8``
+  up to 8 roots, then ``uint16``, ``uint32``, ``uint64``); past 64 roots a
+  node holds ``ceil(R / 64)`` ``uint64`` lanes.  Column ``c`` is bit
+  ``c % b`` of lane ``c // b`` for ``b``-bit lanes (little-endian, so
+  :func:`pack_bits` / :func:`unpack_bits` are ``np.packbits`` /
+  ``np.unpackbits`` over the column axis), and bits past ``R`` are always
+  zero.  Only this module knows the layout: the sweep loops allocate, seed,
+  mask and unpack lanes through :func:`seed_lanes`, :func:`lane_mask` and
+  :func:`unpack_bits`;
+* the causal step is a lane-wise ``bitwise_or.accumulate`` along the time
+  axis (:func:`causal_or_accumulate`);
+* frontier sizes are read off the lanes by :func:`popcount` and
+  :func:`node_popcount` (``np.bitwise_count``, or an 8-bit table on
+  numpy < 2.0); the push/pull direction choice and the fixpoint and
+  termination checks key on them;
+* :func:`advance_blocked` is the direction-optimizing spatial step (Beamer
+  et al., SC 2012) and it stays packed end to end: a node's new lane is the
+  OR of its in-neighbours' lanes, gathered along the CSR.  **Push** ORs
+  each frontier node's lane into its out-neighbours' lanes when the
+  frontier is sparse, **pull** gathers only the rows that can still be
+  discovered once few are left, and **dense** gathers every row;
 * :func:`fused_update` fuses the masked causal OR, the activeness and
   visited masks, the visited update and the causal carry into one pass over
-  the words — optionally compiled with numba when the ``[jit]`` extra is
-  installed (the pure-NumPy fallback is bit-identical and always available).
+  the lanes.
 
 These primitives are the only engine implementation of every sweep family:
 the kernels' packed loops are checked against the pure-Python Algorithm-1
@@ -32,50 +38,47 @@ oracles, not against a second engine loop.  :func:`sweep_thresholds` forces
 one advance direction (tests and the ``bench_bitkernel.py`` ablation use it).
 
 Accounting: the sweep loops charge packed bookkeeping to
-``OperationCounter.word_ops`` (one unit per 64-bit word operation;
-:data:`FUSED_UPDATE_WORD_OPS` words ops per word per fused update), while
-:func:`advance_blocked` charges ``multiply_adds`` for the actual sparse
-work: ``2 · Σ out-degree(frontier)`` on push, ``2 · nnz(rows) · R`` on
-pull, ``2 · nnz · R`` on the dense fallback — the last is the Theorem 5/6
-charge of a blocked product, so the counts stay comparable to that model.
+``OperationCounter.word_ops`` (one unit per 64-bit word, :func:`word_count`;
+:data:`FUSED_UPDATE_WORD_OPS` word ops per word per fused update), while
+:func:`advance_blocked` charges ``multiply_adds`` for the sparse work of the
+product it replaces: ``2 · Σ out-degree(frontier cells)`` on push,
+``2 · nnz(rows) · R`` on pull, ``2 · nnz · R`` on the dense fallback — the
+last is the Theorem 5/6 charge of a blocked product, so the counts stay
+comparable to that model.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "FUSED_UPDATE_WORD_OPS",
-    "JIT_ACTIVE",
-    "WORD_BITS",
     "advance_blocked",
     "causal_or_accumulate",
     "fused_update",
+    "lane_mask",
+    "node_popcount",
     "pack_bits",
-    "packed_nonzero",
     "popcount",
-    "set_bits",
+    "seed_lanes",
     "sweep_thresholds",
     "unpack_bits",
-    "words_for",
+    "word_count",
 ]
 
-WORD_BITS = 64
-
-#: Push (frontier-driven sparse × sparse) is chosen when the frontier
-#: occupies less than ``1 / PUSH_BLOCK_FRACTION`` of the block's slots; 0
-#: disables push.  Sparse frontiers make the gather over Σ out-degree of the
-#: frontier cells far cheaper than a dense product's ``2 · nnz · R``.
+#: Push (frontier-driven scatter) is chosen when the frontier occupies less
+#: than ``1 / PUSH_BLOCK_FRACTION`` of the block's ``N · R`` slots; 0
+#: disables push.  Sparse frontiers make the scatter over Σ out-degree of
+#: the frontier cells far cheaper than a dense product's ``2 · nnz · R``.
 PUSH_BLOCK_FRACTION = 8
 
-#: Pull (row-sliced product over undiscovered rows) is chosen — when push
-#: declined and the caller supplied visited words — once fewer than
+#: Pull (gather over the undiscovered rows only) is chosen — when push
+#: declined and the caller supplied the remaining lanes — once fewer than
 #: ``1 / PULL_ROW_FRACTION`` of the rows can still be newly discovered; 0
 #: disables pull.  Saturated sweeps stop paying for rows that are already
 #: visited in every column.
@@ -109,110 +112,126 @@ def sweep_thresholds(
 
 
 # --------------------------------------------------------------------------- #
-# packing primitives                                                          #
+# the lane layout                                                             #
 # --------------------------------------------------------------------------- #
 
 
-def words_for(n: int) -> int:
-    """Number of 64-bit words needed for ``n`` bit slots."""
-    return (n + WORD_BITS - 1) // WORD_BITS
+def _layout(r: int) -> tuple[np.dtype, int]:
+    """Lane dtype and lanes per node for ``r`` root columns."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if r <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype), 1
+    return np.dtype(np.uint64), -(-r // 64)
+
+
+def seed_lanes(
+    shape: tuple[int, ...], seeds_per_column: Sequence[Sequence]
+) -> np.ndarray:
+    """Lanes over ``shape`` with column ``c``'s bit set at its seed slots.
+
+    One column per entry of ``seeds_per_column``; each seed is an index
+    into ``shape`` (a tuple, or a plain int for 1-D shapes).  Columns
+    without seeds stay empty, so ``[[]] * r`` allocates zero lanes.
+    """
+    dtype, lanes = _layout(len(seeds_per_column))
+    out = np.zeros(tuple(shape) + (lanes,), dtype=dtype)
+    cols = [c for c, seeds in enumerate(seeds_per_column) for _ in seeds]
+    if cols:
+        slots = np.array(
+            [seed for seeds in seeds_per_column for seed in seeds], dtype=np.int64
+        ).reshape(len(cols), -1)
+        col = np.asarray(cols, dtype=np.int64)
+        bits = 8 * out.itemsize
+        shifts = (col % bits).astype(out.dtype)
+        np.bitwise_or.at(
+            out, (*slots.T, col // bits), np.ones(len(cols), out.dtype) << shifts
+        )
+    return out
+
+
+def lane_mask(mask: np.ndarray, r: int) -> np.ndarray:
+    """Lanes with all ``r`` column bits set on the slots where ``mask`` holds."""
+    full = pack_bits(np.ones(r, dtype=bool))
+    return np.asarray(mask, dtype=bool)[..., None] * full
+
+
+def word_count(lanes: np.ndarray) -> int:
+    """The 64-bit words ``lanes`` occupy: the unit of ``word_ops``."""
+    return -(-lanes.nbytes // 8)
 
 
 def pack_bits(block: np.ndarray) -> np.ndarray:
-    """Pack a boolean ``(..., n)`` block into ``(..., words_for(n))`` uint64.
-
-    Little-endian bit order: slot ``v`` is bit ``v & 63`` of word ``v >> 6``.
-    Tail bits past ``n`` are zero.
-    """
-    # packbits falls off its fast path on strided input (e.g. a transposed
-    # product), so normalise to one contiguous bool buffer first
-    block = np.ascontiguousarray(block, dtype=bool)
-    n = block.shape[-1]
-    w = words_for(n)
-    packed = np.packbits(block, axis=-1, bitorder="little")
-    if packed.shape[-1] == 8 * w:
-        # no-copy when packbits already emitted a contiguous aligned buffer
-        words = np.ascontiguousarray(packed).view(np.uint64)
+    """Pack a boolean ``(..., N, R)`` block into ``(..., N, L)`` lanes."""
+    block = np.asarray(block, dtype=bool)
+    r = block.shape[-1]
+    dtype, lanes = _layout(r)
+    bits = 8 * dtype.itemsize * lanes
+    # one flat packbits over whole lanes is several times faster than
+    # packing along a short last axis, so widen the columns to full lanes
+    if r == bits:
+        padded = np.ascontiguousarray(block)
     else:
-        padded = np.zeros(block.shape[:-1] + (8 * w,), dtype=np.uint8)
-        padded[..., : packed.shape[-1]] = packed
-        words = padded.view(np.uint64)
+        padded = np.zeros(block.shape[:-1] + (bits,), dtype=bool)
+        padded[..., :r] = block
+    packed = np.packbits(padded.reshape(-1), bitorder="little")
+    out = packed.view(dtype).reshape(block.shape[:-1] + (lanes,))
     if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
-        words = words.byteswap()
-    return words
+        out = out.byteswap()
+    return out
 
 
-def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack ``(..., W)`` uint64 words back to a boolean ``(..., n)`` block."""
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
-        words = words.byteswap()
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[..., :n].astype(bool)
+def unpack_bits(lanes: np.ndarray, r: int) -> np.ndarray:
+    """Unpack ``(..., N, L)`` lanes back to a boolean ``(..., N, r)`` block.
 
-
-if hasattr(np, "bitwise_count"):
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across a packed word array."""
-        return int(np.bitwise_count(words).sum())
-
-else:  # pragma: no cover - numpy < 2.0 fallback
-    _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across a packed word array."""
-        halves = np.ascontiguousarray(words).view(np.uint16)
-        return int(_POP16[halves].sum())
-
-
-def packed_nonzero(words: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Coordinates of the set bits, exactly as ``np.nonzero`` on the unpacked block.
-
-    The last index array holds bit (node) positions; the leading arrays index
-    the word array's leading axes.  Decoding touches only the nonzero words,
-    so sparse readouts never unpack the whole block.
+    Unpacks the lane bytes as one flat run and slices the columns off,
+    which is faster than unpacking each row with ``count=r``; the result
+    may therefore be a strided view.
     """
-    idx = np.nonzero(words)
-    if idx[0].size == 0:
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(words.ndim))
-    vals = words[idx]
     if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
-        vals = vals.byteswap()
-    bits = np.unpackbits(vals.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    which, bit = np.nonzero(bits)
-    slots = idx[-1][which] * WORD_BITS + bit
-    return tuple(axis[which] for axis in idx[:-1]) + (slots,)
+        lanes = lanes.byteswap()
+    as_bytes = np.ascontiguousarray(lanes).view(np.uint8)
+    bits = np.unpackbits(as_bytes.reshape(-1), bitorder="little").view(bool)
+    return bits.reshape(lanes.shape[:-1] + (8 * as_bytes.shape[-1],))[..., :r]
 
 
-def set_bits(
-    words: np.ndarray, index: tuple[np.ndarray, ...], bit_index: np.ndarray
-) -> None:
-    """OR bits into packed words in place: ``words[index][bit_index] |= 1``.
+_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-    ``index`` addresses the leading axes (one array per axis, as from
-    ``np.nonzero``); ``bit_index`` holds the slot positions for the last
-    (word) axis.  Duplicate coordinates are fine (unbuffered ``|=``).
-    """
-    bit_index = np.asarray(bit_index)
-    shifts = (bit_index % WORD_BITS).astype(np.uint64)
-    np.bitwise_or.at(
-        words, index + (bit_index // WORD_BITS,), np.uint64(1) << shifts
+
+def _table_bit_count(lanes: np.ndarray) -> np.ndarray:
+    """Set bits per element, from an 8-bit table over the lane bytes."""
+    lanes = np.ascontiguousarray(lanes)
+    per_byte = _POP8[lanes.view(np.uint8)]
+    return per_byte.reshape(lanes.shape + (lanes.itemsize,)).sum(
+        axis=-1, dtype=np.uint8
     )
+
+
+#: Set bits per element: ``np.bitwise_count`` on numpy >= 2.0, else the table.
+_bit_count = getattr(np, "bitwise_count", _table_bit_count)
+
+
+def popcount(lanes: np.ndarray) -> int:
+    """Total number of set bits across a lane array of any lane dtype."""
+    return int(_bit_count(lanes).sum())
+
+
+def node_popcount(lanes: np.ndarray) -> np.ndarray:
+    """Set bits per node: the ``(..., N)`` int64 counts of ``(..., N, L)`` lanes."""
+    return _bit_count(lanes).sum(axis=-1, dtype=np.int64)
 
 
 def causal_or_accumulate(
     block: np.ndarray,
-    active_words: np.ndarray | None = None,
+    active: np.ndarray | None = None,
     *,
     forward: bool = True,
 ) -> np.ndarray:
-    """Word-wise causal step over a packed ``(T, R, W)`` block.
+    """Lane-wise causal step over a ``(T, N, L)`` block.
 
     Returns the block whose snapshot ``t`` is the OR of all strictly earlier
     (``forward=True``) or strictly later snapshots, optionally masked by the
-    packed ``(T, W)`` activeness words — the packed form of a shifted
-    ``np.logical_or.accumulate`` along the time axis.
+    ``(T, N, L)`` activeness lanes (:func:`lane_mask`) — the packed form of
+    a shifted ``np.logical_or.accumulate`` along the time axis.
     """
     out = np.zeros_like(block)
     t_count = block.shape[0]
@@ -223,13 +242,13 @@ def causal_or_accumulate(
         else:
             acc = np.bitwise_or.accumulate(block[::-1], axis=0)[::-1]
             out[:-1] = acc[1:]
-        if active_words is not None:
-            out &= active_words[:, None, :]
+        if active is not None:
+            out &= active
     return out
 
 
 # --------------------------------------------------------------------------- #
-# the fused inner update (optionally numba-jitted via the [jit] extra)        #
+# the fused inner update                                                      #
 # --------------------------------------------------------------------------- #
 
 #: Word operations charged per word per :func:`fused_update` call (OR with
@@ -237,72 +256,29 @@ def causal_or_accumulate(
 FUSED_UPDATE_WORD_OPS = 5
 
 
-def _fused_update_numpy(
+def fused_update(
     spatial: np.ndarray,
     carry: np.ndarray,
-    active_row: np.ndarray,
+    active: np.ndarray,
     visited: np.ndarray,
     frontier: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
+    """One fused per-snapshot frontier update over ``(N, L)`` lanes.
+
+    Computes ``out = (spatial | carry) & active & ~visited`` (the newly
+    discovered slots), then folds ``out`` into ``visited`` and the snapshot's
+    old ``frontier`` into ``carry`` — the whole per-snapshot tail of a sweep
+    round in one pass over the lanes, with no boolean temporaries.
+    ``carry`` accumulates *pre-update* frontiers, so a level's causal reach
+    is the shifted cumulative OR of the level's frontier, bit for bit.
+    """
     np.bitwise_or(spatial, carry, out=out)
-    out &= active_row
+    out &= active
     out &= ~visited
     visited |= out
     carry |= frontier
     return out
-
-
-def _load_jit():  # pragma: no cover - exercised only with numba installed
-    """Compile the fused update with numba when available and not disabled."""
-    if os.environ.get("REPRO_JIT", "").strip().lower() in ("0", "off", "false"):
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=True)
-    def _fused_update_jit(spatial, carry, active_row, visited, frontier, out):
-        r, w = out.shape
-        for i in range(r):
-            for j in range(w):
-                word = (spatial[i, j] | carry[i, j]) & active_row[j] & ~visited[i, j]
-                out[i, j] = word
-                visited[i, j] |= word
-                carry[i, j] |= frontier[i, j]
-        return out
-
-    return _fused_update_jit
-
-
-_fused_update_jit = _load_jit()
-
-#: Whether the numba-compiled inner loop is active (``pip install .[jit]``;
-#: set ``REPRO_JIT=0`` to force the NumPy fallback with numba installed).
-JIT_ACTIVE = _fused_update_jit is not None
-
-
-def fused_update(
-    spatial: np.ndarray,
-    carry: np.ndarray,
-    active_row: np.ndarray,
-    visited: np.ndarray,
-    frontier: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """One fused per-snapshot frontier update over packed ``(R, W)`` words.
-
-    Computes ``out = (spatial | carry) & active_row & ~visited`` (the newly
-    discovered slots), then folds ``out`` into ``visited`` and the snapshot's
-    old ``frontier`` into ``carry`` — the whole per-snapshot tail of a sweep
-    round in one pass over the words, with no boolean temporaries.  ``carry``
-    accumulates *pre-update* frontiers, so a level's causal reach is the
-    shifted cumulative OR of the level's frontier, bit for bit.
-    """
-    if _fused_update_jit is not None:  # pragma: no cover - requires numba
-        return _fused_update_jit(spatial, carry, active_row, visited, frontier, out)
-    return _fused_update_numpy(spatial, carry, active_row, visited, frontier, out)
 
 
 # --------------------------------------------------------------------------- #
@@ -310,102 +286,139 @@ def fused_update(
 # --------------------------------------------------------------------------- #
 
 
+def _segments(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Positions of the concatenated ranges ``[starts[i], starts[i] + lens[i])``."""
+    starts = starts.astype(np.int64)
+    lens = lens.astype(np.int64)
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
+
+
+def _gather_or(
+    lanes: np.ndarray,
+    rows: np.ndarray,
+    lens: np.ndarray,
+    sources: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``out[rows[i]]`` = OR of ``lanes`` over row ``i``'s run of ``sources``.
+
+    ``sources`` holds the rows' source nodes back to back, ``lens[i]`` of
+    them for ``rows[i]``; every ``lens[i]`` must be positive (``reduceat``
+    echoes an element on empty runs).  One contiguous 1-D gather and
+    ``reduceat`` per lane, which beats a 2-D gather of whole node rows.
+    """
+    starts = np.cumsum(lens, dtype=np.int64) - lens
+    for k in range(lanes.shape[1]):
+        column = np.ascontiguousarray(lanes[:, k])
+        out[rows, k] = np.bitwise_or.reduceat(column.take(sources), starts)
+
+
+def _csc(mat: sp.csr_matrix) -> sp.csc_matrix:
+    """The operator's column-major twin (the push scatter's source order).
+
+    Operators are immutable compiled artifacts, so the twin lives on the
+    object for the kernel's lifetime.
+    """
+    csc = getattr(mat, "_bitops_csc", None)
+    if csc is None:
+        csc = mat.tocsc()
+        mat._bitops_csc = csc
+    return csc
+
+
+def _row_runs(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The non-empty rows of ``mat`` and their entry counts, cached likewise."""
+    runs = getattr(mat, "_bitops_rows", None)
+    if runs is None:
+        lens = np.diff(mat.indptr)
+        rows = np.flatnonzero(lens)
+        runs = (rows, lens[rows])
+        mat._bitops_rows = runs
+    return runs
+
+
 def advance_blocked(
     mat: sp.csr_matrix,
-    frontier_words: np.ndarray,
-    n: int,
+    frontier: np.ndarray,
+    r: int,
     *,
     out_degrees: np.ndarray | None = None,
-    active_row: np.ndarray | None = None,
-    visited_words: np.ndarray | None = None,
+    remaining: np.ndarray | None = None,
     counter=None,
 ) -> np.ndarray:
-    """One spatial advance of a packed ``(R, W)`` frontier through ``mat``.
+    """One spatial advance of an ``(N, L)`` lane frontier of ``r`` columns.
 
-    Returns packed words with the set-bit pattern of
-    ``(mat @ unpack(frontier)) > 0`` — except that rows which can no longer
-    be *newly* discovered (visited in every column, or inactive) may be
-    dropped, which is exactly the set every caller masks away anyway.
+    Returns lanes with the set-bit pattern of ``(mat @ unpack(frontier)) > 0``
+    — except that rows holding no bit of ``remaining`` (the lanes a caller
+    can still discover, ``active & ~visited``) may be dropped, which is
+    exactly the set every caller masks away anyway.
 
-    The direction is chosen per call from packed popcounts:
+    The direction is chosen per call from lane popcounts:
 
-    * **push** — frontier occupies < ``1/PUSH_BLOCK_FRACTION`` of the block:
-      build a sparse ``(n, R)`` right-hand side from the frontier's nonzero
-      coordinates and take one sparse × sparse product; cost ``Σ out-degree``
-      over the frontier cells;
-    * **pull** — fewer than ``1/PULL_ROW_FRACTION`` of the rows are still
-      undiscovered (requires ``visited_words``): row-slice the operator to
-      the candidate rows and multiply against the unpacked frontier; cost
-      ``nnz(candidate rows) · R``;
-    * **dense** — otherwise: the plain CSR × dense-block product.
+    * **push** — the frontier occupies < ``1/PUSH_BLOCK_FRACTION`` of the
+      ``N · r`` slots, and so does its scatter: each frontier node's lane is
+      ORed into its out-neighbours' lanes; cost ``Σ out-degree`` over the
+      frontier cells (``Σ_v popcount(F[v]) · outdeg(v)``);
+    * **pull** — fewer than ``1/PULL_ROW_FRACTION`` of the rows hold a bit
+      of ``remaining``: each such row gathers the OR of its in-neighbours'
+      lanes; cost ``nnz(rows) · r``;
+    * **dense** — otherwise every row gathers; cost ``nnz · r``.  A single
+      column (``r == 1``, one-byte 0/1 lanes) instead takes the one-pass
+      scalar product ``mat @ lanes > 0``, which beats a two-pass gather.
 
-    ``out_degrees`` (the operator's per-column entry counts) makes the push
-    accounting exact; ``active_row`` additionally excludes inactive rows
-    from the pull candidates.
+    ``out_degrees`` (the operator's per-column entry counts) spares the
+    push accounting a column-major copy of ``mat``.
     """
-    r, w = frontier_words.shape
-    out = np.zeros((r, w), dtype=np.uint64)
+    n = frontier.shape[0]
+    out = np.zeros_like(frontier)
     if mat.nnz == 0:
         return out
-    bits = popcount(frontier_words)
+    counts = node_popcount(frontier)
+    bits = int(counts.sum())
     if bits == 0:
         return out
 
     if PUSH_BLOCK_FRACTION > 0 and bits * PUSH_BLOCK_FRACTION < n * r:
-        cols, slots = packed_nonzero(frontier_words)
-        csc = getattr(mat, "_bitops_csc", None)
+        nodes = np.flatnonzero(counts)
         if out_degrees is not None:
-            gathered = int(out_degrees[slots].sum())
+            degrees = out_degrees[nodes]
         else:
-            if csc is None:
-                csc = mat.tocsc()
-                mat._bitops_csc = csc
-            gathered = int((csc.indptr[slots + 1] - csc.indptr[slots]).sum())
+            degrees = np.diff(_csc(mat).indptr)[nodes]
+        gathered = int(counts[nodes] @ degrees)
         # the push pays one scattered write per gathered edge endpoint, so the
         # expected *output* must stay sparse in the block too; past that the
-        # vectorized dense product wins on raw throughput
+        # vectorized gather wins on raw throughput
         if gathered * PUSH_BLOCK_FRACTION < n * r:
-            if csc is None:
-                # operators are immutable compiled artifacts, so the
-                # column-major twin can live on the object for the kernel's
-                # lifetime
-                csc = mat.tocsc()
-                mat._bitops_csc = csc
-            starts = csc.indptr[slots].astype(np.int64)
-            lens = (csc.indptr[slots + 1] - csc.indptr[slots]).astype(np.int64)
-            cum = np.concatenate(([np.int64(0)], np.cumsum(lens)))
-            pos = np.arange(int(lens.sum())) - np.repeat(cum[:-1], lens)
-            pos += np.repeat(starts, lens)
-            hit = np.zeros((r, n), dtype=bool)
-            hit[np.repeat(cols, lens), csc.indices[pos]] = True
-            out = pack_bits(hit)
+            csc = _csc(mat)
+            starts = csc.indptr[nodes]
+            lens = csc.indptr[nodes + 1] - starts
+            targets = csc.indices[_segments(starts, lens)]
+            for k in range(out.shape[1]):
+                np.bitwise_or.at(
+                    out[:, k], targets, np.repeat(frontier[nodes, k], lens)
+                )
             if counter is not None:
                 counter.multiply_adds += 2 * gathered
             return out
 
-    if PULL_ROW_FRACTION > 0 and visited_words is not None:
-        remaining = ~visited_words
-        if active_row is not None:
-            remaining &= active_row
-        tail = n & (WORD_BITS - 1)
-        if tail:  # ~visited sets the pad bits past n; keep them out of the rows
-            remaining[..., -1] &= np.uint64((1 << tail) - 1)
-        union = np.bitwise_or.reduce(remaining, axis=0)
-        if popcount(union) * PULL_ROW_FRACTION < n:
-            (rows,) = packed_nonzero(union)
-            if rows.size == 0:
-                return out
-            sub = mat[rows]
-            block = unpack_bits(frontier_words, n).T.astype(np.int32)
-            hit = np.zeros((r, n), dtype=bool)
-            hit[:, rows] = (sub @ block > 0).T
-            out = pack_bits(hit)
+    if PULL_ROW_FRACTION > 0 and remaining is not None:
+        rows = np.flatnonzero(remaining.any(axis=-1))
+        if rows.size * PULL_ROW_FRACTION < n:
+            lens = mat.indptr[rows + 1] - mat.indptr[rows]
+            taken = lens > 0
+            rows, lens = rows[taken], lens[taken]
+            if rows.size:
+                sources = mat.indices[_segments(mat.indptr[rows], lens)]
+                _gather_or(frontier, rows, lens, sources, out)
             if counter is not None:
-                counter.multiply_adds += 2 * int(sub.nnz) * r
+                counter.multiply_adds += 2 * int(lens.sum()) * r
             return out
 
-    block = unpack_bits(frontier_words, n).T.astype(np.int32)
-    out = pack_bits((mat @ block > 0).T)
+    if r == 1:
+        out = (mat @ frontier > 0).view(out.dtype)
+    else:
+        _gather_or(frontier, *_row_runs(mat), mat.indices, out)
     if counter is not None:
         counter.multiply_adds += 2 * int(mat.nnz) * r
     return out

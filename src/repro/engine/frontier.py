@@ -7,24 +7,25 @@ blocks.  :class:`FrontierKernel` is that computation expressed on NumPy/SciPy
 arrays instead of Python dictionaries:
 
 * the frontier of ``R`` independent searches over ``T`` snapshots and ``N``
-  nodes is a bit-packed ``(T, R, W)`` ``uint64`` block
-  (:func:`~repro.engine.bitops.pack_bits`), and so is the visited set;
+  nodes is a ``(T, N, L)`` block of root lanes — one bitset of root
+  columns per node, the MS-BFS layout of Then et al. (PVLDB 2014), see
+  :mod:`~repro.engine.bitops` — and so is the visited set;
 * the **spatial step** applies the compiled forward operator ``F[t]``
   (out-edge expansion) or its transpose (in-edge expansion) to each
-  snapshot's frontier — one direction-optimized sparse product per snapshot
-  (:func:`~repro.engine.bitops.advance_blocked`: push, pull or dense), so
-  ``R`` roots share a single traversal of the matrix (the
-  ``multi_source``/``batch`` amortization);
+  snapshot's frontier — one direction-optimized advance per snapshot
+  (:func:`~repro.engine.bitops.advance_blocked`: push, pull or dense) that
+  ORs neighbour lanes along the CSR, so ``R`` roots share a single
+  traversal of the matrix (the ``multi_source``/``batch`` amortization);
 * the **causal step** is a running OR carry along the time axis masked by
   the per-snapshot activeness pattern — exactly the action of all
   off-diagonal blocks ``M[s, t]^T`` at once, computed without forming them
   (the ``⊙`` product of :func:`repro.core.algebraic.odot`, vectorized);
   each level walks the snapshots once and fuses the advance, the carry and
-  every mask into one pass over the words
+  every mask into one pass over the lanes
   (:func:`~repro.engine.bitops.fused_update`);
 * a temporal node is newly reached at level ``k`` when a bit lands on a
-  slot outside the visited words; only those coordinates are unpacked to
-  write the ``(T, N, R)`` int32 distance block.
+  slot outside the visited lanes; only the snapshots holding such bits are
+  unpacked to write the ``(T, N, R)`` int32 distance block.
 
 Since PR 2 the kernel no longer compiles the graph itself: it executes over
 a shared :class:`~repro.graph.compiled.CompiledTemporalGraph` (pass either
@@ -53,8 +54,8 @@ kernel charges the actually-gathered sparse work to ``multiply_adds`` (push:
 ``2 · Σ out-degree`` over frontier cells; pull: ``2 · nnz`` of the
 candidate rows per column; dense: ``2 · nnz(A[t]) · R``, one gaxpy per
 column as in :meth:`CSRMatrix.matmat <repro.linalg.csr.CSRMatrix.matmat>`)
-and its packed bookkeeping to ``word_ops`` — one unit per 64-bit word
-operation.  Each advance charges at most the dense product, and a packed
+and its packed bookkeeping to ``word_ops`` — one unit per 64-bit word of
+lanes.  Each advance charges at most the dense product, and a packed
 level costs a few word ops per 64 slots, so the total stays below the
 Theorem 5/6 charge of the blocked algorithm (a dense product for every
 snapshot holding a frontier slot plus ``T · N · R`` column checks per
@@ -200,10 +201,8 @@ class FrontierKernel:
         # (dst row, src column) coordinate expansions for parent attribution,
         # built lazily once per operator stack (the artifact is immutable)
         self._parent_coords: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {}
-        # fused-sweep caches, also lazy and immutable: the packed (T, W)
-        # activeness words and the per-snapshot operator column counts (the
-        # push cost model), keyed by operator orientation
-        self._active_words: np.ndarray | None = None
+        # per-snapshot operator column counts (the push cost model), also
+        # lazy and immutable, keyed by operator orientation
         self._operator_degrees_cache: dict[bool, list[np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
@@ -697,21 +696,21 @@ class FrontierKernel:
     def _resweep_fused(
         self, work: np.ndarray, improved: np.ndarray, active: np.ndarray
     ) -> int:
-        """Single-block re-sweep rounds: push-or-dense advances plus a word carry.
+        """Single-block re-sweep rounds: push-or-dense advances plus a causal carry.
 
-        Re-sweep frontiers are the dirty region of a mutation batch —
-        usually a few slots — so the push direction dominates; the causal
-        step is a running ``(1, W)`` word carry folded into each snapshot's
-        reach instead of a full ``(T, N)`` accumulate.  Pull is not
-        attempted here: the undiscovered set of a re-sweep ("slots whose
-        distance can still improve") is not tracked packed, and the dirty
-        regions are too small for pull to win.
+        Each round's frontier is a ``(T, N)`` bool mask, and one root
+        column's lanes are exactly that mask's bytes, so the advance reads
+        it through a view with no packing.  The causal step is a running
+        ``(N,)`` carry folded into each snapshot's reach instead of a full
+        ``(T, N)`` accumulate.  Dirty regions are small but spread over
+        dense snapshots, so most advances take the one-column dense
+        product.  Pull is not attempted here: the undiscovered set of a
+        re-sweep ("slots whose distance can still improve") is not tracked
+        as lanes, and the dirty regions are too small for pull to win.
         """
         t_count, n = active.shape
-        w = bitops.words_for(n)
         mats = self.compiled.forward_operators
         degrees = self._operator_degrees(True)
-        active_words = self._packed_active()
         counter = self.counter
         changed = 0
         while improved.any():
@@ -719,26 +718,27 @@ class FrontierKernel:
             frontier = improved & (work == level)
             changed += int(frontier.sum())
             improved &= ~frontier
-            frontier_words = bitops.pack_bits(frontier)[:, None, :]
-            carry = np.zeros((1, w), dtype=np.uint64)
+            lanes = frontier.view(np.uint8)[:, :, None]
+            words = bitops.word_count(lanes[0])
+            carry = np.zeros(n, dtype=bool)
             for ti in range(t_count):
-                f_t = frontier_words[ti]
-                reach_words = carry & active_words[ti]
-                if f_t.any():
-                    reach_words |= bitops.advance_blocked(
+                reach = carry & active[ti]
+                if frontier[ti].any():
+                    spatial = bitops.advance_blocked(
                         mats[ti],
-                        f_t,
-                        n,
+                        lanes[ti],
+                        1,
                         out_degrees=degrees[ti],
                         counter=counter,
-                    ) & active_words[ti]
-                    carry |= f_t
+                    )
+                    # one-column lanes hold 0 or 1, so they are bools again
+                    reach |= spatial[:, 0].view(bool) & active[ti]
+                    carry |= frontier[ti]
                 if counter is not None:
-                    counter.word_ops += 4 * w
-                if not reach_words.any():
+                    counter.word_ops += 4 * words
+                if not reach.any():
                     continue
-                reach_row = bitops.unpack_bits(reach_words[0], n)
-                better = reach_row & active[ti] & (work[ti] > level + 1)
+                better = reach & (work[ti] > level + 1)
                 if better.any():
                     work[ti][better] = level + 1
                     improved[ti] |= better
@@ -917,12 +917,6 @@ class FrontierKernel:
             for chunk in chunks
         )
 
-    def _packed_active(self) -> np.ndarray:
-        """The packed ``(T, W)`` activeness words, built once per kernel."""
-        if self._active_words is None:
-            self._active_words = bitops.pack_bits(self.compiled.active_mask)
-        return self._active_words
-
     def _operator_degrees(self, use_forward_ops: bool) -> list[np.ndarray]:
         """Per-snapshot operator column counts (the push-direction cost model).
 
@@ -953,17 +947,17 @@ class FrontierKernel:
         """Level-synchronous expansion of ``R`` seed sets; ``(T, N, R)`` distances.
 
         The one sweep loop of the BFS family.  Frontier and visited state
-        stay packed ``(T, R, W)`` uint64 across rounds; each level walks the
-        operator stack once in time order, fusing the direction-optimized
-        spatial advance with the causal carry and every mask
-        (:func:`repro.engine.bitops.fused_update`), and unpacks only the
-        newly discovered coordinates to write distances.
+        stay packed as ``(T, N, L)`` root lanes across rounds; each level
+        walks the operator stack once in time order, fusing the
+        direction-optimized spatial advance with the causal carry and every
+        mask (:func:`repro.engine.bitops.fused_update`), and unpacks only
+        the snapshots holding newly discovered bits to write distances.
 
         ``boundary`` is the state earlier time shards reached (a
         :class:`~repro.engine.sharded_sweep.BoundaryBlock`; ``None`` for a
         monolithic sweep): at the round assigning distance ``m + 1`` the
         nodes it holds at minimal level ``m`` seed the causal carry —
-        exactly the words a monolithic carry would hold when entering this
+        exactly the lanes a monolithic carry would hold when entering this
         snapshot range at that level — and rounds keep running past frontier
         death while later boundary levels can still revive the sweep.
         """
@@ -973,17 +967,13 @@ class FrontierKernel:
         active_mask = self.compiled.active_mask
         t_count, n = active_mask.shape
         r = len(seeds_per_column)
-        w = bitops.words_for(n)
-        # distances accumulate in frontier-major (T, R, N) order so each
-        # level's write is one vectorized blend over a contiguous block; the
-        # caller-facing (T, N, R) layout is a transposed view of the result
-        dist = np.full((t_count, r, n), -1, dtype=np.int32)
-        frontier = np.zeros((t_count, r, w), dtype=np.uint64)
+        dist = np.full((t_count, n, r), -1, dtype=np.int32)
+        frontier = bitops.seed_lanes((t_count, n), seeds_per_column)
         for col, seeds in enumerate(seeds_per_column):
             for ti, vi in seeds:
-                frontier[ti, col, vi >> 6] |= np.uint64(1 << (vi & 63))
-                dist[ti, col, vi] = 0
+                dist[ti, vi, col] = 0
         visited = frontier.copy()
+        active = bitops.lane_mask(active_mask, r)
         # spatial expansion: forward time follows out-edges (the forward
         # operator), backward time follows in-edges (its transpose);
         # reverse_edges flips that choice for the citation-mining searches
@@ -994,8 +984,8 @@ class FrontierKernel:
             else self.compiled.backward_operators
         )
         degrees = self._operator_degrees(use_forward_ops)
-        active_words = self._packed_active()
         counter = self.counter
+        words = bitops.word_count(frontier[0])
         # the causal carry runs with time for forward searches and against
         # it for backward ones, so one ordered pass per level covers every
         # causal block
@@ -1007,8 +997,8 @@ class FrontierKernel:
         while alive or level <= max_ext:
             level += 1
             alive = False
-            ext = boundary.words(level - 1) if boundary is not None else None
-            carry = ext.copy() if ext is not None else np.zeros((r, w), np.uint64)
+            ext = boundary.lanes(level - 1) if boundary is not None else None
+            carry = ext.copy() if ext is not None else np.zeros_like(frontier[0])
             for ti in order:
                 f_t = frontier[ti]
                 new_t = scratch[ti]
@@ -1016,9 +1006,9 @@ class FrontierKernel:
                 if not f_any and not carry.any():
                     new_t[:] = 0
                     continue
-                remaining = active_words[ti] & ~visited[ti]
+                remaining = active[ti] & ~visited[ti]
                 if counter is not None:
-                    counter.word_ops += 2 * new_t.size  # saturation probe
+                    counter.word_ops += 2 * words  # saturation probe
                 if not remaining.any():
                     # every active node is already visited in every column, so
                     # no bit can come out of the masked update: drop the whole
@@ -1031,28 +1021,25 @@ class FrontierKernel:
                     spatial = bitops.advance_blocked(
                         mats[ti],
                         f_t,
-                        n,
+                        r,
                         out_degrees=degrees[ti],
-                        active_row=active_words[ti],
-                        visited_words=visited[ti],
+                        remaining=remaining,
                         counter=counter,
                     )
                 else:
-                    spatial = np.zeros((r, w), dtype=np.uint64)
-                bitops.fused_update(
-                    spatial, carry, active_words[ti], visited[ti], f_t, new_t
-                )
+                    spatial = np.zeros_like(f_t)
+                bitops.fused_update(spatial, carry, active[ti], visited[ti], f_t, new_t)
                 if counter is not None:
-                    counter.word_ops += bitops.FUSED_UPDATE_WORD_OPS * new_t.size
+                    counter.word_ops += bitops.FUSED_UPDATE_WORD_OPS * words
                 if new_t.any():
                     alive = True
                     # every new bit still holds the -1 sentinel (bits enter
                     # visited exactly once), so the level write is a single
                     # vectorized blend instead of a per-bit scatter
-                    mask = bitops.unpack_bits(new_t, n)
+                    mask = bitops.unpack_bits(new_t, r)
                     dist[ti] += np.multiply(mask, level + 1, dtype=np.int32)
             frontier, scratch = scratch, frontier
-        return dist.transpose(0, 2, 1)
+        return dist
 
     def _parent_slots(
         self, dist: np.ndarray, direction: str, reverse_edges: bool

@@ -31,7 +31,9 @@ Dijkstra with 0/1 weights expressed as blocked sparse products.
 Each family has one packed sweep loop (:meth:`LabelKernel._zero_one_run`,
 :meth:`LabelKernel._tang_sweep`; the time readouts ride
 :meth:`FrontierKernel._run <repro.engine.frontier.FrontierKernel._run>`),
-which optionally starts from the state earlier time shards reached — the
+which keeps its state as root lanes — one bitset of root columns per node,
+the MS-BFS layout of Then et al. (PVLDB 2014), see :mod:`repro.engine.bitops`
+— and optionally starts from the state earlier time shards reached: the
 sharded driver's shard sweeps call these same loops.
 
 Use :func:`repro.engine.get_label_kernel` for the cached instance; the
@@ -208,11 +210,11 @@ class LabelKernel:
     ) -> np.ndarray:
         """The one sweep loop of the 0/1 family; ``(T, N, R)`` int32 labels.
 
-        State lives as ``(T, R, W)`` uint64 words; the spatial step is the
+        State lives as ``(T, N, L)`` root lanes; the spatial step is the
         direction-optimizing :func:`~repro.engine.bitops.advance_blocked`
-        per snapshot and the causal step is the word-wise
+        per snapshot and the causal step is the lane-wise
         :func:`~repro.engine.bitops.causal_or_accumulate`, so each level's
-        saturation/expansion makes one pass over packed words.
+        saturation/expansion makes one pass over packed lanes.
 
         ``boundary`` is the state earlier time shards reached (``None`` for
         a monolithic sweep).  Its nodes at minimal label ``m`` are injected
@@ -223,15 +225,13 @@ class LabelKernel:
         """
         t_count, n = self.compiled.active_mask.shape
         r = len(seeds_per_column)
-        w = bitops.words_for(n)
         mats = self.compiled.forward_operators
         degrees = self.frontier._operator_degrees(True)
-        active_words = self.frontier._packed_active()
+        active = bitops.lane_mask(self.compiled.active_mask, r)
         labels = np.full((t_count, n, r), -1, dtype=np.int32)
-        frontier = np.zeros((t_count, r, w), dtype=np.uint64)
+        frontier = bitops.seed_lanes((t_count, n), seeds_per_column)
         for col, seeds in enumerate(seeds_per_column):
             for ti, vi in seeds:
-                frontier[ti, col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
                 labels[ti, vi, col] = 0
         reached = frontier.copy()
 
@@ -242,37 +242,33 @@ class LabelKernel:
                     out[ti] = bitops.advance_blocked(
                         mats[ti],
                         block[ti],
-                        n,
+                        r,
                         out_degrees=degrees[ti],
-                        active_row=active_words[ti],
-                        visited_words=reached[ti],
+                        remaining=active[ti] & ~reached[ti],
                     )
             return out
 
         max_ext = boundary.max_level if boundary is not None else -1
         cost = 0
         while frontier.any() or cost <= max_ext:
-            ext = boundary.words(cost) if boundary is not None else None
+            ext = boundary.lanes(cost) if boundary is not None else None
             # an external node is strictly earlier than every snapshot here, so
-            # its causal reach is the node's bit at all of them, active-masked
-            ext_block = (
-                ext[None, :, :] & active_words[:, None, :] if ext is not None else None
-            )
+            # its causal reach is the node's lane at all of them, active-masked
+            ext_block = ext[None] & active if ext is not None else None
             # saturate zero-cost edge families at the current cost level
             while True:
                 grow = np.zeros_like(frontier)
                 if causal_cost == 0:
-                    grow |= bitops.causal_or_accumulate(frontier, active_words)
+                    grow |= bitops.causal_or_accumulate(frontier, active)
                     if ext_block is not None:
                         grow |= ext_block
                 if spatial_cost == 0:
                     grow |= spatial_step(frontier)
-                grow &= active_words[:, None, :]
+                grow &= active
                 grow &= ~reached
                 if not grow.any():
                     break
-                mask = bitops.unpack_bits(grow, n)  # (T, R, N) boolean
-                labels[mask.transpose(0, 2, 1)] = cost
+                labels[bitops.unpack_bits(grow, r)] = cost
                 reached |= grow
                 frontier |= grow
             # one unit-cost expansion
@@ -280,13 +276,12 @@ class LabelKernel:
             if spatial_cost == 1:
                 step |= spatial_step(frontier)
             if causal_cost == 1:
-                step |= bitops.causal_or_accumulate(frontier, active_words)
+                step |= bitops.causal_or_accumulate(frontier, active)
                 if ext_block is not None:
                     step |= ext_block
-            frontier = step & active_words[:, None, :] & ~reached
+            frontier = step & active & ~reached
             cost += 1
-            mask = bitops.unpack_bits(frontier, n)
-            labels[mask.transpose(0, 2, 1)] = cost
+            labels[bitops.unpack_bits(frontier, r)] = cost
             reached |= frontier
         return labels
 
@@ -372,13 +367,12 @@ class LabelKernel:
             raise GraphError(f"start_index {start_index} out of range")
         node_index = self.compiled._node_index
         n = self.compiled.num_nodes
-        chunk = list(source_nodes)
-        informed = np.zeros((len(chunk), bitops.words_for(n)), dtype=np.uint64)
-        steps = np.full((n, len(chunk)), -1, dtype=np.int32)
-        for col, source in enumerate(chunk):
-            vi = node_index.get(source)
+        slots = [node_index.get(source) for source in source_nodes]
+        seeds = [[vi] if vi is not None else [] for vi in slots]
+        informed = bitops.seed_lanes((n,), seeds)
+        steps = np.full((n, len(seeds)), -1, dtype=np.int32)
+        for col, vi in enumerate(slots):
             if vi is not None:
-                informed[col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
                 steps[vi, col] = 0
         self._tang_sweep(informed, steps, start_index, 1, horizon)
         return steps
@@ -429,7 +423,7 @@ class LabelKernel:
         s0 = ti_min - start_index + 1
         old = steps.copy()
         steps[steps >= s0] = -1
-        informed = bitops.pack_bits((steps >= 0).T)
+        informed = bitops.pack_bits(steps >= 0)
         self._tang_sweep(informed, steps, ti_min, s0, horizon)
         return int((steps != old).sum())
 
@@ -443,19 +437,20 @@ class LabelKernel:
     ) -> None:
         """The one sweep loop of the Tang family, in place.
 
-        ``informed`` holds the packed ``(R, W)`` words of the nodes informed
+        ``informed`` holds the ``(N, L)`` root lanes of the nodes informed
         before ``first_snapshot``; snapshot ``first_snapshot + k`` is step
         ``first_step + k``, and every node it newly informs gets that step
         in the ``(N, R)`` block ``steps``.  Each within-snapshot round is
-        one :func:`~repro.engine.bitops.advance_blocked` (no ``active_row``
-        — Tang's convention has no activeness requirement) and only the
-        fresh words are decoded.  The Tang state is time-free, so the words
-        left in ``informed`` are the whole state a later time shard needs.
+        one :func:`~repro.engine.bitops.advance_blocked` whose remaining
+        lanes are the uninformed ones (Tang's convention has no activeness
+        requirement), and only the fresh lanes are decoded.  The Tang state
+        is time-free, so the lanes left in ``informed`` are the whole state
+        a later time shard needs.
         """
         mats = self.compiled.forward_operators
         t_count = self.compiled.num_snapshots
-        n = self.compiled.num_nodes
-        r, w = informed.shape
+        n, r = steps.shape
+        every = bitops.lane_mask(np.ones(n, dtype=bool), r)
         degrees = self.frontier._operator_degrees(True)
         counter = self.frontier.counter
         for step, ti in enumerate(range(first_snapshot, t_count), start=first_step):
@@ -463,14 +458,14 @@ class LabelKernel:
                 break
             if not mats[ti].nnz:
                 continue
-            fresh = np.zeros((r, w), dtype=np.uint64)
+            fresh = np.zeros_like(informed)
             for _ in range(max(1, horizon)):
                 spread = bitops.advance_blocked(
                     mats[ti],
                     informed,
-                    n,
+                    r,
                     out_degrees=degrees[ti],
-                    visited_words=informed,
+                    remaining=every & ~informed,
                     counter=counter,
                 )
                 newly = spread & ~informed
@@ -479,7 +474,7 @@ class LabelKernel:
                 informed |= newly
                 fresh |= newly
             if fresh.any():
-                steps.T[bitops.unpack_bits(fresh, n)] = step
+                steps[bitops.unpack_bits(fresh, r)] = step
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

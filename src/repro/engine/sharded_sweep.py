@@ -9,10 +9,12 @@ sweeps of :class:`~repro.engine.frontier.FrontierKernel` and
 :class:`~repro.engine.labels.LabelKernel` shardable *bit-identically* (the
 paper's Theorem 4 reading: causal blocks act only forward in time):
 
-* shard ``i`` calls the kernel's own sweep loop over its ``(T_i, R, W)``
-  words, started from the incoming boundary — the loop injects the
-  external nodes whose minimal earlier-shard level is ``m`` into the causal
-  carry at round ``m + 1`` (BFS), the zero-cost saturation
+* shard ``i`` calls the kernel's own sweep loop over its ``(T_i, N, L)``
+  root lanes (:mod:`~repro.engine.bitops`: one bitset of root columns per
+  node, the MS-BFS layout of Then et al., PVLDB 2014), started from the
+  incoming boundary — the loop injects the external nodes whose minimal
+  earlier-shard level is ``m`` into the causal carry at round ``m + 1``
+  (BFS), the zero-cost saturation
   (``causal_cost=0`` label sweeps) or the unit expansion
   (``causal_cost=1``), which is precisely when and how a monolithic carry
   would have delivered them.  A monolithic sweep is the one-shard,
@@ -23,8 +25,8 @@ paper's Theorem 4 reading: causal blocks act only forward in time):
   visited masking makes the later firings no-ops;
 * the shard hands downstream a :class:`BoundaryBlock` — the element-wise
   minimum of its own per-node levels with the incoming block — and the
-  Tang sweep, whose state is time-free, hands its raw ``(R, W)`` informed
-  words.  This module only does that bookkeeping; it holds no sweep loop.
+  Tang sweep, whose state is time-free, hands its raw ``(N, L)`` informed
+  lanes.  This module only does that bookkeeping; it holds no sweep loop.
 
 :class:`ShardedSweepDriver` schedules those shard sweeps three ways:
 
@@ -39,9 +41,10 @@ paper's Theorem 4 reading: causal blocks act only forward in time):
   shard artifacts;
 * ``backend="process"`` — persistent workers each *own* a subset of shards
   permanently (the picklable compiled artifacts ship once, at startup);
-  thereafter only task tuples and packed ``(R, W)`` boundary blocks cross
-  process boundaries.  Shards are assigned to workers by
-  :func:`~repro.parallel.partition.chunk_by_weight` over shard nnz.
+  thereafter only task tuples and packed boundary blocks (one ``(N, L)``
+  lane plane per level) cross process boundaries.  Shards are assigned to
+  workers by :func:`~repro.parallel.partition.chunk_by_weight` over shard
+  nnz.
 
 Every public method mirrors its monolithic kernel twin — same arguments,
 same decoded shapes, bit-identical results (``tests/test_sharded.py``
@@ -93,41 +96,41 @@ _FAR = np.int32(2**30)
 class BoundaryBlock:
     """The complete cross-shard state of a BFS/label sweep, packed.
 
-    For each root column and node identity: the minimal level (distance or
+    For each node identity and root column: the minimal level (distance or
     label) at which any earlier shard reached that node, stored as one
-    ``(R, W)`` uint64 bit plane per distinct level.  This is the only thing
-    that crosses a shard boundary — and, under the process backend, the only
-    payload besides task tuples that crosses a *process* boundary.
+    ``(N, L)`` plane of root lanes per distinct level.  This is the only
+    thing that crosses a shard boundary — and, under the process backend,
+    the only payload besides task tuples that crosses a *process* boundary.
 
     Instances are immutable and picklable; :meth:`merged_with` produces the
     outgoing block from the incoming one plus a shard's own levels.
     """
 
-    __slots__ = ("num_columns", "num_bits", "levels")
+    __slots__ = ("num_columns", "num_nodes", "levels")
 
     def __init__(
-        self, num_columns: int, num_bits: int, levels: dict[int, np.ndarray]
+        self, num_columns: int, num_nodes: int, levels: dict[int, np.ndarray]
     ) -> None:
         self.num_columns = int(num_columns)
-        self.num_bits = int(num_bits)
+        self.num_nodes = int(num_nodes)
         self.levels = levels
 
     @classmethod
-    def empty(cls, num_columns: int, num_bits: int) -> "BoundaryBlock":
+    def empty(cls, num_columns: int, num_nodes: int) -> "BoundaryBlock":
         """The boundary entering the first shard of a chain: nothing reached."""
-        return cls(num_columns, num_bits, {})
+        return cls(num_columns, num_nodes, {})
 
     @classmethod
     def from_min_levels(cls, min_levels: np.ndarray) -> "BoundaryBlock":
-        """Encode an ``(R, N)`` int32 array of minimal levels (``_FAR`` = none)."""
-        r, n = min_levels.shape
+        """Encode an ``(N, R)`` int32 array of minimal levels (``_FAR`` = none)."""
+        n, r = min_levels.shape
         levels: dict[int, np.ndarray] = {}
         for level in np.unique(min_levels[min_levels < _FAR]).tolist():
             levels[int(level)] = bitops.pack_bits(min_levels == level)
         return cls(r, n, levels)
 
-    def words(self, level: int) -> np.ndarray | None:
-        """The packed ``(R, W)`` words of nodes at exactly ``level``, if any."""
+    def lanes(self, level: int) -> np.ndarray | None:
+        """The ``(N, L)`` lanes of nodes at exactly ``level``, if any."""
         return self.levels.get(level)
 
     @property
@@ -136,10 +139,10 @@ class BoundaryBlock:
         return max(self.levels) if self.levels else -1
 
     def decode(self) -> np.ndarray:
-        """Back to the dense ``(R, N)`` int32 min-level array (``_FAR`` = none)."""
-        out = np.full((self.num_columns, self.num_bits), _FAR, dtype=np.int32)
+        """Back to the dense ``(N, R)`` int32 min-level array (``_FAR`` = none)."""
+        out = np.full((self.num_nodes, self.num_columns), _FAR, dtype=np.int32)
         for level in sorted(self.levels, reverse=True):
-            out[bitops.unpack_bits(self.levels[level], self.num_bits)] = level
+            out[bitops.unpack_bits(self.levels[level], self.num_columns)] = level
         return out
 
     def merged_with(self, shard_min_levels: np.ndarray) -> "BoundaryBlock":
@@ -153,17 +156,17 @@ class BoundaryBlock:
             return NotImplemented
         return (
             self.num_columns == other.num_columns
-            and self.num_bits == other.num_bits
+            and self.num_nodes == other.num_nodes
             and set(self.levels) == set(other.levels)
             and all(
-                np.array_equal(words, other.levels[level])
-                for level, words in self.levels.items()
+                np.array_equal(lanes, other.levels[level])
+                for level, lanes in self.levels.items()
             )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<BoundaryBlock columns={self.num_columns} bits={self.num_bits} "
+            f"<BoundaryBlock columns={self.num_columns} nodes={self.num_nodes} "
             f"levels={sorted(self.levels)}>"
         )
 
@@ -187,7 +190,7 @@ def _handoff(block: np.ndarray, boundary: BoundaryBlock) -> BoundaryBlock:
     its per-node minimum over the shard's snapshots is the only part of it
     a later shard needs.
     """
-    shard_min = np.where(block >= 0, block, _FAR).min(axis=0).T  # (R, N)
+    shard_min = np.where(block >= 0, block, _FAR).min(axis=0)  # (N, R)
     return boundary.merged_with(shard_min)
 
 
@@ -233,17 +236,19 @@ def _run_shard_task(
     """
     family = spec[0]
     if family == "tang":
-        # the incoming informed words are the boundary; global step numbers
-        # (global snapshot - start_index + 1) keep the per-shard partials
-        # disjoint, because nodes informed upstream are never fresh here
+        # the incoming informed lanes and their column count are the
+        # boundary; global step numbers (global snapshot - start_index + 1)
+        # keep the per-shard partials disjoint, because nodes informed
+        # upstream are never fresh here
         _, horizon, start_index = spec
-        informed = boundary.copy()
-        steps = np.full((kernel.num_nodes, informed.shape[0]), -1, dtype=np.int32)
+        informed, r = boundary
+        informed = informed.copy()
+        steps = np.full((kernel.num_nodes, r), -1, dtype=np.int32)
         first = max(0, start_index - global_start)
         LabelKernel(kernel)._tang_sweep(
             informed, steps, first, global_start + first - start_index + 1, horizon
         )
-        return steps, informed
+        return steps, (informed, r)
     if family == "bfs":
         block, boundary_out = _bfs_shard_sweep(
             kernel, seeds, boundary, forward=spec[1], reverse_edges=spec[2]
@@ -481,9 +486,9 @@ class ShardedSweepDriver:
         After a delta re-shard (:meth:`ShardedTemporalGraph.recompile
         <repro.graph.sharded.ShardedTemporalGraph.recompile>`) every clean
         shard is the *same object* as in the previous artifact, so the old
-        driver's lazily-warmed :class:`FrontierKernel` for it — packed
-        activeness words, operator degrees — stays exact and is reused
-        verbatim.  Returns the number of kernels adopted.  (Serial/thread
+        driver's lazily-warmed :class:`FrontierKernel` for it — operator
+        degrees, parent coordinates, the slot key table — stays exact and is
+        reused verbatim.  Returns the number of kernels adopted.  (Serial/thread
         backends only: process workers own their kernels remotely.)
         """
         adopted = 0
@@ -537,8 +542,8 @@ class ShardedSweepDriver:
         """Run every chunk's sweep chain; returns merged partials per chunk.
 
         ``plans`` holds ``(per-shard seeds, initial boundary)`` per chunk —
-        for Tang sweeps the "boundary" is the packed informed words and the
-        seeds are unused.
+        for Tang sweeps the "boundary" is the informed lanes with their
+        column count, and the seeds are unused.
         """
         if self._closed:
             raise GraphError("driver is closed")
@@ -959,20 +964,17 @@ class ShardedSweepDriver:
         start_index: int = 0,
         chunk_size: int | None = None,
     ) -> dict[Node, dict[Node, int]]:
-        """Tang snapshot-count distances, the informed words flowing shard to shard."""
+        """Tang snapshot-count distances, the informed lanes flowing shard to shard."""
         if start_index < 0 or start_index >= self.sharded.num_snapshots:
             raise GraphError(f"start_index {start_index} out of range")
         spec = ("tang", int(horizon), int(start_index))
-        w = bitops.words_for(self.sharded.num_nodes)
+        n = self.sharded.num_nodes
         chunks = self._chunks(source_nodes, chunk_size)
         plans: list[tuple] = []
         for chunk in chunks:
-            informed = np.zeros((len(chunk), w), dtype=np.uint64)
-            for col, source in enumerate(chunk):
-                vi = self._node_index.get(source)
-                if vi is not None:
-                    informed[col, vi >> 6] |= np.uint64(1) << np.uint64(vi & 63)
-            plans.append((None, informed))
+            slots = (self._node_index.get(source) for source in chunk)
+            seeds = [[vi] if vi is not None else [] for vi in slots]
+            plans.append((None, (bitops.seed_lanes((n,), seeds), len(chunk))))
         out: dict[Node, dict[Node, int]] = {}
         for chunk, steps in zip(chunks, self._run_chunks(spec, "steps", plans)):
             for col, source in enumerate(chunk):

@@ -1,28 +1,33 @@
-"""Property-based tests for the bit-packed sweep primitives (PR 7).
+"""Property-based tests for the root-lane sweep primitives.
 
-:mod:`repro.engine.bitops` is the word-level foundation the fused sweep
-paths are built on; every primitive here has a one-line NumPy oracle, so
-the suite asserts exact equality against it on random boolean blocks —
-including the ragged ``n % 64 != 0`` tails where packing bugs live:
+:mod:`repro.engine.bitops` is the lane-level foundation every sweep loop is
+built on; every primitive here has a one-line NumPy oracle, so the suite
+asserts exact equality against it on random boolean blocks — over every
+lane width (one to eight columns in a ``uint8`` lane up to two and three
+``uint64`` lanes) and the ragged column counts whose pad bits are where
+packing bugs live:
 
 * :func:`~repro.engine.bitops.pack_bits` / ``unpack_bits`` roundtrip
-  identity, zero pad bits past ``n``;
-* :func:`~repro.engine.bitops.popcount` vs ``np.count_nonzero``;
-* :func:`~repro.engine.bitops.packed_nonzero` vs ``np.nonzero`` (same
-  coordinates, same order) and ``set_bits`` as its inverse;
+  identity, the lane dtype and count per column count, zero pad bits;
+* :func:`~repro.engine.bitops.popcount` / ``node_popcount`` vs
+  ``np.count_nonzero``, and the 8-bit table that replaces
+  ``np.bitwise_count`` on numpy < 2.0 vs ``np.bitwise_count`` itself;
+* :func:`~repro.engine.bitops.seed_lanes` and ``lane_mask`` vs packing
+  the boolean block they stand for;
 * :func:`~repro.engine.bitops.causal_or_accumulate` vs the unpacked shifted
   ``np.logical_or.accumulate`` (both directions, with/without activeness);
 * :func:`~repro.engine.bitops.fused_update` vs its unfused boolean formula;
 * :func:`~repro.engine.bitops.advance_blocked` vs the dense CSR product
   under every push/pull threshold configuration (the three branches must
-  agree wherever new discoveries are possible);
-* the process-wide sweep configuration: the push/pull thresholds that pick
-  the advance mode (context restore) and the JIT report.
+  agree wherever new discoveries are possible), and each branch's
+  multiply-add charge;
+* the process-wide push/pull thresholds (context restore).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -35,18 +40,21 @@ BITOPS_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# ragged sizes on purpose: word boundaries, off-by-one around them, tiny
-slot_counts = st.sampled_from([1, 2, 7, 63, 64, 65, 100, 127, 128, 130, 200])
+# every lane width, the counts that fill a lane exactly and the ragged ones
+# one past them (pad bits), up to three uint64 lanes
+column_counts = st.sampled_from([1, 5, 8, 9, 16, 17, 32, 33, 64, 65, 130])
+
+LANE_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
 
 
 @st.composite
 def bool_blocks(draw, *, max_lead: int = 3):
-    """A random boolean array whose last axis is the packed (node) axis."""
-    n = draw(slot_counts)
+    """A random boolean array whose last axis is the packed (column) axis."""
+    r = draw(column_counts)
     lead = draw(
-        st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=max_lead)
+        st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=max_lead)
     )
-    shape = tuple(lead) + (n,)
+    shape = tuple(lead) + (r,)
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     rng = np.random.default_rng(seed)
@@ -54,66 +62,120 @@ def bool_blocks(draw, *, max_lead: int = 3):
 
 
 # --------------------------------------------------------------------------- #
-# packing primitives                                                           #
+# the lane layout                                                              #
 # --------------------------------------------------------------------------- #
 
 
 @BITOPS_SETTINGS
 @given(bool_blocks())
 def test_pack_unpack_roundtrip(block):
-    n = block.shape[-1]
-    words = bitops.pack_bits(block)
-    assert words.dtype == np.uint64
-    assert words.shape == block.shape[:-1] + (bitops.words_for(n),)
-    np.testing.assert_array_equal(bitops.unpack_bits(words, n), block)
+    r = block.shape[-1]
+    lanes = bitops.pack_bits(block)
+    assert lanes.shape[:-1] == block.shape[:-1]
+    assert lanes.dtype.itemsize * 8 * lanes.shape[-1] >= r
+    np.testing.assert_array_equal(bitops.unpack_bits(lanes, r), block)
 
 
 @BITOPS_SETTINGS
 @given(bool_blocks())
 def test_pack_zeroes_ragged_tail_bits(block):
-    """Bits past ``n`` in the last word must be zero (masks rely on it)."""
-    n = block.shape[-1]
-    words = bitops.pack_bits(np.ones_like(block))
-    tail = n % bitops.WORD_BITS
+    """Lane bits past ``R`` must be zero (remaining-lane masks rely on it)."""
+    r = block.shape[-1]
+    lanes = bitops.pack_bits(np.ones_like(block))
+    bits = lanes.dtype.itemsize * 8
+    full, tail = divmod(r, bits)
+    assert np.all(lanes[..., :full] == np.iinfo(lanes.dtype).max)
     if tail:
-        expected_last = np.uint64((1 << tail) - 1)
-        assert np.all(words[..., -1] == expected_last)
-    assert bitops.popcount(words) == int(np.prod(block.shape))
+        assert np.all(lanes[..., full] == (1 << tail) - 1)
+    assert bitops.popcount(lanes) == int(np.prod(block.shape))
+
+
+def test_lane_layout_by_column_count():
+    """The narrowest unsigned lane that fits R bits; past 64, uint64 lanes."""
+    expected = {
+        1: (np.uint8, 1),
+        8: (np.uint8, 1),
+        9: (np.uint16, 1),
+        16: (np.uint16, 1),
+        17: (np.uint32, 1),
+        32: (np.uint32, 1),
+        33: (np.uint64, 1),
+        64: (np.uint64, 1),
+        65: (np.uint64, 2),
+        128: (np.uint64, 2),
+        130: (np.uint64, 3),
+    }
+    for r, (dtype, lanes) in expected.items():
+        zero = bitops.seed_lanes((4, 7), [[]] * r)
+        assert (zero.dtype, zero.shape) == (np.dtype(dtype), (4, 7, lanes))
+        assert not zero.any()
+        packed = bitops.pack_bits(np.zeros((7, r), dtype=bool))
+        assert (packed.dtype, packed.shape) == (np.dtype(dtype), (7, lanes))
+    assert bitops.word_count(bitops.seed_lanes((3,), [[]])) == 1  # 3 bytes
+    assert bitops.word_count(bitops.seed_lanes((5,), [[]] * 65)) == 10
 
 
 @BITOPS_SETTINGS
 @given(bool_blocks())
 def test_popcount_equals_count_nonzero(block):
-    assert bitops.popcount(bitops.pack_bits(block)) == np.count_nonzero(block)
+    lanes = bitops.pack_bits(block)
+    assert bitops.popcount(lanes) == np.count_nonzero(block)
+    np.testing.assert_array_equal(
+        bitops.node_popcount(lanes), np.count_nonzero(block, axis=-1)
+    )
+
+
+@pytest.mark.parametrize("dtype", LANE_DTYPES)
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_table_bit_count_matches_bitwise_count(dtype, lanes, monkeypatch):
+    """The numpy < 2.0 table popcount, checked on a numpy that has both."""
+    if not hasattr(np, "bitwise_count"):  # pragma: no cover - numpy < 2.0
+        pytest.skip("the table is the only popcount here")
+    rng = np.random.default_rng(lanes * 10 + LANE_DTYPES.index(dtype))
+    info = np.iinfo(dtype)
+    values = rng.integers(0, info.max, size=(37, lanes), dtype=dtype, endpoint=True)
+    values[0] = info.max
+    values[1] = 0
+    np.testing.assert_array_equal(
+        bitops._table_bit_count(values), np.bitwise_count(values)
+    )
+    monkeypatch.setattr(bitops, "_bit_count", bitops._table_bit_count)
+    assert bitops.popcount(values) == int(np.bitwise_count(values).sum())
+    np.testing.assert_array_equal(
+        bitops.node_popcount(values), np.bitwise_count(values).sum(axis=-1)
+    )
+    # the one-root lanes of a single-column sweep: (N, 1) uint8, strided too
+    column = (rng.random((50, 1)) < 0.5).astype(np.uint8)
+    assert bitops.popcount(column) == int(column.sum())
+    assert bitops.popcount(values[::2]) == int(np.bitwise_count(values[::2]).sum())
 
 
 @BITOPS_SETTINGS
-@given(bool_blocks())
-def test_packed_nonzero_matches_np_nonzero(block):
-    words = bitops.pack_bits(block)
-    reference = np.nonzero(block)
-    packed = bitops.packed_nonzero(words)
-    assert len(packed) == len(reference)
-    for got, want in zip(packed, reference):
-        np.testing.assert_array_equal(got, want)
-
-
-@BITOPS_SETTINGS
-@given(bool_blocks())
-def test_set_bits_inverts_packed_nonzero(block):
-    n = block.shape[-1]
-    coords = np.nonzero(block)
-    words = np.zeros(block.shape[:-1] + (bitops.words_for(n),), dtype=np.uint64)
-    bitops.set_bits(words, coords[:-1], coords[-1])
-    np.testing.assert_array_equal(bitops.unpack_bits(words, n), block)
-
-
-def test_words_for_boundaries():
-    assert bitops.words_for(1) == 1
-    assert bitops.words_for(64) == 1
-    assert bitops.words_for(65) == 2
-    assert bitops.words_for(128) == 2
-    assert bitops.words_for(129) == 3
+@given(column_counts, st.integers(min_value=0, max_value=2**32 - 1))
+def test_seed_lanes_and_lane_mask_match_packed_blocks(r, seed):
+    rng = np.random.default_rng(seed)
+    t, n = 3, 11
+    seeds = [
+        [(int(rng.integers(t)), int(rng.integers(n))) for _ in range(rng.integers(3))]
+        for _ in range(r)
+    ]
+    block = np.zeros((t, n, r), dtype=bool)
+    for col, slots in enumerate(seeds):
+        for ti, vi in slots:
+            block[ti, vi, col] = True
+    np.testing.assert_array_equal(
+        bitops.seed_lanes((t, n), seeds), bitops.pack_bits(block)
+    )
+    # 1-D shapes take plain int seeds (the Tang sources)
+    flat = [[vi for _, vi in slots] for slots in seeds]
+    np.testing.assert_array_equal(
+        bitops.seed_lanes((n,), flat), bitops.pack_bits(block.any(axis=0))
+    )
+    active = rng.random((t, n)) < 0.6
+    expected = np.broadcast_to(active[..., None], (t, n, r))
+    np.testing.assert_array_equal(
+        bitops.lane_mask(active, r), bitops.pack_bits(expected)
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -123,13 +185,13 @@ def test_words_for_boundaries():
 
 @st.composite
 def causal_blocks(draw):
-    """A ``(T, R, n)`` boolean block plus an optional ``(T, n)`` active mask."""
-    n = draw(slot_counts)
+    """A ``(T, N, R)`` boolean block plus an optional ``(T, N)`` active mask."""
+    r = draw(column_counts)
+    n = draw(st.integers(min_value=1, max_value=20))
     t = draw(st.integers(min_value=1, max_value=5))
-    r = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    block = rng.random((t, r, n)) < draw(st.sampled_from([0.05, 0.5]))
+    block = rng.random((t, n, r)) < draw(st.sampled_from([0.05, 0.5]))
     active = rng.random((t, n)) < 0.7 if draw(st.booleans()) else None
     return block, active
 
@@ -138,8 +200,8 @@ def causal_blocks(draw):
 @given(causal_blocks(), st.booleans())
 def test_causal_or_accumulate_matches_logical_accumulate(block_active, forward):
     block, active = block_active
-    n = block.shape[-1]
-    # the unpacked shifted accumulate, on the (T, R, n) boolean layout
+    r = block.shape[-1]
+    # the unpacked shifted accumulate, on the (T, N, R) boolean layout
     expected = np.zeros_like(block)
     if block.shape[0] > 1:
         if forward:
@@ -149,12 +211,12 @@ def test_causal_or_accumulate_matches_logical_accumulate(block_active, forward):
             acc = np.logical_or.accumulate(block[::-1], axis=0)[::-1]
             expected[:-1] = acc[1:]
         if active is not None:
-            expected &= active[:, None, :]
-    active_words = None if active is None else bitops.pack_bits(active)
+            expected &= active[:, :, None]
+    active_lanes = None if active is None else bitops.lane_mask(active, r)
     got = bitops.causal_or_accumulate(
-        bitops.pack_bits(block), active_words, forward=forward
+        bitops.pack_bits(block), active_lanes, forward=forward
     )
-    np.testing.assert_array_equal(bitops.unpack_bits(got, n), expected)
+    np.testing.assert_array_equal(bitops.unpack_bits(got, r), expected)
 
 
 # --------------------------------------------------------------------------- #
@@ -163,17 +225,17 @@ def test_causal_or_accumulate_matches_logical_accumulate(block_active, forward):
 
 
 @BITOPS_SETTINGS
-@given(st.integers(min_value=0, max_value=2**32 - 1), slot_counts)
-def test_fused_update_matches_unfused_formula(seed, n):
+@given(st.integers(min_value=0, max_value=2**32 - 1), column_counts)
+def test_fused_update_matches_unfused_formula(seed, r):
     rng = np.random.default_rng(seed)
-    r = int(rng.integers(1, 5))
-    spatial_b = rng.random((r, n)) < 0.3
-    carry_b = rng.random((r, n)) < 0.3
+    n = int(rng.integers(1, 40))
+    spatial_b = rng.random((n, r)) < 0.3
+    carry_b = rng.random((n, r)) < 0.3
     active_b = rng.random(n) < 0.7
-    visited_b = rng.random((r, n)) < 0.3
-    frontier_b = rng.random((r, n)) < 0.3
+    visited_b = rng.random((n, r)) < 0.3
+    frontier_b = rng.random((n, r)) < 0.3
 
-    expected_out = (spatial_b | carry_b) & active_b[None, :] & ~visited_b
+    expected_out = (spatial_b | carry_b) & active_b[:, None] & ~visited_b
     expected_visited = visited_b | expected_out
     expected_carry = carry_b | frontier_b
 
@@ -183,14 +245,14 @@ def test_fused_update_matches_unfused_formula(seed, n):
     bitops.fused_update(
         bitops.pack_bits(spatial_b),
         carry,
-        bitops.pack_bits(active_b),
+        bitops.lane_mask(active_b, r),
         visited,
         bitops.pack_bits(frontier_b),
         out,
     )
-    np.testing.assert_array_equal(bitops.unpack_bits(out, n), expected_out)
-    np.testing.assert_array_equal(bitops.unpack_bits(visited, n), expected_visited)
-    np.testing.assert_array_equal(bitops.unpack_bits(carry, n), expected_carry)
+    np.testing.assert_array_equal(bitops.unpack_bits(out, r), expected_out)
+    np.testing.assert_array_equal(bitops.unpack_bits(visited, r), expected_visited)
+    np.testing.assert_array_equal(bitops.unpack_bits(carry, r), expected_carry)
 
 
 # --------------------------------------------------------------------------- #
@@ -201,17 +263,22 @@ def test_fused_update_matches_unfused_formula(seed, n):
 @st.composite
 def advance_cases(draw):
     n = draw(st.sampled_from([3, 17, 64, 65, 100]))
-    r = draw(st.integers(min_value=1, max_value=4))
+    r = draw(column_counts)
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     mat = sp.random(
         n, n, density=draw(st.sampled_from([0.0, 0.05, 0.3])), random_state=rng
     ).tocsr()
     mat.data[:] = 1
-    frontier = rng.random((r, n)) < draw(st.sampled_from([0.02, 0.3]))
-    visited = frontier | (rng.random((r, n)) < draw(st.sampled_from([0.0, 0.8])))
+    frontier = rng.random((n, r)) < draw(st.sampled_from([0.02, 0.3]))
+    visited = frontier | (rng.random((n, r)) < draw(st.sampled_from([0.0, 0.8])))
     active = rng.random(n) < 0.8
     return mat, frontier, visited, active
+
+
+def _reference(mat, frontier):
+    """``(mat @ frontier) > 0`` on the unpacked ``(N, R)`` block."""
+    return mat @ frontier.astype(np.int32) > 0
 
 
 @BITOPS_SETTINGS
@@ -219,99 +286,124 @@ def advance_cases(draw):
 def test_advance_blocked_matches_dense_reference(case, thresholds):
     """All three branches agree with ``mat @ frontier`` on discoverable cells.
 
-    ``advance_blocked`` may drop rows that are visited in every column or
-    inactive — exactly the set every caller masks away — so the comparison
-    masks both sides the same way.
+    ``advance_blocked`` may drop rows that hold no remaining lane bit —
+    exactly the set every caller masks away — so the comparison masks both
+    sides the same way.
     """
     mat, frontier, visited, active = case
-    n = frontier.shape[-1]
-    reference = (mat @ frontier.T.astype(np.int32) > 0).T
-    discoverable = ~visited & active[None, :]
+    r = frontier.shape[-1]
+    discoverable = ~visited & active[:, None]
+    remaining = bitops.lane_mask(active, r) & ~bitops.pack_bits(visited)
 
     push, pull = thresholds
-    degrees = np.bincount(mat.indices, minlength=n)
+    degrees = np.bincount(mat.indices, minlength=mat.shape[0])
     with bitops.sweep_thresholds(push, pull):
         got = bitops.advance_blocked(
             mat,
             bitops.pack_bits(frontier),
-            n,
+            r,
             out_degrees=degrees,
-            active_row=bitops.pack_bits(active),
-            visited_words=bitops.pack_bits(visited),
+            remaining=remaining,
         )
+    assert got.dtype == bitops.pack_bits(frontier).dtype
     np.testing.assert_array_equal(
-        bitops.unpack_bits(got, n) & discoverable, reference & discoverable
+        bitops.unpack_bits(got, r) & discoverable,
+        _reference(mat, frontier) & discoverable,
     )
 
 
 @BITOPS_SETTINGS
 @given(advance_cases())
 def test_advance_blocked_without_masks_is_exact(case):
-    """With no visited/active words supplied the result is the full product."""
+    """With no remaining lanes supplied the result is the full product."""
     mat, frontier, _, _ = case
-    n = frontier.shape[-1]
-    reference = (mat @ frontier.T.astype(np.int32) > 0).T
-    got = bitops.advance_blocked(mat, bitops.pack_bits(frontier), n)
-    np.testing.assert_array_equal(bitops.unpack_bits(got, n), reference)
-
-
-def test_advance_blocked_pull_handles_ragged_tail_without_active_row():
-    """Regression: ``~visited`` raises pad bits past ``n``; the pull branch
-    must not turn them into out-of-range candidate rows."""
-    n = 70  # one ragged word: 6 pad bits
-    rng = np.random.default_rng(0)
-    mat = sp.random(n, n, density=0.2, random_state=rng).tocsr()
-    mat.data[:] = 1
-    frontier = np.zeros((2, n), dtype=bool)
-    frontier[:, 0] = True
-    visited = np.ones((2, n), dtype=bool)
-    visited[:, -3:] = False  # few candidates -> pull branch fires
-    with bitops.sweep_thresholds(0, 1_000_000):
-        got = bitops.advance_blocked(
-            mat,
-            bitops.pack_bits(frontier),
-            n,
-            visited_words=bitops.pack_bits(visited),
-        )
-    reference = (mat @ frontier.T.astype(np.int32) > 0).T
-    discoverable = ~visited
+    r = frontier.shape[-1]
+    got = bitops.advance_blocked(mat, bitops.pack_bits(frontier), r)
     np.testing.assert_array_equal(
-        bitops.unpack_bits(got, n) & discoverable, reference & discoverable
+        bitops.unpack_bits(got, r), _reference(mat, frontier)
     )
 
 
+def test_advance_blocked_pull_handles_ragged_tail_without_active_row():
+    """Regression: with no activeness (Tang's convention) the remaining
+    lanes are ``every & ~visited``; the lane bits past ``R`` must not turn
+    visited rows into pull candidates."""
+    from repro.linalg import OperationCounter
+
+    n, r = 70, 5  # one uint8 lane per node: 3 pad bits
+    rng = np.random.default_rng(0)
+    mat = sp.random(n, n, density=0.2, random_state=rng).tocsr()
+    mat.data[:] = 1
+    frontier = np.zeros((n, r), dtype=bool)
+    frontier[0] = True
+    visited = np.ones((n, r), dtype=bool)
+    visited[-3:] = False  # few candidates -> pull branch fires
+    every = bitops.lane_mask(np.ones(n, dtype=bool), r)
+    counter = OperationCounter()
+    with bitops.sweep_thresholds(0, 4):
+        got = bitops.advance_blocked(
+            mat,
+            bitops.pack_bits(frontier),
+            r,
+            remaining=every & ~bitops.pack_bits(visited),
+            counter=counter,
+        )
+    assert counter.multiply_adds == 2 * int(mat[-3:].nnz) * r
+    discoverable = ~visited
+    np.testing.assert_array_equal(
+        bitops.unpack_bits(got, r) & discoverable,
+        _reference(mat, frontier) & discoverable,
+    )
+    assert not got[:-3].any()  # only the candidate rows were gathered
+
+
 def test_advance_blocked_counts_multiply_adds_per_branch():
+    """Each branch charges the product it replaces, on every lane width."""
     from repro.linalg import OperationCounter
 
     n = 64
     rng = np.random.default_rng(3)
-    # sparse enough that the two frontier bits gather < n*r/8 endpoints, so
-    # the push's output-size gate stays open
+    # two frontier nodes of out-degree one gather < n*r/8 endpoints, so the
+    # push's output-size gate stays open
     mat = sp.random(n, n, density=0.05, random_state=rng).tocsr()
     mat.data[:] = 1
     degrees = np.bincount(mat.indices, minlength=n)
-    frontier = np.zeros((2, n), dtype=bool)
-    frontier[0, 5] = frontier[1, 9] = True
-    packed = bitops.pack_bits(frontier)
+    a, b = np.flatnonzero(degrees == 1)[:2]
+    for r in (1, 2, 9, 33, 65):
+        frontier = np.zeros((n, r), dtype=bool)
+        frontier[a, 0] = frontier[b, r - 1] = True
+        frontier[b, 0] = True  # node b holds two cells when r > 1
+        lanes = bitops.pack_bits(frontier)
+        reference = _reference(mat, frontier)
 
-    counter = OperationCounter()
-    with bitops.sweep_thresholds(8, 0):  # push
-        bitops.advance_blocked(mat, packed, n, out_degrees=degrees, counter=counter)
-    assert counter.multiply_adds == 2 * int(degrees[[5, 9]].sum())
+        counter = OperationCounter()
+        with bitops.sweep_thresholds(8, 0):  # push: Σ popcount(F[v]) * outdeg(v)
+            got = bitops.advance_blocked(
+                mat, lanes, r, out_degrees=degrees, counter=counter
+            )
+        assert counter.multiply_adds == 2 * int(frontier.sum(axis=1) @ degrees)
+        np.testing.assert_array_equal(bitops.unpack_bits(got, r), reference)
 
-    counter.reset()
-    with bitops.sweep_thresholds(0, 0):  # dense
-        bitops.advance_blocked(mat, packed, n, counter=counter)
-    assert counter.multiply_adds == 2 * mat.nnz * 2
+        counter.reset()
+        with bitops.sweep_thresholds(0, 0):  # dense
+            got = bitops.advance_blocked(mat, lanes, r, counter=counter)
+        assert counter.multiply_adds == 2 * mat.nnz * r
+        np.testing.assert_array_equal(bitops.unpack_bits(got, r), reference)
 
-    counter.reset()
-    visited = np.ones((2, n), dtype=bool)
-    visited[:, :4] = False
-    with bitops.sweep_thresholds(0, 4):  # pull over 4 candidate rows
-        bitops.advance_blocked(
-            mat, packed, n, visited_words=bitops.pack_bits(visited), counter=counter
-        )
-    assert counter.multiply_adds == 2 * int(mat[:4].nnz) * 2
+        counter.reset()
+        visited = np.ones((n, r), dtype=bool)
+        visited[:4] = False
+        every = bitops.lane_mask(np.ones(n, dtype=bool), r)
+        with bitops.sweep_thresholds(0, 4):  # pull over 4 candidate rows
+            got = bitops.advance_blocked(
+                mat,
+                lanes,
+                r,
+                remaining=every & ~bitops.pack_bits(visited),
+                counter=counter,
+            )
+        assert counter.multiply_adds == 2 * int(mat[:4].nnz) * r
+        np.testing.assert_array_equal(bitops.unpack_bits(got, r)[:4], reference[:4])
 
 
 # --------------------------------------------------------------------------- #
@@ -329,7 +421,3 @@ class TestSweepModeFlag:
             assert bitops.PUSH_BLOCK_FRACTION == 0
             assert bitops.PULL_ROW_FRACTION == 0
         assert (bitops.PUSH_BLOCK_FRACTION, bitops.PULL_ROW_FRACTION) == (push, pull)
-
-    def test_jit_fallback_is_reported(self):
-        # the container has no numba; JIT_ACTIVE documents which loop runs
-        assert isinstance(bitops.JIT_ACTIVE, bool)

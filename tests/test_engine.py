@@ -388,6 +388,52 @@ def test_multi_source_and_batch_bit_identical_to_python_oracle(graph, data):
                 == evolving_bfs(graph, root, backend="python").reached)
 
 
+#: Chunk widths past one byte of lanes: uint16, uint32 and uint64 lanes, and
+#: two and three uint64 lanes per node.
+WIDE_CHUNKS = [9, 17, 33, 65, 130]
+
+
+def _small_random_graph(seed, *, nodes=24, times=5, edges=90, directed=True):
+    rng = np.random.default_rng(seed)
+    triples = [
+        (int(u), int(v), int(t))
+        for u, v, t in zip(rng.integers(nodes, size=edges),
+                           rng.integers(nodes, size=edges),
+                           rng.integers(times, size=edges))
+        if u != v
+    ]
+    return AdjacencyListEvolvingGraph(triples, directed=directed)
+
+
+def _wide_roots(graph, width, seed):
+    """``width`` roots drawn from the active slots, repeats allowed."""
+    active = graph.active_temporal_nodes()
+    picks = np.random.default_rng(seed).integers(len(active), size=width)
+    return [active[i] for i in picks.tolist()]
+
+
+@pytest.mark.parametrize("width", WIDE_CHUNKS)
+@pytest.mark.parametrize("directed", [True, False])
+def test_wide_chunk_distance_blocks_match_python_oracle(width, directed):
+    """One chunk of ``width`` roots, every direction and ``reverse_edges``:
+    each column of the lane sweep equals its own Python search."""
+    graph = _small_random_graph(width, directed=directed)
+    roots = _wide_roots(graph, width, seed=width + 1)
+    kernel = FrontierKernel(graph)
+    for direction, reverse_edges in (("forward", False), ("backward", False),
+                                     ("forward", True), ("backward", True)):
+        ((chunk, dist),) = kernel.distance_blocks(
+            roots, direction=direction, reverse_edges=reverse_edges,
+            chunk_size=width,
+        )
+        assert chunk == roots and dist.shape[2] == width
+        search = evolving_bfs if direction == "forward" else backward_bfs
+        oracle_graph = _flipped(graph) if reverse_edges else graph
+        for col, root in enumerate(chunk):
+            assert (kernel._reached_dict(dist, col)
+                    == search(oracle_graph, root, backend="python").reached)
+
+
 class TestFusedSweeps:
     def test_track_parents_reads_tree_off_packed_sweep(self):
         """The parent pass's tie rule: the highest-index spatial in-neighbour

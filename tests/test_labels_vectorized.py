@@ -505,6 +505,68 @@ def test_tang_steps_bit_identical_to_python(graph, data, horizon):
         )
 
 
+#: Chunk widths past one byte of lanes: uint16, uint32 and uint64 lanes, and
+#: two and three uint64 lanes per node.
+WIDE_CHUNKS = [9, 17, 33, 65, 130]
+
+
+def _small_random_graph(seed, *, nodes=24, times=5, edges=90, directed=True):
+    rng = np.random.default_rng(seed)
+    triples = [
+        (int(u), int(v), int(t))
+        for u, v, t in zip(rng.integers(nodes, size=edges),
+                           rng.integers(nodes, size=edges),
+                           rng.integers(times, size=edges))
+        if u != v
+    ]
+    return AdjacencyListEvolvingGraph(triples, directed=directed)
+
+
+@pytest.mark.parametrize("width", WIDE_CHUNKS)
+def test_wide_chunk_zero_one_labels_match_dijkstra(width):
+    """Every cost pair over one chunk of ``width`` roots."""
+    graph = _small_random_graph(width, directed=width % 2 == 0)
+    active = graph.active_temporal_nodes()
+    picks = np.random.default_rng(width).integers(len(active), size=width)
+    roots = [active[i] for i in picks.tolist()]
+    kernel = LabelKernel(graph)
+    for spatial_cost, causal_cost in ((1, 0), (0, 1), (1, 1), (0, 0)):
+        ((chunk, block),) = kernel.zero_one_labels(
+            roots, spatial_cost=spatial_cost, causal_cost=causal_cost,
+            chunk_size=width,
+        )
+        assert block.shape[2] == width
+        for col, root in enumerate(chunk):
+            t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
+            decoded = {
+                (kernel._labels[vi], kernel._times[ti]): int(block[ti, vi, col])
+                for ti, vi in zip(t_arr.tolist(), v_arr.tolist())
+            }
+            assert decoded == _zero_one_dijkstra(
+                graph, root, spatial_cost, causal_cost
+            )
+
+
+@pytest.mark.parametrize("width", WIDE_CHUNKS)
+def test_wide_chunk_tang_steps_match_python(width):
+    graph = _small_random_graph(width + 7, directed=width % 2 == 1)
+    nodes = sorted(graph.nodes())
+    picks = np.random.default_rng(width).integers(len(nodes), size=width - 1)
+    sources = [nodes[i] for i in picks.tolist()] + ["never-a-node"]
+    kernel = get_label_kernel(graph)
+    for horizon, start_index in ((1, 0), (2, 1)):
+        start_time = list(graph.timestamps)[start_index]
+        steps = kernel.tang_steps(
+            sources, horizon=horizon, start_index=start_index, chunk_size=width
+        )
+        for source in sources:
+            steps[source].setdefault(source, 0)
+            assert steps[source] == temporal_distances_tang_from(
+                graph, source, start_time=start_time, horizon=horizon,
+                backend="python",
+            )
+
+
 # --------------------------------------------------------------------------- #
 # delta maintenance: tang_patch repairs a step block after a mutation batch    #
 # --------------------------------------------------------------------------- #

@@ -306,6 +306,32 @@ def _banded_graph(num_nodes=40, snapshots=6, seed=3):
     return AdjacencyListEvolvingGraph(edges, directed=True)
 
 
+def test_wide_chunk_serial_driver_matches_monolithic():
+    """130 roots in one chunk (three uint64 lanes per node), BFS and Tang."""
+    graph = _banded_graph(num_nodes=30, snapshots=6, seed=13)
+    compiled = get_compiled(graph)
+    kernel = get_kernel(graph)
+    label_kernel = get_label_kernel(graph)
+    active = graph.active_temporal_nodes()
+    roots = [active[i % len(active)] for i in range(0, 7 * 130, 7)]
+    sources = sorted(graph.nodes()) * 5
+    for sharded in _shardings(compiled):
+        driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=130)
+        for direction in ("forward", "backward"):
+            ((chunk, block),) = driver.distance_blocks(roots, direction=direction)
+            ((_, expected),) = kernel.distance_blocks(
+                roots, direction=direction, chunk_size=130
+            )
+            assert chunk == roots
+            np.testing.assert_array_equal(block, expected)
+        assert driver.identity_reach_counts(roots) == \
+            kernel.identity_reach_counts(roots, chunk_size=130)
+        for horizon in (1, 2):
+            assert driver.tang_steps(sources[:130], horizon=horizon) == \
+                label_kernel.tang_steps(sources[:130], horizon=horizon,
+                                        chunk_size=130)
+
+
 def test_out_of_core_sweep_bounds_open_bytes(tmp_path):
     """Serial shard-major sweeps over a store never hold the whole stack."""
     graph = _banded_graph()
@@ -456,22 +482,25 @@ def test_sharded_query_server_fails_on_out_of_band_mutation():
 # --------------------------------------------------------------------------- #
 
 def test_boundary_block_roundtrip_and_merge():
+    # (N, R) min levels: four nodes, two root columns
     min_levels = np.array(
-        [[0, 2, _FAR, 1], [_FAR, _FAR, 3, 0]], dtype=np.int32
+        [[0, _FAR], [2, _FAR], [_FAR, 3], [1, 0]], dtype=np.int32
     )
     block = BoundaryBlock.from_min_levels(min_levels)
+    assert (block.num_nodes, block.num_columns) == (4, 2)
     assert block.max_level == 3
+    assert block.lanes(0).shape == (4, 1)  # one uint8 lane per node
     assert np.array_equal(block.decode(), min_levels)
     again = pickle.loads(pickle.dumps(block))
     assert again == block
     lower = np.array(
-        [[_FAR, 1, 2, _FAR], [0, _FAR, _FAR, _FAR]], dtype=np.int32
+        [[_FAR, 0], [1, _FAR], [2, _FAR], [_FAR, _FAR]], dtype=np.int32
     )
     merged = block.merged_with(lower)
     assert np.array_equal(merged.decode(), np.minimum(min_levels, lower))
     empty = BoundaryBlock.empty(2, 4)
     assert empty.max_level == -1
-    assert empty.words(0) is None
+    assert empty.lanes(0) is None
     assert np.array_equal(empty.merged_with(lower).decode(), lower)
 
 
