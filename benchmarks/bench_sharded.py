@@ -5,7 +5,7 @@ Two workloads, both reported in ``sharded_ablation.json`` and gated by
 
 ``pipelined_sweep``
     Fig-5-style size sweep comparing monolithic ``identity_reach_counts``
-    against the pipelined shard driver (thread backend, 2 workers) on a
+    against the pipelined shard driver (process backend, 2 workers) on a
     temporally banded graph.  Pipeline overlap needs real cores: on a
     multi-core host at full scale the largest point must reach the 1.5x
     acceptance floor; on single-CPU containers (where shard workers can
@@ -91,7 +91,7 @@ def _pipeline_point(nodes_per_band: int) -> dict:
     sharded = ShardedTemporalGraph.from_compiled(compiled, NUM_SHARDS)
     driver = ShardedSweepDriver(
         sharded,
-        backend="thread",
+        backend="process",
         num_workers=PIPELINE_WORKERS,
         chunk_size=CHUNK_SIZE,
     )
@@ -209,7 +209,7 @@ def test_write_reports(ablation, report_dir):
     write_json_report(report_dir, "sharded_ablation.json", payload)
 
     lines = ["# Sharded-graph ablation", ""]
-    lines.append("## pipelined_sweep (monolithic vs thread-pipelined shards)")
+    lines.append("## pipelined_sweep (monolithic vs process-pipelined shards)")
     for point in ablation["pipelined_sweep"]:
         lines.append(
             f"nodes={point['nodes']:6d} T={point['snapshots']:3d} "

@@ -50,15 +50,12 @@ __all__ = [
 def _reach_vectorized(
     graph: BaseEvolvingGraph, direction: str, shards: int | None
 ) -> dict[TemporalNodeTuple, int]:
-    from repro.engine import get_kernel, get_sharded_driver
+    from repro.engine import get_sweeper
 
     roots = graph.active_temporal_nodes()
     if not roots:
         return {}
-    if shards is not None:
-        driver = get_sharded_driver(graph, shards)
-        return driver.identity_reach_counts(roots, direction=direction)
-    return get_kernel(graph).identity_reach_counts(roots, direction=direction)
+    return get_sweeper(graph, shards).identity_reach_counts(roots, direction=direction)
 
 
 def temporal_out_reach(
@@ -120,7 +117,7 @@ def temporal_closeness(
     sums are bit-identical to the monolithic kernel (per-snapshot partial
     rows are folded in canonical global snapshot order).
     """
-    from repro.engine import get_kernel, get_sharded_driver, resolve_backend
+    from repro.engine import get_sweeper, resolve_backend
 
     backend = resolve_backend(backend)
     active = graph.active_temporal_nodes()
@@ -128,10 +125,7 @@ def temporal_closeness(
     if not active:
         return {}
     if backend == "vectorized":
-        if shards is not None:
-            sums = get_sharded_driver(graph, shards).harmonic_closeness_sums(active)
-        else:
-            sums = get_kernel(graph).harmonic_closeness_sums(active)
+        sums = get_sweeper(graph, shards).harmonic_closeness_sums(active)
         if n <= 1:
             return {root: 0.0 for root in active}
         return {root: sums[root] / (n - 1) for root in active}

@@ -362,16 +362,10 @@ class IncrementalBFS:
             if self._dist is None or self._axes is None:
                 self._decoded = {}
             else:
-                labels = self._axes.node_labels
-                times = self._axes.times
-                t_arr, v_arr = np.nonzero(self._dist >= 0)
-                d_arr = self._dist[t_arr, v_arr]
-                self._decoded = {
-                    (labels[vi], times[ti]): int(d)
-                    for ti, vi, d in zip(
-                        t_arr.tolist(), v_arr.tolist(), d_arr.tolist()
-                    )
-                }
+                from repro.engine.sharded_sweep import _decode_column, _slot_keys
+
+                keys = _slot_keys(self._axes.node_labels, self._axes.times)
+                self._decoded = _decode_column(keys, self._dist[:, :, None], 0)
         return self._decoded
 
     def _remap(self, compiled: CompiledTemporalGraph) -> None:
@@ -551,13 +545,14 @@ class IncrementalEarliestArrival:
     """Maintain earliest-arrival labels from a fixed root under mixed batches.
 
     The journal-driven incremental form of
-    :meth:`repro.engine.labels.LabelKernel.earliest_arrivals` for one root:
+    :meth:`FrontierKernel.earliest_arrivals
+    <repro.engine.frontier.FrontierKernel.earliest_arrivals>` for one root:
     node ``v``'s earliest arrival is the first snapshot whose maintained
     distance is non-negative, a pure readout of the ``(T, N)`` block that
     :class:`IncrementalBFS` already keeps exact.  Insertions and removals
     therefore ride the same two-phase decrease/shrink maintenance, and
     :attr:`arrivals` stays bit-identical to a fresh
-    ``LabelKernel.earliest_arrivals`` sweep after every batch (asserted by
+    ``earliest_arrivals`` sweep after every batch (asserted by
     the mixed-stream hypothesis suite).
     """
 
@@ -623,11 +618,8 @@ class IncrementalEarliestArrival:
             return out
         if inner._dist is None or inner._axes is None:
             return {}
-        reached = inner._dist >= 0
-        hit = reached.any(axis=0)
-        first = reached.argmax(axis=0)
-        labels = inner._axes.node_labels
-        times = inner._axes.times
-        return {
-            labels[vi]: times[first[vi]] for vi in np.nonzero(hit)[0].tolist()
-        }
+        from repro.engine.sharded_sweep import _decode_times, _time_hits
+
+        axes = inner._axes
+        first = _time_hits(inner._dist[:, :, None], "first")
+        return _decode_times(axes.node_labels, axes.times, first, 0)

@@ -12,8 +12,8 @@ Backends
 --------
 Every function accepts ``backend="python" | "vectorized"``.  The default
 ``"vectorized"`` runs Tang's spreading process on the semiring label-sweep
-engine (:meth:`LabelKernel.tang_steps
-<repro.engine.labels.LabelKernel.tang_steps>`): one masked running-minimum
+engine (:meth:`FrontierKernel.tang_steps
+<repro.engine.frontier.FrontierKernel.tang_steps>`): one masked running-minimum
 sweep along the time axis per batch of sources, with horizon-bounded SpMM
 rounds inside each snapshot.  One sweep answers *all* targets of a source —
 and :func:`average_temporal_distance` / :func:`temporal_efficiency` batch
@@ -81,7 +81,7 @@ def temporal_distances_tang_from(
     the sweep through the pipelined time-shard driver
     (:func:`repro.engine.get_sharded_driver`); results are bit-identical.
     """
-    from repro.engine import get_label_kernel, get_sharded_driver, resolve_backend
+    from repro.engine import get_sweeper, resolve_backend
 
     backend = resolve_backend(backend)
     times = list(graph.timestamps)
@@ -94,11 +94,7 @@ def temporal_distances_tang_from(
     if not times:
         return {source_node: 0}
     if backend == "vectorized":
-        if shards is not None:
-            sweeper = get_sharded_driver(graph, shards)
-        else:
-            sweeper = get_label_kernel(graph)
-        steps = sweeper.tang_steps(
+        steps = get_sweeper(graph, shards).tang_steps(
             [source_node], horizon=horizon, start_index=start_idx
         )[source_node]
         # a source outside the compiled universe still informs itself
@@ -217,6 +213,6 @@ def _batched_tang_steps(
     horizon: int,
 ) -> dict[Hashable, dict[Hashable, int]]:
     """All-sources Tang sweep: every source is one column of the batched sweep."""
-    from repro.engine import get_label_kernel
+    from repro.engine import get_kernel
 
-    return get_label_kernel(graph).tang_steps(sources, horizon=horizon)
+    return get_kernel(graph).tang_steps(sources, horizon=horizon)

@@ -18,12 +18,13 @@ against the Python oracles and writes
 Backends
 --------
 Every function accepts ``backend="python" | "vectorized"``.  The default
-``"vectorized"`` routes through the semiring label-sweep engine
-(:class:`~repro.engine.labels.LabelKernel`): earliest arrival is a running
-minimum over one forward boolean sweep, latest departure the mirrored
-maximum over one backward sweep, and fewest spatial hops a ``(min, +)``
-sweep with 0-cost causal edges.  ``"python"`` is the original per-node
-implementation, kept as the correctness oracle.
+``"vectorized"`` routes through the engine's batched sweep surface
+(:func:`repro.engine.get_sweeper`: the frontier kernel, or with ``shards``
+the time-shard driver): earliest arrival is a running minimum over one
+forward boolean sweep, latest departure the mirrored maximum over one
+backward sweep, and fewest spatial hops a ``(min, +)`` sweep with 0-cost
+causal edges (:class:`~repro.engine.labels.LabelKernel`).  ``"python"`` is
+the original per-node implementation, kept as the correctness oracle.
 
 The ``*_times`` / ``*_from`` variants answer the query for *all* targets in
 the same single sweep — the point of the engine port: one sweep per source
@@ -67,18 +68,14 @@ def earliest_arrival_times(
     ``shards`` routes the sweep through the pipelined time-shard driver
     (:func:`repro.engine.get_sharded_driver`); results are bit-identical.
     """
-    from repro.engine import get_label_kernel, get_sharded_driver, resolve_backend
+    from repro.engine import get_sweeper, resolve_backend
 
     backend = resolve_backend(backend)
     source = (source[0], source[1])
     if not graph.is_active(*source):
         return {}
     if backend == "vectorized":
-        if shards is not None:
-            return get_sharded_driver(graph, shards).earliest_arrivals([source])[
-                source
-            ]
-        return get_label_kernel(graph).earliest_arrivals([source])[source]
+        return get_sweeper(graph, shards).earliest_arrivals([source])[source]
     from repro.core.bfs import evolving_bfs
 
     position = _time_positions(graph)
@@ -125,16 +122,14 @@ def fewest_spatial_hops_from(
     An inactive source reaches nothing, giving ``{}``.  ``shards`` routes
     the sweep through the pipelined time-shard driver.
     """
-    from repro.engine import get_label_kernel, get_sharded_driver, resolve_backend
+    from repro.engine import get_sweeper, resolve_backend
 
     backend = resolve_backend(backend)
     source = (source[0], source[1])
     if not graph.is_active(*source):
         return {}
     if backend == "vectorized":
-        if shards is not None:
-            return get_sharded_driver(graph, shards).fewest_hops([source])[source]
-        return get_label_kernel(graph).fewest_hops([source])[source]
+        return get_sweeper(graph, shards).fewest_hops([source])[source]
     best: dict[TemporalNodeTuple, int] = {source: 0}
     heap: list[tuple[int, int, TemporalNodeTuple]] = [(0, 0, source)]
     counter = 0
@@ -187,18 +182,14 @@ def latest_departure_times(
     question for all sources at once.  An inactive target gives ``{}``.
     ``shards`` routes the sweep through the pipelined time-shard driver.
     """
-    from repro.engine import get_label_kernel, get_sharded_driver, resolve_backend
+    from repro.engine import get_sweeper, resolve_backend
 
     backend = resolve_backend(backend)
     target = (target[0], target[1])
     if not graph.is_active(*target):
         return {}
     if backend == "vectorized":
-        if shards is not None:
-            return get_sharded_driver(graph, shards).latest_departures([target])[
-                target
-            ]
-        return get_label_kernel(graph).latest_departures([target])[target]
+        return get_sweeper(graph, shards).latest_departures([target])[target]
     from repro.core.backward import backward_bfs
 
     position = _time_positions(graph)

@@ -11,13 +11,15 @@ flag:
   kept as the correctness oracle.
 
 Compiling a graph costs one pass over the edges, so the compiled artifact
-(:class:`~repro.graph.compiled.CompiledTemporalGraph`) and its kernel are
-cached per graph object (weakly, so graphs remain garbage-collectable) and
-keyed on the graph's exact
-:attr:`~repro.graph.base.BaseEvolvingGraph.mutation_version`.  Any in-place
-edit — including count-preserving ones such as removing one edge and adding
-another — bumps the version and therefore refreshes the entry; the old
-count-based fingerprint that missed those mutations is gone.
+(:class:`~repro.graph.compiled.CompiledTemporalGraph`) and its kernels — the
+:class:`~repro.engine.frontier.FrontierKernel`, whose batched surface also
+serves the label families, and the
+:class:`~repro.engine.spectral.SpectralKernel` — are cached per graph
+object (weakly, so graphs remain garbage-collectable) and keyed on the
+graph's exact :attr:`~repro.graph.base.BaseEvolvingGraph.mutation_version`.
+Any in-place edit — including count-preserving ones such as removing one
+edge and adding another — bumps the version and therefore refreshes the
+entry; the old count-based fingerprint that missed those mutations is gone.
 
 Since PR 4 a version mismatch no longer discards the cached artifact: the
 stale entry is *patched* via delta compilation
@@ -30,6 +32,11 @@ snapshots; the kernels are rebuilt over the patched artifact, which costs a
 few object constructions.  :func:`invalidate_kernel` remains for callers
 that want to drop a cached artifact eagerly (e.g. to free memory, or to
 force the next compile from scratch).
+
+Time-sharded execution has its own version-exact cache
+(:func:`get_sharded_driver`); :func:`get_sweeper` hands a caller either the
+kernel or, with ``shards``, the driver, so the algorithms layer chooses
+once and calls the shared batched readouts.
 
 The cache is thread-safe: lookups on a current entry are lock-free, while
 entry creation and delta recompilation are double-checked under a module
@@ -45,7 +52,6 @@ import threading
 import weakref
 
 from repro.engine.frontier import FrontierKernel
-from repro.engine.labels import LabelKernel
 from repro.engine.sharded_sweep import SHARD_BACKENDS, ShardedSweepDriver
 from repro.engine.spectral import SpectralKernel
 from repro.exceptions import GraphError
@@ -57,12 +63,11 @@ __all__ = [
     "BACKENDS",
     "get_compiled",
     "get_kernel",
-    "get_label_kernel",
     "get_sharded_driver",
     "get_spectral_kernel",
+    "get_sweeper",
     "invalidate_kernel",
     "resolve_backend",
-    "resweep_cached_block",
 ]
 
 #: Recognised values of the ``backend`` flag.
@@ -94,8 +99,8 @@ def resolve_backend(backend: str) -> str:
 
 def _entry(
     graph: BaseEvolvingGraph,
-) -> tuple[CompiledTemporalGraph, FrontierKernel, LabelKernel, SpectralKernel]:
-    """The cached ``(compiled, kernel, label_kernel, spectral_kernel)`` quadruple.
+) -> tuple[CompiledTemporalGraph, FrontierKernel, SpectralKernel]:
+    """The cached ``(compiled, kernel, spectral_kernel)`` triple.
 
     Rebuilt on version mismatch; every kernel shares the one compiled
     artifact (kernel construction is cheap — all per-kernel state is lazy).
@@ -106,7 +111,7 @@ def _entry(
     except TypeError:  # unhashable graph object
         cached = None
     if cached is not None and cached[0] == version:
-        return cached[1], cached[2], cached[3], cached[4]
+        return cached[1], cached[2], cached[3]
     with _CACHE_LOCK:
         # double-check: another thread may have compiled while we waited
         version = graph.mutation_version
@@ -115,35 +120,28 @@ def _entry(
         except TypeError:
             cached = None
         if cached is not None and cached[0] == version:
-            return cached[1], cached[2], cached[3], cached[4]
+            return cached[1], cached[2], cached[3]
         # delta-aware refresh: patch the stale artifact in place of a full
         # rebuild, reusing every snapshot whose version stamp did not move
         previous = cached[1] if cached is not None else None
         compiled = CompiledTemporalGraph.recompile(graph, previous)
         kernel = FrontierKernel(compiled)
-        label_kernel = LabelKernel(compiled, frontier=kernel)
         spectral_kernel = SpectralKernel(compiled)
         if cached is not None and compiled is not cached[1]:
             # a delta recompile shares every untouched snapshot's operator
             # object, so the stale spectral kernel's LU factorizations,
             # float/int casts and radius bounds carry over — only the
             # (snapshot, alpha) pairs the batch touched refactorize
-            spectral_kernel.adopt_caches(cached[4])
+            spectral_kernel.adopt_caches(cached[3])
         if graph.mutation_version == version:
             # only publish an entry whose stamp still matches the graph; a
             # writer that mutated mid-compile forces the next reader to
             # recompile rather than ever caching a stale artifact
             try:
-                _CACHE[graph] = (
-                    version,
-                    compiled,
-                    kernel,
-                    label_kernel,
-                    spectral_kernel,
-                )
+                _CACHE[graph] = (version, compiled, kernel, spectral_kernel)
             except TypeError:  # unhashable or non-weakrefable graph object
                 pass
-        return compiled, kernel, label_kernel, spectral_kernel
+        return compiled, kernel, spectral_kernel
 
 
 def get_compiled(graph: BaseEvolvingGraph) -> CompiledTemporalGraph:
@@ -160,24 +158,15 @@ def get_kernel(graph: BaseEvolvingGraph) -> FrontierKernel:
     return _entry(graph)[1]
 
 
-def get_label_kernel(graph: BaseEvolvingGraph) -> LabelKernel:
-    """The cached :class:`LabelKernel` for ``graph``, sharing the compiled artifact.
-
-    The label kernel rides the same cache entry as the frontier kernel, so
-    boolean sweeps and numeric label sweeps never compile the graph twice.
-    """
-    return _entry(graph)[2]
-
-
 def get_spectral_kernel(graph: BaseEvolvingGraph) -> SpectralKernel:
     """The cached :class:`SpectralKernel` for ``graph``, sharing the compiled artifact.
 
-    Rides the same cache entry as the frontier and label kernels, so the
+    Rides the same cache entry as the frontier kernel, so the
     spectral family (communicability, broadcast/receive centrality, dynamic
     walk counts) never compiles the graph separately — and its lazy LU /
     radius caches survive as long as the graph stays unmutated.
     """
-    return _entry(graph)[3]
+    return _entry(graph)[2]
 
 
 #: Per-graph sharded-driver cache: ``graph -> (mutation_version, {key: driver})``.
@@ -233,6 +222,8 @@ def get_sharded_driver(
     (:meth:`~repro.graph.sharded.ShardedTemporalGraph.recompile`), which
     carries every clean shard object and its warmed kernel over from the
     evicted driver, so streamed mutations rebuild O(dirty shards) only.
+    A cached driver that was closed — a process-backend worker died under
+    it — is replaced by a fresh one on the next call.
     """
     if backend is None:
         backend = os.environ.get("REPRO_SHARD_BACKEND", "serial")
@@ -249,7 +240,7 @@ def get_sharded_driver(
         cached = None
     if cached is not None and cached[0] == version:
         driver = cached[1].get(key)
-        if driver is not None:
+        if driver is not None and not driver._closed:
             return driver
     with _CACHE_LOCK:
         try:
@@ -264,8 +255,9 @@ def get_sharded_driver(
             stale_map = cached[1]
             cached = None
         if cached is not None:
+            # a closed driver (its process pipeline lost a worker) is rebuilt
             driver = cached[1].get(key)
-            if driver is not None:
+            if driver is not None and not driver._closed:
                 return driver
         stale = stale_map.get(key) if stale_map else None
         if stale is not None and stale.sharded.num_shards == int(shards):
@@ -292,28 +284,19 @@ def get_sharded_driver(
         return driver
 
 
-def resweep_cached_block(
-    graph: BaseEvolvingGraph,
-    dist,
-    insertions,
-    *,
-    pinned=None,
-) -> int:
-    """Patch a cached forward-search distance block for a pure-insertion batch.
+def get_sweeper(
+    graph: BaseEvolvingGraph, shards: int | None = None
+) -> FrontierKernel | ShardedSweepDriver:
+    """The cached batched sweep surface for ``graph``, exact to its version.
 
-    The entry point for any caller that keeps decoded-on-demand ``(T, N)``
-    distance blocks across mutations:
-    resolves the version-exact cached kernel for ``graph`` — delta-recompiled
-    if the graph moved — and folds ``insertions`` into ``dist`` in place via
-    :meth:`~repro.engine.frontier.FrontierKernel.patch_distance_block`, the
-    same decrease-only re-sweep :class:`~repro.algorithms.incremental.IncrementalBFS`
-    maintains its state with.  ``dist`` must have been computed against an
-    artifact with the current artifact's axes (the delta recompile preserves
-    axes whenever insertions stay inside the node/timestamp universe; callers
-    must prune, not patch, when the universe changed).  Returns the number of
-    slots whose distance improved.
+    The :class:`FrontierKernel` (:func:`get_kernel`), or with ``shards`` the
+    pipelined time-shard driver (:func:`get_sharded_driver`); both carry the
+    same :class:`~repro.engine.sharded_sweep.BatchedSweeps` methods with
+    bit-identical answers, so a caller picks one here and runs any family.
     """
-    return get_kernel(graph).patch_distance_block(dist, insertions, pinned=pinned)
+    if shards is None:
+        return get_kernel(graph)
+    return get_sharded_driver(graph, shards)
 
 
 def invalidate_kernel(graph: BaseEvolvingGraph) -> None:

@@ -27,21 +27,27 @@ arrays instead of Python dictionaries:
   slot outside the visited lanes; only the snapshots holding such bits are
   unpacked to write the ``(T, N, R)`` int32 distance block.
 
-Since PR 2 the kernel no longer compiles the graph itself: it executes over
-a shared :class:`~repro.graph.compiled.CompiledTemporalGraph` (pass either
-the artifact or a graph, which is compiled on the spot).  On top of the BFS
-drivers it exposes the batched analytics primitives the ported
-:mod:`repro.algorithms` layer runs on: per-root identity reach counts,
-harmonic-closeness sums, and the Katz series over the temporal block matrix.
+The kernel executes over a shared
+:class:`~repro.graph.compiled.CompiledTemporalGraph` (pass either the
+artifact or a graph, which is compiled on the spot).  Its batched entry
+points — ``multi_source``, ``batch``, ``distance_blocks``, identity reach
+counts, harmonic-closeness sums and the label-family readouts
+(``earliest_arrivals``, ``latest_departures``, ``zero_one_labels``,
+``fewest_hops``, ``tang_steps``) — are the one surface
+:class:`~repro.engine.sharded_sweep.BatchedSweeps` it shares with the
+sharded driver: the kernel runs each chunk of roots as a one-shard chain
+(itself, global snapshot 0, an empty incoming boundary), lazily, one chunk
+per step.  On top of those it keeps the single-source ``bfs``, the
+incremental-maintenance primitives of the streaming layer, and the Katz
+series over the temporal block matrix.
 
 The kernel produces exactly the ``reached`` dictionaries of the pure-Python
 reference implementations (Theorem 4 equivalence); the property-based suites
 ``tests/test_engine.py`` and ``tests/test_algorithms_vectorized.py`` assert
 this on random evolving graphs.  :meth:`FrontierKernel._run` is the one
 sweep loop of the BFS family: it optionally starts from an incoming
-boundary (the state earlier time shards reached), so the sharded driver's
-shard sweeps call it too and a monolithic sweep is the one-shard,
-empty-boundary case.  ``bfs(track_parents=True)`` reads a valid
+boundary (the state earlier time shards reached), so every shard of every
+chain calls it.  ``bfs(track_parents=True)`` reads a valid
 shortest-path tree off the finished distance block in one pass (used by the
 ported sampled betweenness).  The tree may differ from the Python
 implementation's discovery order on ties, so searches whose *documented*
@@ -65,23 +71,19 @@ this on a few hundred nodes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
-from repro.exceptions import ConvergenceError, GraphError, InactiveNodeError
+from repro.engine.sharded_sweep import _DIRECTIONS, BatchedSweeps, BoundaryBlock
+from repro.exceptions import ConvergenceError, GraphError
 from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
 from repro.linalg.csr import OperationCounter
 
-if TYPE_CHECKING:
-    from repro.engine.sharded_sweep import BoundaryBlock
-
 __all__ = ["FrontierKernel"]
-
-_DIRECTIONS = ("forward", "backward")
 
 #: Sentinel distance for unreached slots inside the decrease-only re-sweep
 #: (large enough that ``_UNREACHED`` never wins a minimum, small enough that
@@ -89,70 +91,7 @@ _DIRECTIONS = ("forward", "backward")
 _UNREACHED = np.int32(2**30)
 
 
-def _chunked(items: list, chunk_size: int) -> list[list]:
-    """``items`` split into consecutive chunks of ``chunk_size``.
-
-    The one chunk-size check of every batched kernel surface: widths below 1
-    raise :class:`~repro.exceptions.GraphError`.
-    """
-    if chunk_size < 1:
-        raise GraphError(f"chunk_size must be at least 1, got {chunk_size}")
-    return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-
-
-def _slot_keys(labels: Sequence[Node], times: Sequence[Time]) -> np.ndarray:
-    """The ``(node, time)`` label of every slot, in ``t * N + v`` order.
-
-    An object array, so one fancy index picks the keys of many slots and
-    every answer decoded through it shares the same key tuples.
-    """
-    return np.fromiter(
-        ((label, time) for time in times for label in labels),
-        dtype=object,
-        count=len(times) * len(labels),
-    )
-
-
-def _decode_column(keys: np.ndarray, dist: np.ndarray, col: int) -> dict:
-    """``{(node, time): distance}`` of one ``(T, N, R)`` column's reached slots.
-
-    Iterates in ``(t, v)``-major order, as :func:`numpy.nonzero` does.
-    """
-    column = dist[:, :, col].ravel()
-    flat = np.flatnonzero(column >= 0)
-    return dict(zip(keys[flat].tolist(), column[flat].tolist()))
-
-
-def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
-    """Per-snapshot harmonic partial rows of a ``(T, N, R)`` distance block.
-
-    The canonical first reduction stage of the harmonic-closeness sum: for
-    each snapshot, ``sum(1/d)`` over its nodes as ONE contiguous pairwise
-    reduction along the node axis.  Both the monolithic kernel and the
-    sharded driver reduce through this function, so a shard boundary never
-    changes which floats meet inside the node-axis reduction — the remaining
-    time-axis accumulation (:func:`_harmonic_accumulate`) is then performed
-    in explicit global snapshot order by both, making the two bit-identical.
-    """
-    inverse = np.where(dist > 0, 1.0 / np.maximum(dist, 1), 0.0)
-    # (T, R, N) C-contiguous so the node-axis sum is a flat pairwise pass
-    return np.ascontiguousarray(inverse.transpose(0, 2, 1)).sum(axis=2)
-
-
-def _harmonic_accumulate(rows: np.ndarray) -> np.ndarray:
-    """Fold ``(T, R)`` per-snapshot harmonic rows in time order, sequentially.
-
-    Plain left-to-right float addition over the time axis — deliberately NOT
-    ``rows.sum(axis=0)``, whose pairwise tree would depend on T and therefore
-    on shard boundaries when partials are folded shard by shard.
-    """
-    sums = np.zeros(rows.shape[1:], dtype=np.float64)
-    for row in rows:
-        sums = sums + row
-    return sums
-
-
-class FrontierKernel:
+class FrontierKernel(BatchedSweeps):
     """Sparse execution engine for frontier expansion over one evolving graph.
 
     Parameters
@@ -192,11 +131,16 @@ class FrontierKernel:
                 f"evolving graph, got {type(source).__name__}"
             )
         self.compiled = compiled
+        self._axes = compiled
         self.counter = counter
+        # the one-shard chain of the batched surface: the kernel is its own
+        # only shard, spanning every snapshot
+        self._boundaries = ((0, compiled.num_snapshots),)
         # decode tables, copied once so per-root result decoding stays cheap;
         # the slot key table is built on the first decode
         self._labels: list[Node] = compiled.node_labels
         self._times: tuple[Time, ...] = compiled.times
+        self._node_index = compiled._node_index
         self._keys: np.ndarray | None = None
         # (dst row, src column) coordinate expansions for parent attribution,
         # built lazily once per operator stack (the artifact is immutable)
@@ -215,28 +159,13 @@ class FrontierKernel:
         return self.compiled.times
 
     @property
-    def node_labels(self) -> list[Node]:
-        """Node labels indexing the matrix rows/columns."""
-        return self.compiled.node_labels
-
-    @property
-    def num_nodes(self) -> int:
-        """Size ``N`` of the shared node universe."""
-        return self.compiled.num_nodes
-
-    @property
-    def num_snapshots(self) -> int:
-        """Number of snapshots ``T``."""
-        return self.compiled.num_snapshots
-
-    @property
     def nnz(self) -> int:
         """Stored entries summed over all snapshot matrices."""
         return self.compiled.nnz
 
-    def is_active(self, node: Node, time: Time) -> bool:
-        """Whether ``(node, time)`` is active (Definition 3), per the compiled masks."""
-        return self.compiled.is_active(node, time)
+    def _kernel(self, shard_index: int) -> FrontierKernel:
+        """The kernel sweeping shard ``shard_index``: itself, the only shard."""
+        return self
 
     # ------------------------------------------------------------------ #
     # searches                                                            #
@@ -272,55 +201,6 @@ class FrontierKernel:
             parent_t, parent_v = self._parent_slots(dist, direction, reverse_edges)
             result.parents = self._parents_dict(dist, parent_t, parent_v, 0)
         return result
-
-    def multi_source(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-    ) -> BFSResult:
-        """One search seeded at several roots: distance to the *nearest* root.
-
-        Inactive roots are skipped; when every root is inactive an
-        :class:`InactiveNodeError` is raised (matching
-        :func:`repro.core.bfs.multi_source_bfs`).
-        """
-        root_list = [(r[0], r[1]) for r in roots]
-        active_roots = [r for r in root_list if self.is_active(*r)]
-        if not active_roots:
-            if root_list:
-                raise InactiveNodeError(*root_list[0])
-            raise ValueError("multi_source requires at least one root")
-        seeds = [self._seed_index(r) for r in active_roots]
-        dist = self._run([seeds], direction)
-        return BFSResult(root=tuple(active_roots), reached=self._reached_dict(dist, 0))
-
-    def batch(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        chunk_size: int = 128,
-    ) -> dict[TemporalNodeTuple, BFSResult]:
-        """Many *independent* single-source searches, amortized over one traversal.
-
-        The roots are packed ``chunk_size`` at a time into the columns of a
-        dense block, so every frontier advance is one CSR × dense-block
-        product per snapshot instead of one full traversal per root.
-        Inactive roots are skipped silently (matching
-        :func:`repro.parallel.batch.batch_bfs`).
-        """
-        root_list = [(r[0], r[1]) for r in roots]
-        active_roots = [r for r in root_list if self.is_active(*r)]
-        results: dict[TemporalNodeTuple, BFSResult] = {}
-        for chunk, dist in self.distance_blocks(
-            active_roots, direction=direction, chunk_size=chunk_size
-        ):
-            for col, root in enumerate(chunk):
-                results[root] = BFSResult(
-                    root=root, reached=self._reached_dict(dist, col)
-                )
-        return results
 
     # ------------------------------------------------------------------ #
     # incremental maintenance (the streaming layer)                       #
@@ -744,67 +624,6 @@ class FrontierKernel:
                     improved[ti] |= better
         return changed
 
-    # ------------------------------------------------------------------ #
-    # batched analytics primitives (the ported algorithms layer)          #
-    # ------------------------------------------------------------------ #
-
-    def identity_reach_counts(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        reverse_edges: bool = False,
-        chunk_size: int = 128,
-    ) -> dict[TemporalNodeTuple, int]:
-        """Per root: how many *other* node identities its search reaches.
-
-        Equals ``len({v for (v, t) in reached} - {root_node})`` of the
-        per-root Python BFS, computed without ever materializing the reached
-        dictionaries: the ``(T, N, R)`` distance block is collapsed over the
-        time axis and the per-column identity counts are read off in one
-        reduction.  Powers :func:`repro.algorithms.centrality.temporal_out_reach`,
-        ``temporal_in_reach`` and ``top_influencers``.
-        """
-        out: dict[TemporalNodeTuple, int] = {}
-        for chunk, dist in self.distance_blocks(
-            roots,
-            direction=direction,
-            reverse_edges=reverse_edges,
-            chunk_size=chunk_size,
-        ):
-            identity_reached = (dist >= 0).any(axis=0)  # (N, R)
-            counts = identity_reached.sum(axis=0)
-            for col, root in enumerate(chunk):
-                # the root's own identity is always reached (distance 0)
-                out[root] = int(counts[col]) - 1
-        return out
-
-    def harmonic_closeness_sums(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        chunk_size: int = 128,
-    ) -> dict[TemporalNodeTuple, float]:
-        """Per root: ``sum(1/d)`` over reached temporal nodes at distance > 0.
-
-        The unnormalized harmonic-closeness numerator of
-        :func:`repro.algorithms.centrality.temporal_closeness`, reduced
-        straight off the distance block in the *canonical* order: one
-        pairwise reduction over nodes per snapshot, then a sequential
-        accumulation of the per-snapshot rows in global time order.  The
-        sharded driver reduces its per-shard partials identically, so
-        monolithic and sharded sums are bit-identical on every backend.
-        """
-        out: dict[TemporalNodeTuple, float] = {}
-        for chunk, dist in self.distance_blocks(
-            roots, direction=direction, chunk_size=chunk_size
-        ):
-            sums = _harmonic_accumulate(_harmonic_rows(dist))
-            for col, root in enumerate(chunk):
-                out[root] = float(sums[col])
-        return out
-
     def katz_scores(
         self,
         *,
@@ -878,45 +697,6 @@ class FrontierKernel:
     # the engine loop                                                     #
     # ------------------------------------------------------------------ #
 
-    def _seed_index(self, root: TemporalNodeTuple) -> tuple[int, int]:
-        node, time = root
-        slot = self.compiled.slot(node, time)
-        if slot is None or not self.compiled.active_mask[slot]:
-            raise InactiveNodeError(node, time)
-        return slot
-
-    def distance_blocks(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        reverse_edges: bool = False,
-        chunk_size: int = 128,
-    ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
-        """Run independent searches ``chunk_size`` roots at a time.
-
-        Yields ``(chunk, dist)`` pairs where ``dist`` is the raw ``(T, N, R)``
-        int32 distance block whose column ``r`` belongs to ``chunk[r]``
-        (``-1`` = unreached).  This is the batched array-level interface the
-        label kernel and the engine-backed algorithms layer (influence-leaf
-        detection, community unions) consume when they want whole blocks
-        rather than decoded per-root dictionaries; :meth:`batch` is the
-        decoded convenience form.  ``chunk_size`` is checked on the call;
-        each chunk's sweep runs when the iterator reaches it.
-        """
-        chunks = _chunked([(r[0], r[1]) for r in roots], chunk_size)
-        return (
-            (
-                chunk,
-                self._run(
-                    [[self._seed_index(r)] for r in chunk],
-                    direction,
-                    reverse_edges=reverse_edges,
-                ),
-            )
-            for chunk in chunks
-        )
-
     def _operator_degrees(self, use_forward_ops: bool) -> list[np.ndarray]:
         """Per-snapshot operator column counts (the push-direction cost model).
 
@@ -954,12 +734,13 @@ class FrontierKernel:
         the snapshots holding newly discovered bits to write distances.
 
         ``boundary`` is the state earlier time shards reached (a
-        :class:`~repro.engine.sharded_sweep.BoundaryBlock`; ``None`` for a
-        monolithic sweep): at the round assigning distance ``m + 1`` the
-        nodes it holds at minimal level ``m`` seed the causal carry —
-        exactly the lanes a monolithic carry would hold when entering this
-        snapshot range at that level — and rounds keep running past frontier
-        death while later boundary levels can still revive the sweep.
+        :class:`~repro.engine.sharded_sweep.BoundaryBlock`; ``None`` or an
+        empty block for the first shard of a chain): at the round assigning
+        distance ``m + 1`` the nodes it holds at minimal level ``m`` seed the
+        causal carry — exactly the lanes a monolithic carry would hold when
+        entering this snapshot range at that level — and rounds keep running
+        past frontier death while later boundary levels can still revive the
+        sweep.
         """
         if direction not in _DIRECTIONS:
             raise GraphError(f"unsupported direction {direction!r}")
@@ -1109,20 +890,6 @@ class FrontierKernel:
         parent_t[tt, vv, cc] = tt
         parent_v[tt, vv, cc] = vv
         return parent_t, parent_v
-
-    def _key_table(self) -> np.ndarray:
-        """The ``(node, time)`` key of every slot (:func:`_slot_keys`), built once."""
-        if self._keys is None:
-            self._keys = _slot_keys(self._labels, self._times)
-        return self._keys
-
-    def _reached_dict(
-        self,
-        dist: np.ndarray,
-        col: int,
-    ) -> dict[TemporalNodeTuple, int]:
-        """Decode one column of the distance array back into temporal-node labels."""
-        return _decode_column(self._key_table(), dist, col)
 
     def _parents_dict(
         self,

@@ -1,4 +1,4 @@
-"""Pipelined cross-shard sweeps over a :class:`ShardedTemporalGraph`.
+"""The batched sweep surface, and its execution over time shards.
 
 The causal step of every kernel sweep is a *prefix* operation over
 snapshots: influence crosses a time-shard boundary only forward (or, for
@@ -7,7 +7,8 @@ a sweep is one packed block per root column — which node identities the
 earlier shards reached, at what minimal level.  That is what makes the
 sweeps of :class:`~repro.engine.frontier.FrontierKernel` and
 :class:`~repro.engine.labels.LabelKernel` shardable *bit-identically* (the
-paper's Theorem 4 reading: causal blocks act only forward in time):
+paper's Theorem 4 reading: causal blocks act only forward in time), and a
+monolithic sweep the one-shard case of a sharded one:
 
 * shard ``i`` calls the kernel's own sweep loop over its ``(T_i, N, L)``
   root lanes (:mod:`~repro.engine.bitops`: one bitset of root columns per
@@ -17,75 +18,86 @@ paper's Theorem 4 reading: causal blocks act only forward in time):
   (BFS), the zero-cost saturation
   (``causal_cost=0`` label sweeps) or the unit expansion
   (``causal_cost=1``), which is precisely when and how a monolithic carry
-  would have delivered them.  A monolithic sweep is the one-shard,
-  empty-boundary case of the same loop;
+  would have delivered them;
 * injecting each node once, at its *minimal* level, is exact: a causal
   carry reaches every later snapshot of the node in one step, so the first
   injection visits every slot a later appearance could, and the sweep's
   visited masking makes the later firings no-ops;
-* the shard hands downstream a :class:`BoundaryBlock` — the element-wise
-  minimum of its own per-node levels with the incoming block — and the
-  Tang sweep, whose state is time-free, hands its raw ``(N, L)`` informed
-  lanes.  This module only does that bookkeeping; it holds no sweep loop.
+* every shard but the last of a chain hands downstream a
+  :class:`BoundaryBlock` — the element-wise minimum of its own per-node
+  levels with the incoming block — and the Tang sweep, whose state is
+  time-free, hands its raw ``(N, L)`` informed lanes.  The last shard
+  hands nothing on.
 
-:class:`ShardedSweepDriver` schedules those shard sweeps three ways:
+:class:`BatchedSweeps` is the one batched surface: ``multi_source``,
+``batch``, ``distance_blocks``, the identity-reach, harmonic-closeness and
+first/last-hit time readouts, the 0/1 label blocks, fewest hops and Tang
+steps.  Each method chunks its roots, seeds one plan per chunk (the
+per-shard seed slots and the empty boundary entering the chain), runs the
+plans through the chain with :func:`_run_shard_task` — which reduces each
+shard's block to the partial its readout needs (:func:`_reduce_block`) —
+and folds the per-shard partials with :func:`_merge_partials`.
+:class:`~repro.engine.frontier.FrontierKernel` inherits it as the one-shard
+chain: itself, global start 0, its plans swept lazily one chunk at a time,
+no hand-off built, and the single partial returned uncopied.
 
-* ``backend="serial"`` — shard-major in one process: every root-chunk's
-  sweep visits shard 0, then every sweep visits shard 1, …  With a
-  store-backed graph each shard is :meth:`released
+:class:`ShardedSweepDriver` inherits the same surface and runs its shard
+chain on one of two backends:
+
+* ``backend="serial"`` — in the calling thread.  In-memory layouts sweep
+  chain-major and lazily, like the kernel.  Store-backed layouts sweep
+  shard-major: every root-chunk's sweep visits shard 0, then every sweep
+  visits shard 1, …, and each shard is :meth:`released
   <repro.graph.sharded.ShardedTemporalGraph.release>` before the next is
   opened, so peak operator residency is one shard — the out-of-core path;
-* ``backend="thread"`` — root-chunks flow through the shard chain
-  concurrently (chunk ``c`` sweeps shard 2 while chunk ``c+1`` sweeps
-  shard 0): software pipelining over root-batches, sharing the in-process
-  shard artifacts;
 * ``backend="process"`` — persistent workers each *own* a subset of shards
   permanently (the picklable compiled artifacts ship once, at startup);
   thereafter only task tuples and packed boundary blocks (one ``(N, L)``
-  lane plane per level) cross process boundaries.  Shards are assigned to
-  workers by :func:`~repro.parallel.partition.chunk_by_weight` over shard
-  nnz.
+  lane plane per level) cross process boundaries, and root-chunks pipeline
+  through the chain.  Shards are assigned to workers by
+  :func:`~repro.parallel.partition.chunk_by_weight` over shard nnz.  A
+  worker that dies makes the next wait raise :class:`ShardWorkerError`
+  instead of hanging.
 
-Every public method mirrors its monolithic kernel twin — same arguments,
-same decoded shapes, bit-identical results (``tests/test_sharded.py``
-hypothesis-asserts this across families, shard counts and backends).  Even
-the float harmonic sums are exact: shards ship per-snapshot partial rows
-and the driver folds them in canonical global snapshot order, replaying
-the monolithic reduction addition-for-addition.  Obtain a cached driver
-via :func:`repro.engine.get_sharded_driver`.
+Results are bit-identical to the monolithic kernel on every family
+(``tests/test_sharded.py`` hypothesis-asserts this across families, shard
+counts and backends).  Even the float harmonic sums are exact: shards ship
+per-snapshot partial rows and the chain folds them in canonical global
+snapshot order, replaying the monolithic reduction addition-for-addition.
+Obtain a cached driver via :func:`repro.engine.get_sharded_driver`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator, Sequence
+import queue
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
-from repro.engine.frontier import (
-    _DIRECTIONS,
-    FrontierKernel,
-    _chunked,
-    _decode_column,
-    _harmonic_accumulate,
-    _harmonic_rows,
-    _slot_keys,
-)
 from repro.engine.labels import LabelKernel
-from repro.exceptions import GraphError, InactiveNodeError
+from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph.base import Node, TemporalNodeTuple, Time
 from repro.graph.sharded import ShardedTemporalGraph
 
-__all__ = ["BoundaryBlock", "ShardedSweepDriver", "SHARD_BACKENDS"]
+if TYPE_CHECKING:
+    from repro.engine.frontier import FrontierKernel
 
-SHARD_BACKENDS = ("serial", "thread", "process")
+__all__ = ["BatchedSweeps", "BoundaryBlock", "ShardedSweepDriver", "SHARD_BACKENDS"]
+
+SHARD_BACKENDS = ("serial", "process")
+
+_DIRECTIONS = ("forward", "backward")
 
 #: Sentinel level for nodes no earlier shard has reached (same headroom
 #: contract as the frontier kernel's ``_UNREACHED``: never wins a minimum,
 #: ``_FAR + 1`` cannot overflow int32).
 _FAR = np.int32(2**30)
+
+#: Seconds the process backend waits for a result before it checks that
+#: every worker is still alive.
+_WORKER_POLL_S = 0.2
 
 
 # --------------------------------------------------------------------------- #
@@ -172,6 +184,155 @@ class BoundaryBlock:
 
 
 # --------------------------------------------------------------------------- #
+# readouts: what a shard's block reduces to, and how partials combine         #
+# --------------------------------------------------------------------------- #
+
+
+def _slot_keys(labels: Sequence[Node], times: Sequence[Time]) -> np.ndarray:
+    """The ``(node, time)`` label of every slot, in ``t * N + v`` order.
+
+    An object array, so one fancy index picks the keys of many slots and
+    every answer decoded through it shares the same key tuples.
+    """
+    return np.fromiter(
+        ((label, time) for time in times for label in labels),
+        dtype=object,
+        count=len(times) * len(labels),
+    )
+
+
+def _decode_column(keys: np.ndarray, dist: np.ndarray, col: int) -> dict:
+    """``{(node, time): distance}`` of one ``(T, N, R)`` column's reached slots.
+
+    Iterates in ``(t, v)``-major order, as :func:`numpy.nonzero` does.
+    """
+    column = dist[:, :, col].ravel()
+    flat = np.flatnonzero(column >= 0)
+    return dict(zip(keys[flat].tolist(), column[flat].tolist()))
+
+
+def _time_hits(block: np.ndarray, kind: str, global_start: int = 0) -> np.ndarray:
+    """Per node and column, the snapshot of its first or last reached slot.
+
+    ``block`` is a ``(T_i, N, R)`` level block (``-1`` = unreached) whose
+    first snapshot is global snapshot ``global_start``; ``kind`` is
+    ``"first"`` (the earliest-arrival readout, a running minimum over time)
+    or ``"last"`` (the latest-departure readout, a running maximum).
+    Returns ``(N, R)`` int32 global snapshot indices, ``-1`` where the node
+    is never reached.
+    """
+    reached = block >= 0
+    hit = reached.any(axis=0)
+    if kind == "first":
+        local = reached.argmax(axis=0)
+    else:
+        local = block.shape[0] - 1 - reached[::-1].argmax(axis=0)
+    return np.where(hit, np.int32(global_start) + local, -1).astype(np.int32)
+
+
+def _decode_times(
+    labels: Sequence[Node], times: Sequence[Time], hits: np.ndarray, col: int
+) -> dict[Node, Time]:
+    """``{node: time}`` of one column of a :func:`_time_hits` block."""
+    column = hits[:, col]
+    nodes = np.flatnonzero(column >= 0)
+    return {
+        labels[v]: times[t] for v, t in zip(nodes.tolist(), column[nodes].tolist())
+    }
+
+
+def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
+    """Per-snapshot harmonic partial rows of a ``(T, N, R)`` distance block.
+
+    The canonical first reduction stage of the harmonic-closeness sum: for
+    each snapshot, ``sum(1/d)`` over its nodes as ONE contiguous pairwise
+    reduction along the node axis.  Every shard of every chain reduces
+    through this function, so a shard boundary never changes which floats
+    meet inside the node-axis reduction — the remaining time-axis
+    accumulation (:func:`_harmonic_accumulate`) is then performed in
+    explicit global snapshot order, making any two layouts bit-identical.
+    """
+    inverse = np.where(dist > 0, 1.0 / np.maximum(dist, 1), 0.0)
+    # (T, R, N) C-contiguous so the node-axis sum is a flat pairwise pass
+    return np.ascontiguousarray(inverse.transpose(0, 2, 1)).sum(axis=2)
+
+
+def _harmonic_accumulate(rows: np.ndarray) -> np.ndarray:
+    """Fold ``(T, R)`` per-snapshot harmonic rows in time order, sequentially.
+
+    Plain left-to-right float addition over the time axis — deliberately NOT
+    ``rows.sum(axis=0)``, whose pairwise tree would depend on T and therefore
+    on shard boundaries when partials are folded shard by shard.
+    """
+    sums = np.zeros(rows.shape[1:], dtype=np.float64)
+    for row in rows:
+        sums = sums + row
+    return sums
+
+
+def _reduce_block(
+    kernel: FrontierKernel, kind: str, block: np.ndarray, global_start: int
+) -> object:
+    """Collapse a shard's ``(T_i, N, R)`` block to the partial a readout needs."""
+    if kind == "block":
+        return block
+    if kind == "reach":
+        return (block >= 0).any(axis=0)  # (N, R) identity-hit mask
+    if kind == "harmonic":
+        return _harmonic_rows(block)
+    if kind in ("first", "last"):
+        return _time_hits(block, kind, global_start)
+    if kind == "reached":
+        # decoded per-column dictionaries: the shard owns the full node
+        # universe and its own slice of real time labels, so local decoding
+        # is globally correct (and what keeps process results small)
+        return [kernel._reached_dict(block, col) for col in range(block.shape[2])]
+    raise GraphError(f"unknown shard partial kind {kind!r}")
+
+
+def _merge_partials(kind: str, parts: Sequence) -> object:
+    """Combine per-shard partials (ascending shard index) into the global one.
+
+    A one-part merge returns its part itself, uncopied — except the
+    harmonic fold, which every layout runs so that one-shard and
+    many-shard sums perform the same additions in the same order.
+    """
+    if kind == "harmonic":
+        # concatenating ascending-shard partials restores global snapshot order
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        return _harmonic_accumulate(rows)
+    if len(parts) == 1:
+        return parts[0]
+    if kind == "block":
+        return np.concatenate(parts, axis=0)
+    if kind == "reach":
+        merged = parts[0].copy()
+        for part in parts[1:]:
+            merged |= part
+        return merged
+    if kind in ("first", "last"):
+        merged = parts[0]
+        combine = np.minimum if kind == "first" else np.maximum
+        for part in parts[1:]:
+            merged = np.where(
+                merged < 0, part, np.where(part < 0, merged, combine(merged, part))
+            )
+        return merged
+    if kind == "reached":
+        merged = [dict(d) for d in parts[0]]
+        for part in parts[1:]:
+            for col, d in enumerate(part):
+                merged[col].update(d)
+        return merged
+    if kind == "steps":
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = np.where(merged < 0, part, merged)
+        return merged
+    raise GraphError(f"unknown shard partial kind {kind!r}")
+
+
+# --------------------------------------------------------------------------- #
 # per-shard sweeps (module-level and picklable: every backend runs these)     #
 # --------------------------------------------------------------------------- #
 
@@ -181,6 +342,14 @@ def _bfs_spec(direction: str, reverse_edges: bool = False) -> tuple:
     if direction not in _DIRECTIONS:
         raise GraphError(f"unsupported direction {direction!r}")
     return ("bfs", direction == "forward", bool(reverse_edges))
+
+
+def _zero_one_spec(spatial_cost: int, causal_cost: int) -> tuple:
+    """The picklable spec of a 0/1 label sweep; costs outside ``{0, 1}`` raise."""
+    for cost, name in ((spatial_cost, "spatial_cost"), (causal_cost, "causal_cost")):
+        if cost not in (0, 1):
+            raise GraphError(f"{name} must be 0 or 1, got {cost!r}")
+    return ("zero_one", int(spatial_cost), int(causal_cost))
 
 
 def _handoff(block: np.ndarray, boundary: BoundaryBlock) -> BoundaryBlock:
@@ -201,11 +370,13 @@ def _bfs_shard_sweep(
     *,
     forward: bool,
     reverse_edges: bool,
-) -> tuple[np.ndarray, BoundaryBlock]:
+    handoff: bool = True,
+) -> tuple[np.ndarray, BoundaryBlock | None]:
     """One shard's slice of a BFS sweep; ``((T_i, N, R) dist, boundary out)``.
 
     :meth:`FrontierKernel._run` over the shard's own snapshots, started
-    from ``boundary``.
+    from ``boundary``; the outgoing boundary is ``None`` without ``handoff``
+    (the last shard of a chain).
     """
     block = kernel._run(
         seeds_per_column,
@@ -213,128 +384,74 @@ def _bfs_shard_sweep(
         reverse_edges=reverse_edges,
         boundary=boundary,
     )
-    return block, _handoff(block, boundary)
+    return block, _handoff(block, boundary) if handoff else None
 
 
 def _run_shard_task(
     kernel: FrontierKernel,
     spec: tuple,
     kind: str,
-    seeds: Sequence[Sequence[tuple[int, int]]],
+    seeds: Sequence[Sequence[tuple[int, int]]] | None,
     boundary,
     global_start: int,
+    *,
+    handoff: bool = True,
 ) -> tuple[object, object]:
     """Execute one (shard, chunk) sweep and reduce its block to a partial.
 
     ``spec`` is a picklable family tuple — ``("bfs", forward, reverse_edges)``,
     ``("zero_one", spatial_cost, causal_cost)`` or ``("tang", horizon,
     start_index)`` — and ``kind`` picks the partial shipped back to the
-    driver, so the process backend returns reductions (reach masks, harmonic
-    sums, hit indices, decoded dictionaries) instead of full blocks whenever
-    the readout allows.  Label-family sweeps run through a
-    :class:`LabelKernel` built on the shard's kernel.
+    chain, so the process backend returns reductions (reach masks, harmonic
+    rows, hit indices, decoded dictionaries) instead of full blocks whenever
+    the readout allows.  Returns ``(partial, boundary out)``; the boundary
+    out is ``None`` without ``handoff`` (the last shard of a chain).
+    Label-family sweeps run through a :class:`LabelKernel` over the shard's
+    kernel.
     """
     family = spec[0]
     if family == "tang":
         # the incoming informed lanes and their column count are the
-        # boundary; global step numbers (global snapshot - start_index + 1)
+        # boundary, owned by the chain, so the sweep advances them in
+        # place; global step numbers (global snapshot - start_index + 1)
         # keep the per-shard partials disjoint, because nodes informed
         # upstream are never fresh here
         _, horizon, start_index = spec
         informed, r = boundary
-        informed = informed.copy()
         steps = np.full((kernel.num_nodes, r), -1, dtype=np.int32)
         first = max(0, start_index - global_start)
         LabelKernel(kernel)._tang_sweep(
             informed, steps, first, global_start + first - start_index + 1, horizon
         )
-        return steps, (informed, r)
+        return steps, (informed, r) if handoff else None
     if family == "bfs":
         block, boundary_out = _bfs_shard_sweep(
-            kernel, seeds, boundary, forward=spec[1], reverse_edges=spec[2]
+            kernel,
+            seeds,
+            boundary,
+            forward=spec[1],
+            reverse_edges=spec[2],
+            handoff=handoff,
         )
     else:
         block = LabelKernel(kernel)._zero_one_run(
             seeds, spec[1], spec[2], boundary=boundary
         )
-        boundary_out = _handoff(block, boundary)
+        boundary_out = _handoff(block, boundary) if handoff else None
     return _reduce_block(kernel, kind, block, global_start), boundary_out
-
-
-def _reduce_block(
-    kernel: FrontierKernel, kind: str, block: np.ndarray, global_start: int
-) -> object:
-    """Collapse a shard's ``(T_i, N, R)`` block to the partial a readout needs."""
-    if kind == "block":
-        return block
-    if kind == "reach":
-        return (block >= 0).any(axis=0)  # (N, R) identity-hit mask
-    if kind == "harmonic":
-        # per-snapshot (T_i, R) rows via the monolithic kernel's canonical
-        # reduction; the driver folds them in global snapshot order, so the
-        # float sums are bit-identical to the monolithic readout
-        return _harmonic_rows(block)
-    if kind in ("first", "last"):
-        reached = block >= 0
-        hit = reached.any(axis=0)
-        if kind == "first":
-            local = reached.argmax(axis=0)
-        else:
-            local = block.shape[0] - 1 - reached[::-1].argmax(axis=0)
-        return np.where(hit, np.int32(global_start) + local, -1).astype(np.int32)
-    if kind == "reached":
-        # decoded per-column dictionaries: the shard owns the full node
-        # universe and its own slice of real time labels, so local decoding
-        # is globally correct (and what keeps process results small)
-        return [kernel._reached_dict(block, col) for col in range(block.shape[2])]
-    raise GraphError(f"unknown shard partial kind {kind!r}")
-
-
-def _merge_partials(kind: str, parts: Sequence) -> object:
-    """Combine per-shard partials (ascending shard index) into the global one."""
-    if kind == "block":
-        return np.concatenate(parts, axis=0)
-    if kind == "reach":
-        merged = parts[0].copy()
-        for part in parts[1:]:
-            merged |= part
-        return merged
-    if kind == "harmonic":
-        # concatenating ascending-shard partials restores global snapshot
-        # order; the sequential fold then performs the exact same float
-        # additions, in the exact same order, as the monolithic kernel —
-        # run it even for a single part so one-shard layouts match too
-        return _harmonic_accumulate(np.concatenate(parts, axis=0))
-    if kind in ("first", "last"):
-        merged = parts[0].copy()
-        combine = np.minimum if kind == "first" else np.maximum
-        for part in parts[1:]:
-            merged = np.where(
-                merged < 0, part, np.where(part < 0, merged, combine(merged, part))
-            )
-        return merged
-    if kind == "reached":
-        merged = [dict(d) for d in parts[0]]
-        for part in parts[1:]:
-            for col, d in enumerate(part):
-                merged[col].update(d)
-        return merged
-    if kind == "steps":
-        merged = parts[0].copy()
-        for part in parts[1:]:
-            merged = np.where(merged < 0, part, merged)
-        return merged
-    raise GraphError(f"unknown shard partial kind {kind!r}")
 
 
 def _pipeline_worker(payload, in_q, out_q):  # pragma: no cover - subprocess body
     """Process-backend worker loop: owns its shards for the driver's lifetime.
 
     ``payload`` is ``[(shard index, compiled artifact, global start), ...]``
-    shipped once, at startup, through the PR-3 pickling path; thereafter the
-    input queue carries only task tuples with packed boundary state, and the
-    output queue only ``(chunk, shard, partial, boundary out)`` results.
+    shipped once, at startup, through the compiled artifact's pickling path;
+    thereafter the input queue carries only task tuples with packed
+    boundary state, and the output queue only ``(chunk, shard, partial,
+    boundary out, error)`` results.
     """
+    from repro.engine.frontier import FrontierKernel
+
     kernels = {}
     starts = {}
     for shard_index, artifact, global_start in payload:
@@ -344,10 +461,16 @@ def _pipeline_worker(payload, in_q, out_q):  # pragma: no cover - subprocess bod
         message = in_q.get()
         if message is None:
             break
-        chunk_id, shard_index, spec, kind, seeds, boundary = message
+        chunk_id, shard_index, spec, kind, seeds, boundary, handoff = message
         try:
             partial, boundary_out = _run_shard_task(
-                kernels[shard_index], spec, kind, seeds, boundary, starts[shard_index]
+                kernels[shard_index],
+                spec,
+                kind,
+                seeds,
+                boundary,
+                starts[shard_index],
+                handoff=handoff,
             )
             out_q.put((chunk_id, shard_index, partial, boundary_out, None))
         except Exception as exc:  # noqa: BLE001 - relayed to the driver
@@ -355,11 +478,428 @@ def _pipeline_worker(payload, in_q, out_q):  # pragma: no cover - subprocess bod
 
 
 # --------------------------------------------------------------------------- #
+# the batched surface                                                         #
+# --------------------------------------------------------------------------- #
+
+
+class BatchedSweeps:
+    """The batched sweep surface, written once for the kernel and the driver.
+
+    Every method runs its roots ``chunk_size`` at a time (``None``: the
+    class default) as plans through the sweep chain and decodes the merged
+    partials; the chunk width, directions and costs are checked on the
+    call.  The chain is described by four members:
+
+    * ``_boundaries`` — the half-open global snapshot range of each shard;
+    * :meth:`_kernel` — the :class:`~repro.engine.frontier.FrontierKernel`
+      sweeping shard ``i``;
+    * :meth:`_schedule` — how the plans' chains execute.  The default runs
+      them lazily in the calling thread, one chunk's whole chain per step;
+    * ``_axes`` — the artifact whose ``(T, N)`` axes seed and decode every
+      block (``slot``, ``active_mask``, ``is_active``), with ``_labels``,
+      ``_times``, ``_node_index`` and the lazily built slot ``_keys``.
+
+    A kernel is its own one shard over ``((0, T),)``; the sharded driver
+    names its shards and overrides :meth:`_schedule` by backend.
+    """
+
+    #: Default root-batch width of every chunked method.
+    chunk_size = 128
+
+    # ------------------------------------------------------------------ #
+    # structure                                                           #
+    # ------------------------------------------------------------------ #
+
+    @property
+    def node_labels(self) -> list[Node]:
+        """Node labels indexing the node axis of every block."""
+        return list(self._labels)
+
+    @property
+    def num_nodes(self) -> int:
+        """Size ``N`` of the shared node universe."""
+        return self._axes.num_nodes
+
+    @property
+    def num_snapshots(self) -> int:
+        """Number of snapshots ``T``."""
+        return self._axes.num_snapshots
+
+    def is_active(self, node: Node, time: Time) -> bool:
+        """Whether ``(node, time)`` is active (Definition 3)."""
+        return self._axes.is_active(node, time)
+
+    def _seed_index(self, root: TemporalNodeTuple) -> tuple[int, int]:
+        node, time = root
+        slot = self._axes.slot(node, time)
+        if slot is None or not self._axes.active_mask[slot]:
+            raise InactiveNodeError(node, time)
+        return slot
+
+    def _key_table(self) -> np.ndarray:
+        """The ``(node, time)`` key of every slot (:func:`_slot_keys`), built once."""
+        if self._keys is None:
+            self._keys = _slot_keys(self._labels, self._times)
+        return self._keys
+
+    def _reached_dict(self, dist: np.ndarray, col: int) -> dict[TemporalNodeTuple, int]:
+        """Decode one column of a ``(T, N, R)`` block into temporal-node labels."""
+        return _decode_column(self._key_table(), dist, col)
+
+    # ------------------------------------------------------------------ #
+    # plans and the chain                                                 #
+    # ------------------------------------------------------------------ #
+
+    def _kernel(self, shard_index: int) -> FrontierKernel:
+        """The :class:`~repro.engine.frontier.FrontierKernel` of one shard."""
+        raise NotImplementedError
+
+    def _chain(self, spec: tuple) -> list[int]:
+        """Shard order of a sweep: backward searches run the chain in reverse,
+        and Tang sweeps skip the shards that end before their start."""
+        indices = range(len(self._boundaries))
+        if spec[0] == "bfs" and not spec[1]:
+            return list(reversed(indices))
+        if spec[0] == "tang":
+            return [i for i in indices if self._boundaries[i][1] > spec[2]]
+        return list(indices)
+
+    def _chunks(self, items: Iterable, chunk_size: int | None) -> list[list]:
+        """``items`` in consecutive chunks; widths below 1 raise ``GraphError``."""
+        width = self.chunk_size if chunk_size is None else chunk_size
+        if width < 1:
+            raise GraphError(f"chunk_size must be at least 1, got {width}")
+        items = list(items)
+        return [items[i : i + width] for i in range(0, len(items), width)]
+
+    def _split_seeds(
+        self, seeds_per_column: Sequence[Sequence[tuple[int, int]]]
+    ) -> list[list[list[tuple[int, int]]]]:
+        """Global seed slots, rebased to each shard's local snapshot indices."""
+        return [
+            [
+                [(ti - start, vi) for ti, vi in seeds if start <= ti < stop]
+                for seeds in seeds_per_column
+            ]
+            for start, stop in self._boundaries
+        ]
+
+    def _plan(self, seeds_per_column: Sequence[Sequence[tuple[int, int]]]) -> tuple:
+        """One chunk's plan: its per-shard seeds and the empty boundary."""
+        return (
+            self._split_seeds(seeds_per_column),
+            BoundaryBlock.empty(len(seeds_per_column), self.num_nodes),
+        )
+
+    def _run_chain(
+        self, spec: tuple, kind: str, plan: tuple, chain: Sequence[int]
+    ) -> list:
+        """One plan through the whole chain, in-process; partials in shard order."""
+        seeds_by_shard, boundary = plan
+        last = chain[-1]
+        parts: dict[int, object] = {}
+        for shard_index in chain:
+            parts[shard_index], boundary = _run_shard_task(
+                self._kernel(shard_index),
+                spec,
+                kind,
+                seeds_by_shard[shard_index],
+                boundary,
+                self._boundaries[shard_index][0],
+                handoff=shard_index != last,
+            )
+        return [parts[i] for i in sorted(parts)]
+
+    def _schedule(
+        self, spec: tuple, kind: str, plans: Iterable[tuple], chain: Sequence[int]
+    ) -> Iterable[list]:
+        """Each plan's partials in shard order: lazily, one chain per step."""
+        return (self._run_chain(spec, kind, plan, chain) for plan in plans)
+
+    def _run_plans(
+        self, spec: tuple, kind: str, plans: Iterable[tuple]
+    ) -> Iterator[object]:
+        """The merged partial of each plan, in plan order, as each completes."""
+        for parts in self._schedule(spec, kind, plans, self._chain(spec)):
+            yield _merge_partials(kind, parts)
+
+    def _sweep_chunks(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        spec: tuple,
+        kind: str,
+        chunk_size: int | None,
+    ) -> Iterator[tuple[list[TemporalNodeTuple], object]]:
+        """``(chunk, merged partial)`` per chunk of single-root columns.
+
+        The chunk width is checked on the call; each chunk is seeded and
+        swept when the iterator reaches it, unless the schedule pipelines.
+        """
+        chunks = self._chunks(((r[0], r[1]) for r in roots), chunk_size)
+        plans = (self._plan([[self._seed_index(r)] for r in chunk]) for chunk in chunks)
+        return zip(chunks, self._run_plans(spec, kind, plans))
+
+    # ------------------------------------------------------------------ #
+    # frontier family                                                     #
+    # ------------------------------------------------------------------ #
+
+    def multi_source(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        direction: str = "forward",
+    ) -> BFSResult:
+        """One search seeded at several roots: distance to the *nearest* root.
+
+        Inactive roots are skipped; when every root is inactive an
+        :class:`InactiveNodeError` is raised (matching
+        :func:`repro.core.bfs.multi_source_bfs`).
+        """
+        spec = _bfs_spec(direction)
+        root_list = [(r[0], r[1]) for r in roots]
+        active_roots = [r for r in root_list if self.is_active(*r)]
+        if not active_roots:
+            if root_list:
+                raise InactiveNodeError(*root_list[0])
+            raise ValueError("multi_source requires at least one root")
+        plan = self._plan([[self._seed_index(r) for r in active_roots]])
+        (reached,) = self._run_plans(spec, "reached", [plan])
+        return BFSResult(root=tuple(active_roots), reached=reached[0])
+
+    def batch(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        direction: str = "forward",
+        chunk_size: int | None = None,
+    ) -> dict[TemporalNodeTuple, BFSResult]:
+        """Many *independent* single-source searches, amortized over one traversal.
+
+        The roots are packed ``chunk_size`` at a time into the root lanes of
+        one sweep, so every frontier advance serves the whole chunk.
+        Inactive roots are skipped silently (matching
+        :func:`repro.parallel.batch.batch_bfs`).
+        """
+        spec = _bfs_spec(direction)
+        active_roots = [(r[0], r[1]) for r in roots if self.is_active(r[0], r[1])]
+        results: dict[TemporalNodeTuple, BFSResult] = {}
+        for chunk, reached in self._sweep_chunks(
+            active_roots, spec, "reached", chunk_size
+        ):
+            for col, root in enumerate(chunk):
+                results[root] = BFSResult(root=root, reached=reached[col])
+        return results
+
+    def distance_blocks(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        direction: str = "forward",
+        reverse_edges: bool = False,
+        chunk_size: int | None = None,
+    ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
+        """Run independent searches ``chunk_size`` roots at a time.
+
+        Yields ``(chunk, dist)`` pairs where ``dist`` is the raw global
+        ``(T, N, R)`` int32 distance block whose column ``r`` belongs to
+        ``chunk[r]`` (``-1`` = unreached) — the array-level form that the
+        serving layer and the engine-backed algorithms (influence-leaf
+        detection, community unions) consume; :meth:`batch` is the decoded
+        convenience form.
+        """
+        spec = _bfs_spec(direction, reverse_edges)
+        return self._sweep_chunks(roots, spec, "block", chunk_size)
+
+    def identity_reach_counts(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        direction: str = "forward",
+        reverse_edges: bool = False,
+        chunk_size: int | None = None,
+    ) -> dict[TemporalNodeTuple, int]:
+        """Per root: how many *other* node identities its search reaches.
+
+        Equals ``len({v for (v, t) in reached} - {root_node})`` of the
+        per-root Python BFS, computed without ever materializing the reached
+        dictionaries: each shard collapses its block over time to an
+        ``(N, R)`` identity-hit mask, the chain ORs them and the counts are
+        read off in one reduction.  Powers
+        :func:`repro.algorithms.centrality.temporal_out_reach`,
+        ``temporal_in_reach`` and ``top_influencers``.
+        """
+        spec = _bfs_spec(direction, reverse_edges)
+        out: dict[TemporalNodeTuple, int] = {}
+        for chunk, hit in self._sweep_chunks(roots, spec, "reach", chunk_size):
+            counts = hit.sum(axis=0)
+            for col, root in enumerate(chunk):
+                # the root's own identity is always reached (distance 0)
+                out[root] = int(counts[col]) - 1
+        return out
+
+    def harmonic_closeness_sums(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        direction: str = "forward",
+        chunk_size: int | None = None,
+    ) -> dict[TemporalNodeTuple, float]:
+        """Per root: ``sum(1/d)`` over reached temporal nodes at distance > 0.
+
+        The unnormalized harmonic-closeness numerator of
+        :func:`repro.algorithms.centrality.temporal_closeness`, reduced in
+        the *canonical* order: one pairwise reduction over nodes per
+        snapshot (:func:`_harmonic_rows`), then a sequential accumulation of
+        the per-snapshot rows in global time order, so the sums are
+        bit-identical across shard layouts and backends.
+        """
+        spec = _bfs_spec(direction)
+        out: dict[TemporalNodeTuple, float] = {}
+        for chunk, sums in self._sweep_chunks(roots, spec, "harmonic", chunk_size):
+            for col, root in enumerate(chunk):
+                out[root] = float(sums[col])
+        return out
+
+    # ------------------------------------------------------------------ #
+    # label family                                                        #
+    # ------------------------------------------------------------------ #
+
+    def earliest_arrivals(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        chunk_size: int | None = None,
+    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+        """Per root: the earliest reachable time stamp of *every* node identity.
+
+        One forward sweep per chunk of roots, then the running-minimum
+        readout along the time axis (:func:`_time_hits`): node ``v`` maps to
+        the smallest ``t`` with ``(v, t)`` reached.  Roots themselves map to
+        their own time.
+        """
+        return self._time_readouts(roots, "forward", "first", chunk_size)
+
+    def latest_departures(
+        self,
+        targets: Iterable[TemporalNodeTuple],
+        *,
+        chunk_size: int | None = None,
+    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+        """Per target: the latest time stamp from which every node can still reach it.
+
+        The mirrored readout of :meth:`earliest_arrivals`: one *backward*
+        sweep (on the lazily transposed operator stacks), then the running
+        maximum along the time axis.
+        """
+        return self._time_readouts(targets, "backward", "last", chunk_size)
+
+    def _time_readouts(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        direction: str,
+        kind: str,
+        chunk_size: int | None,
+    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
+        for chunk, hits in self._sweep_chunks(
+            roots, _bfs_spec(direction), kind, chunk_size
+        ):
+            for col, root in enumerate(chunk):
+                out[root] = _decode_times(self._labels, self._times, hits, col)
+        return out
+
+    def zero_one_labels(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        spatial_cost: int = 1,
+        causal_cost: int = 0,
+        chunk_size: int | None = None,
+    ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
+        """(min, +) labels with per-edge-family costs drawn from ``{0, 1}``.
+
+        Yields ``(chunk, labels)`` pairs where ``labels`` is the ``(T, N, R)``
+        int32 block of minimal path costs (``-1`` unreachable), swept by
+        :meth:`LabelKernel._zero_one_run
+        <repro.engine.labels.LabelKernel._zero_one_run>`.
+        ``(spatial_cost=1, causal_cost=0)`` is the Grindrod–Higham
+        fewest-spatial-hops convention; ``(1, 1)`` recovers the paper's
+        Definition-6 distance.
+        """
+        spec = _zero_one_spec(spatial_cost, causal_cost)
+        return self._sweep_chunks(roots, spec, "block", chunk_size)
+
+    def fewest_hops(
+        self,
+        roots: Iterable[TemporalNodeTuple],
+        *,
+        chunk_size: int | None = None,
+    ) -> dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]]:
+        """Per root: minimal static-edge count to every reachable temporal node.
+
+        The decoded form of the ``(spatial_cost=1, causal_cost=0)`` sweep —
+        the dynamic-walk hop convention in which causal waiting is free.
+        """
+        out: dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]] = {}
+        for chunk, hops in self._sweep_chunks(
+            roots, _zero_one_spec(1, 0), "reached", chunk_size
+        ):
+            for col, root in enumerate(chunk):
+                out[root] = hops[col]
+        return out
+
+    def tang_steps(
+        self,
+        source_nodes: Iterable[Node],
+        *,
+        horizon: int = 1,
+        start_index: int = 0,
+        chunk_size: int | None = None,
+    ) -> dict[Node, dict[Node, int]]:
+        """Per source node: Tang snapshot-count distance to every node identity.
+
+        Seeds one column per source and sweeps the time axis once
+        (:meth:`LabelKernel._tang_sweep
+        <repro.engine.labels.LabelKernel._tang_sweep>`), the informed lanes
+        flowing shard to shard: within-snapshot spreading runs at most
+        ``horizon`` advance rounds, and informed nodes persist across
+        snapshots with no activeness requirement — Tang's convention,
+        deliberately *not* the paper's.  Labels count snapshots inclusively
+        from ``start_index``; sources are 0; nodes never informed are
+        absent.
+        """
+        if start_index < 0 or start_index >= self.num_snapshots:
+            raise GraphError(f"start_index {start_index} out of range")
+        spec = ("tang", int(horizon), int(start_index))
+        chunks = self._chunks(source_nodes, chunk_size)
+        plans = (self._tang_plan(chunk) for chunk in chunks)
+        out: dict[Node, dict[Node, int]] = {}
+        for chunk, steps in zip(chunks, self._run_plans(spec, "steps", plans)):
+            for col, source in enumerate(chunk):
+                vi = self._node_index.get(source)
+                if vi is not None:
+                    steps[vi, col] = 0
+                known = np.flatnonzero(steps[:, col] >= 0)
+                out[source] = {
+                    self._labels[v]: int(steps[v, col]) for v in known.tolist()
+                }
+        return out
+
+    def _tang_plan(self, sources: Sequence[Node]) -> tuple:
+        """One chunk's Tang plan: no seed slots, and the informed lanes of the
+        sources inside the node universe (the boundary entering the chain)."""
+        index = self._node_index
+        seeds = [[index[s]] if s in index else [] for s in sources]
+        informed = bitops.seed_lanes((self.num_nodes,), seeds)
+        return [None] * len(self._boundaries), (informed, len(sources))
+
+
+# --------------------------------------------------------------------------- #
 # the driver                                                                  #
 # --------------------------------------------------------------------------- #
 
 
-class ShardedSweepDriver:
+class ShardedSweepDriver(BatchedSweeps):
     """Runs every kernel sweep family across the shards of one artifact.
 
     Parameters
@@ -367,18 +907,18 @@ class ShardedSweepDriver:
     sharded:
         The :class:`~repro.graph.sharded.ShardedTemporalGraph` to sweep.
     backend:
-        ``"serial"`` (shard-major, store-release between shards — the
-        out-of-core path), ``"thread"`` (root-chunks pipeline through the
-        shard chain on a thread pool) or ``"process"`` (persistent workers
-        own shards; only packed boundaries cross process boundaries).
+        ``"serial"`` (in the calling thread; shard-major with store release
+        between shards for store-backed layouts — the out-of-core path) or
+        ``"process"`` (persistent workers own shards; only packed
+        boundaries cross process boundaries).
     num_workers:
-        Worker count for the thread/process backends (default: the shard
-        count, capped at 4 for processes).
+        Worker count of the process backend (default: one per shard).
     chunk_size:
         Default root-batch width per sweep, as in the monolithic kernels.
 
-    The driver mirrors the monolithic kernel surface method-for-method and
-    is itself what :func:`repro.engine.get_sharded_driver` caches under
+    The driver carries the kernel's :class:`BatchedSweeps` surface
+    method-for-method and is itself what
+    :func:`repro.engine.get_sharded_driver` caches under
     ``(mutation_version, shard layout, backend, num_workers)``.  Process
     backends hold OS resources: :meth:`close` them (context-manager
     supported); the dispatch cache closes evicted drivers.
@@ -401,14 +941,11 @@ class ShardedSweepDriver:
         if chunk_size < 1:
             raise GraphError("chunk_size must be at least 1")
         self.sharded = sharded
+        self._axes = sharded
         self.backend = backend
         self.chunk_size = int(chunk_size)
         if num_workers is None:
-            num_workers = (
-                sharded.num_shards
-                if backend == "process"
-                else min(sharded.num_shards, 4)
-            )
+            num_workers = sharded.num_shards
         self.num_workers = max(1, int(num_workers))
         self._mp_context = mp_context
         self._labels = sharded.node_labels
@@ -419,28 +956,11 @@ class ShardedSweepDriver:
         self._processes: list = []
         self._task_queues: dict[int, object] = {}
         self._result_queue = None
-        self._owner: dict[int, int] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    # metadata surface (what serving and the algorithms layer read)       #
+    # metadata surface                                                    #
     # ------------------------------------------------------------------ #
-
-    @property
-    def node_labels(self) -> list[Node]:
-        return list(self._labels)
-
-    @property
-    def times(self) -> tuple[Time, ...]:
-        return tuple(self._times)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.sharded.num_nodes
-
-    @property
-    def num_snapshots(self) -> int:
-        return self.sharded.num_snapshots
 
     @property
     def num_shards(self) -> int:
@@ -450,8 +970,9 @@ class ShardedSweepDriver:
     def mutation_version(self) -> int:
         return self.sharded.mutation_version
 
-    def is_active(self, node: Node, time: Time) -> bool:
-        return self.sharded.is_active(node, time)
+    @property
+    def _boundaries(self) -> tuple[tuple[int, int], ...]:
+        return self.sharded.boundaries
 
     def require_current(self, graph) -> None:
         """Raise :class:`GraphError` when the artifact no longer matches ``graph``."""
@@ -463,19 +984,14 @@ class ShardedSweepDriver:
             )
 
     # ------------------------------------------------------------------ #
-    # seeds and scheduling                                                #
+    # shard kernels and scheduling                                        #
     # ------------------------------------------------------------------ #
-
-    def _seed_index(self, root: TemporalNodeTuple) -> tuple[int, int]:
-        node, time = root
-        slot = self.sharded.slot(node, time)
-        if slot is None or not self.sharded.active_mask[slot]:
-            raise InactiveNodeError(node, time)
-        return slot
 
     def _kernel(self, shard_index: int) -> FrontierKernel:
         kernel = self._kernels.get(shard_index)
         if kernel is None:
+            from repro.engine.frontier import FrontierKernel
+
             kernel = FrontierKernel(self.sharded.shard(shard_index))
             self._kernels[shard_index] = kernel
         return kernel
@@ -488,8 +1004,8 @@ class ShardedSweepDriver:
         shard is the *same object* as in the previous artifact, so the old
         driver's lazily-warmed :class:`FrontierKernel` for it — operator
         degrees, parent coordinates, the slot key table — stays exact and is
-        reused verbatim.  Returns the number of kernels adopted.  (Serial/thread
-        backends only: process workers own their kernels remotely.)
+        reused verbatim.  Returns the number of kernels adopted.  (Serial
+        backend only: process workers own their kernels remotely.)
         """
         adopted = 0
         for index, kernel in previous._kernels.items():
@@ -503,88 +1019,22 @@ class ShardedSweepDriver:
                 adopted += 1
         return adopted
 
-    def _chain(self, spec: tuple) -> list[int]:
-        """Shard processing order for a sweep family (the pipeline order)."""
-        count = self.sharded.num_shards
-        if spec[0] == "bfs" and not spec[1]:
-            return list(range(count - 1, -1, -1))
-        if spec[0] == "tang":
-            start_index = spec[2]
-            return [
-                i
-                for i, (_, stop) in enumerate(self.sharded.boundaries)
-                if stop > start_index
-            ]
-        return list(range(count))
+    def _schedule(
+        self, spec: tuple, kind: str, plans: Iterable[tuple], chain: Sequence[int]
+    ) -> Iterable[list]:
+        """Each plan's partials in shard order, on the driver's backend.
 
-    def _chunks(self, items: Iterable, chunk_size: int | None) -> list[list]:
-        """``items`` in chunks of ``chunk_size`` (``None``: the driver default)."""
-        width = self.chunk_size if chunk_size is None else chunk_size
-        return _chunked(list(items), width)
-
-    def _split_seeds(
-        self, seeds_per_column: Sequence[Sequence[tuple[int, int]]]
-    ) -> list[list[list[tuple[int, int]]]]:
-        """Global seed slots, rebased to per-shard local snapshot indices."""
-        out = []
-        for start, stop in self.sharded.boundaries:
-            out.append(
-                [
-                    [(ti - start, vi) for ti, vi in seeds if start <= ti < stop]
-                    for seeds in seeds_per_column
-                ]
-            )
-        return out
-
-    def _run_chunks(
-        self, spec: tuple, kind: str, plans: Sequence[tuple]
-    ) -> list:
-        """Run every chunk's sweep chain; returns merged partials per chunk.
-
-        ``plans`` holds ``(per-shard seeds, initial boundary)`` per chunk —
-        for Tang sweeps the "boundary" is the informed lanes with their
-        column count, and the seeds are unused.
+        In-memory serial layouts run the inherited lazy chain-major order;
+        the process pipeline and the store-backed shard-major order take
+        every plan up front.
         """
         if self._closed:
             raise GraphError("driver is closed")
-        if not plans:
-            return []
-        chain = self._chain(spec)
-        merge_kind = "steps" if spec[0] == "tang" else kind
-        if not chain:
-            raise GraphError("sweep chain is empty")  # pragma: no cover - guarded
         if self.backend == "process":
-            per_chunk = self._run_process(spec, kind, plans, chain)
-        elif self.backend == "thread" and len(plans) > 1:
-            with ThreadPoolExecutor(max_workers=self.num_workers) as pool:
-                per_chunk = list(
-                    pool.map(
-                        lambda plan: self._run_chain(spec, kind, plan, chain), plans
-                    )
-                )
-        elif self.backend == "serial" and self.sharded.store_backed:
-            per_chunk = self._run_serial_shard_major(spec, kind, plans, chain)
-        else:
-            per_chunk = [self._run_chain(spec, kind, plan, chain) for plan in plans]
-        return [_merge_partials(merge_kind, parts) for parts in per_chunk]
-
-    def _run_chain(
-        self, spec: tuple, kind: str, plan: tuple, chain: Sequence[int]
-    ) -> list:
-        """One chunk through the whole shard chain, in-process."""
-        seeds_by_shard, boundary = plan
-        parts: dict[int, object] = {}
-        for shard_index in chain:
-            partial, boundary = _run_shard_task(
-                self._kernel(shard_index),
-                spec,
-                kind,
-                seeds_by_shard[shard_index] if seeds_by_shard else None,
-                boundary,
-                self.sharded.boundaries[shard_index][0],
-            )
-            parts[shard_index] = partial
-        return [parts[i] for i in sorted(parts)]
+            return self._run_process(spec, kind, list(plans), chain)
+        if self.sharded.store_backed:
+            return self._run_serial_shard_major(spec, kind, list(plans), chain)
+        return super()._schedule(spec, kind, plans, chain)
 
     def _run_serial_shard_major(
         self, spec: tuple, kind: str, plans: Sequence[tuple], chain: Sequence[int]
@@ -595,21 +1045,21 @@ class ShardedSweepDriver:
         (and its kernel dropped) before the next one opens, so peak operator
         residency stays at one shard regardless of chain length.
         """
-        count = len(plans)
-        parts: list[dict[int, object]] = [{} for _ in range(count)]
+        parts: list[dict[int, object]] = [{} for _ in plans]
         boundaries = [plan[1] for plan in plans]
+        last = chain[-1]
         for shard_index in chain:
             kernel = self._kernel(shard_index)
-            global_start = self.sharded.boundaries[shard_index][0]
-            for c, plan in enumerate(plans):
-                seeds_by_shard = plan[0]
+            global_start = self._boundaries[shard_index][0]
+            for c, (seeds_by_shard, _) in enumerate(plans):
                 parts[c][shard_index], boundaries[c] = _run_shard_task(
                     kernel,
                     spec,
                     kind,
-                    seeds_by_shard[shard_index] if seeds_by_shard else None,
+                    seeds_by_shard[shard_index],
                     boundaries[c],
                     global_start,
+                    handoff=shard_index != last,
                 )
             self._kernels.pop(shard_index, None)
             self.sharded.release(shard_index)
@@ -631,10 +1081,9 @@ class ShardedSweepDriver:
         weights = [nnz + 1 for nnz in self.sharded.shard_nnz]
         assignment = chunk_by_weight(shard_ids, weights, self.num_workers)
         self._result_queue = ctx.Queue()
-        for worker_id, owned in enumerate(assignment):
+        for owned in assignment:
             payload = [
-                (i, self.sharded.shard(i), self.sharded.boundaries[i][0])
-                for i in owned
+                (i, self.sharded.shard(i), self._boundaries[i][0]) for i in owned
             ]
             task_queue = ctx.Queue()
             process = ctx.Process(
@@ -658,21 +1107,19 @@ class ShardedSweepDriver:
         while shard ``i + 1`` sweeps chunk ``c`` after the pipeline fills.
         """
         self._ensure_processes()
-        next_in_chain = {
-            shard: chain[pos + 1] for pos, shard in enumerate(chain[:-1])
-        }
+        next_in_chain = {shard: chain[pos + 1] for pos, shard in enumerate(chain[:-1])}
         parts: list[dict[int, object]] = [{} for _ in plans]
 
         def submit(chunk_id: int, shard_index: int, boundary) -> None:
-            seeds_by_shard = plans[chunk_id][0]
             self._task_queues[shard_index].put(
                 (
                     chunk_id,
                     shard_index,
                     spec,
                     kind,
-                    seeds_by_shard[shard_index] if seeds_by_shard else None,
+                    plans[chunk_id][0][shard_index],
                     boundary,
+                    shard_index in next_in_chain,
                 )
             )
 
@@ -680,10 +1127,10 @@ class ShardedSweepDriver:
             submit(chunk_id, chain[0], plan[1])
         pending = len(plans) * len(chain)
         while pending:
-            chunk_id, shard_index, partial, boundary, error = self._result_queue.get()
+            chunk_id, shard_index, partial, boundary, error = self._next_result()
             if error is not None:
                 self.close()
-                raise GraphError(f"shard worker failed: {error}")
+                raise ShardWorkerError(f"shard worker failed: {error}")
             pending -= 1
             parts[chunk_id][shard_index] = partial
             follower = next_in_chain.get(shard_index)
@@ -691,8 +1138,27 @@ class ShardedSweepDriver:
                 submit(chunk_id, follower, boundary)
         return [[chunk_parts[i] for i in sorted(chunk_parts)] for chunk_parts in parts]
 
+    def _next_result(self) -> tuple:
+        """The next worker result, checking worker liveness while it waits.
+
+        A worker that died (killed, or crashed outside the task's ``try``)
+        can never answer, so waiting on would hang the sweep: the driver is
+        closed and :class:`ShardWorkerError` raised instead.
+        """
+        while True:
+            try:
+                return self._result_queue.get(timeout=_WORKER_POLL_S)
+            except queue.Empty:
+                dead = [p for p in self._processes if not p.is_alive()]
+                if dead:
+                    self.close()
+                    raise ShardWorkerError(
+                        f"shard worker pid {dead[0].pid} exited with code "
+                        f"{dead[0].exitcode} mid-sweep; the driver is closed"
+                    ) from None
+
     def close(self) -> None:
-        """Shut down process workers (no-op for serial/thread backends)."""
+        """Shut down process workers (no-op for the serial backend)."""
         self._closed = True
         for task_queue in set(self._task_queues.values()):
             try:
@@ -721,38 +1187,8 @@ class ShardedSweepDriver:
             pass
 
     # ------------------------------------------------------------------ #
-    # frontier-family sweeps                                              #
+    # single-source search                                                #
     # ------------------------------------------------------------------ #
-
-    def _frontier_chunks(
-        self,
-        roots: Sequence[TemporalNodeTuple],
-        spec: tuple,
-        kind: str,
-        chunk_size: int | None,
-    ) -> Iterator[tuple[list[TemporalNodeTuple], object]]:
-        """Chunk roots and pipeline all chunks through the shard chain at once.
-
-        Every chunk's plan is built up front so the thread/process backends
-        can overlap chunks at different chain positions (software pipelining
-        over root-batches); the merged partials are then yielded chunk by
-        chunk in root order, matching the kernels' chunked iterators.  The
-        chunk width is checked on the call, the sweeps run on iteration.
-        """
-        chunks = self._chunks(roots, chunk_size)
-        n = self.sharded.num_nodes
-
-        def pipeline() -> Iterator[tuple[list[TemporalNodeTuple], object]]:
-            plans = [
-                (
-                    self._split_seeds([[self._seed_index(r)] for r in chunk]),
-                    BoundaryBlock.empty(len(chunk), n),
-                )
-                for chunk in chunks
-            ]
-            yield from zip(chunks, self._run_chunks(spec, kind, plans))
-
-        return pipeline()
 
     def bfs(
         self,
@@ -764,240 +1200,8 @@ class ShardedSweepDriver:
         """Single-source search; equals ``FrontierKernel.bfs`` bit-for-bit."""
         root = (root[0], root[1])
         spec = _bfs_spec(direction, reverse_edges)
-        for _, merged in self._frontier_chunks([root], spec, "reached", 1):
-            return BFSResult(root=root, reached=merged[0])
-        raise GraphError("empty sweep")  # pragma: no cover - single chunk above
-
-    def multi_source(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-    ) -> BFSResult:
-        """One search seeded at several roots, as ``FrontierKernel.multi_source``."""
-        spec = _bfs_spec(direction)
-        root_list = [(r[0], r[1]) for r in roots]
-        active_roots = [r for r in root_list if self.is_active(*r)]
-        if not active_roots:
-            if root_list:
-                raise InactiveNodeError(*root_list[0])
-            raise ValueError("multi_source requires at least one root")
-        seeds = [[self._seed_index(r) for r in active_roots]]
-        boundary = BoundaryBlock.empty(1, self.sharded.num_nodes)
-        plan = (self._split_seeds(seeds), boundary)
-        (merged,) = self._run_chunks(spec, "reached", [plan])
-        return BFSResult(root=tuple(active_roots), reached=merged[0])
-
-    def batch(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, BFSResult]:
-        """Many independent searches, as ``FrontierKernel.batch`` (inactive skipped)."""
-        spec = _bfs_spec(direction)
-        root_list = [(r[0], r[1]) for r in roots]
-        active_roots = [r for r in root_list if self.is_active(*r)]
-        results: dict[TemporalNodeTuple, BFSResult] = {}
-        for chunk, merged in self._frontier_chunks(
-            active_roots, spec, "reached", chunk_size
-        ):
-            for col, root in enumerate(chunk):
-                results[root] = BFSResult(root=root, reached=merged[col])
-        return results
-
-    def distance_blocks(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        reverse_edges: bool = False,
-        chunk_size: int | None = None,
-    ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
-        """Raw global ``(T, N, R)`` distance blocks, chunked as the kernel's."""
-        spec = _bfs_spec(direction, reverse_edges)
-        root_list = [(r[0], r[1]) for r in roots]
-        return self._frontier_chunks(root_list, spec, "block", chunk_size)
-
-    def identity_reach_counts(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        reverse_edges: bool = False,
-        chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, int]:
-        """Per root: reached node identities minus itself, pipelined per shard.
-
-        Shards ship ``(N, R)`` identity-hit masks; the driver ORs and counts,
-        so the result is bit-identical to the monolithic reduction.
-        """
-        spec = _bfs_spec(direction, reverse_edges)
-        out: dict[TemporalNodeTuple, int] = {}
-        root_list = [(r[0], r[1]) for r in roots]
-        for chunk, merged in self._frontier_chunks(
-            root_list, spec, "reach", chunk_size
-        ):
-            counts = merged.sum(axis=0)
-            for col, root in enumerate(chunk):
-                out[root] = int(counts[col]) - 1
-        return out
-
-    def harmonic_closeness_sums(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        direction: str = "forward",
-        chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, float]:
-        """Per root: ``sum(1/d)`` over reached slots at distance > 0.
-
-        Each shard reduces its own slice of the (bit-identical) distance
-        block to per-snapshot ``(T_i, R)`` rows via the monolithic kernel's
-        canonical reduction; the driver concatenates them back into global
-        snapshot order and folds sequentially, so the float sums are
-        *bit-identical* to the monolithic kernel — not merely close.
-        """
-        spec = _bfs_spec(direction)
-        out: dict[TemporalNodeTuple, float] = {}
-        root_list = [(r[0], r[1]) for r in roots]
-        for chunk, merged in self._frontier_chunks(
-            root_list, spec, "harmonic", chunk_size
-        ):
-            for col, root in enumerate(chunk):
-                out[root] = float(merged[col])
-        return out
-
-    # ------------------------------------------------------------------ #
-    # label-family sweeps                                                 #
-    # ------------------------------------------------------------------ #
-
-    def earliest_arrivals(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
-        """Per root: earliest reachable time per node identity (forward sweep).
-
-        Shards ship ``(N, R)`` global first-hit snapshot indices; the driver
-        keeps the minimum, which equals the monolithic running-minimum
-        readout exactly.
-        """
-        spec = _bfs_spec("forward")
-        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        root_list = [(r[0], r[1]) for r in roots]
-        for chunk, first in self._frontier_chunks(
-            root_list, spec, "first", chunk_size
-        ):
-            for col, root in enumerate(chunk):
-                hits = np.nonzero(first[:, col] >= 0)[0]
-                out[root] = {
-                    self._labels[vi]: self._times[first[vi, col]]
-                    for vi in hits.tolist()
-                }
-        return out
-
-    def latest_departures(
-        self,
-        targets: Iterable[TemporalNodeTuple],
-        *,
-        chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
-        """Per target: latest departing time per node identity (backward sweep)."""
-        spec = _bfs_spec("backward")
-        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
-        target_list = [(r[0], r[1]) for r in targets]
-        for chunk, last in self._frontier_chunks(
-            target_list, spec, "last", chunk_size
-        ):
-            for col, target in enumerate(chunk):
-                hits = np.nonzero(last[:, col] >= 0)[0]
-                out[target] = {
-                    self._labels[vi]: self._times[last[vi, col]]
-                    for vi in hits.tolist()
-                }
-        return out
-
-    def zero_one_labels(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        spatial_cost: int = 1,
-        causal_cost: int = 0,
-        chunk_size: int | None = None,
-    ) -> Iterator[tuple[list[TemporalNodeTuple], np.ndarray]]:
-        """(min, +) labels with 0/1 edge-family costs, as the label kernel's."""
-        for cost, name in (
-            (spatial_cost, "spatial_cost"),
-            (causal_cost, "causal_cost"),
-        ):
-            if cost not in (0, 1):
-                raise GraphError(f"{name} must be 0 or 1, got {cost!r}")
-        spec = ("zero_one", int(spatial_cost), int(causal_cost))
-        root_list = [(r[0], r[1]) for r in roots]
-        return self._frontier_chunks(root_list, spec, "block", chunk_size)
-
-    def fewest_hops(
-        self,
-        roots: Iterable[TemporalNodeTuple],
-        *,
-        chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]]:
-        """Per root: minimal static-edge count per reached slot (hops decoded)."""
-        spec = ("zero_one", 1, 0)
-        out: dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]] = {}
-        root_list = [(r[0], r[1]) for r in roots]
-        for chunk, merged in self._frontier_chunks(
-            root_list, spec, "reached", chunk_size
-        ):
-            for col, root in enumerate(chunk):
-                out[root] = merged[col]
-        return out
-
-    def tang_steps(
-        self,
-        source_nodes: Iterable[Node],
-        *,
-        horizon: int = 1,
-        start_index: int = 0,
-        chunk_size: int | None = None,
-    ) -> dict[Node, dict[Node, int]]:
-        """Tang snapshot-count distances, the informed lanes flowing shard to shard."""
-        if start_index < 0 or start_index >= self.sharded.num_snapshots:
-            raise GraphError(f"start_index {start_index} out of range")
-        spec = ("tang", int(horizon), int(start_index))
-        n = self.sharded.num_nodes
-        chunks = self._chunks(source_nodes, chunk_size)
-        plans: list[tuple] = []
-        for chunk in chunks:
-            slots = (self._node_index.get(source) for source in chunk)
-            seeds = [[vi] if vi is not None else [] for vi in slots]
-            plans.append((None, (bitops.seed_lanes((n,), seeds), len(chunk))))
-        out: dict[Node, dict[Node, int]] = {}
-        for chunk, steps in zip(chunks, self._run_chunks(spec, "steps", plans)):
-            for col, source in enumerate(chunk):
-                vi = self._node_index.get(source)
-                if vi is not None:
-                    steps[vi, col] = 0
-                known = np.nonzero(steps[:, col] >= 0)[0]
-                out[source] = {
-                    self._labels[v]: int(steps[v, col]) for v in known.tolist()
-                }
-        return out
-
-    # ------------------------------------------------------------------ #
-    # decoding helpers (the serving layer's surface)                      #
-    # ------------------------------------------------------------------ #
-
-    def reached_dict(
-        self, dist: np.ndarray, col: int
-    ) -> dict[TemporalNodeTuple, int]:
-        """Decode one column of a global ``(T, N, R)`` block, as the kernel does."""
-        if self._keys is None:
-            self._keys = _slot_keys(self._labels, self._times)
-        return _decode_column(self._keys, dist, col)
+        ((_, reached),) = self._sweep_chunks([root], spec, "reached", 1)
+        return BFSResult(root=root, reached=reached[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,6 +13,7 @@ __all__ = [
     "NodeNotFoundError",
     "TimestampNotFoundError",
     "InactiveNodeError",
+    "ShardWorkerError",
     "InvalidTemporalPathError",
     "RepresentationError",
     "ConvergenceError",
@@ -70,6 +71,16 @@ class InactiveNodeError(GraphError):
         self.node = node
         self.time = time
         super().__init__(f"temporal node ({node!r}, {time!r}) is not an active node")
+
+
+class ShardWorkerError(GraphError):
+    """A process-backend shard worker failed or died during a sharded sweep.
+
+    Raised by :class:`repro.engine.sharded_sweep.ShardedSweepDriver` both
+    for an exception relayed from a worker's sweep and for a worker process
+    that is found dead while the driver waits on it; either way the driver
+    has been closed.
+    """
 
 
 class InvalidTemporalPathError(ReproError, ValueError):

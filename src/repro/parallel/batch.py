@@ -80,10 +80,8 @@ def fan_out_chunks(
     The shared chunking/fan-out primitive of the batch layer: with
     ``num_workers > 1`` the chunks are spread over a thread pool (the SpMM
     inner loops overlap wherever SciPy releases the GIL), otherwise they run
-    inline.  Used by :func:`batch_bfs`'s vectorized backend and by the
-    serving layer's coalesced group execution
-    (:mod:`repro.serving.coalesce`), so both fan work out identically.
-    Returns one result per chunk, in chunk order.
+    inline.  Used by :func:`batch_bfs`'s vectorized backend.  Returns one
+    result per chunk, in chunk order.
     """
     if chunk_size < 1:
         raise GraphError("chunk_size must be at least 1")

@@ -2,27 +2,31 @@
 
 The server (:class:`repro.serving.QueryServer`) groups the queries of one
 micro-batch by :meth:`~repro.algorithms.queries.Query.sweep_key`; this module
-executes each group with the *minimum* number of kernel sweeps:
+executes each group with the *minimum* number of kernel sweeps, on one
+sweeper chosen once per group — the graph's
+:class:`~repro.engine.frontier.FrontierKernel`, or the server's
+:class:`~repro.engine.sharded_sweep.ShardedSweepDriver` — through the
+batched surface both share
+(:class:`~repro.engine.sharded_sweep.BatchedSweeps`):
 
 * every **frontier-family** query (BFS, reachability probes,
   earliest-arrival, latest-departure) contributes its root as one column of
-  a single batched distance sweep on the shared
-  :class:`~repro.engine.frontier.FrontierKernel` — the per-query answers are
-  then *decoded* from the common ``(T, N, R)`` distance block with exactly
-  the readouts the direct functions use, so served results stay bit-identical
+  a single batched distance sweep — the per-query answers are then
+  *decoded* from the common ``(T, N, R)`` distance block with exactly the
+  readouts the direct functions use, so served results stay bit-identical
   to :func:`repro.core.bfs.evolving_bfs`,
   :func:`repro.algorithms.temporal_paths.earliest_arrival_times` and
   friends;
 * **fewest-hops** queries pack their sources into one 0/1-semiring label
-  sweep on the :class:`~repro.engine.labels.LabelKernel`;
+  sweep (``zero_one_labels``);
 * **Tang-distance** queries with equal ``(start_time, horizon)`` pack their
-  source nodes into one :meth:`~repro.engine.labels.LabelKernel.tang_steps`
-  sweep;
+  source nodes into one ``tang_steps`` sweep;
 * **whole-graph** queries (top-k reach counts, spectral broadcast/receive
   centrality) are computed once per group and fanned out to every query in
   it.
 
-Duplicate queries never reach this module — the server dedupes on
+The sweeper runs a group's chunks itself; the group is not fanned out over
+threads.  Duplicate queries never reach this module — the server dedupes on
 ``cache_key`` first — so the ``R`` columns of a group sweep are all distinct
 roots.  Results and per-query exceptions are returned positionally; the
 server owns futures, caching and locking.
@@ -42,6 +46,7 @@ from repro.algorithms.queries import (
     ReachabilityQuery,
     rank_top_k,
 )
+from repro.engine.sharded_sweep import _decode_times, _time_hits
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
 
@@ -73,35 +78,29 @@ def execute_group(
     queries: list[Query],
     *,
     chunk_size: int = 128,
-    num_workers: int = 1,
     driver=None,
 ) -> GroupOutcome:
     """Answer every query in one sweep-shape group with shared kernel work.
 
     ``driver`` (a :class:`~repro.engine.sharded_sweep.ShardedSweepDriver`)
-    reroutes the frontier, zero-one, Tang and reach-count families through
-    the pipelined time-shard sweeps — served results stay bit-identical; the
-    driver's backend supplies the parallelism, so the ``num_workers`` thread
-    fan-out is bypassed.  The spectral family has no sharded formulation
-    (its resolvent chains are global in time) and always executes on the
-    monolithic kernel.
+    replaces the graph's kernel as the sweeper of the frontier, zero-one,
+    Tang and reach-count families — served results stay bit-identical.  The
+    spectral family has no sharded formulation (its resolvent chains are
+    global in time) and always executes on the monolithic kernel.
     """
     family = sweep_key[0]
-    if family == "frontier":
-        return _frontier_group(
-            graph, sweep_key, queries, chunk_size, num_workers, driver
-        )
-    if family == "zero_one":
-        return _zero_one_group(
-            graph, sweep_key, queries, chunk_size, num_workers, driver
-        )
-    if family == "tang":
-        return _tang_group(graph, sweep_key, queries, chunk_size, driver)
-    if family == "reach_counts":
-        return _reach_counts_group(graph, sweep_key, queries, chunk_size, driver)
     if family == "spectral":
         return _spectral_group(graph, sweep_key, queries)
-    raise GraphError(f"unknown sweep family {family!r}")
+    run = _SWEEP_GROUPS.get(family)
+    if run is None:
+        raise GraphError(f"unknown sweep family {family!r}")
+    if driver is None:
+        from repro.engine import get_kernel
+
+        sweeper = get_kernel(graph)
+    else:
+        sweeper = driver
+    return run(graph, sweeper, sweep_key, queries, chunk_size)
 
 
 def _query_root(query: Query) -> TemporalNodeTuple:
@@ -114,50 +113,26 @@ def _query_root(query: Query) -> TemporalNodeTuple:
     raise GraphError(f"{type(query).__name__} is not a frontier-family query")
 
 
-def _chunked_blocks(run_chunk, roots, chunk_size, num_workers):
-    """``(chunk, block)`` pairs for ``roots``, optionally fanned over threads.
-
-    Reuses the thread fan-out of :func:`repro.parallel.batch.fan_out_chunks`
-    — the same machinery ``batch_bfs(backend="vectorized")`` spreads its root
-    chunks with — so a large coalesced group overlaps its SpMM chunks
-    wherever SciPy releases the GIL.
-    """
-    from repro.parallel.batch import fan_out_chunks
-
-    parts = fan_out_chunks(
-        run_chunk, roots, chunk_size=chunk_size, num_workers=num_workers
-    )
-    for part in parts:
-        yield from part
-
-
-def _decode_frontier(query: Query, dist: np.ndarray, col: int, *, surface, bfs_decode):
+def _decode_frontier(query: Query, dist: np.ndarray, col: int, sweeper):
     """Decode one frontier-family query from its ``(T, N, R)`` sweep column.
 
     The single decode used both for fresh coalesced sweeps and for
     warm-start answers refreshed across mutations
     (:func:`decode_warm_block`) — sharing it is what makes refreshed answers
-    bit-identical to fresh ones by construction.  ``bfs_decode`` is the
-    sweeper's ``{(node, time): distance}`` readout (kernel or shard driver).
+    bit-identical to fresh ones by construction.  The earliest-arrival and
+    latest-departure answers use the first/last-hit readouts of the batched
+    surface (:func:`~repro.engine.sharded_sweep._time_hits`).
     """
     if isinstance(query, BFSQuery):
-        return bfs_decode(dist, col)
+        return sweeper._reached_dict(dist, col)
     if isinstance(query, ReachabilityQuery):
-        slot = surface.slot(*query.target)
+        slot = sweeper._axes.slot(*query.target)
         if slot is None or dist[slot[0], slot[1], col] < 0:
             return None
         return int(dist[slot[0], slot[1], col])
-    labels = surface.node_labels
-    times = surface.times
-    reached = dist[:, :, col] >= 0
-    hit = reached.any(axis=0)
-    if isinstance(query, EarliestArrivalQuery):
-        # the running-minimum readout of LabelKernel.earliest_arrivals
-        first = reached.argmax(axis=0)
-        return {labels[vi]: times[first[vi]] for vi in np.nonzero(hit)[0].tolist()}
-    # LatestDepartureQuery: the mirrored running maximum
-    last = surface.num_snapshots - 1 - reached[::-1].argmax(axis=0)
-    return {labels[vi]: times[last[vi]] for vi in np.nonzero(hit)[0].tolist()}
+    kind = "first" if isinstance(query, EarliestArrivalQuery) else "last"
+    hits = _time_hits(dist[:, :, col : col + 1], kind)
+    return _decode_times(sweeper._labels, sweeper._times, hits, 0)
 
 
 def decode_warm_block(kernel, query: Query, block: np.ndarray):
@@ -171,78 +146,45 @@ def decode_warm_block(kernel, query: Query, block: np.ndarray):
     sweep and run through the exact decode of a coalesced sweep, so a
     refreshed answer equals a recomputed one.
     """
-    dist = block[:, :, None]
-    return _decode_frontier(
-        query,
-        dist,
-        0,
-        surface=kernel.compiled,
-        bfs_decode=lambda d, c: kernel._reached_dict(d, c),
-    )
+    return _decode_frontier(query, block[:, :, None], 0, kernel)
 
 
 def _frontier_group(
     graph: BaseEvolvingGraph,
+    sweeper,
     sweep_key: tuple,
     queries: list[Query],
     chunk_size: int,
-    num_workers: int,
-    driver=None,
 ) -> GroupOutcome:
     """BFS / reachability / earliest-arrival / latest-departure, one sweep."""
     _, direction, reverse_edges = sweep_key
-    if driver is not None:
-        surface = driver.sharded
-        decode = driver.reached_dict
-        sweeper = driver
-    else:
-        from repro.engine import get_kernel
-
-        kernel = get_kernel(graph)
-        surface = kernel.compiled
-        decode = lambda dist, col: kernel._reached_dict(dist, col)  # noqa: E731
-        sweeper = kernel
     outcome = GroupOutcome(results=[None] * len(queries), errors=[None] * len(queries))
 
     # roots become sweep columns; inactive roots never enter the sweep —
     # BFS/reachability mirror the functions' InactiveNodeError, the
     # earliest/latest readouts mirror their documented empty-dict result
     roots: list[TemporalNodeTuple] = []
-    seen: dict[TemporalNodeTuple, int] = {}
+    seen: set[TemporalNodeTuple] = set()
     pending: list[int] = []
     for i, query in enumerate(queries):
         root = _query_root(query)
-        if not surface.is_active(*root):
+        if not sweeper.is_active(*root):
             if isinstance(query, (BFSQuery, ReachabilityQuery)):
                 outcome.errors[i] = InactiveNodeError(*root)
             else:
                 outcome.results[i] = {}
             continue
         if root not in seen:
-            seen[root] = len(roots)
+            seen.add(root)
             roots.append(root)
         pending.append(i)
     if not roots:
         return outcome
 
-    def run_chunk(chunk_roots):
-        return list(
-            sweeper.distance_blocks(
-                chunk_roots,
-                direction=direction,
-                reverse_edges=reverse_edges,
-                chunk_size=chunk_size,
-            )
-        )
-
-    if driver is not None:
-        # the driver's shard backend supplies the parallelism (and, for the
-        # thread/process backends, pipelines the chunks through the shards)
-        block_iter = run_chunk(roots)
-    else:
-        block_iter = _chunked_blocks(run_chunk, roots, chunk_size, num_workers)
     blocks: dict[TemporalNodeTuple, tuple[np.ndarray, int]] = {}
-    for chunk, dist in block_iter:
+    for chunk, dist in sweeper.distance_blocks(
+        roots, direction=direction, reverse_edges=reverse_edges, chunk_size=chunk_size
+    ):
         for col, root in enumerate(chunk):
             blocks[root] = (dist, col)
     outcome.columns = len(roots)
@@ -251,38 +193,26 @@ def _frontier_group(
     for i in pending:
         query = queries[i]
         dist, col = blocks[_query_root(query)]
-        outcome.results[i] = _decode_frontier(
-            query, dist, col, surface=surface, bfs_decode=decode
-        )
+        outcome.results[i] = _decode_frontier(query, dist, col, sweeper)
     return outcome
 
 
 def _zero_one_group(
     graph: BaseEvolvingGraph,
+    sweeper,
     sweep_key: tuple,
     queries: list[Query],
     chunk_size: int,
-    num_workers: int,
-    driver=None,
 ) -> GroupOutcome:
     """Fewest-spatial-hops sources packed into one 0/1-semiring sweep."""
     _, spatial_cost, causal_cost = sweep_key
-    if driver is not None:
-        surface = driver.sharded
-        sweeper = driver
-    else:
-        from repro.engine import get_label_kernel
-
-        sweeper = get_label_kernel(graph)
-        surface = sweeper.compiled
     outcome = GroupOutcome(results=[None] * len(queries), errors=[None] * len(queries))
-
     roots: list[TemporalNodeTuple] = []
     seen: set[TemporalNodeTuple] = set()
     pending: list[int] = []
     for i, query in enumerate(queries):
         source = query.source
-        if not surface.is_active(*source):
+        if not sweeper.is_active(*source):
             outcome.results[i] = {}  # fewest_spatial_hops_from's inactive answer
             continue
         if source not in seen:
@@ -291,45 +221,28 @@ def _zero_one_group(
         pending.append(i)
     if not roots:
         return outcome
-
-    def run_chunk(chunk_roots):
-        return list(
-            sweeper.zero_one_labels(
-                chunk_roots,
-                spatial_cost=spatial_cost,
-                causal_cost=causal_cost,
-                chunk_size=chunk_size,
-            )
-        )
-
-    if driver is not None:
-        block_iter = run_chunk(roots)
-    else:
-        block_iter = _chunked_blocks(run_chunk, roots, chunk_size, num_workers)
-    labels = surface.node_labels
-    times = surface.times
-    decoded: dict[TemporalNodeTuple, dict] = {}
-    for chunk, block in block_iter:
+    hops: dict[TemporalNodeTuple, dict] = {}
+    for chunk, block in sweeper.zero_one_labels(
+        roots,
+        spatial_cost=spatial_cost,
+        causal_cost=causal_cost,
+        chunk_size=chunk_size,
+    ):
         for col, root in enumerate(chunk):
-            t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
-            hops = block[t_arr, v_arr, col]
-            decoded[root] = {
-                (labels[vi], times[ti]): int(h)
-                for ti, vi, h in zip(t_arr.tolist(), v_arr.tolist(), hops.tolist())
-            }
+            hops[root] = sweeper._reached_dict(block, col)
     outcome.columns = len(roots)
     outcome.sweeps = 1
     for i in pending:
-        outcome.results[i] = decoded[queries[i].source]
+        outcome.results[i] = hops[queries[i].source]
     return outcome
 
 
 def _tang_group(
     graph: BaseEvolvingGraph,
+    sweeper,
     sweep_key: tuple,
     queries: list[Query],
     chunk_size: int,
-    driver=None,
 ) -> GroupOutcome:
     """Tang snapshot-count sources packed into one batched time sweep."""
     _, start_time, horizon = sweep_key
@@ -343,24 +256,9 @@ def _tang_group(
         outcome.results = [{query.source_node: 0} for query in queries]
         return outcome
     start_index = 0 if start_time is None else times.index(start_time)
-
-    sources = []
-    seen = set()
-    for query in queries:
-        if query.source_node not in seen:
-            seen.add(query.source_node)
-            sources.append(query.source_node)
-    if driver is not None:
-        sweeper = driver
-    else:
-        from repro.engine import get_label_kernel
-
-        sweeper = get_label_kernel(graph)
+    sources = list(dict.fromkeys(query.source_node for query in queries))
     steps = sweeper.tang_steps(
-        sources,
-        horizon=horizon,
-        start_index=start_index,
-        chunk_size=chunk_size,
+        sources, horizon=horizon, start_index=start_index, chunk_size=chunk_size
     )
     outcome.columns = len(sources)
     outcome.sweeps = 1
@@ -373,10 +271,10 @@ def _tang_group(
 
 def _reach_counts_group(
     graph: BaseEvolvingGraph,
+    sweeper,
     sweep_key: tuple,
     queries: list[Query],
     chunk_size: int,
-    driver=None,
 ) -> GroupOutcome:
     """One whole-graph reach-count sweep serves every top-k ranking in the group."""
     _, direction = sweep_key
@@ -384,12 +282,6 @@ def _reach_counts_group(
     roots = graph.active_temporal_nodes()
     counts: dict[TemporalNodeTuple, int] = {}
     if roots:
-        if driver is not None:
-            sweeper = driver
-        else:
-            from repro.engine import get_kernel
-
-            sweeper = get_kernel(graph)
         counts = sweeper.identity_reach_counts(
             roots, direction=direction, chunk_size=chunk_size
         )
@@ -420,3 +312,12 @@ def _spectral_group(
     outcome.sweeps = 1
     outcome.results = [value] * len(queries)
     return outcome
+
+
+#: The sweep-family groups, keyed by the first element of a sweep key.
+_SWEEP_GROUPS = {
+    "frontier": _frontier_group,
+    "zero_one": _zero_one_group,
+    "tang": _tang_group,
+    "reach_counts": _reach_counts_group,
+}

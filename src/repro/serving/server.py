@@ -60,10 +60,11 @@ Results may be shared between callers (cache hits hand out the same object)
 — treat them as read-only.
 
 Thread-safety: ``submit``/``query``/``mutate`` may be called from any number
-of threads.  All kernel execution happens on the dispatcher thread (plus its
-optional chunk fan-out pool), and the engine's dispatch cache is itself
-lock-safe since this PR, so readers can also keep calling the plain
-``repro.algorithms`` functions on the same graph between mutations.
+of threads.  All kernel execution happens on the dispatcher thread (a
+sharded server's process backend runs its shard sweeps in its workers), and
+the engine's dispatch cache is itself lock-safe, so readers can also keep
+calling the plain ``repro.algorithms`` functions on the same graph between
+mutations.
 """
 
 from __future__ import annotations
@@ -344,10 +345,6 @@ class QueryServer:
     chunk_size:
         Maximum roots per ``(T, N, R)`` sweep chunk (the engine's usual
         column-block width).
-    num_workers:
-        When > 1, a coalesced group whose roots span several chunks fans the
-        chunks over this many threads
-        (:func:`repro.parallel.batch.fan_out_chunks`).
     warm_start:
         Refresh every cached plain-forward frontier-family answer (BFS,
         reachability, earliest-arrival) across a mutation instead of
@@ -381,7 +378,6 @@ class QueryServer:
         admission: str = "reject",
         cache_entries: int = 1024,
         chunk_size: int = 128,
-        num_workers: int = 1,
         warm_start: bool = True,
         sharded=None,
     ) -> None:
@@ -413,7 +409,6 @@ class QueryServer:
         self._max_pending = None if max_pending is None else int(max_pending)
         self._admission = admission
         self._chunk_size = int(chunk_size)
-        self._num_workers = max(1, int(num_workers))
         # a sharded server is read-only, so it never refreshes
         self._warm_start = bool(warm_start) and sharded is None
         self.stats = ServingStats()
@@ -890,7 +885,6 @@ class QueryServer:
                     sweep_key,
                     queries,
                     chunk_size=self._chunk_size,
-                    num_workers=self._num_workers,
                     driver=self._sharded_driver,
                 )
                 results, errors = outcome.results, outcome.errors

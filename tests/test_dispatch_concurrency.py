@@ -17,8 +17,8 @@ from repro.engine import dispatch
 from repro.engine.dispatch import (
     get_compiled,
     get_kernel,
-    get_label_kernel,
     get_spectral_kernel,
+    get_sweeper,
     invalidate_kernel,
 )
 from repro.generators import random_evolving_graph
@@ -64,7 +64,7 @@ def test_concurrent_getters_share_one_entry(monkeypatch):
     invalidate_kernel(graph)
     calls = _count_recompiles(monkeypatch, delay=0.01)
 
-    getters = [get_compiled, get_kernel, get_label_kernel, get_spectral_kernel] * 4
+    getters = [get_compiled, get_kernel, get_sweeper, get_spectral_kernel] * 4
     barrier = threading.Barrier(len(getters))
 
     def touch(getter):
@@ -125,7 +125,7 @@ def test_hot_path_stays_consistent_under_mutation_churn():
         while not stop.is_set():
             kernel = get_kernel(graph)
             # the kernel must always wrap the artifact it was built with
-            if kernel.compiled is not get_label_kernel(graph).compiled:
+            if kernel.compiled is not get_spectral_kernel(graph).compiled:
                 # racing a refresh may pair different generations — both must
                 # at least be self-consistent artifacts
                 if kernel.compiled is None:  # pragma: no cover

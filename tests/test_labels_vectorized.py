@@ -1,9 +1,11 @@
 """Property-based equivalence for the semiring label-sweep engine (PR 3).
 
-Every algorithm ported onto :class:`~repro.engine.labels.LabelKernel` keeps
-its original Python implementation as the correctness oracle behind
-``backend="python"``.  These tests draw random evolving graphs and assert
-that the default vectorized backend reproduces the oracle exactly: earliest
+Every label-family readout of the kernel's batched surface (earliest
+arrival, latest departure, the 0/1 label sweeps of
+:class:`~repro.engine.labels.LabelKernel`, Tang steps) keeps its original
+Python implementation as the correctness oracle behind ``backend="python"``.
+These tests draw random evolving graphs and assert that the default
+vectorized backend reproduces the oracle exactly: earliest
 arrival / latest departure / fewest spatial hops (single-target and
 all-targets forms), Tang temporal distances and their all-pairs aggregates,
 the PageRank family, and the engine's parent-slot tracking mode (which must
@@ -40,7 +42,7 @@ from repro.algorithms.temporal_paths import (
     latest_departure_times,
 )
 from repro.core.bfs import evolving_bfs
-from repro.engine import LabelKernel, get_compiled, get_kernel, get_label_kernel
+from repro.engine import FrontierKernel, LabelKernel, get_compiled, get_kernel
 from repro.exceptions import GraphError
 from repro.graph import AdjacencyListEvolvingGraph
 
@@ -361,7 +363,7 @@ def test_betweenness_python_backend_matches_pre_port_behavior(medium_random_grap
 def test_unit_unit_semiring_recovers_paper_distance(graph_root):
     """``(spatial_cost=1, causal_cost=1)`` is exactly the Definition-6 distance."""
     graph, root = graph_root
-    kernel = get_label_kernel(graph)
+    kernel = get_kernel(graph)
     expected = evolving_bfs(graph, root, backend="python").reached
     for chunk, labels in kernel.zero_one_labels([root], spatial_cost=1, causal_cost=1):
         decoded = {}
@@ -373,7 +375,7 @@ def test_unit_unit_semiring_recovers_paper_distance(graph_root):
 
 def test_zero_one_labels_validates_costs():
     graph = AdjacencyListEvolvingGraph([(1, 2, "t1")])
-    kernel = get_label_kernel(graph)
+    kernel = get_kernel(graph)
     with pytest.raises(GraphError):
         list(kernel.zero_one_labels([(1, "t1")], spatial_cost=2))
     with pytest.raises(GraphError):
@@ -382,10 +384,10 @@ def test_zero_one_labels_validates_costs():
 
 def test_label_kernel_shares_compiled_artifact():
     graph = AdjacencyListEvolvingGraph([(1, 2, "t1"), (2, 3, "t2")])
-    assert get_label_kernel(graph).compiled is get_compiled(graph)
-    assert get_label_kernel(graph).frontier is get_kernel(graph)
-    with pytest.raises(GraphError):
-        LabelKernel(object())  # type: ignore[arg-type]
+    kernel = get_kernel(graph)
+    labels = LabelKernel(kernel)
+    assert labels.compiled is get_compiled(graph)
+    assert labels.frontier is kernel
 
 
 # --------------------------------------------------------------------------- #
@@ -401,14 +403,15 @@ def test_compiled_graph_pickle_roundtrip(medium_random_graph):
     assert not clone.active_mask.flags.writeable
     np.testing.assert_array_equal(clone.active_mask, compiled.active_mask)
     root = medium_random_graph.active_temporal_nodes()[0]
-    from repro.engine import FrontierKernel
-
     original = FrontierKernel(compiled).bfs(root).reached
     assert FrontierKernel(clone).bfs(root).reached == original
     # label sweeps work over the unpickled artifact too
-    assert LabelKernel(clone).earliest_arrivals([root]) == LabelKernel(
+    assert FrontierKernel(clone).earliest_arrivals([root]) == FrontierKernel(
         compiled
     ).earliest_arrivals([root])
+    assert FrontierKernel(clone).tang_steps([root[0]]) == FrontierKernel(
+        compiled
+    ).tang_steps([root[0]])
 
 
 # --------------------------------------------------------------------------- #
@@ -423,7 +426,7 @@ def test_time_readouts_bit_identical_to_python(graph, data):
         graph.add_edge(0, 1, 0)
         active = graph.active_temporal_nodes()
     roots = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=4))
-    kernel = LabelKernel(graph)
+    kernel = FrontierKernel(graph)
     assert kernel.earliest_arrivals(roots) == {
         root: earliest_arrival_times(graph, root, backend="python") for root in roots
     }
@@ -466,7 +469,7 @@ def test_zero_one_labels_bit_identical_to_python_dijkstra(graph, data, costs):
         graph.add_edge(0, 1, 0)
         active = graph.active_temporal_nodes()
     roots = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=4))
-    kernel = LabelKernel(graph)
+    kernel = FrontierKernel(graph)
     seen = []
     for chunk, block in kernel.zero_one_labels(
         roots, spatial_cost=spatial_cost, causal_cost=causal_cost, chunk_size=3
@@ -493,7 +496,7 @@ def test_tang_steps_bit_identical_to_python(graph, data, horizon):
     start_index = data.draw(
         st.integers(min_value=0, max_value=max(0, graph.num_timestamps - 1)))
     start_time = list(graph.timestamps)[start_index]
-    steps = get_label_kernel(graph).tang_steps(
+    steps = get_kernel(graph).tang_steps(
         sources, horizon=horizon, start_index=start_index
     )
     for source in sources:
@@ -529,7 +532,7 @@ def test_wide_chunk_zero_one_labels_match_dijkstra(width):
     active = graph.active_temporal_nodes()
     picks = np.random.default_rng(width).integers(len(active), size=width)
     roots = [active[i] for i in picks.tolist()]
-    kernel = LabelKernel(graph)
+    kernel = FrontierKernel(graph)
     for spatial_cost, causal_cost in ((1, 0), (0, 1), (1, 1), (0, 0)):
         ((chunk, block),) = kernel.zero_one_labels(
             roots, spatial_cost=spatial_cost, causal_cost=causal_cost,
@@ -553,7 +556,7 @@ def test_wide_chunk_tang_steps_match_python(width):
     nodes = sorted(graph.nodes())
     picks = np.random.default_rng(width).integers(len(nodes), size=width - 1)
     sources = [nodes[i] for i in picks.tolist()] + ["never-a-node"]
-    kernel = get_label_kernel(graph)
+    kernel = get_kernel(graph)
     for horizon, start_index in ((1, 0), (2, 1)):
         start_time = list(graph.timestamps)[start_index]
         steps = kernel.tang_steps(
@@ -565,65 +568,3 @@ def test_wide_chunk_tang_steps_match_python(width):
                 graph, source, start_time=start_time, horizon=horizon,
                 backend="python",
             )
-
-
-# --------------------------------------------------------------------------- #
-# delta maintenance: tang_patch repairs a step block after a mutation batch    #
-# --------------------------------------------------------------------------- #
-
-def test_tang_patch_matches_fresh_block_after_mixed_batch():
-    ring = [(i, (i + 1) % 6, 0) for i in range(6)]  # pins the node universe
-    edges = ring + [(0, 2, 1), (2, 4, 1), (1, 3, 2), (3, 5, 2), (4, 0, 2)]
-    graph = AdjacencyListEvolvingGraph(edges, directed=True)
-    kernel = get_label_kernel(graph)
-    sources = [0, 3]
-    steps = kernel.tang_steps_block(sources, horizon=2, start_index=0)
-    before = steps.copy()
-
-    assert graph.remove_edge(1, 3, 2)  # mixed batch confined to t = 2
-    graph.add_edge(5, 1, 2)
-    patched = get_label_kernel(graph)  # delta-refreshed over the new artifact
-    assert patched is not kernel
-    changed = patched.tang_patch(steps, [2], horizon=2)
-    fresh = patched.tang_steps_block(sources, horizon=2, start_index=0)
-    np.testing.assert_array_equal(steps, fresh)
-    assert changed == int((before != fresh).sum())
-
-    # dict-shaped answers ride the same maintained state
-    expected = patched.tang_steps(sources, horizon=2)
-    got = {
-        source: {
-            patched.compiled.node_labels[vi]: int(steps[vi, col])
-            for vi in np.nonzero(steps[:, col] >= 0)[0].tolist()
-        }
-        for col, source in enumerate(sources)
-    }
-    assert got == expected
-
-
-def test_tang_patch_skips_batches_before_the_sweep_window():
-    ring = [(i, (i + 1) % 5, 0) for i in range(5)]
-    graph = AdjacencyListEvolvingGraph(
-        ring + [(0, 2, 1), (1, 3, 2)], directed=True
-    )
-    kernel = get_label_kernel(graph)
-    tail = kernel.tang_steps_block([0, 4], horizon=1, start_index=2)
-    before = tail.copy()
-
-    assert graph.remove_edge(0, 2, 1)  # touches only t = 1, before the window
-    patched = get_label_kernel(graph)
-    assert patched.tang_patch(tail, [1], horizon=1, start_index=2) == 0
-    np.testing.assert_array_equal(tail, before)  # block untouched ...
-    fresh = patched.tang_steps_block([0, 4], horizon=1, start_index=2)
-    np.testing.assert_array_equal(tail, fresh)  # ... and still exact
-
-
-def test_tang_patch_rejects_mismatched_block():
-    graph = AdjacencyListEvolvingGraph([(0, 1, 0), (1, 2, 1)], directed=True)
-    kernel = get_label_kernel(graph)
-    with pytest.raises(GraphError):
-        kernel.tang_patch(np.zeros((99, 1), dtype=np.int32), [1])
-    with pytest.raises(GraphError):
-        kernel.tang_patch(
-            np.zeros((3, 1), dtype=np.int32), [1], start_index=5
-        )

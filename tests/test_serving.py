@@ -422,7 +422,7 @@ def test_concurrent_readers_and_writer_stress():
          for j in range(3)]
         for i in range(4)
     ]
-    with QueryServer(graph, window_s=0.002, num_workers=2) as server:
+    with QueryServer(graph, window_s=0.002) as server:
         per_thread = [
             [BFSQuery(root=roots[(i + j) % len(roots)]) for j in range(15)]
             + [EarliestArrivalQuery(source=roots[i % len(roots)])]

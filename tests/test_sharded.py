@@ -22,6 +22,8 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -50,15 +52,13 @@ from repro.algorithms.temporal_paths import (
 )
 from repro.engine import (
     FrontierKernel,
-    LabelKernel,
     get_compiled,
     get_kernel,
-    get_label_kernel,
     get_sharded_driver,
     invalidate_kernel,
 )
 from repro.engine.sharded_sweep import BoundaryBlock, ShardedSweepDriver, _FAR
-from repro.exceptions import GraphError, InactiveNodeError
+from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
 from repro.graph.sharded import compute_shard_layout, operator_stack_bytes
 from repro.io.mmap_store import (
@@ -135,8 +135,8 @@ def _shardings(compiled):
 # --------------------------------------------------------------------------- #
 
 @SHARD_SETTINGS
-@given(graphs_with_roots(), st.sampled_from(["serial", "thread"]))
-def test_sharded_frontier_family_bit_identical(graph_root, backend):
+@given(graphs_with_roots())
+def test_sharded_frontier_family_bit_identical(graph_root):
     graph, root = graph_root
     compiled = get_compiled(graph)
     kernel = get_kernel(graph)
@@ -149,7 +149,7 @@ def test_sharded_frontier_family_bit_identical(graph_root, backend):
     expected_reach = kernel.identity_reach_counts(roots)
     expected_harmonic = kernel.harmonic_closeness_sums(roots)
     for sharded in _shardings(compiled):
-        driver = ShardedSweepDriver(sharded, backend=backend, chunk_size=3)
+        driver = ShardedSweepDriver(sharded, chunk_size=3)
         for direction in ("forward", "backward"):
             assert driver.bfs(root, direction=direction).reached == \
                 expected_bfs[direction]
@@ -163,35 +163,35 @@ def test_sharded_frontier_family_bit_identical(graph_root, backend):
 
 
 @SHARD_SETTINGS
-@given(graphs_with_roots(directed=True), st.sampled_from(["serial", "thread"]))
-def test_sharded_reverse_edges_bit_identical(graph_root, backend):
+@given(graphs_with_roots(directed=True))
+def test_sharded_reverse_edges_bit_identical(graph_root):
     graph, root = graph_root
     compiled = get_compiled(graph)
     expected = get_kernel(graph).bfs(root, reverse_edges=True).reached
     for sharded in _shardings(compiled):
-        driver = ShardedSweepDriver(sharded, backend=backend, chunk_size=3)
+        driver = ShardedSweepDriver(sharded, chunk_size=3)
         assert driver.bfs(root, reverse_edges=True).reached == expected
 
 
 @SHARD_SETTINGS
-@given(graphs_with_roots(), st.sampled_from(["serial", "thread"]))
-def test_sharded_label_family_bit_identical(graph_root, backend):
+@given(graphs_with_roots())
+def test_sharded_label_family_bit_identical(graph_root):
     graph, _ = graph_root
     compiled = get_compiled(graph)
-    label_kernel = get_label_kernel(graph)
+    kernel = get_kernel(graph)
     roots = graph.active_temporal_nodes()[:5]
     sources = sorted({u for u, _, _ in graph.temporal_edges()})[:4] + [99]
     t_count = compiled.num_snapshots
-    expected_earliest = label_kernel.earliest_arrivals(roots)
-    expected_latest = label_kernel.latest_departures(roots)
-    expected_hops = label_kernel.fewest_hops(roots)
+    expected_earliest = kernel.earliest_arrivals(roots)
+    expected_latest = kernel.latest_departures(roots)
+    expected_hops = kernel.fewest_hops(roots)
     expected_tang = {
-        (si, h): label_kernel.tang_steps(sources, horizon=h, start_index=si)
+        (si, h): kernel.tang_steps(sources, horizon=h, start_index=si)
         for si in (0, t_count - 1)
         for h in (1, 2)
     }
     for sharded in _shardings(compiled):
-        driver = ShardedSweepDriver(sharded, backend=backend, chunk_size=3)
+        driver = ShardedSweepDriver(sharded, chunk_size=3)
         assert driver.earliest_arrivals(roots) == expected_earliest
         assert driver.latest_departures(roots) == expected_latest
         assert driver.fewest_hops(roots) == expected_hops
@@ -205,11 +205,11 @@ def test_sharded_zero_one_blocks_bit_identical(graph_root, costs):
     graph, _ = graph_root
     spatial_cost, causal_cost = costs
     compiled = get_compiled(graph)
-    label_kernel = get_label_kernel(graph)
+    kernel = get_kernel(graph)
     roots = graph.active_temporal_nodes()[:5]
     expected = [
         (chunk, block.copy())
-        for chunk, block in label_kernel.zero_one_labels(
+        for chunk, block in kernel.zero_one_labels(
             roots, spatial_cost=spatial_cost, causal_cost=causal_cost, chunk_size=2
         )
     ]
@@ -268,7 +268,6 @@ def test_mmap_store_roundtrip_bit_identical(tmp_path_factory, graph_root):
     if graph.is_directed:
         compiled.backward_operators  # materialize, so the store keeps them
     kernel = FrontierKernel(compiled)
-    label_kernel = LabelKernel(compiled, frontier=kernel)
     roots = graph.active_temporal_nodes()[:5]
     root_dir = str(tmp_path_factory.mktemp("store"))
     save_sharded(compiled, root_dir, num_shards=3)
@@ -279,11 +278,11 @@ def test_mmap_store_roundtrip_bit_identical(tmp_path_factory, graph_root):
     driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=3)
     expected = {r: res.reached for r, res in kernel.batch(roots).items()}
     assert {r: res.reached for r, res in driver.batch(roots).items()} == expected
-    assert driver.earliest_arrivals(roots) == label_kernel.earliest_arrivals(roots)
-    assert driver.fewest_hops(roots) == label_kernel.fewest_hops(roots)
+    assert driver.earliest_arrivals(roots) == kernel.earliest_arrivals(roots)
+    assert driver.fewest_hops(roots) == kernel.fewest_hops(roots)
     sources = sorted({u for u, _, _ in graph.temporal_edges()})[:4]
     assert driver.tang_steps(sources, horizon=2) == \
-        label_kernel.tang_steps(sources, horizon=2)
+        kernel.tang_steps(sources, horizon=2)
     # reopened matrices equal the originals entry for entry
     shard = sharded.shard(0)
     start, stop = sharded.boundaries[0]
@@ -311,7 +310,6 @@ def test_wide_chunk_serial_driver_matches_monolithic():
     graph = _banded_graph(num_nodes=30, snapshots=6, seed=13)
     compiled = get_compiled(graph)
     kernel = get_kernel(graph)
-    label_kernel = get_label_kernel(graph)
     active = graph.active_temporal_nodes()
     roots = [active[i % len(active)] for i in range(0, 7 * 130, 7)]
     sources = sorted(graph.nodes()) * 5
@@ -328,8 +326,7 @@ def test_wide_chunk_serial_driver_matches_monolithic():
             kernel.identity_reach_counts(roots, chunk_size=130)
         for horizon in (1, 2):
             assert driver.tang_steps(sources[:130], horizon=horizon) == \
-                label_kernel.tang_steps(sources[:130], horizon=horizon,
-                                        chunk_size=130)
+                kernel.tang_steps(sources[:130], horizon=horizon, chunk_size=130)
 
 
 def test_out_of_core_sweep_bounds_open_bytes(tmp_path):
@@ -406,7 +403,6 @@ def test_process_backend_bit_identical():
     graph = _banded_graph(num_nodes=20, snapshots=5, seed=11)
     compiled = get_compiled(graph)
     kernel = get_kernel(graph)
-    label_kernel = get_label_kernel(graph)
     roots = graph.active_temporal_nodes()[:10]
     sharded = ShardedTemporalGraph.from_compiled(compiled, 3)
     with ShardedSweepDriver(
@@ -416,13 +412,11 @@ def test_process_backend_bit_identical():
         assert {r: res.reached for r, res in driver.batch(roots).items()} == expected
         assert driver.identity_reach_counts(roots) == \
             kernel.identity_reach_counts(roots)
-        assert driver.earliest_arrivals(roots) == \
-            label_kernel.earliest_arrivals(roots)
-        assert driver.latest_departures(roots) == \
-            label_kernel.latest_departures(roots)
+        assert driver.earliest_arrivals(roots) == kernel.earliest_arrivals(roots)
+        assert driver.latest_departures(roots) == kernel.latest_departures(roots)
         sources = list(range(6))
         assert driver.tang_steps(sources, horizon=2) == \
-            label_kernel.tang_steps(sources, horizon=2)
+            kernel.tang_steps(sources, horizon=2)
 
 
 def test_env_driven_dispatch_bit_identical():
@@ -436,9 +430,34 @@ def test_env_driven_dispatch_bit_identical():
     assert {r: res.reached for r, res in driver.batch(roots).items()} == expected
     assert driver.identity_reach_counts(roots) == \
         kernel.identity_reach_counts(roots)
-    tang = get_label_kernel(graph).tang_steps(list(range(5)), horizon=1)
+    tang = kernel.tang_steps(list(range(5)), horizon=1)
     assert driver.tang_steps(list(range(5)), horizon=1) == tang
     invalidate_kernel(graph)  # close pipelines before the interpreter exits
+
+
+def test_dead_process_worker_raises_instead_of_hanging():
+    """A SIGKILLed shard worker makes the next sweep raise within a bounded
+    time; the dispatch cache then replaces the closed driver."""
+    graph = _banded_graph(num_nodes=20, snapshots=5, seed=11)
+    roots = graph.active_temporal_nodes()[:8]
+    expected = get_kernel(graph).identity_reach_counts(roots)
+    driver = get_sharded_driver(graph, 3, backend="process", num_workers=2)
+    try:
+        assert driver.identity_reach_counts(roots) == expected  # workers warm
+        victim = driver._processes[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        start = time.monotonic()
+        with pytest.raises(ShardWorkerError, match="exited"):
+            driver.identity_reach_counts(roots)
+        assert time.monotonic() - start < 30
+        with pytest.raises(GraphError, match="driver is closed"):
+            driver.identity_reach_counts(roots)
+        fresh = get_sharded_driver(graph, 3, backend="process", num_workers=2)
+        assert fresh is not driver
+        assert fresh.identity_reach_counts(roots) == expected
+    finally:
+        invalidate_kernel(graph)  # closes every cached pipeline
 
 
 # --------------------------------------------------------------------------- #
@@ -502,6 +521,81 @@ def test_boundary_block_roundtrip_and_merge():
     assert empty.max_level == -1
     assert empty.lanes(0) is None
     assert np.array_equal(empty.merged_with(lower).decode(), lower)
+
+
+def _count_merges(monkeypatch) -> list:
+    """Record every ``BoundaryBlock.merged_with`` and ``from_min_levels`` call."""
+    calls = []
+    merged_with = BoundaryBlock.merged_with
+    from_min_levels = BoundaryBlock.from_min_levels.__func__
+
+    def counting_merge(self, shard_min_levels):
+        calls.append("merged_with")
+        return merged_with(self, shard_min_levels)
+
+    def counting_encode(cls, min_levels):
+        calls.append("from_min_levels")
+        return from_min_levels(cls, min_levels)
+
+    monkeypatch.setattr(BoundaryBlock, "merged_with", counting_merge)
+    monkeypatch.setattr(BoundaryBlock, "from_min_levels", classmethod(counting_encode))
+    return calls
+
+
+def test_last_shard_of_a_chain_hands_nothing_off(monkeypatch):
+    """A monolithic batched call builds no outgoing boundary; a k-shard
+    chain merges k - 1 boundaries per chunk (its last shard hands off none)."""
+    graph = _banded_graph(num_nodes=20, snapshots=6, seed=3)
+    compiled = get_compiled(graph)
+    roots = graph.active_temporal_nodes()[:6]
+    calls = _count_merges(monkeypatch)
+    kernel = FrontierKernel(compiled)
+    kernel.batch(roots, chunk_size=2)
+    kernel.identity_reach_counts(roots, direction="backward", chunk_size=2)
+    kernel.harmonic_closeness_sums(roots, chunk_size=2)
+    list(kernel.zero_one_labels(roots, chunk_size=2))
+    assert calls == []
+    for k in (2, 3):
+        sharded = ShardedTemporalGraph.from_compiled(compiled, k)
+        assert sharded.num_shards == k
+        driver = ShardedSweepDriver(sharded, chunk_size=2)
+        for direction in ("forward", "backward"):
+            calls.clear()
+            assert driver.identity_reach_counts(roots, direction=direction) == \
+                kernel.identity_reach_counts(roots, direction=direction)
+            assert calls.count("merged_with") == 3 * (k - 1)  # three chunks
+        calls.clear()
+        list(driver.zero_one_labels(roots))
+        assert calls.count("merged_with") == 3 * (k - 1)
+
+
+def test_in_memory_chains_sweep_one_chunk_per_step(monkeypatch):
+    """The first item of a chunked iterator sweeps its chunk and no other."""
+    graph = _banded_graph(num_nodes=20, snapshots=6, seed=3)
+    compiled = get_compiled(graph)
+    roots = graph.active_temporal_nodes()[:6]
+    sweeps = []
+    run = FrontierKernel._run
+
+    def counting_run(self, seeds_per_column, *args, **kwargs):
+        sweeps.append(len(seeds_per_column))
+        return run(self, seeds_per_column, *args, **kwargs)
+
+    monkeypatch.setattr(FrontierKernel, "_run", counting_run)
+    kernel = FrontierKernel(compiled)
+    blocks = kernel.distance_blocks(roots, chunk_size=2)
+    assert sweeps == []  # checked on the call, swept on iteration
+    chunk, _ = next(blocks)
+    assert chunk == roots[:2]
+    assert sweeps == [2]  # one chunk, not three
+    assert len(list(blocks)) == 2
+    assert sweeps == [2, 2, 2]
+    sweeps.clear()
+    driver = ShardedSweepDriver(
+        ShardedTemporalGraph.from_compiled(compiled, 3), chunk_size=2
+    )
+    next(driver.distance_blocks(roots))
+    assert sweeps == [2, 2, 2]  # one chunk through the three shards
 
 
 def test_shard_layout_and_validation():
@@ -575,20 +669,17 @@ _CHUNKED_METHODS = [
 
 @pytest.mark.parametrize(
     "surface, method",
-    [("kernel", m) for m in _CHUNKED_METHODS[:4]]
-    + [("labels", m) for m in _CHUNKED_METHODS[4:]]
+    [("kernel", m) for m in _CHUNKED_METHODS]
     + [("driver", m) for m in _CHUNKED_METHODS],
 )
 def test_chunk_size_below_one_raises(surface, method):
-    """Every chunked surface rejects ``chunk_size < 1`` with GraphError on the
-    call; the driver keeps ``None`` as "its default width"."""
+    """Every chunked method of the shared surface rejects ``chunk_size < 1``
+    with GraphError on the call; ``None`` means the sweeper's default width."""
     graph = _banded_graph(num_nodes=10, snapshots=6, seed=2)
     compiled = get_compiled(graph)
     roots = graph.active_temporal_nodes()[:3]
     if surface == "kernel":
         sweeper = FrontierKernel(compiled)
-    elif surface == "labels":
-        sweeper = LabelKernel(compiled)
     else:
         sweeper = ShardedSweepDriver(ShardedTemporalGraph.from_compiled(compiled, 3))
     items = [root[0] for root in roots] if method == "tang_steps" else roots
@@ -596,11 +687,10 @@ def test_chunk_size_below_one_raises(surface, method):
     for width in (0, -1):
         with pytest.raises(GraphError, match="chunk_size must be at least 1"):
             call(items, chunk_size=width)
-    if surface == "driver":
-        default = call(items, chunk_size=None)
-        if method in ("distance_blocks", "zero_one_labels"):
-            default = list(default)
-        assert default
+    default = call(items, chunk_size=None)
+    if method in ("distance_blocks", "zero_one_labels"):
+        default = list(default)
+    assert default
 
 
 def test_batch_bfs_shards_flag_validation():
