@@ -145,26 +145,26 @@ def test_batched_multi_source_amortization(sweep, report_dir):
     graph = sweep[0]["graph"]
     roots = graph.active_temporal_nodes()[:NUM_BATCH_ROOTS]
 
-    serial_s = median_seconds(
-        lambda: batch_bfs(graph, roots, backend="serial"),
+    python_s = median_seconds(
+        lambda: batch_bfs(graph, roots, backend="python"),
         repeats=1, warmup=0)
     vectorized_s = median_seconds(
         lambda: batch_bfs(graph, roots, backend="vectorized"),
         repeats=3, warmup=1)
-    speedup = serial_s / max(vectorized_s, 1e-12)
+    speedup = python_s / max(vectorized_s, 1e-12)
 
-    serial_results = batch_bfs(graph, roots, backend="serial")
+    python_results = batch_bfs(graph, roots, backend="python")
     vectorized_results = batch_bfs(graph, roots, backend="vectorized")
-    assert set(serial_results) == set(vectorized_results)
-    for root in serial_results:
-        assert vectorized_results[root].reached == serial_results[root].reached
+    assert set(python_results) == set(vectorized_results)
+    for root in python_results:
+        assert vectorized_results[root].reached == python_results[root].reached
 
     lines = [
-        "Batched multi-source ablation - batch_bfs serial vs vectorized",
+        "Batched multi-source ablation - batch_bfs python vs vectorized",
         f"Workload   : {NUM_BATCH_ROOTS} roots on the {sweep[0]['edges']}-edge "
         "sweep graph.",
         "",
-        f"serial (one Python BFS per root) : {serial_s:>9.4f} s",
+        f"python (one Python BFS per root) : {python_s:>9.4f} s",
         f"vectorized (CSR x dense block)   : {vectorized_s:>9.4f} s",
         f"speedup                          : {speedup:>8.1f}x",
     ]

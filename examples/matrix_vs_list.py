@@ -3,8 +3,8 @@
 
 The paper gives two algorithms (adjacency-list BFS and algebraic BFS) and a
 correctness construction (the Theorem-1 static expansion).  This example runs
-all of them — plus the level-synchronous parallel variant — on a random
-evolving graph, verifies they agree, and reports their relative cost, echoing
+all of them — plus the vectorized frontier engine — on a random evolving
+graph, verifies they agree, and reports their relative cost, echoing
 the paper's conclusion that the adjacency-list formulation is the one to use
 in practice (Section III-E).
 
@@ -21,7 +21,6 @@ import time
 from repro.analysis import check_bfs_equivalence, compute_stats
 from repro.core import algebraic_bfs, algebraic_bfs_blocked, evolving_bfs, expansion_bfs
 from repro.generators import random_evolving_graph
-from repro.parallel import parallel_evolving_bfs
 
 
 def main() -> None:
@@ -42,8 +41,6 @@ def main() -> None:
         ("Algorithm 2 (explicit block matrix)", lambda: algebraic_bfs(graph, root)),
         ("Algorithm 2 (blocked, matrix-free)", lambda: algebraic_bfs_blocked(graph, root,
                                                                              backend="python")),
-        ("Algorithm 1, level-synchronous threads", lambda: parallel_evolving_bfs(
-            graph, root, num_workers=4)),
         ("Vectorized frontier engine (backend default)", lambda: evolving_bfs(
             graph, root, backend="vectorized")),
     ]

@@ -3,9 +3,10 @@
 Theorem 1 (Algorithm 1 equals BFS on the static expansion) and Theorem 4
 (Algorithm 1 equals the algebraic Algorithm 2) are the paper's central
 correctness claims.  This module turns them into executable checks used by
-the integration tests, the property-based tests and the benchmark harness's
-self-verification step: given a graph and a root, run every implementation
-and compare the ``reached`` dictionaries exactly.
+the integration tests and ``examples/matrix_vs_list.py``: given a graph and a
+root, run the five implementations — Algorithm 1, BFS on the Theorem-1
+static expansion, the explicit and the blocked Algorithm 2, and the
+vectorized engine — and compare the ``reached`` dictionaries exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.core.algebraic import algebraic_bfs, algebraic_bfs_blocked
 from repro.core.bfs import evolving_bfs
 from repro.core.expansion import expansion_bfs
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
-from repro.parallel.frontier import parallel_evolving_bfs
 
 __all__ = ["EquivalenceReport", "check_bfs_equivalence", "all_implementations"]
 
@@ -33,15 +33,16 @@ def all_implementations() -> dict[str, Callable]:
     """
     return {
         "algorithm1_adjacency_list": lambda g, r: evolving_bfs(
-            g, r, backend="python").reached,
+            g, r, backend="python"
+        ).reached,
         "theorem1_static_expansion": lambda g, r: expansion_bfs(g, r),
         "algorithm2_block_matrix": lambda g, r: algebraic_bfs(g, r).reached,
         "algorithm2_blocked_matrix_free": lambda g, r: algebraic_bfs_blocked(
-            g, r, backend="python").reached,
-        "parallel_level_synchronous": lambda g, r: parallel_evolving_bfs(
-            g, r, num_workers=2).reached,
+            g, r, backend="python"
+        ).reached,
         "engine_vectorized_frontier": lambda g, r: evolving_bfs(
-            g, r, backend="vectorized").reached,
+            g, r, backend="vectorized"
+        ).reached,
     }
 
 

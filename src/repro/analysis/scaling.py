@@ -226,10 +226,10 @@ def measure_batch_scaling(
 
     The first ``num_roots`` active temporal nodes (time-major order) seed a
     :func:`repro.parallel.batch.batch_bfs` call per measurement; ``backend``
-    selects its execution strategy (``"vectorized"`` amortizes all roots
-    into CSR × dense-block products, ``"serial"``/``"thread"``/``"process"``
-    run one Python traversal per root).  ``reached_nodes`` reports the
-    total reached-set size summed over roots.
+    selects its execution strategy (``"vectorized"`` packs the roots into
+    the root lanes of the engine's sweeps, ``"python"`` runs one Algorithm-1
+    traversal per root).  ``reached_nodes`` reports the total reached-set
+    size summed over roots.
     """
     from repro.parallel.batch import batch_bfs
 

@@ -51,13 +51,15 @@ chain on one of two backends:
   <repro.graph.sharded.ShardedTemporalGraph.release>` before the next is
   opened, so peak operator residency is one shard — the out-of-core path;
 * ``backend="process"`` — persistent workers each *own* a subset of shards
-  permanently (the picklable compiled artifacts ship once, at startup);
-  thereafter only task tuples and packed boundary blocks (one ``(N, L)``
-  lane plane per level) cross process boundaries, and root-chunks pipeline
-  through the chain.  Shards are assigned to workers by
+  permanently (the picklable compiled artifacts ship once, at startup,
+  under the platform's default start method); thereafter only task tuples
+  and packed boundary blocks (one ``(N, L)`` lane plane per level) cross
+  process boundaries, and root-chunks pipeline through the chain.  Shards
+  are assigned to workers by
   :func:`~repro.parallel.partition.chunk_by_weight` over shard nnz.  A
   worker that dies makes the next wait raise :class:`ShardWorkerError`
-  instead of hanging.
+  instead of hanging.  This pipeline is the package's one parallel
+  mechanism: there is no thread fan-out and no per-call process pool.
 
 Results are bit-identical to the monolithic kernel on every family
 (``tests/test_sharded.py`` hypothesis-asserts this across families, shard
@@ -931,7 +933,6 @@ class ShardedSweepDriver(BatchedSweeps):
         backend: str = "serial",
         num_workers: int | None = None,
         chunk_size: int = 128,
-        mp_context: str | None = None,
     ) -> None:
         if backend not in SHARD_BACKENDS:
             raise GraphError(
@@ -947,7 +948,6 @@ class ShardedSweepDriver(BatchedSweeps):
         if num_workers is None:
             num_workers = sharded.num_shards
         self.num_workers = max(1, int(num_workers))
-        self._mp_context = mp_context
         self._labels = sharded.node_labels
         self._node_index = sharded.node_index
         self._times = sharded.times
@@ -1074,19 +1074,18 @@ class ShardedSweepDriver(BatchedSweeps):
             return
         import multiprocessing
 
-        ctx = multiprocessing.get_context(self._mp_context)
         from repro.parallel.partition import chunk_by_weight
 
         shard_ids = list(range(self.sharded.num_shards))
         weights = [nnz + 1 for nnz in self.sharded.shard_nnz]
         assignment = chunk_by_weight(shard_ids, weights, self.num_workers)
-        self._result_queue = ctx.Queue()
+        self._result_queue = multiprocessing.Queue()
         for owned in assignment:
             payload = [
                 (i, self.sharded.shard(i), self._boundaries[i][0]) for i in owned
             ]
-            task_queue = ctx.Queue()
-            process = ctx.Process(
+            task_queue = multiprocessing.Queue()
+            process = multiprocessing.Process(
                 target=_pipeline_worker,
                 args=(payload, task_queue, self._result_queue),
                 daemon=True,

@@ -34,10 +34,12 @@ a first-class, immutable artifact that every consumer shares:
 The artifact is consumed by :class:`repro.engine.frontier.FrontierKernel`
 (every BFS variant), by the vectorized analytics in :mod:`repro.algorithms`
 (components build a temporal block matrix straight from the operator stack),
-and by the batch/scaling harnesses in :mod:`repro.parallel` and
-:mod:`repro.analysis`, which compile once and fan the artifact out across
-workers and sweep repeats.  Use :func:`repro.engine.get_compiled` for the
-cached path; construct directly only when an uncached snapshot is wanted.
+by the time-shard layer (:mod:`repro.graph.sharded` slices it into
+per-shard artifacts, which the shard driver's process workers own), and by
+the batch/scaling harnesses in :mod:`repro.parallel` and
+:mod:`repro.analysis`, which compile once and reuse the artifact across
+sweep repeats.  Use :func:`repro.engine.get_compiled` for the cached path;
+construct directly only when an uncached snapshot is wanted.
 """
 
 from __future__ import annotations
@@ -536,12 +538,13 @@ class CompiledTemporalGraph:
     # ------------------------------------------------------------------ #
 
     def __getstate__(self) -> dict:
-        """Pickle support: the artifact is the process-pool unit of work.
+        """Pickle support: the artifact is what crosses a process boundary.
 
-        :func:`repro.parallel.batch.batch_bfs` with ``backend="process"``
-        ships this object — never the source graph — to worker processes,
-        which rebuild their kernels over it.  Everything inside (CSR stacks,
-        index dicts, the activeness mask) pickles natively.
+        :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` with
+        ``backend="process"`` ships each shard's artifact — never the source
+        graph — to the worker that owns it, which builds its kernel over
+        it.  Everything inside (CSR stacks, index dicts, the activeness
+        mask) pickles natively.
         """
         return dict(self.__dict__)
 

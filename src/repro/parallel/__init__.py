@@ -1,30 +1,18 @@
-"""Parallel execution helpers (extension beyond the paper's single-core experiment).
+"""Batched searches and the weighted partitions behind the shard layout.
 
-Production batching is engine-routed: :func:`~repro.parallel.batch.batch_bfs`
-runs many independent searches over the shared compiled artifact
-(``backend="vectorized"`` packs roots into CSR × dense-block products,
-``backend="process"`` ships the picklable artifact to worker processes).
+* :func:`~repro.parallel.batch.batch_bfs` — many independent searches over
+  a shared graph, on the ``"vectorized"`` engine (optionally time-sharded)
+  or the ``"python"`` per-root oracle.
+* :mod:`~repro.parallel.partition` — the nnz-weighted contiguous split that
+  chooses time-shard boundaries and the weight-balanced chunking that
+  assigns shards to the shard driver's process workers.
 
-* :func:`~repro.parallel.batch.batch_bfs` — many independent searches over a
-  shared graph with serial / thread / process / vectorized backends.
-* :func:`~repro.parallel.frontier.parallel_evolving_bfs` — level-synchronous
-  parallel BFS (thread pool, identical results to Algorithm 1); kept as the
-  *documented Python-parallel baseline*, superseded in practice by the
-  engine backends above.
-* :mod:`~repro.parallel.partition` — frontier chunking and time-based graph
-  partitioning utilities (``partition_timestamps`` can weigh its partition
-  off a compiled artifact's CSR stacks).
+The package's one parallel mechanism is the shard driver's persistent
+process pipeline (:class:`repro.engine.ShardedSweepDriver` with
+``backend="process"``); the paper's Figure-5 experiment is single-core.
 """
 
-from repro.parallel.batch import batch_bfs, map_over_roots
-from repro.parallel.frontier import parallel_evolving_bfs
-from repro.parallel.partition import chunk_by_weight, chunk_evenly, partition_timestamps
+from repro.parallel.batch import batch_bfs
+from repro.parallel.partition import chunk_by_weight
 
-__all__ = [
-    "batch_bfs",
-    "map_over_roots",
-    "parallel_evolving_bfs",
-    "chunk_evenly",
-    "chunk_by_weight",
-    "partition_timestamps",
-]
+__all__ = ["batch_bfs", "chunk_by_weight"]

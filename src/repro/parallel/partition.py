@@ -1,29 +1,15 @@
-"""Frontier chunking and the weighted time partition behind the shard layout.
-
-The paper's experiment runs on a single core; parallel traversal is an
-extension this reproduction adds for completeness (and because the repro
-guidance flags the GIL as the main fidelity risk for a Python port).  The
-parallelisation strategy is the standard level-synchronous one: within one
-BFS level, the frontier is split into chunks and each worker expands its
-chunk independently; the per-worker discoveries are then merged by the
-driver, which preserves the BFS level structure and therefore the distances.
-
-The level-synchronous thread driver itself stayed a documented baseline
-(production batching goes through the engine via
-:func:`repro.parallel.batch.batch_bfs`), but since PR 8 the combinatorial
-pieces here are load-bearing for the sharded execution layer:
+"""The weighted partitions behind the time-shard layout.
 
 * :func:`compiled_snapshot_weights` reads per-snapshot stored-entry counts
   off a compiled artifact — including every *materialized* operator stack,
-  not just the forward one — and is the weighting both
-  :func:`partition_timestamps` and
-  :meth:`repro.graph.sharded.ShardedTemporalGraph.from_compiled` use to
-  choose shard boundaries;
-* :func:`weighted_contiguous_split` is the shared contiguous balanced
-  partition (time shards must be contiguous snapshot ranges — causal edges
-  only cross them forward in time);
-* :func:`chunk_by_weight` balances *non-contiguous* assignments, e.g. which
-  pipeline worker owns which shard in
+  not just the forward one — and is the weighting
+  :func:`repro.graph.sharded.compute_shard_layout` uses to choose shard
+  boundaries;
+* :func:`weighted_contiguous_split` is the contiguous balanced partition
+  over those weights (time shards must be contiguous snapshot ranges —
+  causal edges only cross them forward in time);
+* :func:`chunk_by_weight` balances *non-contiguous* assignments: which
+  process worker owns which shard in
   :class:`repro.engine.sharded_sweep.ShardedSweepDriver` when there are
   fewer workers than shards.
 """
@@ -33,43 +19,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from repro.exceptions import GraphError
-from repro.graph.base import BaseEvolvingGraph, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graph.compiled import CompiledTemporalGraph
 
 T = TypeVar("T")
 
-__all__ = [
-    "chunk_evenly",
-    "chunk_by_weight",
-    "compiled_snapshot_weights",
-    "partition_timestamps",
-    "weighted_contiguous_split",
-]
-
-
-def chunk_evenly(items: Sequence[T], num_chunks: int) -> list[list[T]]:
-    """Split ``items`` into at most ``num_chunks`` contiguous chunks of near-equal size.
-
-    Empty chunks are dropped, so the result may contain fewer than
-    ``num_chunks`` lists when there are fewer items than chunks.
-    """
-    if num_chunks < 1:
-        raise GraphError("num_chunks must be at least 1")
-    items = list(items)
-    if not items:
-        return []
-    n = len(items)
-    k = min(num_chunks, n)
-    base, extra = divmod(n, k)
-    chunks: list[list[T]] = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return [c for c in chunks if c]
+__all__ = ["chunk_by_weight", "compiled_snapshot_weights", "weighted_contiguous_split"]
 
 
 def chunk_by_weight(
@@ -79,8 +35,8 @@ def chunk_by_weight(
 ) -> list[list[T]]:
     """Split ``items`` into chunks of near-equal total weight (greedy longest-processing-time).
 
-    Used to balance frontier expansion when per-node out-degrees are known
-    and highly skewed; preserves no particular order within chunks.
+    Used to assign shards to process workers by shard nnz; preserves no
+    particular order within chunks.
     """
     if len(items) != len(weights):
         raise GraphError("items and weights must have the same length")
@@ -105,8 +61,8 @@ def weighted_contiguous_split(
     Returns at most ``num_parts`` half-open ``(start, stop)`` ranges covering
     every position in order (fewer when there are fewer items than parts).
     This is the partition rule time-sharding needs — shards must be
-    contiguous snapshot ranges — shared by :func:`partition_timestamps` and
-    the :class:`~repro.graph.sharded.ShardedTemporalGraph` layout.
+    contiguous snapshot ranges — behind the
+    :class:`~repro.graph.sharded.ShardedTemporalGraph` layout.
     """
     if num_parts < 1:
         raise GraphError("num_parts must be at least 1")
@@ -151,47 +107,3 @@ def compiled_snapshot_weights(compiled: "CompiledTemporalGraph") -> list[int]:
         for k in range(compiled.num_snapshots)
     ]
 
-
-def partition_timestamps(
-    graph: BaseEvolvingGraph,
-    num_parts: int,
-    *,
-    compiled: "CompiledTemporalGraph | None" = None,
-) -> list[list[Time]]:
-    """Partition the timestamps into contiguous groups with balanced static-edge counts.
-
-    A time-based partition is the natural decomposition for evolving graphs:
-    causal edges only cross partitions forward in time, so a pipeline of
-    workers (one per partition) only communicates frontier state downstream.
-
-    When a :class:`~repro.graph.compiled.CompiledTemporalGraph` for the
-    graph is supplied (it must be current), the per-snapshot weights are
-    read off the compiled CSR operator stacks via
-    :func:`compiled_snapshot_weights` — every materialized stack counts, so
-    backward-heavy workloads that forced the transposes into memory weigh
-    each snapshot by what it actually stores — instead of walking Python
-    edge iterators.  Operator nnz differs from the raw edge count by
-    symmetrization and self-loop dropping, which leaves the balancing
-    heuristic unchanged.
-    """
-    if num_parts < 1:
-        raise GraphError("num_parts must be at least 1")
-    times = list(graph.timestamps)
-    if not times:
-        return []
-    if compiled is not None:
-        if not compiled.is_current(graph):
-            raise GraphError(
-                "the supplied compiled artifact is stale for this graph "
-                f"(artifact version {compiled.mutation_version}, graph "
-                f"version {graph.mutation_version})"
-            )
-        position = compiled.time_index
-        by_position = compiled_snapshot_weights(compiled)
-        weights: list[float] = [by_position[position[t]] for t in times]
-    else:
-        weights = [sum(1 for _ in graph.edges_at(t)) + 1 for t in times]
-    return [
-        times[start:stop]
-        for start, stop in weighted_contiguous_split(weights, num_parts)
-    ]

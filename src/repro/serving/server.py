@@ -53,6 +53,12 @@ Overload robustness (this PR) adds three mechanisms on the admission side:
   every entry of a refresh that raises, keep the exact prune semantics.
   No entry retains a distance block between mutations.
 
+Failure contract: an exception that escapes the dispatcher's per-group and
+per-mutation handlers *breaks* the server.  Every waiting future fails with
+a :class:`~repro.exceptions.ServingError` whose ``__cause__`` is that
+exception; from then on :meth:`~QueryServer.submit` and
+:meth:`~QueryServer.mutate` raise it, and ``join``/``close`` return at once.
+
 Freshness contract: a query is answered at *some* mutation version at least
 as new as the one current when it was submitted (the usual serving model);
 :meth:`join` quiesces the server when a caller needs a fixed version.
@@ -82,6 +88,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     GraphError,
     ServerOverloadedError,
+    ServingError,
 )
 from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple
 from repro.serving.coalesce import _query_root, decode_warm_block, execute_group
@@ -169,8 +176,8 @@ class ServingStats:
     accounting: ``expired_before_sweep`` counts futures dropped without
     kernel work, ``expired_after_sweep`` those whose deadline passed while
     their shared sweep ran.  Every future that resolves exceptionally —
-    group errors, shedding, expiry — also counts in ``failed``, so every
-    non-rejected submission resolves exactly once:
+    group errors, shedding, expiry, a broken dispatcher — also counts in
+    ``failed``, so every non-rejected submission resolves exactly once:
     ``served + failed == submitted - rejected`` (self-shed newcomers fail
     without ever counting as ``admitted``).
 
@@ -423,6 +430,7 @@ class QueryServer:
         self._mutations: list[tuple[list, list, Future]] = []
         self._executing = False
         self._closed = False
+        self._broken: Exception | None = None  # what killed the dispatcher
         self._dispatcher = threading.Thread(
             target=self._serve_loop, name="repro-query-server", daemon=True
         )
@@ -490,8 +498,7 @@ class QueryServer:
         value = None
         resolve = False
         with self._lock:
-            if self._closed:
-                raise GraphError("QueryServer is closed")
+            self._require_open()
             self.stats.submitted += 1
             if deadline is not None and deadline <= now:
                 # zero-budget admission: expired before any serving work —
@@ -569,8 +576,7 @@ class QueryServer:
         if self._admission == "block":
             while len(self._pending) >= self._max_pending and not self._closed:
                 self._space.wait()
-            if self._closed:
-                raise GraphError("QueryServer is closed")
+            self._require_open()
             return []
         # shed-oldest: evict the oldest pending query among the lowest
         # priority not exceeding the newcomer's; an out-prioritized
@@ -646,8 +652,7 @@ class QueryServer:
         dropped = [tuple(e) for e in removals]
         future: Future = Future()
         with self._lock:
-            if self._closed:
-                raise GraphError("QueryServer is closed")
+            self._require_open()
             self._mutations.append((batch, dropped, future))
             self._wake.notify()
         return future
@@ -728,10 +733,54 @@ class QueryServer:
                     self._apply_mutation(batch, dropped, future)
                 if tickets:
                     self._execute_micro_batch(tickets, drained_at)
+            except Exception as exc:
+                # no handler below caught it, so nothing is left to serve
+                # the queue: fail every waiting future instead of hanging it
+                self._break(exc, mutations, tickets)
+                return
             finally:
                 with self._lock:
                     self._executing = False
                     self._idle.notify_all()
+
+    def _require_open(self) -> None:
+        """Raise unless the server still accepts work (caller holds the lock)."""
+        if self._broken is not None:
+            raise ServingError("the QueryServer dispatcher failed") from self._broken
+        if self._closed:
+            raise GraphError("QueryServer is closed")
+
+    def _break(
+        self,
+        exc: Exception,
+        mutations: list[tuple[list, list, Future]],
+        tickets: list[_Ticket],
+    ) -> None:
+        """Fail every waiting future with a :class:`ServingError` caused by ``exc``.
+
+        The drained tickets, every pending ticket, their in-flight joiners,
+        and every drained or queued mutation fail.  The server is broken
+        from then on: ``submit`` and ``mutate`` raise, and ``join`` and
+        ``close`` return at once.
+        """
+        error = ServingError("the QueryServer dispatcher failed")
+        error.__cause__ = exc
+        with self._lock:
+            self._broken = exc
+            self._closed = True
+            waiting = [ticket.future for ticket in tickets + self._pending]
+            for waiters in [t.live for t in tickets] + list(self._inflight.values()):
+                waiting += [waiter.future for waiter in waiters]
+            waiting = [f for f in dict.fromkeys(waiting) if not f.done()]
+            self.stats.failed += len(waiting)
+            waiting += [future for _, _, future in mutations + self._mutations]
+            self._pending.clear()
+            self._inflight.clear()
+            self._mutations.clear()
+            self._space.notify_all()  # "block" admissions raise instead
+        for future in waiting:
+            if not future.done():
+                future.set_exception(error)
 
     def _apply_mutation(
         self,

@@ -10,7 +10,6 @@ influencer rankings.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -213,25 +212,3 @@ def test_closeness_singleton_pair():
     assert vectorized.keys() == python.keys()
     for key in python:
         assert vectorized[key] == pytest.approx(python[key])
-
-
-def test_batch_bfs_thread_fanout_matches_serial():
-    from repro.parallel import batch_bfs
-
-    rng = np.random.default_rng(7)
-    edges = [
-        (int(u), int(v), int(t))
-        for u, v, t in zip(
-            rng.integers(0, 30, 200), rng.integers(0, 30, 200), rng.integers(0, 4, 200)
-        )
-        if u != v
-    ]
-    graph = AdjacencyListEvolvingGraph(edges)
-    roots = graph.active_temporal_nodes()
-    serial = batch_bfs(graph, roots, backend="serial")
-    fanned = batch_bfs(
-        graph, roots, backend="vectorized", num_workers=3, chunk_size=16
-    )
-    assert set(serial) == set(fanned)
-    for root in serial:
-        assert fanned[root].reached == serial[root].reached

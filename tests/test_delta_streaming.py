@@ -626,7 +626,7 @@ class TestBatchBfsCompiledArtifact:
         artifact = get_compiled(graph)
         expected = {
             r: res.reached
-            for r, res in batch_bfs(graph, roots, backend="serial").items()
+            for r, res in batch_bfs(graph, roots, backend="python").items()
         }
         supplied = batch_bfs(graph, roots, backend="vectorized", compiled=artifact)
         assert {r: res.reached for r, res in supplied.items()} == expected

@@ -157,7 +157,7 @@ class TestScalingWorkflow:
 
     def test_batch_bfs_over_many_roots(self, medium_random_graph):
         roots = medium_random_graph.active_temporal_nodes()[:10]
-        results = batch_bfs(medium_random_graph, roots, backend="thread", num_workers=4)
+        results = batch_bfs(medium_random_graph, roots)
         assert len(results) == len(roots)
         stats = compute_stats(medium_random_graph)
         for result in results.values():

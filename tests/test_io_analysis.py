@@ -160,7 +160,7 @@ class TestEquivalenceHarness:
         report = check_bfs_equivalence(figure1, (1, "t1"))
         assert report.agree
         assert "agree" in report.summary()
-        assert len(report.results) == 6
+        assert len(report.results) == 5
         assert "engine_vectorized_frontier" in report.results
 
     def test_all_agree_on_random_graph(self, medium_random_graph):

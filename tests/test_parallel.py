@@ -1,40 +1,14 @@
-"""Unit tests for the parallel execution helpers."""
+"""Unit tests for the batch router and the shard-to-worker chunking."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import evolving_bfs
-from repro.exceptions import GraphError, InactiveNodeError
-from repro.graph import AdjacencyListEvolvingGraph
-from repro.parallel import (
-    batch_bfs,
-    chunk_by_weight,
-    chunk_evenly,
-    map_over_roots,
-    parallel_evolving_bfs,
-    partition_timestamps,
-)
-from tests.conftest import first_active_root
+from repro.exceptions import GraphError
+from repro.parallel import batch_bfs, chunk_by_weight
 
 
 class TestChunking:
-    def test_chunk_evenly_sizes(self):
-        chunks = chunk_evenly(list(range(10)), 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-        assert sum(chunks, []) == list(range(10))
-
-    def test_chunk_evenly_more_chunks_than_items(self):
-        chunks = chunk_evenly([1, 2], 5)
-        assert chunks == [[1], [2]]
-
-    def test_chunk_evenly_empty(self):
-        assert chunk_evenly([], 3) == []
-
-    def test_chunk_evenly_invalid(self):
-        with pytest.raises(GraphError):
-            chunk_evenly([1], 0)
-
     def test_chunk_by_weight_balances(self):
         items = ["a", "b", "c", "d"]
         weights = [10, 1, 1, 10]
@@ -48,55 +22,6 @@ class TestChunking:
         with pytest.raises(GraphError):
             chunk_by_weight([1], [1.0], 0)
 
-    def test_partition_timestamps_covers_all(self, medium_random_graph):
-        parts = partition_timestamps(medium_random_graph, 3)
-        flattened = [t for part in parts for t in part]
-        assert flattened == list(medium_random_graph.timestamps)
-        assert 1 <= len(parts) <= 3
-
-    def test_partition_timestamps_single_part(self, figure1):
-        assert partition_timestamps(figure1, 1) == [["t1", "t2", "t3"]]
-
-    def test_partition_timestamps_invalid(self, figure1):
-        with pytest.raises(GraphError):
-            partition_timestamps(figure1, 0)
-
-
-class TestParallelBFS:
-    def test_matches_serial_on_figure1(self, figure1):
-        expected = evolving_bfs(figure1, (1, "t1")).reached
-        got = parallel_evolving_bfs(figure1, (1, "t1"), num_workers=3).reached
-        assert got == expected
-
-    def test_matches_serial_on_random_graph(self, medium_random_graph):
-        root = first_active_root(medium_random_graph)
-        expected = evolving_bfs(medium_random_graph, root).reached
-        for workers in (1, 2, 4):
-            got = parallel_evolving_bfs(
-                medium_random_graph, root, num_workers=workers, min_chunk_size=1).reached
-            assert got == expected
-
-    def test_inactive_root_raises(self, figure1):
-        with pytest.raises(InactiveNodeError):
-            parallel_evolving_bfs(figure1, (3, "t1"))
-
-    def test_invalid_worker_count(self, figure1):
-        with pytest.raises(GraphError):
-            parallel_evolving_bfs(figure1, (1, "t1"), num_workers=0)
-
-    def test_frontier_tracking(self, figure1):
-        result = parallel_evolving_bfs(figure1, (1, "t1"), track_frontiers=True)
-        assert result.frontiers[0] == [(1, "t1")]
-        assert {tn for level in result.frontiers for tn in level} == set(result.reached)
-
-    def test_distances_are_levels(self, medium_random_graph):
-        root = first_active_root(medium_random_graph)
-        result = parallel_evolving_bfs(medium_random_graph, root,
-                                       num_workers=2, min_chunk_size=1,
-                                       track_frontiers=True)
-        for k, level in enumerate(result.frontiers):
-            assert all(result.reached[tn] == k for tn in level)
-
 
 class TestBatchBFS:
     def test_serial_backend(self, figure1):
@@ -105,79 +30,12 @@ class TestBatchBFS:
         assert results[(1, "t2")].reached[(3, "t3")] == 2
 
     def test_inactive_roots_skipped(self, figure1):
-        results = batch_bfs(figure1, [(3, "t1"), (1, "t1")])
-        assert set(results) == {(1, "t1")}
-
-    def test_thread_backend_matches_serial(self, medium_random_graph):
-        roots = medium_random_graph.active_temporal_nodes()[:6]
-        serial = batch_bfs(medium_random_graph, roots, backend="serial")
-        threaded = batch_bfs(medium_random_graph, roots, backend="thread", num_workers=3)
-        assert set(serial) == set(threaded)
-        for root in serial:
-            assert serial[root].reached == threaded[root].reached
-
-    def test_process_backend_matches_serial(self, small_random_graph):
-        roots = small_random_graph.active_temporal_nodes()[:4]
-        serial = batch_bfs(small_random_graph, roots, backend="serial")
-        procs = batch_bfs(small_random_graph, roots, backend="process", num_workers=2)
-        assert set(serial) == set(procs)
-        for root in serial:
-            assert serial[root].reached == procs[root].reached
-
-    def test_process_backend_chunks_roots(self, medium_random_graph):
-        roots = medium_random_graph.active_temporal_nodes()[:9]
-        serial = batch_bfs(medium_random_graph, roots, backend="serial")
-        procs = batch_bfs(
-            medium_random_graph, roots, backend="process", num_workers=2, chunk_size=4
-        )
-        assert set(serial) == set(procs)
-        for root in serial:
-            assert serial[root].reached == procs[root].reached
-
-    def test_process_backend_ships_compiled_artifact_not_graph(self):
-        """The workers receive the picklable compiled artifact; the graph
-        object itself must never cross the process boundary.  An unpicklable
-        graph therefore works fine under an explicit spawn context (which
-        pickles everything the workers need)."""
-
-        class UnpicklableGraph(AdjacencyListEvolvingGraph):
-            def __reduce__(self):
-                raise TypeError("the raw graph object must not be pickled")
-
-        graph = UnpicklableGraph(
-            [(0, 1, 0), (1, 2, 0), (0, 2, 1), (2, 3, 1), (1, 3, 2)]
-        )
-        with pytest.raises(TypeError):
-            import pickle
-
-            pickle.dumps(graph)
-        roots = graph.active_temporal_nodes()[:3]
-        serial = batch_bfs(graph, roots, backend="serial")
-        procs = batch_bfs(
-            graph, roots, backend="process", num_workers=2, mp_context="spawn"
-        )
-        assert set(procs) == set(serial)
-        for root in serial:
-            assert procs[root].reached == serial[root].reached
+        for backend in ("vectorized", "python"):
+            results = batch_bfs(figure1, [(3, "t1"), (1, "t1")], backend=backend)
+            assert set(results) == {(1, "t1")}
 
     def test_unknown_backend_rejected(self, figure1):
-        with pytest.raises(GraphError):
-            batch_bfs(figure1, [(1, "t1"), (1, "t2")], backend="gpu")  # type: ignore[arg-type]
-
-
-class TestMapOverRoots:
-    def test_serial_map(self, figure1):
-        out = map_over_roots(figure1, [(1, "t1"), (1, "t2")],
-                             lambda g, r: len(evolving_bfs(g, r)))
-        assert out == [6, 3]
-
-    def test_thread_map_matches_serial(self, small_random_graph):
-        roots = small_random_graph.active_temporal_nodes()[:5]
-        fn = lambda g, r: len(evolving_bfs(g, r))  # noqa: E731
-        assert map_over_roots(small_random_graph, roots, fn) == \
-            map_over_roots(small_random_graph, roots, fn, backend="thread", num_workers=2)
-
-    def test_unknown_backend_rejected(self, figure1):
-        with pytest.raises(GraphError):
-            map_over_roots(figure1, [(1, "t1"), (1, "t2")], lambda g, r: 0,
-                           backend="process")  # type: ignore[arg-type]
+        # only "vectorized" and "python" are backends
+        for backend in ("gpu", "serial", "thread", "process"):
+            with pytest.raises(GraphError):
+                batch_bfs(figure1, [(1, "t1"), (1, "t2")], backend=backend)

@@ -40,7 +40,6 @@ from repro.graph import (
 )
 from repro.io import evolving_graph_from_dict, evolving_graph_to_dict
 from repro.linalg import is_nilpotent
-from repro.parallel import parallel_evolving_bfs
 
 # --------------------------------------------------------------------------- #
 # strategies                                                                   #
@@ -135,14 +134,6 @@ def test_theorem4_algebraic_bfs_equals_algorithm1(graph_root):
     reference = evolving_bfs(graph, root).reached
     assert algebraic_bfs(graph, root).reached == reference
     assert algebraic_bfs_blocked(graph, root).reached == reference
-
-
-@COMMON_SETTINGS
-@given(graphs_with_roots())
-def test_parallel_bfs_equals_algorithm1(graph_root):
-    graph, root = graph_root
-    assert parallel_evolving_bfs(graph, root, num_workers=2, min_chunk_size=1).reached == \
-        evolving_bfs(graph, root).reached
 
 
 # --------------------------------------------------------------------------- #

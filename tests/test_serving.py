@@ -46,7 +46,7 @@ from repro.algorithms.temporal_paths import (
 from repro.core.bfs import evolving_bfs
 from repro.engine import get_compiled, get_kernel
 from repro.engine.frontier import FrontierKernel
-from repro.exceptions import GraphError, InactiveNodeError
+from repro.exceptions import GraphError, InactiveNodeError, ServingError
 from repro.generators import random_evolving_graph
 from repro.graph import AdjacencyListEvolvingGraph
 from repro.linalg import OperationCounter
@@ -729,3 +729,119 @@ def test_warm_start_served_answers_bit_identical(case):
                 queries, served, _direct_answers(graph, queries)
             ):
                 assert got == want, describe(query)
+
+
+# --------------------------------------------------------------------------- #
+# dispatcher failure                                                           #
+# --------------------------------------------------------------------------- #
+
+
+def _gate_execute_group(monkeypatch):
+    """Hold the dispatcher inside its first group sweep until released."""
+    entered, release = threading.Event(), threading.Event()
+    real = server_module.execute_group
+
+    def gated(*args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=10)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "execute_group", gated)
+    return entered, release
+
+
+def _assert_broken(server, futures, injected):
+    """Every future fails with ``injected`` as cause; new work raises; close returns."""
+    for future in futures:
+        error = future.exception(timeout=5)
+        assert isinstance(error, ServingError)
+        assert error.__cause__ is injected
+    with pytest.raises(ServingError):
+        server.submit(BFSQuery(root=(0, 0)))
+    with pytest.raises(ServingError):
+        server.mutate([(0, 7, 2)])
+    server.join(timeout=5)
+    server.close(timeout=5)
+    assert not server._dispatcher.is_alive()
+
+
+def test_dispatcher_failure_in_scatter_fails_every_waiting_future(monkeypatch):
+    """An exception outside the per-group handler (here: the cache insert)
+    fails the ticket in hand, its in-flight joiner, the pending ticket and
+    the queued mutation, instead of killing the dispatcher silently."""
+    graph = _warm_graph()
+    entered, release = _gate_execute_group(monkeypatch)
+    injected = RuntimeError("injected cache failure")
+    server = QueryServer(graph, window_s=0.0)
+
+    def put(*args, **kwargs):
+        raise injected
+
+    monkeypatch.setattr(server._cache, "put", put)
+    first = server.submit(BFSQuery(root=(0, 0)))
+    assert entered.wait(timeout=5)
+    futures = [
+        first,
+        server.submit(BFSQuery(root=(0, 0))),  # joins the computation in hand
+        server.submit(BFSQuery(root=(3, 1))),  # waits in the queue
+        server.mutate([(0, 5, 1)]),
+    ]
+    release.set()
+    _assert_broken(server, futures, injected)
+    assert server.stats_snapshot()["failed"] == 3
+
+
+def test_dispatcher_failure_in_mutation_fails_every_waiting_future(monkeypatch):
+    """``_apply_mutation`` prunes the cache outside its ``try``: a failure
+    there fails both drained mutations and the drained query."""
+    graph = _warm_graph()
+    want = evolving_bfs(graph, (0, 0), backend="python").reached
+    entered, release = _gate_execute_group(monkeypatch)
+    injected = RuntimeError("injected prune failure")
+    server = QueryServer(graph, window_s=0.0)
+
+    def prune_stale(version):
+        raise injected
+
+    monkeypatch.setattr(server._cache, "prune_stale", prune_stale)
+    answered = server.submit(BFSQuery(root=(0, 0)))
+    assert entered.wait(timeout=5)
+    futures = [
+        server.mutate([(0, 5, 1)]),
+        server.mutate([(0, 6, 1)]),
+        server.submit(BFSQuery(root=(3, 1))),
+    ]
+    release.set()
+    assert answered.result(timeout=5) == want
+    _assert_broken(server, futures, injected)
+
+
+def test_dispatcher_failure_wakes_blocked_submitters(monkeypatch):
+    """A submitter parked by ``admission="block"`` raises instead of waiting
+    on a queue that a dead dispatcher will never drain."""
+    graph = _warm_graph()
+    entered, release = _gate_execute_group(monkeypatch)
+    injected = RuntimeError("injected cache failure")
+    server = QueryServer(graph, window_s=0.0, max_pending=1, admission="block")
+
+    def put(*args, **kwargs):
+        raise injected
+
+    monkeypatch.setattr(server._cache, "put", put)
+    futures = [server.submit(BFSQuery(root=(0, 0)))]
+    assert entered.wait(timeout=5)
+    futures.append(server.submit(BFSQuery(root=(1, 0))))  # fills the queue
+    raised = []
+
+    def parked():
+        with pytest.raises(ServingError) as info:
+            server.submit(BFSQuery(root=(2, 0)))
+        raised.append(info.value)
+
+    submitter = threading.Thread(target=parked, daemon=True)
+    submitter.start()
+    release.set()
+    submitter.join(timeout=5)
+    assert not submitter.is_alive()
+    assert raised and raised[0].__cause__ is injected
+    _assert_broken(server, futures, injected)

@@ -68,7 +68,7 @@ from repro.io.mmap_store import (
     save_sharded,
 )
 from repro.parallel.batch import batch_bfs
-from repro.parallel.partition import compiled_snapshot_weights, partition_timestamps
+from repro.parallel.partition import compiled_snapshot_weights
 from repro.serving import QueryServer
 
 node_labels = st.integers(min_value=0, max_value=12)
@@ -696,7 +696,7 @@ def test_chunk_size_below_one_raises(surface, method):
 def test_batch_bfs_shards_flag_validation():
     graph = AdjacencyListEvolvingGraph([(0, 1, 0)], directed=False)
     with pytest.raises(GraphError):
-        batch_bfs(graph, [(0, 0)], backend="serial", shards=2)
+        batch_bfs(graph, [(0, 0)], backend="python", shards=2)
     with pytest.raises(GraphError):
         batch_bfs(
             graph, [(0, 0)], backend="vectorized", shards=2,
@@ -714,8 +714,6 @@ def test_partition_weights_count_materialized_transposes():
     compiled.backward_operators  # materialize the transpose stack
     after = compiled_snapshot_weights(compiled)
     assert after == [2 * (w - 1) + 1 for w in before]
-    parts = partition_timestamps(graph, 2, compiled=compiled)
-    assert [t for group in parts for t in group] == list(graph.timestamps)
     invalidate_kernel(graph)
 
 
