@@ -122,7 +122,7 @@ def test_all_variants_bit_identical(sweep):
         for name, _ in VARIANTS:
             (dist,) = point["results"][name]
             for col, (root, reached) in enumerate(point["oracle"].items()):
-                assert kernel._reached_dict(dist, col) == reached, (name, root)
+                assert kernel._reached_view(dist, col) == reached, (name, root)
 
 
 def test_bitkernel_speedup_and_report(sweep, report_dir):

@@ -362,10 +362,10 @@ class IncrementalBFS:
             if self._dist is None or self._axes is None:
                 self._decoded = {}
             else:
-                from repro.engine.sharded_sweep import _decode_column, _slot_keys
+                from repro.engine.reached import _decode_column, _slot_keys
 
                 keys = _slot_keys(self._axes.node_labels, self._axes.times)
-                self._decoded = _decode_column(keys, self._dist[:, :, None], 0)
+                self._decoded = _decode_column(keys, self._dist)
         return self._decoded
 
     def _remap(self, compiled: CompiledTemporalGraph) -> None:

@@ -34,6 +34,7 @@ replaces one traversal per (source, target) pair.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from typing import Hashable
 
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
@@ -113,14 +114,16 @@ def fewest_spatial_hops_from(
     *,
     backend: str = "vectorized",
     shards: int | None = None,
-) -> dict[TemporalNodeTuple, int]:
+) -> Mapping[TemporalNodeTuple, int]:
     """Minimal static-edge count from ``source`` to every reachable temporal node.
 
     One ``(min, +)`` label sweep (static edges cost 1, causal edges cost 0)
     answers the Grindrod–Higham hop question for all targets at once; the
     Python oracle is the equivalent 0/1-weight Dijkstra run to exhaustion.
     An inactive source reaches nothing, giving ``{}``.  ``shards`` routes
-    the sweep through the pipelined time-shard driver.
+    the sweep through the pipelined time-shard driver.  The engine's answer
+    is a read-only :class:`~repro.engine.reached.ReachedView` equal to the
+    oracle's dict; ``copy()`` gives a plain one.
     """
     from repro.engine import get_sweeper, resolve_backend
 

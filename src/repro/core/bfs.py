@@ -32,6 +32,7 @@ path, whose insertion order is part of the documented behaviour.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
@@ -53,7 +54,10 @@ class BFSResult:
     reached:
         ``{(v, t): distance}`` for every temporal node reachable from the
         root, including the root itself at distance 0.  This is exactly the
-        ``reached`` dictionary returned by the paper's Algorithm 1.
+        ``reached`` dictionary returned by the paper's Algorithm 1.  The
+        Python path returns a ``dict``; the engine returns an equal,
+        read-only :class:`~repro.engine.reached.ReachedView` over the root's
+        distance column (``copy()`` gives a plain ``dict``).
     parents:
         ``{(v, t): (u, s)}`` BFS-tree parent pointers (roots map to
         themselves).  Only populated when the search is run with
@@ -65,7 +69,7 @@ class BFSResult:
     """
 
     root: TemporalNodeTuple | tuple[TemporalNodeTuple, ...]
-    reached: dict[TemporalNodeTuple, int]
+    reached: Mapping[TemporalNodeTuple, int]
     parents: dict[TemporalNodeTuple, TemporalNodeTuple] = field(default_factory=dict)
     frontiers: list[list[TemporalNodeTuple]] = field(default_factory=list)
 

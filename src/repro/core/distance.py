@@ -60,17 +60,23 @@ def is_reachable(
     return temporal_distance(graph, origin, target) is not None
 
 
-def distance_dict(graph: BaseEvolvingGraph,
-                  origin: TemporalNodeTuple) -> dict[TemporalNodeTuple, int]:
-    """All distances from ``origin``: the ``reached`` dictionary of Algorithm 1."""
+def distance_dict(
+    graph: BaseEvolvingGraph, origin: TemporalNodeTuple
+) -> dict[TemporalNodeTuple, int]:
+    """All distances from ``origin``: the ``reached`` dictionary of Algorithm 1.
+
+    A plain ``dict`` the caller owns (the engine's ``reached`` is a
+    read-only view; its ``copy()`` decodes it once).
+    """
     origin = tuple(origin)
     if not graph.is_active(*origin):
         return {}
-    return dict(evolving_bfs(graph, origin).reached)
+    return evolving_bfs(graph, origin).reached.copy()
 
 
-def reachable_set(graph: BaseEvolvingGraph,
-                  origin: TemporalNodeTuple) -> set[TemporalNodeTuple]:
+def reachable_set(
+    graph: BaseEvolvingGraph, origin: TemporalNodeTuple
+) -> set[TemporalNodeTuple]:
     """The set of temporal nodes reachable from ``origin`` (including ``origin``)."""
     return set(distance_dict(graph, origin))
 
@@ -93,8 +99,7 @@ def all_pairs_distances(
     return out
 
 
-def temporal_eccentricity(graph: BaseEvolvingGraph,
-                          origin: TemporalNodeTuple) -> int:
+def temporal_eccentricity(graph: BaseEvolvingGraph, origin: TemporalNodeTuple) -> int:
     """Largest finite distance from ``origin`` to any reachable temporal node."""
     distances = distance_dict(graph, origin)
     return max(distances.values(), default=0)

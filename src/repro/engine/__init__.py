@@ -12,6 +12,10 @@
   of shard sweeps and merges the per-shard partials; the frontier kernel
   inherits it as the one-shard chain (itself, global start 0, empty
   boundary, swept lazily one chunk at a time).
+* :class:`~repro.engine.reached.ReachedView` — the ``reached`` of every
+  slot-keyed result: a read-only mapping over the root's ``(T, N)``
+  distance column that equals the oracle's dict and decodes into one only
+  when a caller reads every entry.
 * :class:`~repro.engine.labels.LabelKernel` — the semiring label-sweep
   loops (0/1 edge costs, Tang snapshot counts) that the surface runs over
   each shard's frontier kernel; the earliest-arrival and latest-departure
@@ -73,6 +77,7 @@ from repro.engine.dispatch import (
 )
 from repro.engine.frontier import FrontierKernel
 from repro.engine.labels import LabelKernel
+from repro.engine.reached import ReachedView
 from repro.engine.sharded_sweep import (
     SHARD_BACKENDS,
     BatchedSweeps,
@@ -88,6 +93,7 @@ __all__ = [
     "BoundaryBlock",
     "FrontierKernel",
     "LabelKernel",
+    "ReachedView",
     "ShardedSweepDriver",
     "SpectralKernel",
     "SpectralOpStats",

@@ -41,11 +41,14 @@ per step.  On top of those it keeps the single-source ``bfs``, the
 incremental-maintenance primitives of the streaming layer, and the Katz
 series over the temporal block matrix.
 
-The kernel produces exactly the ``reached`` dictionaries of the pure-Python
-reference implementations (Theorem 4 equivalence); the property-based suites
-``tests/test_engine.py`` and ``tests/test_algorithms_vectorized.py`` assert
-this on random evolving graphs.  :meth:`FrontierKernel._run` is the one
-sweep loop of the BFS family: it optionally starts from an incoming
+The kernel's ``reached`` results equal the dictionaries of the pure-Python
+reference implementations (Theorem 4 equivalence); each is a read-only
+:class:`~repro.engine.reached.ReachedView` over the root's distance column,
+decoded into that dictionary only when a caller reads every entry.  The
+property-based suites ``tests/test_engine.py`` and
+``tests/test_algorithms_vectorized.py`` assert this on random evolving
+graphs.  :meth:`FrontierKernel._run` is the one sweep loop of the BFS
+family: it optionally starts from an incoming
 boundary (the state earlier time shards reached), so every shard of every
 chain calls it.  ``bfs(track_parents=True)`` reads a valid
 shortest-path tree off the finished distance block in one pass (used by the
@@ -77,9 +80,10 @@ import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
+from repro.engine.reached import SlotTable
 from repro.engine.sharded_sweep import _DIRECTIONS, BatchedSweeps, BoundaryBlock
 from repro.exceptions import ConvergenceError, GraphError
-from repro.graph.base import BaseEvolvingGraph, Node, TemporalNodeTuple, Time
+from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
 from repro.linalg.csr import OperationCounter
 
@@ -136,12 +140,9 @@ class FrontierKernel(BatchedSweeps):
         # the one-shard chain of the batched surface: the kernel is its own
         # only shard, spanning every snapshot
         self._boundaries = ((0, compiled.num_snapshots),)
-        # decode tables, copied once so per-root result decoding stays cheap;
-        # the slot key table is built on the first decode
-        self._labels: list[Node] = compiled.node_labels
-        self._times: tuple[Time, ...] = compiled.times
-        self._node_index = compiled._node_index
-        self._keys: np.ndarray | None = None
+        # the decode tables every result shares; they hold no reference to
+        # the artifact, and the slot key table is built on the first decode
+        self._slots = SlotTable(compiled.node_labels, compiled.times)
         # (dst row, src column) coordinate expansions for parent attribution,
         # built lazily once per operator stack (the artifact is immutable)
         self._parent_coords: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -196,7 +197,7 @@ class FrontierKernel(BatchedSweeps):
         dist = self._run(
             [[self._seed_index(root)]], direction, reverse_edges=reverse_edges
         )
-        result = BFSResult(root=root, reached=self._reached_dict(dist, 0))
+        result = BFSResult(root=root, reached=self._reached_view(dist, 0))
         if track_parents:
             parent_t, parent_v = self._parent_slots(dist, direction, reverse_edges)
             result.parents = self._parents_dict(dist, parent_t, parent_v, 0)
@@ -899,7 +900,7 @@ class FrontierKernel(BatchedSweeps):
         col: int,
     ) -> dict[TemporalNodeTuple, TemporalNodeTuple]:
         """Decode one column of the parent-slot arrays into temporal-node labels."""
-        keys = self._key_table()
+        keys = self._slots.key_table()
         flat = np.flatnonzero(dist[:, :, col].ravel() >= 0)
         parents = parent_t[:, :, col].ravel()[flat].astype(np.int64)
         parents *= self.compiled.num_nodes

@@ -36,7 +36,10 @@ steps.  Each method chunks its roots, seeds one plan per chunk (the
 per-shard seed slots and the empty boundary entering the chain), runs the
 plans through the chain with :func:`_run_shard_task` — which reduces each
 shard's block to the partial its readout needs (:func:`_reduce_block`) —
-and folds the per-shard partials with :func:`_merge_partials`.
+and folds the per-shard partials with :func:`_merge_partials`.  The
+slot-keyed results (``bfs``, ``batch``, ``multi_source``, ``fewest_hops``)
+merge plain blocks, so process workers ship int32 blocks, and hand out
+each root's column as a :class:`~repro.engine.reached.ReachedView`.
 :class:`~repro.engine.frontier.FrontierKernel` inherits it as the one-shard
 chain: itself, global start 0, its plans swept lazily one chunk at a time,
 no hand-off built, and the single partial returned uncopied.
@@ -79,6 +82,7 @@ import numpy as np
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
 from repro.engine.labels import LabelKernel
+from repro.engine.reached import ReachedView, SlotTable
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph.base import Node, TemporalNodeTuple, Time
 from repro.graph.sharded import ShardedTemporalGraph
@@ -190,29 +194,6 @@ class BoundaryBlock:
 # --------------------------------------------------------------------------- #
 
 
-def _slot_keys(labels: Sequence[Node], times: Sequence[Time]) -> np.ndarray:
-    """The ``(node, time)`` label of every slot, in ``t * N + v`` order.
-
-    An object array, so one fancy index picks the keys of many slots and
-    every answer decoded through it shares the same key tuples.
-    """
-    return np.fromiter(
-        ((label, time) for time in times for label in labels),
-        dtype=object,
-        count=len(times) * len(labels),
-    )
-
-
-def _decode_column(keys: np.ndarray, dist: np.ndarray, col: int) -> dict:
-    """``{(node, time): distance}`` of one ``(T, N, R)`` column's reached slots.
-
-    Iterates in ``(t, v)``-major order, as :func:`numpy.nonzero` does.
-    """
-    column = dist[:, :, col].ravel()
-    flat = np.flatnonzero(column >= 0)
-    return dict(zip(keys[flat].tolist(), column[flat].tolist()))
-
-
 def _time_hits(block: np.ndarray, kind: str, global_start: int = 0) -> np.ndarray:
     """Per node and column, the snapshot of its first or last reached slot.
 
@@ -232,12 +213,11 @@ def _time_hits(block: np.ndarray, kind: str, global_start: int = 0) -> np.ndarra
     return np.where(hit, np.int32(global_start) + local, -1).astype(np.int32)
 
 
-def _decode_times(
-    labels: Sequence[Node], times: Sequence[Time], hits: np.ndarray, col: int
-) -> dict[Node, Time]:
+def _decode_times(slots: SlotTable, hits: np.ndarray, col: int) -> dict[Node, Time]:
     """``{node: time}`` of one column of a :func:`_time_hits` block."""
     column = hits[:, col]
     nodes = np.flatnonzero(column >= 0)
+    labels, times = slots.labels, slots.times
     return {
         labels[v]: times[t] for v, t in zip(nodes.tolist(), column[nodes].tolist())
     }
@@ -272,9 +252,7 @@ def _harmonic_accumulate(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _reduce_block(
-    kernel: FrontierKernel, kind: str, block: np.ndarray, global_start: int
-) -> object:
+def _reduce_block(kind: str, block: np.ndarray, global_start: int) -> object:
     """Collapse a shard's ``(T_i, N, R)`` block to the partial a readout needs."""
     if kind == "block":
         return block
@@ -284,11 +262,6 @@ def _reduce_block(
         return _harmonic_rows(block)
     if kind in ("first", "last"):
         return _time_hits(block, kind, global_start)
-    if kind == "reached":
-        # decoded per-column dictionaries: the shard owns the full node
-        # universe and its own slice of real time labels, so local decoding
-        # is globally correct (and what keeps process results small)
-        return [kernel._reached_dict(block, col) for col in range(block.shape[2])]
     raise GraphError(f"unknown shard partial kind {kind!r}")
 
 
@@ -319,12 +292,6 @@ def _merge_partials(kind: str, parts: Sequence) -> object:
             merged = np.where(
                 merged < 0, part, np.where(part < 0, merged, combine(merged, part))
             )
-        return merged
-    if kind == "reached":
-        merged = [dict(d) for d in parts[0]]
-        for part in parts[1:]:
-            for col, d in enumerate(part):
-                merged[col].update(d)
         return merged
     if kind == "steps":
         merged = parts[0]
@@ -405,9 +372,9 @@ def _run_shard_task(
     ``("zero_one", spatial_cost, causal_cost)`` or ``("tang", horizon,
     start_index)`` — and ``kind`` picks the partial shipped back to the
     chain, so the process backend returns reductions (reach masks, harmonic
-    rows, hit indices, decoded dictionaries) instead of full blocks whenever
-    the readout allows.  Returns ``(partial, boundary out)``; the boundary
-    out is ``None`` without ``handoff`` (the last shard of a chain).
+    rows, hit indices) instead of full blocks whenever the readout allows.
+    Returns ``(partial, boundary out)``; the boundary out is ``None``
+    without ``handoff`` (the last shard of a chain).
     Label-family sweeps run through a :class:`LabelKernel` over the shard's
     kernel.
     """
@@ -440,7 +407,7 @@ def _run_shard_task(
             seeds, spec[1], spec[2], boundary=boundary
         )
         boundary_out = _handoff(block, boundary) if handoff else None
-    return _reduce_block(kernel, kind, block, global_start), boundary_out
+    return _reduce_block(kind, block, global_start), boundary_out
 
 
 def _pipeline_worker(payload, in_q, out_q):  # pragma: no cover - subprocess body
@@ -497,9 +464,10 @@ class BatchedSweeps:
       sweeping shard ``i``;
     * :meth:`_schedule` — how the plans' chains execute.  The default runs
       them lazily in the calling thread, one chunk's whole chain per step;
-    * ``_axes`` — the artifact whose ``(T, N)`` axes seed and decode every
-      block (``slot``, ``active_mask``, ``is_active``), with ``_labels``,
-      ``_times``, ``_node_index`` and the lazily built slot ``_keys``.
+    * ``_axes`` — the artifact whose ``(T, N)`` axes seed every block
+      (``slot``, ``active_mask``, ``is_active``), with ``_slots``, the
+      :class:`~repro.engine.reached.SlotTable` that labels them and that
+      every ``reached`` view shares.
 
     A kernel is its own one shard over ``((0, T),)``; the sharded driver
     names its shards and overrides :meth:`_schedule` by backend.
@@ -515,7 +483,7 @@ class BatchedSweeps:
     @property
     def node_labels(self) -> list[Node]:
         """Node labels indexing the node axis of every block."""
-        return list(self._labels)
+        return list(self._slots.labels)
 
     @property
     def num_nodes(self) -> int:
@@ -538,15 +506,9 @@ class BatchedSweeps:
             raise InactiveNodeError(node, time)
         return slot
 
-    def _key_table(self) -> np.ndarray:
-        """The ``(node, time)`` key of every slot (:func:`_slot_keys`), built once."""
-        if self._keys is None:
-            self._keys = _slot_keys(self._labels, self._times)
-        return self._keys
-
-    def _reached_dict(self, dist: np.ndarray, col: int) -> dict[TemporalNodeTuple, int]:
-        """Decode one column of a ``(T, N, R)`` block into temporal-node labels."""
-        return _decode_column(self._key_table(), dist, col)
+    def _reached_view(self, dist: np.ndarray, col: int) -> ReachedView:
+        """One column of a ``(T, N, R)`` block as a ``reached`` mapping."""
+        return ReachedView(dist[:, :, col], self._slots)
 
     # ------------------------------------------------------------------ #
     # plans and the chain                                                 #
@@ -665,8 +627,8 @@ class BatchedSweeps:
                 raise InactiveNodeError(*root_list[0])
             raise ValueError("multi_source requires at least one root")
         plan = self._plan([[self._seed_index(r) for r in active_roots]])
-        (reached,) = self._run_plans(spec, "reached", [plan])
-        return BFSResult(root=tuple(active_roots), reached=reached[0])
+        (dist,) = self._run_plans(spec, "block", [plan])
+        return BFSResult(root=tuple(active_roots), reached=self._reached_view(dist, 0))
 
     def batch(
         self,
@@ -680,16 +642,17 @@ class BatchedSweeps:
         The roots are packed ``chunk_size`` at a time into the root lanes of
         one sweep, so every frontier advance serves the whole chunk.
         Inactive roots are skipped silently (matching
-        :func:`repro.parallel.batch.batch_bfs`).
+        :func:`repro.parallel.batch.batch_bfs`).  Each result's ``reached``
+        is a read-only :class:`~repro.engine.reached.ReachedView` over its
+        root's own distance column, decoded into a dict only on a full read.
         """
         spec = _bfs_spec(direction)
         active_roots = [(r[0], r[1]) for r in roots if self.is_active(r[0], r[1])]
         results: dict[TemporalNodeTuple, BFSResult] = {}
-        for chunk, reached in self._sweep_chunks(
-            active_roots, spec, "reached", chunk_size
-        ):
+        for chunk, dist in self._sweep_chunks(active_roots, spec, "block", chunk_size):
             for col, root in enumerate(chunk):
-                results[root] = BFSResult(root=root, reached=reached[col])
+                reached = self._reached_view(dist, col)
+                results[root] = BFSResult(root=root, reached=reached)
         return results
 
     def distance_blocks(
@@ -706,8 +669,8 @@ class BatchedSweeps:
         ``(T, N, R)`` int32 distance block whose column ``r`` belongs to
         ``chunk[r]`` (``-1`` = unreached) — the array-level form that the
         serving layer and the engine-backed algorithms (influence-leaf
-        detection, community unions) consume; :meth:`batch` is the decoded
-        convenience form.
+        detection, community unions) consume; :meth:`batch` is the
+        slot-keyed form.
         """
         spec = _bfs_spec(direction, reverse_edges)
         return self._sweep_chunks(roots, spec, "block", chunk_size)
@@ -807,7 +770,7 @@ class BatchedSweeps:
             roots, _bfs_spec(direction), kind, chunk_size
         ):
             for col, root in enumerate(chunk):
-                out[root] = _decode_times(self._labels, self._times, hits, col)
+                out[root] = _decode_times(self._slots, hits, col)
         return out
 
     def zero_one_labels(
@@ -836,18 +799,18 @@ class BatchedSweeps:
         roots: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]]:
+    ) -> dict[TemporalNodeTuple, ReachedView]:
         """Per root: minimal static-edge count to every reachable temporal node.
 
-        The decoded form of the ``(spatial_cost=1, causal_cost=0)`` sweep —
+        The slot-keyed form of the ``(spatial_cost=1, causal_cost=0)`` sweep —
         the dynamic-walk hop convention in which causal waiting is free.
         """
-        out: dict[TemporalNodeTuple, dict[TemporalNodeTuple, int]] = {}
+        out: dict[TemporalNodeTuple, ReachedView] = {}
         for chunk, hops in self._sweep_chunks(
-            roots, _zero_one_spec(1, 0), "reached", chunk_size
+            roots, _zero_one_spec(1, 0), "block", chunk_size
         ):
             for col, root in enumerate(chunk):
-                out[root] = hops[col]
+                out[root] = self._reached_view(hops, col)
         return out
 
     def tang_steps(
@@ -877,20 +840,19 @@ class BatchedSweeps:
         plans = (self._tang_plan(chunk) for chunk in chunks)
         out: dict[Node, dict[Node, int]] = {}
         for chunk, steps in zip(chunks, self._run_plans(spec, "steps", plans)):
+            labels = self._slots.labels
             for col, source in enumerate(chunk):
-                vi = self._node_index.get(source)
+                vi = self._slots.node_index.get(source)
                 if vi is not None:
                     steps[vi, col] = 0
                 known = np.flatnonzero(steps[:, col] >= 0)
-                out[source] = {
-                    self._labels[v]: int(steps[v, col]) for v in known.tolist()
-                }
+                out[source] = {labels[v]: int(steps[v, col]) for v in known.tolist()}
         return out
 
     def _tang_plan(self, sources: Sequence[Node]) -> tuple:
         """One chunk's Tang plan: no seed slots, and the informed lanes of the
         sources inside the node universe (the boundary entering the chain)."""
-        index = self._node_index
+        index = self._slots.node_index
         seeds = [[index[s]] if s in index else [] for s in sources]
         informed = bitops.seed_lanes((self.num_nodes,), seeds)
         return [None] * len(self._boundaries), (informed, len(sources))
@@ -948,10 +910,7 @@ class ShardedSweepDriver(BatchedSweeps):
         if num_workers is None:
             num_workers = sharded.num_shards
         self.num_workers = max(1, int(num_workers))
-        self._labels = sharded.node_labels
-        self._node_index = sharded.node_index
-        self._times = sharded.times
-        self._keys: np.ndarray | None = None  # slot key table, built on first decode
+        self._slots = SlotTable(sharded.node_labels, sharded.times)
         self._kernels: dict[int, FrontierKernel] = {}
         self._processes: list = []
         self._task_queues: dict[int, object] = {}
@@ -1199,8 +1158,8 @@ class ShardedSweepDriver(BatchedSweeps):
         """Single-source search; equals ``FrontierKernel.bfs`` bit-for-bit."""
         root = (root[0], root[1])
         spec = _bfs_spec(direction, reverse_edges)
-        ((_, reached),) = self._sweep_chunks([root], spec, "reached", 1)
-        return BFSResult(root=root, reached=reached[0])
+        ((_, dist),) = self._sweep_chunks([root], spec, "block", 1)
+        return BFSResult(root=root, reached=self._reached_view(dist, 0))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -12,9 +12,11 @@ batched surface both share
 * every **frontier-family** query (BFS, reachability probes,
   earliest-arrival, latest-departure) contributes its root as one column of
   a single batched distance sweep — the per-query answers are then
-  *decoded* from the common ``(T, N, R)`` distance block with exactly the
+  read off the common ``(T, N, R)`` distance block with exactly the
   readouts the direct functions use, so served results stay bit-identical
-  to :func:`repro.core.bfs.evolving_bfs`,
+  to :func:`repro.core.bfs.evolving_bfs` (a BFS answer is the same
+  read-only :class:`~repro.engine.reached.ReachedView` over its root's
+  column),
   :func:`repro.algorithms.temporal_paths.earliest_arrival_times` and
   friends;
 * **fewest-hops** queries pack their sources into one 0/1-semiring label
@@ -46,6 +48,7 @@ from repro.algorithms.queries import (
     ReachabilityQuery,
     rank_top_k,
 )
+from repro.engine.reached import ReachedView
 from repro.engine.sharded_sweep import _decode_times, _time_hits
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
@@ -62,7 +65,8 @@ class GroupOutcome:
     ``columns`` counts the distinct roots packed into the shared sweep
     (``1`` for whole-graph groups), ``sweeps`` the number of batched kernel
     executions (one per group unless the group was empty).  No distance
-    block outlives the group: a server refreshing a cached answer across a
+    block outlives the group — a BFS or fewest-hops answer keeps only its
+    root's own column — and a server refreshing a cached answer across a
     mutation re-sweeps its root instead.
     """
 
@@ -114,17 +118,19 @@ def _query_root(query: Query) -> TemporalNodeTuple:
 
 
 def _decode_frontier(query: Query, dist: np.ndarray, col: int, sweeper):
-    """Decode one frontier-family query from its ``(T, N, R)`` sweep column.
+    """Read one frontier-family answer off its ``(T, N, R)`` sweep column.
 
     The single decode used both for fresh coalesced sweeps and for
     warm-start answers refreshed across mutations
     (:func:`decode_warm_block`) — sharing it is what makes refreshed answers
-    bit-identical to fresh ones by construction.  The earliest-arrival and
-    latest-departure answers use the first/last-hit readouts of the batched
-    surface (:func:`~repro.engine.sharded_sweep._time_hits`).
+    bit-identical to fresh ones by construction.  A BFS answer is the
+    batched surface's ``reached`` view of the column, which copies the
+    column out of the block and decodes on read; the earliest-arrival and
+    latest-departure answers use the first/last-hit readouts
+    (:func:`~repro.engine.sharded_sweep._time_hits`).
     """
     if isinstance(query, BFSQuery):
-        return sweeper._reached_dict(dist, col)
+        return sweeper._reached_view(dist, col)
     if isinstance(query, ReachabilityQuery):
         slot = sweeper._axes.slot(*query.target)
         if slot is None or dist[slot[0], slot[1], col] < 0:
@@ -132,7 +138,7 @@ def _decode_frontier(query: Query, dist: np.ndarray, col: int, sweeper):
         return int(dist[slot[0], slot[1], col])
     kind = "first" if isinstance(query, EarliestArrivalQuery) else "last"
     hits = _time_hits(dist[:, :, col : col + 1], kind)
-    return _decode_times(sweeper._labels, sweeper._times, hits, 0)
+    return _decode_times(sweeper._slots, hits, 0)
 
 
 def decode_warm_block(kernel, query: Query, block: np.ndarray):
@@ -221,7 +227,7 @@ def _zero_one_group(
         pending.append(i)
     if not roots:
         return outcome
-    hops: dict[TemporalNodeTuple, dict] = {}
+    hops: dict[TemporalNodeTuple, ReachedView] = {}
     for chunk, block in sweeper.zero_one_labels(
         roots,
         spatial_cost=spatial_cost,
@@ -229,7 +235,7 @@ def _zero_one_group(
         chunk_size=chunk_size,
     ):
         for col, root in enumerate(chunk):
-            hops[root] = sweeper._reached_dict(block, col)
+            hops[root] = sweeper._reached_view(block, col)
     outcome.columns = len(roots)
     outcome.sweeps = 1
     for i in pending:

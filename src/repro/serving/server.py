@@ -45,13 +45,24 @@ Overload robustness (this PR) adds three mechanisms on the admission side:
   delta-recompiled, the distinct roots of those entries are re-swept
   together in one packed
   :meth:`~repro.engine.frontier.FrontierKernel.distance_blocks` sweep — the
-  sweep a cache miss runs — and every entry is re-decoded through the exact
+  sweep a cache miss runs — and every entry is re-read through the exact
   coalesce readouts and rekeyed to the new version.  Refreshed answers
   therefore equal recomputation by construction, for insertions, removals
   and mixed batches alike, whatever the batch does to the node and
   timestamp axes.  Entries whose search root the batch deactivated, and
   every entry of a refresh that raises, keep the exact prune semantics.
-  No entry retains a distance block between mutations.
+  A BFS entry holds its root's own ``(T, N)`` distance column as a
+  read-only :class:`~repro.engine.reached.ReachedView`, so a refresh
+  decodes no dictionary: only a client that reads every entry of an
+  answer pays for that, once.  No entry retains a sweep's block.
+
+Cancellation contract: ``future.cancel()`` follows :mod:`concurrent.futures`.
+It succeeds until the dispatcher *takes* the future — a queued query and its
+joiners at the drain, a later joiner at the scatter, a shed victim when it
+is shed, a mutation when the writer drains it — and fails from then on.  A
+cancelled mutation is never applied; a query whose every waiter was
+cancelled spends no sweep column, while the other waiters on its key still
+get their answer.  No cancel makes the dispatcher or another client raise.
 
 Failure contract: an exception that escapes the dispatcher's per-group and
 per-mutation handlers *breaks* the server.  Every waiting future fails with
@@ -177,9 +188,11 @@ class ServingStats:
     kernel work, ``expired_after_sweep`` those whose deadline passed while
     their shared sweep ran.  Every future that resolves exceptionally —
     group errors, shedding, expiry, a broken dispatcher — also counts in
-    ``failed``, so every non-rejected submission resolves exactly once:
-    ``served + failed == submitted - rejected`` (self-shed newcomers fail
-    without ever counting as ``admitted``).
+    ``failed``, and ``cancelled`` counts the futures the dispatcher found
+    cancelled by their clients when it came to take them.  So every
+    non-rejected submission ends exactly once:
+    ``served + failed + cancelled == submitted - rejected`` (self-shed
+    newcomers fail without ever counting as ``admitted``).
 
     ``queue_depth_high_water`` is the deepest the submission queue has ever
     been; ``batch_queue_depths`` records the per-micro-batch high-water
@@ -197,6 +210,7 @@ class ServingStats:
     failed: int = 0
     rejected: int = 0
     shed: int = 0
+    cancelled: int = 0
     expired_before_sweep: int = 0
     expired_after_sweep: int = 0
     cache_hits: int = 0
@@ -253,7 +267,7 @@ class _Ticket(_Waiter):
     query: Query = None
     key: tuple = None
     priority: int = 0
-    live: list = field(default_factory=list)  # waiters kept past the drain gate
+    live: list = field(default_factory=list)  # waiters the dispatcher took
 
 
 @dataclass
@@ -598,13 +612,11 @@ class QueryServer:
             )
             return None
         self._pending.remove(victim)
-        waiters = self._inflight.pop(victim.key, [])
+        waiters = self._claim([victim, *self._inflight.pop(victim.key, [])])
         exc = ServerOverloadedError(depth, self._max_pending, shed=True)
-        failures = [(victim.future, exc)]
-        failures.extend((w.future, exc) for w in waiters)
-        self.stats.shed += len(failures)
-        self.stats.failed += len(failures)
-        return failures
+        self.stats.shed += len(waiters)
+        self.stats.failed += len(waiters)
+        return [(waiter.future, exc) for waiter in waiters]
 
     def query(
         self,
@@ -716,9 +728,12 @@ class QueryServer:
                         if remaining <= 0:
                             break
                         self._wake.wait(remaining)
-                mutations, self._mutations = self._mutations, []
+                mutations = self._take_mutations()
                 tickets = self._pending[: self._max_batch]
                 del self._pending[: len(tickets)]
+                drained_at = time.monotonic()
+                kept: list[_Ticket] = []
+                expired: list[tuple[Future, Exception]] = []
                 if tickets:
                     depths = self.stats.batch_queue_depths
                     depths.append(self._depth_peak)
@@ -726,13 +741,15 @@ class QueryServer:
                         del depths[: len(depths) - _DEPTH_SAMPLES]
                     self._depth_peak = len(self._pending)
                     self._space.notify_all()  # "block" admissions may proceed
+                    kept, expired = self._gate(tickets, drained_at)
                 self._executing = True
-            drained_at = time.monotonic()
             try:
+                for expired_future, error in expired:
+                    expired_future.set_exception(error)
                 for batch, dropped, future in mutations:
                     self._apply_mutation(batch, dropped, future)
-                if tickets:
-                    self._execute_micro_batch(tickets, drained_at)
+                if kept:
+                    self._execute_micro_batch(kept, drained_at)
             except Exception as exc:
                 # no handler below caught it, so nothing is left to serve
                 # the queue: fail every waiting future instead of hanging it
@@ -750,6 +767,58 @@ class QueryServer:
         if self._closed:
             raise GraphError("QueryServer is closed")
 
+    def _claim(self, waiters: list[_Waiter]) -> list[_Waiter]:
+        """Take ``waiters`` for resolution, dropping the ones their clients cancelled.
+
+        Caller holds the lock.  A taken future is running, so its client's
+        ``cancel()`` returns False from then on and resolving it cannot raise.
+        """
+        taken = [w for w in waiters if w.future.set_running_or_notify_cancel()]
+        self.stats.cancelled += len(waiters) - len(taken)
+        return taken
+
+    def _take_mutations(self) -> list[tuple[list, list, Future]]:
+        """Take every queued mutation its client has not cancelled (lock held)."""
+        taken = [m for m in self._mutations if m[2].set_running_or_notify_cancel()]
+        self._mutations = []
+        return taken
+
+    def _gate(
+        self, tickets: list[_Ticket], drained_at: float
+    ) -> tuple[list[_Ticket], list[tuple[Future, Exception]]]:
+        """Take the drained tickets' waiters: ``(kept tickets, expiry failures)``.
+
+        Caller holds the lock.  Cancelled waiters are dropped
+        (:meth:`_claim`) and already-expired ones fail *before* any kernel
+        work; a query with no live waiter left is dropped entirely, so its
+        sweep column is never spent.
+        """
+        self.stats.micro_batches += 1
+        kept: list[_Ticket] = []
+        expired: list[tuple[Future, Exception]] = []
+        for ticket in tickets:
+            live: list[_Waiter] = []
+            for waiter in self._claim([ticket, *self._inflight.get(ticket.key, [])]):
+                self.stats.wait_latency.record(drained_at - waiter.submitted)
+                if waiter.expired(drained_at):
+                    self.stats.expired_before_sweep += 1
+                    self.stats.failed += 1
+                    error = DeadlineExceededError(waiter.budget, swept=False)
+                    expired.append((waiter.future, error))
+                else:
+                    live.append(waiter)
+            ticket.live = live
+            if live:
+                # joiners arriving between this gate and the scatter
+                # accumulate in a fresh in-flight list
+                self._inflight[ticket.key] = []
+                kept.append(ticket)
+            else:
+                # nothing live: late joiners must re-enqueue, not attach to a
+                # computation that will never run
+                self._inflight.pop(ticket.key, None)
+        return kept, expired
+
     def _break(
         self,
         exc: Exception,
@@ -758,8 +827,9 @@ class QueryServer:
     ) -> None:
         """Fail every waiting future with a :class:`ServingError` caused by ``exc``.
 
-        The drained tickets, every pending ticket, their in-flight joiners,
-        and every drained or queued mutation fail.  The server is broken
+        The drained tickets' live waiters, every pending ticket, their
+        in-flight joiners, and every drained or queued mutation fail, except
+        the queued futures their clients cancelled.  The server is broken
         from then on: ``submit`` and ``mutate`` raise, and ``join`` and
         ``close`` return at once.
         """
@@ -768,19 +838,18 @@ class QueryServer:
         with self._lock:
             self._broken = exc
             self._closed = True
-            waiting = [ticket.future for ticket in tickets + self._pending]
-            for waiters in [t.live for t in tickets] + list(self._inflight.values()):
-                waiting += [waiter.future for waiter in waiters]
-            waiting = [f for f in dict.fromkeys(waiting) if not f.done()]
+            joiners = [w for waiters in self._inflight.values() for w in waiters]
+            waiting = [w.future for ticket in tickets for w in ticket.live]
+            waiting += [w.future for w in self._claim(self._pending + joiners)]
+            waiting = [future for future in waiting if not future.done()]
             self.stats.failed += len(waiting)
-            waiting += [future for _, _, future in mutations + self._mutations]
+            waiting += [future for _, _, future in mutations if not future.done()]
+            waiting += [future for _, _, future in self._take_mutations()]
             self._pending.clear()
             self._inflight.clear()
-            self._mutations.clear()
             self._space.notify_all()  # "block" admissions raise instead
         for future in waiting:
-            if not future.done():
-                future.set_exception(error)
+            future.set_exception(error)
 
     def _apply_mutation(
         self,
@@ -860,46 +929,9 @@ class QueryServer:
                 self._cache.rekey(before, version, key, value, query)
         return len(moves)
 
-    def _execute_micro_batch(self, tickets: list[_Ticket], drained_at: float) -> None:
+    def _execute_micro_batch(self, kept: list[_Ticket], drained_at: float) -> None:
+        """Sweep and scatter the tickets that passed the drain gate (:meth:`_gate`)."""
         version = self._graph.mutation_version
-
-        # deadline gate: fail every already-expired future *before* any
-        # kernel work, and drop a query entirely when nothing attached to it
-        # is still live (its sweep column would be pure waste)
-        kept: list[_Ticket] = []
-        to_fail: list[tuple[Future, Exception]] = []
-        with self._lock:
-            self.stats.micro_batches += 1
-            for ticket in tickets:
-                attached = [ticket, *self._inflight.get(ticket.key, [])]
-                live: list[_Waiter] = []
-                for waiter in attached:
-                    self.stats.wait_latency.record(drained_at - waiter.submitted)
-                    if waiter.expired(drained_at):
-                        self.stats.expired_before_sweep += 1
-                        self.stats.failed += 1
-                        to_fail.append(
-                            (
-                                waiter.future,
-                                DeadlineExceededError(waiter.budget, swept=False),
-                            )
-                        )
-                    else:
-                        live.append(waiter)
-                if live:
-                    ticket.live = live
-                    # joiners arriving between this gate and the scatter
-                    # accumulate in a fresh in-flight list
-                    self._inflight[ticket.key] = []
-                    kept.append(ticket)
-                else:
-                    # fully expired: late joiners must re-enqueue, not
-                    # attach to a computation that will never run
-                    self._inflight.pop(ticket.key, None)
-        for expired_future, exc in to_fail:
-            expired_future.set_exception(exc)
-        if not kept:
-            return
 
         # dedupe on canonical identity (defensive — the in-flight map makes
         # duplicate keys in one batch impossible), then group by sweep shape
@@ -959,8 +991,10 @@ class QueryServer:
                             result,
                             warm=ticket.query if refreshable else None,
                         )
-                    waiters = ticket.live + self._inflight.pop(ticket.key, [])
-                    for waiter in waiters:
+                    # late joiners are taken now; kept on the ticket, they
+                    # stay reachable by _break until they are resolved
+                    ticket.live += self._claim(self._inflight.pop(ticket.key, []))
+                    for waiter in ticket.live:
                         self.stats.service_latency.record(scattered_at - drained_at)
                         if error is not None:
                             self.stats.failed += 1

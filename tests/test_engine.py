@@ -430,7 +430,7 @@ def test_wide_chunk_distance_blocks_match_python_oracle(width, directed):
         search = evolving_bfs if direction == "forward" else backward_bfs
         oracle_graph = _flipped(graph) if reverse_edges else graph
         for col, root in enumerate(chunk):
-            assert (kernel._reached_dict(dist, col)
+            assert (kernel._reached_view(dist, col)
                     == search(oracle_graph, root, backend="python").reached)
 
 

@@ -365,11 +365,12 @@ def test_unit_unit_semiring_recovers_paper_distance(graph_root):
     graph, root = graph_root
     kernel = get_kernel(graph)
     expected = evolving_bfs(graph, root, backend="python").reached
+    slots = kernel._slots
     for chunk, labels in kernel.zero_one_labels([root], spatial_cost=1, causal_cost=1):
         decoded = {}
         t_arr, v_arr = np.nonzero(labels[:, :, 0] >= 0)
         for ti, vi in zip(t_arr.tolist(), v_arr.tolist()):
-            decoded[(kernel._labels[vi], kernel._times[ti])] = int(labels[ti, vi, 0])
+            decoded[(slots.labels[vi], slots.times[ti])] = int(labels[ti, vi, 0])
         assert decoded == expected
 
 
@@ -470,6 +471,7 @@ def test_zero_one_labels_bit_identical_to_python_dijkstra(graph, data, costs):
         active = graph.active_temporal_nodes()
     roots = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=4))
     kernel = FrontierKernel(graph)
+    slots = kernel._slots
     seen = []
     for chunk, block in kernel.zero_one_labels(
         roots, spatial_cost=spatial_cost, causal_cost=causal_cost, chunk_size=3
@@ -477,7 +479,7 @@ def test_zero_one_labels_bit_identical_to_python_dijkstra(graph, data, costs):
         for col, root in enumerate(chunk):
             t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
             decoded = {
-                (kernel._labels[vi], kernel._times[ti]): int(block[ti, vi, col])
+                (slots.labels[vi], slots.times[ti]): int(block[ti, vi, col])
                 for ti, vi in zip(t_arr.tolist(), v_arr.tolist())
             }
             assert decoded == _zero_one_dijkstra(
@@ -533,6 +535,7 @@ def test_wide_chunk_zero_one_labels_match_dijkstra(width):
     picks = np.random.default_rng(width).integers(len(active), size=width)
     roots = [active[i] for i in picks.tolist()]
     kernel = FrontierKernel(graph)
+    slots = kernel._slots
     for spatial_cost, causal_cost in ((1, 0), (0, 1), (1, 1), (0, 0)):
         ((chunk, block),) = kernel.zero_one_labels(
             roots, spatial_cost=spatial_cost, causal_cost=causal_cost,
@@ -542,7 +545,7 @@ def test_wide_chunk_zero_one_labels_match_dijkstra(width):
         for col, root in enumerate(chunk):
             t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
             decoded = {
-                (kernel._labels[vi], kernel._times[ti]): int(block[ti, vi, col])
+                (slots.labels[vi], slots.times[ti]): int(block[ti, vi, col])
                 for ti, vi in zip(t_arr.tolist(), v_arr.tolist())
             }
             assert decoded == _zero_one_dijkstra(

@@ -18,6 +18,7 @@ Four contracts, per ISSUE 6:
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -443,7 +444,7 @@ def test_concurrent_readers_and_writer_stress():
             future.result(timeout=30)
         for result in out:
             assert not isinstance(result, Exception), result
-            assert all(isinstance(r, dict) for r in result)
+            assert all(isinstance(r, Mapping) for r in result)
         server.join()
         # quiesced: every answer now equals the direct call on the final graph
         for root in roots:
@@ -451,6 +452,49 @@ def test_concurrent_readers_and_writer_stress():
                 graph, root, backend="python"
             ).reached
         assert server.stats.mutations == len(batches)
+
+
+def test_readers_share_a_cached_answer_while_the_writer_refreshes():
+    """8 threads read one cached, not yet decoded BFS answer at once (the
+    first read decodes it, without a lock) while a mutation refreshes the
+    cache; iteration, ``len`` and ``dict(...)`` all equal the oracle."""
+    graph = random_evolving_graph(60, 6, 250, seed=41)
+    root = graph.active_temporal_nodes()[0]
+    times = list(graph.timestamps)
+    with QueryServer(graph, window_s=0.0) as server:
+        for step in range(4):
+            answer = server.query(BFSQuery(root=root))
+            oracle = evolving_bfs(graph, root, backend="python").reached
+            compiled = get_compiled(graph)
+            order = sorted(
+                oracle,
+                key=lambda k: (compiled.time_index[k[1]], compiled.node_index[k[0]]),
+            )
+            barrier = threading.Barrier(9)
+            failures = []
+
+            def read():
+                barrier.wait()
+                try:
+                    for _ in range(3):
+                        assert list(answer) == order
+                        assert len(answer) == len(oracle)
+                        assert dict(answer) == oracle
+                except BaseException as exc:  # surfaced by the assert below
+                    failures.append(exc)
+
+            readers = [threading.Thread(target=read) for _ in range(8)]
+            for reader in readers:
+                reader.start()
+            barrier.wait()
+            batch = [(root[0], 2000 + step, times[step % len(times)])]
+            mutation = server.mutate(batch)
+            for reader in readers:
+                reader.join(timeout=60)
+                assert not reader.is_alive()
+            mutation.result(timeout=30)
+            assert not failures, failures[0]
+        assert server.stats_snapshot()["entries_patched"] >= 4
 
 
 def test_server_close_and_reject_after_close():
@@ -845,3 +889,89 @@ def test_dispatcher_failure_wakes_blocked_submitters(monkeypatch):
     assert not submitter.is_alive()
     assert raised and raised[0].__cause__ is injected
     _assert_broken(server, futures, injected)
+
+
+# --------------------------------------------------------------------------- #
+# client cancellation                                                          #
+# --------------------------------------------------------------------------- #
+
+
+def _oracle(graph, root):
+    return evolving_bfs(graph, root, backend="python").reached
+
+
+def _assert_accounted(server):
+    stats = server.stats_snapshot()
+    assert stats["served"] + stats["failed"] + stats["cancelled"] == (
+        stats["submitted"] - stats["rejected"]
+    )
+    return stats
+
+
+def test_cancelled_queued_queries_never_sweep(monkeypatch):
+    """A query cancelled while queued spends no sweep column: not at the
+    drain, and not when a newcomer sheds it (the shedding submit must not
+    raise); the server keeps serving."""
+    graph = _warm_graph()
+    entered, release = _gate_execute_group(monkeypatch)
+    server = QueryServer(graph, window_s=0.0, max_pending=1, admission="shed-oldest")
+    blocker = server.submit(BFSQuery(root=(0, 0)))
+    assert entered.wait(timeout=5)
+    victim = server.submit(BFSQuery(root=(1, 0)))
+    assert victim.cancel()
+    drained = server.submit(BFSQuery(root=(2, 0)))  # sheds the cancelled query
+    assert drained.cancel()
+    release.set()
+    assert blocker.result(timeout=5) == _oracle(graph, (0, 0))
+    server.join(timeout=5)
+    stats = _assert_accounted(server)
+    assert stats["sweep_columns"] == 1
+    assert stats["cancelled"] == 2 and stats["shed"] == 0 and stats["failed"] == 0
+    assert server.query(BFSQuery(root=(2, 0)), timeout=5) == _oracle(graph, (2, 0))
+    server.close(timeout=5)
+
+
+def test_cancelled_joiners_leave_the_other_waiters_answered(monkeypatch):
+    """A late in-flight joiner and a queued query's own future are cancelled;
+    the sweep in hand and the queued query's other joiner are still answered."""
+    graph = _warm_graph()
+    entered, release = _gate_execute_group(monkeypatch)
+    server = QueryServer(graph, window_s=0.0)
+    blocker = server.submit(BFSQuery(root=(0, 0)))
+    assert entered.wait(timeout=5)
+    late = server.submit(BFSQuery(root=(0, 0)))  # joins the sweep in hand
+    owner = server.submit(BFSQuery(root=(3, 1)))
+    joiner = server.submit(BFSQuery(root=(3, 1)))  # joins the queued query
+    assert late.cancel() and owner.cancel()
+    release.set()
+    assert blocker.result(timeout=5) == _oracle(graph, (0, 0))
+    assert joiner.result(timeout=5) == _oracle(graph, (3, 1))
+    assert late.cancelled() and owner.cancelled()
+    server.join(timeout=5)
+    stats = _assert_accounted(server)
+    assert stats["cancelled"] == 2 and stats["failed"] == 0
+    assert server.query(BFSQuery(root=(5, 2)), timeout=5) == _oracle(graph, (5, 2))
+    server.close(timeout=5)
+
+
+def test_cancelled_pending_mutation_is_never_applied(monkeypatch):
+    """A mutation cancelled before the writer takes it leaves the graph as it
+    was; the next one applies, and answers follow the graph."""
+    graph = _warm_graph()
+    want = _oracle(graph, (0, 0))
+    entered, release = _gate_execute_group(monkeypatch)
+    server = QueryServer(graph, window_s=0.0)
+    blocker = server.submit(BFSQuery(root=(0, 0)))
+    assert entered.wait(timeout=5)
+    before = graph.mutation_version
+    cancelled = server.mutate([(0, 5, 1)])
+    applied = server.mutate([(0, 6, 1)])
+    assert cancelled.cancel()
+    release.set()
+    assert blocker.result(timeout=5) == want
+    assert applied.result(timeout=5) > before
+    assert cancelled.cancelled()
+    assert not graph.has_edge(0, 5, 1) and graph.has_edge(0, 6, 1)
+    assert server.stats_snapshot()["mutations"] == 1
+    assert server.query(BFSQuery(root=(0, 1)), timeout=5) == _oracle(graph, (0, 1))
+    server.close(timeout=5)
