@@ -618,8 +618,9 @@ class IncrementalEarliestArrival:
             return out
         if inner._dist is None or inner._axes is None:
             return {}
+        from repro.engine.reached import SlotTable
         from repro.engine.sharded_sweep import _decode_times, _time_hits
 
         axes = inner._axes
         first = _time_hits(inner._dist[:, :, None], "first")
-        return _decode_times(axes.node_labels, axes.times, first, 0)
+        return _decode_times(SlotTable(axes.node_labels, axes.times), first, 0)

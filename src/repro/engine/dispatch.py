@@ -21,17 +21,21 @@ Any in-place edit — including count-preserving ones such as removing one
 edge and adding another — bumps the version and therefore refreshes the
 entry; the old count-based fingerprint that missed those mutations is gone.
 
-Since PR 4 a version mismatch no longer discards the cached artifact: the
-stale entry is *patched* via delta compilation
+A version mismatch does not discard the cached artifact: the stale entry
+is *patched* via delta compilation
 (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile`), which
 rebuilds only the snapshots whose per-snapshot version stamps moved and
 shares every untouched CSR stack, transpose and mask row with the previous
 artifact.  Streaming mutation patterns (one edge batch per step, as in the
 Figure-5 growth experiment) therefore pay per step only for the touched
-snapshots; the kernels are rebuilt over the patched artifact, which costs a
-few object constructions.  :func:`invalidate_kernel` remains for callers
-that want to drop a cached artifact eagerly (e.g. to free memory, or to
-force the next compile from scratch).
+snapshots.  That patch is the one incremental path: everything derived
+from the artifact is rebuilt over the patched result.  The kernels are
+constructed afresh (a few object constructions; the
+:class:`~repro.engine.spectral.SpectralKernel` starts with empty LU and
+radius caches), and the shard drivers re-slice it.
+:func:`invalidate_kernel` remains for callers that want to drop a cached
+artifact eagerly (e.g. to free memory, or to force the next compile from
+scratch).
 
 Time-sharded execution has its own version-exact cache
 (:func:`get_sharded_driver`); :func:`get_sweeper` hands a caller either the
@@ -127,12 +131,6 @@ def _entry(
         compiled = CompiledTemporalGraph.recompile(graph, previous)
         kernel = FrontierKernel(compiled)
         spectral_kernel = SpectralKernel(compiled)
-        if cached is not None and compiled is not cached[1]:
-            # a delta recompile shares every untouched snapshot's operator
-            # object, so the stale spectral kernel's LU factorizations,
-            # float/int casts and radius bounds carry over — only the
-            # (snapshot, alpha) pairs the batch touched refactorize
-            spectral_kernel.adopt_caches(cached[3])
         if graph.mutation_version == version:
             # only publish an entry whose stamp still matches the graph; a
             # writer that mutated mid-compile forces the next reader to
@@ -216,14 +214,15 @@ def get_sharded_driver(
     else ``"serial"``.  Drivers are cached per
     ``(mutation_version, shard layout, backend, workers, chunk size)`` so
     repeated algorithm calls with the same routing reuse the shard slices
-    (and, for the process backend, the persistent worker pipeline); a graph
-    mutation evicts and closes every stale driver for that graph — but only
-    after delta re-sharding the replacement artifact
-    (:meth:`~repro.graph.sharded.ShardedTemporalGraph.recompile`), which
-    carries every clean shard object and its warmed kernel over from the
-    evicted driver, so streamed mutations rebuild O(dirty shards) only.
-    A cached driver that was closed — a process-backend worker died under
-    it — is replaced by a fresh one on the next call.
+    (and, for the process backend, the persistent worker pipeline).  After
+    a graph mutation the next call closes every stale driver for that graph
+    and slices the delta-patched artifact afresh
+    (:meth:`~repro.graph.sharded.ShardedTemporalGraph.from_compiled`).
+    Clean snapshots keep their operator objects through the delta
+    recompile, so the new slices share them; the new driver's shard kernels
+    and process workers start cold.  A cached driver that was closed — a
+    process-backend worker died under it — is replaced by a fresh one on
+    the next call.
     """
     if backend is None:
         backend = os.environ.get("REPRO_SHARD_BACKEND", "serial")
@@ -247,34 +246,23 @@ def get_sharded_driver(
             cached = _SHARD_CACHE.get(graph)
         except TypeError:
             cached = None
-        stale_map: dict | None = None
         if cached is not None and cached[0] != version:
-            # keep the stale drivers around until the replacement is built:
-            # a delta re-shard reuses every clean shard object (and its
-            # warmed kernel) from the driver this mutation is evicting
-            stale_map = cached[1]
+            # the graph mutated: every driver holds slices of the stale
+            # artifact, so close them all before slicing the patched one
+            for stale in cached[1].values():
+                stale.close()
             cached = None
         if cached is not None:
             # a closed driver (its process pipeline lost a worker) is rebuilt
             driver = cached[1].get(key)
             if driver is not None and not driver._closed:
                 return driver
-        stale = stale_map.get(key) if stale_map else None
-        if stale is not None and stale.sharded.num_shards == int(shards):
-            sharded = ShardedTemporalGraph.recompile(compiled, stale.sharded)
-        else:
-            sharded = ShardedTemporalGraph.from_compiled(compiled, shards)
         driver = ShardedSweepDriver(
-            sharded,
+            ShardedTemporalGraph.from_compiled(compiled, shards),
             backend=backend,
             num_workers=num_workers,
             chunk_size=chunk_size,
         )
-        if stale is not None:
-            driver.adopt_kernels(stale)
-        if stale_map is not None:
-            for old in stale_map.values():
-                old.close()
         entry = cached if cached is not None else (version, {})
         entry[1][key] = driver
         try:

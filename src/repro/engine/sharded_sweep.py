@@ -955,29 +955,6 @@ class ShardedSweepDriver(BatchedSweeps):
             self._kernels[shard_index] = kernel
         return kernel
 
-    def adopt_kernels(self, previous: "ShardedSweepDriver") -> int:
-        """Carry over per-shard kernels whose shard artifact is unchanged.
-
-        After a delta re-shard (:meth:`ShardedTemporalGraph.recompile
-        <repro.graph.sharded.ShardedTemporalGraph.recompile>`) every clean
-        shard is the *same object* as in the previous artifact, so the old
-        driver's lazily-warmed :class:`FrontierKernel` for it — operator
-        degrees, parent coordinates, the slot key table — stays exact and is
-        reused verbatim.  Returns the number of kernels adopted.  (Serial
-        backend only: process workers own their kernels remotely.)
-        """
-        adopted = 0
-        for index, kernel in previous._kernels.items():
-            if (
-                index < self.sharded.num_shards
-                and self.sharded.materialized(index)
-                and kernel.compiled is self.sharded.shard(index)
-                and index not in self._kernels
-            ):
-                self._kernels[index] = kernel
-                adopted += 1
-        return adopted
-
     def _schedule(
         self, spec: tuple, kind: str, plans: Iterable[tuple], chain: Sequence[int]
     ) -> Iterable[list]:

@@ -144,52 +144,6 @@ class SpectralKernel:
         self._lu: dict[tuple[int, float], object] = {}
         self._radius: dict[int, tuple[float, float]] = {}
 
-    def adopt_caches(self, previous: "SpectralKernel") -> int:
-        """Carry per-snapshot caches over from a pre-batch kernel.
-
-        After a delta recompile every untouched snapshot *shares its
-        operator object* with the previous artifact, so the previous
-        kernel's float/int casts, LU factorizations and spectral-radius
-        bounds for that snapshot are still exact — only the ``(snapshot,
-        alpha)`` pairs a batch touched must be refactorized.  Snapshots are
-        matched by forward-operator identity (shared objects, not value
-        equality): for undirected artifacts the symmetrized stack aliases
-        the forward stack outright, and for directed ones the symmetrized
-        (backward) operator of an unchanged forward operator is
-        mathematically equal even when the transpose array was rebuilt.
-        Returns the number of snapshots whose caches were carried.
-        """
-        if previous is self:
-            return 0
-        mine = self.compiled
-        theirs = previous.compiled
-        if (
-            mine.num_nodes != theirs.num_nodes
-            or mine.is_directed != theirs.is_directed
-            or self._labels != previous._labels
-        ):
-            return 0
-        old_by_id = {id(op): ti for ti, op in enumerate(theirs.forward_operators)}
-        lu_by_ti: dict[int, list[tuple[float, object]]] = {}
-        for (o_ti, alpha), lu in previous._lu.items():
-            lu_by_ti.setdefault(o_ti, []).append((alpha, lu))
-        carried = 0
-        for ti, op in enumerate(mine.forward_operators):
-            old_ti = old_by_id.get(id(op))
-            if old_ti is None:
-                continue
-            carried += 1
-            for mine_cache, theirs_cache in (
-                (self._float_csc, previous._float_csc),
-                (self._int_csr, previous._int_csr),
-                (self._radius, previous._radius),
-            ):
-                if old_ti in theirs_cache and ti not in mine_cache:
-                    mine_cache[ti] = theirs_cache[old_ti]
-            for alpha, lu in lu_by_ti.get(old_ti, ()):
-                self._lu.setdefault((ti, alpha), lu)
-        return carried
-
     # ------------------------------------------------------------------ #
     # operator access                                                     #
     # ------------------------------------------------------------------ #

@@ -278,22 +278,6 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         """Per-snapshot last-modified stamps (delta-compilation dirty tracking)."""
         return dict(self._snapshot_versions)
 
-    def edge_insertions_since(self, version: int) -> list[TemporalEdgeTuple] | None:
-        """Edges inserted since ``version`` (``None`` when the journal can't tell).
-
-        Pure-insertion fast path: a non-``None`` answer certifies that *only*
-        insertions happened in the window, so consumers may patch forward
-        without removal handling.  Any removal in the window returns ``None``
-        — use :meth:`edge_mutations_since` for the signed view.
-        """
-        if version < self._journal_floor:
-            return None
-        idx = bisect.bisect_right(self._journal_versions, version)
-        if any(sign < 0 for sign in self._journal_signs[idx:]):
-            return None
-        self._journal_consumed = max(self._journal_consumed, self._mutation_version)
-        return list(self._journal_edges[idx:])
-
     def edge_mutations_since(
         self, version: int
     ) -> tuple[list[TemporalEdgeTuple], list[TemporalEdgeTuple]] | None:

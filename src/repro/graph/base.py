@@ -118,26 +118,11 @@ class BaseEvolvingGraph(ABC):
         return ``{time: stamp}`` where a snapshot's stamp changes exactly when
         one of its edges (or its existence) does.  Delta compilation
         (:meth:`repro.graph.compiled.CompiledTemporalGraph.recompile`) diffs
-        these maps to rebuild only the touched snapshots' operators.  The
-        default ``None`` means "no per-snapshot tracking": consumers must fall
-        back to a full recompile on any :attr:`mutation_version` change.
-        """
-        return None
-
-    def edge_insertions_since(self, version: int) -> list[TemporalEdgeTuple] | None:
-        """Edges inserted since ``version``, or ``None`` when unreconstructible.
-
-        A non-``None`` return value is a *completeness guarantee*: the edge
-        sets at the current :attr:`mutation_version` equal the edge sets at
-        ``version`` plus exactly these ``(u, v, t)`` insertions (snapshot
-        registrations may also have happened; they change no edge set).
-        Delta compilation uses this to patch a snapshot's CSR operator with
-        one sparse addition instead of re-walking the whole snapshot.
-        Representations without a mutation journal — or whose journal saw a
-        removal in the window or was trimmed past ``version`` — return
-        ``None``; mixed-batch consumers should try
-        :meth:`edge_mutations_since`, and rebuild the dirty snapshots from
-        :meth:`edges_at_unordered` as the last resort.
+        these maps to find the dirty snapshots, then patches them from
+        :meth:`edge_mutations_since`; it needs both, and only the adjacency
+        list provides both.  The default ``None`` means "no per-snapshot
+        tracking": any :attr:`mutation_version` change recompiles the whole
+        graph.
         """
         return None
 
@@ -146,16 +131,16 @@ class BaseEvolvingGraph(ABC):
     ) -> tuple[list[TemporalEdgeTuple], list[TemporalEdgeTuple]] | None:
         """Net ``(insertions, removals)`` since ``version``, or ``None``.
 
-        The signed generalization of :meth:`edge_insertions_since`: a
-        non-``None`` return value guarantees the edge sets at the current
-        :attr:`mutation_version` equal the edge sets at ``version`` plus the
-        ``insertions`` minus the ``removals`` (netted per edge and time, so
-        an edge inserted and removed inside the window appears in neither
-        list).  Delta compilation uses this to patch a dirty snapshot's CSR
-        operator with one sparse addition and one sparse subtraction.
-        Representations without a signed journal return ``None``, and
-        consumers fall back to :meth:`edge_insertions_since` or a
-        per-snapshot rebuild.
+        A non-``None`` return value is a *completeness guarantee*: the edge
+        sets at the current :attr:`mutation_version` equal the edge sets at
+        ``version`` plus the ``insertions`` minus the ``removals`` (netted per
+        edge and time, so an edge inserted and removed inside the window
+        appears in neither list; snapshot registrations may also have
+        happened, and they change no edge set).  Delta compilation uses this
+        to patch a dirty snapshot's CSR operator with one sparse addition and
+        one sparse subtraction.  Representations without a signed journal,
+        or whose journal was trimmed past ``version``, return ``None``, and
+        delta compilation then recompiles the whole graph.
         """
         return None
 

@@ -166,35 +166,41 @@ class CompiledTemporalGraph:
         graph: BaseEvolvingGraph,
         previous: "CompiledTemporalGraph | None",
     ) -> "CompiledTemporalGraph":
-        """Recompile ``graph``, reusing ``previous``'s untouched snapshots.
+        """Recompile ``graph``, patching only ``previous``'s dirty snapshots.
 
-        When ``previous`` is still current it is returned unchanged.  When the
-        graph's per-snapshot stamps (:meth:`BaseEvolvingGraph.snapshot_versions
-        <repro.graph.base.BaseEvolvingGraph.snapshot_versions>`) identify the
-        dirty snapshots and the node universe is provably unchanged, only
-        those snapshots' CSR operators, transposes, activeness-mask rows and
-        presence rows are rebuilt; every clean snapshot *shares its objects*
-        with ``previous``, so a one-snapshot edit costs one snapshot's
-        compilation instead of the whole graph's.  The artifact produced is
-        bit-identical to :meth:`from_graph` on the mutated graph (asserted by
-        the hypothesis suite in ``tests/test_delta_streaming.py``), and its
-        :attr:`delta_stats` records how many snapshots were rebuilt vs reused.
-
-        When the source graph keeps a *signed* mutation journal
+        When ``previous`` is still current it is returned unchanged.
+        Otherwise the graph's per-snapshot stamps
+        (:meth:`BaseEvolvingGraph.snapshot_versions
+        <repro.graph.base.BaseEvolvingGraph.snapshot_versions>`) name the
+        dirty snapshots, and its signed mutation journal
         (:meth:`BaseEvolvingGraph.edge_mutations_since
-        <repro.graph.base.BaseEvolvingGraph.edge_mutations_since>`), mixed
-        insert/remove batches stay on the delta path: each dirty operator is
-        patched with one sparse addition and one sparse subtraction, its
+        <repro.graph.base.BaseEvolvingGraph.edge_mutations_since>`) gives the
+        net insertions and removals since ``previous``.  Each dirty operator
+        is patched with one sparse addition and one sparse subtraction, its
         activeness row is recomputed off the patched operator, and presence
-        is maintained by probing only removal endpoints — O(batch + touched
-        nnz), never a full rebuild.
+        is maintained by probing only removal endpoints: O(batch + touched
+        nnz).  Every clean snapshot *shares its objects* (operator,
+        transpose, mask and presence rows) with ``previous``.  The artifact
+        is bit-identical to :meth:`from_graph` on the mutated graph (asserted
+        by the hypothesis suite in ``tests/test_delta_streaming.py``), and
+        its :attr:`delta_stats` records how many snapshots were rebuilt vs
+        reused.
 
-        Every situation the delta path cannot prove safe falls back to a full
-        :meth:`from_graph` build (``delta_stats`` stays ``None``): missing
-        per-snapshot tracking, a changed node universe (a new label appeared,
-        or a label lost its last appearance), removed snapshots, a
-        directedness flip, or matrix-sequence adoption (already one cheap
-        pass).
+        This is the package's one incremental path.  Everything derived from
+        the artifact is rebuilt from the patched result: the dispatch cache
+        re-slices shard layouts (:meth:`ShardedTemporalGraph.from_compiled
+        <repro.graph.sharded.ShardedTemporalGraph.from_compiled>`), a store
+        version is written with :func:`repro.io.save_sharded`, and a fresh
+        :class:`~repro.engine.spectral.SpectralKernel` starts with empty
+        caches.
+
+        Every other case is a full :meth:`from_graph` build (``delta_stats``
+        stays ``None``): a graph without per-snapshot stamps or without a
+        complete signed journal since ``previous`` (every representation but
+        the adjacency list, and an adjacency list whose journal was trimmed
+        past ``previous``), a changed node universe (a new label appeared,
+        or a label lost its last appearance), removed snapshots, or a
+        directedness flip.
         """
         if previous is None:
             return cls.from_graph(graph)
@@ -207,7 +213,6 @@ class CompiledTemporalGraph:
             or previous._snapshot_versions is None
             or previous._presence is None
             or previous._directed != graph.is_directed
-            or isinstance(graph, MatrixSequenceEvolvingGraph)
         ):
             return cls.from_graph(graph)
         times = list(graph.timestamps)
@@ -229,107 +234,99 @@ class CompiledTemporalGraph:
         n = previous._n
         directed = previous._directed
         dirty_set = set(dirty)
+        mutations = graph.edge_mutations_since(previous._version)
+        if mutations is None:  # no complete signed journal since `previous`
+            return cls.from_graph(graph)
+        # the signed journal nets the window to per-snapshot insertion and
+        # removal sets, so each dirty operator is patched with ONE sparse
+        # addition and (for mixed batches) ONE sparse subtraction — cost
+        # proportional to the snapshot's nnz at C speed, never a Python
+        # edge walk
+        insertions, removals = mutations
         rebuilt: dict[Time, tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = {}
         shared_dirty: set[Time] = set()
-        mutations = graph.edge_mutations_since(previous._version)
-        if mutations is None:
-            legacy = graph.edge_insertions_since(previous._version)
-            mutations = None if legacy is None else (legacy, [])
-        if mutations is not None:
-            # streaming fast path: the signed journal nets the window to
-            # per-snapshot insertion and removal sets, so each dirty operator
-            # is patched with ONE sparse addition and (for mixed batches) ONE
-            # sparse subtraction — cost proportional to the snapshot's nnz at
-            # C speed, never a Python edge walk
-            insertions, removals = mutations
-            per_time: dict[Time, tuple[list[int], list[int]]] = {}
-            rem_time: dict[Time, tuple[list[int], list[int]]] = {}
-            rem_labels: dict[Time, list[EdgeTuple]] = {}
-            for triples, buckets in ((insertions, per_time), (removals, rem_time)):
-                for u, v, t in triples:
-                    iu = index.get(u)
-                    iv = index.get(v)
-                    if iu is None or iv is None:  # node universe grew
-                        return cls.from_graph(graph)
-                    bucket = buckets.setdefault(t, ([], []))
-                    bucket[0].append(iu)
-                    bucket[1].append(iv)
-                    if buckets is rem_time:
-                        rem_labels.setdefault(t, []).append((u, v))
-            if any(t not in dirty_set for t in per_time) or any(
-                t not in dirty_set for t in rem_time
-            ):  # inconsistent stamps
+        per_time: dict[Time, tuple[list[int], list[int]]] = {}
+        rem_time: dict[Time, tuple[list[int], list[int]]] = {}
+        rem_labels: dict[Time, list[EdgeTuple]] = {}
+        for triples, buckets in ((insertions, per_time), (removals, rem_time)):
+            for u, v, t in triples:
+                iu = index.get(u)
+                iv = index.get(v)
+                if iu is None or iv is None:  # node universe grew
+                    return cls.from_graph(graph)
+                bucket = buckets.setdefault(t, ([], []))
+                bucket[0].append(iu)
+                bucket[1].append(iv)
+                if buckets is rem_time:
+                    rem_labels.setdefault(t, []).append((u, v))
+        if any(t not in dirty_set for t in per_time) or any(
+            t not in dirty_set for t in rem_time
+        ):  # inconsistent stamps
+            return cls.from_graph(graph)
+        for t in dirty:
+            adds = per_time.get(t)
+            rems = rem_time.get(t)
+            k = prev_pos.get(t)
+            if adds is None and rems is None:
+                if k is not None:
+                    # stamp moved but the window netted to nothing here
+                    # (insert-then-remove pairs, or an exotic stamp bump):
+                    # journal completeness says the edge set is unchanged,
+                    # so the previous objects are still exact
+                    shared_dirty.add(t)
+                else:
+                    # a freshly registered, still-empty snapshot
+                    op = sp.csr_matrix((n, n), dtype=np.int32)
+                    rebuilt[t] = (op, _active_row(op), np.zeros(n, dtype=bool))
+                continue
+            if k is None and rems is not None:
+                # net removals from a snapshot `previous` never compiled
+                # contradict the journal contract — trust neither
                 return cls.from_graph(graph)
-            for t in dirty:
-                adds = per_time.get(t)
-                rems = rem_time.get(t)
-                k = prev_pos.get(t)
-                if adds is None and rems is None:
-                    if k is not None:
-                        # stamp moved but the window netted to nothing here
-                        # (insert-then-remove pairs, or an exotic stamp bump):
-                        # journal completeness says the edge set is unchanged,
-                        # so the previous objects are still exact
-                        shared_dirty.add(t)
-                    else:
-                        # a freshly registered, still-empty snapshot
-                        op = sp.csr_matrix((n, n), dtype=np.int32)
-                        rebuilt[t] = (op, _active_row(op), np.zeros(n, dtype=bool))
-                    continue
-                if k is None and rems is not None:
-                    # net removals from a snapshot `previous` never compiled
-                    # contradict the journal contract — trust neither
-                    return cls.from_graph(graph)
-                if adds is not None:
-                    u_idx = np.asarray(adds[0], dtype=np.int64)
-                    v_idx = np.asarray(adds[1], dtype=np.int64)
-                    add_op = _snapshot_operator(u_idx, v_idx, n, directed)
-                else:
-                    u_idx = v_idx = None
-                    add_op = None
-                if k is None:
-                    op = add_op
-                    mask_row = _active_row(add_op)
-                    presence_row = np.zeros(n, dtype=bool)
-                elif rems is None:
-                    op = (previous._forward[k] + add_op).tocsr()
-                    if op.nnz:
-                        op.data[:] = 1  # insertions cannot overlap, but clamp
-                    # the patched structure is the union of the operands'
-                    mask_row = previous._active[k] | _active_row(add_op)
-                    presence_row = previous._presence[k].copy()
-                else:
-                    r_idx = np.asarray(rems[0], dtype=np.int64)
-                    s_idx = np.asarray(rems[1], dtype=np.int64)
-                    sub_op = _snapshot_operator(r_idx, s_idx, n, directed)
-                    patched = previous._forward[k] - sub_op
-                    if add_op is not None:
-                        patched = patched + add_op
-                    op = patched.tocsr()
-                    op.eliminate_zeros()
-                    if op.nnz:
-                        op.data[:] = 1
-                    # removals can deactivate nodes, so the union trick no
-                    # longer applies: recompute the row off the new operator
-                    mask_row = _active_row(op)
-                    presence_row = previous._presence[k].copy()
-                    # a removal endpoint stays present iff it still touches
-                    # any edge at t (self-loops included, which the operator
-                    # drops) — probe the final graph state, which is
-                    # order-independent ground truth
-                    for (a, b), ia, ib in zip(rem_labels[t], rems[0], rems[1]):
-                        presence_row[ia] = _endpoint_present(graph, a, t)
-                        presence_row[ib] = _endpoint_present(graph, b, t)
-                if adds is not None:
-                    presence_row[u_idx] = True
-                    presence_row[v_idx] = True
-                rebuilt[t] = (op, mask_row, presence_row)
-        else:
-            for t in dirty:
-                entry = _rebuild_snapshot(graph, t, index, n, directed)
-                if entry is None:  # node universe grew
-                    return cls.from_graph(graph)
-                rebuilt[t] = entry
+            if adds is not None:
+                u_idx = np.asarray(adds[0], dtype=np.int64)
+                v_idx = np.asarray(adds[1], dtype=np.int64)
+                add_op = _snapshot_operator(u_idx, v_idx, n, directed)
+            else:
+                u_idx = v_idx = None
+                add_op = None
+            if k is None:
+                op = add_op
+                mask_row = _active_row(add_op)
+                presence_row = np.zeros(n, dtype=bool)
+            elif rems is None:
+                op = (previous._forward[k] + add_op).tocsr()
+                if op.nnz:
+                    op.data[:] = 1  # insertions cannot overlap, but clamp
+                # the patched structure is the union of the operands'
+                mask_row = previous._active[k] | _active_row(add_op)
+                presence_row = previous._presence[k].copy()
+            else:
+                r_idx = np.asarray(rems[0], dtype=np.int64)
+                s_idx = np.asarray(rems[1], dtype=np.int64)
+                sub_op = _snapshot_operator(r_idx, s_idx, n, directed)
+                patched = previous._forward[k] - sub_op
+                if add_op is not None:
+                    patched = patched + add_op
+                op = patched.tocsr()
+                op.eliminate_zeros()
+                if op.nnz:
+                    op.data[:] = 1
+                # removals can deactivate nodes, so the union trick no
+                # longer applies: recompute the row off the new operator
+                mask_row = _active_row(op)
+                presence_row = previous._presence[k].copy()
+                # a removal endpoint stays present iff it still touches
+                # any edge at t (self-loops included, which the operator
+                # drops) — probe the final graph state, which is
+                # order-independent ground truth
+                for (a, b), ia, ib in zip(rem_labels[t], rems[0], rems[1]):
+                    presence_row[ia] = _endpoint_present(graph, a, t)
+                    presence_row[ib] = _endpoint_present(graph, b, t)
+            if adds is not None:
+                presence_row[u_idx] = True
+                presence_row[v_idx] = True
+            rebuilt[t] = (op, mask_row, presence_row)
         # the undirected backward stack aliases the forward one, so only
         # directed artifacts carry distinct transposes worth patching
         patch_backward = directed and previous._backward is not None
@@ -563,37 +560,6 @@ class CompiledTemporalGraph:
             f"nodes={self.num_nodes} nnz={self.nnz} "
             f"version={self._version} directed={self._directed}>"
         )
-
-
-def _rebuild_snapshot(
-    graph: BaseEvolvingGraph,
-    time: Time,
-    index: dict[Node, int],
-    n: int,
-    directed: bool,
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray] | None:
-    """Recompile one dirty snapshot against an existing node universe.
-
-    Returns ``(operator, active row, presence row)``, or ``None`` when the
-    snapshot mentions a label outside the universe (the caller must fall
-    back to a full compile).
-    """
-    sources: list[int] = []
-    targets: list[int] = []
-    for u, v in graph.edges_at_unordered(time):
-        iu = index.get(u)
-        iv = index.get(v)
-        if iu is None or iv is None:
-            return None
-        sources.append(iu)
-        targets.append(iv)
-    u_idx = np.asarray(sources, dtype=np.int64)
-    v_idx = np.asarray(targets, dtype=np.int64)
-    row = np.zeros(n, dtype=bool)
-    row[u_idx] = True
-    row[v_idx] = True
-    op = _snapshot_operator(u_idx, v_idx, n, directed)
-    return op, _active_row(op), row
 
 
 def _endpoint_present(graph: BaseEvolvingGraph, node: Node, time: Time) -> bool:

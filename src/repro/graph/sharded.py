@@ -31,6 +31,16 @@ Two storage regimes share this one class:
   operators in address space at a time.  :attr:`peak_open_bytes` records the
   high-water mark of simultaneously open operator bytes, which the
   out-of-core benchmark gates against its memory budget.
+
+A sharded artifact is never patched in place.  After a mutation, the
+monolithic artifact is delta-recompiled
+(:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile`) and
+sliced again with :meth:`ShardedTemporalGraph.from_compiled`.  The delta
+recompile shares every clean snapshot's operator object with the previous
+artifact, so the new slices hold the very matrices the old shards held;
+slicing costs list construction only.  A store is likewise written afresh
+as a new ``v<mutation_version>`` directory with
+:func:`repro.io.mmap_store.save_sharded`.
 """
 
 from __future__ import annotations
@@ -157,9 +167,6 @@ class ShardedTemporalGraph:
             if shard is not None
         )
         self.peak_open_bytes = self._open_bytes
-        #: ``{"rebuilt": ..., "reused": ...}`` shard counts when this
-        #: artifact came from :meth:`recompile`'s delta path, else ``None``
-        self.delta_stats: dict[str, int] | None = None
 
     def _validate_boundaries(self) -> None:
         if not self._boundaries:
@@ -228,97 +235,6 @@ class ShardedTemporalGraph:
             active_mask=mask,
             shards=shards,
         )
-
-    @classmethod
-    def from_graph(
-        cls, graph: BaseEvolvingGraph, num_shards: int
-    ) -> "ShardedTemporalGraph":
-        """Compile ``graph`` (through the cached dispatch path) and shard it."""
-        from repro.engine import get_compiled
-
-        return cls.from_compiled(get_compiled(graph), num_shards)
-
-    @classmethod
-    def recompile(
-        cls,
-        compiled: CompiledTemporalGraph,
-        previous: "ShardedTemporalGraph | None",
-        num_shards: int | None = None,
-    ) -> "ShardedTemporalGraph":
-        """Re-shard a delta-recompiled artifact, reusing every clean shard.
-
-        The monolithic delta recompile
-        (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile`)
-        shares each untouched snapshot's operator *object* with the previous
-        artifact — so a shard whose every snapshot operator is shared is
-        observationally unchanged, and this constructor carries the previous
-        shard artifact over verbatim (same object, same matrices, same
-        kernel-warmable slices) instead of slicing a fresh one.  Only shards
-        a mutation batch actually touched are re-sliced: streamed mutations
-        cost O(dirty shards), not O(shards), which is what lets a sharded
-        serving deployment delta-recompile at shard granularity (ROADMAP 2a).
-
-        Falls back to :meth:`from_compiled` (and a fresh nnz-weighted
-        layout) whenever ``previous`` is missing, store-backed, or describes
-        a different snapshot/node universe.  The result's ``delta_stats``
-        attribute records ``{"rebuilt": ..., "reused": ...}`` shard counts,
-        or is ``None`` on the fallback path — mirroring the monolithic
-        artifact's contract.
-        """
-        if (
-            previous is None
-            or previous.store_backed
-            or previous._labels != compiled.node_labels
-            or previous._times != list(compiled.times)
-            or previous._directed != compiled.is_directed
-        ):
-            if num_shards is None:
-                num_shards = previous.num_shards if previous is not None else 1
-            sharded = cls.from_compiled(compiled, num_shards)
-            sharded.delta_stats = None
-            return sharded
-        boundaries = previous.boundaries
-        forward = compiled.forward_operators
-        backward = (
-            compiled.backward_operators if compiled.transposes_built else None
-        )
-        mask = compiled.active_mask
-        shards: list[CompiledTemporalGraph] = []
-        reused = 0
-        for i, (a, b) in enumerate(boundaries):
-            prev_shard = previous._shards[i]
-            if prev_shard is not None and all(
-                prev_shard.forward_operators[k - a] is forward[k]
-                for k in range(a, b)
-            ):
-                # every snapshot operator is the shared object the delta
-                # recompile carried over: the shard is clean, keep it (its
-                # activeness rows were copied from the same snapshots)
-                shards.append(prev_shard)
-                reused += 1
-                continue
-            shards.append(
-                CompiledTemporalGraph(
-                    node_labels=compiled.node_labels,
-                    times=compiled.times[a:b],
-                    forward_operators=forward[a:b],
-                    is_directed=compiled.is_directed,
-                    mutation_version=compiled.mutation_version,
-                    backward_operators=backward[a:b] if backward else None,
-                    active_mask=mask[a:b],
-                )
-            )
-        sharded = cls(
-            node_labels=compiled.node_labels,
-            times=compiled.times,
-            boundaries=boundaries,
-            mutation_version=compiled.mutation_version,
-            is_directed=compiled.is_directed,
-            active_mask=mask,
-            shards=shards,
-        )
-        sharded.delta_stats = {"rebuilt": len(boundaries) - reused, "reused": reused}
-        return sharded
 
     # ------------------------------------------------------------------ #
     # structure                                                           #
@@ -443,10 +359,6 @@ class ShardedTemporalGraph:
         if self._shards[index] is not None:
             self._open_bytes -= self._shard_operator_bytes(index)
             self._shards[index] = None
-
-    def materialized(self, index: int) -> bool:
-        """Whether shard ``index`` is currently resident in memory."""
-        return self._shards[index] is not None
 
     def _shard_operator_bytes(self, index: int) -> int:
         shard = self._shards[index]

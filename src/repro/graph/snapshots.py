@@ -79,15 +79,6 @@ class SnapshotSequenceEvolvingGraph(BaseEvolvingGraph):
             g.mutation_version for g in self._graphs.values()
         )
 
-    def snapshot_versions(self) -> dict[Time, int]:
-        """Per-snapshot stamps: each stored static graph's own mutation version.
-
-        Direct mutation of a :class:`StaticGraph` obtained from
-        :meth:`snapshot` bumps only that snapshot's stamp, so delta
-        compilation rebuilds exactly the touched snapshot.
-        """
-        return {t: self._graphs[t].mutation_version for t in self._times}
-
     def add_edge(self, u: Node, v: Node, time: Time) -> bool:
         """Insert an edge, creating the snapshot when needed."""
         if time not in self._graphs:

@@ -9,7 +9,6 @@ from repro.io.mmap_store import (
     STORE_FORMAT,
     ShardedStoreWriter,
     load_sharded,
-    patch_sharded_store,
     save_sharded,
 )
 from repro.io.serialization import (
@@ -33,5 +32,4 @@ __all__ = [
     "ShardedStoreWriter",
     "save_sharded",
     "load_sharded",
-    "patch_sharded_store",
 ]

@@ -33,13 +33,14 @@ staleness exactly as the in-memory dispatch caches do.
 Write with :class:`ShardedStoreWriter` (streaming, one snapshot at a time,
 cutting shards on a byte budget — compilation never holds more than one
 shard) or the :func:`save_sharded` convenience over an existing artifact.
+A store is never patched: after a mutation, :func:`save_sharded` writes the
+new version's directory in full.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 from typing import Sequence
 
 import numpy as np
@@ -53,13 +54,14 @@ __all__ = [
     "ShardedStoreWriter",
     "save_sharded",
     "load_sharded",
-    "patch_sharded_store",
     "STORE_FORMAT",
 ]
 
 STORE_FORMAT = "repro-sharded-v1"
 
 _COMPONENTS = ("data", "indices", "indptr")
+
+_INT32_BYTES = np.dtype(np.int32).itemsize
 
 
 def _shard_file(directory: str, shard: int, stack: str, component: str) -> str:
@@ -295,114 +297,6 @@ def save_sharded(
     return writer.finalize()
 
 
-def _link_or_copy(source: str, destination: str) -> None:
-    """Hard-link ``source`` at ``destination``; copy when linking is unsupported."""
-    if os.path.exists(destination):
-        os.remove(destination)
-    try:
-        os.link(source, destination)
-    except OSError:  # cross-device, FAT, or a filesystem without links
-        shutil.copyfile(source, destination)
-
-
-def patch_sharded_store(
-    compiled,
-    previous,
-    root: str,
-) -> str:
-    """Write ``compiled``'s version directory by patching the previous one.
-
-    The store-side twin of the in-memory delta re-shard
-    (:meth:`~repro.graph.sharded.ShardedTemporalGraph.recompile`):
-    ``previous`` is the compiled artifact whose version directory already
-    lives under ``root``, and ``compiled`` its delta recompilation — the two
-    share each untouched snapshot's operator *object*, which is how this
-    function decides, without reading a byte of shard data, that a shard is
-    clean.  Clean shards' binary files are hard-linked from the previous
-    version directory into the new ``v<mutation_version>`` one (falling
-    back to copies on filesystems without links); only dirty shards'
-    buffers, the activeness mask and the manifest are rewritten.  A
-    streamed mutation therefore costs O(dirty shard bytes) of write I/O,
-    and both version directories stay complete and self-describing.
-
-    Falls back to a full :func:`save_sharded` (preserving the stored shard
-    count) when the base directory is missing or describes a different
-    universe, version or backward-stack configuration.  Returns the new
-    version directory.
-    """
-    base_dir = os.path.join(root, f"v{int(previous.mutation_version)}")
-    manifest_path = os.path.join(base_dir, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError):
-        manifest = None
-    include_backward = compiled.transposes_built and compiled.is_directed
-    if (
-        manifest is None
-        or manifest.get("format") != STORE_FORMAT
-        or manifest["mutation_version"] != previous.mutation_version
-        or manifest["node_labels"] != list(compiled.node_labels)
-        or manifest["times"] != list(compiled.times)
-        or manifest["is_directed"] != compiled.is_directed
-        or manifest["include_backward"] != include_backward
-        or len(previous.times) != len(compiled.times)
-    ):
-        num_shards = len(manifest["boundaries"]) if manifest is not None else 1
-        return save_sharded(compiled, root, num_shards=num_shards)
-    if compiled.mutation_version == previous.mutation_version:
-        return base_dir
-    directory = os.path.join(root, f"v{int(compiled.mutation_version)}")
-    os.makedirs(directory, exist_ok=True)
-    stacks = ["forward"] + (["backward"] if include_backward else [])
-    forward = compiled.forward_operators
-    prev_forward = previous.forward_operators
-    backward = compiled.backward_operators if include_backward else None
-    shards_meta = []
-    for shard_index, (start, stop) in enumerate(manifest["boundaries"]):
-        clean = all(forward[k] is prev_forward[k] for k in range(start, stop))
-        if clean:
-            for stack in stacks:
-                for component in _COMPONENTS:
-                    _link_or_copy(
-                        _shard_file(base_dir, shard_index, stack, component),
-                        _shard_file(directory, shard_index, stack, component),
-                    )
-            shards_meta.append(manifest["shards"][shard_index])
-            continue
-        total_bytes = 0
-        for stack in stacks:
-            operators = forward if stack == "forward" else backward
-            for component in _COMPONENTS:
-                buffers = [
-                    _operator_buffers(operators[k])[component]
-                    for k in range(start, stop)
-                ]
-                merged = (
-                    np.concatenate(buffers)
-                    if buffers
-                    else np.empty(0, dtype=np.int32)
-                )
-                merged.tofile(
-                    _shard_file(directory, shard_index, stack, component)
-                )
-                total_bytes += merged.nbytes
-        shards_meta.append(
-            {
-                "snapshot_nnz": [int(forward[k].nnz) for k in range(start, stop)],
-                "bytes": total_bytes,
-            }
-        )
-    mask = np.ascontiguousarray(np.asarray(compiled.active_mask, dtype=bool))
-    mask.tofile(os.path.join(directory, "active_mask.bin"))
-    manifest = dict(manifest)
-    manifest["mutation_version"] = int(compiled.mutation_version)
-    manifest["shards"] = shards_meta
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f)
-    return directory
-
-
 class _MmapShardStore:
     """Reopens shards from a version directory as memory-mapped CSR stacks."""
 
@@ -468,6 +362,26 @@ class _MmapShardStore:
         return np.memmap(path, dtype=bool, mode="r", shape=(t_count, self._n))
 
 
+def _expected_sizes(directory: str, manifest: dict) -> list[tuple[str, int]]:
+    """Every file a manifest implies, with its exact byte size.
+
+    The mask holds ``T * N`` bools; each shard's stored stacks hold
+    ``sum(nnz)`` int32 ``data`` and ``indices`` entries and
+    ``T_i * (N + 1)`` int32 ``indptr`` entries.
+    """
+    n = int(manifest["num_nodes"])
+    sizes = [(os.path.join(directory, "active_mask.bin"), len(manifest["times"]) * n)]
+    stacks = ["forward"] + (["backward"] if manifest["include_backward"] else [])
+    for index, (start, stop) in enumerate(manifest["boundaries"]):
+        nnz = sum(manifest["shards"][index]["snapshot_nnz"])
+        lengths = {"data": nnz, "indices": nnz, "indptr": (stop - start) * (n + 1)}
+        for stack in stacks:
+            for component in _COMPONENTS:
+                path = _shard_file(directory, index, stack, component)
+                sizes.append((path, _INT32_BYTES * lengths[component]))
+    return sizes
+
+
 def load_sharded(root: str, *, version: int | None = None) -> ShardedTemporalGraph:
     """Reopen a stored artifact as a lazily memory-mapped sharded graph.
 
@@ -475,7 +389,10 @@ def load_sharded(root: str, *, version: int | None = None) -> ShardedTemporalGra
     present).  Shards materialize on first
     :meth:`~repro.graph.sharded.ShardedTemporalGraph.shard` access and can
     be :meth:`released <repro.graph.sharded.ShardedTemporalGraph.release>`
-    between sweeps — the serial driver's out-of-core schedule.
+    between sweeps — the serial driver's out-of-core schedule.  Every file
+    the manifest implies is checked against its exact byte size first, so
+    a missing or truncated file raises :class:`GraphError` naming it here
+    rather than failing inside ``np.memmap`` mid-sweep.
     """
     if version is None:
         candidates = []
@@ -497,6 +414,15 @@ def load_sharded(root: str, *, version: int | None = None) -> ShardedTemporalGra
             f"unrecognized shard-store format {manifest.get('format')!r} "
             f"(expected {STORE_FORMAT!r})"
         )
+    for path, size in _expected_sizes(directory, manifest):
+        if not os.path.isfile(path):
+            raise GraphError(f"shard store file {path!r} is missing")
+        actual = os.path.getsize(path)
+        if actual != size:
+            raise GraphError(
+                f"shard store file {path!r} holds {actual} bytes; "
+                f"its manifest implies {size}"
+            )
     store = _MmapShardStore(directory, manifest)
     return ShardedTemporalGraph(
         node_labels=manifest["node_labels"],

@@ -61,12 +61,7 @@ from repro.engine.sharded_sweep import BoundaryBlock, ShardedSweepDriver, _FAR
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
 from repro.graph.sharded import compute_shard_layout, operator_stack_bytes
-from repro.io.mmap_store import (
-    ShardedStoreWriter,
-    load_sharded,
-    patch_sharded_store,
-    save_sharded,
-)
+from repro.io.mmap_store import ShardedStoreWriter, load_sharded, save_sharded
 from repro.parallel.batch import batch_bfs
 from repro.parallel.partition import compiled_snapshot_weights
 from repro.serving import QueryServer
@@ -379,6 +374,29 @@ def test_mmap_store_versioning_and_errors(tmp_path):
     )
     with pytest.raises(GraphError):
         writer.finalize()  # no snapshots
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "active_mask.bin",
+        "shard-0001.forward.data.bin",
+        "shard-0001.forward.indices.bin",
+        "shard-0001.forward.indptr.bin",
+    ],
+)
+def test_load_sharded_rejects_truncated_file(tmp_path, name):
+    """A truncated store file raises a typed error naming it, at load time."""
+    compiled = get_compiled(_banded_graph(num_nodes=12, snapshots=4, seed=3))
+    directory = save_sharded(compiled, str(tmp_path), num_shards=2)
+    load_sharded(str(tmp_path))  # intact: loads
+    path = os.path.join(directory, name)
+    os.truncate(path, os.path.getsize(path) - 1)
+    with pytest.raises(GraphError, match=name):
+        load_sharded(str(tmp_path))
+    os.remove(path)
+    with pytest.raises(GraphError, match=f"{name}.*missing"):
+        load_sharded(str(tmp_path))
 
 
 def test_sharded_driver_staleness_raises():
@@ -718,7 +736,7 @@ def test_partition_weights_count_materialized_transposes():
 
 
 # --------------------------------------------------------------------------- #
-# delta re-sharding: streamed mutations rebuild O(dirty shards)                #
+# mutation: stale drivers close, the next one re-slices the patched artifact  #
 # --------------------------------------------------------------------------- #
 
 def _mutate_last_snapshot(graph):
@@ -733,134 +751,39 @@ def _mutate_last_snapshot(graph):
 
 
 def test_sharded_driver_delta_recompile_reuses_clean_shards():
+    """A mutation closes the stale driver; its replacement slices the
+    delta-patched artifact, so clean snapshots keep their operator objects.
+
+    Follows the env-driven backend and shard count, so the shard-stress job
+    drives mutate -> close -> respawn on real process workers.
+    """
     graph = _banded_graph(num_nodes=20, snapshots=6, seed=7)
-    # kernel adoption is an in-process feature (process workers own their
-    # kernels remotely), so the serial backend is pinned even when the
-    # environment forces another one
-    driver1 = get_sharded_driver(graph, 3, backend="serial")
+    driver1 = get_sharded_driver(graph, ENV_SHARDS)
     root = graph.active_temporal_nodes()[0]
     roots = graph.active_temporal_nodes()[:5]
-    driver1.bfs(root)  # warm every shard kernel (serial backend sweeps all)
-    driver1.harmonic_closeness_sums(roots)
-    warmed = dict(driver1._kernels)
-    assert warmed  # the sweep above must have materialized shard kernels
+    driver1.bfs(root)  # spawns the process pipeline, warms serial shard kernels
+    before = get_compiled(graph).forward_operators
 
     last = _mutate_last_snapshot(graph)
-    driver2 = get_sharded_driver(graph, 3, backend="serial")
+    driver2 = get_sharded_driver(graph, ENV_SHARDS)
     assert driver2 is not driver1
+    assert driver1._closed
+    assert driver2.backend == ENV_BACKEND
     sharded = driver2.sharded
-    dirty = sharded.shard_of_snapshot(sharded.times.index(last))
-    assert sharded.delta_stats == {
-        "rebuilt": 1,
-        "reused": sharded.num_shards - 1,
-    }
-    for index in range(sharded.num_shards):
-        prev_shard = driver1.sharded.shard(index)
-        if index == dirty:
-            assert sharded.shard(index) is not prev_shard
-        else:
-            # clean shards are carried over as the same objects ...
-            assert sharded.shard(index) is prev_shard
-            # ... together with their warmed kernels
-            assert driver2._kernels[index] is warmed[index]
+    sliced = [
+        op
+        for index in range(sharded.num_shards)
+        for op in sharded.shard(index).forward_operators
+    ]
+    dirty = sharded.times.index(last)
+    for k, op in enumerate(sliced):
+        assert (op is before[k]) == (k != dirty)
 
-    # the delta-resharded driver stays bit-identical to the monolithic kernel
     kernel = get_kernel(graph)
     assert driver2.bfs(root).reached == kernel.bfs(root).reached
     assert driver2.harmonic_closeness_sums(roots) == \
         kernel.harmonic_closeness_sums(roots)
     assert temporal_closeness(graph) == temporal_closeness(graph, shards=3)
-    invalidate_kernel(graph)
-
-
-def test_sharded_recompile_falls_back_to_full_reshard():
-    graph = _banded_graph(num_nodes=12, snapshots=4, seed=9)
-    compiled = get_compiled(graph)
-
-    # no previous artifact: plain from_compiled, no delta bookkeeping
-    fresh = ShardedTemporalGraph.recompile(compiled, None, num_shards=2)
-    assert fresh.delta_stats is None
-    assert fresh.num_shards == 2
-
-    # universe change (new node label): layouts are incomparable
-    previous = ShardedTemporalGraph.from_compiled(compiled, 2)
-    graph.add_edge(998, 999, 0)
-    grown = get_compiled(graph)
-    resharded = ShardedTemporalGraph.recompile(grown, previous)
-    assert resharded.delta_stats is None
-    assert resharded.num_shards == previous.num_shards
-    assert resharded.node_labels == grown.node_labels
-    invalidate_kernel(graph)
-
-
-def test_sharded_recompile_rejects_store_backed_previous(tmp_path):
-    graph = _banded_graph(num_nodes=12, snapshots=4, seed=10)
-    compiled = get_compiled(graph)
-    save_sharded(compiled, str(tmp_path), num_shards=2)
-    stored = load_sharded(str(tmp_path))
-    # store-backed shards must not be adopted into an in-memory artifact
-    resharded = ShardedTemporalGraph.recompile(compiled, stored)
-    assert resharded.delta_stats is None
-    assert not resharded.store_backed
-    invalidate_kernel(graph)
-
-
-def test_patch_sharded_store_links_clean_shards(tmp_path):
-    graph = _banded_graph(num_nodes=20, snapshots=6, seed=12)
-    previous = get_compiled(graph)
-    save_sharded(previous, str(tmp_path), num_shards=3)
-    base_dir = tmp_path / f"v{previous.mutation_version}"
-
-    last = _mutate_last_snapshot(graph)
-    compiled = get_compiled(graph)
-    assert compiled.delta_stats is not None  # the mutation took the delta path
-    new_dir = patch_sharded_store(compiled, previous, str(tmp_path))
-    assert new_dir == str(tmp_path / f"v{compiled.mutation_version}")
-
-    stored = load_sharded(str(tmp_path))
-    dirty = stored.shard_of_snapshot(stored.times.index(last))
-    for index in range(stored.num_shards):
-        name = f"shard-{index:04d}.forward.data.bin"
-        same = os.path.samefile(base_dir / name, os.path.join(new_dir, name))
-        # clean shard payloads are hard links into the previous version
-        # directory; the dirty shard is rewritten
-        assert same == (index != dirty)
-
-    assert stored.mutation_version == compiled.mutation_version
-    kernel = get_kernel(graph)
-    root = graph.active_temporal_nodes()[0]
-    roots = graph.active_temporal_nodes()[:5]
-    driver = ShardedSweepDriver(stored, backend="serial")
-    assert driver.bfs(root).reached == kernel.bfs(root).reached
-    assert driver.harmonic_closeness_sums(roots) == \
-        kernel.harmonic_closeness_sums(roots)
-    invalidate_kernel(graph)
-
-
-def test_patch_sharded_store_falls_back_on_universe_change(tmp_path):
-    graph = _banded_graph(num_nodes=10, snapshots=3, seed=13)
-    previous = get_compiled(graph)
-    save_sharded(previous, str(tmp_path), num_shards=2)
-
-    graph.add_edge(55, 56, 1)  # new labels: stored layout is incomparable
-    compiled = get_compiled(graph)
-    new_dir = patch_sharded_store(compiled, previous, str(tmp_path))
-
-    stored = load_sharded(str(tmp_path))
-    assert stored.mutation_version == compiled.mutation_version
-    assert stored.num_shards == 2  # the stored shard count is preserved
-    assert stored.node_labels == compiled.node_labels
-    base_name = os.path.join(
-        str(tmp_path / f"v{previous.mutation_version}"),
-        "shard-0000.forward.data.bin",
-    )
-    assert not os.path.samefile(
-        base_name, os.path.join(new_dir, "shard-0000.forward.data.bin")
-    )
-    kernel = get_kernel(graph)
-    root = graph.active_temporal_nodes()[0]
-    driver = ShardedSweepDriver(stored, backend="serial")
-    assert driver.bfs(root).reached == kernel.bfs(root).reached
     invalidate_kernel(graph)
 
 
