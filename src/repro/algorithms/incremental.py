@@ -1,4 +1,4 @@
-"""Incremental maintenance of an evolving-graph BFS under edge insertions.
+"""Incremental maintenance of an evolving-graph BFS under edge mutations.
 
 The paper positions itself against the incremental-update strand of
 evolving-graph research (Bahmani et al., "PageRank on an evolving graph"),
@@ -14,16 +14,14 @@ nodes — the endpoints of the new edge at its timestamp, plus any later
 appearance of those nodes that gained a causal in-edge — recompute their best
 distance from their backward neighbours, and propagate improvements forward.
 
-Edge *removals* can only lengthen temporal paths, so :meth:`IncrementalBFS.apply`
-handles a mixed batch in two sound phases: first the removals are folded in
-with an increase-aware invalidate-and-redescend
-(:meth:`~repro.engine.frontier.FrontierKernel.shrink_distance_block` — every
-distance below the cut level is provably still exact, everything at or above
-it is re-derived from the cut frontier), then the insertions run the usual
-decrease-only relaxation against the post-insertion artifact.  Interleaving
-the two phases would be unsound — a slot can land on its *insertion*-shortened
-value during the redescend and then never propagate — which is why the batch
-is split, not fused.
+Edge *removals* can lengthen temporal paths, and a stream batch of a few
+hundred edges changes most of the BFS tree, so a bounded repair saves
+nothing there.  :meth:`IncrementalBFS.apply` therefore follows one rule on
+both backends: a batch with no effective removal takes the decrease-only
+patch; a batch with an effective removal applies all of its removals and
+insertions to the graph and then resyncs once — one fresh search from the
+root, which Theorem 4 makes exact on the compiled blocks (the README's
+*Streaming & incremental updates* section records the batch-size crossover).
 
 Backends
 --------
@@ -31,22 +29,25 @@ Like every ported search, the class accepts ``backend="python" | "vectorized"``:
 
 * ``"vectorized"`` (the default) keeps the distances as a raw ``(T, N)``
   block aligned with the shared compiled artifact
-  (:class:`~repro.graph.compiled.CompiledTemporalGraph`).  Each insertion
-  batch first *delta-recompiles* the artifact — only the snapshots the batch
-  touched are rebuilt, everything else is shared with the previous artifact —
-  and then runs a masked decrease-only re-sweep on the frontier engine
-  (:meth:`~repro.engine.frontier.FrontierKernel.decrease_only_resweep`)
-  seeded from the dirty temporal slots.  Per batch this costs one snapshot
-  compile plus work proportional to the region whose distances change,
-  instead of a full recompile plus a full search
-  (``benchmarks/bench_incremental.py`` measures the gap).
+  (:class:`~repro.graph.compiled.CompiledTemporalGraph`).  Every batch first
+  *delta-recompiles* the artifact over the signed mutation journal — only
+  the snapshots the batch touched are rebuilt, everything else is shared
+  with the previous artifact.  A pure-insertion batch then runs a masked
+  decrease-only re-sweep seeded from the dirty temporal slots
+  (:meth:`~repro.engine.frontier.FrontierKernel.patch_distance_block`); a
+  batch with a removal runs one packed sweep from the root
+  (:meth:`~repro.engine.frontier.FrontierKernel.distance_block`).
+  ``benchmarks/bench_incremental.py`` measures both against a full
+  recompile plus a full search per batch.
 * ``"python"`` is the original per-node dictionary relaxation, kept verbatim
   as the correctness oracle (``tests/test_delta_streaming.py`` asserts the
-  two agree after every stream batch).
+  two agree after every stream batch); a batch with a removal re-runs the
+  Python BFS.
 
-The cost of one update is proportional to the part of the BFS tree whose
-distances actually change, which for typical streams is far smaller than the
-whole graph; the worst case degrades gracefully to a full re-expansion.
+The cost of an insertion batch is proportional to the part of the BFS tree
+whose distances actually change, which for typical streams is far smaller
+than the whole graph; the worst case degrades gracefully to a full
+re-expansion.
 """
 
 from __future__ import annotations
@@ -61,20 +62,22 @@ from repro.exceptions import GraphError
 from repro.graph.adjacency_list import AdjacencyListEvolvingGraph
 from repro.graph.base import TemporalEdgeTuple, TemporalNodeTuple
 from repro.graph.compiled import CompiledTemporalGraph
+from repro.graph.validation import validate_edge_batch
 
 __all__ = ["IncrementalBFS", "IncrementalEarliestArrival"]
 
 
 class IncrementalBFS:
-    """Maintain Algorithm 1's result from a fixed root while edges are inserted.
+    """Maintain Algorithm 1's result from a fixed root while edges change.
 
     Parameters
     ----------
     graph:
         The mutable adjacency-list evolving graph to search.  The instance
-        takes ownership of updates: always insert edges through
-        :meth:`add_edge` / :meth:`add_edges_from` so the distance map stays
-        consistent with the graph.
+        takes ownership of updates: always mutate it through
+        :meth:`add_edges_from`, :meth:`remove_edges_from` or :meth:`apply`
+        (or their single-edge forms) so the distance map stays consistent
+        with the graph.
     root:
         The temporal node to search from.  It does not need to be active yet;
         the search starts producing results once an inserted edge activates it.
@@ -149,7 +152,7 @@ class IncrementalBFS:
 
     @property
     def num_updates(self) -> int:
-        """Number of edge insertions processed since construction."""
+        """Number of effective edge insertions and removals since construction."""
         return self._updates
 
     def distance(self, node: Hashable, time) -> int | None:
@@ -182,59 +185,26 @@ class IncrementalBFS:
         Returns ``True`` when the edge was new (duplicates leave both the
         graph and the distance map untouched).
         """
-        was_new = self._graph.add_edge(u, v, time)
-        if not was_new:
-            return False
-        self._updates += 1
-        if self._backend == "python":
-            self._apply_insertion(u, v, time)
-        else:
-            self._apply_batch([(u, v, time)])
-        return True
+        return bool(self.add_edges_from([(u, v, time)]))
 
     def add_edges_from(self, edges: Iterable[TemporalEdgeTuple]) -> int:
         """Insert many edges; returns the number that were new.
 
-        On the vectorized backend the whole batch is folded into *one* delta
-        recompile and *one* masked re-sweep, which is how streaming callers
+        The batch is validated before the first insertion, so a malformed
+        item leaves the graph untouched.  On the vectorized backend the
+        whole batch is folded into *one* delta recompile and *one* masked
+        re-sweep, which is how streaming callers
         (:func:`repro.generators.stream.apply_stream`) amortize update costs.
         """
-        if self._backend == "python":
-            added = 0
-            for u, v, t in edges:
-                added += self.add_edge(u, v, t)
-            return added
-        # validate the whole batch before the first insertion: a malformed
-        # item must not leave edges in the graph that the distance block
-        # never folded in
-        items: list[TemporalEdgeTuple] = []
-        for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
-            items.append((u, v, t))
-        new_edges: list[TemporalEdgeTuple] = []
-        try:
-            for edge in items:
-                if self._graph.add_edge(*edge):
-                    new_edges.append(edge)
-        finally:
-            # fold whatever was inserted even if a later add_edge raised
-            # (e.g. an unhashable node) — the distance block must never lag
-            # edges that made it into the graph
-            if new_edges:
-                self._updates += len(new_edges)
-                self._apply_batch(new_edges)
-        return len(new_edges)
+        ins, _ = validate_edge_batch(self._graph, edges, ())
+        return self._insert(ins)
 
     def remove_edge(self, u: Hashable, v: Hashable, time) -> bool:
         """Remove the static edge ``u -> v`` at ``time`` and update distances.
 
         Returns ``True`` when the edge existed (removing an absent edge
-        leaves both the graph and the distance map untouched).
+        leaves both the graph and the distance map untouched).  An effective
+        removal resyncs with one sweep from the root, as in :meth:`apply`.
         """
         _, removed = self.apply(removals=[(u, v, time)])
         return bool(removed)
@@ -242,8 +212,8 @@ class IncrementalBFS:
     def remove_edges_from(self, edges: Iterable[TemporalEdgeTuple]) -> int:
         """Remove many edges; returns the number that existed.
 
-        The whole batch is folded into one delta recompile and one
-        increase-aware shrink re-sweep.
+        A batch with an effective removal is folded into one delta
+        recompile and one fresh sweep from the root (see :meth:`apply`).
         """
         _, removed = self.apply(removals=edges)
         return removed
@@ -255,95 +225,70 @@ class IncrementalBFS:
     ) -> tuple[int, int]:
         """Fold one mixed insert/remove batch; returns ``(added, removed)``.
 
-        The two mutation kinds are applied in separate sound phases —
-        removals first (increase-aware shrink against the mid-batch
-        artifact), then insertions (decrease-only patch against the final
-        artifact) — so the maintained distances stay bit-identical to a
-        fresh search after every batch, for any mix.  The python oracle
-        backend recomputes from scratch whenever a batch removes edges.
+        The batch is validated first
+        (:func:`~repro.graph.validation.validate_edge_batch`), so a bad item
+        raises with nothing applied.  A batch with no effective removal is
+        an insertion batch (:meth:`add_edges_from`: one delta recompile,
+        then the decrease-only patch).  Otherwise every removal and
+        insertion is applied to the graph and the state resyncs once: on
+        the vectorized backend one delta recompile over the signed journal
+        (its ``delta_stats`` cover the whole batch) and one sweep from the
+        root, or an empty state when the batch deactivated the root.  The
+        distances are bit-identical to a fresh search after every batch.
         """
-        ins = self._validate_triples(insertions)
-        rem = self._validate_triples(removals)
+        ins, rem = validate_edge_batch(self._graph, insertions, removals)
         graph = self._graph
-        if self._backend == "python":
-            removed = 0
-            for u, v, t in rem:
-                if graph.remove_edge(u, v, t):
-                    removed += 1
-            if not removed:
-                return (self.add_edges_from(ins) if ins else 0), 0
-            added = 0
-            for u, v, t in ins:
-                if graph.add_edge(u, v, t):
-                    added += 1
-            self._updates += added + removed
-            self.recompute()
-            return added, removed
-        # phase 1 — removals: capture the pre-removal activeness (the mask
-        # the maintained block was computed under), mutate, shrink
-        prev_active = (
-            self._axes.active_mask
-            if self._axes is not None and self._dist is not None
-            else None
-        )
-        removed_edges: list[TemporalEdgeTuple] = []
-        for edge in rem:
-            if graph.remove_edge(*edge):
-                removed_edges.append(edge)
-        if removed_edges:
-            self._updates += len(removed_edges)
-            self._shrink_batch(removed_edges, prev_active)
-        # phase 2 — insertions: the usual decrease-only relaxation
-        added_edges: list[TemporalEdgeTuple] = []
+        added = removed = 0
         try:
+            for edge in rem:
+                removed += graph.remove_edge(*edge)
+            if not removed:
+                return self._insert(ins), 0
             for edge in ins:
-                if graph.add_edge(*edge):
-                    added_edges.append(edge)
+                added += graph.add_edge(*edge)
         finally:
-            if added_edges:
-                self._updates += len(added_edges)
-                self._apply_batch(added_edges)
-        return len(added_edges), len(removed_edges)
-
-    @staticmethod
-    def _validate_triples(
-        edges: Iterable[TemporalEdgeTuple],
-    ) -> list[TemporalEdgeTuple]:
-        items: list[TemporalEdgeTuple] = []
-        for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
-            items.append((u, v, t))
-        return items
+            # resync even if a later item raised: the state must never lag
+            # edges that made it into the graph
+            if removed:
+                self._updates += added + removed
+                self._resync()
+        return added, removed
 
     def recompute(self) -> dict[TemporalNodeTuple, int]:
         """Recompute from scratch (used for verification); also resyncs the state."""
-        active = self._graph.is_active(*self._root)
-        if self._backend == "python":
-            if active:
-                self._reached = dict(
-                    evolving_bfs(self._graph, self._root, backend="python").reached
-                )
-            else:
-                self._reached = {}
-        elif active:
-            self._initial_search()
-        else:
-            self._dist = None
-            self._axes = None
-            self._decoded = None
+        self._resync()
         return self.distances
+
+    def _insert(self, edges: list[TemporalEdgeTuple]) -> int:
+        """Insert validated edges and fold the new ones in, decrease-only."""
+        graph = self._graph
+        new_edges: list[TemporalEdgeTuple] = []
+        try:
+            for edge in edges:
+                if graph.add_edge(*edge):
+                    new_edges.append(edge)
+                    if self._backend == "python":
+                        self._apply_insertion(*edge)
+        finally:
+            # fold whatever was inserted even if a later add_edge raised
+            self._updates += len(new_edges)
+            if new_edges and self._backend != "python":
+                self._apply_batch(new_edges)
+        return len(new_edges)
+
+    def _resync(self) -> None:
+        """Rebuild the state with one fresh search (empty if the root is inactive)."""
+        self._reached = {}
+        self._dist = self._axes = self._decoded = None
+        if self._graph.is_active(*self._root):
+            self._initial_search()
 
     # ------------------------------------------------------------------ #
     # vectorized internals (engine-backed decrease-only maintenance)      #
     # ------------------------------------------------------------------ #
 
     def _initial_search(self) -> None:
-        """Full engine (or oracle) search; the root just became active."""
+        """Full engine (or oracle) search from the (active) root."""
         if self._backend == "python":
             self._reached = dict(
                 evolving_bfs(self._graph, self._root, backend="python").reached
@@ -438,54 +383,6 @@ class IncrementalBFS:
             self._dist, batch, pinned=compiled.slot(*self._root)
         )
 
-    def _shrink_batch(
-        self,
-        removals: list[TemporalEdgeTuple],
-        prev_active: np.ndarray | None,
-    ) -> None:
-        """Fold one batch of removed edges into the distance block.
-
-        Runs against the *mid-batch* artifact (post-removal, pre-insertion).
-        Falls back to a fresh search when the maintained block cannot be
-        proven exact: no block yet, a shrunken universe (stale values are
-        not upper bounds under removals, so remapping is unsound), or a
-        deactivated root (the block is simply dropped until the root
-        reactivates).
-        """
-        self._decoded = None
-        graph = self._graph
-        if self._dist is None or self._axes is None or prev_active is None:
-            if graph.is_active(*self._root):
-                self._initial_search()
-            else:
-                self._dist = None
-                self._axes = None
-            return
-        from repro.engine import get_kernel
-
-        kernel = get_kernel(graph)  # delta-recompiled on version mismatch
-        compiled = kernel.compiled
-        old = self._axes
-        if (
-            compiled.num_nodes != old.num_nodes
-            or compiled.times != old.times
-            or compiled.node_labels != old.node_labels
-        ):
-            if graph.is_active(*self._root):
-                self._initial_search()
-            else:
-                self._dist = None
-                self._axes = None
-            return
-        self._axes = compiled
-        slot = compiled.slot(*self._root)
-        if slot is None or not compiled.active_mask[slot]:
-            # the batch deactivated the root: nothing is reachable anymore
-            self._dist = None
-            self._axes = None
-            return
-        kernel.shrink_distance_block(self._dist, removals, prev_active)
-
     # ------------------------------------------------------------------ #
     # python-oracle internals                                             #
     # ------------------------------------------------------------------ #
@@ -549,9 +446,9 @@ class IncrementalEarliestArrival:
     <repro.engine.frontier.FrontierKernel.earliest_arrivals>` for one root:
     node ``v``'s earliest arrival is the first snapshot whose maintained
     distance is non-negative, a pure readout of the ``(T, N)`` block that
-    :class:`IncrementalBFS` already keeps exact.  Insertions and removals
-    therefore ride the same two-phase decrease/shrink maintenance, and
-    :attr:`arrivals` stays bit-identical to a fresh
+    :class:`IncrementalBFS` already keeps exact.  Batches therefore follow
+    the same rule (a pure-insertion batch patches, a batch with a removal
+    re-sweeps from the root), and :attr:`arrivals` stays bit-identical to a fresh
     ``earliest_arrivals`` sweep after every batch (asserted by
     the mixed-stream hypothesis suite).
     """

@@ -390,6 +390,10 @@ class FrontierKernel(BatchedSweeps):
         every block's shape has been checked, so a mismatched block raises
         before any block is modified.  ``pinned`` optionally names each
         block's root slot.  Returns the improved-slot count per block.
+
+        Nothing in the package calls this; it stays only because the layer
+        ledger (``benchmarks/ledger/layers.py``) wraps it by name, and goes
+        when the ledger reads in-source instrumentation instead.
         """
         self._check_blocks(blocks)
         if pinned is None:
@@ -421,13 +425,17 @@ class FrontierKernel(BatchedSweeps):
         ONE masked spatial+causal step from the complete ``dmin - 1`` level
         and let :meth:`decrease_only_resweep` redescend from there.  The
         result is bit-identical to a fresh search on the post-removal
-        artifact — ``IncrementalBFS`` relies on exactly this contract for the
-        removal phase of a mixed batch.
+        artifact.
 
         Raises :class:`~repro.exceptions.GraphError` when a removal
         deactivated the search root itself (``dmin == 0``) — the caller must
         drop the block and recompute.  Returns the number of slots whose
         distance changed.
+
+        Nothing in the package calls this: ``IncrementalBFS.apply`` re-sweeps
+        any batch with a removal from the root.  It stays only because the
+        layer ledger (``benchmarks/ledger/layers.py``) wraps it by name, and
+        goes when the ledger reads in-source instrumentation instead.
         """
         active = self.compiled.active_mask
         t_count, n = active.shape
@@ -466,6 +474,10 @@ class FrontierKernel(BatchedSweeps):
         deactivated a slot that some block holds at distance 0, this raises
         :class:`~repro.exceptions.GraphError` before any block is modified
         (drop those blocks first).  Returns the changed-slot count per block.
+
+        Nothing in the package calls this; it stays only because the layer
+        ledger (``benchmarks/ledger/layers.py``) wraps it by name, and goes
+        when the ledger reads in-source instrumentation instead.
         """
         self._check_blocks(blocks, previous_active)
         deactivated = previous_active & ~self.compiled.active_mask

@@ -100,10 +100,12 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         """Register a (possibly empty) snapshot labelled ``time``."""
         if time in self._succ:
             return
+        # insort first: a label that cannot be ordered raises before any
+        # snapshot dict registers it
+        bisect.insort(self._timestamps, time)
         self._succ[time] = {}
         self._pred[time] = {}
         self._edge_sets[time] = set()
-        bisect.insort(self._timestamps, time)
         self._bump_mutation_version()
         self._snapshot_versions[time] = self._mutation_version
 

@@ -11,12 +11,18 @@ These checks back the structural invariants the paper relies on:
 
 from __future__ import annotations
 
-from typing import Sequence
+import bisect
+from typing import Iterable, Sequence
 
-from repro.exceptions import GraphError, InvalidTemporalPathError
-from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
+from repro.exceptions import (
+    GraphError,
+    InvalidTemporalPathError,
+    TimestampNotFoundError,
+)
+from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple, TemporalNodeTuple
 
 __all__ = [
+    "validate_edge_batch",
     "validate_evolving_graph",
     "validate_temporal_path",
     "is_temporal_path",
@@ -44,6 +50,55 @@ def validate_evolving_graph(graph: BaseEvolvingGraph) -> None:
                 f"active-node bookkeeping inconsistent at time {t!r}: "
                 f"{sorted(map(repr, active ^ incident))}"
             )
+
+
+def validate_edge_batch(
+    graph: BaseEvolvingGraph,
+    insertions: Iterable[TemporalEdgeTuple],
+    removals: Iterable[TemporalEdgeTuple],
+) -> tuple[list[TemporalEdgeTuple], list[TemporalEdgeTuple]]:
+    """Check a mixed edge batch against ``graph`` before any of it is applied.
+
+    Raises :class:`GraphError` unless every item is a ``(u, v, t)`` triple of
+    hashable labels, :class:`TimestampNotFoundError` when a removal names an
+    unregistered timestamp (as ``remove_edge`` would), and
+    :class:`GraphError` when an insertion's new timestamp cannot be ordered
+    against the registered ones (the ``insort`` that registers it is
+    replayed on a copy).  A caller that validates first applies the batch
+    all-or-nothing.  Returns ``(insertions, removals)`` as lists of triples.
+    """
+    ins = _edge_triples(insertions)
+    rem = _edge_triples(removals)
+    for _u, _v, t in rem:
+        if not graph.has_timestamp(t):
+            raise TimestampNotFoundError(t)
+    new_times = [t for _u, _v, t in ins if not graph.has_timestamp(t)]
+    if new_times:
+        times = list(graph.timestamps)
+        for t in dict.fromkeys(new_times):
+            try:
+                bisect.insort(times, t)
+            except TypeError as exc:
+                raise GraphError(
+                    f"timestamp {t!r} cannot be ordered against the graph's "
+                    "timestamps"
+                ) from exc
+    return ins, rem
+
+
+def _edge_triples(edges: Iterable[TemporalEdgeTuple]) -> list[TemporalEdgeTuple]:
+    items: list[TemporalEdgeTuple] = []
+    for item in edges:
+        try:
+            u, v, t = item
+            hash((u, v, t))
+        except (TypeError, ValueError) as exc:
+            raise GraphError(
+                f"temporal edges must be (u, v, t) triples of hashable labels, "
+                f"got {item!r}"
+            ) from exc
+        items.append((u, v, t))
+    return items
 
 
 def is_temporal_path(

@@ -102,6 +102,7 @@ from repro.exceptions import (
     ServingError,
 )
 from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple
+from repro.graph.validation import validate_edge_batch
 from repro.serving.coalesce import _query_root, decode_warm_block, execute_group
 
 __all__ = ["ADMISSION_POLICIES", "LatencyHistogram", "QueryServer", "ServingStats"]
@@ -857,10 +858,15 @@ class QueryServer:
         removals: list[TemporalEdgeTuple],
         future: Future,
     ) -> None:
-        """Single-writer admission of one streamed edge batch."""
+        """Single-writer admission of one streamed edge batch.
+
+        The batch is validated before the first removal, so a bad item
+        fails the future with nothing applied.
+        """
         from repro.engine import get_compiled
 
         try:
+            batch, removals = validate_edge_batch(self._graph, batch, removals)
             before = self._graph.mutation_version
             for u, v, t in removals:
                 self._graph.remove_edge(u, v, t)

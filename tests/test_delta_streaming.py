@@ -29,7 +29,8 @@ from repro.algorithms.incremental import IncrementalBFS, IncrementalEarliestArri
 from repro.algorithms.temporal_paths import earliest_arrival_times
 from repro.core.bfs import evolving_bfs
 from repro.engine import BACKENDS, get_compiled, get_kernel, invalidate_kernel
-from repro.exceptions import GraphError
+from repro.engine.frontier import FrontierKernel
+from repro.exceptions import GraphError, TimestampNotFoundError
 from repro.generators import EdgeStream, apply_stream, random_temporal_edges
 from repro.graph import (
     AdjacencyListEvolvingGraph,
@@ -631,6 +632,149 @@ class TestShrinkResweep:
         kernel = get_kernel(graph)
         with pytest.raises(GraphError):
             kernel.shrink_distance_block(dist, [(1, 2, 0)], prev_active)
+
+
+def _rule_graph() -> AdjacencyListEvolvingGraph:
+    """Root (0, 0) is active only through (0, 1, 0); label 5 only through (3, 5, 1)."""
+    return AdjacencyListEvolvingGraph(
+        [(0, 1, 0), (1, 2, 0), (2, 3, 1), (1, 2, 1), (3, 5, 1), (0, 4, 2), (4, 3, 2)],
+        timestamps=[0, 1, 2],
+    )
+
+
+def _spy(monkeypatch, owner, attribute) -> list:
+    """Record ``owner.attribute``'s results, wrapped as the layer ledger wraps it.
+
+    The original comes from the class ``__dict__``, so a classmethod keeps
+    its descriptor type; ``monkeypatch`` restores it after the test.
+    """
+    original = vars(owner)[attribute]
+    bound = isinstance(original, classmethod)
+    func = original.__func__ if bound else original
+    results: list = []
+
+    def wrapped(*args, **kwargs):
+        result = func(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(owner, attribute, classmethod(wrapped) if bound else wrapped)
+    return results
+
+
+SPIED = [
+    (CompiledTemporalGraph, "recompile"),
+    (FrontierKernel, "_run"),
+    (FrontierKernel, "shrink_distance_block"),
+    (FrontierKernel, "patch_distance_block"),
+    (FrontierKernel, "decrease_only_resweep"),
+]
+
+#: Batch sequences that move the root or the node universe, which the
+#: time-0 ring of the hypothesis suites pins.
+ROOT_CASES = {
+    # the removal deactivates the root and the insertion reactivates it
+    "reactivated": [([(0, 2, 0)], [(0, 1, 0)])],
+    # the root stays inactive until a later insertion batch restarts it
+    "deactivated": [([(2, 4, 2)], [(0, 1, 0)]), ([(0, 3, 0)], [])],
+    # label 5 loses its last edge (a full rebuild with new axes), then a
+    # pure-insertion batch patches on the new axes
+    "vanished_label": [([(2, 4, 1)], [(3, 5, 1)]), ([(4, 1, 2)], [])],
+}
+
+
+class TestApplyRule:
+    """A batch with an effective removal re-sweeps; any other batch patches."""
+
+    def test_removal_batch_is_one_delta_compile_and_one_sweep(self, monkeypatch):
+        graph = _rule_graph()
+        inc = IncrementalBFS(graph, (0, 0), backend="vectorized")
+        calls = {name: _spy(monkeypatch, owner, name) for owner, name in SPIED}
+        assert inc.apply(insertions=[(2, 4, 1)], removals=[(1, 2, 1)]) == (1, 1)
+        [artifact] = calls["recompile"]
+        assert artifact.delta_stats == {"rebuilt": 1, "reused": 2}
+        assert len(calls["_run"]) == 1
+        assert calls["shrink_distance_block"] == []
+        assert calls["patch_distance_block"] == []
+        assert calls["decrease_only_resweep"] == []
+        assert inc.distances == evolving_bfs(graph, (0, 0), backend="python").reached
+
+    @pytest.mark.parametrize(
+        "removals", [[], [(0, 3, 2)]], ids=["pure-insertion", "absent-removal"]
+    )
+    def test_batch_without_effective_removal_patches(self, monkeypatch, removals):
+        graph = _rule_graph()
+        inc = IncrementalBFS(graph, (0, 0), backend="vectorized")
+        calls = {name: _spy(monkeypatch, owner, name) for owner, name in SPIED}
+        assert inc.apply(insertions=[(2, 4, 1)], removals=removals) == (1, 0)
+        assert len(calls["recompile"]) == 1
+        assert len(calls["patch_distance_block"]) == 1
+        assert calls["_run"] == []
+        assert inc.distances == evolving_bfs(graph, (0, 0), backend="python").reached
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", sorted(ROOT_CASES))
+    def test_root_and_universe_changes_match_oracle(self, backend, case):
+        root = (0, 0)
+        graph, arrival_graph = _rule_graph(), _rule_graph()
+        inc = IncrementalBFS(graph, root, backend=backend)
+        arrivals = IncrementalEarliestArrival(arrival_graph, root, backend=backend)
+        for insertions, removals in ROOT_CASES[case]:
+            inc.apply(insertions=insertions, removals=removals)
+            arrivals.apply(insertions=insertions, removals=removals)
+            if graph.is_active(*root):
+                assert inc.distances == evolving_bfs(graph, root, backend="python").reached
+                assert arrivals.arrivals == earliest_arrival_times(
+                    graph, root, backend="python"
+                )
+            else:
+                assert inc.distances == {}
+                assert inc.distance(*root) is None
+                assert arrivals.arrivals == {}
+        assert graph.is_active(*root)
+        if case == "vanished_label":
+            assert 5 not in get_compiled(graph).node_index
+
+
+#: Batches that fail validation after an item that would have applied.
+FAILING_BATCHES = [
+    pytest.param([], [(1, 2, 0), (0, 1, 99)], TimestampNotFoundError, id="unregistered"),
+    pytest.param([], [(1, 2, 0), ([9], 3, 1)], GraphError, id="unhashable"),
+    pytest.param([(2, 4, 1), (0, 1, "x")], [(1, 2, 0)], GraphError, id="unorderable"),
+]
+
+
+class TestAtomicBatches:
+    """A batch that fails validation leaves the graph and the state untouched."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("insertions, removals, error", FAILING_BATCHES)
+    def test_failed_apply_changes_nothing(self, backend, insertions, removals, error):
+        graph = _rule_graph()
+        inc = IncrementalBFS(graph, (0, 0), backend=backend)
+        edges = set(graph.temporal_edges_unordered())
+        version = graph.mutation_version
+        distances = inc.distances
+        with pytest.raises(error):
+            inc.apply(insertions=insertions, removals=removals)
+        assert set(graph.temporal_edges_unordered()) == edges
+        assert graph.mutation_version == version
+        assert inc.distances == distances
+        assert inc.num_updates == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [([9], 3, 1), (0, 1, "x")], ids=repr)
+    def test_failed_insertion_batch_changes_nothing(self, backend, bad):
+        graph = _rule_graph()
+        inc = IncrementalBFS(graph, (0, 0), backend=backend)
+        version = graph.mutation_version
+        distances = inc.distances
+        with pytest.raises(GraphError):
+            inc.add_edges_from([(2, 4, 1), bad])
+        assert not graph.has_edge(2, 4, 1)
+        assert graph.mutation_version == version
+        assert inc.distances == distances
+        assert inc.num_updates == 0
 
 
 class TestBatchBfsCompiledArtifact:

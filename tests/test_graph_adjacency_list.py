@@ -38,6 +38,15 @@ class TestConstruction:
         with pytest.raises(GraphError):
             g.add_edges_from([(1, 2)])
 
+    def test_unorderable_timestamp_registers_nothing(self):
+        g = AdjacencyListEvolvingGraph([(0, 1, 0)])
+        version = g.mutation_version
+        with pytest.raises(TypeError):
+            g.add_edge(0, 1, "x")
+        assert not g.has_timestamp("x")
+        assert list(g.timestamps) == [0]
+        assert g.mutation_version == version
+
     def test_explicit_timestamps_kept_even_when_empty(self):
         g = AdjacencyListEvolvingGraph(timestamps=[0, 1, 2])
         assert list(g.timestamps) == [0, 1, 2]

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import InvalidTemporalPathError
+from repro.exceptions import (
+    GraphError,
+    InvalidTemporalPathError,
+    TimestampNotFoundError,
+)
 from repro.graph import (
     AdjacencyListEvolvingGraph,
     all_snapshots_acyclic,
@@ -13,6 +17,7 @@ from repro.graph import (
     validate_evolving_graph,
     validate_temporal_path,
 )
+from repro.graph.validation import validate_edge_batch
 
 
 class TestValidateEvolvingGraph:
@@ -24,6 +29,36 @@ class TestValidateEvolvingGraph:
 
     def test_empty_graph_passes(self):
         validate_evolving_graph(AdjacencyListEvolvingGraph())
+
+
+class TestValidateEdgeBatch:
+    def test_returns_both_batches_as_triples(self):
+        g = AdjacencyListEvolvingGraph([(0, 1, 0)])
+        ins, rem = validate_edge_batch(g, iter([[1, 2, 5]]), ((0, 1, 0),))
+        assert ins == [(1, 2, 5)]
+        assert rem == [(0, 1, 0)]
+
+    @pytest.mark.parametrize("item", [(0, 1), ([0], 1, 0), (0, 1, {0})], ids=repr)
+    def test_rejects_non_triples_and_unhashable_labels(self, item):
+        g = AdjacencyListEvolvingGraph([(0, 1, 0)])
+        with pytest.raises(GraphError):
+            validate_edge_batch(g, [item], [])
+        with pytest.raises(GraphError):
+            validate_edge_batch(g, [], [item])
+
+    def test_removal_timestamp_must_be_registered(self):
+        g = AdjacencyListEvolvingGraph([(0, 1, 0)])
+        with pytest.raises(TimestampNotFoundError):
+            validate_edge_batch(g, [(1, 2, 7)], [(1, 2, 7)])
+
+    def test_new_insertion_timestamps_must_be_orderable(self):
+        g = AdjacencyListEvolvingGraph([(0, 1, 0)])
+        validate_edge_batch(g, [(0, 1, 3), (0, 1, 2.5)], [])
+        with pytest.raises(GraphError):
+            validate_edge_batch(g, [(0, 1, "x")], [])
+        # two new labels that only fail against each other
+        with pytest.raises(GraphError):
+            validate_edge_batch(AdjacencyListEvolvingGraph(), [(0, 1, "x"), (0, 1, 2)], [])
 
 
 class TestValidateTemporalPath:

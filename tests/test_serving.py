@@ -664,6 +664,32 @@ def test_warm_start_out_of_universe_insertion_refreshes():
         assert server.stats.snapshot()["cache_misses"] == stats["cache_misses"]
 
 
+@pytest.mark.parametrize(
+    "insertions, removals",
+    [
+        ([(0, 5, 1)], [(1, 2, 0), (0, 1, 99)]),
+        ([(0, 5, 1)], [(1, 2, 0), ([9], 3, 1)]),
+        ([(0, 5, 1), (0, 1, "x")], [(1, 2, 0)]),
+    ],
+    ids=["unregistered", "unhashable", "unorderable"],
+)
+def test_failed_mutation_applies_nothing(insertions, removals):
+    graph = _warm_graph()
+    query = BFSQuery(root=(0, 0))
+    want = evolving_bfs(graph, (0, 0), backend="python").reached
+    edges = set(graph.temporal_edges_unordered())
+    version = graph.mutation_version
+    with QueryServer(graph, window_s=0.002) as server:
+        assert server.query(query) == want
+        future = server.mutate(insertions, removals=removals)
+        with pytest.raises(GraphError):
+            future.result(timeout=30)
+        assert set(graph.temporal_edges_unordered()) == edges
+        assert graph.mutation_version == version
+        assert server.query(query) == want
+        assert server.stats.snapshot()["mutations"] == 0
+
+
 def test_warm_start_refresh_failure_prunes(monkeypatch):
     graph = _warm_graph()
     queries = [BFSQuery(root=(0, 0)), EarliestArrivalQuery(source=(3, 1))]
