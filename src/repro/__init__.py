@@ -3,8 +3,9 @@
 The package implements the paper's breadth-first search over evolving graphs
 (Algorithm 1), its algebraic block-matrix formulation (Algorithm 2), the
 Theorem-1 static expansion, correct-vs-naive temporal path counting, and the
-surrounding substrates: evolving-graph representations, sparse linear-algebra
-kernels, workload generators, temporal-graph algorithms and analysis tools.
+surrounding substrates: evolving-graph representations, the vectorized
+sparse engine with its operation counter, workload generators,
+temporal-graph algorithms and analysis tools.
 
 Quickstart
 ----------

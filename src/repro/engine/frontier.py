@@ -61,15 +61,14 @@ reference path — see :func:`repro.core.bfs.evolving_bfs`.
 Cost model: with a :class:`~repro.linalg.csr.OperationCounter` attached, the
 kernel charges the actually-gathered sparse work to ``multiply_adds`` (push:
 ``2 · Σ out-degree`` over frontier cells; pull: ``2 · nnz`` of the
-candidate rows per column; dense: ``2 · nnz(A[t]) · R``, one gaxpy per
-column as in :meth:`CSRMatrix.matmat <repro.linalg.csr.CSRMatrix.matmat>`)
-and its packed bookkeeping to ``word_ops`` — one unit per 64-bit word of
-lanes.  Each advance charges at most the dense product, and a packed
-level costs a few word ops per 64 slots, so the total stays below the
-Theorem 5/6 charge of the blocked algorithm (a dense product for every
-snapshot holding a frontier slot plus ``T · N · R`` column checks per
-level) once blocks are more than a few words wide; the unit tests assert
-this on a few hundred nodes.
+candidate rows per column; dense: ``2 · nnz(A[t]) · R``, one CSC gaxpy of
+Theorem 6 per column) and its packed bookkeeping to ``word_ops`` — one
+unit per 64-bit word of lanes.  Each advance charges at most the dense
+product, and a packed level costs a few word ops per 64 slots, so the
+total stays below the Theorem 5/6 charge of the blocked algorithm (a dense
+product for every snapshot holding a frontier slot plus ``T · N · R``
+column checks per level) once blocks are more than a few words wide; the
+unit tests assert this on a few hundred nodes.
 """
 
 from __future__ import annotations
@@ -81,19 +80,13 @@ import numpy as np
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
 from repro.engine.reached import SlotTable
-from repro.engine.sharded_sweep import _DIRECTIONS, BatchedSweeps, BoundaryBlock
+from repro.engine.sharded_sweep import _DIRECTIONS, _FAR, BatchedSweeps, BoundaryBlock
 from repro.exceptions import ConvergenceError, GraphError
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple, Time
 from repro.graph.compiled import CompiledTemporalGraph
 from repro.linalg.csr import OperationCounter
 
 __all__ = ["FrontierKernel"]
-
-#: Sentinel distance for unreached slots inside the decrease-only re-sweep
-#: (large enough that ``_UNREACHED`` never wins a minimum, small enough that
-#: ``_UNREACHED + 1`` cannot overflow int32).
-_UNREACHED = np.int32(2**30)
-
 
 class FrontierKernel(BatchedSweeps):
     """Sparse execution engine for frontier expansion over one evolving graph.
@@ -249,7 +242,7 @@ class FrontierKernel(BatchedSweeps):
                 f"distance block shape {dist.shape} does not match the "
                 f"compiled artifact's {(t_count, n)}"
             )
-        work = np.where(dist < 0, _UNREACHED, dist.astype(np.int32))
+        work = np.where(dist < 0, _FAR, dist.astype(np.int32))
         improved = np.zeros((t_count, n), dtype=bool)
         for ti, vi, candidate in seeds:
             if candidate < work[ti, vi]:
@@ -258,7 +251,7 @@ class FrontierKernel(BatchedSweeps):
         if not improved.any():
             return 0
         changed = self._resweep_fused(work, improved, active)
-        dist[:] = np.where(work >= _UNREACHED, -1, work)
+        dist[:] = np.where(work >= _FAR, -1, work)
         return changed
 
     def patch_distance_block(
@@ -325,7 +318,7 @@ class FrontierKernel(BatchedSweeps):
             seed_t, seed_v = seed_t[not_root], seed_v[not_root]
         if not seed_t.size:
             return 0
-        big = _UNREACHED  # matches the re-sweep's unreached sentinel
+        big = _FAR  # matches the re-sweep's unreached sentinel
         # causal candidates in one masked prefix-min sweep — restricted to
         # the seed columns, so this stays O(T * |batch|), not O(T * N):
         # the best reached earlier appearance of each seeded node
@@ -533,7 +526,7 @@ class FrontierKernel(BatchedSweeps):
         active = compiled.active_mask
         t_count, n = active.shape
         r_count = dist.shape[2]
-        big = int(_UNREACHED)
+        big = int(_FAR)
         dmin = np.full(r_count, big, dtype=np.int64)
         time_index = compiled.time_index
         node_index = compiled.node_index
@@ -885,7 +878,7 @@ class FrontierKernel(BatchedSweeps):
         # causal parents: a time scan keeping each node's smallest distance
         # so far and the latest snapshot holding it — the causal parent of a
         # slot at d exists exactly when that smallest earlier distance is d - 1
-        best = np.full((n, r), _UNREACHED, dtype=np.int32)
+        best = np.full((n, r), _FAR, dtype=np.int32)
         best_t = np.zeros((n, r), dtype=np.int32)
         order = range(t_count) if forward else range(t_count - 1, -1, -1)
         for ti in order:

@@ -96,8 +96,9 @@ SHARD_BACKENDS = ("serial", "process")
 
 _DIRECTIONS = ("forward", "backward")
 
-#: Sentinel level for nodes no earlier shard has reached (same headroom
-#: contract as the frontier kernel's ``_UNREACHED``: never wins a minimum,
+#: Sentinel level for nodes no earlier shard has reached, and the frontier
+#: kernel's distance for unreached slots in its re-sweeps and parent scan
+#: (large enough that it never wins a minimum, small enough that
 #: ``_FAR + 1`` cannot overflow int32).
 _FAR = np.int32(2**30)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Iterator, Sequence
 
-from repro.exceptions import GraphError, TimestampNotFoundError
+from repro.exceptions import TimestampNotFoundError
 from repro.graph.base import (
     BaseEvolvingGraph,
     EdgeTuple,
@@ -22,6 +22,7 @@ from repro.graph.base import (
     TemporalNodeTuple,
     Time,
 )
+from repro.graph.validation import edge_triples, validate_edge_batch
 
 __all__ = ["AdjacencyListEvolvingGraph"]
 
@@ -90,7 +91,10 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
             for t in timestamps:
                 self.add_timestamp(t)
         if edges is not None:
-            self.add_edges_from(edges)
+            # streamed, not validated up front: a large edge iterable is
+            # never held as a list
+            for u, v, t in edge_triples(edges):
+                self.add_edge(u, v, t)
 
     # ------------------------------------------------------------------ #
     # construction                                                       #
@@ -155,13 +159,14 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
             return False
         edge_set.discard(edge)
         a, b = edge
+        succ, pred = self._succ[time], self._pred[time]
         # mirror add_edge exactly (undirected inserts store both directions,
         # self-loops included)
-        self._succ[time][a].remove(b)
-        self._pred[time][b].remove(a)
+        _unlink(succ, a, b)
+        _unlink(pred, b, a)
         if not self._directed:
-            self._succ[time][b].remove(a)
-            self._pred[time][a].remove(b)
+            _unlink(succ, b, a)
+            _unlink(pred, a, b)
         for w in {a, b}:
             if not self._has_incident_edge(w, time):
                 times = self._active_times.get(w)
@@ -204,33 +209,31 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         return False
 
     def add_edges_from(self, edges: Iterable[TemporalEdgeTuple]) -> int:
-        """Insert many ``(u, v, t)`` edges; return the number actually added."""
+        """Insert many ``(u, v, t)`` edges; return the number actually added.
+
+        The batch is validated before the first insertion
+        (:func:`~repro.graph.validation.validate_edge_batch`), so a malformed
+        item or a new timestamp that cannot be ordered raises
+        :class:`GraphError` with nothing inserted.
+        """
+        insertions, _ = validate_edge_batch(self, edges, ())
         added = 0
-        for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
+        for u, v, t in insertions:
             added += self.add_edge(u, v, t)
         return added
 
     def remove_edges_from(self, edges: Iterable[TemporalEdgeTuple]) -> int:
         """Remove many ``(u, v, t)`` edges; return the number actually removed.
 
-        Absent edges are skipped (``remove_edge`` semantics), and every
-        effective removal lands in the signed mutation journal, so a removal
-        batch stays on the O(batch) delta-compilation path.
+        The batch is validated before the first removal, so a malformed item
+        or an unregistered timestamp raises with nothing removed.  Absent
+        edges are skipped (``remove_edge`` semantics), and every effective
+        removal lands in the signed mutation journal, so a removal batch
+        stays on the O(batch) delta-compilation path.
         """
+        _, removals = validate_edge_batch(self, (), edges)
         removed = 0
-        for item in edges:
-            try:
-                u, v, t = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(
-                    f"temporal edges must be (u, v, t) triples, got {item!r}"
-                ) from exc
+        for u, v, t in removals:
             removed += self.remove_edge(u, v, t)
         return removed
 
@@ -430,3 +433,15 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
             for u, v in self._edge_sets[t]:
                 clone.add_edge(u, v, t)
         return clone
+
+
+def _unlink(adjacency: dict[Node, list[Node]], node: Node, neighbour: Node) -> None:
+    """Drop one ``neighbour`` entry from ``node``'s list, and the key once empty.
+
+    Dropping the emptied key keeps ``nodes()`` after a removal equal to a
+    fresh graph's and to the compiled node universe.
+    """
+    neighbours = adjacency[node]
+    neighbours.remove(neighbour)
+    if not neighbours:
+        del adjacency[node]

@@ -25,7 +25,7 @@ import bisect
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterator, Sequence
 
-from repro.exceptions import InactiveNodeError, TimestampNotFoundError
+from repro.exceptions import InactiveNodeError
 
 Node = Hashable
 Time = Hashable
@@ -168,10 +168,6 @@ class BaseEvolvingGraph(ABC):
     def has_timestamp(self, time: Time) -> bool:
         """Return ``True`` when a snapshot with label ``time`` exists."""
         return time in set(self.timestamps)
-
-    def _require_timestamp(self, time: Time) -> None:
-        if not self.has_timestamp(time):
-            raise TimestampNotFoundError(time)
 
     def nodes_at(self, time: Time) -> set[Node]:
         """All nodes that appear in at least one edge of the snapshot at ``time``."""
@@ -370,14 +366,6 @@ class BaseEvolvingGraph(ABC):
             f"n_static_edges={self.num_static_edges()} "
             f"directed={self.is_directed}>"
         )
-
-    # ------------------------------------------------------------------ #
-    # bulk helpers used by converters                                    #
-    # ------------------------------------------------------------------ #
-
-    def snapshot_edge_lists(self) -> dict[Time, list[EdgeTuple]]:
-        """Return ``{t: [(u, v), ...]}`` for every snapshot."""
-        return {t: list(self.edges_at(t)) for t in self.timestamps}
 
     def equals(self, other: "BaseEvolvingGraph") -> bool:
         """Structural equality: same directedness, timestamps and edge sets per snapshot."""

@@ -2,11 +2,11 @@
 
 Stores an evolving graph as three parallel integer arrays (source code,
 destination code, time code) plus lookup tables mapping codes back to the
-original node / timestamp labels.  This columnar layout follows the
-vectorisation guidance of the HPC guides: bulk operations (snapshot slicing,
-per-time CSR assembly, degree counting) become NumPy index operations instead
-of Python loops, and the arrays can be handed to the sparse kernels in
-:mod:`repro.linalg` without copying.
+original node / timestamp labels.  In this columnar layout bulk operations
+(snapshot slicing, per-time CSR assembly, degree counting) become NumPy
+index operations instead of Python loops, and :meth:`snapshot_arrays`
+returns one snapshot's code arrays as views, ready for a ``scipy.sparse``
+constructor.
 
 The representation is immutable after construction; use
 :class:`repro.graph.adjacency_list.AdjacencyListEvolvingGraph` for incremental

@@ -273,11 +273,6 @@ class ShardedTemporalGraph:
         return tuple(self._boundaries)
 
     @property
-    def layout_key(self) -> tuple[tuple[int, int], ...]:
-        """Hashable shard-layout identity (the dispatch cache's second key)."""
-        return tuple(self._boundaries)
-
-    @property
     def mutation_version(self) -> int:
         return self._version
 

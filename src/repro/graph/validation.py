@@ -12,7 +12,7 @@ These checks back the structural invariants the paper relies on:
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import (
     GraphError,
@@ -22,6 +22,7 @@ from repro.exceptions import (
 from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple, TemporalNodeTuple
 
 __all__ = [
+    "edge_triples",
     "validate_edge_batch",
     "validate_evolving_graph",
     "validate_temporal_path",
@@ -67,8 +68,8 @@ def validate_edge_batch(
     replayed on a copy).  A caller that validates first applies the batch
     all-or-nothing.  Returns ``(insertions, removals)`` as lists of triples.
     """
-    ins = _edge_triples(insertions)
-    rem = _edge_triples(removals)
+    ins = list(edge_triples(insertions))
+    rem = list(edge_triples(removals))
     for _u, _v, t in rem:
         if not graph.has_timestamp(t):
             raise TimestampNotFoundError(t)
@@ -86,8 +87,13 @@ def validate_edge_batch(
     return ins, rem
 
 
-def _edge_triples(edges: Iterable[TemporalEdgeTuple]) -> list[TemporalEdgeTuple]:
-    items: list[TemporalEdgeTuple] = []
+def edge_triples(edges: Iterable[TemporalEdgeTuple]) -> Iterator[TemporalEdgeTuple]:
+    """Yield each item of ``edges`` as a ``(u, v, t)`` triple.
+
+    Raises :class:`GraphError` at the first item that is not a triple of
+    hashable labels.  A generator, so a caller can stream a large edge
+    iterable without holding it as a list.
+    """
     for item in edges:
         try:
             u, v, t = item
@@ -97,8 +103,7 @@ def _edge_triples(edges: Iterable[TemporalEdgeTuple]) -> list[TemporalEdgeTuple]
                 f"temporal edges must be (u, v, t) triples of hashable labels, "
                 f"got {item!r}"
             ) from exc
-        items.append((u, v, t))
-    return items
+        yield u, v, t
 
 
 def is_temporal_path(

@@ -48,6 +48,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 from repro.graph.base import Node, Time
+from repro.graph.compiled import _active_row
 from repro.graph.sharded import ShardedTemporalGraph
 
 __all__ = [
@@ -66,13 +67,6 @@ _INT32_BYTES = np.dtype(np.int32).itemsize
 
 def _shard_file(directory: str, shard: int, stack: str, component: str) -> str:
     return os.path.join(directory, f"shard-{shard:04d}.{stack}.{component}.bin")
-
-
-def _active_row(operator: sp.csr_matrix) -> np.ndarray:
-    """One snapshot's activeness row off its operator (Definition 3)."""
-    active = np.diff(operator.indptr) > 0
-    active[operator.indices] = True
-    return active
 
 
 def _json_roundtrips(value: object) -> bool:
@@ -182,6 +176,7 @@ class ShardedStoreWriter:
         ):
             self.cut_shard()
         if active_row is None:
+            # the compiler's own rule, so a store's mask equals the artifact's
             active_row = _active_row(forward_operator)
         self._times.append(time)
         self._active_rows.append(np.asarray(active_row, dtype=bool))

@@ -1,14 +1,14 @@
-"""Sparse linear-algebra substrate used by the algebraic BFS.
+"""The engine's operation counter and the Lemma-1 nilpotence checks.
 
-* :class:`~repro.linalg.csr.CSRMatrix` — transparent CSR/CSC kernels with
-  explicit operation counters (the cost model of Theorems 5/6).
-* :class:`~repro.linalg.block_operator.BlockTriangularOperator` — matrix-free
-  action of the block matrix ``M_n`` / ``M_n^T`` on block vectors.
+* :class:`~repro.linalg.csr.OperationCounter` — the work the engine's sweeps
+  charge, in the cost model of Theorems 5/6.
 * :mod:`~repro.linalg.nilpotence` — nilpotence checks backing Lemma 1.
+
+The sparse operators themselves are scipy.sparse matrices held by
+:class:`~repro.graph.compiled.CompiledTemporalGraph`.
 """
 
-from repro.linalg.block_operator import BlockTriangularOperator
-from repro.linalg.csr import CSRMatrix, OperationCounter
+from repro.linalg.csr import OperationCounter
 from repro.linalg.nilpotence import (
     is_nilpotent,
     is_strictly_upper_triangular,
@@ -17,9 +17,7 @@ from repro.linalg.nilpotence import (
 )
 
 __all__ = [
-    "CSRMatrix",
     "OperationCounter",
-    "BlockTriangularOperator",
     "is_nilpotent",
     "is_strictly_upper_triangular",
     "nilpotency_index",

@@ -50,7 +50,7 @@ def topological_order(matrix: sp.spmatrix | np.ndarray) -> np.ndarray | None:
     while stack:
         u = stack.pop()
         order.append(u)
-        row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]]
+        row = csr.indices[csr.indptr[u] : csr.indptr[u + 1]]
         for w in row:
             indeg[w] -= 1
             if indeg[w] == 0:
@@ -70,8 +70,9 @@ def is_nilpotent(matrix: sp.spmatrix | np.ndarray) -> bool:
     return topological_order(matrix) is not None
 
 
-def nilpotency_index(matrix: sp.spmatrix | np.ndarray,
-                     max_power: int | None = None) -> int | None:
+def nilpotency_index(
+    matrix: sp.spmatrix | np.ndarray, max_power: int | None = None
+) -> int | None:
     """Smallest ``k`` with ``matrix^k = 0`` (pattern-wise), or ``None`` if not nilpotent.
 
     For a nilpotent adjacency matrix the index equals one plus the length (in
@@ -88,7 +89,7 @@ def nilpotency_index(matrix: sp.spmatrix | np.ndarray,
     # longest-path DP in topological order
     longest = np.zeros(n, dtype=np.int64)
     for u in order:
-        row = csr.indices[csr.indptr[u]:csr.indptr[u + 1]]
+        row = csr.indices[csr.indptr[u] : csr.indptr[u + 1]]
         for w in row:
             longest[w] = max(longest[w], longest[u] + 1)
     index = int(longest.max()) + 1

@@ -777,6 +777,23 @@ class TestAtomicBatches:
         assert inc.num_updates == 0
 
 
+class TestAtomicGraphBatches:
+    """The graph's own batch methods validate before their first edit."""
+
+    @pytest.mark.parametrize("insertions, removals, error", FAILING_BATCHES)
+    def test_failed_graph_batch_changes_nothing(self, insertions, removals, error):
+        graph = _rule_graph()
+        edges = set(graph.temporal_edges_unordered())
+        version = graph.mutation_version
+        with pytest.raises(error):
+            if insertions:  # the bad item is an insertion when there are any
+                graph.add_edges_from(insertions)
+            else:
+                graph.remove_edges_from(removals)
+        assert set(graph.temporal_edges_unordered()) == edges
+        assert graph.mutation_version == version
+
+
 class TestBatchBfsCompiledArtifact:
     def test_supplied_artifact_matches_serial(self):
         graph = AdjacencyListEvolvingGraph(

@@ -37,7 +37,7 @@ from repro.graph import (
     to_matrix_sequence,
     to_snapshot_sequence,
 )
-from repro.linalg import CSRMatrix, OperationCounter
+from repro.linalg import OperationCounter
 from repro.parallel import batch_bfs
 
 node_labels = st.integers(min_value=0, max_value=12)
@@ -272,35 +272,6 @@ class TestDispatch:
 # --------------------------------------------------------------------------- #
 
 class TestOperationCounting:
-    def test_matmat_counts_flops_per_column(self):
-        matrix = CSRMatrix.from_dense(np.array([[0.0, 1.0], [2.0, 3.0]]))
-        block = np.ones((2, 4))
-        result = matrix.matmat(block)
-        assert result.shape == (2, 4)
-        assert matrix.counter.multiply_adds == 2 * matrix.nnz * 4
-        np.testing.assert_allclose(result, matrix.to_dense() @ block)
-
-    def test_rmatmat_counts_flops_per_column(self):
-        matrix = CSRMatrix.from_dense(np.array([[0.0, 1.0], [2.0, 3.0]]))
-        block = np.ones((2, 3))
-        result = matrix.rmatmat(block)
-        assert result.shape == (2, 3)
-        assert matrix.counter.multiply_adds == 2 * matrix.nnz * 3
-        np.testing.assert_allclose(result, matrix.to_dense().T @ block)
-
-    def test_two_dimensional_matvec_routes_to_matmat(self):
-        matrix = CSRMatrix.from_dense(np.eye(3))
-        matrix.matvec(np.ones((3, 5)))
-        assert matrix.counter.multiply_adds == 2 * matrix.nnz * 5
-        matrix.counter.reset()
-        matrix.rmatvec(np.ones((3, 2)))
-        assert matrix.counter.multiply_adds == 2 * matrix.nnz * 2
-
-    def test_single_vector_accounting_unchanged(self):
-        matrix = CSRMatrix.from_dense(np.eye(3))
-        matrix.matvec(np.ones(3))
-        assert matrix.counter.multiply_adds == 2 * matrix.nnz
-
     def test_forward_only_workload_never_builds_transposes(self):
         """The backward-operator stack is lazy: forward searches never pay for it."""
         graph = AdjacencyListEvolvingGraph(

@@ -56,6 +56,7 @@ class TestAdjacencyListVersion:
         assert graph.is_active(2, "t1")  # still touches 1 -- 2
         assert not graph.is_active(3, "t1")
         assert graph.active_times(3) == []
+        assert graph.nodes() == {1, 2}
 
     def test_remove_edge_undirected_ignores_orientation(self):
         graph = AdjacencyListEvolvingGraph([(1, 2, "t1")], directed=False)
@@ -65,6 +66,19 @@ class TestAdjacencyListVersion:
         assert not graph.is_active(2, "t1")
         assert list(graph.out_neighbors_at(1, "t1")) == []
         assert list(graph.in_neighbors_at(2, "t1")) == []
+        assert graph.nodes() == set()
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_removal_leaves_no_ghost_nodes(self, directed):
+        graph = AdjacencyListEvolvingGraph(
+            [(0, 1, 0), (1, 2, 1)], timestamps=[0, 1], directed=directed
+        )
+        assert graph.remove_edge(1, 2, 1)
+        fresh = AdjacencyListEvolvingGraph(
+            [(0, 1, 0)], timestamps=[0, 1], directed=directed
+        )
+        assert graph.nodes() == fresh.nodes() == {0, 1}
+        assert graph.nodes() == set(graph.compile().node_labels)
 
     def test_remove_edge_missing_timestamp_raises(self):
         graph = AdjacencyListEvolvingGraph([(1, 2, "t1")])

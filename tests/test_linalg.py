@@ -1,167 +1,16 @@
-"""Unit tests for the linear-algebra substrate: CSR kernels, block operator, nilpotence."""
+"""Unit tests for the linear-algebra substrate: the Lemma-1 nilpotence checks."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-import scipy.sparse as sp
 
-from repro.core import build_block_adjacency, build_full_block_matrix
-from repro.exceptions import RepresentationError
-from repro.graph import to_matrix_sequence
+from repro.core import build_block_adjacency
 from repro.linalg import (
-    BlockTriangularOperator,
-    CSRMatrix,
     is_nilpotent,
     is_strictly_upper_triangular,
     nilpotency_index,
     topological_order,
 )
-
-
-class TestCSRMatrix:
-    def test_from_coo_and_dense_round_trip(self):
-        dense = np.array([[0, 2, 0], [1, 0, 0], [0, 0, 3]], dtype=float)
-        m = CSRMatrix.from_dense(dense)
-        assert m.nnz == 3
-        assert np.allclose(m.to_dense(), dense)
-
-    def test_duplicates_summed(self):
-        m = CSRMatrix.from_coo([0, 0], [1, 1], [2.0, 3.0], (2, 2))
-        assert m.nnz == 1
-        assert m.to_dense()[0, 1] == 5.0
-
-    def test_from_scipy_round_trip(self):
-        s = sp.random(10, 10, density=0.2, random_state=0, format="csr")
-        m = CSRMatrix.from_scipy(s)
-        assert np.allclose(m.to_dense(), s.toarray())
-        assert np.allclose(m.to_scipy().toarray(), s.toarray())
-
-    def test_from_edges(self):
-        m = CSRMatrix.from_edges([(0, 1), (1, 2)], 3)
-        assert m.to_dense()[0, 1] == 1
-        assert m.to_dense()[1, 2] == 1
-
-    def test_matvec_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        dense = (rng.random((8, 6)) < 0.3) * rng.random((8, 6))
-        m = CSRMatrix.from_dense(dense)
-        x = rng.random(6)
-        assert np.allclose(m.matvec(x), dense @ x)
-
-    def test_rmatvec_matches_numpy(self):
-        rng = np.random.default_rng(1)
-        dense = (rng.random((5, 9)) < 0.4) * rng.random((5, 9))
-        m = CSRMatrix.from_dense(dense)
-        x = rng.random(5)
-        assert np.allclose(m.rmatvec(x), dense.T @ x)
-
-    def test_transpose(self):
-        dense = np.array([[0, 1], [2, 0]], dtype=float)
-        m = CSRMatrix.from_dense(dense)
-        assert np.allclose(m.transpose().to_dense(), dense.T)
-
-    def test_dimension_mismatch_raises(self):
-        m = CSRMatrix.from_dense(np.eye(3))
-        with pytest.raises(RepresentationError):
-            m.matvec(np.ones(4))
-        with pytest.raises(RepresentationError):
-            m.rmatvec(np.ones(4))
-
-    def test_row_access_and_nnz_counts(self):
-        m = CSRMatrix.from_dense(np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]], dtype=float))
-        cols, vals = m.row(0)
-        assert cols.tolist() == [1, 2]
-        assert m.row_nnz().tolist() == [2, 0, 1]
-        assert m.col_nnz().tolist() == [1, 1, 1]
-
-    def test_empty_rows_and_cols(self):
-        m = CSRMatrix.from_dense(np.array([[0, 1], [0, 0]], dtype=float))
-        assert m.empty_rows().tolist() == [False, True]
-        assert m.empty_cols().tolist() == [True, False]
-
-    def test_flop_counter_gaxpy_cost(self):
-        m = CSRMatrix.from_dense(np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float))
-        m.counter.reset()
-        m.matvec(np.ones(3))
-        assert m.counter.multiply_adds == 2 * m.nnz  # Theorem 6's cost model
-        m.rmatvec(np.ones(3))
-        assert m.counter.multiply_adds == 4 * m.nnz
-        assert m.counter.total() >= m.counter.multiply_adds
-
-    def test_invalid_construction(self):
-        with pytest.raises(RepresentationError):
-            CSRMatrix(indptr=np.array([0, 1]), indices=np.array([5]),
-                      data=np.array([1.0]), shape=(1, 2))
-        with pytest.raises(RepresentationError):
-            CSRMatrix.from_coo([0], [0, 1], None, (2, 2))
-        with pytest.raises(RepresentationError):
-            CSRMatrix.from_coo([5], [0], None, (2, 2))
-
-
-class TestBlockTriangularOperator:
-    @pytest.fixture
-    def fig1_operator(self, figure1):
-        mats = to_matrix_sequence(figure1, node_labels=[1, 2, 3])
-        return BlockTriangularOperator([mats.matrix_at(t) for t in mats.timestamps])
-
-    def test_shape(self, fig1_operator):
-        assert fig1_operator.shape == (9, 9)
-        assert fig1_operator.num_timestamps == 3
-        assert fig1_operator.block_size == 3
-
-    def test_materialized_matches_full_block_matrix(self, figure1, fig1_operator):
-        full, order = build_full_block_matrix(figure1, node_labels=[1, 2, 3])
-        assert np.array_equal(
-            np.asarray(fig1_operator.materialize().todense()),
-            np.asarray(full.todense()))
-
-    def test_rmatvec_matches_materialized(self, fig1_operator):
-        rng = np.random.default_rng(3)
-        x = rng.random(9)
-        dense = np.asarray(fig1_operator.materialize().todense())
-        assert np.allclose(fig1_operator.rmatvec(x), dense.T @ x)
-
-    def test_matvec_matches_materialized(self, fig1_operator):
-        rng = np.random.default_rng(4)
-        x = rng.random(9)
-        dense = np.asarray(fig1_operator.materialize().todense())
-        assert np.allclose(fig1_operator.matvec(x), dense @ x)
-
-    def test_block_vector_helpers(self, fig1_operator):
-        zero = fig1_operator.zero_block_vector()
-        assert len(zero) == 3 and all(len(b) == 3 for b in zero)
-        flat = np.arange(9.0)
-        blocks = fig1_operator.split(flat)
-        assert np.allclose(fig1_operator.concatenate(blocks), flat)
-
-    def test_split_rejects_wrong_length(self, fig1_operator):
-        with pytest.raises(RepresentationError):
-            fig1_operator.split(np.zeros(7))
-
-    def test_shape_validation(self):
-        with pytest.raises(RepresentationError):
-            BlockTriangularOperator([])
-        with pytest.raises(RepresentationError):
-            BlockTriangularOperator([np.zeros((2, 3))])
-        with pytest.raises(RepresentationError):
-            BlockTriangularOperator([np.zeros((2, 2)), np.zeros((3, 3))])
-        with pytest.raises(RepresentationError):
-            BlockTriangularOperator([np.zeros((2, 2))], active_masks=[np.ones(3, dtype=bool)])
-
-    def test_random_operator_matches_materialized(self, medium_random_graph):
-        mats = to_matrix_sequence(medium_random_graph)
-        op = BlockTriangularOperator([mats.matrix_at(t) for t in mats.timestamps])
-        rng = np.random.default_rng(5)
-        x = rng.random(op.shape[0])
-        dense = np.asarray(op.materialize().todense())
-        assert np.allclose(op.rmatvec(x), dense.T @ x)
-
-    def test_accepts_csrmatrix_blocks(self):
-        blocks = [CSRMatrix.from_dense(np.array([[0, 1], [0, 0]], dtype=float)),
-                  CSRMatrix.from_dense(np.array([[0, 0], [1, 0]], dtype=float))]
-        op = BlockTriangularOperator(blocks)
-        assert op.shape == (4, 4)
 
 
 class TestNilpotence:
