@@ -18,8 +18,9 @@ This harness replays the same edge stream through both pipelines:
 
 A second workload (``mixed_batches``) streams *mixed* insert/remove batches
 through :meth:`IncrementalBFS.apply` — the signed-mutation-journal path:
-per batch one subtract+add delta recompile and one packed re-sweep from the
-root — against the same full-rebuild pipeline.
+per batch one delta recompile that splices each dirty snapshot's CSR
+buffers, and one packed re-sweep from the root — against the same
+full-rebuild pipeline.
 
 Both workloads assert the headline claim: **at the largest sweep size the
 incremental pipeline is at least 5x faster per stream batch than the full
@@ -251,7 +252,7 @@ def test_incremental_speedup_and_report(ablation, report_dir):
         f"{NUM_TIMESTAMPS} time stamps, seed 2016) grown by {NUM_BATCHES} "
         f"batches of {BATCH_EDGES} streamed edges; medians per batch.",
         "Mixed batches pair fresh insertions with removals of streamed "
-        "extras (the signed-journal path: one subtract + add delta "
+        "extras (the signed-journal path: one splicing delta "
         "recompile, then one packed re-sweep from the root).",
     ]
     for workload, label in (

@@ -76,11 +76,10 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         self._snapshot_versions: dict[Time, int] = {}
         # signed mutation journal: parallel (version, edge, sign) logs of
         # recent add_edge (+1) and remove_edge (-1) calls, complete for
-        # versions > _journal_floor.  Lets delta compilation patch a dirty
-        # snapshot's operator with one sparse addition and one sparse
-        # subtraction (see edge_mutations_since).  _journal_consumed is the
-        # newest version a delta consumer has read through; trimming never
-        # drops entries beyond it.
+        # versions > _journal_floor.  Lets delta compilation splice a dirty
+        # snapshot's operator (see edge_mutations_since).  _journal_consumed
+        # is the newest version a delta consumer has read through; trimming
+        # never drops entries beyond it.
         self._journal_versions: list[int] = []
         self._journal_edges: list[TemporalEdgeTuple] = []
         self._journal_signs: list[int] = []
@@ -295,10 +294,9 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         Returns ``None`` when the journal was trimmed past ``version``.
 
         Streaming hot path: with a non-``None`` answer, delta compilation
-        patches each dirty snapshot's CSR operator with one sparse addition
-        and one sparse subtraction instead of re-walking the snapshot.
-        Reading the window marks it consumed, which licenses the journal
-        trim (see ``_journal_append``).
+        splices each dirty snapshot's CSR buffers instead of re-walking the
+        snapshot.  Reading the window marks it consumed, which licenses the
+        journal trim (see ``_journal_append``).
         """
         if version < self._journal_floor:
             return None
@@ -317,12 +315,6 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
                 removals.append((a, b, t))
         self._journal_consumed = max(self._journal_consumed, self._mutation_version)
         return insertions, removals
-
-    def edges_at_unordered(self, time: Time) -> Iterator[EdgeTuple]:
-        """Dump one snapshot's edge set without the repr-sort of edges_at."""
-        if time not in self._edge_sets:
-            raise TimestampNotFoundError(time)
-        return iter(self._edge_sets[time])
 
     def num_static_edges(self) -> int:
         return sum(len(s) for s in self._edge_sets.values())

@@ -136,11 +136,10 @@ class BaseEvolvingGraph(ABC):
         ``version`` plus the ``insertions`` minus the ``removals`` (netted per
         edge and time, so an edge inserted and removed inside the window
         appears in neither list; snapshot registrations may also have
-        happened, and they change no edge set).  Delta compilation uses this
-        to patch a dirty snapshot's CSR operator with one sparse addition and
-        one sparse subtraction.  Representations without a signed journal,
-        or whose journal was trimmed past ``version``, return ``None``, and
-        delta compilation then recompiles the whole graph.
+        happened, and they change no edge set).  Delta compilation splices
+        each dirty snapshot's CSR buffers from it.  Representations without a
+        signed journal, or whose journal was trimmed past ``version``, return
+        ``None``, and delta compilation then recompiles the whole graph.
         """
         return None
 
@@ -227,16 +226,6 @@ class BaseEvolvingGraph(ABC):
         whose ordered iteration pays a sort override it with a plain dump.
         """
         return self.temporal_edges()
-
-    def edges_at_unordered(self, time: Time) -> Iterator[EdgeTuple]:
-        """Like :meth:`edges_at` but with no ordering guarantee.
-
-        The per-snapshot twin of :meth:`temporal_edges_unordered`: delta
-        compilation rebuilds dirty snapshots through this hook, so
-        representations whose :meth:`edges_at` pays a sort should override
-        it with a plain dump.
-        """
-        return self.edges_at(time)
 
     def has_edge(self, u: Node, v: Node, time: Time) -> bool:
         """Whether the snapshot at ``time`` contains the edge ``u -> v``.

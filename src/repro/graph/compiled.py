@@ -19,8 +19,9 @@ a first-class, immutable artifact that every consumer shares:
   lazily at zero compilation cost (it aliases the forward stack for
   undirected graphs and the backward stack for directed ones);
 * a ``(T, N)`` **activeness mask** (Definition 3);
-* the source graph's ``mutation_version`` stamp, which lets caches decide
-  *exactly* whether the artifact still describes the graph;
+* a weak reference to the source graph plus its ``mutation_version``
+  stamp, which let caches decide *exactly* whether the artifact still
+  describes that graph;
 * the source graph's **per-snapshot version stamps** and a ``(T, N)``
   **label-presence matrix**, which together enable *delta compilation*
   (:meth:`CompiledTemporalGraph.recompile`): on a version bump, only the
@@ -44,6 +45,7 @@ construct directly only when an uncached snapshot is wanted.
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +53,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 from repro.graph.adjacency_matrix import MatrixSequenceEvolvingGraph
-from repro.graph.base import BaseEvolvingGraph, EdgeTuple, Node, Time
+from repro.graph.base import BaseEvolvingGraph, Node, Time
 
 __all__ = ["CompiledTemporalGraph"]
 
@@ -62,8 +64,8 @@ class CompiledTemporalGraph:
     Build with :meth:`from_graph` (or ``graph.compile()``); prefer the cached
     :func:`repro.engine.get_compiled` in application code.  The artifact is a
     *snapshot*: mutating the source graph afterwards does not update it, but
-    :meth:`is_current` (via the stored :attr:`mutation_version`) tells caches
-    exactly when a rebuild is required.
+    :meth:`is_current` (the source graph's identity and the stored
+    :attr:`mutation_version`) tells caches exactly when a rebuild is required.
     """
 
     def __init__(
@@ -78,6 +80,7 @@ class CompiledTemporalGraph:
         snapshot_versions: dict[Time, int] | None = None,
         active_mask: np.ndarray | None = None,
         label_presence: np.ndarray | None = None,
+        node_index: dict[Node, int] | None = None,
     ) -> None:
         if not times:
             raise GraphError("CompiledTemporalGraph requires at least one snapshot")
@@ -86,7 +89,9 @@ class CompiledTemporalGraph:
                 f"got {len(forward_operators)} operators for {len(times)} snapshots"
             )
         self._labels: list[Node] = list(node_labels)
-        self._node_index: dict[Node, int] = {v: i for i, v in enumerate(self._labels)}
+        if node_index is None:  # delta recompilation passes its previous one
+            node_index = {v: i for i, v in enumerate(self._labels)}
+        self._node_index: dict[Node, int] = node_index
         self._times: list[Time] = list(times)
         self._time_index: dict[Time, int] = {t: i for i, t in enumerate(self._times)}
         self._forward: list[sp.csr_matrix] = list(forward_operators)
@@ -112,6 +117,9 @@ class CompiledTemporalGraph:
         #: Set by :meth:`recompile` when the delta path ran:
         #: ``{"rebuilt": <dirty snapshot count>, "reused": <shared count>}``.
         self.delta_stats: dict[str, int] | None = None
+        # the graph compiled from, held weakly; only from_graph and recompile
+        # set it, so a hand-built or unpickled artifact is current for none
+        self._source: weakref.ref | None = None
 
         if active_mask is None:
             active = np.zeros((len(self._times), self._n), dtype=bool)
@@ -149,7 +157,7 @@ class CompiledTemporalGraph:
         else:
             labels, push, presence = _compile_forward_operators(graph, times)
             backward = push if not graph.is_directed else None
-        return cls(
+        artifact = cls(
             node_labels=labels,
             times=times,
             forward_operators=push,
@@ -159,6 +167,8 @@ class CompiledTemporalGraph:
             snapshot_versions=graph.snapshot_versions(),
             label_presence=presence,
         )
+        artifact._source = weakref.ref(graph)
+        return artifact
 
     @classmethod
     def recompile(
@@ -168,23 +178,24 @@ class CompiledTemporalGraph:
     ) -> "CompiledTemporalGraph":
         """Recompile ``graph``, patching only ``previous``'s dirty snapshots.
 
-        When ``previous`` is still current it is returned unchanged.
-        Otherwise the graph's per-snapshot stamps
+        When ``previous`` is current (:meth:`is_current`) it is returned
+        unchanged.  Otherwise the graph's per-snapshot stamps
         (:meth:`BaseEvolvingGraph.snapshot_versions
         <repro.graph.base.BaseEvolvingGraph.snapshot_versions>`) name the
         dirty snapshots, and its signed mutation journal
         (:meth:`BaseEvolvingGraph.edge_mutations_since
         <repro.graph.base.BaseEvolvingGraph.edge_mutations_since>`) gives the
         net insertions and removals since ``previous``.  Each dirty operator
-        is patched with one sparse addition and one sparse subtraction, its
-        activeness row is recomputed off the patched operator, and presence
-        is maintained by probing only removal endpoints: O(batch + touched
-        nnz).  Every clean snapshot *shares its objects* (operator,
-        transpose, mask and presence rows) with ``previous``.  The artifact
-        is bit-identical to :meth:`from_graph` on the mutated graph (asserted
-        by the hypothesis suite in ``tests/test_delta_streaming.py``), and
-        its :attr:`delta_stats` records how many snapshots were rebuilt vs
-        reused.
+        is spliced in its canonical CSR buffers (:func:`_splice_operator`),
+        and its activeness and presence rows change only at the batch's
+        endpoints, removal endpoints being re-probed on the graph: O(batch)
+        Python work plus O(touched nnz) at C speed.  Every clean snapshot
+        *shares its objects* (operator, transpose, mask and presence rows)
+        with ``previous``, and so do the node labels and index.  The artifact
+        is bit-identical to :meth:`from_graph` on the mutated graph, dtypes
+        included (asserted by the hypothesis suite in
+        ``tests/test_delta_streaming.py``), and its :attr:`delta_stats`
+        records how many snapshots were rebuilt vs reused.
 
         This is the package's one incremental path.  Everything derived from
         the artifact is rebuilt from the patched result: the dispatch cache
@@ -195,14 +206,16 @@ class CompiledTemporalGraph:
         caches.
 
         Every other case is a full :meth:`from_graph` build (``delta_stats``
-        stays ``None``): a graph without per-snapshot stamps or without a
-        complete signed journal since ``previous`` (every representation but
-        the adjacency list, and an adjacency list whose journal was trimmed
-        past ``previous``), a changed node universe (a new label appeared,
-        or a label lost its last appearance), removed snapshots, or a
-        directedness flip.
+        stays ``None``): an artifact compiled from another graph object (or
+        hand-built, or unpickled), a graph without per-snapshot stamps or
+        without a complete signed journal since ``previous`` (every
+        representation but the adjacency list, and an adjacency list whose
+        journal was trimmed past ``previous``), a journal that disagrees
+        with ``previous``'s operators, a changed node universe (a new label
+        appeared, or a label lost its last appearance), removed snapshots,
+        or a directedness flip.
         """
-        if previous is None:
+        if previous is None or not previous._compiled_from(graph):
             return cls.from_graph(graph)
         version = graph.mutation_version
         if version == previous._version:
@@ -230,25 +243,18 @@ class CompiledTemporalGraph:
         if not dirty:
             # the version moved but no snapshot stamp did: unknown mutation
             return cls.from_graph(graph)
+        labels = previous._labels
         index = previous._node_index
         n = previous._n
         directed = previous._directed
-        dirty_set = set(dirty)
         mutations = graph.edge_mutations_since(previous._version)
         if mutations is None:  # no complete signed journal since `previous`
             return cls.from_graph(graph)
         # the signed journal nets the window to per-snapshot insertion and
-        # removal sets, so each dirty operator is patched with ONE sparse
-        # addition and (for mixed batches) ONE sparse subtraction — cost
-        # proportional to the snapshot's nnz at C speed, never a Python
-        # edge walk
-        insertions, removals = mutations
-        rebuilt: dict[Time, tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = {}
-        shared_dirty: set[Time] = set()
-        per_time: dict[Time, tuple[list[int], list[int]]] = {}
-        rem_time: dict[Time, tuple[list[int], list[int]]] = {}
-        rem_labels: dict[Time, list[EdgeTuple]] = {}
-        for triples, buckets in ((insertions, per_time), (removals, rem_time)):
+        # removal sets: time -> (source indices, destination indices)
+        added: dict[Time, tuple[list[int], list[int]]] = {}
+        removed: dict[Time, tuple[list[int], list[int]]] = {}
+        for triples, buckets in zip(mutations, (added, removed)):
             for u, v, t in triples:
                 iu = index.get(u)
                 iv = index.get(v)
@@ -257,75 +263,49 @@ class CompiledTemporalGraph:
                 bucket = buckets.setdefault(t, ([], []))
                 bucket[0].append(iu)
                 bucket[1].append(iv)
-                if buckets is rem_time:
-                    rem_labels.setdefault(t, []).append((u, v))
-        if any(t not in dirty_set for t in per_time) or any(
-            t not in dirty_set for t in rem_time
-        ):  # inconsistent stamps
-            return cls.from_graph(graph)
+        if not set(dirty).issuperset(added.keys() | removed.keys()):
+            return cls.from_graph(graph)  # inconsistent stamps
+        rebuilt: dict[Time, tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = {}
+        shared_dirty: set[Time] = set()
         for t in dirty:
-            adds = per_time.get(t)
-            rems = rem_time.get(t)
+            adds = added.get(t, ((), ()))
+            rems = removed.get(t, ((), ()))
             k = prev_pos.get(t)
-            if adds is None and rems is None:
-                if k is not None:
-                    # stamp moved but the window netted to nothing here
-                    # (insert-then-remove pairs, or an exotic stamp bump):
-                    # journal completeness says the edge set is unchanged,
-                    # so the previous objects are still exact
-                    shared_dirty.add(t)
-                else:
-                    # a freshly registered, still-empty snapshot
-                    op = sp.csr_matrix((n, n), dtype=np.int32)
-                    rebuilt[t] = (op, _active_row(op), np.zeros(n, dtype=bool))
-                continue
-            if k is None and rems is not None:
+            u_idx = np.asarray(adds[0], dtype=np.int64)
+            v_idx = np.asarray(adds[1], dtype=np.int64)
+            if k is None:
                 # net removals from a snapshot `previous` never compiled
                 # contradict the journal contract — trust neither
-                return cls.from_graph(graph)
-            if adds is not None:
-                u_idx = np.asarray(adds[0], dtype=np.int64)
-                v_idx = np.asarray(adds[1], dtype=np.int64)
-                add_op = _snapshot_operator(u_idx, v_idx, n, directed)
-            else:
-                u_idx = v_idx = None
-                add_op = None
-            if k is None:
-                op = add_op
-                mask_row = _active_row(add_op)
-                presence_row = np.zeros(n, dtype=bool)
-            elif rems is None:
-                op = (previous._forward[k] + add_op).tocsr()
-                if op.nnz:
-                    op.data[:] = 1  # insertions cannot overlap, but clamp
-                # the patched structure is the union of the operands'
-                mask_row = previous._active[k] | _active_row(add_op)
-                presence_row = previous._presence[k].copy()
-            else:
-                r_idx = np.asarray(rems[0], dtype=np.int64)
-                s_idx = np.asarray(rems[1], dtype=np.int64)
-                sub_op = _snapshot_operator(r_idx, s_idx, n, directed)
-                patched = previous._forward[k] - sub_op
-                if add_op is not None:
-                    patched = patched + add_op
-                op = patched.tocsr()
-                op.eliminate_zeros()
-                if op.nnz:
-                    op.data[:] = 1
-                # removals can deactivate nodes, so the union trick no
-                # longer applies: recompute the row off the new operator
+                if t in removed:
+                    return cls.from_graph(graph)
+                op = _snapshot_operator(u_idx, v_idx, n, directed)
                 mask_row = _active_row(op)
+                presence_row = np.zeros(n, dtype=bool)
+            elif t not in added and t not in removed:
+                # stamp moved but the window netted to nothing here
+                # (insert-then-remove pairs, or an exotic stamp bump):
+                # journal completeness says the edge set is unchanged, so
+                # the previous objects are still exact
+                shared_dirty.add(t)
+                continue
+            else:
+                op = _splice_operator(previous._forward[k], adds, rems, n, directed)
+                if op is None:  # the journal disagrees with `previous`
+                    return cls.from_graph(graph)
+                mask_row = previous._active[k].copy()
                 presence_row = previous._presence[k].copy()
-                # a removal endpoint stays present iff it still touches
-                # any edge at t (self-loops included, which the operator
-                # drops) — probe the final graph state, which is
-                # order-independent ground truth
-                for (a, b), ia, ib in zip(rem_labels[t], rems[0], rems[1]):
-                    presence_row[ia] = _endpoint_present(graph, a, t)
-                    presence_row[ib] = _endpoint_present(graph, b, t)
-            if adds is not None:
-                presence_row[u_idx] = True
-                presence_row[v_idx] = True
+                # a removal endpoint stays active (present) iff the final
+                # graph still gives it an edge to another node (any edge,
+                # self-loops included) at t: probe only those endpoints
+                for i in {*rems[0], *rems[1]}:
+                    mask_row[i] = graph.is_active(labels[i], t)
+                    presence_row[i] = _endpoint_present(graph, labels[i], t)
+                # net insertions are final edges; self-loops activate nothing
+                links = u_idx != v_idx
+                mask_row[u_idx[links]] = True
+                mask_row[v_idx[links]] = True
+            presence_row[u_idx] = True
+            presence_row[v_idx] = True
             rebuilt[t] = (op, mask_row, presence_row)
         # the undirected backward stack aliases the forward one, so only
         # directed artifacts carry distinct transposes worth patching
@@ -359,7 +339,7 @@ class CompiledTemporalGraph:
         if not directed:
             backward = forward
         artifact = cls(
-            node_labels=previous._labels,
+            node_labels=labels,
             times=times,
             forward_operators=forward,
             is_directed=directed,
@@ -368,7 +348,9 @@ class CompiledTemporalGraph:
             snapshot_versions=snap_now,
             active_mask=np.stack(mask_rows) if n else np.zeros((len(times), 0), bool),
             label_presence=presence,
+            node_index=index,
         )
+        artifact._source = previous._source
         artifact.delta_stats = {
             "rebuilt": len(dirty) - len(shared_dirty),
             "reused": reused,
@@ -449,8 +431,17 @@ class CompiledTemporalGraph:
         return self._active
 
     def is_current(self, graph: BaseEvolvingGraph) -> bool:
-        """Whether this artifact still describes ``graph`` exactly."""
-        return graph.mutation_version == self._version
+        """Whether this artifact was compiled from ``graph`` and still describes it.
+
+        Every graph counts mutation versions from the same start, so only the
+        graph object the artifact was (delta-)compiled from can match.  A
+        hand-built or unpickled artifact is current for no graph.
+        """
+        return self._compiled_from(graph) and graph.mutation_version == self._version
+
+    def _compiled_from(self, graph: BaseEvolvingGraph) -> bool:
+        """Whether ``graph`` is the very object this artifact was compiled from."""
+        return self._source is not None and self._source() is graph
 
     # ------------------------------------------------------------------ #
     # operator stacks                                                     #
@@ -541,12 +532,16 @@ class CompiledTemporalGraph:
         ``backend="process"`` ships each shard's artifact — never the source
         graph — to the worker that owns it, which builds its kernel over
         it.  Everything inside (CSR stacks, index dicts, the activeness
-        mask) pickles natively.
+        mask) pickles natively; the weak reference to the source graph is
+        dropped, so an unpickled artifact is current for no graph.
         """
-        return dict(self.__dict__)
+        state = dict(self.__dict__)
+        del state["_source"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._source = None
         # NumPy pickling does not preserve the WRITEABLE flag; re-freeze the
         # mask (and presence matrix) so the immutability contract survives
         # the round trip.
@@ -586,42 +581,79 @@ def _active_row(operator: sp.csr_matrix) -> np.ndarray:
     return active
 
 
+def _entries(
+    sources: Sequence[int], destinations: Sequence[int], directed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(rows, columns)`` operator entries of (source, destination) edges.
+
+    Rows are destinations and columns sources (``F[t] = A[t]^T``).  An
+    undirected edge makes both entries, and a self-loop none: self-loops
+    never create activeness (Definition 3).
+    """
+    u_idx = np.asarray(sources, dtype=np.int64)
+    v_idx = np.asarray(destinations, dtype=np.int64)
+    if not directed:
+        u_idx, v_idx = np.concatenate([u_idx, v_idx]), np.concatenate([v_idx, u_idx])
+    keep = u_idx != v_idx
+    return v_idx[keep], u_idx[keep]
+
+
 def _snapshot_operator(
     u_idx: np.ndarray, v_idx: np.ndarray, n: int, directed: bool
 ) -> sp.csr_matrix:
-    """One snapshot's CSR forward operator from (source, destination) indices.
+    """One snapshot's canonical CSR forward operator from (source, destination) indices.
 
-    Shared by the bulk compile and the delta recompile so both produce
-    bit-identical matrices: symmetrize undirected edges, drop self-loops
-    (they never create activeness, Definition 3), deduplicate to 0/1.  Rows
-    are destinations, columns are sources: ``F[t] = A[t]^T``.  The canonical
-    CSR buffers are assembled directly (lexsort + dedup + bincount) instead
-    of going through scipy's COO conversion — this sits on the per-batch
-    delta-recompile hot path, where the COO machinery's validation overhead
-    would dominate small deltas.
+    Every operator starts here: :meth:`CompiledTemporalGraph.from_graph`
+    calls it per snapshot, and :meth:`~CompiledTemporalGraph.recompile` for
+    a snapshot its previous artifact never compiled.  scipy's COO conversion sorts the
+    entries and sums duplicates, which are clamped to 0/1.
     """
-    if not directed:
-        u_idx, v_idx = (
-            np.concatenate([u_idx, v_idx]),
-            np.concatenate([v_idx, u_idx]),
-        )
-    keep = u_idx != v_idx
-    u_idx, v_idx = u_idx[keep], v_idx[keep]
-    # canonical CSR order: by row (destination), then column (source)
-    order = np.lexsort((u_idx, v_idx))
-    rows = v_idx[order]
-    cols = u_idx[order]
-    if rows.size:
-        first = np.empty(rows.size, dtype=bool)
-        first[0] = True
-        np.logical_or(rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=first[1:])
-        rows, cols = rows[first], cols[first]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_matrix(
-        (np.ones(rows.size, dtype=np.int32), cols.astype(np.int32), indptr),
-        shape=(n, n),
-    )
+    rows, cols = _entries(u_idx, v_idx, directed)
+    op = sp.csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n, n))
+    op.sum_duplicates()
+    if op.nnz:
+        op.data[:] = 1
+    return op
+
+
+def _splice_operator(
+    op: sp.csr_matrix,
+    insertions: tuple[Sequence[int], Sequence[int]],
+    removals: tuple[Sequence[int], Sequence[int]],
+    n: int,
+    directed: bool,
+) -> sp.csr_matrix | None:
+    """``op`` with the removed edges' entries cut out and the inserted ones spliced in.
+
+    Canonical CSR order sorts the entries by the key ``row * n + column``,
+    so ``searchsorted`` finds every edit, one ``np.delete`` and one
+    ``np.insert`` patch ``indices``, and ``indptr`` shifts by each row's
+    count change: exactly the buffers :func:`_snapshot_operator` builds from
+    the patched edge set.  ``None`` when a removed entry is not stored or an
+    inserted one already is.
+    """
+
+    def sorted_keys(edges):
+        rows, cols = _entries(*edges, directed)
+        return np.sort(rows * n + cols)
+
+    add_keys, cut_keys = sorted_keys(insertions), sorted_keys(removals)
+    starts = np.arange(0, n * n, n, dtype=np.int64)
+    keys = np.repeat(starts, np.diff(op.indptr)) + op.indices
+    cut = np.searchsorted(keys, cut_keys)
+    at = np.searchsorted(keys, add_keys)
+    if not np.array_equal(np.searchsorted(keys, cut_keys, side="right"), cut + 1):
+        return None
+    if not np.array_equal(np.searchsorted(keys, add_keys, side="right"), at):
+        return None
+    add_rows, add_cols = np.divmod(add_keys, n)
+    # an insertion lands after every earlier-keyed entry the cut left
+    at -= np.searchsorted(cut, at)
+    indices = np.insert(np.delete(op.indices, cut), at, add_cols)
+    delta = np.bincount(add_rows, minlength=n) - np.bincount(cut_keys // n, minlength=n)
+    indptr = op.indptr + np.concatenate([[0], np.cumsum(delta)]).astype(np.int32)
+    data = np.ones(indices.size, dtype=np.int32)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _compile_forward_operators(
@@ -629,10 +661,12 @@ def _compile_forward_operators(
 ) -> tuple[list[Node], list[sp.csr_matrix], np.ndarray]:
     """Bulk-compile any representation into the per-snapshot forward stack.
 
-    The forward operator is assembled directly in its transposed-adjacency
-    orientation (row = destination, column = source), so no separate
-    transpose pass is ever needed for forward traversal.  Also returns the
-    ``(T, N)`` label-presence matrix delta recompilation diffs against.
+    One pass over ``temporal_edges_unordered()`` indexes every edge, then
+    :func:`_snapshot_operator` builds each snapshot's operator straight in
+    its transposed-adjacency orientation (row = destination, column =
+    source), so no separate transpose pass is ever needed for forward
+    traversal.  Also returns the ``(T, N)`` label-presence matrix delta
+    recompilation diffs against.
     """
     time_index = {t: i for i, t in enumerate(times)}
     triples = list(graph.temporal_edges_unordered())
@@ -648,21 +682,7 @@ def _compile_forward_operators(
     presence = np.zeros((len(times), n), dtype=bool)
     presence[t_idx, u_idx] = True
     presence[t_idx, v_idx] = True
-    if not graph.is_directed:
-        u_idx, v_idx = np.concatenate([u_idx, v_idx]), np.concatenate([v_idx, u_idx])
-        t_idx = np.concatenate([t_idx, t_idx])
-    keep = u_idx != v_idx  # self-loops never create activeness (Definition 3)
-    u_idx, v_idx, t_idx = u_idx[keep], v_idx[keep], t_idx[keep]
-    mats: list[sp.csr_matrix] = []
-    for k in range(len(times)):
-        mask = t_idx == k
-        data = np.ones(int(mask.sum()), dtype=np.int32)
-        # rows are destinations, columns are sources: F[t] = A[t]^T; the COO
-        # conversion canonicalizes, yielding buffers bit-identical to the
-        # delta builder _snapshot_operator (asserted by the hypothesis suite)
-        mat = sp.csr_matrix((data, (v_idx[mask], u_idx[mask])), shape=(n, n))
-        mat.sum_duplicates()
-        if mat.nnz:
-            mat.data[:] = 1
-        mats.append(mat)
+    directed = graph.is_directed
+    masks = [t_idx == k for k in range(len(times))]
+    mats = [_snapshot_operator(u_idx[m], v_idx[m], n, directed) for m in masks]
     return labels, mats, presence

@@ -124,10 +124,6 @@ class SnapshotSequenceEvolvingGraph(BaseEvolvingGraph):
     def edges_at(self, time: Time) -> Iterator[EdgeTuple]:
         return iter(sorted(self.snapshot(time).edges(), key=repr))
 
-    def edges_at_unordered(self, time: Time) -> Iterator[EdgeTuple]:
-        """Dump one snapshot's edges without the repr-sort of edges_at."""
-        return iter(self.snapshot(time).edges())
-
     def out_neighbors_at(self, node: Node, time: Time) -> Iterator[Node]:
         g = self.snapshot(time)
         if not g.has_node(node):

@@ -44,8 +44,9 @@ def batch_bfs(
     ``compiled`` lets streaming callers hand the engine an artifact they
     already hold — typically the delta-patched one maintained by
     :func:`repro.generators.stream.apply_stream` — instead of resolving it
-    through the dispatch cache.  It must describe ``graph``'s current
-    contents (``compiled.is_current(graph)``); the python backend ignores it.
+    through the dispatch cache.  It must have been compiled from ``graph``
+    itself and describe its current contents (``compiled.is_current(graph)``);
+    the python backend ignores it.
 
     ``shards`` (vectorized backend only) routes the sweeps through the
     pipelined time-shard driver (:func:`repro.engine.get_sweeper`) instead
@@ -76,7 +77,8 @@ def batch_bfs(
         return get_sweeper(graph, shards).batch(roots, chunk_size=chunk_size)
     if not compiled.is_current(graph):
         raise GraphError(
-            "the supplied compiled artifact is stale for this graph "
+            "the supplied compiled artifact does not describe this graph: it "
+            "was compiled from another graph object or at another version "
             f"(artifact version {compiled.mutation_version}, graph "
             f"version {graph.mutation_version}); recompile it first"
         )

@@ -19,9 +19,13 @@ pre-built artifact.
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.graph.adjacency_list as adjacency_list_module
@@ -37,6 +41,7 @@ from repro.graph import (
     SnapshotSequenceEvolvingGraph,
 )
 from repro.graph.compiled import CompiledTemporalGraph
+from repro.graph.sharded import ShardedTemporalGraph
 from repro.parallel import batch_bfs
 
 DELTA_SETTINGS = settings(
@@ -57,27 +62,33 @@ mutations = st.one_of(
 )
 
 
+def assert_same_buffers(ma, mb) -> None:
+    """Two CSR matrices hold equal canonical buffers of equal dtypes."""
+    assert ma.shape == mb.shape
+    assert ma.has_canonical_format and mb.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        buffer_a, buffer_b = getattr(ma, name), getattr(mb, name)
+        assert buffer_a.dtype == buffer_b.dtype, name
+        assert np.array_equal(buffer_a, buffer_b), name
+
+
 def assert_bit_identical(a: CompiledTemporalGraph, b: CompiledTemporalGraph) -> None:
     """Structural equality of two compiled artifacts, buffer by buffer."""
     assert a.node_labels == b.node_labels
+    assert a.node_index == b.node_index
     assert a.times == b.times
     assert a.is_directed == b.is_directed
     assert a.mutation_version == b.mutation_version
     assert a.snapshot_versions == b.snapshot_versions
     for ma, mb in zip(a.forward_operators, b.forward_operators):
-        assert ma.shape == mb.shape
-        assert np.array_equal(ma.indptr, mb.indptr)
-        assert np.array_equal(ma.indices, mb.indices)
-        assert np.array_equal(ma.data, mb.data)
+        assert_same_buffers(ma, mb)
     assert np.array_equal(a.active_mask, b.active_mask)
     if a.label_presence is None or b.label_presence is None:
         assert a.label_presence is None and b.label_presence is None
     else:
         assert np.array_equal(a.label_presence, b.label_presence)
     for ma, mb in zip(a.backward_operators, b.backward_operators):
-        assert np.array_equal(ma.indptr, mb.indptr)
-        assert np.array_equal(ma.indices, mb.indices)
-        assert np.array_equal(ma.data, mb.data)
+        assert_same_buffers(ma, mb)
 
 
 def apply_mutation(graph: AdjacencyListEvolvingGraph, op: tuple) -> None:
@@ -90,8 +101,32 @@ def apply_mutation(graph: AdjacencyListEvolvingGraph, op: tuple) -> None:
         graph.add_timestamp(op[1])
 
 
+#: Edge cases of the CSR splice, one mutation step each.  Labels 0 and 1
+#: (and 2 where used) keep an edge at time 0, so every step stays on the
+#: delta path.
+SPLICE_EXAMPLES = [
+    # the step removes every edge of snapshot 1
+    ([(0, 1, 0), (0, 1, 1)], [("remove", 0, 1, 1)]),
+    # insertions into snapshot 2's empty operator, with and without a
+    # self-loop already present there
+    ([(0, 1, 0)], [("add", 1, 0, 2), ("add", 0, 1, 2)]),
+    ([(0, 1, 0), (1, 1, 2)], [("add", 0, 1, 2)]),
+    # removing a self-loop changes presence (label 1 leaves snapshot 1),
+    # not the operator
+    ([(0, 1, 0), (1, 2, 0), (1, 1, 1), (0, 2, 1)], [("remove", 1, 1, 1)]),
+]
+
+
+def _with_splice_examples(test):
+    for initial, steps in SPLICE_EXAMPLES:
+        for directed in (True, False):
+            test = example(directed=directed, initial=initial, steps=steps)(test)
+    return test
+
+
 class TestDeltaRecompileBitIdentity:
     @DELTA_SETTINGS
+    @_with_splice_examples
     @given(
         directed=st.booleans(),
         initial=st.lists(edge_triples, min_size=0, max_size=15),
@@ -175,6 +210,96 @@ class TestDeltaRecompileBitIdentity:
         )
         before = CompiledTemporalGraph.from_graph(graph)
         graph.snapshot(1).add_edge(0, 2)  # behind the container's back
+        after = CompiledTemporalGraph.recompile(graph, before)
+        assert after.delta_stats is None
+        assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
+
+
+def _two_graphs(first_edges, second_edges, *, second_removals=()):
+    """``(g1, a1, g2)``: a graph, its artifact, and a second graph object.
+
+    The two graphs start from the same version counter, so equal edit counts
+    give equal ``mutation_version``s.
+    """
+    g1 = AdjacencyListEvolvingGraph(first_edges, timestamps=[0])
+    a1 = CompiledTemporalGraph.from_graph(g1)
+    g2 = AdjacencyListEvolvingGraph(second_edges, timestamps=[0])
+    for edge in second_removals:
+        g2.remove_edge(*edge)
+    return g1, a1, g2
+
+
+TRIANGLE = [(0, 1, 0), (1, 2, 0), (2, 0, 0)]
+
+
+class TestForeignArtifacts:
+    """An artifact describes only the graph object it was compiled from."""
+
+    def test_same_version_foreign_artifact_is_not_current(self):
+        g1, a1, g2 = _two_graphs(TRIANGLE, [(0, 2, 0), (1, 2, 0), (2, 0, 0)])
+        assert a1.mutation_version == g2.mutation_version
+        assert a1.is_current(g1)
+        assert not a1.is_current(g2)
+        after = CompiledTemporalGraph.recompile(g2, a1)
+        assert after is not a1
+        assert after.delta_stats is None
+        assert after.is_current(g2)
+        assert_bit_identical(after, CompiledTemporalGraph.from_graph(g2))
+        with pytest.raises(GraphError):
+            batch_bfs(g2, [(0, 0)], backend="vectorized", compiled=a1)
+        served = batch_bfs(g2, [(0, 0)], backend="vectorized")[(0, 0)].reached
+        assert served == evolving_bfs(g2, (0, 0), backend="python").reached
+        assert served == {(0, 0): 0, (2, 0): 1}
+
+    @pytest.mark.parametrize(
+        "second, removal",
+        [
+            # the journal removes an edge the foreign operator never stored
+            ([(0, 2, 0), (1, 2, 0), (2, 0, 0), (0, 1, 0)], (0, 2, 0)),
+            # the journal's removal is stored there too, so only the source
+            # graph's identity tells the two apart
+            ([(0, 1, 0), (2, 1, 0), (2, 0, 0)], (0, 1, 0)),
+        ],
+        ids=["phantom-edge", "consistent-touched-entries"],
+    )
+    def test_foreign_artifact_recompiles_in_full(self, second, removal):
+        _, a1, g2 = _two_graphs(TRIANGLE, second, second_removals=[removal])
+        after = CompiledTemporalGraph.recompile(g2, a1)
+        assert after.delta_stats is None
+        assert_bit_identical(after, CompiledTemporalGraph.from_graph(g2))
+
+    def test_unpickled_and_hand_built_artifacts_are_current_for_no_graph(self):
+        graph = AdjacencyListEvolvingGraph(TRIANGLE, timestamps=[0, 1])
+        artifact = CompiledTemporalGraph.from_graph(graph)
+        assert artifact.is_current(graph)
+        clone = pickle.loads(pickle.dumps(artifact))
+        assert not clone.is_current(graph)
+        assert CompiledTemporalGraph.recompile(graph, clone).delta_stats is None
+        shard = ShardedTemporalGraph.from_compiled(artifact, num_shards=1).shard(0)
+        assert not shard.is_current(graph)
+        # a delta recompile stays tied to its graph
+        graph.add_edge(0, 2, 1)
+        after = CompiledTemporalGraph.recompile(graph, artifact)
+        assert after.delta_stats == {"rebuilt": 1, "reused": 1}
+        assert after.is_current(graph)
+
+    def test_artifact_does_not_keep_its_graph_alive(self):
+        graph = AdjacencyListEvolvingGraph(TRIANGLE, timestamps=[0])
+        artifact = CompiledTemporalGraph.from_graph(graph)
+        alive = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert alive() is None
+        assert artifact.num_nodes == 3
+
+    def test_journal_disagreeing_with_operator_recompiles_in_full(self, monkeypatch):
+        graph = AdjacencyListEvolvingGraph(TRIANGLE, timestamps=[0, 1])
+        before = CompiledTemporalGraph.from_graph(graph)
+        graph.add_edge(0, 1, 1)
+        # a window whose removal the previous operator never stored
+        monkeypatch.setattr(
+            graph, "edge_mutations_since", lambda version: ([], [(1, 0, 1)])
+        )
         after = CompiledTemporalGraph.recompile(graph, before)
         assert after.delta_stats is None
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
@@ -472,8 +597,26 @@ def signed_event_streams(draw):
     return num_nodes, num_times, directed, EdgeStream(events, batch_size=batch_size)
 
 
+#: Two-batch signed streams whose second batch splices one operator twice:
+#: it empties a two-edge snapshot, or it inserts and removes in one row
+#: (the entries of 0 -> 1 and 2 -> 1 share row 1, the destination's).
+SPLICE_STREAMS = [
+    [("+", 0, 1, 1), ("+", 1, 2, 1), ("-", 0, 1, 1), ("-", 1, 2, 1)],
+    [("+", 0, 1, 1), ("+", 2, 3, 1), ("-", 0, 1, 1), ("+", 2, 1, 1)],
+]
+
+
+def _with_splice_streams(test):
+    for events in SPLICE_STREAMS:
+        for directed in (True, False):
+            case = (4, 2, directed, EdgeStream(events, batch_size=2))
+            test = example(case=case)(test)
+    return test
+
+
 class TestMixedStreamDelta:
     @DELTA_SETTINGS
+    @_with_splice_streams
     @given(signed_event_streams())
     def test_mixed_batches_bit_identical_and_never_full_rebuild(self, case):
         """Signed streams patch — removals included — and never fall back.
