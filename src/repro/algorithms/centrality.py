@@ -48,32 +48,26 @@ __all__ = [
 
 
 def _reach_vectorized(
-    graph: BaseEvolvingGraph, direction: str, shards: int | None
+    graph: BaseEvolvingGraph, direction: str
 ) -> dict[TemporalNodeTuple, int]:
-    from repro.engine import get_sweeper
+    from repro.engine import get_kernel
 
     roots = graph.active_temporal_nodes()
     if not roots:
         return {}
-    return get_sweeper(graph, shards).identity_reach_counts(roots, direction=direction)
+    return get_kernel(graph).identity_reach_counts(roots, direction=direction)
 
 
 def temporal_out_reach(
     graph: BaseEvolvingGraph,
     *,
     backend: str = "vectorized",
-    shards: int | None = None,
 ) -> dict[TemporalNodeTuple, int]:
-    """For every active temporal node, the number of distinct node identities it can reach.
-
-    ``shards`` routes the batched sweep through the pipelined time-shard
-    driver (:func:`repro.engine.get_sharded_driver`) instead of the
-    monolithic kernel; results are bit-identical.
-    """
+    """For every active temporal node, the number of distinct node identities it can reach."""
     from repro.engine import resolve_backend
 
     if resolve_backend(backend) == "vectorized":
-        return _reach_vectorized(graph, "forward", shards)
+        return _reach_vectorized(graph, "forward")
     out: dict[TemporalNodeTuple, int] = {}
     for root in graph.active_temporal_nodes():
         reached = evolving_bfs(graph, root, backend="python").reached
@@ -85,17 +79,12 @@ def temporal_in_reach(
     graph: BaseEvolvingGraph,
     *,
     backend: str = "vectorized",
-    shards: int | None = None,
 ) -> dict[TemporalNodeTuple, int]:
-    """For every active temporal node, the number of distinct node identities that can reach it.
-
-    ``shards`` routes through the pipelined time-shard driver, as in
-    :func:`temporal_out_reach`.
-    """
+    """For every active temporal node, the number of distinct node identities that can reach it."""
     from repro.engine import resolve_backend
 
     if resolve_backend(backend) == "vectorized":
-        return _reach_vectorized(graph, "backward", shards)
+        return _reach_vectorized(graph, "backward")
     out: dict[TemporalNodeTuple, int] = {}
     for root in graph.active_temporal_nodes():
         reached = backward_bfs(graph, root, backend="python").reached
@@ -107,17 +96,13 @@ def temporal_closeness(
     graph: BaseEvolvingGraph,
     *,
     backend: str = "vectorized",
-    shards: int | None = None,
 ) -> dict[TemporalNodeTuple, float]:
     """Harmonic temporal closeness: mean of ``1/distance`` to every other active temporal node.
 
     Harmonic (rather than classic) closeness is used so unreachable nodes
-    contribute zero instead of making the measure undefined.  ``shards``
-    routes the sweep through the pipelined time-shard driver; the per-root
-    sums are bit-identical to the monolithic kernel (per-snapshot partial
-    rows are folded in canonical global snapshot order).
+    contribute zero instead of making the measure undefined.
     """
-    from repro.engine import get_sweeper, resolve_backend
+    from repro.engine import get_kernel, resolve_backend
 
     backend = resolve_backend(backend)
     active = graph.active_temporal_nodes()
@@ -125,7 +110,7 @@ def temporal_closeness(
     if not active:
         return {}
     if backend == "vectorized":
-        sums = get_sweeper(graph, shards).harmonic_closeness_sums(active)
+        sums = get_kernel(graph).harmonic_closeness_sums(active)
         if n <= 1:
             return {root: 0.0 for root in active}
         return {root: sums[root] / (n - 1) for root in active}

@@ -10,9 +10,9 @@ These are the building blocks of the Section V citation-network application:
 
 Every function accepts ``backend="python" | "vectorized"`` (default
 ``"vectorized"``) and forwards it to the underlying search;
-:func:`influence_sizes` additionally uses the engine's batched multi-source
-mode to amortize many single-root traversals into CSR × dense-block
-products instead of looping one BFS per root.
+:func:`influence_sizes` additionally packs its roots into the engine's
+batched identity reach counts, one traversal per frontier level for all of
+them instead of one BFS per root.
 """
 
 from __future__ import annotations
@@ -126,10 +126,11 @@ def influence_sizes(
     """Number of *node identities* influenced by each root (a simple influence ranking).
 
     When ``roots`` is omitted, every active temporal node is used.  The
-    returned counts exclude the root's own node identity.  With
-    ``backend="vectorized"`` the roots are packed into the engine's batched
-    mode, so all searches share one traversal per frontier level instead of
-    looping one BFS per root.
+    returned counts exclude the root's own node identity; an inactive root
+    counts 0.  With ``backend="vectorized"`` the distinct active roots are
+    packed into the engine's batched mode, so all searches share one
+    traversal per frontier level instead of looping one BFS per root, and
+    the counts are read off the sweep without decoding any reached set.
     """
     from repro.engine import get_kernel, resolve_backend
 
@@ -139,17 +140,12 @@ def influence_sizes(
     root_list = [tuple(r) for r in roots]
 
     if backend == "vectorized" and graph.num_timestamps > 0:
-        results = get_kernel(graph).batch(root_list)
-        out: dict[TemporalNodeTuple, int] = {}
-        for root in root_list:
-            result = results.get(root)
-            if result is None:  # inactive root: empty influence
-                out[root] = 0
-            else:
-                out[root] = len({v for v, _ in result.reached if v != root[0]})
-        return out
+        kernel = get_kernel(graph)
+        active = dict.fromkeys(r for r in root_list if kernel.is_active(*r))
+        counts = kernel.identity_reach_counts(active)
+        return {root: counts.get(root, 0) for root in root_list}
 
-    out = {}
+    out: dict[TemporalNodeTuple, int] = {}
     for root in root_list:
         out[root] = len(influence_node_identities(graph, root, backend=backend))
     return out

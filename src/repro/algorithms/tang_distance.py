@@ -71,17 +71,14 @@ def temporal_distances_tang_from(
     start_time=None,
     horizon: int = 1,
     backend: str = "vectorized",
-    shards: int | None = None,
 ) -> dict[Hashable, int]:
     """Tang temporal distance from ``source_node`` to *every* node, in one sweep.
 
     Returns ``{node: steps}`` for every node ever informed (the source maps
     to 0); nodes the spreading process never reaches are absent.  Returns
-    ``{}`` when ``start_time`` does not label a snapshot.  ``shards`` routes
-    the sweep through the pipelined time-shard driver
-    (:func:`repro.engine.get_sharded_driver`); results are bit-identical.
+    ``{}`` when ``start_time`` does not label a snapshot.
     """
-    from repro.engine import get_sweeper, resolve_backend
+    from repro.engine import get_kernel, resolve_backend
 
     backend = resolve_backend(backend)
     times = list(graph.timestamps)
@@ -94,7 +91,7 @@ def temporal_distances_tang_from(
     if not times:
         return {source_node: 0}
     if backend == "vectorized":
-        steps = get_sweeper(graph, shards).tang_steps(
+        steps = get_kernel(graph).tang_steps(
             [source_node], horizon=horizon, start_index=start_idx
         )[source_node]
         # a source outside the compiled universe still informs itself

@@ -18,13 +18,13 @@ against the Python oracles and writes
 Backends
 --------
 Every function accepts ``backend="python" | "vectorized"``.  The default
-``"vectorized"`` routes through the engine's batched sweep surface
-(:func:`repro.engine.get_sweeper`: the frontier kernel, or with ``shards``
-the time-shard driver): earliest arrival is a running minimum over one
-forward boolean sweep, latest departure the mirrored maximum over one
-backward sweep, and fewest spatial hops a ``(min, +)`` sweep with 0-cost
-causal edges (:class:`~repro.engine.labels.LabelKernel`).  ``"python"`` is
-the original per-node implementation, kept as the correctness oracle.
+``"vectorized"`` routes through the batched sweep surface of the graph's
+cached frontier kernel (:func:`repro.engine.get_kernel`): earliest arrival
+is a running minimum over one forward boolean sweep, latest departure the
+mirrored maximum over one backward sweep, and fewest spatial hops a
+``(min, +)`` sweep with 0-cost causal edges
+(:class:`~repro.engine.labels.LabelKernel`).  ``"python"`` is the original
+per-node implementation, kept as the correctness oracle.
 
 The ``*_times`` / ``*_from`` variants answer the query for *all* targets in
 the same single sweep — the point of the engine port: one sweep per source
@@ -59,24 +59,21 @@ def earliest_arrival_times(
     source: TemporalNodeTuple,
     *,
     backend: str = "vectorized",
-    shards: int | None = None,
 ) -> dict[Hashable, Hashable]:
     """Earliest reachable timestamp of *every* node identity, in one sweep.
 
     Returns ``{node: time}`` for every node reachable from ``source``
     (including the source itself at its own time); unreachable nodes are
     absent.  An inactive source reaches nothing (Definition 4), giving ``{}``.
-    ``shards`` routes the sweep through the pipelined time-shard driver
-    (:func:`repro.engine.get_sharded_driver`); results are bit-identical.
     """
-    from repro.engine import get_sweeper, resolve_backend
+    from repro.engine import get_kernel, resolve_backend
 
     backend = resolve_backend(backend)
     source = (source[0], source[1])
     if not graph.is_active(*source):
         return {}
     if backend == "vectorized":
-        return get_sweeper(graph, shards).earliest_arrivals([source])[source]
+        return get_kernel(graph).earliest_arrivals([source])[source]
     from repro.core.bfs import evolving_bfs
 
     position = _time_positions(graph)
@@ -113,26 +110,24 @@ def fewest_spatial_hops_from(
     source: TemporalNodeTuple,
     *,
     backend: str = "vectorized",
-    shards: int | None = None,
 ) -> Mapping[TemporalNodeTuple, int]:
     """Minimal static-edge count from ``source`` to every reachable temporal node.
 
     One ``(min, +)`` label sweep (static edges cost 1, causal edges cost 0)
     answers the Grindrod–Higham hop question for all targets at once; the
     Python oracle is the equivalent 0/1-weight Dijkstra run to exhaustion.
-    An inactive source reaches nothing, giving ``{}``.  ``shards`` routes
-    the sweep through the pipelined time-shard driver.  The engine's answer
+    An inactive source reaches nothing, giving ``{}``.  The engine's answer
     is a read-only :class:`~repro.engine.reached.ReachedView` equal to the
     oracle's dict; ``copy()`` gives a plain one.
     """
-    from repro.engine import get_sweeper, resolve_backend
+    from repro.engine import get_kernel, resolve_backend
 
     backend = resolve_backend(backend)
     source = (source[0], source[1])
     if not graph.is_active(*source):
         return {}
     if backend == "vectorized":
-        return get_sweeper(graph, shards).fewest_hops([source])[source]
+        return get_kernel(graph).fewest_hops([source])[source]
     best: dict[TemporalNodeTuple, int] = {source: 0}
     heap: list[tuple[int, int, TemporalNodeTuple]] = [(0, 0, source)]
     counter = 0
@@ -175,7 +170,6 @@ def latest_departure_times(
     target: TemporalNodeTuple,
     *,
     backend: str = "vectorized",
-    shards: int | None = None,
 ) -> dict[Hashable, Hashable]:
     """Latest departure timestamp of *every* node that can still reach ``target``.
 
@@ -183,16 +177,15 @@ def latest_departure_times(
     reaches ``target`` (the target itself maps to its own time).  One
     backward sweep on the lazily transposed operator stacks answers the
     question for all sources at once.  An inactive target gives ``{}``.
-    ``shards`` routes the sweep through the pipelined time-shard driver.
     """
-    from repro.engine import get_sweeper, resolve_backend
+    from repro.engine import get_kernel, resolve_backend
 
     backend = resolve_backend(backend)
     target = (target[0], target[1])
     if not graph.is_active(*target):
         return {}
     if backend == "vectorized":
-        return get_sweeper(graph, shards).latest_departures([target])[target]
+        return get_kernel(graph).latest_departures([target])[target]
     from repro.core.backward import backward_bfs
 
     position = _time_positions(graph)

@@ -44,13 +44,12 @@
   shared, so streaming mutation patterns pay per batch only for what the
   batch touched.
 * :func:`~repro.engine.dispatch.get_kernel` /
-  :func:`~repro.engine.dispatch.get_spectral_kernel` /
-  :func:`~repro.engine.dispatch.get_sharded_driver` — the cached kernels
-  and shard drivers over that artifact, used by the
-  ``backend="vectorized"`` paths of :mod:`repro.core`,
-  :mod:`repro.algorithms` and :mod:`repro.parallel`;
-  :func:`~repro.engine.dispatch.get_sweeper` picks the kernel or, with
-  ``shards``, the driver, once per call.
+  :func:`~repro.engine.dispatch.get_spectral_kernel` — the cached kernels
+  over that artifact, used by the ``backend="vectorized"`` paths of
+  :mod:`repro.core`, :mod:`repro.algorithms` and :mod:`repro.parallel`.
+  Shard drivers are not cached: a caller builds one over
+  ``ShardedTemporalGraph.from_compiled(get_compiled(graph), n)`` or
+  :func:`repro.io.load_sharded`, and closes it.
 * :func:`~repro.engine.dispatch.resolve_backend` — validation of the
   ``backend`` flag shared by every search entry point.
 * :mod:`~repro.engine.bitops` — the packed sweep primitives every sweep
@@ -69,9 +68,7 @@ from repro.engine.dispatch import (
     BACKENDS,
     get_compiled,
     get_kernel,
-    get_sharded_driver,
     get_spectral_kernel,
-    get_sweeper,
     invalidate_kernel,
     resolve_backend,
 )
@@ -100,9 +97,7 @@ __all__ = [
     "bitops",
     "get_compiled",
     "get_kernel",
-    "get_sharded_driver",
     "get_spectral_kernel",
-    "get_sweeper",
     "invalidate_kernel",
     "resolve_backend",
 ]

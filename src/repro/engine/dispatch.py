@@ -32,15 +32,15 @@ snapshots.  That patch is the one incremental path: everything derived
 from the artifact is rebuilt over the patched result.  The kernels are
 constructed afresh (a few object constructions; the
 :class:`~repro.engine.spectral.SpectralKernel` starts with empty LU and
-radius caches), and the shard drivers re-slice it.
-:func:`invalidate_kernel` remains for callers that want to drop a cached
-artifact eagerly (e.g. to free memory, or to force the next compile from
-scratch).
+radius caches).  :func:`invalidate_kernel` remains for callers that want
+to drop a cached artifact eagerly (e.g. to free memory, or to force the
+next compile from scratch).
 
-Time-sharded execution has its own version-exact cache
-(:func:`get_sharded_driver`); :func:`get_sweeper` hands a caller either the
-kernel or, with ``shards``, the driver, so the algorithms layer chooses
-once and calls the shared batched readouts.
+Time-sharded execution is not cached here.  A caller builds a
+:class:`~repro.engine.sharded_sweep.ShardedSweepDriver` over
+``ShardedTemporalGraph.from_compiled(get_compiled(graph), n)`` (or over a
+store from :func:`repro.io.load_sharded`), owns it and closes it; after a
+mutation it builds a new one over the patched artifact.
 
 The cache is thread-safe: lookups on a current entry are lock-free, while
 entry creation and delta recompilation are double-checked under a module
@@ -50,26 +50,20 @@ reader threads) compiles each ``(graph, mutation_version)`` exactly once.
 
 from __future__ import annotations
 
-import atexit
-import os
 import threading
 import weakref
 
 from repro.engine.frontier import FrontierKernel
-from repro.engine.sharded_sweep import SHARD_BACKENDS, ShardedSweepDriver
 from repro.engine.spectral import SpectralKernel
 from repro.exceptions import GraphError
 from repro.graph.base import BaseEvolvingGraph
 from repro.graph.compiled import CompiledTemporalGraph
-from repro.graph.sharded import ShardedTemporalGraph
 
 __all__ = [
     "BACKENDS",
     "get_compiled",
     "get_kernel",
-    "get_sharded_driver",
     "get_spectral_kernel",
-    "get_sweeper",
     "invalidate_kernel",
     "resolve_backend",
 ]
@@ -167,126 +161,6 @@ def get_spectral_kernel(graph: BaseEvolvingGraph) -> SpectralKernel:
     return _entry(graph)[2]
 
 
-#: Per-graph sharded-driver cache: ``graph -> (mutation_version, {key: driver})``.
-#: A version bump evicts the whole per-graph map (drivers hold compiled shard
-#: slices of the stale artifact) and closes any pipeline worker processes.
-_SHARD_CACHE: "weakref.WeakKeyDictionary[BaseEvolvingGraph, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _close_cached_drivers() -> None:
-    """Close every cached shard driver's worker pipeline, for interpreter exit.
-
-    Close-on-evict only fires when a graph *mutates*; a process that exits
-    with entries still cached would otherwise leave persistent
-    process-backend workers blocked on their task queues (their ``__del__``
-    is not guaranteed to run during teardown).  Registered with
-    :mod:`atexit` so the sentinel/join shutdown always happens while the
-    interpreter is still able to do it.
-    """
-    with _CACHE_LOCK:
-        for cached in list(_SHARD_CACHE.values()):
-            for driver in cached[1].values():
-                try:
-                    driver.close()
-                except Exception:  # pragma: no cover - teardown best effort
-                    pass
-
-
-atexit.register(_close_cached_drivers)
-
-
-def get_sharded_driver(
-    graph: BaseEvolvingGraph,
-    shards: int,
-    *,
-    backend: str | None = None,
-    num_workers: int | None = None,
-    chunk_size: int = 128,
-) -> ShardedSweepDriver:
-    """The cached pipelined shard driver for ``graph``, exact to its version.
-
-    Shards the cached compiled artifact into ``shards`` contiguous snapshot
-    ranges (nnz-weighted) and wraps it in a
-    :class:`~repro.engine.sharded_sweep.ShardedSweepDriver`.  ``backend``
-    defaults to the ``REPRO_SHARD_BACKEND`` environment variable when set,
-    else ``"serial"``.  Drivers are cached per
-    ``(mutation_version, shard layout, backend, workers, chunk size)`` so
-    repeated algorithm calls with the same routing reuse the shard slices
-    (and, for the process backend, the persistent worker pipeline).  After
-    a graph mutation the next call closes every stale driver for that graph
-    and slices the delta-patched artifact afresh
-    (:meth:`~repro.graph.sharded.ShardedTemporalGraph.from_compiled`).
-    Clean snapshots keep their operator objects through the delta
-    recompile, so the new slices share them; the new driver's shard kernels
-    and process workers start cold.  A cached driver that was closed — a
-    process-backend worker died under it — is replaced by a fresh one on
-    the next call.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_SHARD_BACKEND", "serial")
-    if backend not in SHARD_BACKENDS:
-        raise GraphError(
-            f"unsupported shard backend {backend!r}; expected one of {SHARD_BACKENDS}"
-        )
-    compiled = get_compiled(graph)
-    version = compiled.mutation_version
-    key = (int(shards), backend, num_workers, int(chunk_size))
-    try:
-        cached = _SHARD_CACHE.get(graph)
-    except TypeError:  # unhashable graph object
-        cached = None
-    if cached is not None and cached[0] == version:
-        driver = cached[1].get(key)
-        if driver is not None and not driver._closed:
-            return driver
-    with _CACHE_LOCK:
-        try:
-            cached = _SHARD_CACHE.get(graph)
-        except TypeError:
-            cached = None
-        if cached is not None and cached[0] != version:
-            # the graph mutated: every driver holds slices of the stale
-            # artifact, so close them all before slicing the patched one
-            for stale in cached[1].values():
-                stale.close()
-            cached = None
-        if cached is not None:
-            # a closed driver (its process pipeline lost a worker) is rebuilt
-            driver = cached[1].get(key)
-            if driver is not None and not driver._closed:
-                return driver
-        driver = ShardedSweepDriver(
-            ShardedTemporalGraph.from_compiled(compiled, shards),
-            backend=backend,
-            num_workers=num_workers,
-            chunk_size=chunk_size,
-        )
-        entry = cached if cached is not None else (version, {})
-        entry[1][key] = driver
-        try:
-            _SHARD_CACHE[graph] = entry
-        except TypeError:  # unhashable or non-weakrefable graph object
-            pass
-        return driver
-
-
-def get_sweeper(
-    graph: BaseEvolvingGraph, shards: int | None = None
-) -> FrontierKernel | ShardedSweepDriver:
-    """The cached batched sweep surface for ``graph``, exact to its version.
-
-    The :class:`FrontierKernel` (:func:`get_kernel`), or with ``shards`` the
-    pipelined time-shard driver (:func:`get_sharded_driver`); both carry the
-    same :class:`~repro.engine.sharded_sweep.BatchedSweeps` methods with
-    bit-identical answers, so a caller picks one here and runs any family.
-    """
-    if shards is None:
-        return get_kernel(graph)
-    return get_sharded_driver(graph, shards)
-
-
 def invalidate_kernel(graph: BaseEvolvingGraph) -> None:
     """Drop the cached artifact for ``graph`` (to rebuild or free it eagerly)."""
     with _CACHE_LOCK:
@@ -294,10 +168,3 @@ def invalidate_kernel(graph: BaseEvolvingGraph) -> None:
             _CACHE.pop(graph, None)
         except TypeError:
             pass
-        try:
-            stale = _SHARD_CACHE.pop(graph, None)
-        except TypeError:
-            stale = None
-        if stale is not None:
-            for driver in stale[1].values():
-                driver.close()

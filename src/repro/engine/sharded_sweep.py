@@ -69,7 +69,8 @@ Results are bit-identical to the monolithic kernel on every family
 counts and backends).  Even the float harmonic sums are exact: shards ship
 per-snapshot partial rows and the chain folds them in canonical global
 snapshot order, replaying the monolithic reduction addition-for-addition.
-Obtain a cached driver via :func:`repro.engine.get_sharded_driver`.
+Build a driver over ``ShardedTemporalGraph.from_compiled(get_compiled(g), n)``
+or :func:`repro.io.load_sharded`; the caller owns it and closes it.
 """
 
 from __future__ import annotations
@@ -882,11 +883,10 @@ class ShardedSweepDriver(BatchedSweeps):
         Default root-batch width per sweep, as in the monolithic kernels.
 
     The driver carries the kernel's :class:`BatchedSweeps` surface
-    method-for-method and is itself what
-    :func:`repro.engine.get_sharded_driver` caches under
-    ``(mutation_version, shard layout, backend, num_workers)``.  Process
-    backends hold OS resources: :meth:`close` them (context-manager
-    supported); the dispatch cache closes evicted drivers.
+    method-for-method.  Process backends hold OS resources: :meth:`close`
+    them (context-manager supported).  A driver is never rebuilt for you:
+    after a graph mutation, or once a dead worker has closed it, build a new
+    one.
     """
 
     def __init__(
@@ -940,7 +940,8 @@ class ShardedSweepDriver(BatchedSweeps):
             raise GraphError(
                 "sharded artifact is stale for this graph (artifact version "
                 f"{self.sharded.mutation_version}, graph version "
-                f"{graph.mutation_version}); rebuild via get_sharded_driver"
+                f"{graph.mutation_version}); build a new driver over "
+                "ShardedTemporalGraph.from_compiled(get_compiled(graph), n)"
             )
 
     # ------------------------------------------------------------------ #

@@ -198,8 +198,8 @@ class CompiledTemporalGraph:
         records how many snapshots were rebuilt vs reused.
 
         This is the package's one incremental path.  Everything derived from
-        the artifact is rebuilt from the patched result: the dispatch cache
-        re-slices shard layouts (:meth:`ShardedTemporalGraph.from_compiled
+        the artifact is rebuilt from the patched result: a shard driver's
+        owner re-slices it (:meth:`ShardedTemporalGraph.from_compiled
         <repro.graph.sharded.ShardedTemporalGraph.from_compiled>`), a store
         version is written with :func:`repro.io.save_sharded`, and a fresh
         :class:`~repro.engine.spectral.SpectralKernel` starts with empty

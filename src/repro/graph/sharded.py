@@ -68,10 +68,9 @@ def compute_shard_layout(
 ) -> tuple[tuple[int, int], ...]:
     """Contiguous ``(start, stop)`` snapshot ranges balancing stored entries.
 
-    The nnz-weighted layout rule shared by :meth:`ShardedTemporalGraph.from_compiled`
-    and the dispatch cache (whose sharded entries are keyed on
-    ``(mutation_version, shard_layout)``): same artifact, same requested
-    shard count — same boundaries, deterministically.
+    The nnz-weighted layout rule of :meth:`ShardedTemporalGraph.from_compiled`
+    and of :func:`repro.io.save_sharded` with ``num_shards``: same artifact,
+    same requested shard count — same boundaries, deterministically.
     """
     from repro.parallel.partition import (
         compiled_snapshot_weights,

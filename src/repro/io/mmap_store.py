@@ -27,8 +27,8 @@ per-snapshot nnz list, so reconstruction wraps the mapped buffers in
 :meth:`ShardedTemporalGraph.is_current
 <repro.graph.sharded.ShardedTemporalGraph.is_current>` (or
 :meth:`ShardedSweepDriver.require_current
-<repro.engine.sharded_sweep.ShardedSweepDriver.require_current>`) raises on
-staleness exactly as the in-memory dispatch caches do.
+<repro.engine.sharded_sweep.ShardedSweepDriver.require_current>`, which
+raises) checks staleness against the graph's mutation version.
 
 Write with :class:`ShardedStoreWriter` (streaming, one snapshot at a time,
 cutting shards on a byte budget — compilation never holds more than one

@@ -1,8 +1,8 @@
 """Batched searches and the weighted partitions behind the shard layout.
 
 * :func:`~repro.parallel.batch.batch_bfs` — many independent searches over
-  a shared graph, on the ``"vectorized"`` engine (optionally time-sharded)
-  or the ``"python"`` per-root oracle.
+  a shared graph, on the ``"vectorized"`` engine or the ``"python"``
+  per-root oracle.
 * :mod:`~repro.parallel.partition` — the nnz-weighted contiguous split that
   chooses time-shard boundaries and the weight-balanced chunking that
   assigns shards to the shard driver's process workers.

@@ -3,10 +3,10 @@
 The server (:class:`repro.serving.QueryServer`) groups the queries of one
 micro-batch by :meth:`~repro.algorithms.queries.Query.sweep_key`; this module
 executes each group with the *minimum* number of kernel sweeps, on one
-sweeper chosen once per group — the graph's
-:class:`~repro.engine.frontier.FrontierKernel`, or the server's
-:class:`~repro.engine.sharded_sweep.ShardedSweepDriver` — through the
-batched surface both share
+sweeper chosen once per group — the graph's cached
+:class:`~repro.engine.frontier.FrontierKernel`, or the
+:class:`~repro.engine.sharded_sweep.ShardedSweepDriver` the server was
+built with — through the batched surface both share
 (:class:`~repro.engine.sharded_sweep.BatchedSweeps`):
 
 * every **frontier-family** query (BFS, reachability probes,
@@ -28,10 +28,11 @@ batched surface both share
   it.
 
 The sweeper runs a group's chunks itself; the group is not fanned out over
-threads.  Duplicate queries never reach this module — the server dedupes on
-``cache_key`` first — so the ``R`` columns of a group sweep are all distinct
-roots.  Results and per-query exceptions are returned positionally; the
-server owns futures, caching and locking.
+threads.  Duplicate queries never reach this module — the server's
+admission attaches a repeat of an in-flight ``cache_key`` to that query's
+pending computation — so the ``R`` columns of a group sweep are all
+distinct roots.  Results and per-query exceptions are returned
+positionally; the server owns futures, caching and locking.
 """
 
 from __future__ import annotations

@@ -95,6 +95,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 from repro.algorithms.queries import Query, Submission
+from repro.engine.sharded_sweep import ShardedSweepDriver
 from repro.exceptions import (
     DeadlineExceededError,
     GraphError,
@@ -376,14 +377,13 @@ class QueryServer:
         recomputation.  Disable to prune every entry on a mutation, which
         shortens the mutation stall and makes the next queries miss.
     sharded:
-        Serve the frontier, zero-one, Tang and reach-count families through
-        the pipelined time-shard driver instead of the monolithic kernels —
-        results stay bit-identical, and a store-backed sharded graph serves
-        out-of-core.  Pass a shard count (resolved once through
-        :func:`repro.engine.get_sharded_driver`) or a prebuilt
-        :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` (e.g. over a
-        memory-mapped store from :func:`repro.io.load_sharded`).  A sharded
-        server is **read-only**: :meth:`mutate` raises
+        A :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` that
+        serves the frontier, zero-one, Tang and reach-count families instead
+        of the monolithic kernels — results stay bit-identical, and a driver
+        over a memory-mapped store from :func:`repro.io.load_sharded` serves
+        out-of-core.  The caller owns the driver and closes it; the server
+        sweeps with its own ``chunk_size``.  A sharded server is
+        **read-only**: :meth:`mutate` raises
         :class:`~repro.exceptions.GraphError`, and a graph mutated behind
         the server's back fails each micro-batch with a staleness error
         instead of serving results from the outdated shard layout.  The
@@ -401,7 +401,7 @@ class QueryServer:
         cache_entries: int = 1024,
         chunk_size: int = 128,
         warm_start: bool = True,
-        sharded=None,
+        sharded: ShardedSweepDriver | None = None,
     ) -> None:
         if window_s < 0:
             raise GraphError(f"window_s must be >= 0, got {window_s}")
@@ -418,11 +418,13 @@ class QueryServer:
             )
         if chunk_size < 1:
             raise GraphError(f"chunk_size must be at least 1, got {chunk_size}")
+        if sharded is not None and not isinstance(sharded, ShardedSweepDriver):
+            raise GraphError(
+                "sharded= takes a ShardedSweepDriver, got "
+                f"{type(sharded).__name__}; build one over "
+                "ShardedTemporalGraph.from_compiled(get_compiled(graph), n)"
+            )
         self._graph = graph
-        if isinstance(sharded, int):
-            from repro.engine import get_sharded_driver
-
-            sharded = get_sharded_driver(graph, sharded, chunk_size=chunk_size)
         self._sharded_driver = sharded
         if sharded is not None:
             sharded.require_current(graph)
@@ -939,17 +941,10 @@ class QueryServer:
         """Sweep and scatter the tickets that passed the drain gate (:meth:`_gate`)."""
         version = self._graph.mutation_version
 
-        # dedupe on canonical identity (defensive — the in-flight map makes
-        # duplicate keys in one batch impossible), then group by sweep shape
-        unique: "OrderedDict[tuple, _Ticket]" = OrderedDict()
-        for ticket in kept:
-            first = unique.get(ticket.key)
-            if first is None:
-                unique[ticket.key] = ticket
-            else:  # pragma: no cover - unreachable by construction
-                first.live.extend(ticket.live)
+        # admission attaches a repeat submit of an in-flight key to that
+        # key's ticket, so the kept tickets have distinct keys
         groups: "OrderedDict[tuple, list[_Ticket]]" = OrderedDict()
-        for ticket in unique.values():
+        for ticket in kept:
             groups.setdefault(ticket.query.sweep_key(), []).append(ticket)
 
         for sweep_key, members in groups.items():

@@ -16,6 +16,7 @@ from repro.algorithms import (
     weak_temporal_components,
 )
 from repro.core import evolving_bfs
+from repro.generators import random_temporal_edges
 from repro.graph import AdjacencyListEvolvingGraph
 
 
@@ -63,6 +64,24 @@ class TestInfluenceSets:
     def test_influence_sizes_custom_roots(self, figure1):
         sizes = influence_sizes(figure1, roots=[(1, "t1")])
         assert list(sizes) == [(1, "t1")]
+
+    def test_influence_sizes_vectorized_matches_python(self):
+        graph = AdjacencyListEvolvingGraph(
+            random_temporal_edges(30, 4, 90, seed=5), timestamps=[0, 1, 2, 3]
+        )
+        active = graph.active_temporal_nodes()
+        inactive = next(
+            (v, t) for v in graph.nodes() for t in graph.timestamps
+            if not graph.is_active(v, t)
+        )
+        roots = [active[3], inactive, active[0], active[3], active[-1]]
+        expected = influence_sizes(graph, roots, backend="python")
+        got = influence_sizes(graph, roots, backend="vectorized")
+        assert list(got.items()) == list(expected.items())
+        assert got[inactive] == 0
+        assert influence_sizes(graph, backend="vectorized") == influence_sizes(
+            graph, backend="python"
+        )
 
     def test_influence_consistent_with_bfs(self, medium_random_graph):
         root = medium_random_graph.active_temporal_nodes()[0]

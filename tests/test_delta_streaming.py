@@ -13,8 +13,7 @@ Two equivalence contracts are asserted here:
   with the Python oracle *and* with a from-scratch ``evolving_bfs``.
 
 Plus the plumbing around them: the dispatch cache patching artifacts in
-place, ``apply_stream(compiled=True)``, and ``batch_bfs`` accepting a
-pre-built artifact.
+place, and ``apply_stream(compiled=True)``.
 """
 
 from __future__ import annotations
@@ -245,8 +244,6 @@ class TestForeignArtifacts:
         assert after.delta_stats is None
         assert after.is_current(g2)
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(g2))
-        with pytest.raises(GraphError):
-            batch_bfs(g2, [(0, 0)], backend="vectorized", compiled=a1)
         served = batch_bfs(g2, [(0, 0)], backend="vectorized")[(0, 0)].reached
         assert served == evolving_bfs(g2, (0, 0), backend="python").reached
         assert served == {(0, 0): 0, (2, 0): 1}
@@ -935,25 +932,3 @@ class TestAtomicGraphBatches:
                 graph.remove_edges_from(removals)
         assert set(graph.temporal_edges_unordered()) == edges
         assert graph.mutation_version == version
-
-
-class TestBatchBfsCompiledArtifact:
-    def test_supplied_artifact_matches_serial(self):
-        graph = AdjacencyListEvolvingGraph(
-            random_temporal_edges(20, 3, 60, seed=13), timestamps=[0, 1, 2]
-        )
-        roots = graph.active_temporal_nodes()[:10]
-        artifact = get_compiled(graph)
-        expected = {
-            r: res.reached
-            for r, res in batch_bfs(graph, roots, backend="python").items()
-        }
-        supplied = batch_bfs(graph, roots, backend="vectorized", compiled=artifact)
-        assert {r: res.reached for r, res in supplied.items()} == expected
-
-    def test_stale_artifact_rejected(self):
-        graph = AdjacencyListEvolvingGraph([(0, 1, 0)], timestamps=[0, 1])
-        artifact = get_compiled(graph)
-        graph.add_edge(1, 0, 1)
-        with pytest.raises(GraphError):
-            batch_bfs(graph, [(0, 0)], backend="vectorized", compiled=artifact)

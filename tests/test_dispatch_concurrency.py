@@ -18,7 +18,6 @@ from repro.engine.dispatch import (
     get_compiled,
     get_kernel,
     get_spectral_kernel,
-    get_sweeper,
     invalidate_kernel,
 )
 from repro.generators import random_evolving_graph
@@ -59,12 +58,12 @@ def test_concurrent_first_touch_compiles_exactly_once(monkeypatch):
 
 
 def test_concurrent_getters_share_one_entry(monkeypatch):
-    """All four getters racing on a cold cache still compile once and agree."""
+    """All three getters racing on a cold cache still compile once and agree."""
     graph = random_evolving_graph(40, 5, 150, seed=19)
     invalidate_kernel(graph)
     calls = _count_recompiles(monkeypatch, delay=0.01)
 
-    getters = [get_compiled, get_kernel, get_sweeper, get_spectral_kernel] * 4
+    getters = [get_compiled, get_kernel, get_spectral_kernel] * 4
     barrier = threading.Barrier(len(getters))
 
     def touch(getter):

@@ -9,12 +9,12 @@ folded in global snapshot order), earliest arrival, latest departure,
 fewest hops, 0/1-semiring
 label blocks and Tang snapshot counts.  The property-based tests assert
 exact equality across shard counts (1, 2, 3, one-snapshot-per-shard and
-explicitly ragged boundaries) and backends, through the algorithm layer's
-``shards=`` flag and through a sharded :class:`~repro.serving.QueryServer`.
+explicitly ragged boundaries) and backends, on the driver itself and
+through a sharded :class:`~repro.serving.QueryServer`.
 
-The CI shard-stress job re-runs this module with ``REPRO_SHARD_BACKEND`` /
-``REPRO_SHARD_COUNT`` exported, which reroutes the env-driven tests below
-through the process pipeline.
+The env-driven tests below build their drivers from ``REPRO_SHARD_BACKEND``
+and ``REPRO_SHARD_COUNT`` (default: serial, 3 shards); the CI shard-stress
+job exports ``process`` and ``3``, so they run on real process workers.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.centrality import (
-    temporal_closeness,
-    temporal_in_reach,
-    temporal_out_reach,
-)
 from repro.algorithms.queries import (
     BFSQuery,
     EarliestArrivalQuery,
@@ -47,19 +42,12 @@ from repro.algorithms.queries import (
     TangDistanceQuery,
     TopKReachQuery,
 )
-from repro.algorithms.tang_distance import temporal_distances_tang_from
-from repro.algorithms.temporal_paths import (
-    earliest_arrival_times,
-    fewest_spatial_hops_from,
-    latest_departure_times,
-)
 from repro.core import backward_bfs, evolving_bfs
 from repro.engine import (
     FrontierKernel,
     bitops,
     get_compiled,
     get_kernel,
-    get_sharded_driver,
     invalidate_kernel,
 )
 from repro.engine.sharded_sweep import BoundaryBlock, ShardedSweepDriver, _FAR
@@ -67,17 +55,30 @@ from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
 from repro.graph.sharded import compute_shard_layout, operator_stack_bytes
 from repro.io.mmap_store import ShardedStoreWriter, load_sharded, save_sharded
-from repro.parallel.batch import batch_bfs
 from repro.parallel.partition import compiled_snapshot_weights
 from repro.serving import QueryServer
 
 node_labels = st.integers(min_value=0, max_value=12)
 time_labels = st.integers(min_value=0, max_value=5)
 
-#: The CI shard-stress job exports these to force every env-driven test
-#: through the process pipeline with a fixed shard count.
+#: The CI shard-stress job exports these to run every env-driven test's
+#: driver on the process pipeline with a fixed shard count.
 ENV_BACKEND = os.environ.get("REPRO_SHARD_BACKEND", "serial")
 ENV_SHARDS = int(os.environ.get("REPRO_SHARD_COUNT", "3"))
+
+
+def _env_driver(graph, **kwargs) -> ShardedSweepDriver:
+    """A driver over ``graph``'s current artifact, on the env-driven layout
+    and backend; the caller closes it."""
+    sharded = ShardedTemporalGraph.from_compiled(get_compiled(graph), ENV_SHARDS)
+    return ShardedSweepDriver(sharded, backend=ENV_BACKEND, **kwargs)
+
+
+def _assert_env_backend_ran(driver) -> None:
+    """The driver runs on the env-driven backend, and a process driver that
+    has swept owns live workers."""
+    assert driver.backend == ENV_BACKEND
+    assert bool(driver._processes) == (ENV_BACKEND == "process")
 
 
 @st.composite
@@ -146,17 +147,21 @@ def test_sharded_frontier_family_bit_identical(graph_root):
     }
     expected_batch = {r: res.reached for r, res in kernel.batch(roots).items()}
     expected_multi = kernel.multi_source(roots).reached
-    expected_reach = kernel.identity_reach_counts(roots)
+    expected_reach = {
+        d: kernel.identity_reach_counts(roots, direction=d)
+        for d in ("forward", "backward")
+    }
     expected_harmonic = kernel.harmonic_closeness_sums(roots)
     for sharded in _shardings(compiled):
         driver = ShardedSweepDriver(sharded, chunk_size=3)
         for direction in ("forward", "backward"):
             assert driver.bfs(root, direction=direction).reached == \
                 expected_bfs[direction]
+            assert driver.identity_reach_counts(roots, direction=direction) == \
+                expected_reach[direction]
         got = {r: res.reached for r, res in driver.batch(roots).items()}
         assert got == expected_batch
         assert driver.multi_source(roots).reached == expected_multi
-        assert driver.identity_reach_counts(roots) == expected_reach
         # bit-exact even for the float family: partial rows are folded in
         # canonical global snapshot order, replaying the monolithic sum
         assert driver.harmonic_closeness_sums(roots) == expected_harmonic
@@ -225,35 +230,6 @@ def test_sharded_zero_one_blocks_bit_identical(graph_root, costs):
         for (chunk_a, block_a), (chunk_b, block_b) in zip(expected, got):
             assert chunk_a == chunk_b
             assert np.array_equal(block_a, block_b)
-
-
-@SHARD_SETTINGS
-@given(graphs_with_roots())
-def test_algorithm_layer_shards_flag_bit_identical(graph_root):
-    graph, root = graph_root
-    assert temporal_out_reach(graph) == temporal_out_reach(graph, shards=2)
-    assert temporal_in_reach(graph) == temporal_in_reach(graph, shards=3)
-    assert temporal_closeness(graph) == temporal_closeness(graph, shards=2)
-    assert earliest_arrival_times(graph, root) == \
-        earliest_arrival_times(graph, root, shards=2)
-    assert latest_departure_times(graph, root) == \
-        latest_departure_times(graph, root, shards=2)
-    assert fewest_spatial_hops_from(graph, root) == \
-        fewest_spatial_hops_from(graph, root, shards=3)
-    assert temporal_distances_tang_from(graph, root[0]) == \
-        temporal_distances_tang_from(graph, root[0], shards=2)
-    roots = graph.active_temporal_nodes()[:6]
-    mono_batch = {
-        r: res.reached
-        for r, res in batch_bfs(graph, roots, backend="vectorized").items()
-    }
-    sharded_batch = {
-        r: res.reached
-        for r, res in batch_bfs(
-            graph, roots, backend="vectorized", shards=2, chunk_size=3
-        ).items()
-    }
-    assert mono_batch == sharded_batch
 
 
 # --------------------------------------------------------------------------- #
@@ -446,16 +422,14 @@ def test_load_sharded_rejects_truncated_file(tmp_path, name):
 
 def test_sharded_driver_staleness_raises():
     graph = AdjacencyListEvolvingGraph([(0, 1, 0), (1, 2, 1)], directed=False)
-    driver = get_sharded_driver(graph, 2)
+    driver = ShardedSweepDriver(ShardedTemporalGraph.from_compiled(get_compiled(graph), 2))
     driver.require_current(graph)
     graph.add_edge(0, 2, 0)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="build a new driver"):
         driver.require_current(graph)
-    # the dispatch cache heals: a fresh driver is built for the new version
-    fresh = get_sharded_driver(graph, 2)
-    assert fresh is not driver
+    # a driver over the patched artifact is current for the new version
+    fresh = ShardedSweepDriver(ShardedTemporalGraph.from_compiled(get_compiled(graph), 2))
     fresh.require_current(graph)
-    invalidate_kernel(graph)
 
 
 # --------------------------------------------------------------------------- #
@@ -483,29 +457,29 @@ def test_process_backend_bit_identical():
 
 
 def test_env_driven_dispatch_bit_identical():
-    """The layout the CI stress job forces via env vars stays bit-identical."""
+    """The layout and backend the CI stress job sets via env vars stay
+    bit-identical."""
     graph = _banded_graph(num_nodes=18, snapshots=6, seed=5)
     roots = graph.active_temporal_nodes()[:12]
     kernel = get_kernel(graph)
-    driver = get_sharded_driver(graph, ENV_SHARDS)  # backend: env or serial
-    assert driver.backend == ENV_BACKEND
-    expected = {r: res.reached for r, res in kernel.batch(roots).items()}
-    assert {r: res.reached for r, res in driver.batch(roots).items()} == expected
-    assert driver.identity_reach_counts(roots) == \
-        kernel.identity_reach_counts(roots)
-    tang = kernel.tang_steps(list(range(5)), horizon=1)
-    assert driver.tang_steps(list(range(5)), horizon=1) == tang
-    invalidate_kernel(graph)  # close pipelines before the interpreter exits
+    with _env_driver(graph) as driver:
+        expected = {r: res.reached for r, res in kernel.batch(roots).items()}
+        assert {r: res.reached for r, res in driver.batch(roots).items()} == expected
+        _assert_env_backend_ran(driver)
+        assert driver.identity_reach_counts(roots) == \
+            kernel.identity_reach_counts(roots)
+        tang = kernel.tang_steps(list(range(5)), horizon=1)
+        assert driver.tang_steps(list(range(5)), horizon=1) == tang
 
 
 def test_dead_process_worker_raises_instead_of_hanging():
     """A SIGKILLed shard worker makes the next sweep raise within a bounded
-    time; the dispatch cache then replaces the closed driver."""
+    time and closes the driver; a freshly built driver answers again."""
     graph = _banded_graph(num_nodes=20, snapshots=5, seed=11)
     roots = graph.active_temporal_nodes()[:8]
     expected = get_kernel(graph).identity_reach_counts(roots)
-    driver = get_sharded_driver(graph, 3, backend="process", num_workers=2)
-    try:
+    sharded = ShardedTemporalGraph.from_compiled(get_compiled(graph), 3)
+    with ShardedSweepDriver(sharded, backend="process", num_workers=2) as driver:
         assert driver.identity_reach_counts(roots) == expected  # workers warm
         victim = driver._processes[0]
         os.kill(victim.pid, signal.SIGKILL)
@@ -516,11 +490,8 @@ def test_dead_process_worker_raises_instead_of_hanging():
         assert time.monotonic() - start < 30
         with pytest.raises(GraphError, match="driver is closed"):
             driver.identity_reach_counts(roots)
-        fresh = get_sharded_driver(graph, 3, backend="process", num_workers=2)
-        assert fresh is not driver
+    with ShardedSweepDriver(sharded, backend="process", num_workers=2) as fresh:
         assert fresh.identity_reach_counts(roots) == expected
-    finally:
-        invalidate_kernel(graph)  # closes every cached pipeline
 
 
 # --------------------------------------------------------------------------- #
@@ -542,21 +513,25 @@ def test_sharded_query_server_bit_identical_and_read_only():
     queries += [TangDistanceQuery(source_node=0), TopKReachQuery(k=5)]
     with QueryServer(graph, window_s=0) as monolithic:
         expected = monolithic.query_many(queries)
-    with QueryServer(graph, window_s=0, sharded=3) as server:
+    with _env_driver(graph) as driver, \
+            QueryServer(graph, window_s=0, sharded=driver) as server:
         assert server.query_many(queries) == expected
+        _assert_env_backend_ran(driver)
         with pytest.raises(GraphError):
             server.mutate([(0, 9, 0)])
-    invalidate_kernel(graph)
+    # a shard count is not a driver
+    with pytest.raises(GraphError, match="takes a ShardedSweepDriver"):
+        QueryServer(graph, sharded=3)
 
 
 def test_sharded_query_server_fails_on_out_of_band_mutation():
     graph = AdjacencyListEvolvingGraph([(0, 1, 0), (1, 2, 1)], directed=False)
-    with QueryServer(graph, window_s=0, sharded=2) as server:
+    with _env_driver(graph) as driver, \
+            QueryServer(graph, window_s=0, sharded=driver) as server:
         assert server.query(BFSQuery(root=(0, 0)))
         graph.add_edge(0, 2, 1)  # behind the server's back
         with pytest.raises(GraphError):
             server.query(BFSQuery(root=(0, 0)))
-    invalidate_kernel(graph)
 
 
 # --------------------------------------------------------------------------- #
@@ -756,17 +731,6 @@ def test_chunk_size_below_one_raises(surface, method):
     assert default
 
 
-def test_batch_bfs_shards_flag_validation():
-    graph = AdjacencyListEvolvingGraph([(0, 1, 0)], directed=False)
-    with pytest.raises(GraphError):
-        batch_bfs(graph, [(0, 0)], backend="python", shards=2)
-    with pytest.raises(GraphError):
-        batch_bfs(
-            graph, [(0, 0)], backend="vectorized", shards=2,
-            compiled=get_compiled(graph),
-        )
-
-
 def test_partition_weights_count_materialized_transposes():
     """The PR-8 fix: backward stacks weigh in once they are materialized."""
     # timestamp 0 is forward-heavy, timestamp 1 empty-ish, timestamp 2 light
@@ -796,40 +760,40 @@ def _mutate_last_snapshot(graph):
 
 
 def test_sharded_driver_delta_recompile_reuses_clean_shards():
-    """A mutation closes the stale driver; its replacement slices the
-    delta-patched artifact, so clean snapshots keep their operator objects.
+    """A mutation makes the driver stale; a new driver over the re-sliced
+    delta-patched artifact shares the clean snapshots' operator objects.
 
     Follows the env-driven backend and shard count, so the shard-stress job
-    drives mutate -> close -> respawn on real process workers.
+    drives mutate -> close -> rebuild on real process workers.
     """
     graph = _banded_graph(num_nodes=20, snapshots=6, seed=7)
-    driver1 = get_sharded_driver(graph, ENV_SHARDS)
     root = graph.active_temporal_nodes()[0]
     roots = graph.active_temporal_nodes()[:5]
-    driver1.bfs(root)  # spawns the process pipeline, warms serial shard kernels
-    before = get_compiled(graph).forward_operators
+    with _env_driver(graph) as driver1:
+        driver1.bfs(root)  # spawns the process pipeline, warms serial shard kernels
+        _assert_env_backend_ran(driver1)
+        before = get_compiled(graph).forward_operators
+        last = _mutate_last_snapshot(graph)
+        with pytest.raises(GraphError, match="stale"):
+            driver1.require_current(graph)
 
-    last = _mutate_last_snapshot(graph)
-    driver2 = get_sharded_driver(graph, ENV_SHARDS)
-    assert driver2 is not driver1
-    assert driver1._closed
-    assert driver2.backend == ENV_BACKEND
-    sharded = driver2.sharded
-    sliced = [
-        op
-        for index in range(sharded.num_shards)
-        for op in sharded.shard(index).forward_operators
-    ]
-    dirty = sharded.times.index(last)
-    for k, op in enumerate(sliced):
-        assert (op is before[k]) == (k != dirty)
+    with _env_driver(graph) as driver2:
+        driver2.require_current(graph)
+        sharded = driver2.sharded
+        sliced = [
+            op
+            for index in range(sharded.num_shards)
+            for op in sharded.shard(index).forward_operators
+        ]
+        dirty = sharded.times.index(last)
+        for k, op in enumerate(sliced):
+            assert (op is before[k]) == (k != dirty)
 
-    kernel = get_kernel(graph)
-    assert driver2.bfs(root).reached == kernel.bfs(root).reached
-    assert driver2.harmonic_closeness_sums(roots) == \
-        kernel.harmonic_closeness_sums(roots)
-    assert temporal_closeness(graph) == temporal_closeness(graph, shards=3)
-    invalidate_kernel(graph)
+        kernel = get_kernel(graph)
+        assert driver2.bfs(root).reached == kernel.bfs(root).reached
+        _assert_env_backend_ran(driver2)
+        assert driver2.harmonic_closeness_sums(roots) == \
+            kernel.harmonic_closeness_sums(roots)
 
 
 # --------------------------------------------------------------------------- #
@@ -918,35 +882,34 @@ def test_level_loops_match_oracles_across_shard_boundaries(thresholds):
 
 
 def test_level_loops_match_oracles_on_env_driven_shards():
-    """The same cases on the layout and backend the CI stress job forces."""
+    """The same cases on the layout and backend the CI stress job sets."""
     graph = _relay_graph()
-    driver = get_sharded_driver(graph, ENV_SHARDS, chunk_size=8)
-    assert driver.backend == ENV_BACKEND
-    _assert_relay_sweeps_match_oracles(driver, graph)
-    invalidate_kernel(graph)  # close pipelines before the interpreter exits
+    with _env_driver(graph, chunk_size=8) as driver:
+        _assert_relay_sweeps_match_oracles(driver, graph)
+        _assert_env_backend_ran(driver)
 
 
 # --------------------------------------------------------------------------- #
-# interpreter shutdown: cached process drivers must not leak workers           #
+# interpreter shutdown: an unclosed process driver must not leak workers       #
 # --------------------------------------------------------------------------- #
 
-_ATEXIT_SCRIPT = """
-import sys
-from repro.engine import get_sharded_driver
-from repro.graph import AdjacencyListEvolvingGraph
+_UNCLOSED_DRIVER_SCRIPT = """
+from repro.engine import ShardedSweepDriver, get_compiled
+from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
 
 graph = AdjacencyListEvolvingGraph(
     [(0, 1, 0), (1, 2, 0), (2, 3, 1), (3, 0, 1), (0, 2, 2)], directed=True
 )
-driver = get_sharded_driver(graph, 2, backend="process", num_workers=2)
+sharded = ShardedTemporalGraph.from_compiled(get_compiled(graph), 2)
+driver = ShardedSweepDriver(sharded, backend="process", num_workers=2)
 result = driver.bfs((0, 0))  # forces _ensure_processes: workers spawn here
 assert result.reached, "process-backend sweep returned nothing"
 print("PIDS", " ".join(str(p.pid) for p in driver._processes))
-# exit WITHOUT closing: the dispatch atexit hook must reap the workers
+# exit WITHOUT closing: the workers are daemonic, so interpreter exit ends them
 """
 
 
-def test_atexit_closes_cached_process_drivers():
+def test_unclosed_process_driver_leaves_no_worker_after_exit():
     import subprocess
     import sys
     import time
@@ -956,7 +919,7 @@ def test_atexit_closes_cached_process_drivers():
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src_root)
     proc = subprocess.run(
-        [sys.executable, "-c", _ATEXIT_SCRIPT],
+        [sys.executable, "-c", _UNCLOSED_DRIVER_SCRIPT],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
