@@ -1,7 +1,7 @@
 """Ablations: Theorem-1 expansion as an executable strategy, and the effect of
 the number of timestamps on the causal edge set and on runtime.
 
-Two design questions DESIGN.md calls out:
+Two design questions:
 
 1. *Expansion ablation* — Theorem 1 proves correctness by constructing the
    static graph ``G = (V, E~ ∪ E')``.  One could also *run* the BFS that way:

@@ -45,7 +45,7 @@ NUM_TIMESTAMPS = 10
 def scaling_result():
     """Run the sweep once per session; reused by the report and the assertions."""
     return measure_bfs_scaling(
-        NUM_NODES, NUM_TIMESTAMPS, EDGE_TARGETS, seed=2016, repeats=2)
+        NUM_NODES, NUM_TIMESTAMPS, EDGE_TARGETS, seed=2016, repeats=8)
 
 
 def test_figure5_report(scaling_result, report_dir, benchmark):

@@ -1,10 +1,11 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
 Every benchmark module regenerates one of the paper's figures or worked
-examples (see DESIGN.md's experiment index).  Besides the pytest-benchmark
+examples, or measures an engine layer against its Python oracle (the
+README's *Benchmarks* section lists them).  Besides the pytest-benchmark
 timing table, each module writes a small plain-text report with the
 paper-vs-measured comparison into ``benchmark_reports/`` at the repository
-root, which EXPERIMENTS.md references.
+root.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ Backends
 --------
 Every measure accepts ``backend="python" | "vectorized"``.  The default
 ``"vectorized"`` runs all roots through the shared frontier engine as
-batched CSR × dense-block sweeps (:meth:`FrontierKernel.identity_reach_counts
+batched sweeps, one packed root lane per root
+(:meth:`FrontierKernel.identity_reach_counts
 <repro.engine.frontier.FrontierKernel.identity_reach_counts>` and friends);
 the sampled betweenness reconstructs its shortest paths from the engine's
 parent-slot tracking mode instead of Python BFS trees.  ``"python"`` is the

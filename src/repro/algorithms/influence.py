@@ -25,8 +25,8 @@ Every function accepts ``backend="python" | "vectorized"`` (default
 ``"vectorized"``): the engine runs the citation-flipped expansions natively
 (``reverse_edges`` swaps the spatial operator stack while keeping the time
 direction), and ``top_influencers`` batches every author's earliest
-appearance into one CSR × dense-block reach-count sweep.
-``influence_tree_leaves`` reads the leaf test straight off the compiled
+appearance into one batched reach-count sweep, one packed root lane per
+author.  ``influence_tree_leaves`` reads the leaf test straight off the compiled
 stacks — a backward-reached slot is a leaf iff its spatial expansion column
 is empty (out-degree columns of the forward operators, or in-degree rows
 when following citations) and the node has no earlier active appearance

@@ -4,12 +4,14 @@ Figure 5 of the paper plots the runtime of Algorithm 1 against the number of
 static edges ``|E~|`` for a family of random evolving graphs grown by
 consecutively adding edges, and reads off linear scaling (Theorem 2).  This
 module provides the measurement loop, the linear-fit analysis that turns raw
-timings into a pass/fail statement about linearity, and a plain-text report
-writer used by EXPERIMENTS.md.
+timings into a pass/fail statement about linearity, and the plain-text report
+that ``benchmarks/bench_fig5_scaling.py`` writes.
 
-The measured times are wall-clock (``time.perf_counter``) medians over
-repeats.  Absolute values depend on the host and are *not* the reproduction
-target; the shape (linearity in ``|E~|``) is.
+The measured times are wall-clock (``time.perf_counter``): for the Figure-5
+sweep, each size's median share of an interleaved round scaled by the
+median round time; for the batch sweep, medians over repeats.  Absolute
+values depend on the host and are *not* the reproduction target; the shape
+(linearity in ``|E~|``) is.
 """
 
 from __future__ import annotations
@@ -140,9 +142,18 @@ def measure_bfs_scaling(
     bfs: Callable[[BaseEvolvingGraph, TemporalNodeTuple], object] | None = None,
     root_picker: RootPicker | None = None,
     backend: str = "python",
-    warmup: int = 0,
+    warmup: int = 1,
 ) -> ScalingResult:
     """Run the Figure-5 sweep: grow a random evolving graph and time the BFS at each size.
+
+    The graph is copied at each size as the sweep grows it, then every size
+    is searched once per round: ``warmup`` untimed rounds, then ``repeats``
+    timed ones.  Each point reports its size's median share of a timed
+    round's total, times the median total.  A host whose speed changes
+    between rounds (other tenants, frequency scaling) scales a whole round,
+    which the shares cancel, and a stall inside one round moves only that
+    round's shares, which the median drops; so the fit sees the shape of the
+    cost, not the host.
 
     Parameters
     ----------
@@ -153,7 +164,7 @@ def measure_bfs_scaling(
     edge_counts:
         Increasing static-edge targets; one measurement per target.
     repeats:
-        The reported time is the median of this many BFS runs.
+        Timed rounds (one search per size each).
     bfs:
         The search to time (default: Algorithm 1 via ``evolving_bfs`` with
         ``backend``).
@@ -166,46 +177,56 @@ def measure_bfs_scaling(
         Algorithm 1); pass ``"vectorized"`` to sweep the frontier engine.
         Ignored when an explicit ``bfs`` callable is given.
     warmup:
-        Untimed searches to run before the timed repeats at each size.  For
-        ``backend="vectorized"`` the compiled artifact is additionally built
-        once per sweep point before any timing, so warmup runs and timed
-        repeats all reuse it (steady-state service framing; the one-off
-        compile cost is reported by ``bench_engine.py``).
+        Untimed rounds before the timed ones.  For ``backend="vectorized"``
+        the compiled artifact is additionally built once per size before
+        any round, so every search reuses it (steady-state service framing;
+        the one-off compile cost is reported by ``bench_engine.py``).
     """
     if bfs is not None:
         search = bfs
     else:
+
         def search(g, r):
             return evolving_bfs(g, r, backend=backend)
-    pick_root = root_picker if root_picker is not None else _default_root
-    result = ScalingResult()
-    for target, graph in incremental_edge_sequence(
-        num_nodes, num_timestamps, list(edge_counts), seed=seed
-    ):
-        root = pick_root(graph)
-        if bfs is None and backend == "vectorized":
-            # compile once per sweep point; warmup runs and timed repeats all
-            # share the cached artifact (exact to the mutation version)
-            from repro.engine import get_compiled
 
+    pick_root = root_picker if root_picker is not None else _default_root
+    graphs = [
+        graph.copy()
+        for _, graph in incremental_edge_sequence(
+            num_nodes, num_timestamps, list(edge_counts), seed=seed
+        )
+    ]
+    roots = [pick_root(graph) for graph in graphs]
+    if bfs is None and backend == "vectorized":
+        # compile once per size; every round shares the cached artifact
+        # (exact to the mutation version)
+        from repro.engine import get_compiled
+
+        for graph in graphs:
             get_compiled(graph)
-        for _ in range(max(0, warmup)):
-            search(graph, root)
-        timings = []
-        reached_nodes = 0
-        for _ in range(max(1, repeats)):
+    untimed = max(0, warmup)
+    timed = np.zeros((max(1, repeats), len(graphs)))
+    reached_nodes = [0] * len(graphs)
+    for round_index in range(-untimed, len(timed)):
+        for k, (graph, root) in enumerate(zip(graphs, roots)):
             start = time.perf_counter()
             outcome = search(graph, root)
-            timings.append(time.perf_counter() - start)
+            if round_index >= 0:
+                timed[round_index, k] = time.perf_counter() - start
             reached = getattr(outcome, "reached", None)
-            reached_nodes = len(reached) if reached is not None else reached_nodes
+            if reached is not None:
+                reached_nodes[k] = len(reached)
+    totals = timed.sum(axis=1, keepdims=True)
+    seconds = np.median(timed / totals, axis=0) * np.median(totals)
+    result = ScalingResult()
+    for graph, point_seconds, reached_count in zip(graphs, seconds, reached_nodes):
         result.points.append(
             ScalingPoint(
                 num_static_edges=graph.num_static_edges(),
                 num_active_temporal_nodes=len(graph.active_temporal_nodes()),
                 num_causal_edges=graph.num_causal_edges(),
-                seconds=float(np.median(timings)),
-                reached_nodes=reached_nodes,
+                seconds=float(point_seconds),
+                reached_nodes=reached_count,
             )
         )
     return result

@@ -1,10 +1,10 @@
 """Descriptive statistics of evolving graphs.
 
-These summaries back the experiment reports (EXPERIMENTS.md) and the worked
-examples: how many temporal nodes are active, how the causal edge set ``E'``
-compares in size with the static edge set ``E~`` (the paper notes the number
-of causal edges per active node is bounded by the number of timestamps),
-per-snapshot edge counts, and degree statistics of the Theorem-1 expansion.
+These summaries back the worked examples (``examples/``): how many
+temporal nodes are active, how the causal edge set ``E'`` compares in size
+with the static edge set ``E~`` (the paper notes the number of causal edges
+per active node is bounded by the number of timestamps), per-snapshot edge
+counts, and degree statistics of the Theorem-1 expansion.
 """
 
 from __future__ import annotations

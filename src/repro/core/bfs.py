@@ -18,8 +18,9 @@ Backends
 Both search drivers accept ``backend="python" | "vectorized"``:
 
 * ``"vectorized"`` (default) routes the search through the shared sparse
-  frontier engine (:mod:`repro.engine`): frontiers become NumPy boolean
-  arrays advanced by one CSR sparse product per snapshot, which is much
+  frontier engine (:mod:`repro.engine`): frontiers become packed bit lanes,
+  and each BFS level is one windowed advance over the stacked snapshot
+  operators (push, pull or dense, chosen once per level), which is much
   faster than walking Python dictionaries (see
   ``benchmarks/bench_engine.py``).
 * ``"python"`` is this module's original node-at-a-time implementation,
@@ -168,14 +169,38 @@ def evolving_bfs(
     ):
         return get_kernel(graph).bfs(root)
     expand = neighbor_fn if neighbor_fn is not None else graph.forward_neighbors
-
-    reached: dict[TemporalNodeTuple, int] = {root: 0}
-    parents: dict[TemporalNodeTuple, TemporalNodeTuple] = (
-        {root: root} if track_parents else {}
+    return _level_loop(
+        root,
+        [root],
+        expand,
+        track_parents=track_parents,
+        track_frontiers=track_frontiers,
     )
-    frontiers: list[list[TemporalNodeTuple]] = [[root]] if track_frontiers else []
 
-    frontier: list[TemporalNodeTuple] = [root]
+
+def _level_loop(
+    root: TemporalNodeTuple | tuple[TemporalNodeTuple, ...],
+    sources: list[TemporalNodeTuple],
+    expand: Callable[[Hashable, Hashable], Iterable[TemporalNodeTuple]],
+    *,
+    track_parents: bool,
+    track_frontiers: bool,
+) -> BFSResult:
+    """Algorithm 1's level-synchronous loop from ``sources`` (all at distance 0).
+
+    Level ``k`` expands the frontier nodes in discovery order and records
+    every undiscovered neighbour at distance ``k``; the Figure-3 trace and
+    the parent pointers depend on that order.  ``root`` is the result's
+    ``root`` field.
+    """
+    reached: dict[TemporalNodeTuple, int] = {r: 0 for r in sources}
+    parents: dict[TemporalNodeTuple, TemporalNodeTuple] = (
+        {r: r for r in sources} if track_parents else {}
+    )
+    frontiers: list[list[TemporalNodeTuple]] = (
+        [list(sources)] if track_frontiers else []
+    )
+    frontier: list[TemporalNodeTuple] = list(sources)
     k = 1
     while frontier:
         next_frontier: list[TemporalNodeTuple] = []
@@ -237,22 +262,10 @@ def multi_source_bfs(
     ):
         return get_kernel(graph).multi_source(active_roots)
 
-    reached: dict[TemporalNodeTuple, int] = {r: 0 for r in active_roots}
-    parents: dict[TemporalNodeTuple, TemporalNodeTuple] = (
-        {r: r for r in active_roots} if track_parents else {}
+    return _level_loop(
+        tuple(active_roots),
+        active_roots,
+        expand,
+        track_parents=track_parents,
+        track_frontiers=False,
     )
-    frontier: list[TemporalNodeTuple] = list(active_roots)
-    k = 1
-    while frontier:
-        next_frontier: list[TemporalNodeTuple] = []
-        for v, t in frontier:
-            for neighbor in expand(v, t):
-                if neighbor not in reached:
-                    reached[neighbor] = k
-                    if track_parents:
-                        parents[neighbor] = (v, t)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-        k += 1
-
-    return BFSResult(root=tuple(active_roots), reached=reached, parents=parents)

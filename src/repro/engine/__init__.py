@@ -1,9 +1,10 @@
 """Unified sparse execution engine for evolving-graph searches.
 
 * :class:`~repro.engine.frontier.FrontierKernel` — frontiers as packed
-  root lanes advanced by one CSR gather per snapshot, plus the single-source
-  search, the incremental-maintenance primitives of the streaming layer and
-  the Katz series.
+  root lanes, each BFS level one windowed advance over the stacked
+  snapshot operators, plus the single-source search, the
+  incremental-maintenance primitives of the streaming layer and the Katz
+  series.
 * :class:`~repro.engine.sharded_sweep.BatchedSweeps` — the one batched
   surface: ``multi_source``, ``batch``, ``distance_blocks``, identity reach
   counts, harmonic-closeness sums, earliest arrivals, latest departures,
@@ -54,11 +55,12 @@
   ``backend`` flag shared by every search entry point.
 * :mod:`~repro.engine.bitops` — the packed sweep primitives every sweep
   family runs on: frontier/visited state stays packed as node-major root
-  lanes (one bitset of root columns per node, the MS-BFS layout), each
-  snapshot's spatial advance ORs neighbour lanes along the CSR and is fused
-  with the causal carry into one pass over the operator stack, and every
-  advance direction-optimizes push vs pull vs dense per snapshot per round
-  from lane popcounts.  Each
+  lanes (one bitset of root columns per node, the MS-BFS layout), the
+  ``T`` snapshot operators are stacked into one block-diagonal operator,
+  and each BFS level is one spatial advance over the snapshots that can
+  still change (ORing neighbour lanes along the CSR, push vs pull vs dense
+  chosen once per level from lane popcounts), then the prefix-OR causal
+  step and one fused masked update per run of open snapshots.  Each
   family has exactly one engine loop; the pure-Python Algorithm-1 functions
   (``backend="python"``) are the equivalence reference.
 """

@@ -247,12 +247,10 @@ class FrontierKernel(BatchedSweeps):
         unreachable); ``seeds`` are ``(t, v, candidate)`` improvements for
         the temporal slots whose in-neighbourhood a mutation batch changed.
         Each candidate that beats the recorded distance is applied and its
-        improvement propagated forward — the vectorized form of the
-        decrease-only relaxation in
-        :class:`repro.algorithms.incremental.IncrementalBFS`: improvements
-        are popped in increasing distance order (Dial's bucket discipline on
-        unit edges, so every slot is finalized the round it is popped) and
-        each round expands one masked frontier like a :meth:`_run` level —
+        improvement propagated forward: improvements are popped in
+        increasing distance order (Dial's bucket discipline on unit edges,
+        so every slot is finalized the round it is popped) and each round
+        expands one masked frontier like a :meth:`_run` level —
         one advance over the stacked operators, windowed to the *touched*
         snapshots, plus the prefix-OR causal step.  The sparse products (the
         dominant term) therefore track the region whose distances actually
@@ -292,12 +290,11 @@ class FrontierKernel(BatchedSweeps):
         ``dist`` is a writable forward-search distance block (``-1`` =
         unreachable) computed against an artifact with *this* kernel's axes;
         ``insertions`` are the ``(u, v, t)`` edges added since.  Edge
-        insertions only ever shorten distances, so the update is the
-        decrease-only relaxation of
-        :class:`repro.algorithms.incremental.IncrementalBFS`, batched: the
-        dirty temporal slots are the edge endpoints at their insertion times
-        plus every later active appearance of those endpoints (which may have
-        gained a causal in-edge); each seed's candidate distance is read
+        insertions only ever shorten distances, so the update is a batched
+        decrease-only relaxation: the dirty temporal slots are the edge
+        endpoints at their insertion times plus every later active
+        appearance of those endpoints (which may have gained a causal
+        in-edge); each seed's candidate distance is read
         straight off the compiled stacks (spatial in-neighbours are one CSR
         row slice, causal predecessors one masked column prefix-minimum), and
         :meth:`decrease_only_resweep` propagates the improvements.  The

@@ -13,18 +13,19 @@ server answers them with far less kernel work than one sweep per query:
    still being computed attach to the same pending computation.
 3. **micro-batch coalescing** — queries that arrived within one batching
    window and share a :meth:`~repro.algorithms.queries.Query.sweep_key` are
-   executed as *one* ``(T, N, R)`` block sweep (roots become columns of the
-   CSR × dense-block products; see :mod:`repro.serving.coalesce`), and the
-   per-query answers are scattered back to their futures.
+   executed as *one* ``(T, N, R)`` block sweep (roots become the packed
+   root lanes of one level-at-a-time sweep; see
+   :mod:`repro.serving.coalesce`), and the per-query answers are scattered
+   back to their futures.
 4. **single-writer mutations** — :meth:`mutate` enqueues an edge batch that
    the dispatcher applies *between* micro-batches: the graph is edited, the
-   compiled artifact is refreshed through the PR-4 delta path
+   compiled artifact is delta-recompiled
    (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile` — only
    touched snapshots rebuild), and every cache entry whose version no longer
    matches is either **warm-start refreshed** or invalidated.  Queries
    therefore always execute against a consistent ``(graph, artifact)`` pair.
 
-Overload robustness (this PR) adds three mechanisms on the admission side:
+Overload robustness adds three mechanisms on the admission side:
 
 * **admission control** — ``max_pending`` bounds the submission queue; the
   ``admission`` policy decides what happens at the bound: ``"reject"``
@@ -872,8 +873,8 @@ class QueryServer:
             before = self._graph.mutation_version
             for u, v, t in removals:
                 self._graph.remove_edge(u, v, t)
-            if batch:
-                self._graph.add_edges_from(batch)
+            for u, v, t in batch:
+                self._graph.add_edge(u, v, t)
             # refresh the artifact through the delta path so the next
             # micro-batch pays nothing; snapshots the batch did not touch are
             # shared with the previous artifact

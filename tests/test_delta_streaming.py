@@ -852,6 +852,19 @@ class TestApplyRule:
         assert calls["_run"] == []
         assert inc.distances == evolving_bfs(graph, (0, 0), backend="python").reached
 
+    @pytest.mark.parametrize(
+        "insertion", [(2, 9, 1), (4, 1, 3)], ids=["new-label", "new-snapshot"]
+    )
+    def test_insertion_batch_that_grows_the_axes_resyncs(self, monkeypatch, insertion):
+        """A pure-insertion batch that adds a node label or a snapshot re-sweeps."""
+        graph = _rule_graph()
+        inc = IncrementalBFS(graph, (0, 0), backend="vectorized")
+        calls = {name: _spy(monkeypatch, owner, name) for owner, name in SPIED}
+        assert inc.apply(insertions=[insertion]) == (1, 0)
+        assert len(calls["_run"]) == 1
+        assert calls["patch_distance_block"] == []
+        assert inc.distances == evolving_bfs(graph, (0, 0), backend="python").reached
+
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", sorted(ROOT_CASES))
     def test_root_and_universe_changes_match_oracle(self, backend, case):

@@ -219,4 +219,4 @@ class TestScalingHarness:
             return evolving_bfs(graph, root)
 
         measure_bfs_scaling(80, 3, [100, 150], seed=0, repeats=1, bfs=fake_bfs)
-        assert len(calls) == 2
+        assert len(calls) == 4  # a warm-up round and a timed round, two sizes each
