@@ -6,7 +6,10 @@ a Xeon E7-8850, observing linear scaling.  This harness repeats the same
 construction at laptop scale (default ~2e4–1e5 edges; scale up with
 ``REPRO_BENCH_SCALE``), times Algorithm 1 at each size, fits a line, and
 checks the *shape* claim: runtime grows linearly in the static edge count
-(R² of the linear fit, bounded spread of time-per-edge).
+(R² of the linear fit, bounded spread of time-per-edge).  Beside the timed
+fit it counts, from one untimed search per size, the neighbours Algorithm 1
+examines: exactly the static and causal out-edges of the region it
+reaches, at most ``|E~| + |E'|`` (Theorem 2), whatever the host's load.
 
 Run with::
 
@@ -22,11 +25,14 @@ under exactly that co-run).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis import format_scaling_report, measure_bfs_scaling
+from repro.analysis.scaling import _default_root
 from repro.core import evolving_bfs
-from repro.generators import random_evolving_graph
+from repro.generators import incremental_edge_sequence, random_evolving_graph
 
 from .conftest import scaled, write_report
 
@@ -48,7 +54,48 @@ def scaling_result():
         NUM_NODES, NUM_TIMESTAMPS, EDGE_TARGETS, seed=2016, repeats=8)
 
 
-def test_figure5_report(scaling_result, report_dir, benchmark):
+@pytest.fixture(scope="module")
+def search_work():
+    """One untimed search's work count per size, on the timed sweep's graphs
+    and roots: what Algorithm 1 expanded and examined, against the static
+    and causal out-edges of the region it reached."""
+    rows = []
+    for _, graph in incremental_edge_sequence(
+        NUM_NODES, NUM_TIMESTAMPS, EDGE_TARGETS, seed=2016
+    ):
+        expanded: Counter = Counter()
+        examined = 0
+
+        def counting_neighbors(node, time, graph=graph):
+            nonlocal examined
+            expanded[node, time] += 1
+            neighbors = graph.forward_neighbors(node, time)
+            examined += len(neighbors)
+            return neighbors
+
+        root = _default_root(graph)
+        reached = evolving_bfs(
+            graph, root, backend="python", neighbor_fn=counting_neighbors
+        ).reached
+        static = sum(
+            1 for u, v, t in graph.temporal_edges() if u != v and (u, t) in reached
+        )
+        causal = sum(len(graph.causal_out_times(v, t)) for v, t in reached)
+        rows.append(
+            {
+                "static_edges": graph.num_static_edges(),
+                "causal_edges": graph.num_causal_edges(),
+                "reached": len(reached),
+                "each_reached_expanded_once": expanded.keys() == reached.keys()
+                and set(expanded.values()) == {1},
+                "examined": examined,
+                "region_edges": static + causal,
+            }
+        )
+    return rows
+
+
+def test_figure5_report(scaling_result, search_work, report_dir, benchmark):
     """Regenerate the Figure-5 series (|E~| vs time) and check linearity."""
     fit = benchmark.pedantic(scaling_result.linear_fit, rounds=1, iterations=1)
     lines = [
@@ -64,11 +111,29 @@ def test_figure5_report(scaling_result, report_dir, benchmark):
         f"linearity verdict: R²={fit.r_squared:.4f}, "
         f"time-per-edge spread={max(scaling_result.time_per_edge()) / min(scaling_result.time_per_edge()):.2f}x, "
         f"is_linear={scaling_result.is_linear()}",
+        "",
+        "work count (one untimed search per size), at most |E~| + |E'| (Theorem 2):",
+        "      |E~|    |E~|+|E'|   examined    reached",
     ]
+    for row in search_work:
+        bound = row["static_edges"] + row["causal_edges"]
+        lines.append(
+            f"{row['static_edges']:>10} {bound:>12} "
+            f"{row['examined']:>10} {row['reached']:>10}"
+        )
     write_report(report_dir, "figure5_scaling.txt", lines)
     assert scaling_result.is_linear(), (
         "Algorithm 1 runtime did not scale linearly with |E~| — "
         + format_scaling_report(scaling_result))
+
+
+def test_algorithm1_examines_each_reached_edge_once(search_work):
+    """Every reached temporal node is expanded once, so the neighbours
+    examined are the reached region's out-edges, within Theorem 2's bound."""
+    for row in search_work:
+        assert row["each_reached_expanded_once"]
+        assert row["examined"] == row["region_edges"]
+        assert row["examined"] <= row["static_edges"] + row["causal_edges"]
 
 
 def test_slope_positive_and_intercept_small(scaling_result):

@@ -33,7 +33,7 @@ from repro.algorithms.dynamic_walks import (
     count_dynamic_walks,
     receive_centrality,
 )
-from repro.algorithms.incremental import IncrementalBFS
+from repro.algorithms.incremental import IncrementalBFS, IncrementalEarliestArrival
 from repro.algorithms.influence import (
     community_of,
     influence_set,
@@ -121,6 +121,7 @@ __all__ = [
     "aggregate_pagerank",
     # incremental maintenance
     "IncrementalBFS",
+    "IncrementalEarliestArrival",
     # Section V citation mining
     "influence_set",
     "influencer_set",

@@ -27,7 +27,11 @@ instead of Python dictionaries:
   reach and every mask (:func:`~repro.engine.bitops.fused_update`);
 * a temporal node is newly reached at level ``k`` when a bit lands on a
   slot outside the visited lanes; only the snapshots holding such bits are
-  unpacked to write the ``(T, N, R)`` int32 distance block.
+  unpacked to write the ``(T, N, R)`` int32 distance block.  A reach
+  readout, which asks only *which node identities* a search reaches, keeps
+  one ``(1, N, R)`` first level per identity instead: the level's new lanes
+  are ORed over time into one plane, the identities already seen are
+  dropped, and only the rest are unpacked and written.
 
 The kernel executes over a shared
 :class:`~repro.graph.compiled.CompiledTemporalGraph` (pass either the
@@ -95,13 +99,14 @@ def _write_level(dist: np.ndarray, lanes: np.ndarray, level: int) -> None:
     """Write ``level`` into a ``(W, N, R)`` distance window at the new bits of
     its ``(W, N, L)`` lanes.
 
-    Every new bit still holds the -1 sentinel (bits enter visited exactly
-    once), so the write is a branch-free blend, ``dist += (level + 1) *
-    bits``.  When fewer than a quarter of the window's slots gained bits —
-    the tiny-frontier levels of deep sweeps, where unpacking the whole
-    window would cost more than the level's advance — it runs over just
-    those slots' rows; otherwise over each run of snapshots holding new
-    bits, so a snapshot that gained none is never unpacked.
+    Every new bit still holds the -1 sentinel (a slot's bit enters visited
+    exactly once, and so does an identity's bit in a per-identity sweep),
+    so the write is a branch-free blend, ``dist += (level + 1) * bits``.
+    When fewer than a quarter of the window's slots gained bits — the
+    tiny-frontier levels of deep sweeps, where unpacking the whole window
+    would cost more than the level's advance — it runs over just those
+    slots' rows; otherwise over each run of snapshots holding new bits, so
+    a snapshot that gained none is never unpacked.
     """
     r = dist.shape[-1]
     flat = lanes.reshape(-1, lanes.shape[-1])
@@ -742,8 +747,15 @@ class FrontierKernel(BatchedSweeps):
         *,
         reverse_edges: bool = False,
         boundary: BoundaryBlock | None = None,
+        per_identity: bool = False,
     ) -> np.ndarray:
-        """Level-synchronous expansion of ``R`` seed sets; ``(T, N, R)`` distances.
+        """Level-synchronous expansion of ``R`` seed sets; an int32 level block.
+
+        The block is ``(T, N, R)``: each temporal node's distance per root
+        column, ``-1`` where unreached.  With ``per_identity`` it is
+        ``(1, N, R)``: each node *identity's* first level, the minimum of
+        its slots' distances — all that identity-reach readouts and the
+        shard hand-off read, in 1/T of the memory.
 
         The one sweep loop of the BFS family.  Frontier and visited state
         stay packed as ``(T, N, L)`` root lanes across rounds, and each level
@@ -762,7 +774,10 @@ class FrontierKernel(BatchedSweeps):
         * :func:`~repro.engine.bitops.fused_update` over the snapshots that
           can gain bits — open and fed by a frontier or carry bit — once per
           run of them (one run, unless a saturated snapshot sits between
-          two), and one distance write over the snapshots that did.
+          two), and one level write over the snapshots that did.  With
+          ``per_identity`` the write first ORs their new lanes into one
+          ``(N, L)`` plane and drops the identities an earlier level (or a
+          seed) already reached, so each identity is written once.
 
         ``boundary`` is the state earlier time shards reached (a
         :class:`~repro.engine.sharded_sweep.BoundaryBlock`; ``None`` or an
@@ -779,11 +794,17 @@ class FrontierKernel(BatchedSweeps):
         active_mask = self.compiled.active_mask
         t_count, n = active_mask.shape
         r = len(seeds_per_column)
-        dist = np.full((t_count, n, r), -1, dtype=np.int32)
+        dist = np.full((1 if per_identity else t_count, n, r), -1, dtype=np.int32)
         frontier = bitops.seed_lanes((t_count, n), seeds_per_column)
         for col, seeds in enumerate(seeds_per_column):
             for ti, vi in seeds:
-                dist[ti, vi, col] = 0
+                dist[0 if per_identity else ti, vi, col] = 0
+        if per_identity:
+            # the identities no level has reached yet (all but the seeds'),
+            # and the plane one level's new identities are gathered into
+            unseen = bitops.lane_mask(np.ones(n, dtype=bool), r)
+            unseen ^= np.bitwise_or.reduce(frontier, axis=0)
+            new_ids = np.empty_like(unseen)
         visited = frontier.copy()
         active = bitops.lane_mask(active_mask, r)
         # spatial expansion: forward time follows out-edges (the forward
@@ -865,7 +886,13 @@ class FrontierKernel(BatchedSweeps):
             alive = bool(gained.any())
             if alive:
                 a, b = bitops.span(gained)
-                _write_level(dist[lo + a : lo + b], fresh[lo + a : lo + b], level)
+                if per_identity:
+                    np.bitwise_or.reduce(fresh[lo + a : lo + b], axis=0, out=new_ids)
+                    new_ids &= unseen
+                    unseen ^= new_ids
+                    _write_level(dist, new_ids[None], level)
+                else:
+                    _write_level(dist[lo + a : lo + b], fresh[lo + a : lo + b], level)
             frontier = fresh
         return dist
 

@@ -255,7 +255,12 @@ def _harmonic_accumulate(rows: np.ndarray) -> np.ndarray:
 
 
 def _reduce_block(kind: str, block: np.ndarray, global_start: int) -> object:
-    """Collapse a shard's ``(T_i, N, R)`` block to the partial a readout needs."""
+    """Collapse a shard's level block to the partial a readout needs.
+
+    The block is ``(T_i, N, R)``, except for ``"reach"``, whose sweep
+    writes one ``(1, N, R)`` level per node identity; the reach partial is
+    the same ``any`` over time on either shape.
+    """
     if kind == "block":
         return block
     if kind == "reach":
@@ -326,9 +331,10 @@ def _zero_one_spec(spatial_cost: int, causal_cost: int) -> tuple:
 def _handoff(block: np.ndarray, boundary: BoundaryBlock) -> BoundaryBlock:
     """The outgoing boundary: the incoming one merged with a shard's minima.
 
-    ``block`` is the shard's ``(T_i, N, R)`` level block (``-1`` = none);
-    its per-node minimum over the shard's snapshots is the only part of it
-    a later shard needs.
+    ``block`` is the shard's ``(T_i, N, R)`` level block, or its
+    ``(1, N, R)`` per-identity block (``-1`` = none); its per-node minimum
+    over time is the only part of it a later shard needs, and a
+    per-identity block already holds it.
     """
     shard_min = np.where(block >= 0, block, _FAR).min(axis=0)  # (N, R)
     return boundary.merged_with(shard_min)
@@ -342,18 +348,22 @@ def _bfs_shard_sweep(
     forward: bool,
     reverse_edges: bool,
     handoff: bool = True,
+    per_identity: bool = False,
 ) -> tuple[np.ndarray, BoundaryBlock | None]:
-    """One shard's slice of a BFS sweep; ``((T_i, N, R) dist, boundary out)``.
+    """One shard's slice of a BFS sweep; ``(level block, boundary out)``.
 
     :meth:`FrontierKernel._run` over the shard's own snapshots, started
-    from ``boundary``; the outgoing boundary is ``None`` without ``handoff``
-    (the last shard of a chain).
+    from ``boundary``: the block is ``(T_i, N, R)`` per-slot distances, or
+    with ``per_identity`` the ``(1, N, R)`` first level of each node
+    identity in the shard (the reach readout's need).  The outgoing
+    boundary is ``None`` without ``handoff`` (the last shard of a chain).
     """
     block = kernel._run(
         seeds_per_column,
         "forward" if forward else "backward",
         reverse_edges=reverse_edges,
         boundary=boundary,
+        per_identity=per_identity,
     )
     return block, _handoff(block, boundary) if handoff else None
 
@@ -403,6 +413,7 @@ def _run_shard_task(
             forward=spec[1],
             reverse_edges=spec[2],
             handoff=handoff,
+            per_identity=kind == "reach",
         )
     else:
         block = LabelKernel(kernel)._zero_one_run(
@@ -689,9 +700,10 @@ class BatchedSweeps:
 
         Equals ``len({v for (v, t) in reached} - {root_node})`` of the
         per-root Python BFS, computed without ever materializing the reached
-        dictionaries: each shard collapses its block over time to an
-        ``(N, R)`` identity-hit mask, the chain ORs them and the counts are
-        read off in one reduction.  Powers
+        dictionaries: each shard's sweep writes one first level per node
+        identity (a ``(1, N, R)`` block, not ``(T_i, N, R)``), which reduces
+        to an ``(N, R)`` identity-hit mask; the chain ORs the masks and the
+        counts are read off in one reduction.  Powers
         :func:`repro.algorithms.centrality.temporal_out_reach`,
         ``temporal_in_reach`` and ``top_influencers``.
         """

@@ -40,6 +40,13 @@ class TestBasics:
         inc = IncrementalBFS(figure1, (1, "t1"))
         assert inc.distances == evolving_bfs(figure1, (1, "t1")).reached
 
+    def test_package_exports_both_incremental_classes(self):
+        import repro.algorithms
+        from repro.algorithms import IncrementalEarliestArrival, incremental
+
+        assert IncrementalEarliestArrival is incremental.IncrementalEarliestArrival
+        assert "IncrementalEarliestArrival" in repro.algorithms.__all__
+
     def test_as_result_snapshot(self):
         g = AdjacencyListEvolvingGraph([(0, 1, 0)])
         inc = IncrementalBFS(g, (0, 0))

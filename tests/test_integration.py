@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import datasets
@@ -18,6 +20,7 @@ from repro.analysis import (
     compute_stats,
     measure_bfs_scaling,
 )
+from repro.analysis.scaling import _default_root
 from repro.core import (
     count_temporal_paths,
     count_temporal_paths_exhaustive,
@@ -26,6 +29,7 @@ from repro.core import (
     temporal_distance,
 )
 from repro.generators import (
+    incremental_edge_sequence,
     preferential_attachment_evolving,
     random_evolving_graph,
     sliding_window_communication,
@@ -163,6 +167,41 @@ class TestScalingWorkflow:
         fit = result.linear_fit()
         assert fit.slope > 0
         assert fit.r_squared > 0.5  # noisy at tiny scale; the benchmark uses larger sweeps
+
+    def test_algorithm1_examines_each_reached_edge_once(self):
+        """Theorem 2's linear cost as a work count, on the sweep above.
+
+        Algorithm 1 expands each temporal node it reaches exactly once, so
+        the neighbours it examines are the static and causal out-edges of
+        the reached region, at most ``|E~| + |E'|``.  Unlike the timed fit,
+        this holds exactly whatever the host's load.
+        """
+        sizes = [2000, 4000, 6000, 8000]
+        for _, graph in incremental_edge_sequence(400, 6, sizes, seed=0):
+            expanded: Counter = Counter()
+            examined = 0
+
+            def counting_neighbors(node, time, graph=graph):
+                nonlocal examined
+                expanded[node, time] += 1
+                neighbors = graph.forward_neighbors(node, time)
+                examined += len(neighbors)
+                return neighbors
+
+            reached = evolving_bfs(
+                graph,
+                _default_root(graph),
+                backend="python",
+                neighbor_fn=counting_neighbors,
+            ).reached
+            assert expanded.keys() == reached.keys()
+            assert set(expanded.values()) == {1}
+            static = sum(
+                1 for u, v, t in graph.temporal_edges() if u != v and (u, t) in reached
+            )
+            causal = sum(len(graph.causal_out_times(v, t)) for v, t in reached)
+            assert examined == static + causal
+            assert examined <= graph.num_static_edges() + graph.num_causal_edges()
 
     def test_batch_bfs_over_many_roots(self, medium_random_graph):
         roots = medium_random_graph.active_temporal_nodes()[:10]

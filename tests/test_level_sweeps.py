@@ -19,7 +19,10 @@ logic branches on, each under every advance branch forced through
   ``reverse_edges``, through ``_run``, ``_zero_one_run`` and
   ``decrease_only_resweep``;
 * ``_run`` leaves a saturated snapshot inside the window out of the
-  advance's frontier and out of the masked update.
+  advance's frontier and out of the masked update;
+* a reach sweep (``_run(..., per_identity=True)``) writes one ``(1, N, R)``
+  first level per node identity, equal to the per-slot block's minimum
+  over time, and only the reach readout asks for it.
 
 The cases that cross time shards (levels fed only by boundary lanes, and
 store-backed shards) live in ``tests/test_sharded.py``, so that the CI
@@ -31,9 +34,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import backward_bfs, evolving_bfs
 from repro.engine import FrontierKernel, bitops
+from repro.engine.sharded_sweep import _FAR, BoundaryBlock
 from repro.graph import AdjacencyListEvolvingGraph
 from tests.test_delta_streaming import assert_same_buffers
 from tests.test_labels_vectorized import _flipped, _zero_one_dijkstra
@@ -159,9 +165,13 @@ def test_run_matches_oracle_across_windows(thresholds, direction, reverse_edges)
             root: kernel.bfs(root, direction=direction, reverse_edges=reverse_edges)
             for root in WINDOW_ROOTS
         }
+        counts = kernel.identity_reach_counts(
+            WINDOW_ROOTS, direction=direction, reverse_edges=reverse_edges
+        )
     for col, root in enumerate(chunk):
         assert kernel._reached_view(dist, col) == expected[root]
         assert singles[root].reached == expected[root]
+        assert counts[root] == len({v for v, _ in expected[root]} - {root[0]})
 
 
 @pytest.mark.parametrize("thresholds", THRESHOLDS)
@@ -224,3 +234,103 @@ def test_run_skips_saturated_snapshots_inside_the_window(monkeypatch):
     assert advanced and updated
     assert not any(closed.any() for closed in advanced)
     assert all(open_.all() for open_ in updated)
+
+
+# --------------------------------------------------------------------------- #
+# per-identity reach sweeps                                                    #
+# --------------------------------------------------------------------------- #
+
+
+@st.composite
+def _identity_sweeps(draw):
+    """A random graph's kernel, seeds and incoming boundary.
+
+    Every root sits in the first or in the last snapshot (each its own
+    column), and one more column has no seed, so only the boundary, when
+    there is one, can feed it.  The boundary holds random minimal levels
+    for a random subset of the node identities.
+    """
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 9), st.integers(0, 5)
+            ).filter(lambda e: e[0] != e[1]),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    graph = AdjacencyListEvolvingGraph(edges, directed=draw(st.booleans()))
+    kernel = FrontierKernel(graph)
+    active = kernel.compiled.active_mask
+    t_count, n = active.shape
+    ti = draw(st.sampled_from([0, t_count - 1]))
+    seeds = [[(ti, vi)] for vi in np.flatnonzero(active[ti]).tolist()] + [[]]
+    boundary = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = (n, len(seeds))
+        levels = rng.integers(0, 4, size=shape, dtype=np.int32)
+        boundary = BoundaryBlock.from_min_levels(
+            np.where(rng.random(shape) < 0.3, levels, _FAR)
+        )
+    return kernel, seeds, boundary
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _identity_sweeps(),
+    st.sampled_from(["forward", "backward"]),
+    st.booleans(),
+    st.sampled_from(THRESHOLDS),
+)
+def test_per_identity_block_is_the_per_slot_minimum(
+    sweep, direction, reverse_edges, thresholds
+):
+    """Each identity's first level, ``-1`` where no slot of it is reached."""
+    kernel, seeds, boundary = sweep
+    with bitops.sweep_thresholds(*thresholds):
+        per_slot = kernel._run(
+            seeds, direction, reverse_edges=reverse_edges, boundary=boundary
+        )
+        per_identity = kernel._run(
+            seeds,
+            direction,
+            reverse_edges=reverse_edges,
+            boundary=boundary,
+            per_identity=True,
+        )
+    assert per_identity.dtype == np.int32
+    assert per_identity.shape == (1, *per_slot.shape[1:])
+    first = np.where(per_slot >= 0, per_slot, _FAR).min(axis=0)
+    expected = np.where(first < _FAR, first, -1)
+    np.testing.assert_array_equal(per_identity[0], expected)
+
+
+READOUTS = {
+    "reach": lambda kernel, roots: kernel.identity_reach_counts(roots),
+    "block": lambda kernel, roots: kernel.batch(roots),
+    "harmonic": lambda kernel, roots: kernel.harmonic_closeness_sums(roots),
+    "first": lambda kernel, roots: kernel.earliest_arrivals(roots),
+    "last": lambda kernel, roots: kernel.latest_departures(roots),
+}
+
+
+@pytest.mark.parametrize("readout", sorted(READOUTS))
+def test_only_reach_sweeps_write_one_level_per_identity(monkeypatch, readout):
+    """A reach sweep's block is ``(1, N, R)``; every other readout keeps
+    the per-slot ``(T, N, R)`` block."""
+    kernel = FrontierKernel(_window_graph())
+    t_count, n = kernel.compiled.active_mask.shape
+    shapes = []
+    run = FrontierKernel._run
+
+    def recording_run(self, *args, **kwargs):
+        block = run(self, *args, **kwargs)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(FrontierKernel, "_run", recording_run)
+    READOUTS[readout](kernel, WINDOW_ROOTS)
+    width = len(WINDOW_ROOTS)
+    assert t_count > 1
+    assert shapes == [(1 if readout == "reach" else t_count, n, width)]

@@ -50,7 +50,15 @@ from repro.engine import (
     get_kernel,
     invalidate_kernel,
 )
-from repro.engine.sharded_sweep import BoundaryBlock, ShardedSweepDriver, _FAR
+from repro.engine.sharded_sweep import (
+    _FAR,
+    BoundaryBlock,
+    ShardedSweepDriver,
+    _bfs_shard_sweep,
+    _bfs_spec,
+    _reduce_block,
+    _run_shard_task,
+)
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
 from repro.graph.sharded import compute_shard_layout, operator_stack_bytes
@@ -887,6 +895,74 @@ def test_level_loops_match_oracles_on_env_driven_shards():
     with _env_driver(graph, chunk_size=8) as driver:
         _assert_relay_sweeps_match_oracles(driver, graph)
         _assert_env_backend_ran(driver)
+
+
+# --------------------------------------------------------------------------- #
+# reach sweeps: one first level per node identity                              #
+# --------------------------------------------------------------------------- #
+
+@SHARD_SETTINGS
+@given(graphs_with_roots(), st.sampled_from(["forward", "backward"]), st.booleans())
+def test_reach_shard_task_matches_the_reduced_per_slot_block(
+    graph_root, direction, reverse_edges
+):
+    """Along every chain, a reach task's partial and outgoing boundary equal
+    those reduced from the per-slot block, from the incoming boundary the
+    chain's earlier shards handed on."""
+    graph, _ = graph_root
+    roots = graph.active_temporal_nodes()[:6]
+    spec = _bfs_spec(direction, reverse_edges)
+    for sharded in _shardings(get_compiled(graph)):
+        driver = ShardedSweepDriver(sharded)
+        seeds_by_shard, boundary = driver._plan(
+            [[driver._seed_index(root)] for root in roots]
+        )
+        for shard_index in driver._chain(spec):
+            kernel = driver._kernel(shard_index)
+            start = sharded.boundaries[shard_index][0]
+            seeds = seeds_by_shard[shard_index]
+            block, expected_out = _bfs_shard_sweep(
+                kernel, seeds, boundary, forward=spec[1], reverse_edges=spec[2]
+            )
+            partial, boundary_out = _run_shard_task(
+                kernel, spec, "reach", seeds, boundary, start
+            )
+            assert np.array_equal(partial, _reduce_block("reach", block, start))
+            assert boundary_out == expected_out
+            boundary = expected_out
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graphs_with_roots())
+def test_identity_reach_counts_match_kernel_across_shard_counts(graph_root):
+    """Serial drivers over every layout, and the env-driven driver, count
+    what the monolithic kernel counts, both directions, edges either way."""
+    graph, _ = graph_root
+    kernel = get_kernel(graph)
+    roots = graph.active_temporal_nodes()[:8]
+    cases = [
+        (direction, reverse_edges)
+        for direction in ("forward", "backward")
+        for reverse_edges in (False, True)
+    ]
+    expected = {
+        case: kernel.identity_reach_counts(
+            roots, direction=case[0], reverse_edges=case[1]
+        )
+        for case in cases
+    }
+    drivers = [
+        ShardedSweepDriver(sharded, chunk_size=3)
+        for sharded in _shardings(get_compiled(graph))
+    ]
+    with _env_driver(graph, chunk_size=3) as env_driver:
+        for driver in [*drivers, env_driver]:
+            for direction, reverse_edges in cases:
+                got = driver.identity_reach_counts(
+                    roots, direction=direction, reverse_edges=reverse_edges
+                )
+                assert got == expected[direction, reverse_edges]
+        _assert_env_backend_ran(env_driver)
 
 
 # --------------------------------------------------------------------------- #
