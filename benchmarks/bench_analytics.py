@@ -25,8 +25,6 @@ Run with::
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.algorithms.centrality import temporal_out_reach
@@ -34,7 +32,13 @@ from repro.algorithms.components import weak_temporal_components
 from repro.algorithms.influence import influence_set
 from repro.generators import random_evolving_graph
 
-from .conftest import SCALE, median_seconds, scaled, write_json_report, write_report
+from .conftest import (
+    SCALE,
+    alternating_speedup,
+    scaled,
+    write_json_report,
+    write_report,
+)
 
 NUM_TIMESTAMPS = 10
 
@@ -59,23 +63,22 @@ def _first_active_root(graph):
 
 
 def _sweep_workload(num_nodes, edge_targets, python_fn, vectorized_fn):
-    """Time python vs vectorized per sweep size; returns the point dicts."""
+    """Time python vs vectorized per sweep size; returns the point dicts.
+
+    Each point's speed-up is the median of alternating rounds
+    (:func:`alternating_speedup`).
+    """
     points = []
     for num_edges in edge_targets:
         graph = random_evolving_graph(
             num_nodes, NUM_TIMESTAMPS, num_edges, seed=2016)
-        # the python oracle dominates the cost: run it exactly once, timed,
-        # and reuse that result for the correctness cross-check
-        start = time.perf_counter()
-        python_result = python_fn(graph)
-        python_s = time.perf_counter() - start
-        vectorized_s = median_seconds(lambda: vectorized_fn(graph))
-        assert python_result == vectorized_fn(graph)  # oracle cross-check
+        # the oracle cross-check is each side's untimed warm-up
+        assert python_fn(graph) == vectorized_fn(graph)
         points.append({
             "edges": graph.num_static_edges(),
-            "python_s": python_s,
-            "vectorized_s": vectorized_s,
-            "speedup": python_s / max(vectorized_s, 1e-12),
+            **alternating_speedup(
+                lambda: python_fn(graph), lambda: vectorized_fn(graph)
+            ),
         })
     return points
 

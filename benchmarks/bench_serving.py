@@ -27,20 +27,17 @@ least 3x the naive pipeline's at the largest sweep size** — in quick/CI mode
 too (coalescing gains grow with size, so the largest quick-mode point is the
 conservative one).
 
-Two ISSUE-9 phases ride the same module:
+The served pipeline crosses every mutation the way the server always
+does: the writer prunes the cache and runs no sweep, and each burst's
+repeats of a pruned answer ride that burst's coalesced sweep.
+
+A second phase rides the same module:
 
 * **overload** — a burst far larger than the admission bound is fired at a
   ``shed-oldest`` server with a mix of deadlines: the phase demonstrates
   (and asserts) that the submission queue stays bounded at ``max_pending``
   while the overflow is shed or expired *before* spending sweep columns,
-  with the wait/service latency histograms quantifying the survivors' cost;
-* **warm_start** — the same insertion-only mutation + re-serve trace through
-  a ``warm_start=True`` server (cached frontier entries refreshed by one
-  packed re-sweep of their roots at each mutation) and a
-  ``warm_start=False`` one (exact pruning + recomputation).  Answers must
-  match 1:1 — refreshed entries are bit-identical to fresh ones — at least
-  half the reusable entries must survive each mutation, and the re-serve
-  speedup is gated like every other workload.
+  with the wait/service latency histograms quantifying the survivors' cost.
 
 Results go to ``benchmark_reports/serving_ablation.json`` (CI uploads it and
 gates on it via ``check_regressions.py``) plus plain-text twins.
@@ -82,17 +79,6 @@ EDGE_SWEEP = [scaled(20_000), scaled(40_000), scaled(80_000)]
 #: deadline so the expiry path shows up alongside the shedding path.
 OVERLOAD_QUERIES = 400
 MAX_PENDING = 32
-
-#: Warm-start phase (ISSUE 9): re-serve this many frontier-family entries
-#: across insertion-only mutation batches, refreshed vs pruned.
-WARM_QUERY_ROOTS = 24
-WARM_MUTATION_BATCHES = 3
-WARM_BATCH_EDGES = 40
-
-#: The warm-start acceptance bar: at least this fraction of the reusable
-#: (forward frontier) cache entries must survive each pure-insertion
-#: mutation via the refresh instead of being pruned.
-WARM_RETAINED_FLOOR = 0.5
 
 #: Traffic shape: bursts of queries over a Zipf-skewed root set, each burst
 #: replayed REPEATS_PER_BURST times at its version (skewed traffic repeats —
@@ -286,98 +272,12 @@ def _overload_point(num_edges):
     }
 
 
-def _warm_trace(graph, rng):
-    """Forward frontier-family queries + insertion-only in-universe batches."""
-    roots = graph.active_temporal_nodes()[:WARM_QUERY_ROOTS]
-    target = roots[-1]
-    queries = []
-    for i, root in enumerate(roots):
-        if i % 3 == 0:
-            queries.append(BFSQuery(root=root))
-        elif i % 3 == 1:
-            queries.append(EarliestArrivalQuery(source=root))
-        else:
-            queries.append(ReachabilityQuery(root=root, target=target))
-
-    nodes = sorted(graph.nodes())
-    times = list(graph.timestamps)
-    existing = {(u, v, t) for u, v, t in graph.temporal_edges_unordered()}
-    batches = []
-    for _ in range(WARM_MUTATION_BATCHES):
-        batch = []
-        while len(batch) < WARM_BATCH_EDGES:
-            u, v = (int(x) for x in rng.choice(len(nodes), size=2, replace=False))
-            t = times[int(rng.integers(len(times)))]
-            edge = (nodes[u], nodes[v], t)
-            if edge not in existing:
-                existing.add(edge)
-                batch.append(edge)
-        batches.append(batch)
-    return queries, batches
-
-
-def _replay_warm(graph, queries, batches, warm_start):
-    """Timed mutate + re-serve rounds; the cache starts hot (untimed)."""
-    get_compiled(graph)
-    answers = []
-    with QueryServer(
-        graph,
-        window_s=0.005,
-        max_batch=4 * len(queries),
-        warm_start=warm_start,
-    ) as server:
-        server.query_many(queries, timeout=300)  # populate the cache, untimed
-        server.join()
-        start = time.perf_counter()
-        for batch in batches:
-            server.mutate(batch).result(timeout=300)
-            answers.append(server.query_many(queries, timeout=300))
-        elapsed = time.perf_counter() - start
-        stats = server.stats_snapshot()
-    return elapsed, answers, stats
-
-
-def _warm_start_point(num_edges):
-    """Refreshed vs pruned re-serving over identical insertion-only traces."""
-    rng = np.random.default_rng(916)
-    warm_graph = random_evolving_graph(NUM_NODES, NUM_TIMESTAMPS, num_edges, seed=916)
-    pruned_graph = warm_graph.copy()
-    queries, batches = _warm_trace(warm_graph, rng)
-
-    warm_s, warm_answers, warm_stats = _replay_warm(warm_graph, queries, batches, True)
-    pruned_s, pruned_answers, pruned_stats = _replay_warm(
-        pruned_graph, queries, batches, False
-    )
-
-    # the pruned replay recomputes every entry fresh at each version, so
-    # equality here is the bit-identity claim for refreshed entries
-    assert warm_answers == pruned_answers
-
-    reconciled = warm_stats["entries_patched"] + warm_stats["entries_invalidated"]
-    return {
-        "edges": warm_graph.num_static_edges(),
-        "num_queries": len(queries),
-        "mutation_batches": len(batches),
-        "warm_s": warm_s,
-        "pruned_s": pruned_s,
-        "speedup": pruned_s / max(warm_s, 1e-12),
-        "entries_patched": warm_stats["entries_patched"],
-        "entries_invalidated": warm_stats["entries_invalidated"],
-        "retained_fraction": warm_stats["entries_patched"] / max(1, reconciled),
-        "warm_cache_hits": warm_stats["cache_hits"],
-        "pruned_cache_hits": pruned_stats["cache_hits"],
-        "warm_sweep_columns": warm_stats["sweep_columns"],
-        "pruned_sweep_columns": pruned_stats["sweep_columns"],
-    }
-
-
 @pytest.fixture(scope="module")
 def ablation():
-    """All three serving phases: traffic replay, overload burst, warm-start."""
+    """Both serving phases: traffic replay and overload burst."""
     return {
         "traffic": [_sweep_point(edges) for edges in EDGE_SWEEP],
         "overload": [_overload_point(EDGE_SWEEP[-1])],
-        "warm_start": [_warm_start_point(edges) for edges in EDGE_SWEEP],
     }
 
 
@@ -463,44 +363,3 @@ def test_overload_bounded_queue_and_load_shedding(ablation, report_dir):
     # dropped queries never reached a sweep: columns spent stay well under
     # the burst size
     assert point["sweep_columns"] < point["burst"]
-
-
-def test_warm_start_retention_and_report(ablation, report_dir):
-    """ISSUE 9: insertion-only mutations retain >= 50% of reusable entries via
-    the refresh, bit-identical to recomputation (asserted inside the fixture)."""
-    points = ablation["warm_start"]
-    lines = [
-        "Warm-start invalidation - refreshed vs pruned re-serving across "
-        "insertion-only mutations",
-        f"Workload: {points[0]['num_queries']} forward frontier-family entries "
-        f"re-served after each of {WARM_MUTATION_BATCHES} insertion-only "
-        f"{WARM_BATCH_EDGES}-edge batches ({NUM_NODES} nodes, "
-        f"{NUM_TIMESTAMPS} time stamps, seed 916).",
-        "",
-        f"{'|E~|':>9} {'pruned [s]':>11} {'warm [s]':>9} {'speedup':>9} "
-        f"{'refreshed':>9} {'pruned':>7} {'retained':>9}",
-    ]
-    for p in points:
-        lines.append(
-            f"{p['edges']:>9d} {p['pruned_s']:>11.4f} {p['warm_s']:>9.4f} "
-            f"{p['speedup']:>8.1f}x {p['entries_patched']:>9d} "
-            f"{p['entries_invalidated']:>7d} {p['retained_fraction']:>8.0%}"
-        )
-    largest = points[-1]
-    lines.append("")
-    lines.append(
-        f"asserted: retained fraction >= {WARM_RETAINED_FLOOR:.0%} at every "
-        f"size; answers bit-identical to recomputation; re-serve speedup at "
-        f"the largest size {largest['speedup']:.1f}x (gated via baselines.json)"
-    )
-    write_report(report_dir, "serving_warm_start.txt", lines)
-
-    for p in points:
-        assert p["retained_fraction"] >= WARM_RETAINED_FLOOR, (
-            f"only {p['retained_fraction']:.0%} of reusable entries survived "
-            f"the insertion-only mutations at |E~|={p['edges']} "
-            f"(floor {WARM_RETAINED_FLOOR:.0%})"
-        )
-        # refreshed entries serve from the cache: the warm replay never pays
-        # more sweep columns than the pruned one
-        assert p["warm_sweep_columns"] <= p["pruned_sweep_columns"]

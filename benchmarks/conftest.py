@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -33,9 +34,9 @@ def scaled(value: int) -> int:
 def median_seconds(fn, *, repeats: int = 3, warmup: int = 1) -> float:
     """Median wall-clock seconds of ``fn()`` over ``repeats`` timed runs.
 
-    The shared timing policy of the ablation harnesses (``bench_engine``,
-    ``bench_analytics``, ``bench_distance_notions``): a change to warmup or
-    repeat counts here changes all of them together.
+    The shared timing policy of the ablation harnesses that time one side
+    at a time (``bench_engine``, ``bench_spectral``, ...): a change to
+    warmup or repeat counts here changes all of them together.
     """
     for _ in range(warmup):
         fn()
@@ -46,6 +47,38 @@ def median_seconds(fn, *, repeats: int = 3, warmup: int = 1) -> float:
         timings.append(time.perf_counter() - start)
     timings.sort()
     return timings[len(timings) // 2]
+
+
+#: Timed rounds of :func:`alternating_speedup`.
+SPEEDUP_ROUNDS = 5
+
+
+def alternating_speedup(oracle_fn, engine_fn) -> dict:
+    """Time the oracle against the engine in alternating rounds.
+
+    Each round times both sides back to back, and the side that goes first
+    alternates, so a change of host speed during a run reaches both sides
+    of a round alike.  The speed-up is the median of the per-round ratios.
+    The caller runs each side once, untimed, before (its oracle
+    cross-check), so no round pays a cold start.
+    """
+    oracle_times: list[float] = []
+    engine_times: list[float] = []
+    for index in range(SPEEDUP_ROUNDS):
+        sides = [(oracle_times, oracle_fn), (engine_times, engine_fn)]
+        if index % 2:
+            sides.reverse()
+        for times, fn in sides:
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    ratios = [o / max(e, 1e-12) for o, e in zip(oracle_times, engine_times)]
+    return {
+        "python_s": statistics.median(oracle_times),
+        "vectorized_s": statistics.median(engine_times),
+        "round_speedups": ratios,
+        "speedup": statistics.median(ratios),
+    }
 
 
 @pytest.fixture(scope="module", autouse=True)

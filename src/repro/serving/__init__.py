@@ -5,7 +5,10 @@ north star: :class:`QueryServer` accepts query descriptors
 (:mod:`repro.algorithms.queries`) from many threads, dedupes and caches them
 against the graph's exact ``mutation_version``, coalesces same-shape queries
 into shared ``(T, N, R)`` block sweeps, and admits streamed mutations
-between micro-batches through the delta-recompile path.
+between micro-batches through the delta-recompile path.  A mutation prunes
+every cached answer of an older version and runs no sweep; a repeat after
+it misses and rides the next micro-batch's coalesced sweep.
+:func:`decode_warm_block` is the one-column form of the served decode.
 
 >>> from repro.serving import QueryServer
 >>> from repro.algorithms.queries import BFSQuery, EarliestArrivalQuery

@@ -66,9 +66,9 @@ class GroupOutcome:
     ``columns`` counts the distinct roots packed into the shared sweep
     (``1`` for whole-graph groups), ``sweeps`` the number of batched kernel
     executions (one per group unless the group was empty).  No distance
-    block outlives the group — a BFS or fewest-hops answer keeps only its
-    root's own column — and a server refreshing a cached answer across a
-    mutation re-sweeps its root instead.
+    block outlives the group: a BFS or fewest-hops answer keeps only its
+    root's own column.  A server prunes its cached answers on a mutation,
+    so a repeat after one is a miss that rides the next group's sweep.
     """
 
     results: list = field(default_factory=list)
@@ -121,14 +121,12 @@ def _query_root(query: Query) -> TemporalNodeTuple:
 def _decode_frontier(query: Query, dist: np.ndarray, col: int, sweeper):
     """Read one frontier-family answer off its ``(T, N, R)`` sweep column.
 
-    The single decode used both for fresh coalesced sweeps and for
-    warm-start answers refreshed across mutations
-    (:func:`decode_warm_block`) — sharing it is what makes refreshed answers
-    bit-identical to fresh ones by construction.  A BFS answer is the
-    batched surface's ``reached`` view of the column, which copies the
-    column out of the block and decodes on read; the earliest-arrival and
-    latest-departure answers use the first/last-hit readouts
-    (:func:`~repro.engine.sharded_sweep._time_hits`).
+    The one decode of every frontier-family answer, whether the query had
+    a column of its own or shared its root's column with other queries.  A
+    BFS answer is the batched surface's ``reached`` view of the column,
+    which copies the column out of the block and decodes on read; the
+    earliest-arrival and latest-departure answers use the first/last-hit
+    readouts (:func:`~repro.engine.sharded_sweep._time_hits`).
     """
     if isinstance(query, BFSQuery):
         return sweeper._reached_view(dist, col)
@@ -145,13 +143,14 @@ def _decode_frontier(query: Query, dist: np.ndarray, col: int, sweeper):
 def decode_warm_block(kernel, query: Query, block: np.ndarray):
     """Decode ``query``'s answer from its root's ``(T, N)`` distance column.
 
-    Used by the server when it refreshes a warm cache entry across a
-    mutation: ``block`` is the root's column of a fresh
+    The one-column form of the coalesced decode: ``block`` is any
+    ``(T, N)`` view of the root's column of a
     :meth:`FrontierKernel.distance_blocks
-    <repro.engine.frontier.FrontierKernel.distance_blocks>` sweep on the
-    post-mutation artifact (any ``(T, N)`` view), wrapped as a one-column
-    sweep and run through the exact decode of a coalesced sweep, so a
-    refreshed answer equals a recomputed one.
+    <repro.engine.frontier.FrontierKernel.distance_blocks>` sweep on
+    ``kernel``'s artifact, wrapped as a one-column sweep and read with the
+    exact readouts of a served answer, so the result equals the served
+    one.  Nothing in the package calls it; it stays public for callers
+    that hold a distance column of their own.
     """
     return _decode_frontier(query, block[:, :, None], 0, kernel)
 

@@ -18,12 +18,14 @@ server answers them with far less kernel work than one sweep per query:
    :mod:`repro.serving.coalesce`), and the per-query answers are scattered
    back to their futures.
 4. **single-writer mutations** — :meth:`mutate` enqueues an edge batch that
-   the dispatcher applies *between* micro-batches: the graph is edited, the
-   compiled artifact is delta-recompiled
+   the dispatcher applies *between* micro-batches: the batch is validated,
+   the graph is edited, the compiled artifact is delta-recompiled
    (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile` — only
-   touched snapshots rebuild), and every cache entry whose version no longer
-   matches is either **warm-start refreshed** or invalidated.  Queries
-   therefore always execute against a consistent ``(graph, artifact)`` pair.
+   touched snapshots rebuild), and every cache entry of an older version is
+   pruned.  A mutation runs no sweep: a pruned answer that is asked for
+   again misses, and the next burst's coalesced sweep answers it with the
+   same readouts as any other miss.  Queries therefore always execute
+   against a consistent ``(graph, artifact)`` pair.
 
 Overload robustness adds three mechanisms on the admission side:
 
@@ -40,22 +42,11 @@ Overload robustness adds three mechanisms on the admission side:
   and the micro-batch gathering window never waits past the earliest
   pending deadline.  A query that expires while its sweep runs still fails,
   flagged ``swept=True``.
-* **warm-start invalidation** — mutation batches do not prune the
-  plain-forward frontier-family cache entries (BFS, reachability,
-  earliest-arrival): once the batch is applied and the artifact
-  delta-recompiled, the distinct roots of those entries are re-swept
-  together in one packed
-  :meth:`~repro.engine.frontier.FrontierKernel.distance_blocks` sweep — the
-  sweep a cache miss runs — and every entry is re-read through the exact
-  coalesce readouts and rekeyed to the new version.  Refreshed answers
-  therefore equal recomputation by construction, for insertions, removals
-  and mixed batches alike, whatever the batch does to the node and
-  timestamp axes.  Entries whose search root the batch deactivated, and
-  every entry of a refresh that raises, keep the exact prune semantics.
-  A BFS entry holds its root's own ``(T, N)`` distance column as a
-  read-only :class:`~repro.engine.reached.ReachedView`, so a refresh
-  decodes no dictionary: only a client that reads every entry of an
-  answer pays for that, once.  No entry retains a sweep's block.
+
+A cached BFS answer holds its root's own ``(T, N)`` distance column as a
+read-only :class:`~repro.engine.reached.ReachedView`: only a client that
+reads every entry of an answer decodes it, once.  No entry retains a
+sweep's block.
 
 Cancellation contract: ``future.cancel()`` follows :mod:`concurrent.futures`.
 It succeeds until the dispatcher *takes* the future — a queued query and its
@@ -105,7 +96,14 @@ from repro.exceptions import (
 )
 from repro.graph.base import BaseEvolvingGraph, TemporalEdgeTuple
 from repro.graph.validation import validate_edge_batch
-from repro.serving.coalesce import _query_root, decode_warm_block, execute_group
+from repro.serving.coalesce import execute_group
+
+# Nothing here calls ``decode_warm_block``; the name stays in this module's
+# namespace because the layer ledger (``benchmarks/ledger/layers.py``) wraps
+# it here for its ``serving.patch`` layer, and a traced run looks up every
+# wrapped name.  It goes when the ledger reads an in-source registry
+# (ROADMAP item 2).
+from repro.serving.coalesce import decode_warm_block  # noqa: F401
 
 __all__ = ["ADMISSION_POLICIES", "LatencyHistogram", "QueryServer", "ServingStats"]
 
@@ -201,10 +199,11 @@ class ServingStats:
     been; ``batch_queue_depths`` records the per-micro-batch high-water
     marks (most recent :data:`_DEPTH_SAMPLES` kept).  ``wait_latency``
     (admission → drain) and ``service_latency`` (drain → resolution) are
-    :class:`LatencyHistogram` instances.  ``entries_patched`` counts cache
-    entries carried across a mutation by the warm-start refresh instead of
-    being pruned (``entries_invalidated``); the refresh sweeps are not
-    counted in ``sweeps`` or ``sweep_columns``, which count query sweeps.
+    :class:`LatencyHistogram` instances.  ``entries_invalidated`` counts the
+    cache entries a mutation pruned.  ``entries_patched`` always reads 0:
+    a mutation carries no entry across and runs no sweep.  The field stays
+    because the layer ledger's ``zipf_serving`` workload reads it from
+    :meth:`QueryServer.stats_snapshot`.
     """
 
     submitted: int = 0
@@ -273,14 +272,8 @@ class _Ticket(_Waiter):
     live: list = field(default_factory=list)  # waiters the dispatcher took
 
 
-@dataclass
-class _CacheEntry:
-    value: object
-    warm: Query | None = None  # the query a mutation re-sweeps to refresh it
-
-
 class _VersionedLRU:
-    """Bounded LRU of ``(mutation_version, cache_key) -> _CacheEntry``.
+    """Bounded LRU of ``(mutation_version, cache_key) -> answer``.
 
     Not itself locked — the server serializes access under its own lock.
     ``get`` double-checks the version so a stale entry is never served even
@@ -291,40 +284,24 @@ class _VersionedLRU:
         if capacity < 1:
             raise GraphError(f"cache capacity must be at least 1, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, version: int, key: tuple):
         full_key = (version, key)
-        entry = self._entries.get(full_key)
-        if entry is None:
+        if full_key not in self._entries:  # an answer may itself be None
             return None, False
         self._entries.move_to_end(full_key)
-        return entry.value, True
+        return self._entries[full_key], True
 
-    def put(self, version: int, key: tuple, value, warm: Query | None = None):
+    def put(self, version: int, key: tuple, value) -> None:
         full_key = (version, key)
-        self._entries[full_key] = _CacheEntry(value, warm)
+        self._entries[full_key] = value
         self._entries.move_to_end(full_key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    def warm_entries(self, version: int) -> list[tuple[tuple, _CacheEntry]]:
-        """The ``(cache_key, entry)`` pairs at ``version`` a mutation refreshes."""
-        return [
-            (full_key[1], entry)
-            for full_key, entry in self._entries.items()
-            if full_key[0] == version and entry.warm is not None
-        ]
-
-    def rekey(
-        self, old_version: int, new_version: int, key: tuple, value, warm
-    ) -> None:
-        """Move one entry forward across a mutation (warm-start refresh)."""
-        self._entries.pop((old_version, key), None)
-        self.put(new_version, key, value, warm=warm)
 
     def prune_stale(self, version: int) -> int:
         """Drop every entry whose version no longer matches; returns the count."""
@@ -369,14 +346,6 @@ class QueryServer:
     chunk_size:
         Maximum roots per ``(T, N, R)`` sweep chunk (the engine's usual
         column-block width).
-    warm_start:
-        Refresh every cached plain-forward frontier-family answer (BFS,
-        reachability, earliest-arrival) across a mutation instead of
-        pruning it: the writer re-sweeps the entries' distinct roots in one
-        packed sweep on the new artifact and re-decodes each entry through
-        the exact coalesce readouts, so refreshed answers equal
-        recomputation.  Disable to prune every entry on a mutation, which
-        shortens the mutation stall and makes the next queries miss.
     sharded:
         A :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` that
         serves the frontier, zero-one, Tang and reach-count families instead
@@ -401,7 +370,6 @@ class QueryServer:
         admission: str = "reject",
         cache_entries: int = 1024,
         chunk_size: int = 128,
-        warm_start: bool = True,
         sharded: ShardedSweepDriver | None = None,
     ) -> None:
         if window_s < 0:
@@ -434,8 +402,6 @@ class QueryServer:
         self._max_pending = None if max_pending is None else int(max_pending)
         self._admission = admission
         self._chunk_size = int(chunk_size)
-        # a sharded server is read-only, so it never refreshes
-        self._warm_start = bool(warm_start) and sharded is None
         self.stats = ServingStats()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -650,13 +616,14 @@ class QueryServer:
     ) -> Future:
         """Enqueue an edge batch for the single writer.
 
-        Applied between micro-batches: ``removals`` are removed, ``edges``
-        added, the shared artifact is delta-recompiled, and the result cache
-        is reconciled — with ``warm_start``, the plain-forward frontier
-        entries whose root is still active are *refreshed* to the new
-        version by one packed re-sweep of their roots; every other entry is
-        invalidated.  The future resolves to the graph's new
-        ``mutation_version``.
+        Applied between micro-batches: the whole batch is validated, then
+        ``removals`` are removed, ``edges`` added, the shared artifact is
+        delta-recompiled, and every cache entry of an older version is
+        pruned.  The writer runs no sweep; a pruned answer asked for again
+        is a miss that the next burst's coalesced sweep answers.  The
+        future resolves to the graph's new ``mutation_version`` (unchanged,
+        and nothing pruned, for a batch of no-ops); a batch that fails
+        validation fails the future and applies nothing.
         """
         if self._sharded_driver is not None:
             raise GraphError(
@@ -864,13 +831,14 @@ class QueryServer:
         """Single-writer admission of one streamed edge batch.
 
         The batch is validated before the first removal, so a bad item
-        fails the future with nothing applied.
+        fails the future with nothing applied.  The artifact is
+        delta-recompiled here, so the next micro-batch pays no compile, and
+        the cache entries of older versions are pruned; no sweep runs.
         """
         from repro.engine import get_compiled
 
         try:
             batch, removals = validate_edge_batch(self._graph, batch, removals)
-            before = self._graph.mutation_version
             for u, v, t in removals:
                 self._graph.remove_edge(u, v, t)
             for u, v, t in batch:
@@ -883,60 +851,11 @@ class QueryServer:
         except Exception as exc:
             future.set_exception(exc)
             return
-        refreshed = 0
-        if self._warm_start and version != before:
-            try:
-                refreshed = self._refresh_warm_entries(before, version)
-            except Exception:
-                # a failed refresh must never wedge the writer: entries stay
-                # keyed at the old version, so the prune below restores the
-                # exact invalidation semantics
-                refreshed = 0
         with self._lock:
             self.stats.mutations += 1
             self.stats.edges_streamed += len(batch) + len(removals)
-            self.stats.entries_patched += refreshed
             self.stats.entries_invalidated += self._cache.prune_stale(version)
         future.set_result(version)
-
-    def _refresh_warm_entries(self, before: int, version: int) -> int:
-        """Carry warm cache entries across a mutation with one fresh re-sweep.
-
-        The distinct roots of the warm entries keyed at ``before`` that are
-        still active are swept together on the post-mutation artifact — the
-        same :meth:`~repro.engine.frontier.FrontierKernel.distance_blocks`
-        sweep a cache miss runs — and every entry is decoded from its root's
-        column through :func:`~repro.serving.coalesce.decode_warm_block` and
-        rekeyed to ``version``, so a later hit serves exactly the value a
-        recomputation would.  Entries whose root the mutation deactivated
-        stay keyed at ``before`` for the pruning pass.  Returns the number of
-        entries carried forward.
-        """
-        from repro.engine import get_kernel
-
-        kernel = get_kernel(self._graph)
-        with self._lock:
-            entries = self._cache.warm_entries(before)
-        carried = [
-            (key, entry.warm)
-            for key, entry in entries
-            if kernel.is_active(*_query_root(entry.warm))
-        ]
-        if not carried:
-            return 0
-        roots = list(dict.fromkeys(_query_root(query) for _key, query in carried))
-        columns = {}
-        for chunk, dist in kernel.distance_blocks(roots, chunk_size=self._chunk_size):
-            for col, root in enumerate(chunk):
-                columns[root] = dist[:, :, col]
-        moves = [
-            (key, decode_warm_block(kernel, query, columns[_query_root(query)]), query)
-            for key, query in carried
-        ]
-        with self._lock:
-            for key, value, query in moves:
-                self._cache.rekey(before, version, key, value, query)
-        return len(moves)
 
     def _execute_micro_batch(self, kept: list[_Ticket], drained_at: float) -> None:
         """Sweep and scatter the tickets that passed the drain gate (:meth:`_gate`)."""
@@ -950,12 +869,6 @@ class QueryServer:
 
         for sweep_key, members in groups.items():
             queries = [ticket.query for ticket in members]
-            # only plain-forward frontier answers are refreshed by a mutation
-            refreshable = self._warm_start and sweep_key == (
-                "frontier",
-                "forward",
-                False,
-            )
             try:
                 if self._sharded_driver is not None:
                     # a read-only sharded server never mutates the graph
@@ -987,12 +900,7 @@ class QueryServer:
                     self.stats.sweep_columns += outcome.columns
                 for ticket, result, error in zip(members, results, errors, strict=True):
                     if error is None:
-                        self._cache.put(
-                            version,
-                            ticket.key,
-                            result,
-                            warm=ticket.query if refreshable else None,
-                        )
+                        self._cache.put(version, ticket.key, result)
                     # late joiners are taken now; kept on the ticket, they
                     # stay reachable by _break until they are resolved
                     ticket.live += self._claim(self._inflight.pop(ticket.key, []))

@@ -51,7 +51,7 @@ from repro.exceptions import GraphError, InactiveNodeError, ServingError
 from repro.generators import random_evolving_graph
 from repro.graph import AdjacencyListEvolvingGraph
 from repro.linalg import OperationCounter
-from repro.serving import QueryServer
+from repro.serving import QueryServer, decode_warm_block
 from repro.serving import server as server_module
 
 # --------------------------------------------------------------------------- #
@@ -366,21 +366,22 @@ def test_invalidation_exactly_on_version_move():
         server.query(BFSQuery(root=root))
         assert server.stats.cache_hits == 2
 
-        # a real insertion moves the version: the entry is refreshed at the
-        # new version (a hit, not a miss), and the value served is the new
-        # graph's answer, never the old version's
+        # a real insertion moves the version: the entry is pruned, so the
+        # next query misses and serves the new graph's answer, never the
+        # old version's
         fresh = (root[0], -1, times[0])  # -1 is outside the generator's universe
         new_version = server.mutate([fresh]).result(timeout=30)
         assert new_version > version
-        assert server.stats.entries_patched == 1
-        assert server.stats.entries_invalidated == 0
+        assert server.stats.entries_invalidated == 1
+        assert server.stats.entries_patched == 0
+        assert server.cache_size == 0
         misses = server.stats.cache_misses
-        refreshed = server.query(BFSQuery(root=root))
-        assert refreshed == evolving_bfs(graph, root, backend="python").reached
-        assert (-1, times[0]) in refreshed
-        assert refreshed != first
-        assert server.stats.cache_misses == misses
-        assert server.stats.cache_hits == 3
+        recomputed = server.query(BFSQuery(root=root))
+        assert recomputed == evolving_bfs(graph, root, backend="python").reached
+        assert (-1, times[0]) in recomputed
+        assert recomputed != first
+        assert server.stats.cache_misses == misses + 1
+        assert server.stats.cache_hits == 2
 
 
 def test_mutation_future_resolves_to_new_version_and_uses_delta_path():
@@ -454,10 +455,10 @@ def test_concurrent_readers_and_writer_stress():
         assert server.stats.mutations == len(batches)
 
 
-def test_readers_share_a_cached_answer_while_the_writer_refreshes():
+def test_readers_share_a_cached_answer_while_the_writer_prunes():
     """8 threads read one cached, not yet decoded BFS answer at once (the
-    first read decodes it, without a lock) while a mutation refreshes the
-    cache; iteration, ``len`` and ``dict(...)`` all equal the oracle."""
+    first read decodes it, without a lock) while a mutation prunes it from
+    the cache; iteration, ``len`` and ``dict(...)`` all equal the oracle."""
     graph = random_evolving_graph(60, 6, 250, seed=41)
     root = graph.active_temporal_nodes()[0]
     times = list(graph.timestamps)
@@ -494,7 +495,7 @@ def test_readers_share_a_cached_answer_while_the_writer_refreshes():
                 assert not reader.is_alive()
             mutation.result(timeout=30)
             assert not failures, failures[0]
-        assert server.stats_snapshot()["entries_patched"] >= 4
+        assert server.stats_snapshot()["entries_invalidated"] == 4
 
 
 def test_server_close_and_reject_after_close():
@@ -528,105 +529,79 @@ def test_server_parameter_validation():
 
 
 # --------------------------------------------------------------------------- #
-# warm-start invalidation                                                      #
+# pruning on mutation                                                          #
 # --------------------------------------------------------------------------- #
 
 
-def _warm_graph() -> AdjacencyListEvolvingGraph:
+def _ring_graph() -> AdjacencyListEvolvingGraph:
     """A directed ring over nodes 0..9 at times 0..2 with room for in-universe
     insertions (chords between existing nodes at existing timestamps)."""
     edges = [(i, (i + 1) % 10, t) for i in range(10) for t in (0, 1, 2)]
     return AdjacencyListEvolvingGraph(edges, directed=True)
 
 
-def test_warm_start_patches_pure_insertion_mutations():
-    graph = _warm_graph()
-    forward = [
+def test_mutation_runs_no_sweep(monkeypatch):
+    """A mutation prunes the cache and sweeps nothing: no kernel distance
+    sweep and no group execution run while the writer applies the batch."""
+    graph = _ring_graph()
+    queries = [
         BFSQuery(root=(0, 0)),
-        BFSQuery(root=(3, 1)),
+        EarliestArrivalQuery(source=(3, 1)),
         ReachabilityQuery(root=(0, 0), target=(5, 2)),
-        EarliestArrivalQuery(source=(2, 0)),
     ]
-    backward = LatestDepartureQuery(target=(5, 2))
+    calls = {"distance_blocks": 0, "execute_group": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
     with QueryServer(graph, window_s=0.002) as server:
-        server.query_many(forward + [backward])
+        server.query_many(queries)
         server.join()
-
-        # first pure-insertion batch: forward entries are refreshed, the
-        # backward entry (not a plain-forward sweep) is pruned
-        server.mutate([(0, 5, 1), (2, 7, 0)]).result(timeout=30)
-        server.join()
-        stats = server.stats.snapshot()
-        assert stats["entries_patched"] == len(forward)
-        assert stats["entries_invalidated"] == 1
-
-        # refreshed entries hit the cache at the new version, equal to the
-        # direct functions on the mutated graph; only the pruned backward
-        # entry costs a recompute
-        misses_before = stats["cache_misses"]
-        for query, got in zip(forward + [backward], _direct_answers(
-            graph, forward + [backward]
-        )):
-            assert server.query(query) == got, describe(query)
-        stats = server.stats.snapshot()
-        assert stats["cache_misses"] == misses_before + 1
-
-        # a second insertion batch refreshes the refreshed entries again
-        server.mutate([(4, 9, 2)]).result(timeout=30)
-        server.join()
-        stats = server.stats.snapshot()
-        assert stats["entries_patched"] == 2 * len(forward)
-        for query, got in zip(forward, _direct_answers(graph, forward)):
-            assert server.query(query) == got, describe(query)
-
-
-def test_warm_start_disabled_prunes_on_insertions():
-    graph = _warm_graph()
-    with QueryServer(graph, window_s=0.002, warm_start=False) as server:
-        server.query(BFSQuery(root=(0, 0)))
-        server.mutate([(0, 5, 1)]).result(timeout=30)
-        server.join()
-        stats = server.stats.snapshot()
-        assert stats["entries_patched"] == 0
-        assert stats["entries_invalidated"] == 1
-        assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
-            graph, (0, 0), backend="python"
-        ).reached
-
-
-def test_warm_start_mixed_batches_patch_through():
-    graph = _warm_graph()
-    with QueryServer(graph, window_s=0.002) as server:
-        server.query(BFSQuery(root=(0, 0)))
-        # a mixed insert/remove batch refreshes the entry: no pruning
+        assert server.cache_size == len(queries)
+        monkeypatch.setattr(
+            FrontierKernel,
+            "distance_blocks",
+            counted("distance_blocks", FrontierKernel.distance_blocks),
+        )
+        monkeypatch.setattr(
+            server_module,
+            "execute_group",
+            counted("execute_group", server_module.execute_group),
+        )
         server.mutate([(0, 5, 1)], removals=[(3, 4, 1)]).result(timeout=30)
-        server.join()
-        stats = server.stats.snapshot()
-        assert stats["entries_patched"] == 1
-        assert stats["entries_invalidated"] == 0
-        assert not graph.has_edge(3, 4, 1)
-        misses_before = stats["cache_misses"]
-        assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
-            graph, (0, 0), backend="python"
-        ).reached
-        assert server.stats.snapshot()["cache_misses"] == misses_before
+        assert calls == {"distance_blocks": 0, "execute_group": 0}
+        assert server.cache_size == 0
+        stats = server.stats_snapshot()
+        assert stats["entries_invalidated"] == len(queries)
+        assert stats["entries_patched"] == 0
+        # the pruned queries miss and are recomputed through the counted
+        # path, so the zero counts above were live
+        for query, want in zip(queries, _direct_answers(graph, queries)):
+            assert server.query(query) == want, describe(query)
+        assert calls["distance_blocks"] >= 1 and calls["execute_group"] >= 1
 
 
-def test_warm_start_pure_removal_batches_patch_through():
-    graph = _warm_graph()
-    with QueryServer(graph, window_s=0.002) as server:
-        server.query(BFSQuery(root=(0, 0)))
-        server.mutate([], removals=[(3, 4, 1)]).result(timeout=30)
-        server.join()
-        stats = server.stats.snapshot()
-        assert stats["entries_patched"] == 1
-        assert stats["entries_invalidated"] == 0
-        assert server.query(BFSQuery(root=(0, 0))) == evolving_bfs(
-            graph, (0, 0), backend="python"
-        ).reached
+def test_decode_warm_block_equals_the_served_answer():
+    """The one-column decode reads a root's column like the served path."""
+    graph = _ring_graph()
+    kernel = get_kernel(graph)
+    queries = [
+        BFSQuery(root=(0, 0)),
+        EarliestArrivalQuery(source=(0, 0)),
+        ReachabilityQuery(root=(0, 0), target=(5, 2)),
+    ]
+    [(_, dist)] = kernel.distance_blocks([(0, 0)])
+    with QueryServer(graph, window_s=0.0) as server:
+        for query in queries:
+            got = decode_warm_block(kernel, query, dist[:, :, 0])
+            assert got == server.query(query), describe(query)
 
 
-def test_warm_start_root_deactivating_removal_prunes():
+def test_root_deactivating_removal_prunes():
     # node 2 touches exactly one edge at time 0 but stays in the universe
     # through its time-1 edge, so removing (1, 2, 0) deactivates the root
     # slot without changing the artifact axes
@@ -637,31 +612,15 @@ def test_warm_start_root_deactivating_removal_prunes():
         root = (2, 0)
         assert graph.is_active(*root)
         server.query(BFSQuery(root=root))
-        # the warm entry's root is deactivated: there is no sweep to
-        # refresh it from, so it must fall back to exact pruning
         server.mutate([], removals=[(1, 2, 0)]).result(timeout=30)
         server.join()
         stats = server.stats.snapshot()
         assert stats["entries_patched"] == 0
         assert stats["entries_invalidated"] == 1
         assert not graph.is_active(*root)
-
-
-def test_warm_start_out_of_universe_insertion_refreshes():
-    graph = _warm_graph()
-    with QueryServer(graph, window_s=0.002) as server:
-        server.query(BFSQuery(root=(0, 0)))
-        # a brand-new node changes the artifact axes; the refresh re-sweeps
-        # on whatever axes the new artifact has, so the entry is carried
-        server.mutate([(0, 99, 1)]).result(timeout=30)
-        server.join()
-        stats = server.stats.snapshot()
-        assert stats["entries_patched"] == 1
-        assert stats["entries_invalidated"] == 0
-        answer = server.query(BFSQuery(root=(0, 0)))
-        assert answer == evolving_bfs(graph, (0, 0), backend="python").reached
-        assert (99, 1) in answer
-        assert server.stats.snapshot()["cache_misses"] == stats["cache_misses"]
+        # the pruned answer is recomputed, so it raises like the direct call
+        with pytest.raises(InactiveNodeError):
+            server.query(BFSQuery(root=root))
 
 
 @pytest.mark.parametrize(
@@ -674,7 +633,7 @@ def test_warm_start_out_of_universe_insertion_refreshes():
     ids=["unregistered", "unhashable", "unorderable"],
 )
 def test_failed_mutation_applies_nothing(insertions, removals):
-    graph = _warm_graph()
+    graph = _ring_graph()
     query = BFSQuery(root=(0, 0))
     want = evolving_bfs(graph, (0, 0), backend="python").reached
     edges = set(graph.temporal_edges_unordered())
@@ -688,28 +647,6 @@ def test_failed_mutation_applies_nothing(insertions, removals):
         assert graph.mutation_version == version
         assert server.query(query) == want
         assert server.stats.snapshot()["mutations"] == 0
-
-
-def test_warm_start_refresh_failure_prunes(monkeypatch):
-    graph = _warm_graph()
-    queries = [BFSQuery(root=(0, 0)), EarliestArrivalQuery(source=(3, 1))]
-    with QueryServer(graph, window_s=0.002) as server:
-        server.query_many(queries)
-        server.join()
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("injected decode failure")
-
-        # the refresh raises mid-way: the writer must still publish the new
-        # version and fall back to pruning every warm entry
-        monkeypatch.setattr(server_module, "decode_warm_block", broken)
-        version = server.mutate([(0, 5, 1)], removals=[(3, 4, 1)]).result(timeout=30)
-        assert version == graph.mutation_version
-        stats = server.stats.snapshot()
-        assert stats["entries_invalidated"] == len(queries)
-        assert stats["entries_patched"] == 0
-        for query, want in zip(queries, _direct_answers(graph, queries)):
-            assert server.query(query) == want, describe(query)
 
 
 def _assert_served(server, graph, queries):
@@ -737,40 +674,35 @@ def _assert_served(server, graph, queries):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(signed_served_graphs())
-def test_warm_start_refresh_across_signed_batches(case):
+def test_mutation_prunes_every_entry_across_signed_batches(case):
     """Removals (some deactivating a root) and insertions outside the universe:
-    every re-served answer equals the Python oracle, and each mutation
-    refreshes every warm entry whose root is still active and invalidates
-    the rest."""
+    a version-moving batch prunes every cached entry, a batch of no-ops
+    prunes nothing, and every re-served answer equals the Python oracle."""
     graph, batches = case
     roots = graph.active_temporal_nodes()[:4]
     queries = [BFSQuery(root=r) for r in roots] + [
         EarliestArrivalQuery(source=roots[0]),
         ReachabilityQuery(root=roots[-1], target=roots[0]),
     ]
-    root_of = {
-        query: query.source if isinstance(query, EarliestArrivalQuery) else query.root
-        for query in queries
-    }
     with QueryServer(graph, window_s=0.005) as server:
         cached = _assert_served(server, graph, queries)
         for insertions, removals in batches:
             server.join()
-            assert server.cache_size == len(cached)  # all plain-forward
+            size = server.cache_size
+            assert size == len(cached)
             before = server.stats_snapshot()
             version = graph.mutation_version
             server.mutate(insertions, removals=removals).result(timeout=30)
             server.join()
             after = server.stats_snapshot()
-            patched = after["entries_patched"] - before["entries_patched"]
             pruned = after["entries_invalidated"] - before["entries_invalidated"]
+            assert after["entries_patched"] == 0
             if graph.mutation_version == version:
-                assert patched == pruned == 0
+                assert pruned == 0
+                assert server.cache_size == size
             else:
-                live = sum(graph.is_active(*root_of[query]) for query in cached)
-                assert patched == live
-                assert pruned == len(cached) - live
-            assert server.cache_size == len(cached) - pruned
+                assert pruned == size
+                assert server.cache_size == 0
             cached = _assert_served(server, graph, queries)
 
 
@@ -780,9 +712,9 @@ def test_warm_start_refresh_across_signed_batches(case):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(served_graphs())
-def test_warm_start_served_answers_bit_identical(case):
-    """Across arbitrary insertion batches — refreshed or pruned — every
-    re-served answer equals the direct function on the mutated graph."""
+def test_repeat_queries_bit_identical_after_each_batch(case):
+    """Across arbitrary insertion batches every re-served answer, recomputed
+    after the prune, equals the direct function on the mutated graph."""
     graph, batches = case
     roots = graph.active_temporal_nodes()[:4]
     queries = [BFSQuery(root=r) for r in roots] + [
@@ -839,7 +771,7 @@ def test_dispatcher_failure_in_scatter_fails_every_waiting_future(monkeypatch):
     """An exception outside the per-group handler (here: the cache insert)
     fails the ticket in hand, its in-flight joiner, the pending ticket and
     the queued mutation, instead of killing the dispatcher silently."""
-    graph = _warm_graph()
+    graph = _ring_graph()
     entered, release = _gate_execute_group(monkeypatch)
     injected = RuntimeError("injected cache failure")
     server = QueryServer(graph, window_s=0.0)
@@ -864,7 +796,7 @@ def test_dispatcher_failure_in_scatter_fails_every_waiting_future(monkeypatch):
 def test_dispatcher_failure_in_mutation_fails_every_waiting_future(monkeypatch):
     """``_apply_mutation`` prunes the cache outside its ``try``: a failure
     there fails both drained mutations and the drained query."""
-    graph = _warm_graph()
+    graph = _ring_graph()
     want = evolving_bfs(graph, (0, 0), backend="python").reached
     entered, release = _gate_execute_group(monkeypatch)
     injected = RuntimeError("injected prune failure")
@@ -889,7 +821,7 @@ def test_dispatcher_failure_in_mutation_fails_every_waiting_future(monkeypatch):
 def test_dispatcher_failure_wakes_blocked_submitters(monkeypatch):
     """A submitter parked by ``admission="block"`` raises instead of waiting
     on a queue that a dead dispatcher will never drain."""
-    graph = _warm_graph()
+    graph = _ring_graph()
     entered, release = _gate_execute_group(monkeypatch)
     injected = RuntimeError("injected cache failure")
     server = QueryServer(graph, window_s=0.0, max_pending=1, admission="block")
@@ -938,7 +870,7 @@ def test_cancelled_queued_queries_never_sweep(monkeypatch):
     """A query cancelled while queued spends no sweep column: not at the
     drain, and not when a newcomer sheds it (the shedding submit must not
     raise); the server keeps serving."""
-    graph = _warm_graph()
+    graph = _ring_graph()
     entered, release = _gate_execute_group(monkeypatch)
     server = QueryServer(graph, window_s=0.0, max_pending=1, admission="shed-oldest")
     blocker = server.submit(BFSQuery(root=(0, 0)))
@@ -960,7 +892,7 @@ def test_cancelled_queued_queries_never_sweep(monkeypatch):
 def test_cancelled_joiners_leave_the_other_waiters_answered(monkeypatch):
     """A late in-flight joiner and a queued query's own future are cancelled;
     the sweep in hand and the queued query's other joiner are still answered."""
-    graph = _warm_graph()
+    graph = _ring_graph()
     entered, release = _gate_execute_group(monkeypatch)
     server = QueryServer(graph, window_s=0.0)
     blocker = server.submit(BFSQuery(root=(0, 0)))
@@ -983,7 +915,7 @@ def test_cancelled_joiners_leave_the_other_waiters_answered(monkeypatch):
 def test_cancelled_pending_mutation_is_never_applied(monkeypatch):
     """A mutation cancelled before the writer takes it leaves the graph as it
     was; the next one applies, and answers follow the graph."""
-    graph = _warm_graph()
+    graph = _ring_graph()
     want = _oracle(graph, (0, 0))
     entered, release = _gate_execute_group(monkeypatch)
     server = QueryServer(graph, window_s=0.0)
