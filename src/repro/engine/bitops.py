@@ -275,7 +275,7 @@ def causal_or_accumulate(
     level's whole causal step is this prefix-OR of the frontier the level
     started with.
     """
-    out = np.zeros_like(block)
+    out = np.zeros(block.shape, block.dtype)
     t_count = block.shape[0]
     # one OR per snapshot: numpy's accumulate along a leading axis walks it
     # element by element, several times slower on blocks this shape
@@ -331,9 +331,10 @@ def fused_update(
 
 def _segments(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Positions of the concatenated ranges ``[starts[i], starts[i] + lens[i])``."""
-    ends = np.cumsum(lens, dtype=np.int64)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - (ends - lens), lens) + np.arange(total)
+    # ndarray methods skip the numpy-level wrappers of these tiny calls
+    out = (starts - lens.cumsum(dtype=np.int64) + lens).repeat(lens)
+    out += np.arange(out.size)
+    return out
 
 
 def _gather_or(
@@ -458,7 +459,7 @@ def advance_blocked(
     """
     lo, hi = (0, frontier.shape[0]) if window is None else window
     n = hi - lo
-    out = np.zeros_like(frontier)
+    out = np.zeros(frontier.shape, frontier.dtype)
     indptr = mat.indptr
     first, last = int(indptr[lo]), int(indptr[hi])
     if first == last:
@@ -483,9 +484,7 @@ def advance_blocked(
             lens = csc.indptr[nodes + 1] - starts
             targets = csc.indices[_segments(starts, lens)]
             for k in range(out.shape[1]):
-                np.bitwise_or.at(
-                    out[:, k], targets, np.repeat(frontier[nodes, k], lens)
-                )
+                np.bitwise_or.at(out[:, k], targets, frontier[nodes, k].repeat(lens))
             if counter is not None:
                 counter.multiply_adds += 2 * gathered
             return out

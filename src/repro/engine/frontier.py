@@ -28,10 +28,9 @@ instead of Python dictionaries:
 * a temporal node is newly reached at level ``k`` when a bit lands on a
   slot outside the visited lanes; only the snapshots holding such bits are
   unpacked to write the ``(T, N, R)`` int32 distance block.  A reach
-  readout, which asks only *which node identities* a search reaches, keeps
-  one ``(1, N, R)`` first level per identity instead: the level's new lanes
-  are ORed over time into one plane, the identities already seen are
-  dropped, and only the rest are unpacked and written.
+  readout, which asks only *which node identities* a search reaches, writes
+  no level at all: its sweep returns the visited lanes ORed over time, one
+  packed ``(N, L)`` plane of reached identities.
 
 The kernel executes over a shared
 :class:`~repro.graph.compiled.CompiledTemporalGraph` (pass either the
@@ -79,6 +78,7 @@ words wide; the unit tests assert this on a few hundred nodes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,8 +100,8 @@ def _write_level(dist: np.ndarray, lanes: np.ndarray, level: int) -> None:
     its ``(W, N, L)`` lanes.
 
     Every new bit still holds the -1 sentinel (a slot's bit enters visited
-    exactly once, and so does an identity's bit in a per-identity sweep),
-    so the write is a branch-free blend, ``dist += (level + 1) * bits``.
+    exactly once), so the write is a branch-free blend,
+    ``dist += (level + 1) * bits``.
     When fewer than a quarter of the window's slots gained bits — the
     tiny-frontier levels of deep sweeps, where unpacking the whole window
     would cost more than the level's advance — it runs over just those
@@ -166,9 +166,6 @@ class FrontierKernel(BatchedSweeps):
         # the one-shard chain of the batched surface: the kernel is its own
         # only shard, spanning every snapshot
         self._boundaries = ((0, compiled.num_snapshots),)
-        # the decode tables every result shares; they hold no reference to
-        # the artifact, and the slot key table is built on the first decode
-        self._slots = SlotTable(compiled.node_labels, compiled.times)
         # the block-diagonal stack of the operators that a level advances in
         # one call, built lazily per orientation (the artifact is immutable)
         self._stacked_cache: dict[bool, sp.csr_matrix] = {}
@@ -186,6 +183,11 @@ class FrontierKernel(BatchedSweeps):
     def nnz(self) -> int:
         """Stored entries summed over all snapshot matrices."""
         return self.compiled.nnz
+
+    @cached_property
+    def _slots(self) -> SlotTable:
+        """The decode tables every result shares, built on first decode."""
+        return SlotTable(self.compiled.node_labels, self.compiled.times)
 
     def _kernel(self, shard_index: int) -> FrontierKernel:
         """The kernel sweeping shard ``shard_index``: itself, the only shard."""
@@ -752,10 +754,10 @@ class FrontierKernel(BatchedSweeps):
         """Level-synchronous expansion of ``R`` seed sets; an int32 level block.
 
         The block is ``(T, N, R)``: each temporal node's distance per root
-        column, ``-1`` where unreached.  With ``per_identity`` it is
-        ``(1, N, R)``: each node *identity's* first level, the minimum of
-        its slots' distances — all that identity-reach readouts and the
-        shard hand-off read, in 1/T of the memory.
+        column, ``-1`` where unreached.  With ``per_identity`` it writes no
+        level and returns the visited lanes ORed over time: one packed
+        ``(N, L)`` plane of the node *identities* reached — all that
+        identity-reach readouts and their shard hand-off read.
 
         The one sweep loop of the BFS family.  Frontier and visited state
         stay packed as ``(T, N, L)`` root lanes across rounds, and each level
@@ -774,10 +776,8 @@ class FrontierKernel(BatchedSweeps):
         * :func:`~repro.engine.bitops.fused_update` over the snapshots that
           can gain bits — open and fed by a frontier or carry bit — once per
           run of them (one run, unless a saturated snapshot sits between
-          two), and one level write over the snapshots that did.  With
-          ``per_identity`` the write first ORs their new lanes into one
-          ``(N, L)`` plane and drops the identities an earlier level (or a
-          seed) already reached, so each identity is written once.
+          two), and one level write over the snapshots that did (none with
+          ``per_identity``).
 
         ``boundary`` is the state earlier time shards reached (a
         :class:`~repro.engine.sharded_sweep.BoundaryBlock`; ``None`` or an
@@ -794,17 +794,12 @@ class FrontierKernel(BatchedSweeps):
         active_mask = self.compiled.active_mask
         t_count, n = active_mask.shape
         r = len(seeds_per_column)
-        dist = np.full((1 if per_identity else t_count, n, r), -1, dtype=np.int32)
         frontier = bitops.seed_lanes((t_count, n), seeds_per_column)
-        for col, seeds in enumerate(seeds_per_column):
-            for ti, vi in seeds:
-                dist[0 if per_identity else ti, vi, col] = 0
-        if per_identity:
-            # the identities no level has reached yet (all but the seeds'),
-            # and the plane one level's new identities are gathered into
-            unseen = bitops.lane_mask(np.ones(n, dtype=bool), r)
-            unseen ^= np.bitwise_or.reduce(frontier, axis=0)
-            new_ids = np.empty_like(unseen)
+        if not per_identity:
+            dist = np.full((t_count, n, r), -1, dtype=np.int32)
+            for col, seeds in enumerate(seeds_per_column):
+                for ti, vi in seeds:
+                    dist[ti, vi, col] = 0
         visited = frontier.copy()
         active = bitops.lane_mask(active_mask, r)
         # spatial expansion: forward time follows out-edges (the forward
@@ -814,6 +809,8 @@ class FrontierKernel(BatchedSweeps):
         stacked = self._stacked(use_forward_ops)
         counter = self.counter
         slots = (t_count * n, frontier.shape[-1])
+        # the snapshots holding frontier bits: after the seeds, a level's gain
+        holds = bitops.snapshot_any(frontier)
         max_ext = boundary.max_level if boundary is not None else -1
         level = 0
         alive = bool(frontier.any())
@@ -826,7 +823,6 @@ class FrontierKernel(BatchedSweeps):
             if counter is not None:
                 counter.word_ops += 2 * bitops.word_count(remaining)  # saturation probe
             open_ = bitops.snapshot_any(remaining)
-            holds = bitops.snapshot_any(frontier)
             # a snapshot can gain bits only while it is open and its own
             # frontier or the causal carry (earlier frontiers, for backward
             # searches later ones, and the boundary) feeds it
@@ -837,7 +833,8 @@ class FrontierKernel(BatchedSweeps):
             else:
                 live = open_ & np.logical_or.accumulate(holds[::-1])[::-1]
             if not live.any():
-                frontier = np.zeros_like(frontier)
+                frontier = np.zeros(frontier.shape, frontier.dtype)
+                holds = np.zeros(t_count, dtype=bool)
                 alive = False
                 continue
             spans = bitops.runs(live)
@@ -866,8 +863,8 @@ class FrontierKernel(BatchedSweeps):
                     window=(s_lo * n, s_hi * n),
                 ).reshape(frontier.shape)
             else:
-                spatial = np.zeros_like(frontier)
-            fresh = np.zeros_like(frontier)
+                spatial = np.zeros(frontier.shape, frontier.dtype)
+            fresh = np.zeros(frontier.shape, frontier.dtype)
             # the update runs over the live snapshots only: a saturated one
             # inside the window cannot gain a bit
             for a, b in spans:
@@ -884,16 +881,14 @@ class FrontierKernel(BatchedSweeps):
                     counter.word_ops += bitops.FUSED_UPDATE_WORD_OPS * words
             gained = bitops.snapshot_any(fresh[lo:hi])
             alive = bool(gained.any())
-            if alive:
+            holds = np.zeros(t_count, dtype=bool)
+            holds[lo:hi] = gained
+            if alive and not per_identity:
                 a, b = bitops.span(gained)
-                if per_identity:
-                    np.bitwise_or.reduce(fresh[lo + a : lo + b], axis=0, out=new_ids)
-                    new_ids &= unseen
-                    unseen ^= new_ids
-                    _write_level(dist, new_ids[None], level)
-                else:
-                    _write_level(dist[lo + a : lo + b], fresh[lo + a : lo + b], level)
+                _write_level(dist[lo + a : lo + b], fresh[lo + a : lo + b], level)
             frontier = fresh
+        if per_identity:
+            return np.bitwise_or.reduce(visited, axis=0)
         return dist
 
     def _parent_slots(

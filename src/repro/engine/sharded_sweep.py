@@ -24,10 +24,12 @@ monolithic sweep the one-shard case of a sharded one:
   injection visits every slot a later appearance could, and the sweep's
   visited masking makes the later firings no-ops;
 * every shard but the last of a chain hands downstream a
-  :class:`BoundaryBlock` — the element-wise minimum of its own per-node
-  levels with the incoming block — and the Tang sweep, whose state is
-  time-free, hands its raw ``(N, L)`` informed lanes.  The last shard
-  hands nothing on.
+  :class:`BoundaryBlock`: the element-wise minimum of its own per-node
+  levels with the incoming block, or, for a reach readout, whose reached
+  set does not depend on levels, one level-0 plane of every identity
+  reached so far, which the next shard enters at level 1.  The Tang
+  sweep, whose state is time-free, hands its raw ``(N, L)`` informed
+  lanes.  The last shard hands nothing on.
 
 :class:`BatchedSweeps` is the one batched surface: ``multi_source``,
 ``batch``, ``distance_blocks``, the identity-reach, harmonic-closeness and
@@ -55,9 +57,9 @@ chain on one of two backends:
   opened, so peak operator residency is one shard — the out-of-core path;
 * ``backend="process"`` — persistent workers each *own* a subset of shards
   permanently (the picklable compiled artifacts ship once, at startup,
-  under the platform's default start method); thereafter only task tuples
-  and packed boundary blocks (one ``(N, L)`` lane plane per level) cross
-  process boundaries, and root-chunks pipeline through the chain.  Shards
+  under the platform's default start method); thereafter only task tuples,
+  packed ``(N, L)`` lane planes and the readouts' partials cross process
+  boundaries, and root-chunks pipeline through the chain.  Shards
   are assigned to workers by
   :func:`~repro.parallel.partition.chunk_by_weight` over shard nnz.  A
   worker that dies makes the next wait raise :class:`ShardWorkerError`
@@ -118,9 +120,10 @@ class BoundaryBlock:
 
     For each node identity and root column: the minimal level (distance or
     label) at which any earlier shard reached that node, stored as one
-    ``(N, L)`` plane of root lanes per distinct level.  This is the only
-    thing that crosses a shard boundary — and, under the process backend,
-    the only payload besides task tuples that crosses a *process* boundary.
+    ``(N, L)`` plane of root lanes per distinct level (a reach chain keeps
+    only level 0).  This is the only thing that crosses a shard boundary —
+    and, under the process backend, the only payload besides task tuples
+    that crosses a *process* boundary.
 
     Instances are immutable and picklable; :meth:`merged_with` produces the
     outgoing block from the incoming one plus a shard's own levels.
@@ -258,13 +261,11 @@ def _reduce_block(kind: str, block: np.ndarray, global_start: int) -> object:
     """Collapse a shard's level block to the partial a readout needs.
 
     The block is ``(T_i, N, R)``, except for ``"reach"``, whose sweep
-    writes one ``(1, N, R)`` level per node identity; the reach partial is
-    the same ``any`` over time on either shape.
+    returns the ``(N, L)`` plane of the identities it reached; that plane
+    is the reach partial, and the chain ORs the partials.
     """
-    if kind == "block":
+    if kind in ("block", "reach"):
         return block
-    if kind == "reach":
-        return (block >= 0).any(axis=0)  # (N, R) identity-hit mask
     if kind == "harmonic":
         return _harmonic_rows(block)
     if kind in ("first", "last"):
@@ -331,10 +332,9 @@ def _zero_one_spec(spatial_cost: int, causal_cost: int) -> tuple:
 def _handoff(block: np.ndarray, boundary: BoundaryBlock) -> BoundaryBlock:
     """The outgoing boundary: the incoming one merged with a shard's minima.
 
-    ``block`` is the shard's ``(T_i, N, R)`` level block, or its
-    ``(1, N, R)`` per-identity block (``-1`` = none); its per-node minimum
-    over time is the only part of it a later shard needs, and a
-    per-identity block already holds it.
+    ``block`` is the shard's ``(T_i, N, R)`` level block (``-1`` = none) of
+    a distance or label chain; its per-node minimum over time is the only
+    part of it a later shard needs.
     """
     shard_min = np.where(block >= 0, block, _FAR).min(axis=0)  # (N, R)
     return boundary.merged_with(shard_min)
@@ -354,8 +354,8 @@ def _bfs_shard_sweep(
 
     :meth:`FrontierKernel._run` over the shard's own snapshots, started
     from ``boundary``: the block is ``(T_i, N, R)`` per-slot distances, or
-    with ``per_identity`` the ``(1, N, R)`` first level of each node
-    identity in the shard (the reach readout's need).  The outgoing
+    with ``per_identity`` the ``(N, L)`` plane of the identities reached,
+    handed on ORed with ``boundary`` as one level-0 plane.  The outgoing
     boundary is ``None`` without ``handoff`` (the last shard of a chain).
     """
     block = kernel._run(
@@ -365,7 +365,12 @@ def _bfs_shard_sweep(
         boundary=boundary,
         per_identity=per_identity,
     )
-    return block, _handoff(block, boundary) if handoff else None
+    if not handoff:
+        return block, None
+    if not per_identity:
+        return block, _handoff(block, boundary)
+    reached = np.bitwise_or.reduce([block, *boundary.levels.values()])
+    return block, BoundaryBlock(boundary.num_columns, boundary.num_nodes, {0: reached})
 
 
 def _run_shard_task(
@@ -700,17 +705,16 @@ class BatchedSweeps:
 
         Equals ``len({v for (v, t) in reached} - {root_node})`` of the
         per-root Python BFS, computed without ever materializing the reached
-        dictionaries: each shard's sweep writes one first level per node
-        identity (a ``(1, N, R)`` block, not ``(T_i, N, R)``), which reduces
-        to an ``(N, R)`` identity-hit mask; the chain ORs the masks and the
-        counts are read off in one reduction.  Powers
+        dictionaries: each shard's sweep writes no level and returns the
+        packed ``(N, L)`` plane of the identities it reached, the chain ORs
+        the planes, and the counts are read off one unpack per chunk.  Powers
         :func:`repro.algorithms.centrality.temporal_out_reach`,
         ``temporal_in_reach`` and ``top_influencers``.
         """
         spec = _bfs_spec(direction, reverse_edges)
         out: dict[TemporalNodeTuple, int] = {}
-        for chunk, hit in self._sweep_chunks(roots, spec, "reach", chunk_size):
-            counts = hit.sum(axis=0)
+        for chunk, reached in self._sweep_chunks(roots, spec, "reach", chunk_size):
+            counts = bitops.unpack_bits(reached, len(chunk)).sum(axis=0)
             for col, root in enumerate(chunk):
                 # the root's own identity is always reached (distance 0)
                 out[root] = int(counts[col]) - 1

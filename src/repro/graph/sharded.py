@@ -8,7 +8,7 @@ artifact becomes a sequence of per-snapshot-range shards, each itself a
 ``CompiledTemporalGraph`` over the **full node universe** but only its own
 contiguous slice of snapshots.  The causal cumulative-OR step is a prefix
 operation over snapshots, so a sweep over shard ``i`` depends on earlier
-shards only through one packed boundary block (root lanes per level) — see
+shards only through one packed boundary block (root lane planes) — see
 :mod:`repro.engine.sharded_sweep` for the pipelined driver that exploits
 this.
 

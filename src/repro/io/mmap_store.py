@@ -299,6 +299,8 @@ class _MmapShardStore:
         self._directory = directory
         self._manifest = manifest
         self._n = int(manifest["num_nodes"])
+        # every shard shares one label index instead of building its own
+        self._node_index = {v: i for i, v in enumerate(manifest["node_labels"])}
 
     def shard_bytes(self, index: int) -> int:
         return int(self._manifest["shards"][index]["bytes"])
@@ -326,6 +328,7 @@ class _MmapShardStore:
             data = self._mapped(index, stack, "data", total_nnz)
             indices = self._mapped(index, stack, "indices", total_nnz)
             indptr = self._mapped(index, stack, "indptr", t_count * (n + 1))
+            self._check_csr(index, stack, indptr.reshape(t_count, n + 1), indices, nnz)
             mats = []
             for k in range(t_count):
                 lo, hi = int(offsets[k]), int(offsets[k + 1])
@@ -349,7 +352,47 @@ class _MmapShardStore:
             mutation_version=manifest["mutation_version"],
             backward_operators=operators.get("backward"),
             active_mask=mask,
+            node_index=self._node_index,
         )
+
+    def _check_csr(
+        self,
+        index: int,
+        stack: str,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        nnz: list[int],
+    ) -> None:
+        """Raise :class:`GraphError` naming the file unless every snapshot's
+        CSR buffers are well formed.
+
+        ``indptr`` holds one ``(N + 1)``-long row per snapshot: each must
+        start at 0, never decrease and end at the manifest's nnz of its
+        snapshot, and every column index must lie in ``[0, N)``.  scipy
+        builds a CSR over the mapped buffers without these checks, and a
+        bad index later crashes the interpreter inside a native conversion.
+        A few vectorised passes over plain views of the mapped buffers.
+        """
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        path = _shard_file(self._directory, index, stack, "indptr")
+        if indptr[:, 0].any():
+            raise GraphError(
+                f"shard store file {path!r}: an indptr does not start at 0"
+            )
+        if (indptr[:, -1] != nnz).any():
+            raise GraphError(
+                f"shard store file {path!r}: the indptr ends "
+                f"{indptr[:, -1].tolist()} differ from the manifest's nnz {nnz}"
+            )
+        if (indptr[:, 1:] < indptr[:, :-1]).any():
+            raise GraphError(f"shard store file {path!r}: an indptr decreases")
+        # read as unsigned, a negative index is larger than any valid one
+        if indices.size and indices.view(np.uint32).max() >= self._n:
+            path = _shard_file(self._directory, index, stack, "indices")
+            raise GraphError(
+                f"shard store file {path!r} holds a column index outside "
+                f"[0, {self._n})"
+            )
 
     def _active_mask(self) -> np.ndarray:
         t_count = len(self._manifest["times"])
@@ -387,7 +430,10 @@ def load_sharded(root: str, *, version: int | None = None) -> ShardedTemporalGra
     between sweeps — the serial driver's out-of-core schedule.  Every file
     the manifest implies is checked against its exact byte size first, so
     a missing or truncated file raises :class:`GraphError` naming it here
-    rather than failing inside ``np.memmap`` mid-sweep.
+    rather than failing inside ``np.memmap`` mid-sweep.  A file of the
+    right size with corrupt CSR buffers (an indptr that does not run from
+    0 up to its snapshot's nnz, a column index outside ``[0, N)``) raises
+    :class:`GraphError` naming it when its shard opens.
     """
     if version is None:
         candidates = []

@@ -20,9 +20,10 @@ logic branches on, each under every advance branch forced through
   ``decrease_only_resweep``;
 * ``_run`` leaves a saturated snapshot inside the window out of the
   advance's frontier and out of the masked update;
-* a reach sweep (``_run(..., per_identity=True)``) writes one ``(1, N, R)``
-  first level per node identity, equal to the per-slot block's minimum
-  over time, and only the reach readout asks for it.
+* a reach sweep (``_run(..., per_identity=True)``) writes no level and
+  returns one packed ``(N, L)`` plane of reached node identities, equal to
+  the per-slot block's identity set whether its boundary is leveled or
+  flattened to level 0, and only the reach readout asks for it.
 
 The cases that cross time shards (levels fed only by boundary lanes, and
 store-backed shards) live in ``tests/test_sharded.py``, so that the CI
@@ -237,7 +238,7 @@ def test_run_skips_saturated_snapshots_inside_the_window(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# per-identity reach sweeps                                                    #
+# reach sweeps: one plane of reached identities                                #
 # --------------------------------------------------------------------------- #
 
 
@@ -283,27 +284,36 @@ def _identity_sweeps(draw):
     st.booleans(),
     st.sampled_from(THRESHOLDS),
 )
-def test_per_identity_block_is_the_per_slot_minimum(
+def test_reach_plane_is_the_per_slot_identity_set(
     sweep, direction, reverse_edges, thresholds
 ):
-    """Each identity's first level, ``-1`` where no slot of it is reached."""
+    """The plane packs the identities any slot of the per-slot block
+    reaches, from the drawn leveled boundary and from its level-0
+    flattening alike: reach is a closure, so the entry levels do not
+    matter."""
     kernel, seeds, boundary = sweep
+    boundaries = [boundary]
+    if boundary is not None:
+        entered = boundary.decode() < _FAR
+        boundaries.append(BoundaryBlock.from_min_levels(np.where(entered, 0, _FAR)))
     with bitops.sweep_thresholds(*thresholds):
         per_slot = kernel._run(
             seeds, direction, reverse_edges=reverse_edges, boundary=boundary
         )
-        per_identity = kernel._run(
-            seeds,
-            direction,
-            reverse_edges=reverse_edges,
-            boundary=boundary,
-            per_identity=True,
-        )
-    assert per_identity.dtype == np.int32
-    assert per_identity.shape == (1, *per_slot.shape[1:])
-    first = np.where(per_slot >= 0, per_slot, _FAR).min(axis=0)
-    expected = np.where(first < _FAR, first, -1)
-    np.testing.assert_array_equal(per_identity[0], expected)
+        planes = [
+            kernel._run(
+                seeds,
+                direction,
+                reverse_edges=reverse_edges,
+                boundary=entering,
+                per_identity=True,
+            )
+            for entering in boundaries
+        ]
+    expected = bitops.pack_bits((per_slot >= 0).any(axis=0))
+    for plane in planes:
+        assert plane.dtype == expected.dtype
+        np.testing.assert_array_equal(plane, expected)
 
 
 READOUTS = {
@@ -317,8 +327,9 @@ READOUTS = {
 
 @pytest.mark.parametrize("readout", sorted(READOUTS))
 def test_only_reach_sweeps_write_one_level_per_identity(monkeypatch, readout):
-    """A reach sweep's block is ``(1, N, R)``; every other readout keeps
-    the per-slot ``(T, N, R)`` block."""
+    """A reach sweep writes no distance and returns one packed ``(N, L)``
+    plane, a single reached-or-not entry per identity; every other readout
+    returns the per-slot ``(T, N, R)`` int32 block."""
     kernel = FrontierKernel(_window_graph())
     t_count, n = kernel.compiled.active_mask.shape
     shapes = []
@@ -326,11 +337,15 @@ def test_only_reach_sweeps_write_one_level_per_identity(monkeypatch, readout):
 
     def recording_run(self, *args, **kwargs):
         block = run(self, *args, **kwargs)
-        shapes.append(block.shape)
+        shapes.append((block.shape, block.dtype))
         return block
 
     monkeypatch.setattr(FrontierKernel, "_run", recording_run)
     READOUTS[readout](kernel, WINDOW_ROOTS)
     width = len(WINDOW_ROOTS)
     assert t_count > 1
-    assert shapes == [(1 if readout == "reach" else t_count, n, width)]
+    if readout == "reach":
+        plane = bitops.seed_lanes((n,), [[]] * width)
+        assert shapes == [(plane.shape, plane.dtype)]
+    else:
+        assert shapes == [((t_count, n, width), np.dtype(np.int32))]

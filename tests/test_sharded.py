@@ -49,6 +49,7 @@ from repro.engine import (
     get_compiled,
     get_kernel,
     invalidate_kernel,
+    sharded_sweep,
 )
 from repro.engine.sharded_sweep import (
     _FAR,
@@ -56,7 +57,6 @@ from repro.engine.sharded_sweep import (
     ShardedSweepDriver,
     _bfs_shard_sweep,
     _bfs_spec,
-    _reduce_block,
     _run_shard_task,
 )
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
@@ -290,13 +290,21 @@ def _banded_graph(num_nodes=40, snapshots=6, seed=3):
 
 
 def test_wide_chunk_serial_driver_matches_monolithic():
-    """130 roots in one chunk (three uint64 lanes per node), BFS and Tang."""
+    """130 roots in one chunk (three uint64 lanes per node), BFS and Tang.
+
+    The driver and the kernel share the reach sweep, so roots in the second
+    and third lanes are also counted against the Python oracle."""
     graph = _banded_graph(num_nodes=30, snapshots=6, seed=13)
     compiled = get_compiled(graph)
     kernel = get_kernel(graph)
     active = graph.active_temporal_nodes()
     roots = [active[i % len(active)] for i in range(0, 7 * 130, 7)]
     sources = sorted(graph.nodes()) * 5
+    counts = kernel.identity_reach_counts(roots, chunk_size=130)
+    for col in (64, 101, 128, 129):
+        root = roots[col]
+        reached = evolving_bfs(graph, root, backend="python").reached
+        assert counts[root] == len({v for v, _ in reached} - {root[0]})
     for sharded in _shardings(compiled):
         driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=130)
         for direction in ("forward", "backward"):
@@ -426,6 +434,76 @@ def test_load_sharded_rejects_truncated_file(tmp_path, name):
     os.remove(path)
     with pytest.raises(GraphError, match=f"{name}.*missing"):
         load_sharded(str(tmp_path))
+
+
+def _corrupt_indptr_start(ptrs, indices, nnz, n):
+    ptrs[1, 0] = 1
+
+
+def _corrupt_indptr_end(ptrs, indices, nnz, n):
+    ptrs[1, -1] = nnz[1] - 1
+
+
+def _corrupt_indptr_order(ptrs, indices, nnz, n):
+    # swap two unequal inner entries: it still starts at 0 and ends at nnz
+    row = ptrs[1]
+    j = 1 + int(np.flatnonzero(np.diff(row[1:-1]))[0])
+    row[j], row[j + 1] = row[j + 1], row[j]
+
+
+def _corrupt_index_past_n(ptrs, indices, nnz, n):
+    indices[3] = n
+
+
+def _corrupt_index_negative(ptrs, indices, nnz, n):
+    indices[-1] = -1
+
+
+@pytest.mark.parametrize(
+    ("corrupt", "name", "message"),
+    [
+        (_corrupt_indptr_start, "indptr", "does not start at 0"),
+        (_corrupt_indptr_end, "indptr", "differ from the manifest's nnz"),
+        (_corrupt_indptr_order, "indptr", "decreases"),
+        (_corrupt_index_past_n, "indices", r"outside \[0, 12\)"),
+        (_corrupt_index_negative, "indices", r"outside \[0, 12\)"),
+    ],
+)
+def test_open_shard_rejects_corrupt_csr_buffers(tmp_path, corrupt, name, message):
+    """A store file of the right size whose CSR buffers are corrupt raises a
+    typed error naming it when its shard opens, before scipy reads it: an
+    out-of-range index used to crash the interpreter in the first push
+    advance, a decreasing indptr to raise an untyped ``ValueError``."""
+    graph = _banded_graph(num_nodes=12, snapshots=4, seed=3)
+    compiled = get_compiled(graph)
+    directory = save_sharded(compiled, str(tmp_path), num_shards=2)
+    roots = graph.active_temporal_nodes()[:4]
+    expected = get_kernel(graph).identity_reach_counts(roots)
+    sharded = load_sharded(str(tmp_path))
+    start, stop = sharded.boundaries[0]
+    assert stop - start >= 2 and compiled.num_nodes == 12
+    buffers = {
+        part: np.memmap(
+            os.path.join(directory, f"shard-0000.forward.{part}.bin"),
+            dtype=np.int32,
+            mode="r+",
+        )
+        for part in ("indptr", "indices")
+    }
+    nnz = [int(op.nnz) for op in compiled.forward_operators[start:stop]]
+    ptrs = buffers["indptr"].reshape(stop - start, -1)
+    corrupt(ptrs, buffers["indices"], nnz, compiled.num_nodes)
+    for buffer in buffers.values():
+        buffer.flush()
+    del buffers, ptrs
+    driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=4)
+    with pytest.raises(GraphError, match=f"shard-0000.forward.{name}.bin.*{message}"):
+        driver.identity_reach_counts(roots)
+    assert sharded.open_bytes == 0
+    sharded.shard(1)  # the intact shard still opens
+    save_sharded(compiled, str(tmp_path / "intact"), num_shards=2)
+    intact = ShardedSweepDriver(load_sharded(str(tmp_path / "intact")))
+    assert intact.identity_reach_counts(roots) == expected
 
 
 def test_sharded_driver_staleness_raises():
@@ -588,28 +666,49 @@ def _count_merges(monkeypatch) -> list:
     return calls
 
 
+def _count_handoffs(monkeypatch) -> list:
+    """Record the outgoing boundary of every BFS-family shard sweep."""
+    handed = []
+    sweep = sharded_sweep._bfs_shard_sweep
+
+    def counting_sweep(*args, **kwargs):
+        block, boundary_out = sweep(*args, **kwargs)
+        if boundary_out is not None:
+            handed.append(boundary_out)
+        return block, boundary_out
+
+    monkeypatch.setattr(sharded_sweep, "_bfs_shard_sweep", counting_sweep)
+    return handed
+
+
 def test_last_shard_of_a_chain_hands_nothing_off(monkeypatch):
     """A monolithic batched call builds no outgoing boundary; a k-shard
-    chain merges k - 1 boundaries per chunk (its last shard hands off none)."""
+    chain hands on k - 1 boundaries per chunk (its last shard hands off
+    none): one level-0 plane each on reach chains, which merge no levels,
+    and k - 1 ``merged_with`` calls on label chains."""
     graph = _banded_graph(num_nodes=20, snapshots=6, seed=3)
     compiled = get_compiled(graph)
     roots = graph.active_temporal_nodes()[:6]
     calls = _count_merges(monkeypatch)
+    handed = _count_handoffs(monkeypatch)
     kernel = FrontierKernel(compiled)
     kernel.batch(roots, chunk_size=2)
     kernel.identity_reach_counts(roots, direction="backward", chunk_size=2)
     kernel.harmonic_closeness_sums(roots, chunk_size=2)
     list(kernel.zero_one_labels(roots, chunk_size=2))
-    assert calls == []
+    assert calls == [] and handed == []
     for k in (2, 3):
         sharded = ShardedTemporalGraph.from_compiled(compiled, k)
         assert sharded.num_shards == k
         driver = ShardedSweepDriver(sharded, chunk_size=2)
         for direction in ("forward", "backward"):
             calls.clear()
+            handed.clear()
             assert driver.identity_reach_counts(roots, direction=direction) == \
                 kernel.identity_reach_counts(roots, direction=direction)
-            assert calls.count("merged_with") == 3 * (k - 1)  # three chunks
+            assert len(handed) == 3 * (k - 1)  # three chunks
+            assert all(set(boundary.levels) == {0} for boundary in handed)
+            assert calls == []
         calls.clear()
         list(driver.zero_one_labels(roots))
         assert calls.count("merged_with") == 3 * (k - 1)
@@ -842,8 +941,8 @@ def _relay_layouts(compiled):
 
 
 def _assert_relay_sweeps_match_oracles(driver, graph):
-    """BFS both ways, with and without reversed edges, and the 0/1 label
-    family, against the Python oracles."""
+    """BFS distances and identity reach counts both ways, with and without
+    reversed edges, and the 0/1 label family, against the Python oracles."""
     from tests.test_labels_vectorized import _flipped, _zero_one_dijkstra
 
     flipped = _flipped(graph)
@@ -852,9 +951,13 @@ def _assert_relay_sweeps_match_oracles(driver, graph):
             ((chunk, dist),) = driver.distance_blocks(
                 RELAY_ROOTS, direction=direction, reverse_edges=reverse_edges
             )
+            counts = driver.identity_reach_counts(
+                RELAY_ROOTS, direction=direction, reverse_edges=reverse_edges
+            )
             for col, root in enumerate(chunk):
-                assert driver._reached_view(dist, col) == \
-                    search(oracle_graph, root, backend="python").reached
+                expected = search(oracle_graph, root, backend="python").reached
+                assert driver._reached_view(dist, col) == expected
+                assert counts[root] == len({v for v, _ in expected} - {root[0]})
     slots = driver._slots
     for costs in ((1, 0), (1, 1), (0, 1)):
         ((chunk, block),) = driver.zero_one_labels(
@@ -898,38 +1001,71 @@ def test_level_loops_match_oracles_on_env_driven_shards():
 
 
 # --------------------------------------------------------------------------- #
-# reach sweeps: one first level per node identity                              #
+# reach sweeps: one plane of reached identities                                #
 # --------------------------------------------------------------------------- #
+
+def test_reach_chains_replay_no_boundary_level(monkeypatch):
+    """On the relay graph's 3-shard layout a reach chunk advances fewer
+    levels than the same roots' distance chunk: a distance chain replays
+    every level of each incoming boundary, a reach chain enters all of its
+    identities at level 1.  Both counts are exact, so a change that brings
+    back level replay fails here."""
+    sharded = ShardedTemporalGraph.from_compiled(get_compiled(_relay_graph()), 3)
+    assert sharded.boundaries == ((0, 2), (2, 5), (5, 6))
+    driver = ShardedSweepDriver(sharded, chunk_size=8)
+    advances = []
+    advance = bitops.advance_blocked
+
+    def counting_advance(*args, **kwargs):
+        advances.append(1)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(bitops, "advance_blocked", counting_advance)
+    counted = {}
+    for direction in ("forward", "backward"):
+        advances.clear()
+        driver.identity_reach_counts(RELAY_ROOTS, direction=direction)
+        reach = len(advances)
+        advances.clear()
+        list(driver.distance_blocks(RELAY_ROOTS, direction=direction))
+        counted[direction] = (reach, len(advances))
+    assert counted == {"forward": (22, 32), "backward": (20, 22)}
+    assert all(reach < distance for reach, distance in counted.values())
+
 
 @SHARD_SETTINGS
 @given(graphs_with_roots(), st.sampled_from(["forward", "backward"]), st.booleans())
-def test_reach_shard_task_matches_the_reduced_per_slot_block(
+def test_reach_shard_task_hands_on_one_level_zero_plane(
     graph_root, direction, reverse_edges
 ):
-    """Along every chain, a reach task's partial and outgoing boundary equal
-    those reduced from the per-slot block, from the incoming boundary the
-    chain's earlier shards handed on."""
+    """A reach chain beside the leveled chain of the same roots: at every
+    shard the reach task hands on one level-0 plane holding the identities
+    of the leveled boundary, and its partial packs the identities of the
+    shard's per-slot block."""
     graph, _ = graph_root
     roots = graph.active_temporal_nodes()[:6]
     spec = _bfs_spec(direction, reverse_edges)
     for sharded in _shardings(get_compiled(graph)):
         driver = ShardedSweepDriver(sharded)
-        seeds_by_shard, boundary = driver._plan(
+        seeds_by_shard, leveled = driver._plan(
             [[driver._seed_index(root)] for root in roots]
         )
+        reach = leveled
         for shard_index in driver._chain(spec):
             kernel = driver._kernel(shard_index)
             start = sharded.boundaries[shard_index][0]
             seeds = seeds_by_shard[shard_index]
-            block, expected_out = _bfs_shard_sweep(
-                kernel, seeds, boundary, forward=spec[1], reverse_edges=spec[2]
+            block, leveled = _bfs_shard_sweep(
+                kernel, seeds, leveled, forward=spec[1], reverse_edges=spec[2]
             )
-            partial, boundary_out = _run_shard_task(
-                kernel, spec, "reach", seeds, boundary, start
+            partial, reach = _run_shard_task(kernel, spec, "reach", seeds, reach, start)
+            assert np.array_equal(
+                bitops.unpack_bits(partial, len(roots)), (block >= 0).any(axis=0)
             )
-            assert np.array_equal(partial, _reduce_block("reach", block, start))
-            assert boundary_out == expected_out
-            boundary = expected_out
+            assert set(reach.levels) == {0}
+            assert np.array_equal(
+                bitops.unpack_bits(reach.lanes(0), len(roots)), leveled.decode() < _FAR
+            )
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
