@@ -31,10 +31,16 @@ of root columns per node.
   OR of its in-neighbours' lanes, gathered along the CSR.  **Push** ORs
   each frontier node's lane into its out-neighbours' lanes when the
   frontier is sparse, **pull** gathers only the rows that can still be
-  discovered once few are left, and **dense** gathers every row.  Over a
+  discovered once few are left, and **dense** gathers every row — through
+  a degree-ordered ELL layout with a CSR tail for the long rows (the HYB
+  format of Bell & Garland, SC 2009), cached on the operator.  Over a
   stacked operator it takes a ``window`` of snapshots, so a BFS level pays
   one direction choice and one advance for the snapshots that can still
   change;
+* :func:`time_horizon` masks each root column's active lanes to the
+  snapshots its search can reach (causal edges point forward only), so
+  the remaining lanes behind the direction choice and the termination
+  check hold only discoverable slots;
 * :func:`fused_update` fuses the masked causal OR, the activeness and
   visited masks and the visited update into one pass over the lanes of a
   run of snapshots.
@@ -58,7 +64,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,6 +85,7 @@ __all__ = [
     "stack_operators",
     "stacked_index_dtype",
     "sweep_thresholds",
+    "time_horizon",
     "unpack_bits",
     "word_count",
 ]
@@ -95,6 +102,19 @@ PUSH_BLOCK_FRACTION = 8
 #: disables pull.  Saturated sweeps stop paying for rows that are already
 #: visited in every column.
 PULL_ROW_FRACTION = 4
+
+#: The dense layout (:func:`_dense_layout`) keeps an ELL column while at
+#: least ``1 / _ELL_ROW_SHARE`` of the non-empty rows hold an entry in it.
+#: ``bench_bitkernel.py``'s dense report (2-core x86 host, a 16-column
+#: advance over the whole stack) timed caps 4, 8, 16 and 32 at 0.34, 0.31,
+#: 0.29 and 0.29 ms on its Figure-5 stack and at 0.37, 0.33, 0.32 and
+#: 0.32 ms on its hub stack (one in-degree-1999 row per snapshot), where
+#: no cap took 2.2 ms (1999 ELL columns) and the ``reduceat`` gather
+#: 0.75 ms: 16 is where a larger cap stops gaining.  On the ledger (seed 1,
+#: alternating runs) cap 16 against cap 8 read ``fig5_batch``
+#: ``op_p50_probes`` 1.79 against 1.81 (8 pairs) and ``zipf_serving`` 3.08
+#: against 3.20 (6 pairs), both inside the runs' spread.
+_ELL_ROW_SHARE = 16
 
 
 # --------------------------------------------------------------------------- #
@@ -165,6 +185,43 @@ def lane_mask(mask: np.ndarray, r: int) -> np.ndarray:
     """Lanes with all ``r`` column bits set on the slots where ``mask`` holds."""
     full = pack_bits(np.ones(r, dtype=bool))
     return np.asarray(mask, dtype=bool)[..., None] * full
+
+
+def time_horizon(
+    t_count: int,
+    seeds_per_column: Sequence[Sequence[tuple[int, int]]],
+    *,
+    forward: bool = True,
+    entering: Iterable[np.ndarray] = (),
+) -> np.ndarray:
+    """``(T, 1, L)`` lanes of the snapshots each column can discover a slot in.
+
+    Causal edges point forward in time only (the block operator ``M_n`` is
+    block upper-triangular), so a search seeded at snapshot ``t0`` never
+    reaches a slot before ``t0``: a forward column's horizon is every
+    snapshot at or after its earliest seed, a backward column's every
+    snapshot at or before its latest seed.  A column holding a bit of an
+    ``entering`` plane (the ``(N, L)`` lanes of an incoming shard boundary)
+    is fed at every snapshot, and a column with neither seed nor entering
+    bit can discover nothing.  ANDed into a sweep's active lanes, it leaves
+    ``active & ~visited`` holding only discoverable slots, so a snapshot
+    closes, pull fires and the sweep ends as soon as none is left.
+
+    Tang's sweep takes no horizon: its convention has no activeness, its
+    state is one time-free plane of informed identities rather than
+    per-slot lanes, and its loop already starts at its first snapshot.
+    """
+    times = np.arange(t_count)[:, None]
+    if forward:
+        edge = [min((t for t, _ in s), default=t_count) for s in seeds_per_column]
+        inside = times >= np.array(edge, dtype=np.int64)
+    else:
+        edge = [max((t for t, _ in s), default=-1) for s in seeds_per_column]
+        inside = times <= np.array(edge, dtype=np.int64)
+    lanes = pack_bits(inside)
+    for plane in entering:
+        lanes |= np.bitwise_or.reduce(plane, axis=0)
+    return lanes[:, None, :]
 
 
 def word_count(lanes: np.ndarray) -> int:
@@ -422,6 +479,69 @@ def _row_runs(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return runs
 
 
+def _dense_layout(
+    mat: sp.csr_matrix,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """The dense gather's degree-ordered layout of ``mat``, cached likewise.
+
+    The HYB format of Bell & Garland (SC 2009): the non-empty rows sorted
+    by decreasing degree (degrees past the ELL width tie), one ELL column
+    of source indices per entry rank that at least ``1 / _ELL_ROW_SHARE``
+    of them still hold (rank ``j`` holds the ``j``-th source of every row
+    with more than ``j`` entries, so it covers a prefix of the order), and
+    a CSR tail with the rest of the longer rows' entries.  The cap keeps a
+    hub row from adding a column per entry: its entries beyond the typical
+    degree go to the tail.
+    Returns ``(order, columns, tail_sources, tail_starts)``, index arrays
+    of ``mat``'s own index dtype; row ``i`` of the tail is ``order[i]``.
+    """
+    layout = getattr(mat, "_bitops_layout", None)
+    if layout is None:
+        rows, lens = _row_runs(mat)
+        # longer[j]: the rows with more than j entries, the length of rank j
+        longer = rows.size - np.bincount(lens).cumsum()
+        width = int(np.count_nonzero(longer * _ELL_ROW_SHARE >= rows.size))
+        # only the order of degrees up to width + 1 matters, so the keys are
+        # small ints, whose stable sort is numpy's radix sort
+        clipped = np.minimum(lens, width + 1)
+        keys = (width + 1 - clipped).astype(np.min_scalar_type(width + 1))
+        ranked = keys.argsort(kind="stable")
+        index = mat.indices.dtype
+        order = rows[ranked].astype(index)
+        starts = mat.indptr[order]
+        columns = [mat.indices[starts[: longer[j]] + j] for j in range(width)]
+        deep = int(longer[width])
+        tail_lens = lens[ranked[:deep]] - width
+        tail_sources = mat.indices[_segments(starts[:deep] + width, tail_lens)]
+        tail_starts = (tail_lens.cumsum() - tail_lens).astype(index)
+        layout = (order, columns, tail_sources, tail_starts)
+        mat._bitops_layout = layout
+    return layout
+
+
+def _layout_gather_or(
+    lanes: np.ndarray,
+    layout: tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """``out[row]`` = OR of ``lanes`` over each non-empty row's sources.
+
+    The gather of :func:`_gather_or` over every row, through
+    :func:`_dense_layout`: per lane one ``take`` and one in-place prefix OR
+    per ELL column, then one ``reduceat`` over the tail.
+    """
+    order, columns, tail_sources, tail_starts = layout
+    for k in range(lanes.shape[1]):
+        column = np.ascontiguousarray(lanes[:, k])
+        acc = column.take(columns[0])
+        for ell in columns[1:]:
+            acc[: ell.size] |= column.take(ell)
+        if tail_starts.size:
+            tail = np.bitwise_or.reduceat(column.take(tail_sources), tail_starts)
+            acc[: tail.size] |= tail
+        out[order, k] = acc
+
+
 def advance_blocked(
     mat: sp.csr_matrix,
     frontier: np.ndarray,
@@ -456,6 +576,11 @@ def advance_blocked(
     * **dense** — otherwise every row gathers; cost ``nnz · r``.  A single
       column (``r == 1``, one-byte 0/1 lanes) instead takes the one-pass
       scalar product ``mat @ lanes > 0``, which beats a two-pass gather.
+      Wider lanes gather every row of the stack through the operator's
+      cached degree-ordered layout (:func:`_dense_layout`) and then clear
+      the rows outside the window.  The charge stays the window's
+      ``2 · nnz · r``: the layout changes the speed of the gather, not the
+      product it stands for.
     """
     lo, hi = (0, frontier.shape[0]) if window is None else window
     n = hi - lo
@@ -511,9 +636,9 @@ def advance_blocked(
             sub = sp.csr_matrix((*buffers, sub_ptr), shape=(n, mat.shape[1]))
         out[lo:hi] = (sub @ frontier > 0).view(out.dtype)
     else:
-        rows, lens = _row_runs(mat)
-        a, b = np.searchsorted(rows, (lo, hi))
-        _gather_or(frontier, rows[a:b], lens[a:b], mat.indices[first:last], out)
+        _layout_gather_or(frontier, _dense_layout(mat), out)
+        out[:lo] = 0  # the layout spans every row; the window's edges cut it
+        out[hi:] = 0
     if counter is not None:
         counter.multiply_adds += 2 * (last - first) * r
     return out

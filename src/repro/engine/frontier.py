@@ -762,7 +762,15 @@ class FrontierKernel(BatchedSweeps):
         The one sweep loop of the BFS family.  Frontier and visited state
         stay packed as ``(T, N, L)`` root lanes across rounds, and each level
         is one application of the paper's block operator ``M_n``
-        (Algorithm 2) to the whole block:
+        (Algorithm 2) to the whole block.  The active lanes are masked once
+        per sweep to each column's time horizon
+        (:func:`~repro.engine.bitops.time_horizon`: the snapshots from its
+        earliest seed on, for backward searches up to its latest, every
+        snapshot for a column fed by ``boundary``, none for a column with
+        neither), so ``active & ~visited`` holds only the slots a column can
+        still discover: the saturation check, the pull choice and the
+        termination test see no slot before a forward column's seed, and
+        the sweep ends with its last discovery.  Each level runs:
 
         * one :func:`~repro.engine.bitops.advance_blocked` over the stacked
           operators (:meth:`_stacked`), windowed to the snapshots holding
@@ -801,7 +809,14 @@ class FrontierKernel(BatchedSweeps):
                 for ti, vi in seeds:
                     dist[ti, vi, col] = 0
         visited = frontier.copy()
+        # only the slots inside a column's time horizon are discoverable
         active = bitops.lane_mask(active_mask, r)
+        active &= bitops.time_horizon(
+            t_count,
+            seeds_per_column,
+            forward=forward,
+            entering=boundary.levels.values() if boundary is not None else (),
+        )
         # spatial expansion: forward time follows out-edges (the forward
         # operator), backward time follows in-edges (its transpose);
         # reverse_edges flips that choice for the citation-mining searches

@@ -82,7 +82,11 @@ class LabelKernel:
         over the stacked operators, windowed to the snapshots holding both
         frontier and unreached bits, and the causal step is the lane-wise
         :func:`~repro.engine.bitops.causal_or_accumulate`, so each
-        saturation or expansion step advances every snapshot at once.
+        saturation or expansion step advances every snapshot at once.  The
+        causal step runs forward only, so the active lanes are masked to
+        each column's forward time horizon
+        (:func:`~repro.engine.bitops.time_horizon`), the same notion of
+        discoverable slot the BFS loop uses.
 
         ``boundary`` is the state earlier time shards reached (``None`` for
         a monolithic sweep).  Its nodes at minimal label ``m`` are injected
@@ -95,6 +99,11 @@ class LabelKernel:
         r = len(seeds_per_column)
         stacked = self.frontier._stacked(True)
         active = bitops.lane_mask(self.compiled.active_mask, r)
+        active &= bitops.time_horizon(
+            t_count,
+            seeds_per_column,
+            entering=boundary.levels.values() if boundary is not None else (),
+        )
         labels = np.full((t_count, n, r), -1, dtype=np.int32)
         frontier = bitops.seed_lanes((t_count, n), seeds_per_column)
         for col, seeds in enumerate(seeds_per_column):

@@ -21,10 +21,18 @@ packing bugs live:
   under every push/pull threshold configuration (the three branches must
   agree wherever new discoveries are possible), and each branch's
   multiply-add charge;
+* the dense advance over stacks of random snapshots (empty rows, an empty
+  snapshot, a hub row), over every snapshot-aligned window, through the
+  degree-ordered layout on both sides of its ELL cap, and the layout's
+  width and index dtype;
+* :func:`~repro.engine.bitops.time_horizon` per seed, direction and
+  incoming boundary;
 * the process-wide push/pull thresholds (context restore).
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -400,6 +408,176 @@ def test_advance_blocked_counts_multiply_adds_per_branch():
             )
         assert counter.multiply_adds == 2 * int(mat[:4].nnz) * r
         np.testing.assert_array_equal(bitops.unpack_bits(got, r)[:4], reference[:4])
+
+
+# --------------------------------------------------------------------------- #
+# the dense advance's degree-ordered layout                                    #
+# --------------------------------------------------------------------------- #
+
+#: Column counts of the dense layout cases: each lane width past one column
+#: (one column takes the scalar product instead), full and ragged.
+DENSE_COLUMNS = [2, 9, 33, 64, 65, 129]
+
+
+def _snapshot(n, rng, *, hub=False, empty=False):
+    """A random ``(N, N)`` 0/1 operator with some empty rows.
+
+    ``hub`` gives row 0 an entry from every other node over a sparse rest,
+    so that one row holds most of the snapshot's entries.
+    """
+    if empty:
+        return sp.csr_matrix((n, n), dtype=np.int8)
+    mat = sp.random(n, n, density=0.04 if hub else 0.25, random_state=rng).tolil()
+    mat[2] = 0  # an empty row inside the snapshot
+    if hub:
+        mat[0, 1:] = 1
+    mat = mat.tocsr()
+    mat.data[:] = 1
+    return mat.astype(np.int8)
+
+
+def _dense_stack(n, t, seed, hub, empty):
+    """``stack_operators`` over ``t`` snapshots, one with a hub row and one
+    registered empty (``-1`` for neither)."""
+    rng = np.random.default_rng(seed)
+    return bitops.stack_operators(
+        [_snapshot(n, rng, hub=k == hub, empty=k == empty) for k in range(t)]
+    )
+
+
+def _check_dense_advance(stack, n, r, seed):
+    """The dense advance over every snapshot-aligned window and none.
+
+    Asserts the product's pattern inside the window, empty rows outside it,
+    the ``2 · nnz(window) · R`` charge, and that the advance gathered
+    through the stack's layout.
+    """
+    from repro.linalg import OperationCounter
+
+    rng = np.random.default_rng(seed)
+    slots = stack.shape[0]
+    frontier = rng.random((slots, r)) < rng.choice([0.05, 0.5])
+    expected = _reference(stack, frontier)
+    lanes = bitops.pack_bits(frontier)
+    t = slots // n
+    windows = [None] + [(a * n, b * n) for a in range(t) for b in range(a + 1, t + 1)]
+    for window in windows:
+        lo, hi = (0, slots) if window is None else window
+        counter = OperationCounter()
+        spy = mock.patch.object(
+            bitops, "_layout_gather_or", wraps=bitops._layout_gather_or
+        )
+        with bitops.sweep_thresholds(0, 0), spy as layout_gather:
+            got = bitops.advance_blocked(
+                stack, lanes, r, counter=counter, window=window
+            )
+        bits = bitops.unpack_bits(got, r)
+        np.testing.assert_array_equal(bits[lo:hi], expected[lo:hi])
+        assert not got[:lo].any() and not got[hi:].any()
+        entries = int(stack.indptr[hi] - stack.indptr[lo])
+        if not frontier[lo:hi].any():  # nothing to advance: no charge
+            entries = 0
+        assert counter.multiply_adds == 2 * entries * r
+        assert layout_gather.call_count == (1 if entries else 0)
+
+
+@st.composite
+def dense_stacks(draw):
+    """``(stack, N, R, seed)``: 1 to 6 snapshots, maybe a hub row and an
+    empty snapshot, and a lane width past one column."""
+    n = draw(st.sampled_from([12, 30]))
+    t = draw(st.integers(min_value=1, max_value=6))
+    hub = draw(st.integers(min_value=-1, max_value=t - 1))
+    empty = draw(st.integers(min_value=-1, max_value=t - 1))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    r = draw(st.sampled_from(DENSE_COLUMNS))
+    return _dense_stack(n, t, seed, hub, empty), n, r, seed
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dense_stacks())
+def test_dense_advance_through_the_layout_matches_the_product(case):
+    """Every window of a random stack, through the layout, gives the
+    product's pattern and the unchanged charge."""
+    stack, n, r, seed = case
+    _check_dense_advance(stack, n, r, seed)
+
+
+def test_dense_advance_cases_reach_both_sides_of_the_ell_cap():
+    """A stack with entries past the ELL cap and one without: a hub row
+    spills into the tail, a stack of equal-degree rows does not."""
+    ring = sp.csr_matrix(np.roll(np.eye(12, dtype=np.int8), 1, axis=1))
+    rings = bitops.stack_operators([ring] * 3)
+    assert bitops._dense_layout(rings)[2].size == 0
+    for r in DENSE_COLUMNS:
+        hubbed = _dense_stack(12, 4, r, hub=1, empty=3)
+        assert bitops._dense_layout(hubbed)[2].size > 0
+        _check_dense_advance(hubbed, 12, r, r)
+        _check_dense_advance(rings, 12, r, r)
+
+
+def test_hub_row_adds_no_ell_column():
+    """The ELL width follows the typical degree: a hub row's entries past
+    it go to the CSR tail, not into columns of their own."""
+    n = 64
+    base = np.zeros((n, n), dtype=np.int8)
+    for v in range(n):
+        base[v, [(v + 1) % n, (v + 2) % n, (v + 3) % n]] = 1
+    hubbed = base.copy()
+    hubbed[0] = 1
+    plain = bitops._dense_layout(bitops.stack_operators([sp.csr_matrix(base)] * 2))
+    order, columns, tail_sources, tail_starts = bitops._dense_layout(
+        bitops.stack_operators([sp.csr_matrix(hubbed), sp.csr_matrix(base)])
+    )
+    assert len(columns) == len(plain[1]) == 3
+    assert plain[2].size == 0
+    assert order[0] == 0 and tail_starts.tolist() == [0]
+    assert tail_sources.size == n - 3
+
+
+def test_int64_stack_keeps_int64_in_its_layout():
+    """A stack past the int32 range indexes its layout in int64 too."""
+    rng = np.random.default_rng(4)
+    stack = _dense_stack(12, 3, 4, hub=0, empty=-1)
+    wide = sp.csr_matrix(stack.shape, dtype=stack.dtype)
+    wide.data = stack.data
+    wide.indices = stack.indices.astype(np.int64)
+    wide.indptr = stack.indptr.astype(np.int64)
+    order, columns, tail_sources, tail_starts = bitops._dense_layout(wide)
+    assert tail_sources.size
+    for array in (order, *columns, tail_sources, tail_starts):
+        assert array.dtype == np.int64
+    frontier = rng.random((wide.shape[0], 33)) < 0.3
+    with bitops.sweep_thresholds(0, 0):
+        got = bitops.advance_blocked(wide, bitops.pack_bits(frontier), 33)
+    np.testing.assert_array_equal(
+        bitops.unpack_bits(got, 33), _reference(stack, frontier)
+    )
+
+
+# --------------------------------------------------------------------------- #
+# the time horizon                                                             #
+# --------------------------------------------------------------------------- #
+
+
+def test_time_horizon_by_seed_direction_and_boundary():
+    """Forward from the earliest seed, backward up to the latest, every
+    snapshot for a column fed by a boundary, none for an unfed seedless one."""
+    seeds = [[(2, 0)], [(3, 1), (1, 4)], [], [], [(0, 0)]]
+    entering = bitops.pack_bits(np.array([[False] * 3 + [True, False]]))
+    expected_forward = np.zeros((5, 5), dtype=bool)
+    expected_forward[2:, 0] = expected_forward[1:, 1] = True
+    expected_forward[:, 3] = expected_forward[:, 4] = True
+    expected_backward = np.zeros((5, 5), dtype=bool)
+    expected_backward[:3, 0] = expected_backward[:4, 1] = True
+    expected_backward[:, 3] = expected_backward[:1, 4] = True
+    for forward, expected in ((True, expected_forward), (False, expected_backward)):
+        horizon = bitops.time_horizon(
+            5, seeds, forward=forward, entering=[entering, np.zeros_like(entering)]
+        )
+        assert horizon.shape == (5, 1, 1)
+        np.testing.assert_array_equal(bitops.unpack_bits(horizon[:, 0], 5), expected)
+    assert not bitops.time_horizon(3, [[], []]).any()
 
 
 # --------------------------------------------------------------------------- #

@@ -20,6 +20,10 @@ logic branches on, each under every advance branch forced through
   ``decrease_only_resweep``;
 * ``_run`` leaves a saturated snapshot inside the window out of the
   advance's frontier and out of the masked update;
+* each root column's time horizon: columns of several seeds at different
+  snapshots and seedless columns, both directions, with ``reverse_edges``,
+  through ``_run`` and ``_zero_one_run``, and a chunk seeded where its
+  search ends, whose sweep stops at its last discovery;
 * a reach sweep (``_run(..., per_identity=True)``) writes no level and
   returns one packed ``(N, L)`` plane of reached node identities, equal to
   the per-slot block's identity set whether its boundary is leveled or
@@ -40,6 +44,7 @@ from hypothesis import strategies as st
 
 from repro.core import backward_bfs, evolving_bfs
 from repro.engine import FrontierKernel, bitops
+from repro.engine.labels import LabelKernel
 from repro.engine.sharded_sweep import _FAR, BoundaryBlock
 from repro.graph import AdjacencyListEvolvingGraph
 from tests.test_delta_streaming import assert_same_buffers
@@ -73,6 +78,32 @@ def _window_graph():
 #: Roots whose first frontier sits only in the first or only in the last
 #: snapshot holding edges, for both time directions.
 WINDOW_ROOTS = [(0, 0), (3, 0), (9, 3), (10, 3), (0, 3)]
+
+
+def _horizon_graph():
+    """Five nodes active in all five snapshots, so every node reaches every
+    later snapshot of itself.
+
+    Snapshots 0 and 4 are complete digraphs, which a search saturates in one
+    level; snapshots 1 to 3 are the cycle ``0 → 1 → 2 → 3 → 4 → 0``, which
+    takes four.
+    """
+    nodes = range(5)
+    edges = [(u, v, t) for t in (0, 4) for u in nodes for v in nodes if u != v]
+    edges += [(v, (v + 1) % 5, t) for t in (1, 2, 3) for v in nodes]
+    return AdjacencyListEvolvingGraph(edges, timestamps=list(range(5)), directed=True)
+
+
+#: Columns of several seeds at different snapshots beside seedless ones;
+#: every seed is an active slot of both the window and the horizon graph.
+HORIZON_COLUMNS = [
+    [(0, 3), (0, 0)],
+    [],
+    [(1, 2), (3, 0)],
+    [(0, 1)],
+    [],
+    [(3, 3), (0, 2), (0, 1)],
+]
 
 
 # --------------------------------------------------------------------------- #
@@ -235,6 +266,112 @@ def test_run_skips_saturated_snapshots_inside_the_window(monkeypatch):
     assert advanced and updated
     assert not any(closed.any() for closed in advanced)
     assert all(open_.all() for open_ in updated)
+
+
+# --------------------------------------------------------------------------- #
+# the time horizon of each root column                                         #
+# --------------------------------------------------------------------------- #
+
+
+def _nearest(searches):
+    """The oracle levels of a column seeded at several roots: per slot, the
+    minimum over the roots' single-source ``{slot: level}`` searches."""
+    nearest = {}
+    for levels in searches:
+        for slot, level in levels.items():
+            nearest[slot] = min(level, nearest.get(slot, level))
+    return nearest
+
+
+@pytest.mark.parametrize("graph_of", [_window_graph, _horizon_graph])
+@pytest.mark.parametrize("thresholds", THRESHOLDS)
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("reverse_edges", [False, True])
+def test_multi_seed_and_seedless_columns_match_oracle(
+    graph_of, thresholds, direction, reverse_edges
+):
+    """Each column's horizon starts at its earliest seed (backward: ends at
+    its latest), and a seedless column reaches nothing, in the level block
+    and in the reach plane alike."""
+    graph = graph_of()
+    kernel = FrontierKernel(graph)
+    bfs = evolving_bfs if direction == "forward" else backward_bfs
+    oracle_graph = _flipped(graph) if reverse_edges else graph
+    seeds = [[kernel._seed_index(root) for root in col] for col in HORIZON_COLUMNS]
+    with bitops.sweep_thresholds(*thresholds):
+        dist = kernel._run(seeds, direction, reverse_edges=reverse_edges)
+        plane = kernel._run(
+            seeds, direction, reverse_edges=reverse_edges, per_identity=True
+        )
+    reached = bitops.unpack_bits(plane, len(seeds))
+    index = kernel.compiled.node_index
+    for col, roots in enumerate(HORIZON_COLUMNS):
+        expected = _nearest(
+            bfs(oracle_graph, root, backend="python").reached for root in roots
+        )
+        assert kernel._reached_view(dist, col) == expected
+        ids = {index[v] for v, _ in expected}
+        assert set(np.flatnonzero(reached[:, col]).tolist()) == ids
+
+
+@pytest.mark.parametrize("graph_of", [_window_graph, _horizon_graph])
+@pytest.mark.parametrize("thresholds", THRESHOLDS)
+@pytest.mark.parametrize("costs", COSTS)
+def test_zero_one_multi_seed_and_seedless_columns_match_oracle(
+    graph_of, thresholds, costs
+):
+    """The 0/1 sweep masks its active lanes with the same forward horizon."""
+    graph = graph_of()
+    kernel = FrontierKernel(graph)
+    slots = kernel._slots
+    seeds = [[kernel._seed_index(root) for root in col] for col in HORIZON_COLUMNS]
+    with bitops.sweep_thresholds(*thresholds):
+        block = LabelKernel(kernel)._zero_one_run(seeds, *costs)
+    for col, roots in enumerate(HORIZON_COLUMNS):
+        t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
+        decoded = {
+            (slots.labels[vi], slots.times[ti]): int(block[ti, vi, col])
+            for ti, vi in zip(t_arr.tolist(), v_arr.tolist())
+        }
+        assert decoded == _nearest(
+            _zero_one_dijkstra(graph, root, *costs) for root in roots
+        )
+
+
+#: Per direction, a chunk seeded where its search ends: one root in a cycle
+#: snapshot next to the complete snapshot at that end of time, one root in
+#: the complete snapshot itself.
+HORIZON_ROOTS = {"forward": [(0, 3), (0, 4)], "backward": [(0, 1), (0, 0)]}
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("reverse_edges", [False, True])
+def test_sweep_stops_at_its_last_discovery(monkeypatch, direction, reverse_edges):
+    """The cycle root's column finds its last slot at level 4, and every
+    advance before that meets a remaining bit.  Without the horizon the
+    complete-snapshot column, which can never reach the cycle snapshot,
+    kept it open, so a fifth advance ran there and discovered nothing: the
+    counts are exact, and a sweep that counts undiscoverable slots as
+    remaining fails here."""
+    kernel = FrontierKernel(_horizon_graph())
+    advance = bitops.advance_blocked
+    met = []
+
+    def recording_advance(mat, frontier, r, **kwargs):
+        out = advance(mat, frontier, r, **kwargs)
+        met.append(bool((out & kwargs["remaining"]).any()))
+        return out
+
+    monkeypatch.setattr(bitops, "advance_blocked", recording_advance)
+    roots = HORIZON_ROOTS[direction]
+    ((_, dist),) = kernel.distance_blocks(
+        roots, direction=direction, reverse_edges=reverse_edges
+    )
+    kernel.identity_reach_counts(
+        roots, direction=direction, reverse_edges=reverse_edges
+    )
+    assert int(dist.max()) == 4
+    assert met == [True] * 8  # four levels per sweep, two sweeps
 
 
 # --------------------------------------------------------------------------- #

@@ -933,6 +933,11 @@ def _relay_graph():
 
 RELAY_ROOTS = [(0, 0), (1, 0), (33, 5), (0, 5), (40, 0)]
 
+#: Roots at snapshots 3 to 5 only, so in every relay layout the first shard
+#: sweeps seedless columns alone and the later shards sweep seeded columns
+#: beside boundary-fed and seedless ones, in both time directions.
+LATE_RELAY_ROOTS = [(10, 3), (30, 3), (21, 4), (31, 4), (33, 5), (0, 5)]
+
 
 def _relay_layouts(compiled):
     return [
@@ -940,7 +945,7 @@ def _relay_layouts(compiled):
     ] + [ShardedTemporalGraph.from_compiled(compiled, boundaries=[(0, 2), (2, 4), (4, 6)])]
 
 
-def _assert_relay_sweeps_match_oracles(driver, graph):
+def _assert_relay_sweeps_match_oracles(driver, graph, roots=RELAY_ROOTS):
     """BFS distances and identity reach counts both ways, with and without
     reversed edges, and the 0/1 label family, against the Python oracles."""
     from tests.test_labels_vectorized import _flipped, _zero_one_dijkstra
@@ -949,10 +954,10 @@ def _assert_relay_sweeps_match_oracles(driver, graph):
     for direction, search in (("forward", evolving_bfs), ("backward", backward_bfs)):
         for reverse_edges, oracle_graph in ((False, graph), (True, flipped)):
             ((chunk, dist),) = driver.distance_blocks(
-                RELAY_ROOTS, direction=direction, reverse_edges=reverse_edges
+                roots, direction=direction, reverse_edges=reverse_edges
             )
             counts = driver.identity_reach_counts(
-                RELAY_ROOTS, direction=direction, reverse_edges=reverse_edges
+                roots, direction=direction, reverse_edges=reverse_edges
             )
             for col, root in enumerate(chunk):
                 expected = search(oracle_graph, root, backend="python").reached
@@ -961,7 +966,7 @@ def _assert_relay_sweeps_match_oracles(driver, graph):
     slots = driver._slots
     for costs in ((1, 0), (1, 1), (0, 1)):
         ((chunk, block),) = driver.zero_one_labels(
-            RELAY_ROOTS, spatial_cost=costs[0], causal_cost=costs[1]
+            roots, spatial_cost=costs[0], causal_cost=costs[1]
         )
         for col, root in enumerate(chunk):
             t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
@@ -997,6 +1002,27 @@ def test_level_loops_match_oracles_on_env_driven_shards():
     graph = _relay_graph()
     with _env_driver(graph, chunk_size=8) as driver:
         _assert_relay_sweeps_match_oracles(driver, graph)
+        _assert_env_backend_ran(driver)
+
+
+@pytest.mark.parametrize("thresholds", [(8, 4), (8, 0), (0, 4), (0, 0)])
+def test_late_roots_match_oracles_across_shard_boundaries(thresholds):
+    """Roots only in the middle and last shards: each shard's time horizon
+    covers its seeded, boundary-fed and seedless columns apart."""
+    graph = _relay_graph()
+    compiled = get_compiled(graph)
+    with bitops.sweep_thresholds(*thresholds):
+        for sharded in _relay_layouts(compiled):
+            assert sharded.boundaries[0][1] <= 3  # no late root in the first shard
+            driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=8)
+            _assert_relay_sweeps_match_oracles(driver, graph, LATE_RELAY_ROOTS)
+
+
+def test_late_roots_match_oracles_on_env_driven_shards():
+    """The late-root cases on the layout and backend the CI stress job sets."""
+    graph = _relay_graph()
+    with _env_driver(graph, chunk_size=8) as driver:
+        _assert_relay_sweeps_match_oracles(driver, graph, LATE_RELAY_ROOTS)
         _assert_env_backend_ran(driver)
 
 
