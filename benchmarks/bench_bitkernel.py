@@ -134,7 +134,7 @@ def _hub_stack(num_nodes, snapshots, edges_per_snapshot, seed):
         mat.sum_duplicates()
         mat.data[:] = 1
         mats.append(mat)
-    return bitops.stack_operators(mats)
+    return sp.block_diag(mats, format="csr")
 
 
 def _dense_variants(mat, r, window, layouts):
@@ -333,7 +333,7 @@ def test_dense_advance_report(sweep, report_dir):
     each layout at every cap of :data:`ELL_SHARES`, the hub stack's also
     without a cap.
     """
-    fig5 = sweep[-1]["kernel"]._stacked(True)
+    fig5 = sweep[-1]["kernel"].compiled.stack()
     n = NUM_NODES
     hub = _hub_stack(n, NUM_TIMESTAMPS, fig5.nnz // NUM_TIMESTAMPS, seed=2016)
     cases = [

@@ -18,8 +18,8 @@ This harness replays the same edge stream through both pipelines:
 
 A second workload (``mixed_batches``) streams *mixed* insert/remove batches
 through :meth:`IncrementalBFS.apply` — the signed-mutation-journal path:
-per batch one delta recompile that splices each dirty snapshot's CSR
-buffers, and one packed re-sweep from the root — against the same
+per batch one delta recompile that splices the batch into the compiled
+stacks, and one packed re-sweep from the root — against the same
 full-rebuild pipeline.
 
 Both workloads assert the headline claim: **at the largest sweep size the

@@ -16,12 +16,12 @@ component, mirroring their exclusion from ``V``).
 
 Backends
 --------
-``backend="vectorized"`` (the default) assembles a single sparse block
-matrix over all ``T · N`` temporal slots straight from the shared
-:class:`~repro.graph.compiled.CompiledTemporalGraph` — the per-snapshot
-operator stacks become the diagonal blocks, and one chain of causal links
-per node (consecutive active appearances) is enough for connectivity — and
-hands it to :func:`scipy.sparse.csgraph.connected_components`.
+``backend="vectorized"`` (the default) hands the shared
+:class:`~repro.graph.compiled.CompiledTemporalGraph`'s forward stack — the
+block-diagonal matrix of the snapshot operators over all ``T · N``
+temporal slots — to :func:`scipy.sparse.csgraph.connected_components`,
+plus, for the weak notion, one chain of causal links per node (consecutive
+active appearances), which is enough for connectivity.
 ``backend="python"`` walks the explicit Theorem-1 expansion node by node,
 kept as the correctness oracle.
 """
@@ -59,14 +59,14 @@ def _components_vectorized(
 ) -> list[set[TemporalNodeTuple]]:
     """Both component notions via one ``csgraph.connected_components`` call.
 
-    Builds the ``(T · N, T · N)`` block matrix of the expansion: snapshot
-    operators on the diagonal and, for the weak notion, causal links between
+    Runs on the ``(T · N, T · N)`` block matrix of the expansion: the
+    artifact's forward stack and, for the weak notion, causal links between
     consecutive active appearances of each node (all-pairs causal edges add
     nothing to connectivity).  Strong components skip the causal links
     entirely — they run strictly forward in time, so no cycle crosses a
     snapshot boundary.
     """
-    from repro.engine import bitops, get_compiled
+    from repro.engine import get_compiled
 
     if graph.num_timestamps == 0:
         return []
@@ -76,7 +76,7 @@ def _components_vectorized(
     if n == 0 or not active.any():
         return []
 
-    block = bitops.stack_operators(compiled.forward_operators)
+    block = compiled.stack()
     if not strong and t_count > 1:
         # one causal chain per node: consecutive active appearances
         v_arr, t_arr = np.nonzero(active.T)  # node-major, time-ascending per node

@@ -22,21 +22,22 @@ of root columns per node.
   :func:`node_popcount` (``np.bitwise_count``, or an 8-bit table on
   numpy < 2.0); the push/pull direction choice and the fixpoint and
   termination checks key on them;
-* :func:`stack_operators` lays the ``T`` snapshot operators out as one
-  block-diagonal CSR over the ``T · N`` slots ``t · N + v`` (the spatial
-  blocks of the paper's block operator ``M_n``), so a ``(T, N, L)`` block
-  reshaped to ``(T · N, L)`` advances every snapshot in one call;
 * :func:`advance_blocked` is the direction-optimizing spatial step (Beamer
   et al., SC 2012) and it stays packed end to end: a node's new lane is the
   OR of its in-neighbours' lanes, gathered along the CSR.  **Push** ORs
   each frontier node's lane into its out-neighbours' lanes when the
-  frontier is sparse, **pull** gathers only the rows that can still be
-  discovered once few are left, and **dense** gathers every row — through
-  a degree-ordered ELL layout with a CSR tail for the long rows (the HYB
-  format of Bell & Garland, SC 2009), cached on the operator.  Over a
-  stacked operator it takes a ``window`` of snapshots, so a BFS level pays
-  one direction choice and one advance for the snapshots that can still
-  change;
+  frontier is sparse, scattering along the operator's column-major twin,
+  **pull** gathers only the rows that can still be discovered once few are
+  left, and **dense** gathers every row — through a degree-ordered ELL
+  layout with a CSR tail for the long rows (the HYB format of Bell &
+  Garland, SC 2009), cached on the operator.  The compiled artifact stores
+  each orientation as one block-diagonal CSR over the ``T · N`` slots
+  ``t · N + v`` (the spatial blocks of the paper's block operator ``M_n``,
+  :meth:`~repro.graph.compiled.CompiledTemporalGraph.stack`), so a
+  ``(T, N, L)`` block reshaped to ``(T · N, L)`` advances every snapshot in
+  one call; over such a stack the advance takes a ``window`` of snapshots,
+  so a BFS level pays one direction choice and one advance for the
+  snapshots that can still change;
 * :func:`time_horizon` masks each root column's active lanes to the
   snapshots its search can reach (causal edges point forward only), so
   the remaining lanes behind the direction choice and the termination
@@ -82,7 +83,6 @@ __all__ = [
     "seed_lanes",
     "snapshot_any",
     "span",
-    "stack_operators",
     "stacked_index_dtype",
     "sweep_thresholds",
     "time_horizon",
@@ -418,58 +418,19 @@ def stacked_index_dtype(slots: int, nnz: int) -> np.dtype:
     """Index dtype of a stacked operator over ``slots`` rows holding ``nnz`` entries.
 
     ``int32`` while both stay below ``2**31`` (the range scipy's own index
-    selection keeps in ``int32``), ``int64`` past that.
+    selection keeps in ``int32``), ``int64`` past that.  The compiled
+    artifact's stacks follow it when they are built, sliced or spliced.
     """
     limit = np.iinfo(np.int32).max
     return np.dtype(np.int32 if max(slots, nnz) <= limit else np.int64)
 
 
-def stack_operators(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
-    """The block-diagonal CSR of ``T`` square ``(N, N)`` snapshot operators.
-
-    Rows and columns are the ``T · N`` slots ``t · N + v``, so one
-    :func:`advance_blocked` over a ``(T, N, L)`` block reshaped to
-    ``(T · N, L)`` steps every snapshot at once.  Built straight from the
-    operators' buffers; the result equals ``sp.block_diag(mats,
-    format="csr")`` buffer for buffer, dtypes included, at a fraction of its
-    cost.  Index buffers are ``int32`` until :func:`stacked_index_dtype`
-    says otherwise.  A single operator is its own stack.
-    """
-    if len(mats) == 1:
-        return mats[0]
-    n = mats[0].shape[0]
-    slots = len(mats) * n
-    sizes = [int(mat.nnz) for mat in mats]
-    total = sum(sizes)
-    index = stacked_index_dtype(slots, total)
-    data = np.empty(total, dtype=np.result_type(*(mat.data for mat in mats)))
-    indices = np.empty(total, dtype=index)
-    indptr = np.empty(slots + 1, dtype=index)
-    at = 0
-    for k, (mat, size) in enumerate(zip(mats, sizes)):
-        data[at : at + size] = mat.data[:size]
-        np.add(mat.indices[:size], k * n, out=indices[at : at + size], dtype=index)
-        np.add(mat.indptr[:-1], at, out=indptr[k * n : (k + 1) * n], dtype=index)
-        at += size
-    indptr[-1] = at
-    return sp.csr_matrix((data, indices, indptr), shape=(slots, slots))
-
-
-def _csc(mat: sp.csr_matrix) -> sp.csc_matrix:
-    """The operator's column-major twin (the push scatter's source order).
-
-    Operators are immutable compiled artifacts, so the twin lives on the
-    object for the kernel's lifetime.
-    """
-    csc = getattr(mat, "_bitops_csc", None)
-    if csc is None:
-        csc = mat.tocsc()
-        mat._bitops_csc = csc
-    return csc
-
-
 def _row_runs(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The non-empty rows of ``mat`` and their entry counts, cached likewise."""
+    """The non-empty rows of ``mat`` and their entry counts, cached on it.
+
+    A compiled stack is immutable, so what the advance derives from it lives
+    on the object for the artifact's lifetime.
+    """
     runs = getattr(mat, "_bitops_rows", None)
     if runs is None:
         lens = np.diff(mat.indptr)
@@ -482,7 +443,7 @@ def _row_runs(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 def _dense_layout(
     mat: sp.csr_matrix,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
-    """The dense gather's degree-ordered layout of ``mat``, cached likewise.
+    """The dense gather's degree-ordered layout of ``mat``, cached on it too.
 
     The HYB format of Bell & Garland (SC 2009): the non-empty rows sorted
     by decreasing degree (degrees past the ELL width tie), one ELL column
@@ -547,6 +508,7 @@ def advance_blocked(
     frontier: np.ndarray,
     r: int,
     *,
+    twin: sp.csr_matrix | None = None,
     remaining: np.ndarray | None = None,
     counter=None,
     window: tuple[int, int] | None = None,
@@ -558,11 +520,16 @@ def advance_blocked(
     can still discover, ``active & ~visited``) may be dropped, which is
     exactly the set every caller masks away anyway.
 
+    ``twin`` is ``mat``'s column-major twin, its transpose in CSR, which the
+    push scatters along; the compiled artifact holds it as the other
+    orientation's stack (:meth:`~repro.graph.compiled.CompiledTemporalGraph.twin`).
+    Without one, a push transposes ``mat`` on the spot.
+
     ``window=(lo, hi)`` advances only rows and columns ``[lo, hi)`` of a
-    block-diagonal ``mat`` (a :func:`stack_operators` stack, cut at
-    snapshot edges) and leaves every other row empty; the branch choice
-    below then counts the window's ``hi - lo`` rows as its ``N``.  Without
-    a window the whole operator advances.
+    block-diagonal ``mat`` (a compiled stack, cut at snapshot edges) and
+    leaves every other row empty; the branch choice below then counts the
+    window's ``hi - lo`` rows as its ``N``.  Without a window the whole
+    operator advances.
 
     The direction is chosen per call from lane popcounts:
 
@@ -597,17 +564,18 @@ def advance_blocked(
     if PUSH_BLOCK_FRACTION > 0 and bits * PUSH_BLOCK_FRACTION < n * r:
         held = (counts > 0).nonzero()[0]  # several times faster on bools
         nodes = held + lo
-        column_ptr = _csc(mat).indptr
+        if twin is None:
+            twin = mat.T.tocsr()
+        column_ptr = twin.indptr
         degrees = column_ptr[nodes + 1] - column_ptr[nodes]
         gathered = int(counts[held] @ degrees)
         # the push pays one scattered write per gathered edge endpoint, so the
         # expected *output* must stay sparse in the block too; past that the
         # vectorized gather wins on raw throughput
         if gathered * PUSH_BLOCK_FRACTION < n * r:
-            csc = _csc(mat)
-            starts = csc.indptr[nodes]
-            lens = csc.indptr[nodes + 1] - starts
-            targets = csc.indices[_segments(starts, lens)]
+            starts = column_ptr[nodes]
+            lens = column_ptr[nodes + 1] - starts
+            targets = twin.indices[_segments(starts, lens)]
             for k in range(out.shape[1]):
                 np.bitwise_or.at(out[:, k], targets, frontier[nodes, k].repeat(lens))
             if counter is not None:

@@ -24,14 +24,14 @@ entry; the old count-based fingerprint that missed those mutations is gone.
 A version mismatch does not discard the cached artifact: the stale entry
 is *patched* via delta compilation
 (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile`), which
-rebuilds only the snapshots whose per-snapshot version stamps moved and
-shares every untouched CSR stack, transpose and mask row with the previous
-artifact.  Streaming mutation patterns (one edge batch per step, as in the
-Figure-5 growth experiment) therefore pay per step only for the touched
-snapshots.  That patch is the one incremental path: everything derived
-from the artifact is rebuilt over the patched result.  The kernels are
-constructed afresh (a few object constructions; the
-:class:`~repro.engine.spectral.SpectralKernel` starts with empty LU and
+splices the batch's net edits into every stack the previous artifact built
+and shares its node index.  Streaming mutation patterns (one edge batch
+per step, as in the Figure-5 growth experiment) therefore pay per step
+O(batch) work plus one buffer copy per stack, and the next sweep over
+the patched stacks converts nothing.  That patch is the one incremental
+path: everything derived from the artifact is rebuilt over the patched
+result.  The kernels are constructed afresh (a few object constructions;
+the :class:`~repro.engine.spectral.SpectralKernel` starts with empty LU and
 radius caches).  :func:`invalidate_kernel` remains for callers that want
 to drop a cached artifact eagerly (e.g. to free memory, or to force the
 next compile from scratch).

@@ -82,7 +82,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
@@ -166,9 +165,6 @@ class FrontierKernel(BatchedSweeps):
         # the one-shard chain of the batched surface: the kernel is its own
         # only shard, spanning every snapshot
         self._boundaries = ((0, compiled.num_snapshots),)
-        # the block-diagonal stack of the operators that a level advances in
-        # one call, built lazily per orientation (the artifact is immutable)
-        self._stacked_cache: dict[bool, sp.csr_matrix] = {}
 
     # ------------------------------------------------------------------ #
     # structure                                                           #
@@ -361,9 +357,9 @@ class FrontierKernel(BatchedSweeps):
         causal = np.full(seed_t.shape, big, dtype=np.int32)
         has_earlier = seed_t > 0
         causal[has_earlier] = run[seed_t[has_earlier] - 1, col_of[has_earlier]]
-        # spatial candidates: one ragged gather over the stacked operator's
+        # spatial candidates: one ragged gather over the forward stack's
         # rows (row t * N + v lists the slots of v's in-neighbours at t)
-        stacked = self._stacked(True)
+        stacked = compiled.stack()
         rows = seed_t * compiled.num_nodes + seed_v
         starts = stacked.indptr[rows]
         lens = stacked.indptr[rows + 1] - starts
@@ -621,7 +617,7 @@ class FrontierKernel(BatchedSweeps):
         and the dirty regions are too small for pull to win.
         """
         t_count, n = active.shape
-        stacked = self._stacked(True)
+        stacked, twin = self.compiled.stack(), self.compiled.twin()
         counter = self.counter
         changed = 0
         while improved.any():
@@ -635,6 +631,7 @@ class FrontierKernel(BatchedSweeps):
                 stacked,
                 lanes.reshape(t_count * n, 1),
                 1,
+                twin=twin,
                 counter=counter,
                 window=(lo * n, hi * n),
             ).reshape(lanes.shape)
@@ -670,7 +667,7 @@ class FrontierKernel(BatchedSweeps):
         if n_active == 0:
             return {}
         limit = max_terms if max_terms is not None else max(n_active, 1)
-        stacked = self._stacked(True)
+        stacked = self.compiled.stack()
         counter = self.counter
         term = active.astype(np.float64)  # ones on every active temporal node
         score = np.zeros_like(term)
@@ -718,30 +715,6 @@ class FrontierKernel(BatchedSweeps):
     # the engine loop                                                     #
     # ------------------------------------------------------------------ #
 
-    def _operators(self, use_forward_ops: bool) -> list[sp.csr_matrix]:
-        """The compiled operator stack of one orientation."""
-        compiled = self.compiled
-        return (
-            compiled.forward_operators
-            if use_forward_ops
-            else compiled.backward_operators
-        )
-
-    def _stacked(self, use_forward_ops: bool) -> sp.csr_matrix:
-        """The block-diagonal stack of one orientation's ``T`` operators.
-
-        Rows and columns are the ``T · N`` slots ``t · N + v``
-        (:func:`~repro.engine.bitops.stack_operators`), so one windowed
-        advance steps a level's whole frontier.  Built lazily once per
-        orientation and dropped with the kernel, so a store-backed shard's
-        copy goes when the sweep releases the shard.
-        """
-        stacked = self._stacked_cache.get(use_forward_ops)
-        if stacked is None:
-            stacked = bitops.stack_operators(self._operators(use_forward_ops))
-            self._stacked_cache[use_forward_ops] = stacked
-        return stacked
-
     def _run(
         self,
         seeds_per_column: Sequence[Sequence[tuple[int, int]]],
@@ -772,12 +745,16 @@ class FrontierKernel(BatchedSweeps):
         termination test see no slot before a forward column's seed, and
         the sweep ends with its last discovery.  Each level runs:
 
-        * one :func:`~repro.engine.bitops.advance_blocked` over the stacked
-          operators (:meth:`_stacked`), windowed to the snapshots holding
-          both frontier bits and undiscovered bits, with push, pull or
-          dense chosen once for the level; the frontier of a saturated
-          snapshot (every active slot visited in every column) is cleared
-          first, so it is neither pushed nor pulled from;
+        * one :func:`~repro.engine.bitops.advance_blocked` over the
+          artifact's stack of one orientation
+          (:meth:`~repro.graph.compiled.CompiledTemporalGraph.stack`, its
+          push scattering along the other orientation's, the
+          :meth:`~repro.graph.compiled.CompiledTemporalGraph.twin`),
+          windowed to the snapshots holding both frontier bits and
+          undiscovered bits, with push, pull or dense chosen once for the
+          level; the frontier of a saturated snapshot (every active slot
+          visited in every column) is cleared first, so it is neither
+          pushed nor pulled from;
         * the causal step, the shifted prefix-OR of the level's frontier
           along time (:func:`~repro.engine.bitops.causal_or_accumulate`),
           plus the lanes entering from earlier shards;
@@ -821,7 +798,8 @@ class FrontierKernel(BatchedSweeps):
         # operator), backward time follows in-edges (its transpose);
         # reverse_edges flips that choice for the citation-mining searches
         use_forward_ops = forward != reverse_edges
-        stacked = self._stacked(use_forward_ops)
+        stacked = self.compiled.stack(use_forward_ops)
+        twin = self.compiled.twin(use_forward_ops)
         counter = self.counter
         slots = (t_count * n, frontier.shape[-1])
         # the snapshots holding frontier bits: after the seeds, a level's gain
@@ -873,6 +851,7 @@ class FrontierKernel(BatchedSweeps):
                     stacked,
                     frontier.reshape(slots),
                     r,
+                    twin=twin,
                     remaining=remaining.reshape(slots),
                     counter=counter,
                     window=(s_lo * n, s_hi * n),
@@ -922,8 +901,8 @@ class FrontierKernel(BatchedSweeps):
         forward = direction == "forward"
         t_count, n, r = dist.shape
         # spatial parents: the highest in-neighbour one level closer, read off
-        # the stacked operator's (dst slot, src slot) entries in one pass
-        stacked = self._stacked(forward != reverse_edges)
+        # the stack's (dst slot, src slot) entries in one pass
+        stacked = self.compiled.stack(forward != reverse_edges)
         cols = stacked.indices
         # one index dtype throughout keeps ``maximum.at`` on numpy's fast path
         rows = np.repeat(

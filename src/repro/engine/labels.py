@@ -8,7 +8,7 @@ ask for numeric labels per temporal node:
 * **earliest arrival** (Tang-style reachability) is a running *minimum* of
   reached time stamps along the time axis;
 * **latest departure** is the mirrored running *maximum*, read off a
-  backward sweep on the lazily transposed backward-operator stacks;
+  backward sweep on the lazily transposed backward stack;
 * **fewest spatial hops** (the Grindrod–Higham dynamic-walk hop convention)
   is a *(min, +)* sweep in which static edges cost 1 and causal edges cost
   0;
@@ -59,8 +59,8 @@ __all__ = ["LabelKernel"]
 class LabelKernel:
     """The 0/1 label and Tang sweep loops over one frontier kernel's artifact.
 
-    ``frontier`` supplies the compiled artifact, its cached stacked
-    operators and its optional operation counter.
+    ``frontier`` supplies the compiled artifact, whose stacks the loops
+    advance over, and its optional operation counter.
     """
 
     def __init__(self, frontier: FrontierKernel) -> None:
@@ -79,7 +79,7 @@ class LabelKernel:
 
         State lives as ``(T, N, L)`` root lanes; the spatial step is one
         direction-optimizing :func:`~repro.engine.bitops.advance_blocked`
-        over the stacked operators, windowed to the snapshots holding both
+        over the forward stack, windowed to the snapshots holding both
         frontier and unreached bits, and the causal step is the lane-wise
         :func:`~repro.engine.bitops.causal_or_accumulate`, so each
         saturation or expansion step advances every snapshot at once.  The
@@ -97,7 +97,7 @@ class LabelKernel:
         """
         t_count, n = self.compiled.active_mask.shape
         r = len(seeds_per_column)
-        stacked = self.frontier._stacked(True)
+        stacked, twin = self.compiled.stack(), self.compiled.twin()
         active = bitops.lane_mask(self.compiled.active_mask, r)
         active &= bitops.time_horizon(
             t_count,
@@ -122,6 +122,7 @@ class LabelKernel:
                 stacked,
                 block.reshape(slots),
                 r,
+                twin=twin,
                 remaining=remaining.reshape(slots),
                 window=(lo * n, hi * n),
             ).reshape(block.shape)
@@ -184,6 +185,7 @@ class LabelKernel:
         a later time shard needs.
         """
         mats = self.compiled.forward_operators
+        twins = self.compiled.forward_twins
         t_count = self.compiled.num_snapshots
         n, r = steps.shape
         every = bitops.lane_mask(np.ones(n, dtype=bool), r)
@@ -199,6 +201,7 @@ class LabelKernel:
                     mats[ti],
                     informed,
                     r,
+                    twin=twins[ti],
                     remaining=every & ~informed,
                     counter=counter,
                 )

@@ -294,8 +294,8 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         Returns ``None`` when the journal was trimmed past ``version``.
 
         Streaming hot path: with a non-``None`` answer, delta compilation
-        splices each dirty snapshot's CSR buffers instead of re-walking the
-        snapshot.  Reading the window marks it consumed, which licenses the
+        splices the edits into the compiled stacks instead of re-walking the
+        graph.  Reading the window marks it consumed, which licenses the
         journal trim (see ``_journal_append``).
         """
         if version < self._journal_floor:

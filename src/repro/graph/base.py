@@ -137,7 +137,7 @@ class BaseEvolvingGraph(ABC):
         edge and time, so an edge inserted and removed inside the window
         appears in neither list; snapshot registrations may also have
         happened, and they change no edge set).  Delta compilation splices
-        each dirty snapshot's CSR buffers from it.  Representations without a
+        the net edits into the compiled stacks.  Representations without a
         signed journal, or whose journal was trimmed past ``version``, return
         ``None``, and delta compilation then recompiles the whole graph.
         """

@@ -8,37 +8,43 @@ dispatch cache guessed staleness from edge/timestamp counts.
 a first-class, immutable artifact that every consumer shares:
 
 * a **node index** — the sorted node universe and its label ↔ row mapping;
-* the **forward-operator stack** ``F[t]`` — one CSR matrix per snapshot with
-  ``F[t][v, u] = 1`` iff the snapshot at ``t`` has the edge ``u -> v``
-  (symmetrized for undirected graphs, self-loops dropped per Definition 3),
-  so ``F[t] @ x`` advances a frontier block along out-edges;
-* the **backward-operator stack** ``F[t]^T`` — built *lazily* on first use,
-  because forward-only workloads (the overwhelming majority) never apply it;
-* the **symmetrized (spectral) stack** ``S[t]`` — the adjacency orientation
-  the Grindrod–Higham communicability/walk family operates on, derived
-  lazily at zero compilation cost (it aliases the forward stack for
-  undirected graphs and the backward stack for directed ones);
+* the **forward stack** — one block-diagonal CSR over the ``T · N`` slots
+  ``t · N + v`` whose diagonal block ``t`` is the snapshot operator
+  ``F[t]``, with ``F[t][v, u] = 1`` iff the snapshot at ``t`` has the edge
+  ``u -> v`` (symmetrized for undirected graphs, self-loops dropped per
+  Definition 3).  It is the spatial part of the paper's block operator
+  ``M_n``, so every BFS level is one advance over it;
+* the **backward stack** ``F^T`` — the forward stack transposed, built
+  lazily.  Stored row-major it is exactly the forward stack stored
+  column-major, so each orientation's stack is the other's *twin*, the
+  source order the push advance scatters along; an undirected stack is its
+  own transpose and twin;
+* per-snapshot **views** (:attr:`~CompiledTemporalGraph.forward_operators`,
+  :attr:`~CompiledTemporalGraph.backward_operators`,
+  :attr:`~CompiledTemporalGraph.symmetrized_operators`), each block sliced
+  from a stack on first read, for the consumers that work one snapshot at
+  a time (store writes, spectral and PageRank products, Tang's sweep);
 * a ``(T, N)`` **activeness mask** (Definition 3);
 * a weak reference to the source graph plus its ``mutation_version``
   stamp, which let caches decide *exactly* whether the artifact still
   describes that graph;
 * the source graph's **per-snapshot version stamps** and a ``(T, N)``
   **label-presence matrix**, which together enable *delta compilation*
-  (:meth:`CompiledTemporalGraph.recompile`): on a version bump, only the
-  snapshots whose stamps moved are recompiled — the untouched snapshots'
-  CSR operators, transposes, activeness-mask rows and presence rows are
-  shared (the very same objects) with the previous artifact.  Streaming
+  (:meth:`CompiledTemporalGraph.recompile`): on a version bump the signed
+  journal's net edits are spliced into every built stack in one pass, and
+  the mask and presence change only at the edited endpoints.  Streaming
   workloads (Figure-5 growth, :func:`repro.generators.stream.apply_stream`,
   :class:`repro.algorithms.incremental.IncrementalBFS`) therefore pay per
-  batch only for the snapshots the batch touched.
+  batch one O(batch) locate and one buffer copy per stack, never a
+  recompilation of a snapshot.
 
 The artifact is consumed by :class:`repro.engine.frontier.FrontierKernel`
 (every BFS variant), by the vectorized analytics in :mod:`repro.algorithms`
-(components build a temporal block matrix straight from the operator stack),
-by the time-shard layer (:mod:`repro.graph.sharded` slices it into
-per-shard artifacts, which the shard driver's process workers own), and by
-the batch/scaling harnesses in :mod:`repro.parallel` and
-:mod:`repro.analysis`, which compile once and reuse the artifact across
+(components hand the forward stack to ``csgraph``), by the time-shard layer
+(:mod:`repro.graph.sharded` slices it into per-shard artifacts with
+:meth:`~CompiledTemporalGraph.time_slice`, which the shard driver's process
+workers own), and by the batch/scaling harnesses in :mod:`repro.parallel`
+and :mod:`repro.analysis`, which compile once and reuse the artifact across
 sweep repeats.  Use :func:`repro.engine.get_compiled` for the cached path;
 construct directly only when an uncached snapshot is wanted.
 """
@@ -66,6 +72,10 @@ class CompiledTemporalGraph:
     *snapshot*: mutating the source graph afterwards does not update it, but
     :meth:`is_current` (the source graph's identity and the stored
     :attr:`mutation_version`) tells caches exactly when a rebuild is required.
+
+    ``forward_stack`` is the block-diagonal forward operator over the
+    ``T · N`` slots (see :meth:`stack`); ``backward_stack``, its transpose,
+    may be passed when already at hand (it is otherwise built on first use).
     """
 
     def __init__(
@@ -73,10 +83,10 @@ class CompiledTemporalGraph:
         *,
         node_labels: Sequence[Node],
         times: Sequence[Time],
-        forward_operators: Sequence[sp.csr_matrix],
+        forward_stack: sp.csr_matrix,
         is_directed: bool,
         mutation_version: int,
-        backward_operators: Sequence[sp.csr_matrix] | None = None,
+        backward_stack: sp.csr_matrix | None = None,
         snapshot_versions: dict[Time, int] | None = None,
         active_mask: np.ndarray | None = None,
         label_presence: np.ndarray | None = None,
@@ -84,26 +94,33 @@ class CompiledTemporalGraph:
     ) -> None:
         if not times:
             raise GraphError("CompiledTemporalGraph requires at least one snapshot")
-        if len(forward_operators) != len(times):
-            raise GraphError(
-                f"got {len(forward_operators)} operators for {len(times)} snapshots"
-            )
         self._labels: list[Node] = list(node_labels)
-        if node_index is None:  # delta recompilation passes its previous one
+        if node_index is None:  # delta recompilation and shards pass theirs
             node_index = {v: i for i, v in enumerate(self._labels)}
         self._node_index: dict[Node, int] = node_index
         self._times: list[Time] = list(times)
         self._time_index: dict[Time, int] = {t: i for i, t in enumerate(self._times)}
-        self._forward: list[sp.csr_matrix] = list(forward_operators)
-        self._backward: list[sp.csr_matrix] | None = (
-            list(backward_operators) if backward_operators is not None else None
-        )
-        # the spectral (symmetrized-adjacency) stack is derived lazily from
-        # the other two; see :attr:`symmetrized_operators`
-        self._symmetrized: list[sp.csr_matrix] | None = None
+        self._n = len(self._labels)
+        slots = len(self._times) * self._n
+        if forward_stack.shape != (slots, slots):
+            raise GraphError(
+                f"a stack of shape {forward_stack.shape} does not span the "
+                f"{slots} slots of {len(self._times)} snapshots over "
+                f"{self._n} nodes"
+            )
         self._directed = bool(is_directed)
+        self._forward: sp.csr_matrix = forward_stack
+        # the backward stack of a directed artifact (an undirected stack is
+        # its own transpose), and whether it was asked for as an orientation
+        # rather than built as the forward push's twin
+        self._backward: sp.csr_matrix | None = (
+            backward_stack if self._directed else None
+        )
+        self._backward_used = backward_stack is not None
+        # per-snapshot views, sliced from a stack on first read
+        self._views: dict[bool, list[sp.csr_matrix]] = {}
+        self._symmetrized_built = False
         self._version = int(mutation_version)
-        self._n = int(self._forward[0].shape[0]) if self._forward else 0
         # per-snapshot source-graph stamps and the (T, N) label-presence
         # matrix: both None when the source offers no per-snapshot tracking,
         # in which case recompile() always falls back to a full rebuild
@@ -115,16 +132,14 @@ class CompiledTemporalGraph:
             label_presence.setflags(write=False)
         self._presence: np.ndarray | None = label_presence
         #: Set by :meth:`recompile` when the delta path ran:
-        #: ``{"rebuilt": <dirty snapshot count>, "reused": <shared count>}``.
+        #: ``{"rebuilt": <edited or new snapshot count>, "reused": <rest>}``.
         self.delta_stats: dict[str, int] | None = None
         # the graph compiled from, held weakly; only from_graph and recompile
         # set it, so a hand-built or unpickled artifact is current for none
         self._source: weakref.ref | None = None
 
         if active_mask is None:
-            active = np.zeros((len(self._times), self._n), dtype=bool)
-            for k, m in enumerate(self._forward):
-                active[k] = _active_row(m)
+            active = _active_row(forward_stack).reshape(len(self._times), self._n)
         else:
             active = np.asarray(active_mask, dtype=bool)
         active.setflags(write=False)
@@ -138,11 +153,10 @@ class CompiledTemporalGraph:
     def from_graph(cls, graph: BaseEvolvingGraph) -> "CompiledTemporalGraph":
         """Compile any evolving-graph representation into the shared artifact.
 
-        Matrix-sequence graphs are adopted matrix-by-matrix (both operator
-        stacks come for free); every other representation is bulk-compiled
-        from one pass over ``temporal_edges_unordered()``.  For undirected
-        graphs the forward operators are symmetric, so the backward stack
-        aliases the forward one at zero cost.
+        Matrix-sequence graphs are adopted matrix by matrix into the backward
+        stack (their adjacency orientation), whose transpose is the forward
+        one; every other representation is bulk-compiled from one pass over
+        ``temporal_edges_unordered()`` into one slot-indexed COO.
         """
         times = list(graph.timestamps)
         if not times:
@@ -150,20 +164,21 @@ class CompiledTemporalGraph:
         version = graph.mutation_version
         if isinstance(graph, MatrixSequenceEvolvingGraph):
             labels: list[Node] = graph.node_labels
-            pull = [graph.symmetrized_matrix_at(t).astype(np.int32) for t in times]
-            push = [m.T.tocsr() for m in pull]
-            backward: list[sp.csr_matrix] | None = pull
+            backward = _matrix_stack(
+                [graph.symmetrized_matrix_at(t).astype(np.int32) for t in times]
+            )
+            forward = _transposed(backward)
             presence: np.ndarray | None = None
         else:
-            labels, push, presence = _compile_forward_operators(graph, times)
-            backward = push if not graph.is_directed else None
+            labels, forward, presence = _compile_forward_stack(graph, times)
+            backward = None
         artifact = cls(
             node_labels=labels,
             times=times,
-            forward_operators=push,
+            forward_stack=forward,
             is_directed=graph.is_directed,
             mutation_version=version,
-            backward_operators=backward,
+            backward_stack=backward,
             snapshot_versions=graph.snapshot_versions(),
             label_presence=presence,
         )
@@ -176,7 +191,7 @@ class CompiledTemporalGraph:
         graph: BaseEvolvingGraph,
         previous: "CompiledTemporalGraph | None",
     ) -> "CompiledTemporalGraph":
-        """Recompile ``graph``, patching only ``previous``'s dirty snapshots.
+        """Recompile ``graph`` by splicing its net edits into ``previous``'s stacks.
 
         When ``previous`` is current (:meth:`is_current`) it is returned
         unchanged.  Otherwise the graph's per-snapshot stamps
@@ -185,17 +200,23 @@ class CompiledTemporalGraph:
         dirty snapshots, and its signed mutation journal
         (:meth:`BaseEvolvingGraph.edge_mutations_since
         <repro.graph.base.BaseEvolvingGraph.edge_mutations_since>`) gives the
-        net insertions and removals since ``previous``.  Each dirty operator
-        is spliced in its canonical CSR buffers (:func:`_splice_operator`),
-        and its activeness and presence rows change only at the batch's
-        endpoints, removal endpoints being re-probed on the graph: O(batch)
-        Python work plus O(touched nnz) at C speed.  Every clean snapshot
-        *shares its objects* (operator, transpose, mask and presence rows)
-        with ``previous``, and so do the node labels and index.  The artifact
-        is bit-identical to :meth:`from_graph` on the mutated graph, dtypes
-        included (asserted by the hypothesis suite in
-        ``tests/test_delta_streaming.py``), and its :attr:`delta_stats`
-        records how many snapshots were rebuilt vs reused.
+        net insertions and removals since ``previous``, which become
+        slot-level entry edits.  Every stack ``previous`` built — the forward
+        one, and the backward one when a search, a per-snapshot read or the
+        push's twin built it — takes the edits in one splice
+        (:func:`_splice`): each edit is located inside its own row's
+        segment, then one copy of ``indices`` and one shift of ``indptr``
+        patch the buffers.  A batch that adds snapshots first re-lays the
+        stacks on the monotone map from old to new snapshot positions.  The
+        activeness and presence rows change only at the batch's endpoints,
+        removal endpoints being re-probed on the graph.  The cost is the
+        touched rows' locate plus one O(nnz) buffer copy per built stack,
+        and O(batch) Python work.  The node labels and index are shared with
+        ``previous``.  The artifact is bit-identical to :meth:`from_graph`
+        on the mutated graph, dtypes included (asserted by the hypothesis
+        suites in ``tests/test_delta_streaming.py`` and
+        ``tests/test_compiled_machine.py``), and its :attr:`delta_stats`
+        records how many snapshots were edited or added vs left alone.
 
         This is the package's one incremental path.  Everything derived from
         the artifact is rebuilt from the patched result: a shard driver's
@@ -211,7 +232,7 @@ class CompiledTemporalGraph:
         without a complete signed journal since ``previous`` (every
         representation but the adjacency list, and an adjacency list whose
         journal was trimmed past ``previous``), a journal that disagrees
-        with ``previous``'s operators, a changed node universe (a new label
+        with ``previous``'s stacks, a changed node universe (a new label
         appeared, or a label lost its last appearance), removed snapshots,
         or a directedness flip.
         """
@@ -231,131 +252,119 @@ class CompiledTemporalGraph:
         times = list(graph.timestamps)
         if not times:
             return cls.from_graph(graph)  # raises the usual GraphError
-        prev_pos = previous._time_index
         prev_stamps = previous._snapshot_versions
         if any(t not in snap_now for t in prev_stamps):  # snapshot removed
             return cls.from_graph(graph)
-        dirty = [
-            t
-            for t in times
-            if t not in prev_pos or prev_stamps.get(t) != snap_now.get(t)
+        position = {t: k for k, t in enumerate(times)}
+        fresh = [position[t] for t in times if t not in previous._time_index]
+        dirty = fresh + [
+            position[t]
+            for t in previous._times
+            if prev_stamps.get(t) != snap_now.get(t)
         ]
         if not dirty:
             # the version moved but no snapshot stamp did: unknown mutation
             return cls.from_graph(graph)
-        labels = previous._labels
-        index = previous._node_index
-        n = previous._n
-        directed = previous._directed
         mutations = graph.edge_mutations_since(previous._version)
         if mutations is None:  # no complete signed journal since `previous`
             return cls.from_graph(graph)
-        # the signed journal nets the window to per-snapshot insertion and
-        # removal sets: time -> (source indices, destination indices)
-        added: dict[Time, tuple[list[int], list[int]]] = {}
-        removed: dict[Time, tuple[list[int], list[int]]] = {}
-        for triples, buckets in zip(mutations, (added, removed)):
-            for u, v, t in triples:
-                iu = index.get(u)
-                iv = index.get(v)
-                if iu is None or iv is None:  # node universe grew
-                    return cls.from_graph(graph)
-                bucket = buckets.setdefault(t, ([], []))
-                bucket[0].append(iu)
-                bucket[1].append(iv)
-        if not set(dirty).issuperset(added.keys() | removed.keys()):
+        index = previous._node_index
+        try:
+            added, removed = (_edge_indices(e, index, position) for e in mutations)
+        except KeyError:  # the node universe grew
+            return cls.from_graph(graph)
+        edited = np.union1d(added[0], removed[0])
+        if not np.isin(edited, dirty).all():
             return cls.from_graph(graph)  # inconsistent stamps
-        rebuilt: dict[Time, tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = {}
-        shared_dirty: set[Time] = set()
-        for t in dirty:
-            adds = added.get(t, ((), ()))
-            rems = removed.get(t, ((), ()))
-            k = prev_pos.get(t)
-            u_idx = np.asarray(adds[0], dtype=np.int64)
-            v_idx = np.asarray(adds[1], dtype=np.int64)
-            if k is None:
-                # net removals from a snapshot `previous` never compiled
-                # contradict the journal contract — trust neither
-                if t in removed:
-                    return cls.from_graph(graph)
-                op = _snapshot_operator(u_idx, v_idx, n, directed)
-                mask_row = _active_row(op)
-                presence_row = np.zeros(n, dtype=bool)
-            elif t not in added and t not in removed:
-                # stamp moved but the window netted to nothing here
-                # (insert-then-remove pairs, or an exotic stamp bump):
-                # journal completeness says the edge set is unchanged, so
-                # the previous objects are still exact
-                shared_dirty.add(t)
-                continue
-            else:
-                op = _splice_operator(previous._forward[k], adds, rems, n, directed)
-                if op is None:  # the journal disagrees with `previous`
-                    return cls.from_graph(graph)
-                mask_row = previous._active[k].copy()
-                presence_row = previous._presence[k].copy()
-                # a removal endpoint stays active (present) iff the final
-                # graph still gives it an edge to another node (any edge,
-                # self-loops included) at t: probe only those endpoints
-                for i in {*rems[0], *rems[1]}:
-                    mask_row[i] = graph.is_active(labels[i], t)
-                    presence_row[i] = _endpoint_present(graph, labels[i], t)
-                # net insertions are final edges; self-loops activate nothing
-                links = u_idx != v_idx
-                mask_row[u_idx[links]] = True
-                mask_row[v_idx[links]] = True
-            presence_row[u_idx] = True
-            presence_row[v_idx] = True
-            rebuilt[t] = (op, mask_row, presence_row)
-        # the undirected backward stack aliases the forward one, so only
-        # directed artifacts carry distinct transposes worth patching
-        patch_backward = directed and previous._backward is not None
-        forward: list[sp.csr_matrix] = []
-        backward: list[sp.csr_matrix] | None = [] if patch_backward else None
-        mask_rows: list[np.ndarray] = []
-        presence_rows: list[np.ndarray] = []
-        reused = 0
-        for t in times:
-            if t in rebuilt:
-                op, mask_row, presence_row = rebuilt[t]
-                forward.append(op)
-                mask_rows.append(mask_row)
-                presence_rows.append(presence_row)
-                if patch_backward:
-                    backward.append(op.T.tocsr())
-            else:
-                k = prev_pos[t]
-                forward.append(previous._forward[k])
-                mask_rows.append(previous._active[k])
-                presence_rows.append(previous._presence[k])
-                if patch_backward:
-                    backward.append(previous._backward[k])
-                reused += 1
-        presence = np.stack(presence_rows) if n else np.zeros((len(times), 0), bool)
+        if np.isin(removed[0], fresh).any():
+            # net removals from a snapshot `previous` never compiled
+            # contradict the journal contract — trust neither
+            return cls.from_graph(graph)
+        labels = previous._labels
+        n = previous._n
+        directed = previous._directed
+        t_count = len(times)
+        # old snapshot k sits at new position moved[k]; the map is monotone
+        moved = np.array([position[t] for t in previous._times], dtype=np.int64)
+        active = np.zeros((t_count, n), dtype=bool)
+        presence = np.zeros((t_count, n), dtype=bool)
+        active[moved] = previous._active
+        presence[moved] = previous._presence
+        # a removal endpoint stays active (present) iff the final graph still
+        # gives it an edge to another node (any edge, self-loops included)
+        # at t: probe only those endpoints
+        cut_t, cut_u, cut_v = removed
+        for key in np.unique(np.concatenate([cut_t * n + cut_u, cut_t * n + cut_v])):
+            k, i = divmod(int(key), n)
+            active[k, i] = graph.is_active(labels[i], times[k])
+            presence[k, i] = _endpoint_present(graph, labels[i], times[k])
+        # net insertions are final edges; self-loops activate nothing
+        add_t, add_u, add_v = added
+        links = add_u != add_v
+        active[add_t[links], add_u[links]] = True
+        active[add_t[links], add_v[links]] = True
+        presence[add_t, add_u] = True
+        presence[add_t, add_v] = True
         if not presence.any(axis=0).all():
             # a label lost its last appearance: the from-scratch universe
             # would shrink, so the reused index would no longer be identical
             return cls.from_graph(graph)
-        if not directed:
-            backward = forward
+        insertions = _entries(add_t * n + add_u, add_t * n + add_v, directed)
+        removals = _entries(cut_t * n + cut_u, cut_t * n + cut_v, directed)
+        stacks: dict[bool, sp.csr_matrix] = {}
+        for forward, stack in ((True, previous._forward), (False, previous._backward)):
+            if stack is None:
+                continue
+            if fresh:
+                stack = _relaid(stack, moved, n, t_count)
+            # a backward entry is its forward entry with row and column swapped
+            flip = slice(None, None, 1 if forward else -1)
+            if insertions[0].size or removals[0].size:
+                stack = _splice(stack, insertions[flip], removals[flip])
+                if stack is None:  # the journal disagrees with `previous`
+                    return cls.from_graph(graph)
+            stacks[forward] = stack
         artifact = cls(
             node_labels=labels,
             times=times,
-            forward_operators=forward,
+            forward_stack=stacks[True],
             is_directed=directed,
             mutation_version=version,
-            backward_operators=backward,
             snapshot_versions=snap_now,
-            active_mask=np.stack(mask_rows) if n else np.zeros((len(times), 0), bool),
+            active_mask=active,
             label_presence=presence,
             node_index=index,
         )
+        artifact._backward = stacks.get(False)
+        artifact._backward_used = previous._backward_used
         artifact._source = previous._source
-        artifact.delta_stats = {
-            "rebuilt": len(dirty) - len(shared_dirty),
-            "reused": reused,
-        }
+        rebuilt = len(set(fresh) | set(edited.tolist()))
+        artifact.delta_stats = {"rebuilt": rebuilt, "reused": t_count - rebuilt}
         return artifact
+
+    def time_slice(self, start: int, stop: int) -> "CompiledTemporalGraph":
+        """The artifact of snapshots ``[start, stop)``, over the full node universe.
+
+        Its stacks are the diagonal blocks of this artifact's (the whole
+        range is this artifact's own stacks); the backward one comes along
+        whenever it was built, and counts as asked for (:attr:`transposes_built`)
+        only when it did here.  The node index is shared.  Like an unpickled
+        artifact, a slice is current for no graph.
+        """
+        n = self._n
+        part = CompiledTemporalGraph(
+            node_labels=self._labels,
+            times=self._times[start:stop],
+            forward_stack=_block(self._forward, start, stop, n),
+            is_directed=self._directed,
+            mutation_version=self._version,
+            active_mask=self._active[start:stop],
+            node_index=self._node_index,
+        )
+        if self._backward is not None:
+            part._backward = _block(self._backward, start, stop, n)
+            part._backward_used = self._backward_used
+        return part
 
     # ------------------------------------------------------------------ #
     # structure                                                           #
@@ -393,8 +402,8 @@ class CompiledTemporalGraph:
 
     @property
     def nnz(self) -> int:
-        """Stored entries summed over all snapshot operators."""
-        return int(sum(m.nnz for m in self._forward))
+        """Stored entries of the forward stack (summed over its snapshots)."""
+        return int(self._forward.nnz)
 
     @property
     def is_directed(self) -> bool:
@@ -447,26 +456,88 @@ class CompiledTemporalGraph:
     # operator stacks                                                     #
     # ------------------------------------------------------------------ #
 
+    def stack(self, forward: bool = True) -> sp.csr_matrix:
+        """The block-diagonal operator of one orientation over the ``T · N`` slots.
+
+        Row and column ``t · N + v`` are node ``v`` at snapshot ``t``, and
+        diagonal block ``t`` is that snapshot's operator: ``F[t]``
+        (out-edge expansion) for ``forward``, ``F[t]^T`` (in-edge
+        expansion) otherwise.  Every BFS level is one windowed advance over
+        it.  A directed artifact builds its backward stack on first use.
+        """
+        if not forward:
+            self._backward_used = True
+        return self._stack(forward)
+
+    def twin(self, forward: bool = True) -> sp.csr_matrix:
+        """The column-major twin of ``stack(forward)``: the other orientation's stack.
+
+        ``F^T`` stored row-major is ``F`` stored column-major, so the push
+        advance scatters along the other orientation's rows (an undirected
+        stack is its own twin).  Building it for that does not count as
+        asking for the backward orientation: :attr:`transposes_built`, what
+        :func:`repro.io.save_sharded` stores by default and a shard's
+        residency bytes stay as they were.
+        """
+        return self._stack(not forward)
+
+    def _stack(self, forward: bool) -> sp.csr_matrix:
+        if forward or not self._directed:
+            return self._forward
+        if self._backward is None:
+            self._backward = _transposed(self._forward)
+        return self._backward
+
+    def _snapshot_views(self, forward: bool) -> list[sp.csr_matrix]:
+        """Each snapshot's block of one orientation's stack, sliced on first read."""
+        key = forward or not self._directed
+        views = self._views.get(key)
+        if views is None:
+            stack = self._stack(forward)
+            n = self._n
+            views = [_block(stack, k, k + 1, n) for k in range(len(self._times))]
+            self._views[key] = views
+        return views
+
     @property
     def forward_operators(self) -> list[sp.csr_matrix]:
-        """Per-snapshot CSR stack ``F[t]`` advancing frontiers along out-edges."""
-        return list(self._forward)
+        """Per-snapshot operators ``F[t]`` (out-edges): views of the forward stack."""
+        return list(self._snapshot_views(True))
 
     @property
     def backward_operators(self) -> list[sp.csr_matrix]:
         """Per-snapshot transposes ``F[t]^T`` (in-edge expansion), built lazily.
 
-        Forward-only workloads never touch this property, so they never pay
-        for the transpose conversion (see ``tests/test_engine.py``).
+        Views of the backward stack.  Forward-only workloads never ask for
+        them, so :attr:`transposes_built` stays ``False`` for them (see
+        ``tests/test_engine.py``).
         """
-        if self._backward is None:
-            self._backward = [m.T.tocsr() for m in self._forward]
-        return list(self._backward)
+        self._backward_used = True
+        return list(self._snapshot_views(False))
+
+    @property
+    def forward_twins(self) -> list[sp.csr_matrix]:
+        """Per-snapshot column-major twins of :attr:`forward_operators`.
+
+        Views of :meth:`twin`, for a push advance over one snapshot's
+        operator (Tang's sweep); like :meth:`twin` they leave
+        :attr:`transposes_built` as it was.
+        """
+        return list(self._snapshot_views(False))
 
     @property
     def transposes_built(self) -> bool:
-        """Whether the backward-operator stack has been materialized yet."""
-        return self._backward is not None
+        """Whether the backward orientation has been asked for.
+
+        Always ``True`` for an undirected artifact, whose stack is its own
+        transpose.  A directed one counts a backward or reverse-edge search,
+        a read of :attr:`backward_operators` or :attr:`symmetrized_operators`,
+        and a backward stack handed to the constructor — not the forward
+        push's twin, which is the same stack built for the push alone.
+        Stores and residency accounting carry the backward stack only once
+        it was asked for.
+        """
+        return not self._directed or self._backward_used
 
     @property
     def symmetrized_operators(self) -> list[sp.csr_matrix]:
@@ -482,24 +553,21 @@ class CompiledTemporalGraph:
         dropped, matching the matrix-sequence normalization.
 
         No new matrices are ever compiled: the undirected forward stack *is*
-        already symmetric (so it is aliased at zero cost), and the directed
+        already symmetric (so its views are aliased), and the directed
         adjacency orientation is the transpose of the forward stack (so the
-        lazily built backward stack is aliased).  Frontier-only workloads
-        therefore never pay for this property.
+        backward views are aliased).  Frontier-only workloads therefore
+        never pay for this property.
         """
-        if self._symmetrized is None:
-            if self._directed:
-                # F[t] = A[t]^T, so the adjacency orientation is the
-                # (lazily built) backward stack
-                self._symmetrized = self.backward_operators
-            else:
-                self._symmetrized = self._forward
-        return list(self._symmetrized)
+        self._symmetrized_built = True
+        if self._directed:
+            # F[t] = A[t]^T, so the adjacency orientation is the backward one
+            return self.backward_operators
+        return self.forward_operators
 
     @property
     def symmetrized_built(self) -> bool:
         """Whether the symmetrized (spectral) stack has been materialized yet."""
-        return self._symmetrized is not None
+        return self._symmetrized_built
 
     # ------------------------------------------------------------------ #
     # point queries                                                       #
@@ -531,17 +599,26 @@ class CompiledTemporalGraph:
         :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` with
         ``backend="process"`` ships each shard's artifact — never the source
         graph — to the worker that owns it, which builds its kernel over
-        it.  Everything inside (CSR stacks, index dicts, the activeness
-        mask) pickles natively; the weak reference to the source graph is
-        dropped, so an unpickled artifact is current for no graph.
+        it.  Each stack travels once, as its three buffers: the views, a
+        twin built only for the push and whatever the engine cached on a
+        stack object stay behind, as does the weak reference to the source
+        graph, so an unpickled artifact is current for no graph.
         """
         state = dict(self.__dict__)
         del state["_source"]
+        state["_views"] = {}
+        state["_forward"] = _buffers(self._forward)
+        state["_backward"] = (
+            _buffers(self._backward) if self._backward_used and self._directed else None
+        )
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._source = None
+        self._forward = _csr(*self._forward)
+        if self._backward is not None:
+            self._backward = _csr(*self._backward)
         # NumPy pickling does not preserve the WRITEABLE flag; re-freeze the
         # mask (and presence matrix) so the immutability contract survives
         # the round trip.
@@ -570,11 +647,11 @@ def _endpoint_present(graph: BaseEvolvingGraph, node: Node, time: Time) -> bool:
 
 
 def _active_row(operator: sp.csr_matrix) -> np.ndarray:
-    """One snapshot's activeness row (Definition 3) off its forward operator.
+    """Activeness (Definition 3) of every row of a forward operator or stack.
 
     A node is active iff it touches any stored entry: a non-empty row
     (in-edge) or a column appearance (out-edge).  Read straight off the CSR
-    structure — no scipy reduction dispatch on the hot recompile path.
+    structure — no scipy reduction dispatch.
     """
     active = np.diff(operator.indptr) > 0
     active[operator.indices] = True
@@ -582,91 +659,204 @@ def _active_row(operator: sp.csr_matrix) -> np.ndarray:
 
 
 def _entries(
-    sources: Sequence[int], destinations: Sequence[int], directed: bool
+    sources: np.ndarray, destinations: np.ndarray, directed: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(rows, columns)`` operator entries of (source, destination) edges.
+    """The ``(rows, columns)`` stack entries of (source, destination) slot edges.
 
     Rows are destinations and columns sources (``F[t] = A[t]^T``).  An
     undirected edge makes both entries, and a self-loop none: self-loops
     never create activeness (Definition 3).
     """
-    u_idx = np.asarray(sources, dtype=np.int64)
-    v_idx = np.asarray(destinations, dtype=np.int64)
     if not directed:
-        u_idx, v_idx = np.concatenate([u_idx, v_idx]), np.concatenate([v_idx, u_idx])
-    keep = u_idx != v_idx
-    return v_idx[keep], u_idx[keep]
+        sources, destinations = (
+            np.concatenate([sources, destinations]),
+            np.concatenate([destinations, sources]),
+        )
+    keep = sources != destinations
+    return destinations[keep], sources[keep]
 
 
-def _snapshot_operator(
-    u_idx: np.ndarray, v_idx: np.ndarray, n: int, directed: bool
+def _edge_indices(
+    triples: Sequence[tuple], index: dict[Node, int], position: dict[Time, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(snapshot, source, destination)`` index arrays of ``(u, v, t)`` triples.
+
+    Raises ``KeyError`` on a label outside ``index``.
+    """
+    count = len(triples)
+    return (
+        np.fromiter((position[t] for _, _, t in triples), np.int64, count),
+        np.fromiter((index[u] for u, _, _ in triples), np.int64, count),
+        np.fromiter((index[v] for _, v, _ in triples), np.int64, count),
+    )
+
+
+def _index_dtype(slots: int, nnz: int) -> np.dtype:
+    """:func:`repro.engine.bitops.stacked_index_dtype`, looked up per call.
+
+    The engine package imports this module, so the rule is imported here on
+    first use rather than at module load.
+    """
+    from repro.engine import bitops
+
+    return bitops.stacked_index_dtype(slots, nnz)
+
+
+def _csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
 ) -> sp.csr_matrix:
-    """One snapshot's canonical CSR forward operator from (source, destination) indices.
+    """A CSR over exactly these buffers, index dtypes included.
 
-    Every operator starts here: :meth:`CompiledTemporalGraph.from_graph`
-    calls it per snapshot, and :meth:`~CompiledTemporalGraph.recompile` for
-    a snapshot its previous artifact never compiled.  scipy's COO conversion sorts the
-    entries and sums duplicates, which are clamped to 0/1.
+    scipy's constructor narrows int64 index buffers whose values fit int32;
+    a stack keeps the dtype :func:`_index_dtype` chose for its size.
     """
-    rows, cols = _entries(u_idx, v_idx, directed)
-    op = sp.csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)), shape=(n, n))
-    op.sum_duplicates()
-    if op.nnz:
-        op.data[:] = 1
-    return op
+    mat = sp.csr_matrix((data, indices, indptr), shape=shape)
+    mat.indices, mat.indptr = indices, indptr
+    return mat
 
 
-def _splice_operator(
-    op: sp.csr_matrix,
-    insertions: tuple[Sequence[int], Sequence[int]],
-    removals: tuple[Sequence[int], Sequence[int]],
-    n: int,
-    directed: bool,
+def _buffers(mat: sp.csr_matrix) -> tuple:
+    """The arguments of :func:`_csr` that rebuild ``mat``."""
+    return mat.data, mat.indices, mat.indptr, mat.shape
+
+
+def _coo_stack(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, slots: int
+) -> sp.csr_matrix:
+    """The canonical CSR over ``slots`` rows and columns of a slot-indexed COO.
+
+    scipy's COO conversion sorts the entries and sums duplicates.
+    """
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(slots, slots))
+    index = _index_dtype(slots, mat.nnz)
+    indices = mat.indices.astype(index, copy=False)
+    return _csr(mat.data, indices, mat.indptr.astype(index, copy=False), mat.shape)
+
+
+def _matrix_stack(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """The block-diagonal stack of ``T`` square ``(N, N)`` matrices, values kept."""
+    n = mats[0].shape[0]
+    coo = [m.tocoo() for m in mats]
+    rows = np.concatenate([m.row.astype(np.int64) + k * n for k, m in enumerate(coo)])
+    cols = np.concatenate([m.col.astype(np.int64) + k * n for k, m in enumerate(coo)])
+    data = np.concatenate([m.data for m in coo])
+    return _coo_stack(rows, cols, data, len(mats) * n)
+
+
+def _transposed(stack: sp.csr_matrix) -> sp.csr_matrix:
+    """``stack``'s transpose in canonical CSR: its column-major twin."""
+    twin = stack.T.tocsr()
+    index = _index_dtype(twin.shape[0], twin.nnz)
+    indices = twin.indices.astype(index, copy=False)
+    return _csr(twin.data, indices, twin.indptr.astype(index, copy=False), twin.shape)
+
+
+def _block(stack: sp.csr_matrix, start: int, stop: int, n: int) -> sp.csr_matrix:
+    """Snapshots ``[start, stop)`` of a stack as a stack of their own.
+
+    Rows and columns are rebased to the block's first slot; ``data`` is a
+    view of the stack's.  The whole range is the stack itself.
+    """
+    if start == 0 and stop * n == stack.shape[0]:
+        return stack
+    slots = (stop - start) * n
+    first, last = int(stack.indptr[start * n]), int(stack.indptr[stop * n])
+    index = _index_dtype(slots, last - first)
+    indices = np.subtract(stack.indices[first:last], start * n, dtype=index)
+    indptr = np.subtract(stack.indptr[start * n : stop * n + 1], first, dtype=index)
+    return _csr(stack.data[first:last], indices, indptr, (slots, slots))
+
+
+def _relaid(
+    stack: sp.csr_matrix, moved: np.ndarray, n: int, t_count: int
+) -> sp.csr_matrix:
+    """``stack`` over ``t_count`` snapshots, old snapshot ``k`` now at ``moved[k]``.
+
+    ``moved`` is monotone, so the entries keep their order: each moved
+    snapshot's columns shift by its move, and every new snapshot gets ``N``
+    empty rows at its position.
+    """
+    slots = t_count * n
+    index = _index_dtype(slots, stack.nnz)
+    ends = stack.indptr[np.arange(moved.size + 1) * n]
+    indices = stack.indices.astype(index)
+    for k, p in enumerate(moved.tolist()):
+        if p != k:
+            indices[ends[k] : ends[k + 1]] += (p - k) * n
+    fresh = np.setdiff1d(np.arange(t_count), moved)
+    before = np.searchsorted(moved, fresh) * n  # the row each new snapshot precedes
+    indptr = np.insert(
+        stack.indptr.astype(index),
+        np.repeat(before, n),
+        np.repeat(stack.indptr[before], n),
+    )
+    return _csr(stack.data, indices, indptr, (slots, slots))
+
+
+def _splice(
+    stack: sp.csr_matrix,
+    insertions: tuple[np.ndarray, np.ndarray],
+    removals: tuple[np.ndarray, np.ndarray],
 ) -> sp.csr_matrix | None:
-    """``op`` with the removed edges' entries cut out and the inserted ones spliced in.
+    """``stack`` with the removed entries cut out and the inserted ones spliced in.
 
-    Canonical CSR order sorts the entries by the key ``row * n + column``,
-    so ``searchsorted`` finds every edit, one ``np.delete`` and one
-    ``np.insert`` patch ``indices``, and ``indptr`` shifts by each row's
-    count change: exactly the buffers :func:`_snapshot_operator` builds from
-    the patched edge set.  ``None`` when a removed entry is not stored or an
-    inserted one already is.
+    ``insertions`` and ``removals`` are ``(rows, columns)`` slot arrays.
+    Canonical CSR order sorts entries by the key ``row · S + column``, so
+    each edit is located by ``searchsorted`` among the keys of its own row's
+    segment — only the touched rows' entries are keyed.  Then one copy of
+    ``indices`` (the runs between edits, with the inserted columns placed
+    between them) and one shift of ``indptr`` by each row's count change
+    give exactly the buffers a from-scratch build of the edited entry set
+    holds, in the index dtype of the result's size.  ``None`` when a removed
+    entry is not stored or an inserted one already is.
     """
-
-    def sorted_keys(edges):
-        rows, cols = _entries(*edges, directed)
-        return np.sort(rows * n + cols)
-
-    add_keys, cut_keys = sorted_keys(insertions), sorted_keys(removals)
-    starts = np.arange(0, n * n, n, dtype=np.int64)
-    keys = np.repeat(starts, np.diff(op.indptr)) + op.indices
+    slots = stack.shape[0]
+    indptr, indices = stack.indptr, stack.indices
+    add_keys = np.sort(insertions[0] * slots + insertions[1])
+    cut_keys = np.sort(removals[0] * slots + removals[1])
+    rows = np.unique(np.concatenate([add_keys, cut_keys]) // slots)
+    starts = indptr[rows].astype(np.int64)
+    lens = indptr[rows + 1] - starts
+    first = lens.cumsum() - lens  # where each touched row's keys begin
+    held = (starts - first).repeat(lens) + np.arange(int(lens.sum()))
+    keys = np.append(rows.repeat(lens) * slots + indices[held], np.iinfo(np.int64).max)
     cut = np.searchsorted(keys, cut_keys)
     at = np.searchsorted(keys, add_keys)
-    if not np.array_equal(np.searchsorted(keys, cut_keys, side="right"), cut + 1):
+    if (keys[cut] != cut_keys).any() or (keys[at] == add_keys).any():
         return None
-    if not np.array_equal(np.searchsorted(keys, add_keys, side="right"), at):
-        return None
-    add_rows, add_cols = np.divmod(add_keys, n)
-    # an insertion lands after every earlier-keyed entry the cut left
-    at -= np.searchsorted(cut, at)
-    indices = np.insert(np.delete(op.indices, cut), at, add_cols)
-    delta = np.bincount(add_rows, minlength=n) - np.bincount(cut_keys // n, minlength=n)
-    indptr = op.indptr + np.concatenate([[0], np.cumsum(delta)]).astype(np.int32)
-    data = np.ones(indices.size, dtype=np.int32)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    add_rows, add_cols = np.divmod(add_keys, slots)
+    # an inserted entry goes before its row's first entry keyed above it
+    add_at = indptr[add_rows] + (at - first[np.searchsorted(rows, add_rows)])
+    # the edits in buffer order, an insertion before a cut at its position
+    where = np.concatenate([add_at, held[cut]])
+    cuts = np.repeat([0, 1], [add_at.size, cut.size])
+    order = np.lexsort((cuts, where))
+    where, cuts = where[order], cuts[order]
+    run_start = np.concatenate([[0], where + cuts])
+    run_stop = np.append(where, indices.size)
+    run_dst = run_start + np.concatenate([[0], np.cumsum(1 - 2 * cuts)])
+    nnz = indices.size + add_keys.size - cut_keys.size
+    index = _index_dtype(slots, nnz)
+    out = np.empty(nnz, dtype=index)
+    for a, b, d in zip(run_start.tolist(), run_stop.tolist(), run_dst.tolist()):
+        out[d : d + b - a] = indices[a:b]
+    out[(run_dst + run_stop - run_start)[:-1][cuts == 0]] = add_cols
+    change = np.bincount(add_rows + 1, minlength=slots + 1)
+    change -= np.bincount(cut_keys // slots + 1, minlength=slots + 1)
+    shifted = (indptr + change.cumsum()).astype(index)
+    return _csr(np.ones(nnz, dtype=np.int32), out, shifted, (slots, slots))
 
 
-def _compile_forward_operators(
+def _compile_forward_stack(
     graph: BaseEvolvingGraph, times: list[Time]
-) -> tuple[list[Node], list[sp.csr_matrix], np.ndarray]:
-    """Bulk-compile any representation into the per-snapshot forward stack.
+) -> tuple[list[Node], sp.csr_matrix, np.ndarray]:
+    """Bulk-compile any representation into its forward stack.
 
-    One pass over ``temporal_edges_unordered()`` indexes every edge, then
-    :func:`_snapshot_operator` builds each snapshot's operator straight in
-    its transposed-adjacency orientation (row = destination, column =
-    source), so no separate transpose pass is ever needed for forward
-    traversal.  Also returns the ``(T, N)`` label-presence matrix delta
-    recompilation diffs against.
+    One pass over ``temporal_edges_unordered()`` indexes every edge, and one
+    slot-indexed COO over the ``T · N`` slots builds the stack straight in
+    its transposed-adjacency orientation (row = destination slot, column =
+    source slot), its duplicates clamped to 0/1.  Also returns the
+    ``(T, N)`` label-presence matrix delta recompilation diffs against.
     """
     time_index = {t: i for i, t in enumerate(times)}
     triples = list(graph.temporal_edges_unordered())
@@ -674,15 +864,14 @@ def _compile_forward_operators(
     labels = sorted(label_set, key=repr)
     index = {v: i for i, v in enumerate(labels)}
     n = len(labels)
-    count = len(triples)
-    u_idx = np.fromiter((index[u] for u, _, _ in triples), dtype=np.int64, count=count)
-    v_idx = np.fromiter((index[v] for _, v, _ in triples), dtype=np.int64, count=count)
-    t_gen = (time_index[t] for _, _, t in triples)
-    t_idx = np.fromiter(t_gen, dtype=np.int64, count=count)
+    t_idx, u_idx, v_idx = _edge_indices(triples, index, time_index)
     presence = np.zeros((len(times), n), dtype=bool)
     presence[t_idx, u_idx] = True
     presence[t_idx, v_idx] = True
-    directed = graph.is_directed
-    masks = [t_idx == k for k in range(len(times))]
-    mats = [_snapshot_operator(u_idx[m], v_idx[m], n, directed) for m in masks]
-    return labels, mats, presence
+    t_idx *= n  # the endpoints' slots, in place: the arrays are edge-sized
+    u_idx += t_idx
+    v_idx += t_idx
+    rows, cols = _entries(u_idx, v_idx, graph.is_directed)
+    stack = _coo_stack(rows, cols, np.ones(rows.size, dtype=np.int32), len(times) * n)
+    stack.data[:] = 1
+    return labels, stack, presence

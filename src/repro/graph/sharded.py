@@ -21,25 +21,29 @@ near-equal snapshot count.
 Two storage regimes share this one class:
 
 * **in-memory** (:meth:`ShardedTemporalGraph.from_compiled`) — each shard's
-  operator list and activeness rows are *slices* of the monolithic stacks
-  (zero copies; the matrices are shared objects).  Shards pickle
-  independently, which is what the process-pipeline backend ships to its
-  persistent workers once at startup;
+  stacks are the diagonal blocks of the monolithic stacks over its
+  snapshots (:meth:`~repro.graph.compiled.CompiledTemporalGraph.time_slice`:
+  one rebased copy of the block's ``indices`` and ``indptr``, ``data`` and
+  the activeness rows shared).  Shards pickle independently, which is what
+  the process-pipeline backend ships to its persistent workers once at
+  startup;
 * **store-backed** (:func:`repro.io.mmap_store.load_sharded`) — shards are
-  opened lazily from memory-mapped CSR buffers on disk and can be
-  :meth:`released <release>` between uses, so a sweep holds one shard's
-  operators in address space at a time.  :attr:`peak_open_bytes` records the
-  high-water mark of simultaneously open operator bytes, which the
-  out-of-core benchmark gates against its memory budget.
+  opened lazily from memory-mapped CSR buffers on disk, straight into their
+  stacks, and can be :meth:`released <release>` between uses, so a sweep
+  holds one shard's operators in address space at a time.
+  :attr:`peak_open_bytes` records the high-water mark of simultaneously
+  open operator bytes, which the out-of-core benchmark gates against its
+  memory budget.
+
+A shard's operator bytes are its stored stacks in the store's per-snapshot
+CSR layout, fixed when the shard opens: a twin that a sweep's push builds
+later changes neither what :meth:`release` subtracts nor the peak.
 
 A sharded artifact is never patched in place.  After a mutation, the
 monolithic artifact is delta-recompiled
 (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile`) and
-sliced again with :meth:`ShardedTemporalGraph.from_compiled`.  The delta
-recompile shares every clean snapshot's operator object with the previous
-artifact, so the new slices hold the very matrices the old shards held;
-slicing costs list construction only.  A store is likewise written afresh
-as a new ``v<mutation_version>`` directory with
+sliced again with :meth:`ShardedTemporalGraph.from_compiled`.  A store is
+likewise written afresh as a new ``v<mutation_version>`` directory with
 :func:`repro.io.mmap_store.save_sharded`.
 """
 
@@ -60,6 +64,23 @@ def operator_stack_bytes(operators: Sequence) -> int:
     """Total CSR buffer bytes (``data`` + ``indices`` + ``indptr``) of a stack."""
     return int(
         sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in operators)
+    )
+
+
+def _stored_bytes(shard: CompiledTemporalGraph) -> int:
+    """A shard's operator bytes in the per-snapshot CSR layout a store writes.
+
+    ``data`` and ``indices`` plus one ``(N + 1)``-entry ``indptr`` per
+    snapshot, for the forward stack and, once asked for, the backward one:
+    what :func:`operator_stack_bytes` reads off the per-snapshot views,
+    without slicing them.
+    """
+    stacks = [shard.stack()]
+    if shard.is_directed and shard.transposes_built:
+        stacks.append(shard.stack(False))
+    rows = shard.num_snapshots * (shard.num_nodes + 1)
+    return sum(
+        m.data.nbytes + m.indices.nbytes + rows * m.indptr.itemsize for m in stacks
     )
 
 
@@ -152,11 +173,14 @@ class ShardedTemporalGraph:
             self._shard_nnz = [int(x) for x in shard_nnz]
         else:
             self._shard_nnz = [
-                int(sum(m.nnz for m in shard.forward_operators))
-                if shard is not None
-                else 0
-                for shard in self._shards
+                shard.nnz if shard is not None else 0 for shard in self._shards
             ]
+        # the in-memory shards' operator bytes, counted now, so a twin that
+        # a sweep builds later leaves them as they are (a store's shards
+        # count their manifest's bytes)
+        self._memory_bytes = [
+            _stored_bytes(shard) if shard is not None else 0 for shard in self._shards
+        ]
         # open-bytes accounting: for store-backed artifacts this is the
         # out-of-core contract the benchmark gates (one shard resident at a
         # time under the serial driver); in-memory shards are always "open"
@@ -196,43 +220,28 @@ class ShardedTemporalGraph:
         *,
         boundaries: Sequence[tuple[int, int]] | None = None,
     ) -> "ShardedTemporalGraph":
-        """Slice a monolithic artifact into in-memory time shards (zero-copy).
+        """Slice a monolithic artifact into in-memory time shards.
 
         Boundaries default to the nnz-weighted contiguous layout of
         :func:`compute_shard_layout`; pass explicit ``boundaries`` for a
-        custom (e.g. deliberately ragged) layout.  Each shard shares the
-        monolithic stack's matrix objects and activeness rows — slicing
-        costs list/view construction only.
+        custom (e.g. deliberately ragged) layout.  Each shard is
+        :meth:`compiled.time_slice(a, b)
+        <repro.graph.compiled.CompiledTemporalGraph.time_slice>`: its stacks
+        are the monolithic ones' diagonal blocks, and it shares the node
+        index and activeness rows.
         """
         if boundaries is None:
             if num_shards is None:
                 raise GraphError("from_compiled needs num_shards or boundaries")
             boundaries = compute_shard_layout(compiled, num_shards)
-        times = compiled.times
-        forward = compiled.forward_operators
-        backward = compiled.backward_operators if compiled.transposes_built else None
-        mask = compiled.active_mask
-        shards: list[CompiledTemporalGraph] = []
-        for a, b in boundaries:
-            shards.append(
-                CompiledTemporalGraph(
-                    node_labels=compiled.node_labels,
-                    times=times[a:b],
-                    forward_operators=forward[a:b],
-                    is_directed=compiled.is_directed,
-                    mutation_version=compiled.mutation_version,
-                    backward_operators=backward[a:b] if backward else None,
-                    active_mask=mask[a:b],
-                )
-            )
         return cls(
             node_labels=compiled.node_labels,
-            times=times,
+            times=compiled.times,
             boundaries=boundaries,
             mutation_version=compiled.mutation_version,
             is_directed=compiled.is_directed,
-            active_mask=mask,
-            shards=shards,
+            active_mask=compiled.active_mask,
+            shards=[compiled.time_slice(a, b) for a, b in boundaries],
         )
 
     # ------------------------------------------------------------------ #
@@ -336,7 +345,7 @@ class ShardedTemporalGraph:
         if shard is None:
             shard = self._store.open_shard(index)
             self._shards[index] = shard
-            self._shard_nnz[index] = int(sum(m.nnz for m in shard.forward_operators))
+            self._shard_nnz[index] = shard.nnz
             self._open_bytes += self._shard_operator_bytes(index)
             self.peak_open_bytes = max(self.peak_open_bytes, self._open_bytes)
         return shard
@@ -355,15 +364,9 @@ class ShardedTemporalGraph:
             self._shards[index] = None
 
     def _shard_operator_bytes(self, index: int) -> int:
-        shard = self._shards[index]
-        if shard is not None:
-            total = operator_stack_bytes(shard.forward_operators)
-            if shard.transposes_built and shard.is_directed:
-                total += operator_stack_bytes(shard.backward_operators)
-            return total
         if self._store is not None:
             return self._store.shard_bytes(index)
-        return 0
+        return self._memory_bytes[index]
 
     @property
     def operator_bytes(self) -> int:

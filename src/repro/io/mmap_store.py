@@ -21,8 +21,9 @@ Directory layout (the storage spec the README documents)::
 
 Buffers are canonicalized to int32 (the compiler's native dtype); snapshot
 ``k`` of a shard owns ``data[offsets[k]:offsets[k+1]]`` per the manifest's
-per-snapshot nnz list, so reconstruction wraps the mapped buffers in
-``csr_matrix`` views without copying.  Each mutation version gets its own
+per-snapshot nnz list, so a shard opens straight into its block-diagonal
+stacks: the mapped ``data``, one offset add over ``indices`` and one rebase
+of the ``indptr`` rows.  Each mutation version gets its own
 ``v<N>`` directory: a store never describes two graph states at once, and
 :meth:`ShardedTemporalGraph.is_current
 <repro.graph.sharded.ShardedTemporalGraph.is_current>` (or
@@ -48,7 +49,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import GraphError
 from repro.graph.base import Node, Time
-from repro.graph.compiled import _active_row
+from repro.graph.compiled import _active_row, _csr, _index_dtype
 from repro.graph.sharded import ShardedTemporalGraph
 
 __all__ = [
@@ -292,6 +293,30 @@ def save_sharded(
     return writer.finalize()
 
 
+def _open_stack(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, offsets: np.ndarray
+) -> sp.csr_matrix:
+    """The block-diagonal stack of a shard's stored snapshots.
+
+    ``indptr`` holds one ``(N + 1)``-entry row per snapshot and ``offsets``
+    each snapshot's first entry in ``data`` and ``indices``: snapshot ``k``'s
+    columns move up by ``k · N`` and its row pointers by ``offsets[k]``, and
+    ``data`` stays the mapped buffer.
+    """
+    t_count, n = indptr.shape[0], indptr.shape[1] - 1
+    slots, total = t_count * n, int(offsets[-1])
+    index = _index_dtype(slots, total)
+    stacked = np.empty(total, dtype=index)
+    for k in range(t_count):
+        lo, hi = offsets[k], offsets[k + 1]
+        np.add(indices[lo:hi], k * n, out=stacked[lo:hi], dtype=index)
+    ptr = np.empty(slots + 1, dtype=index)
+    rows = ptr[:-1].reshape(t_count, n)
+    np.add(indptr[:, :-1], offsets[:-1, None], out=rows, dtype=index)
+    ptr[-1] = total
+    return _csr(data, stacked, ptr, (slots, slots))
+
+
 class _MmapShardStore:
     """Reopens shards from a version directory as memory-mapped CSR stacks."""
 
@@ -320,37 +345,25 @@ class _MmapShardStore:
         shard_meta = manifest["shards"][index]
         nnz = [int(x) for x in shard_meta["snapshot_nnz"]]
         t_count = stop - start
-        offsets = np.concatenate([[0], np.cumsum(nnz)])
+        offsets = np.concatenate([[0], np.cumsum(nnz, dtype=np.int64)])
         total_nnz = int(offsets[-1])
-        stacks = ["forward"] + (["backward"] if manifest["include_backward"] else [])
-        operators: dict[str, list[sp.csr_matrix]] = {}
-        for stack in stacks:
+        names = ["forward"] + (["backward"] if manifest["include_backward"] else [])
+        stacks: dict[str, sp.csr_matrix] = {}
+        for stack in names:
             data = self._mapped(index, stack, "data", total_nnz)
             indices = self._mapped(index, stack, "indices", total_nnz)
             indptr = self._mapped(index, stack, "indptr", t_count * (n + 1))
-            self._check_csr(index, stack, indptr.reshape(t_count, n + 1), indices, nnz)
-            mats = []
-            for k in range(t_count):
-                lo, hi = int(offsets[k]), int(offsets[k + 1])
-                mats.append(
-                    sp.csr_matrix(
-                        (
-                            data[lo:hi],
-                            indices[lo:hi],
-                            indptr[k * (n + 1) : (k + 1) * (n + 1)],
-                        ),
-                        shape=(n, n),
-                    )
-                )
-            operators[stack] = mats
+            indptr = indptr.reshape(t_count, n + 1)
+            self._check_csr(index, stack, indptr, indices, nnz)
+            stacks[stack] = _open_stack(data, indices, indptr, offsets)
         mask = self._active_mask()[start:stop]
         return CompiledTemporalGraph(
             node_labels=manifest["node_labels"],
             times=manifest["times"][start:stop],
-            forward_operators=operators["forward"],
+            forward_stack=stacks["forward"],
             is_directed=manifest["is_directed"],
             mutation_version=manifest["mutation_version"],
-            backward_operators=operators.get("backward"),
+            backward_stack=stacks.get("backward"),
             active_mask=mask,
             node_index=self._node_index,
         )
@@ -368,8 +381,8 @@ class _MmapShardStore:
 
         ``indptr`` holds one ``(N + 1)``-long row per snapshot: each must
         start at 0, never decrease and end at the manifest's nnz of its
-        snapshot, and every column index must lie in ``[0, N)``.  scipy
-        builds a CSR over the mapped buffers without these checks, and a
+        snapshot, and every column index must lie in ``[0, N)``.  The
+        stack is built over the mapped buffers without these checks, and a
         bad index later crashes the interpreter inside a native conversion.
         A few vectorised passes over plain views of the mapped buffers.
         """

@@ -437,11 +437,12 @@ def _snapshot(n, rng, *, hub=False, empty=False):
 
 
 def _dense_stack(n, t, seed, hub, empty):
-    """``stack_operators`` over ``t`` snapshots, one with a hub row and one
-    registered empty (``-1`` for neither)."""
+    """The block-diagonal stack of ``t`` snapshots, one with a hub row and
+    one registered empty (``-1`` for neither)."""
     rng = np.random.default_rng(seed)
-    return bitops.stack_operators(
-        [_snapshot(n, rng, hub=k == hub, empty=k == empty) for k in range(t)]
+    return sp.block_diag(
+        [_snapshot(n, rng, hub=k == hub, empty=k == empty) for k in range(t)],
+        format="csr",
     )
 
 
@@ -507,7 +508,7 @@ def test_dense_advance_cases_reach_both_sides_of_the_ell_cap():
     """A stack with entries past the ELL cap and one without: a hub row
     spills into the tail, a stack of equal-degree rows does not."""
     ring = sp.csr_matrix(np.roll(np.eye(12, dtype=np.int8), 1, axis=1))
-    rings = bitops.stack_operators([ring] * 3)
+    rings = sp.block_diag([ring] * 3, format="csr")
     assert bitops._dense_layout(rings)[2].size == 0
     for r in DENSE_COLUMNS:
         hubbed = _dense_stack(12, 4, r, hub=1, empty=3)
@@ -525,9 +526,9 @@ def test_hub_row_adds_no_ell_column():
         base[v, [(v + 1) % n, (v + 2) % n, (v + 3) % n]] = 1
     hubbed = base.copy()
     hubbed[0] = 1
-    plain = bitops._dense_layout(bitops.stack_operators([sp.csr_matrix(base)] * 2))
+    plain = bitops._dense_layout(sp.block_diag([sp.csr_matrix(base)] * 2, format="csr"))
     order, columns, tail_sources, tail_starts = bitops._dense_layout(
-        bitops.stack_operators([sp.csr_matrix(hubbed), sp.csr_matrix(base)])
+        sp.block_diag([sp.csr_matrix(hubbed), sp.csr_matrix(base)], format="csr")
     )
     assert len(columns) == len(plain[1]) == 3
     assert plain[2].size == 0

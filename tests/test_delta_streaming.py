@@ -5,9 +5,10 @@ Two equivalence contracts are asserted here:
 * **Bit-identity of delta recompilation** — after *arbitrary* mutation
   sequences (edge insertions, removals, new snapshots, direct snapshot
   mutation), :meth:`CompiledTemporalGraph.recompile` chained delta-on-delta
-  must produce an artifact structurally identical — labels, times, every CSR
-  operator's buffers, mask, presence, stamps — to a from-scratch
-  :meth:`CompiledTemporalGraph.from_graph` of the mutated graph.
+  must produce an artifact structurally identical — labels, times, every
+  built stack's buffers and their per-snapshot views, mask, presence,
+  stamps — to a from-scratch :meth:`CompiledTemporalGraph.from_graph` of the
+  mutated graph.
 * **Streaming equivalence of the engine-backed incremental BFS** — after
   every stream batch, ``IncrementalBFS(backend="vectorized")`` must agree
   with the Python oracle *and* with a from-scratch ``evolving_bfs``.
@@ -24,6 +25,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,13 @@ import repro.graph.adjacency_list as adjacency_list_module
 from repro.algorithms.incremental import IncrementalBFS, IncrementalEarliestArrival
 from repro.algorithms.temporal_paths import earliest_arrival_times
 from repro.core.bfs import evolving_bfs
-from repro.engine import BACKENDS, get_compiled, get_kernel, invalidate_kernel
+from repro.engine import (
+    BACKENDS,
+    bitops,
+    get_compiled,
+    get_kernel,
+    invalidate_kernel,
+)
 from repro.engine.frontier import FrontierKernel
 from repro.exceptions import GraphError, TimestampNotFoundError
 from repro.generators import EdgeStream, apply_stream, random_temporal_edges
@@ -72,22 +80,40 @@ def assert_same_buffers(ma, mb) -> None:
 
 
 def assert_bit_identical(a: CompiledTemporalGraph, b: CompiledTemporalGraph) -> None:
-    """Structural equality of two compiled artifacts, buffer by buffer."""
+    """Structural equality of two compiled artifacts, buffer by buffer.
+
+    Every stack ``a`` has built is compared with ``b``'s, and so are its
+    per-snapshot views: the forward stack always, the backward one (the
+    forward push's twin) when ``a`` holds it.  Nothing is built on ``a``
+    that it did not hold, so a chain of recompiles keeps its own mix of
+    built and unbuilt stacks.
+    """
     assert a.node_labels == b.node_labels
     assert a.node_index == b.node_index
     assert a.times == b.times
     assert a.is_directed == b.is_directed
     assert a.mutation_version == b.mutation_version
     assert a.snapshot_versions == b.snapshot_versions
-    for ma, mb in zip(a.forward_operators, b.forward_operators):
+    assert a.num_snapshots * a.num_nodes == a.stack().shape[0]
+    assert_same_buffers(a.stack(), b.stack())
+    for ma, mb in zip(a.forward_operators, b.forward_operators, strict=True):
         assert_same_buffers(ma, mb)
+    if a._backward is not None or not a.is_directed:
+        assert_same_buffers(a.twin(), b.twin())
+        for ma, mb in zip(a.forward_twins, b.forward_twins, strict=True):
+            assert_same_buffers(ma, mb)
     assert np.array_equal(a.active_mask, b.active_mask)
     if a.label_presence is None or b.label_presence is None:
         assert a.label_presence is None and b.label_presence is None
     else:
         assert np.array_equal(a.label_presence, b.label_presence)
-    for ma, mb in zip(a.backward_operators, b.backward_operators):
-        assert_same_buffers(ma, mb)
+
+
+def assert_delta_from(after: CompiledTemporalGraph, before: CompiledTemporalGraph):
+    """``after`` came from ``before`` by the delta path: it holds ``before``'s
+    node index (a full build indexes the labels afresh)."""
+    assert after.delta_stats is not None
+    assert after._node_index is before._node_index
 
 
 def apply_mutation(graph: AdjacencyListEvolvingGraph, op: tuple) -> None:
@@ -132,12 +158,18 @@ class TestDeltaRecompileBitIdentity:
         steps=st.lists(mutations, min_size=1, max_size=15),
     )
     def test_arbitrary_mutation_sequences(self, directed, initial, steps):
-        """Chained delta recompiles stay bit-identical to from-scratch builds."""
+        """Chained delta recompiles stay bit-identical to from-scratch builds.
+
+        Each artifact builds its twin before the next mutation, so every
+        recompile splices both stacks (``tests/test_compiled_machine.py``
+        mixes built and unbuilt ones).
+        """
         graph = AdjacencyListEvolvingGraph(
             initial, directed=directed, timestamps=[0, 1, 2, 3, 4]
         )
         artifact = CompiledTemporalGraph.from_graph(graph)
         for op in steps:
+            artifact.twin()
             apply_mutation(graph, op)
             artifact = CompiledTemporalGraph.recompile(graph, artifact)
             assert_bit_identical(artifact, CompiledTemporalGraph.from_graph(graph))
@@ -154,20 +186,31 @@ class TestDeltaRecompileBitIdentity:
         assert artifact.is_current(graph)
 
     def test_untouched_snapshots_share_objects(self):
-        """The delta path reuses the previous CSR stacks, not copies of them."""
+        """The splice copies both stacks once and shares the node index.
+
+        Untouched snapshots keep their blocks buffer for buffer inside the
+        new stacks; the previous artifact's stacks are left as they were.
+        """
         graph = AdjacencyListEvolvingGraph(
             [(0, 1, 0), (1, 2, 1), (2, 3, 2)], timestamps=[0, 1, 2]
         )
         before = CompiledTemporalGraph.from_graph(graph)
         before.backward_operators  # materialize so transposes get patched too
+        kept = [m.copy() for m in (before.stack(), before.stack(False))]
         graph.add_edge(0, 3, 1)
         after = CompiledTemporalGraph.recompile(graph, before)
         assert after.delta_stats == {"rebuilt": 1, "reused": 2}
-        assert after.forward_operators[0] is before.forward_operators[0]
-        assert after.forward_operators[2] is before.forward_operators[2]
-        assert after.forward_operators[1] is not before.forward_operators[1]
+        assert_delta_from(after, before)
         assert after.transposes_built
-        assert after.backward_operators[0] is before.backward_operators[0]
+        for forward, old in zip((True, False), kept):
+            assert after.stack(forward) is not before.stack(forward)
+            assert_same_buffers(before.stack(forward), old)
+        for k in (0, 2):
+            assert_same_buffers(after.forward_operators[k], before.forward_operators[k])
+            assert_same_buffers(
+                after.backward_operators[k], before.backward_operators[k]
+            )
+        assert after.forward_operators[1].nnz == before.forward_operators[1].nnz + 1
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
 
     def test_new_node_label_falls_back_to_full(self):
@@ -194,9 +237,72 @@ class TestDeltaRecompileBitIdentity:
         after = CompiledTemporalGraph.recompile(graph, before)
         assert after.delta_stats == {"rebuilt": 1, "reused": 2}
         assert after.times == (0, 2, 4)
-        assert after.forward_operators[0] is before.forward_operators[0]
-        assert after.forward_operators[2] is before.forward_operators[1]
+        assert_delta_from(after, before)
+        # the stack was re-laid on the slot map, the old blocks moved intact
+        assert_same_buffers(after.forward_operators[0], before.forward_operators[0])
+        assert_same_buffers(after.forward_operators[2], before.forward_operators[1])
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
+
+    def test_int64_indexed_stack_splices_in_int64(self, monkeypatch):
+        """A splice takes the index dtype of its result's size: a batch that
+        pushes the stack past the (here lowered) int32 limit upcasts it, and
+        a splice of an int64-indexed stack stays int64 — both stacks, both
+        equal to the from-scratch build under the same rule."""
+        ring = [(i, (i + 1) % 6, 0) for i in range(6)]
+        graph = AdjacencyListEvolvingGraph(ring, directed=True, timestamps=[0, 1])
+        before = CompiledTemporalGraph.from_graph(graph)
+        limit = before.nnz
+        monkeypatch.setattr(
+            bitops,
+            "stacked_index_dtype",
+            lambda slots, nnz: np.dtype(np.int32 if nnz <= limit else np.int64),
+        )
+        before.twin()
+        assert before.stack().indices.dtype == np.int32
+        artifact = before
+        for batch in ([(0, 2, 1), (3, 5, 1)], [(2, 4, 0), (4, 1, 1)]):
+            graph.add_edges_from(batch)
+            graph.remove_edge(*ring[len(batch)])
+            artifact = CompiledTemporalGraph.recompile(graph, artifact)
+            assert_delta_from(artifact, before)
+            assert artifact.nnz > limit
+            for stack in (artifact.stack(), artifact.twin()):
+                assert stack.indices.dtype == stack.indptr.dtype == np.int64
+            assert_bit_identical(artifact, CompiledTemporalGraph.from_graph(graph))
+
+    def test_sweep_after_delta_compile_restacks_and_converts_nothing(
+        self, monkeypatch
+    ):
+        """The artifact's stacks are what a sweep advances over: after a delta
+        compile the next sweep builds no stack and converts no operator, its
+        push reading the spliced twin."""
+        graph = AdjacencyListEvolvingGraph(
+            random_temporal_edges(24, 4, 120, seed=5), directed=True
+        )
+        root = graph.active_temporal_nodes()[0]
+        get_kernel(graph).bfs(root)  # the first push builds the twin
+        victim = next(iter(graph.temporal_edges_unordered()))
+        graph.remove_edge(*victim)
+        graph.add_edge(victim[1], victim[0], victim[2])
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name, None)  # None if absent: a call still records
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded, raising=False)
+
+        spy(bitops, "stack_operators")
+        spy(sp.csr_matrix, "tocsc")
+        spy(sp.csc_matrix, "tocsr")
+        with bitops.sweep_thresholds(8, 0):  # push whenever the frontier is sparse
+            result = get_kernel(graph).bfs(root)
+        assert get_compiled(graph).delta_stats is not None
+        assert calls == []
+        assert result.reached == evolving_bfs(graph, root, backend="python").reached
 
     def test_snapshot_sequence_direct_child_mutation(self):
         """Mutating a StaticGraph obtained from snapshot() is still seen.
@@ -312,7 +418,7 @@ class TestDispatchPatchesInPlace:
         after = get_compiled(graph)
         assert after is not before
         assert after.delta_stats == {"rebuilt": 1, "reused": 2}
-        assert after.forward_operators[0] is before.forward_operators[0]
+        assert_delta_from(after, before)
         assert after.is_current(graph)
         # the kernels ride the patched artifact
         assert get_kernel(graph).compiled is after
@@ -542,7 +648,7 @@ class TestSignedJournal:
         assert graph.edge_mutations_since(before.mutation_version) == (batch, [])
         after = CompiledTemporalGraph.recompile(graph, before)
         assert after.delta_stats == {"rebuilt": 1, "reused": 1}
-        assert after.forward_operators[0] is before.forward_operators[0]
+        assert_delta_from(after, before)
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
 
     def test_trim_fires_once_the_window_is_consumed(self, monkeypatch):
@@ -567,7 +673,7 @@ class TestSignedJournal:
         graph.add_edges_from([(u, (u + 3) % 6, 2) for u in range(6) if u % 3])
         after = CompiledTemporalGraph.recompile(graph, before)
         assert after.delta_stats == {"rebuilt": 2, "reused": 1}
-        assert after.forward_operators[0] is before.forward_operators[0]
+        assert_delta_from(after, before)
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
 
 
@@ -620,8 +726,9 @@ class TestMixedStreamDelta:
 
         The time-0 ring pins every node's universe membership and the
         timestamps are pre-registered, so no batch (insert, remove or mixed)
-        may degrade to a full ``from_graph`` rebuild: the untouched time-0
-        operator must remain the *same object* across the whole stream.
+        may degrade to a full ``from_graph`` rebuild: every artifact of the
+        stream holds the warm artifact's node index.  Each builds its twin
+        for the next batch's splice, as a sweep's push would.
         """
         num_nodes, num_times, directed, stream = case
         ring = [(i, (i + 1) % num_nodes, 0) for i in range(num_nodes)]
@@ -635,6 +742,7 @@ class TestMixedStreamDelta:
             assert artifact.is_current(g)
             seen.append(artifact)
             assert_bit_identical(artifact, CompiledTemporalGraph.from_graph(g))
+            artifact.twin()
 
         apply_stream(stream, graph=graph, compiled=True, on_batch=on_batch)
         previous = warm
@@ -642,7 +750,7 @@ class TestMixedStreamDelta:
             # a batch of pure no-ops returns the previous artifact unchanged;
             # any effective batch must take the delta path
             assert artifact is previous or artifact.delta_stats is not None
-            assert artifact.forward_operators[0] is warm.forward_operators[0]
+            assert artifact._node_index is warm._node_index
             previous = artifact
 
     def test_pure_removal_batch_never_full_rebuilds(self):
@@ -653,7 +761,7 @@ class TestMixedStreamDelta:
         assert graph.remove_edges_from(extra[:4]) == 4
         after = get_compiled(graph)
         assert after.delta_stats == {"rebuilt": 1, "reused": 1}
-        assert after.forward_operators[0] is warm.forward_operators[0]
+        assert_delta_from(after, warm)
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
 
     @DELTA_SETTINGS

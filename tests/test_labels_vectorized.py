@@ -42,9 +42,11 @@ from repro.algorithms.temporal_paths import (
     latest_departure_times,
 )
 from repro.core.bfs import evolving_bfs
-from repro.engine import FrontierKernel, LabelKernel, get_compiled, get_kernel
+from repro.engine import FrontierKernel, LabelKernel, bitops, get_compiled, get_kernel
 from repro.exceptions import GraphError
+from repro.generators import random_temporal_edges
 from repro.graph import AdjacencyListEvolvingGraph
+from repro.graph.compiled import CompiledTemporalGraph
 
 node_labels = st.integers(min_value=0, max_value=12)
 time_labels = st.integers(min_value=0, max_value=5)
@@ -413,6 +415,36 @@ def test_compiled_graph_pickle_roundtrip(medium_random_graph):
     assert FrontierKernel(clone).tang_steps([root[0]]) == FrontierKernel(
         compiled
     ).tang_steps([root[0]])
+
+
+def test_pickled_artifact_carries_its_operators_once():
+    """After sweeps that built the twin, the dense layout, row runs and
+    per-snapshot views, a pickle holds the forward stack's three buffers
+    and the mask, nothing the engine derived: the unrequested twin, the
+    views and the caches on the stack object stay behind."""
+    graph = AdjacencyListEvolvingGraph(
+        random_temporal_edges(60, 4, 900, seed=8), directed=True
+    )
+    compiled = CompiledTemporalGraph.from_graph(graph)
+    kernel = FrontierKernel(compiled)
+    roots = graph.active_temporal_nodes()[:20]
+    with bitops.sweep_thresholds(0, 0):  # dense levels: the layout is built
+        kernel.batch(roots)
+    kernel.batch(roots)  # pushes: the twin
+    kernel.tang_steps([roots[0][0]])  # per-snapshot views and their twins
+    stack = compiled.stack()
+    assert hasattr(stack, "_bitops_layout") and hasattr(stack, "_bitops_rows")
+    assert compiled._backward is not None and not compiled.transposes_built
+    payload = pickle.dumps(compiled)
+    buffers = stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes
+    assert len(payload) < buffers + compiled.active_mask.nbytes + 4096
+    clone = pickle.loads(payload)
+    assert clone._backward is None and not clone._views
+    assert not hasattr(clone.stack(), "_bitops_layout")
+    assert not hasattr(clone.stack(), "_bitops_rows")
+    expected = {r: res.reached for r, res in kernel.batch(roots).items()}
+    got = {r: res.reached for r, res in FrontierKernel(clone).batch(roots).items()}
+    assert got == expected
 
 
 # --------------------------------------------------------------------------- #

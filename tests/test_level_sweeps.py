@@ -1,17 +1,18 @@
 """Unit tests for the level-at-a-time sweeps and their stacked operator.
 
 Every BFS level, 0/1 label step and re-sweep round of the engine is one
-advance over the block-diagonal stack of the snapshot operators
-(:func:`repro.engine.bitops.stack_operators`), windowed to the snapshots
-that can still change, plus one prefix-OR for the causal step and one
-masked update.  The property suites hold the sweeps bit-identical to the
+advance over the compiled artifact's block-diagonal stack of the snapshot
+operators (:meth:`repro.graph.compiled.CompiledTemporalGraph.stack`),
+windowed to the snapshots that can still change, plus one prefix-OR for the
+causal step and one masked update.  The property suites hold the sweeps bit-identical to the
 Python oracles on random graphs; this module pins the cases the window
 logic branches on, each under every advance branch forced through
 :func:`~repro.engine.bitops.sweep_thresholds`:
 
-* the stacked CSR and its column-major twin equal scipy's ``block_diag``,
-  buffer for buffer and dtype for dtype, for both operator orientations,
-  directed and undirected graphs, empty snapshots and ``T = 1``;
+* each orientation's stack and its column-major twin (the other
+  orientation's stack) equal scipy's ``block_diag`` of the per-snapshot
+  views, buffer for buffer and dtype for dtype, for directed and undirected
+  graphs, empty snapshots and ``T = 1``;
 * the stack's index dtype is ``int32`` exactly while ``T · N`` and the
   entry count stay below ``2**31``;
 * a frontier only in the first or only in the last snapshot, a saturated
@@ -114,7 +115,8 @@ HORIZON_COLUMNS = [
 @pytest.mark.parametrize("directed", [True, False])
 @pytest.mark.parametrize("use_forward_ops", [True, False])
 def test_stacked_operator_equals_block_diag(directed, use_forward_ops):
-    """One orientation's stack equals ``sp.block_diag``, twin included.
+    """One orientation's stack equals ``sp.block_diag`` of its per-snapshot
+    views, and its twin, the other orientation's stack, equals the CSC one.
 
     Snapshots 1 and 4 hold no edge, so the stack has empty blocks inside
     and at its end.
@@ -123,21 +125,24 @@ def test_stacked_operator_equals_block_diag(directed, use_forward_ops):
     graph = AdjacencyListEvolvingGraph(
         edges, timestamps=[0, 1, 2, 3, 4], directed=directed
     )
-    kernel = FrontierKernel(graph)
-    ops = kernel._operators(use_forward_ops)
+    compiled = FrontierKernel(graph).compiled
+    stacked = compiled.stack(use_forward_ops)
+    assert compiled.stack(use_forward_ops) is stacked  # built once
+    ops = compiled.forward_operators if use_forward_ops else compiled.backward_operators
     assert [op.nnz == 0 for op in ops][1::3] == [True, True]
-    stacked = kernel._stacked(use_forward_ops)
-    assert kernel._stacked(use_forward_ops) is stacked  # built once
     assert_same_buffers(stacked, sp.block_diag(ops, format="csr"))
-    assert_same_buffers(bitops._csc(stacked), sp.block_diag(ops, format="csc"))
+    twin = compiled.twin(use_forward_ops)
+    assert twin is compiled.stack(not use_forward_ops)
+    assert_same_buffers(twin, sp.block_diag(ops, format="csc"))
 
 
 def test_single_snapshot_stack_is_its_operator():
+    """With one snapshot the per-snapshot view is the stack itself."""
     graph = AdjacencyListEvolvingGraph([(0, 1, 0), (1, 2, 0)], directed=True)
-    kernel = FrontierKernel(graph)
-    (op,) = kernel._operators(True)
-    assert kernel._stacked(True) is op
-    assert_same_buffers(kernel._stacked(True), sp.block_diag([op], format="csr"))
+    compiled = FrontierKernel(graph).compiled
+    (op,) = compiled.forward_operators
+    assert compiled.stack() is op
+    assert_same_buffers(compiled.stack(), sp.block_diag([op], format="csr"))
 
 
 def test_stacked_index_dtype_switches_at_int32_limit():

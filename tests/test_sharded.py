@@ -61,7 +61,9 @@ from repro.engine.sharded_sweep import (
 )
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
+from repro.graph import compiled as compiled_module
 from repro.graph.sharded import compute_shard_layout, operator_stack_bytes
+from repro.io import mmap_store
 from repro.io.mmap_store import ShardedStoreWriter, load_sharded, save_sharded
 from repro.parallel.partition import compiled_snapshot_weights
 from repro.serving import QueryServer
@@ -342,9 +344,11 @@ def test_out_of_core_sweep_bounds_open_bytes(tmp_path):
 
 
 def test_store_backed_sweep_drops_its_stacked_operators(tmp_path, monkeypatch):
-    """A shard's stacked operator is a copy of its memory-mapped buffers that
-    lives with the shard's kernel: the serial shard-major sweep drops it with
-    the kernel, and the store's residency accounting does not count it."""
+    """A shard opens straight into its stack, built from its memory-mapped
+    buffers, and its push builds the stack's twin: both live with the shard
+    artifact, so the serial shard-major sweep drops them when it releases
+    the shard, and the store's residency accounting counts neither beyond
+    the stored bytes it fixed when the shard opened."""
     from tests.test_delta_streaming import assert_same_buffers
 
     graph = _banded_graph(snapshots=12)
@@ -355,29 +359,37 @@ def test_store_backed_sweep_drops_its_stacked_operators(tmp_path, monkeypatch):
     assert all(stop - start > 1 for start, stop in sharded.boundaries)
     shard = sharded.shard(0)
     assert_same_buffers(
-        FrontierKernel(shard)._stacked(True),
-        sp.block_diag(shard.forward_operators, format="csr"),
+        shard.stack(), sp.block_diag(shard.forward_operators, format="csr")
     )
+    start, stop = sharded.boundaries[0]
+    assert_same_buffers(shard.stack(), compiled.time_slice(start, stop).stack())
     sharded.release(0)
     roots = graph.active_temporal_nodes()[:32]
     expected = get_kernel(graph).identity_reach_counts(roots)
 
     stacks = []
-    stack_operators = bitops.stack_operators
 
-    def recording(mats):
-        stacked = stack_operators(mats)
-        stacks.append(weakref.ref(stacked))
-        return stacked
+    def recording(owner, name):
+        build = getattr(owner, name)
 
-    monkeypatch.setattr(bitops, "stack_operators", recording)
+        def recorded(*args):
+            stacked = build(*args)
+            stacks.append(weakref.ref(stacked))
+            return stacked
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    recording(mmap_store, "_open_stack")
+    recording(compiled_module, "_transposed")
     driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=16)
     assert driver.identity_reach_counts(roots) == expected
-    assert len(stacks) == sharded.num_shards
+    # each shard's forward stack, and the twin its first push built
+    assert len(stacks) == 2 * sharded.num_shards
     assert not driver._kernels
     gc.collect()
     assert all(ref() is None for ref in stacks)
     assert sharded.peak_open_bytes == max(sharded.stats()["shard_bytes"])
+    assert sharded.open_bytes == 0
     assert sharded.open_bytes == 0
 
 
@@ -868,7 +880,8 @@ def _mutate_last_snapshot(graph):
 
 def test_sharded_driver_delta_recompile_reuses_clean_shards():
     """A mutation makes the driver stale; a new driver over the re-sliced
-    delta-patched artifact shares the clean snapshots' operator objects.
+    delta-patched artifact holds the clean snapshots' operators entry for
+    entry and the edited one's new entries.
 
     Follows the env-driven backend and shard count, so the shard-stress job
     drives mutate -> close -> rebuild on real process workers.
@@ -894,7 +907,8 @@ def test_sharded_driver_delta_recompile_reuses_clean_shards():
         ]
         dirty = sharded.times.index(last)
         for k, op in enumerate(sliced):
-            assert (op is before[k]) == (k != dirty)
+            unchanged = (op != before[k]).nnz == 0
+            assert unchanged == (k != dirty)
 
         kernel = get_kernel(graph)
         assert driver2.bfs(root).reached == kernel.bfs(root).reached
