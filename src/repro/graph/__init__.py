@@ -18,7 +18,7 @@ graph used by the Theorem-1 expansion:
 Every representation carries a monotonically increasing ``mutation_version``
 and compiles into the shared immutable
 :class:`~repro.graph.compiled.CompiledTemporalGraph` artifact (node index,
-per-snapshot CSR operator stacks, activeness mask) that the engine and the
+block-diagonal CSR operator stacks, activeness mask) that the engine and the
 vectorized analytics execute over; see :func:`repro.engine.get_compiled` for
 the version-exact cache.
 """

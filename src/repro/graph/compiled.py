@@ -23,7 +23,7 @@ a first-class, immutable artifact that every consumer shares:
   :attr:`~CompiledTemporalGraph.backward_operators`,
   :attr:`~CompiledTemporalGraph.symmetrized_operators`), each block sliced
   from a stack on first read, for the consumers that work one snapshot at
-  a time (store writes, spectral and PageRank products, Tang's sweep);
+  a time (spectral and PageRank products, Tang's sweep);
 * a ``(T, N)`` **activeness mask** (Definition 3);
 * a weak reference to the source graph plus its ``mutation_version``
   stamp, which let caches decide *exactly* whether the artifact still

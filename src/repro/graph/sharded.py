@@ -28,16 +28,18 @@ Two storage regimes share this one class:
   the process-pipeline backend ships to its persistent workers once at
   startup;
 * **store-backed** (:func:`repro.io.mmap_store.load_sharded`) — shards are
-  opened lazily from memory-mapped CSR buffers on disk, straight into their
-  stacks, and can be :meth:`released <release>` between uses, so a sweep
+  opened lazily, their stacks CSR matrices over the memory-mapped buffers
+  on disk, and can be :meth:`released <release>` between uses, so a sweep
   holds one shard's operators in address space at a time.
   :attr:`peak_open_bytes` records the high-water mark of simultaneously
   open operator bytes, which the out-of-core benchmark gates against its
   memory budget.
 
-A shard's operator bytes are its stored stacks in the store's per-snapshot
-CSR layout, fixed when the shard opens: a twin that a sweep's push builds
-later changes neither what :meth:`release` subtracts nor the peak.
+A shard's operator bytes are :func:`operator_stack_bytes` of the stacks a
+store writes for it (the forward one, and the backward one once asked
+for), in memory and on disk alike, fixed when the shard opens: a twin that
+a sweep's push builds later changes neither what :meth:`release` subtracts
+nor the peak.
 
 A sharded artifact is never patched in place.  After a mutation, the
 monolithic artifact is delta-recompiled
@@ -68,20 +70,12 @@ def operator_stack_bytes(operators: Sequence) -> int:
 
 
 def _stored_bytes(shard: CompiledTemporalGraph) -> int:
-    """A shard's operator bytes in the per-snapshot CSR layout a store writes.
-
-    ``data`` and ``indices`` plus one ``(N + 1)``-entry ``indptr`` per
-    snapshot, for the forward stack and, once asked for, the backward one:
-    what :func:`operator_stack_bytes` reads off the per-snapshot views,
-    without slicing them.
-    """
+    """The bytes of the stacks a store writes for ``shard``: the forward one
+    and, once asked for, the backward one."""
     stacks = [shard.stack()]
     if shard.is_directed and shard.transposes_built:
         stacks.append(shard.stack(False))
-    rows = shard.num_snapshots * (shard.num_nodes + 1)
-    return sum(
-        m.data.nbytes + m.indices.nbytes + rows * m.indptr.itemsize for m in stacks
-    )
+    return operator_stack_bytes(stacks)
 
 
 def compute_shard_layout(

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
+import numpy as np
+
 from repro.exceptions import GraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -88,22 +90,15 @@ def weighted_contiguous_split(
 def compiled_snapshot_weights(compiled: "CompiledTemporalGraph") -> list[int]:
     """Per-snapshot stored-entry weights over every *materialized* operator stack.
 
-    The forward stack always counts; the backward (transpose) stack counts
-    only when it has been materialized as distinct matrices (directed
-    graphs — the undirected backward stack aliases the forward one at zero
-    cost, and the symmetrized spectral stack always aliases one of the two).
-    The ``+ 1`` floor keeps empty snapshots from collapsing to zero weight,
-    so a run of empty snapshots still spreads across parts.  Counting all
-    materialized stacks matters twice: byte budgeting for the out-of-core
-    shard store scales with what is actually stored, and the constant floor
-    makes the balance between empty and heavy snapshots — hence the chosen
-    boundaries — sensitive to the per-snapshot byte multiplier.
+    Each snapshot's entries are read off the forward stack's ``indptr`` at
+    snapshot edges.  They count twice once a directed artifact's backward
+    stack has been asked for (its blocks hold as many; an undirected
+    artifact's aliases the forward one), so a layout balances what a store
+    writes.  The ``+ 1`` floor keeps empty snapshots from collapsing to zero
+    weight, so a run of empty snapshots still spreads across parts, and
+    makes the chosen boundaries sensitive to that per-snapshot multiplier.
     """
-    stacks = [compiled.forward_operators]
-    if compiled.transposes_built and compiled.is_directed:
-        stacks.append(compiled.backward_operators)
-    return [
-        sum(int(stack[k].nnz) for stack in stacks) + 1
-        for k in range(compiled.num_snapshots)
-    ]
-
+    edges = np.arange(compiled.num_snapshots + 1) * compiled.num_nodes
+    ends = compiled.stack().indptr[edges].tolist()
+    stacks = 2 if compiled.is_directed and compiled.transposes_built else 1
+    return [stacks * (b - a) + 1 for a, b in zip(ends, ends[1:])]

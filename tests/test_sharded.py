@@ -20,6 +20,7 @@ job exports ``process`` and ``3``, so they run on real process workers.
 from __future__ import annotations
 
 import gc
+import json
 import os
 import pickle
 import random
@@ -62,11 +63,13 @@ from repro.engine.sharded_sweep import (
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
 from repro.graph import compiled as compiled_module
+from repro.graph.compiled import CompiledTemporalGraph
 from repro.graph.sharded import compute_shard_layout, operator_stack_bytes
 from repro.io import mmap_store
-from repro.io.mmap_store import ShardedStoreWriter, load_sharded, save_sharded
+from repro.io.mmap_store import load_sharded, save_sharded
 from repro.parallel.partition import compiled_snapshot_weights
 from repro.serving import QueryServer
+from tests.test_delta_streaming import assert_same_buffers
 
 node_labels = st.integers(min_value=0, max_value=12)
 time_labels = st.integers(min_value=0, max_value=5)
@@ -256,7 +259,7 @@ def test_mmap_store_roundtrip_bit_identical(tmp_path_factory, graph_root):
     kernel = FrontierKernel(compiled)
     roots = graph.active_temporal_nodes()[:5]
     root_dir = str(tmp_path_factory.mktemp("store"))
-    save_sharded(compiled, root_dir, num_shards=3)
+    directory = save_sharded(compiled, root_dir, num_shards=3)
     sharded = load_sharded(root_dir)
     assert sharded.store_backed
     assert sharded.mutation_version == compiled.mutation_version
@@ -269,14 +272,64 @@ def test_mmap_store_roundtrip_bit_identical(tmp_path_factory, graph_root):
     sources = sorted({u for u, _, _ in graph.temporal_edges()})[:4]
     assert driver.tang_steps(sources, horizon=2) == \
         kernel.tang_steps(sources, horizon=2)
-    # reopened matrices equal the originals entry for entry
-    shard = sharded.shard(0)
-    start, stop = sharded.boundaries[0]
-    for local, k in enumerate(range(start, stop)):
-        orig = compiled.forward_operators[k]
-        got = shard.forward_operators[local]
-        assert np.array_equal(orig.toarray(), got.toarray())
-    assert list(shard.times) == list(compiled.times)[start:stop]
+    # every shard's stored stacks are its time slice's, buffer for buffer,
+    # and its bytes are theirs, in memory and on disk alike
+    in_memory = ShardedTemporalGraph.from_compiled(
+        compiled, boundaries=sharded.boundaries
+    )
+    assert sharded.stats()["shard_bytes"] == in_memory.stats()["shard_bytes"]
+    for index, (start, stop) in enumerate(sharded.boundaries):
+        shard, part = sharded.shard(index), compiled.time_slice(start, stop)
+        stacks = [(shard.stack(), part.stack())]
+        if graph.is_directed:
+            stacks.append((shard.stack(False), part.stack(False)))
+        for stored, sliced in stacks:
+            assert_same_buffers(stored, sliced)
+        assert list(shard.times) == list(compiled.times)[start:stop]
+        stored_bytes = operator_stack_bytes([stored for stored, _ in stacks])
+        assert sharded.stats()["shard_bytes"][index] == stored_bytes
+        files = [
+            os.path.join(directory, name)
+            for name in os.listdir(directory)
+            if name.startswith(f"shard-{index:04d}.")
+        ]
+        assert sum(os.path.getsize(path) for path in files) == stored_bytes
+
+
+@SHARD_SETTINGS
+@given(
+    evolving_graphs(),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    st.integers(min_value=1, max_value=2000),
+)
+def test_store_cuts_at_the_layout_and_the_byte_budget(
+    tmp_path_factory, graph, backward, num_shards, budget
+):
+    """A shard starts wherever ``num_shards``'s layout starts one, and
+    wherever the next snapshot would push the bytes of the stacks stored
+    since the last cut past the budget; so every shard fits the budget
+    unless it is one snapshot."""
+    compiled = CompiledTemporalGraph.from_graph(graph)
+    if backward:
+        compiled.backward_operators
+
+    def stored_bytes(start, stop):
+        part = compiled.time_slice(start, stop)
+        stacks = [part.stack()]
+        if graph.is_directed and backward:
+            stacks.append(part.stack(False))
+        return operator_stack_bytes(stacks)
+
+    root = str(tmp_path_factory.mktemp("store"))
+    save_sharded(compiled, root, num_shards=num_shards, shard_byte_budget=budget)
+    boundaries = load_sharded(root).boundaries
+    layout = {start for start, _ in compute_shard_layout(compiled, num_shards or 1)}
+    assert layout <= {start for start, _ in boundaries}
+    for start, stop in boundaries:
+        assert stop - start == 1 or stored_bytes(start, stop) <= budget
+        if stop < compiled.num_snapshots and stop not in layout:
+            assert stored_bytes(start, stop + 1) > budget
 
 
 def _banded_graph(num_nodes=40, snapshots=6, seed=3):
@@ -344,13 +397,11 @@ def test_out_of_core_sweep_bounds_open_bytes(tmp_path):
 
 
 def test_store_backed_sweep_drops_its_stacked_operators(tmp_path, monkeypatch):
-    """A shard opens straight into its stack, built from its memory-mapped
-    buffers, and its push builds the stack's twin: both live with the shard
-    artifact, so the serial shard-major sweep drops them when it releases
-    the shard, and the store's residency accounting counts neither beyond
-    the stored bytes it fixed when the shard opened."""
-    from tests.test_delta_streaming import assert_same_buffers
-
+    """A shard's stack is a CSR over its memory-mapped buffers, and its push
+    builds the stack's twin: both live with the shard artifact, so the
+    serial shard-major sweep drops them when it releases the shard, and the
+    store's residency accounting counts neither beyond the stored bytes it
+    fixed when the shard opened."""
     graph = _banded_graph(snapshots=12)
     compiled = get_compiled(graph)
     budget = operator_stack_bytes(compiled.forward_operators) // 4
@@ -379,17 +430,16 @@ def test_store_backed_sweep_drops_its_stacked_operators(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, recorded)
 
-    recording(mmap_store, "_open_stack")
+    recording(mmap_store, "_csr")
     recording(compiled_module, "_transposed")
     driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=16)
     assert driver.identity_reach_counts(roots) == expected
-    # each shard's forward stack, and the twin its first push built
+    # each shard's mapped forward stack, and the twin its first push built
     assert len(stacks) == 2 * sharded.num_shards
     assert not driver._kernels
     gc.collect()
     assert all(ref() is None for ref in stacks)
     assert sharded.peak_open_bytes == max(sharded.stats()["shard_bytes"])
-    assert sharded.open_bytes == 0
     assert sharded.open_bytes == 0
 
 
@@ -408,21 +458,28 @@ def test_mmap_store_versioning_and_errors(tmp_path):
     assert load_sharded(str(tmp_path), version=v0).mutation_version == v0
     with pytest.raises(GraphError):
         load_sharded(str(tmp_path / "nowhere"))
-    with pytest.raises(GraphError):
-        ShardedStoreWriter(
-            str(tmp_path),
-            node_labels=[object()],  # not JSON-representable
-            is_directed=False,
-            mutation_version=0,
-        )
-    writer = ShardedStoreWriter(
-        str(tmp_path / "empty"),
-        node_labels=[0, 1],
-        is_directed=False,
-        mutation_version=0,
-    )
-    with pytest.raises(GraphError):
-        writer.finalize()  # no snapshots
+    # tuples come back from JSON as lists, so tuple labels cannot be stored
+    for edge in [((0, 0), (0, 1), 0), (0, 1, (0, 0))]:
+        tuples = AdjacencyListEvolvingGraph([edge], directed=True)
+        with pytest.raises(GraphError, match="JSON round trip"):
+            save_sharded(get_compiled(tuples), str(tmp_path / "tuples"))
+        assert not os.path.exists(tmp_path / "tuples")
+
+
+def test_load_sharded_rejects_a_v1_manifest(tmp_path):
+    """A store in the per-snapshot layout of format v1 is not read."""
+    compiled = get_compiled(_banded_graph(num_nodes=12, snapshots=4, seed=3))
+    directory = save_sharded(compiled, str(tmp_path), num_shards=2)
+    path = os.path.join(directory, "manifest.json")
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["format"] = "repro-sharded-v1"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    with pytest.raises(
+        GraphError, match="unrecognized shard-store format 'repro-sharded-v1'"
+    ):
+        load_sharded(str(tmp_path))
 
 
 @pytest.mark.parametrize(
@@ -448,44 +505,52 @@ def test_load_sharded_rejects_truncated_file(tmp_path, name):
         load_sharded(str(tmp_path))
 
 
-def _corrupt_indptr_start(ptrs, indices, nnz, n):
-    ptrs[1, 0] = 1
+def _corrupt_indptr_start(ptr, indices, nnz, n):
+    ptr[0] = 1
 
 
-def _corrupt_indptr_end(ptrs, indices, nnz, n):
-    ptrs[1, -1] = nnz[1] - 1
+def _corrupt_indptr_end(ptr, indices, nnz, n):
+    ptr[-1] = nnz - 1
 
 
-def _corrupt_indptr_order(ptrs, indices, nnz, n):
+def _corrupt_indptr_order(ptr, indices, nnz, n):
     # swap two unequal inner entries: it still starts at 0 and ends at nnz
-    row = ptrs[1]
-    j = 1 + int(np.flatnonzero(np.diff(row[1:-1]))[0])
-    row[j], row[j + 1] = row[j + 1], row[j]
+    j = 1 + int(np.flatnonzero(np.diff(ptr[1:-1]))[0])
+    ptr[j], ptr[j + 1] = ptr[j + 1], ptr[j]
 
 
-def _corrupt_index_past_n(ptrs, indices, nnz, n):
-    indices[3] = n
+def _corrupt_index_past_slots(ptr, indices, nnz, n):
+    indices[3] = ptr.size - 1
 
 
-def _corrupt_index_negative(ptrs, indices, nnz, n):
+def _corrupt_index_negative(ptr, indices, nnz, n):
     indices[-1] = -1
+
+
+def _corrupt_index_other_block(ptr, indices, nnz, n):
+    # the same node one snapshot later (the last wraps to the first): a
+    # column inside [0, T_i * N), outside its row's snapshot block
+    indices[0] = (indices[0] + n) % (ptr.size - 1)
 
 
 @pytest.mark.parametrize(
     ("corrupt", "name", "message"),
     [
         (_corrupt_indptr_start, "indptr", "does not start at 0"),
-        (_corrupt_indptr_end, "indptr", "differ from the manifest's nnz"),
+        (_corrupt_indptr_end, "indptr", "not at the manifest's nnz"),
         (_corrupt_indptr_order, "indptr", "decreases"),
-        (_corrupt_index_past_n, "indices", r"outside \[0, 12\)"),
-        (_corrupt_index_negative, "indices", r"outside \[0, 12\)"),
+        (_corrupt_index_past_slots, "indices", "outside its row's snapshot block"),
+        (_corrupt_index_negative, "indices", "outside its row's snapshot block"),
+        (_corrupt_index_other_block, "indices", "outside its row's snapshot block"),
     ],
 )
 def test_open_shard_rejects_corrupt_csr_buffers(tmp_path, corrupt, name, message):
     """A store file of the right size whose CSR buffers are corrupt raises a
     typed error naming it when its shard opens, before scipy reads it: an
     out-of-range index used to crash the interpreter in the first push
-    advance, a decreasing indptr to raise an untyped ``ValueError``."""
+    advance, a decreasing indptr to raise an untyped ``ValueError``, and an
+    index in another snapshot's block would join two snapshots with a
+    spatial edge."""
     graph = _banded_graph(num_nodes=12, snapshots=4, seed=3)
     compiled = get_compiled(graph)
     directory = save_sharded(compiled, str(tmp_path), num_shards=2)
@@ -502,12 +567,11 @@ def test_open_shard_rejects_corrupt_csr_buffers(tmp_path, corrupt, name, message
         )
         for part in ("indptr", "indices")
     }
-    nnz = [int(op.nnz) for op in compiled.forward_operators[start:stop]]
-    ptrs = buffers["indptr"].reshape(stop - start, -1)
-    corrupt(ptrs, buffers["indices"], nnz, compiled.num_nodes)
+    nnz = compiled.time_slice(start, stop).nnz
+    corrupt(buffers["indptr"], buffers["indices"], nnz, compiled.num_nodes)
     for buffer in buffers.values():
         buffer.flush()
-    del buffers, ptrs
+    del buffers
     driver = ShardedSweepDriver(sharded, backend="serial", chunk_size=4)
     with pytest.raises(GraphError, match=f"shard-0000.forward.{name}.bin.*{message}"):
         driver.identity_reach_counts(roots)
@@ -516,6 +580,44 @@ def test_open_shard_rejects_corrupt_csr_buffers(tmp_path, corrupt, name, message
     save_sharded(compiled, str(tmp_path / "intact"), num_shards=2)
     intact = ShardedSweepDriver(load_sharded(str(tmp_path / "intact")))
     assert intact.identity_reach_counts(roots) == expected
+
+
+def test_int64_indexed_store_roundtrips(tmp_path, monkeypatch):
+    """A shard past the (here lowered) int32 limit is stored and mapped back
+    int64-indexed, beside an int32 shard under it, both equal to their time
+    slices; a truncated int64 file fails the size check."""
+    graph = _banded_graph(num_nodes=12, snapshots=4, seed=3)
+    compiled = get_compiled(graph)
+    compiled.backward_operators  # store the backward stacks too
+    roots = graph.active_temporal_nodes()[:8]
+    expected = get_kernel(graph).identity_reach_counts(roots)
+    layout = compute_shard_layout(compiled, 2)
+    shard_nnz = [compiled.time_slice(a, b).nnz for a, b in layout]
+    assert shard_nnz[0] != shard_nnz[1]
+    limit = min(shard_nnz)
+    monkeypatch.setattr(
+        bitops,
+        "stacked_index_dtype",
+        lambda slots, nnz: np.dtype(np.int32 if nnz <= limit else np.int64),
+    )
+    directory = save_sharded(compiled, str(tmp_path), num_shards=2)
+    sharded = load_sharded(str(tmp_path))
+    assert sharded.boundaries == layout
+    dtypes = set()
+    for index, (start, stop) in enumerate(layout):
+        shard, part = sharded.shard(index), compiled.time_slice(start, stop)
+        for forward in (True, False):
+            assert_same_buffers(shard.stack(forward), part.stack(forward))
+        dtypes.add(shard.stack().indices.dtype)
+        sharded.release(index)
+    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+    assert ShardedSweepDriver(sharded).identity_reach_counts(roots) == expected
+    wide = shard_nnz.index(max(shard_nnz))
+    path = os.path.join(directory, f"shard-{wide:04d}.backward.indices.bin")
+    assert os.path.getsize(path) == 8 * max(shard_nnz)
+    os.truncate(path, os.path.getsize(path) - 4)
+    with pytest.raises(GraphError, match=f"{os.path.basename(path)}.*bytes"):
+        load_sharded(str(tmp_path))
 
 
 def test_sharded_driver_staleness_raises():
@@ -534,40 +636,54 @@ def test_sharded_driver_staleness_raises():
 # pipeline backends: process workers and the env-driven stress path            #
 # --------------------------------------------------------------------------- #
 
-def test_process_backend_bit_identical():
+def test_process_backend_bit_identical(tmp_path):
+    """Process workers answer as the kernel does over in-memory shards and
+    over a store's memory-mapped ones, whose stacks also survive a pickle."""
     graph = _banded_graph(num_nodes=20, snapshots=5, seed=11)
     compiled = get_compiled(graph)
     kernel = get_kernel(graph)
     roots = graph.active_temporal_nodes()[:10]
-    sharded = ShardedTemporalGraph.from_compiled(compiled, 3)
-    with ShardedSweepDriver(
-        sharded, backend="process", num_workers=2, chunk_size=4
-    ) as driver:
-        expected = {r: res.reached for r, res in kernel.batch(roots).items()}
-        assert {r: res.reached for r, res in driver.batch(roots).items()} == expected
-        assert driver.identity_reach_counts(roots) == \
-            kernel.identity_reach_counts(roots)
-        assert driver.earliest_arrivals(roots) == kernel.earliest_arrivals(roots)
-        assert driver.latest_departures(roots) == kernel.latest_departures(roots)
-        sources = list(range(6))
-        assert driver.tang_steps(sources, horizon=2) == \
-            kernel.tang_steps(sources, horizon=2)
+    save_sharded(compiled, str(tmp_path), num_shards=3)
+    stored = load_sharded(str(tmp_path))
+    shipped = pickle.loads(pickle.dumps(stored.shard(0)))
+    first = compiled.time_slice(*stored.boundaries[0])
+    assert_same_buffers(shipped.stack(), first.stack())
+    stored.release(0)
+    for sharded in (ShardedTemporalGraph.from_compiled(compiled, 3), stored):
+        with ShardedSweepDriver(
+            sharded, backend="process", num_workers=2, chunk_size=4
+        ) as driver:
+            expected = {r: res.reached for r, res in kernel.batch(roots).items()}
+            got = {r: res.reached for r, res in driver.batch(roots).items()}
+            assert got == expected
+            assert driver.identity_reach_counts(roots) == \
+                kernel.identity_reach_counts(roots)
+            assert driver.earliest_arrivals(roots) == kernel.earliest_arrivals(roots)
+            assert driver.latest_departures(roots) == \
+                kernel.latest_departures(roots)
+            sources = list(range(6))
+            assert driver.tang_steps(sources, horizon=2) == \
+                kernel.tang_steps(sources, horizon=2)
 
 
-def test_env_driven_dispatch_bit_identical():
+def test_env_driven_dispatch_bit_identical(tmp_path):
     """The layout and backend the CI stress job sets via env vars stay
-    bit-identical."""
+    bit-identical, over in-memory shards and over a store."""
     graph = _banded_graph(num_nodes=18, snapshots=6, seed=5)
     roots = graph.active_temporal_nodes()[:12]
     kernel = get_kernel(graph)
-    with _env_driver(graph) as driver:
-        expected = {r: res.reached for r, res in kernel.batch(roots).items()}
-        assert {r: res.reached for r, res in driver.batch(roots).items()} == expected
-        _assert_env_backend_ran(driver)
-        assert driver.identity_reach_counts(roots) == \
-            kernel.identity_reach_counts(roots)
-        tang = kernel.tang_steps(list(range(5)), horizon=1)
-        assert driver.tang_steps(list(range(5)), horizon=1) == tang
+    save_sharded(get_compiled(graph), str(tmp_path), num_shards=ENV_SHARDS)
+    stored = ShardedSweepDriver(load_sharded(str(tmp_path)), backend=ENV_BACKEND)
+    for built in (_env_driver(graph), stored):
+        with built as driver:
+            expected = {r: res.reached for r, res in kernel.batch(roots).items()}
+            got = {r: res.reached for r, res in driver.batch(roots).items()}
+            assert got == expected
+            _assert_env_backend_ran(driver)
+            assert driver.identity_reach_counts(roots) == \
+                kernel.identity_reach_counts(roots)
+            tang = kernel.tang_steps(list(range(5)), horizon=1)
+            assert driver.tang_steps(list(range(5)), horizon=1) == tang
 
 
 def test_dead_process_worker_raises_instead_of_hanging():
@@ -861,6 +977,28 @@ def test_partition_weights_count_materialized_transposes():
     after = compiled_snapshot_weights(compiled)
     assert after == [2 * (w - 1) + 1 for w in before]
     invalidate_kernel(graph)
+    # no nodes: every snapshot still weighs 1
+    empty = AdjacencyListEvolvingGraph([], directed=True, timestamps=[0, 1, 2])
+    assert compiled_snapshot_weights(CompiledTemporalGraph.from_graph(empty)) == [1] * 3
+
+
+@SHARD_SETTINGS
+@given(evolving_graphs(), st.booleans())
+def test_partition_weights_equal_the_snapshot_views_nnz(graph, backward):
+    """Weights read off the forward stack's indptr are the per-snapshot
+    views' nnz plus 1, doubled once a directed artifact's backward stack is
+    asked for."""
+    compiled = CompiledTemporalGraph.from_graph(graph)
+    if backward:
+        compiled.backward_operators
+    weights = compiled_snapshot_weights(compiled)
+    views = [compiled.forward_operators]
+    if graph.is_directed and backward:
+        views.append(compiled.backward_operators)
+    assert weights == [
+        sum(stack[k].nnz for stack in views) + 1
+        for k in range(compiled.num_snapshots)
+    ]
 
 
 # --------------------------------------------------------------------------- #
