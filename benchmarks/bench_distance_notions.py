@@ -3,9 +3,9 @@
 PR 3 ported the comparison-baseline distance family — earliest arrival,
 latest departure, fewest spatial hops (Grindrod & Higham's dynamic-walk hop
 convention) and the Tang et al. snapshot-count distance — off per-node
-Python walking and onto the semiring label-sweep engine
-(:class:`~repro.engine.labels.LabelKernel`): one batched ``(T, N, R)`` sweep
-per source answers *all* targets at once.  This harness measures all four
+Python walking and onto the engine's sweeps (the frontier kernel's level
+loop, which takes each edge family's cost, and its Tang spread): one
+batched ``(T, N, R)`` sweep per source answers *all* targets at once.  This harness measures all four
 ported notions on the Figure-5 random-evolving-graph construction and
 asserts the headline claim: **at the largest size of each sweep the
 vectorized backend is at least 3x faster than the Python oracle for at

@@ -22,9 +22,10 @@ Every function accepts ``backend="python" | "vectorized"``.  The default
 cached frontier kernel (:func:`repro.engine.get_kernel`): earliest arrival
 is a running minimum over one forward boolean sweep, latest departure the
 mirrored maximum over one backward sweep, and fewest spatial hops a
-``(min, +)`` sweep with 0-cost causal edges
-(:class:`~repro.engine.labels.LabelKernel`).  ``"python"`` is the original
-per-node implementation, kept as the correctness oracle.
+``(min, +)`` sweep of the same level loop with 0-cost causal edges
+(:meth:`FrontierKernel._run <repro.engine.frontier.FrontierKernel._run>`).
+``"python"`` is the original per-node implementation, kept as the
+correctness oracle.
 
 The ``*_times`` / ``*_from`` variants answer the query for *all* targets in
 the same single sweep — the point of the engine port: one sweep per source

@@ -1,10 +1,11 @@
 """Unified sparse execution engine for evolving-graph searches.
 
 * :class:`~repro.engine.frontier.FrontierKernel` — frontiers as packed
-  root lanes, each BFS level one windowed advance over the stacked
-  snapshot operators, plus the single-source search, the
-  incremental-maintenance primitives of the streaming layer and the Katz
-  series.
+  root lanes, each level one windowed advance over the stacked snapshot
+  operators: one level loop for the paper's distances and every 0/1
+  edge-cost pair (fewest spatial hops among them), plus the Tang sweep,
+  the single-source search, the incremental-maintenance primitives of the
+  streaming layer and the Katz series.
 * :class:`~repro.engine.sharded_sweep.BatchedSweeps` — the one batched
   surface: ``multi_source``, ``batch``, ``distance_blocks``, identity reach
   counts, harmonic-closeness sums, earliest arrivals, latest departures,
@@ -17,10 +18,6 @@
   slot-keyed result: a read-only mapping over the root's ``(T, N)``
   distance column that equals the oracle's dict and decodes into one only
   when a caller reads every entry.
-* :class:`~repro.engine.labels.LabelKernel` — the semiring label-sweep
-  loops (0/1 edge costs, Tang snapshot counts) that the surface runs over
-  each shard's frontier kernel; the earliest-arrival and latest-departure
-  readouts ride the frontier kernel's own loop.
 * :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` — the same
   surface over :class:`~repro.graph.sharded.ShardedTemporalGraph` time
   shards: each shard calls the kernels' own sweep loops, started from the
@@ -75,7 +72,6 @@ from repro.engine.dispatch import (
     resolve_backend,
 )
 from repro.engine.frontier import FrontierKernel
-from repro.engine.labels import LabelKernel
 from repro.engine.reached import ReachedView
 from repro.engine.sharded_sweep import (
     SHARD_BACKENDS,
@@ -91,7 +87,6 @@ __all__ = [
     "BatchedSweeps",
     "BoundaryBlock",
     "FrontierKernel",
-    "LabelKernel",
     "ReachedView",
     "ShardedSweepDriver",
     "SpectralKernel",

@@ -317,18 +317,12 @@ def runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts, stops))
 
 
-def causal_or_accumulate(
-    block: np.ndarray,
-    active: np.ndarray | None = None,
-    *,
-    forward: bool = True,
-) -> np.ndarray:
+def causal_or_accumulate(block: np.ndarray, *, forward: bool = True) -> np.ndarray:
     """Lane-wise causal step over a ``(T, N, L)`` block.
 
     Returns the block whose snapshot ``t`` is the OR of all strictly earlier
-    (``forward=True``) or strictly later snapshots, optionally masked by the
-    ``(T, N, L)`` activeness lanes (:func:`lane_mask`) — the packed form of
-    a shifted ``np.logical_or.accumulate`` along the time axis.  A BFS
+    (``forward=True``) or strictly later snapshots — the packed form of a
+    shifted ``np.logical_or.accumulate`` along the time axis.  A BFS
     level's whole causal step is this prefix-OR of the frontier the level
     started with.
     """
@@ -340,8 +334,6 @@ def causal_or_accumulate(
     step = 1 if forward else -1
     for t in steps:
         np.bitwise_or(out[t - step], block[t - step], out=out[t])
-    if active is not None:
-        out &= active
     return out
 
 

@@ -1,4 +1,4 @@
-"""The vectorized sparse frontier kernel shared by every BFS variant.
+"""The vectorized sparse frontier kernel shared by every BFS and label sweep.
 
 The paper's algebraic reading of Algorithm 2 (Section III-C) advances a
 *block frontier vector* — one length-``N`` component per snapshot — by one
@@ -32,6 +32,16 @@ instead of Python dictionaries:
   no level at all: its sweep returns the visited lanes ORed over time, one
   packed ``(N, L)`` plane of reached identities.
 
+The same level loop, :meth:`FrontierKernel._run`, computes the 0/1 label
+semiring: each edge family costs 0 or 1.  ``(1, 1)`` is the paper's
+Definition-6 distance, ``(spatial_cost=1, causal_cost=0)`` Grindrod and
+Higham's fewest spatial hops, the baseline the paper contrasts itself
+with, and ``(0, 1)`` charges waiting instead of moving.  A free family
+closes each level before the next starts: Dijkstra with 0/1 weights as
+blocked sparse products.  Tang et al.'s snapshot-count distance (WOSN
+2009) runs its own loop, :meth:`FrontierKernel._tang_sweep`, with *no*
+activeness requirement (Tang's convention, not the paper's).
+
 The kernel executes over a shared
 :class:`~repro.graph.compiled.CompiledTemporalGraph` (pass either the
 artifact or a graph, which is compiled on the spot).  Its batched entry
@@ -53,7 +63,7 @@ decoded into that dictionary only when a caller reads every entry.  The
 property-based suites ``tests/test_engine.py`` and
 ``tests/test_algorithms_vectorized.py`` assert this on random evolving
 graphs.  :meth:`FrontierKernel._run` is the one sweep loop of the BFS
-family: it optionally starts from an incoming
+and 0/1 label families: it optionally starts from an incoming
 boundary (the state earlier time shards reached), so every shard of every
 chain calls it.  ``bfs(track_parents=True)`` reads a valid
 shortest-path tree off the finished distance block in one pass (used by the
@@ -73,7 +83,9 @@ most the dense product, and a packed level costs a few word ops per 64
 slots, so the total stays below the Theorem 5/6 charge of the blocked
 algorithm (a dense product for every snapshot holding a frontier slot plus
 ``T · N · R`` column checks per level) once blocks are more than a few
-words wide; the unit tests assert this on a few hundred nodes.
+words wide; the unit tests assert this on a few hundred nodes, for the
+distance and for fewest spatial hops.  A level's closure along a free
+edge family is charged like its update.
 """
 
 from __future__ import annotations
@@ -425,55 +437,25 @@ class FrontierKernel(BatchedSweeps):
     ) -> int:
         """Fold a pure-removal edge batch into a ``(T, N)`` distance block.
 
-        The increase-aware counterpart of :meth:`patch_distance_block`:
         ``dist`` was computed against the *pre-removal* graph,
         ``previous_active`` is that graph's ``(T, N)`` activeness mask, and
-        this kernel's compiled artifact already reflects the removals.
-        Removals only ever lengthen temporal shortest paths, so the update is
-        invalidate-and-redescend: compute the cut level ``dmin`` — the
-        smallest distance any removed tight edge or deactivated reachable
-        slot carried — below which every recorded distance is provably still
-        exact (a shortest path to a ``< dmin`` slot can only use slots at
-        smaller distances, none of which a removal touched); invalidate every
-        slot at ``>= dmin``; then rediscover the true ``dmin`` frontier with
-        ONE masked spatial+causal step from the complete ``dmin - 1`` level
-        and let :meth:`decrease_only_resweep` redescend from there.  The
-        result is bit-identical to a fresh search on the post-removal
-        artifact.
-
+        this kernel's compiled artifact already reflects the ``removals``.
+        The block's distance-0 slots are re-swept as one :meth:`_run` column
+        on this artifact, so the result is bit-identical to a fresh search.
         Raises :class:`~repro.exceptions.GraphError` when a removal
-        deactivated the search root itself (``dmin == 0``) — the caller must
-        drop the block and recompute.  Returns the number of slots whose
-        distance changed.
+        deactivated a distance-0 slot (the caller must drop the block and
+        recompute).  Returns the number of slots whose distance changed.
 
         Nothing in the package calls this: ``IncrementalBFS.apply`` re-sweeps
         any batch with a removal from the root.  It stays only because the
         layer ledger (``benchmarks/ledger/layers.py``) wraps it by name, and
         goes when the ledger reads in-source instrumentation instead.
         """
-        active = self.compiled.active_mask
-        t_count, n = active.shape
-        if dist.shape != (t_count, n):
-            raise GraphError(
-                f"distance block shape {dist.shape} does not match the "
-                f"compiled artifact's {(t_count, n)}"
-            )
-        if previous_active.shape != (t_count, n):
-            raise GraphError(
-                f"previous_active shape {previous_active.shape} does not "
-                f"match the compiled artifact's {(t_count, n)}"
-            )
-        old = dist.copy()
-        prepared = self._shrink_levels(dist[:, :, None], removals, previous_active)
-        if prepared is None:
-            return 0
-        dmin, seeds_mask = prepared
-        level = int(dmin[0])
-        tt, vv, _ = np.nonzero(seeds_mask)
-        if tt.size:
-            seeds = [(ti, vi, level) for ti, vi in zip(tt.tolist(), vv.tolist())]
-            self.decrease_only_resweep(dist, seeds)
-        return int((dist != old).sum())
+        self._check_blocks([dist], previous_active)
+        fresh = self._run([self._block_roots(dist)], "forward")[:, :, 0]
+        changed = int((fresh != dist).sum())
+        dist[:] = fresh
+        return changed
 
     def shrink_distance_blocks(
         self,
@@ -494,12 +476,8 @@ class FrontierKernel(BatchedSweeps):
         when the ledger reads in-source instrumentation instead.
         """
         self._check_blocks(blocks, previous_active)
-        deactivated = previous_active & ~self.compiled.active_mask
-        if any((block[deactivated] == 0).any() for block in blocks):
-            raise GraphError(
-                "a removal batch deactivated a search root; drop the block "
-                "and recompute it from scratch"
-            )
+        for block in blocks:
+            self._block_roots(block)
         return [
             self.shrink_distance_block(block, removals, previous_active)
             for block in blocks
@@ -524,81 +502,15 @@ class FrontierKernel(BatchedSweeps):
                 f"match the compiled artifact's {shape}"
             )
 
-    def _shrink_levels(
-        self,
-        dist: np.ndarray,
-        removals: Sequence[tuple],
-        previous_active: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Shared shrink preamble over a stacked ``(T, N, R)`` block.
-
-        Computes each column's cut level ``dmin`` (the smallest distance a
-        removed *tight* edge delivered or a deactivated reachable slot
-        held — non-tight edges lie on no shortest path, so removing them
-        changes nothing), invalidates every slot at ``>= dmin`` in place,
-        and discovers the redescent seeds with one masked spatial+causal
-        step from the complete ``dmin - 1`` frontier: every slot whose true
-        post-removal distance is ``dmin`` has a predecessor at ``dmin - 1``,
-        and the ``< dmin`` region is exact, so that single step finds the
-        full ``dmin`` level.  Returns ``(dmin, seeds_mask)``, or ``None``
-        when no column is affected.
-        """
-        compiled = self.compiled
-        active = compiled.active_mask
-        t_count, n = active.shape
-        r_count = dist.shape[2]
-        big = int(_FAR)
-        dmin = np.full(r_count, big, dtype=np.int64)
-        time_index = compiled.time_index
-        node_index = compiled.node_index
-        directed = compiled.is_directed
-        for u, v, t in removals:
-            ti = time_index.get(t)
-            iu = node_index.get(u)
-            iv = node_index.get(v)
-            if ti is None or iu is None or iv is None or iu == iv:
-                continue  # outside the universe, or a self-loop (never tight)
-            pairs = ((iu, iv),) if directed else ((iu, iv), (iv, iu))
-            for a, b in pairs:
-                tail = dist[ti, a, :].astype(np.int64)
-                head = dist[ti, b, :].astype(np.int64)
-                tight = (tail >= 0) & (head == tail + 1)
-                dmin = np.where(tight, np.minimum(dmin, head), dmin)
-        deactivated = previous_active & ~active
-        if deactivated.any():
-            vals = dist[deactivated].astype(np.int64)  # (K, R)
-            vals = np.where(vals >= 0, vals, big)
-            dmin = np.minimum(dmin, vals.min(axis=0))
-        if (dmin >= big).all():
-            return None
-        if (dmin == 0).any():
+    def _block_roots(self, dist: np.ndarray) -> list[tuple[int, int]]:
+        """The distance-0 slots of a ``(T, N)`` block; raises unless all are active."""
+        tt, vv = np.nonzero(dist == 0)
+        if not self.compiled.active_mask[tt, vv].all():
             raise GraphError(
                 "a removal batch deactivated a search root; drop the block "
                 "and recompute it from scratch"
             )
-        invalid = dist >= dmin[None, None, :]
-        frontier = dist == (dmin - 1)[None, None, :]
-        dist[invalid] = -1
-        mats = compiled.forward_operators
-        counter = self.counter
-        reach = np.zeros((t_count, n, r_count), dtype=bool)
-        touched = np.flatnonzero(frontier.any(axis=(1, 2)))
-        for ti in touched.tolist():
-            reach[ti] = (mats[ti] @ frontier[ti].astype(np.int32)) > 0
-            if counter is not None:
-                counter.multiply_adds += 2 * int(mats[ti].nnz) * r_count
-        if t_count > 1:
-            carried = np.logical_or.accumulate(frontier, axis=0)
-            reach[1:] |= carried[:-1]
-            if counter is not None:
-                counter.column_checks += t_count * n * r_count
-        seeds_mask = (
-            reach
-            & active[:, :, None]
-            & (dist < 0)
-            & (dmin < big)[None, None, :]
-        )
-        return dmin, seeds_mask
+        return list(zip(tt.tolist(), vv.tolist()))
 
     def _resweep_fused(
         self, work: np.ndarray, improved: np.ndarray, active: np.ndarray
@@ -723,19 +635,26 @@ class FrontierKernel(BatchedSweeps):
         reverse_edges: bool = False,
         boundary: BoundaryBlock | None = None,
         per_identity: bool = False,
+        spatial_cost: int = 1,
+        causal_cost: int = 1,
     ) -> np.ndarray:
         """Level-synchronous expansion of ``R`` seed sets; an int32 level block.
 
-        The block is ``(T, N, R)``: each temporal node's distance per root
+        The block is ``(T, N, R)``: each temporal node's level per root
         column, ``-1`` where unreached.  With ``per_identity`` it writes no
         level and returns the visited lanes ORed over time: one packed
         ``(N, L)`` plane of the node *identities* reached — all that
         identity-reach readouts and their shard hand-off read.
 
-        The one sweep loop of the BFS family.  Frontier and visited state
-        stay packed as ``(T, N, L)`` root lanes across rounds, and each level
-        is one application of the paper's block operator ``M_n``
-        (Algorithm 2) to the whole block.  The active lanes are masked once
+        The one sweep loop of the BFS and 0/1 label families: a level is a
+        path cost when spatial and causal edges cost ``spatial_cost`` and
+        ``causal_cost``, each 0 or 1 (the default ``(1, 1)`` is the paper's
+        distance).  A unit-cost family takes part in each level as below; a
+        free one closes the level before the next starts
+        (:meth:`_close_level`).  Frontier and visited state stay packed as
+        ``(T, N, L)`` root lanes across rounds, and each level is one
+        application of the paper's block operator ``M_n`` (Algorithm 2) to
+        the whole block.  The active lanes are masked once
         per sweep to each column's time horizon
         (:func:`~repro.engine.bitops.time_horizon`: the snapshots from its
         earliest seed on, for backward searches up to its latest, every
@@ -766,12 +685,13 @@ class FrontierKernel(BatchedSweeps):
 
         ``boundary`` is the state earlier time shards reached (a
         :class:`~repro.engine.sharded_sweep.BoundaryBlock`; ``None`` or an
-        empty block for the first shard of a chain): at the round assigning
-        distance ``m + 1`` the nodes it holds at minimal level ``m`` join
-        every snapshot's causal reach — exactly the lanes a monolithic carry
-        would hold when entering this snapshot range at that level — and
-        rounds keep running past frontier death while later boundary levels
-        can still revive the sweep.
+        empty block for the first shard of a chain): the nodes it holds at
+        minimal level ``m`` join every snapshot's causal reach — exactly the
+        lanes a monolithic carry would hold when entering this snapshot
+        range at that level — in the carry of level ``m + 1`` when causal
+        edges cost 1, and in level ``m`` itself when they are free; rounds
+        keep running past frontier death while later boundary levels can
+        still revive the sweep.
         """
         if direction not in _DIRECTIONS:
             raise GraphError(f"unsupported direction {direction!r}")
@@ -802,14 +722,27 @@ class FrontierKernel(BatchedSweeps):
         twin = self.compiled.twin(use_forward_ops)
         counter = self.counter
         slots = (t_count * n, frontier.shape[-1])
+        costs, ops = (spatial_cost, causal_cost), (stacked, twin, r)
+        free = 0 in costs
+        if free:
+            # level 0: the seeds, the boundary's level-0 nodes when causal
+            # edges are free, and every slot free edges reach from them
+            entering = None
+            if boundary is not None and not causal_cost:
+                entering = boundary.lanes(0)
+            self._close_level(frontier, visited, active, entering, ops, costs, forward)
+            if not per_identity:
+                dist[bitops.unpack_bits(frontier, r)] = 0
         # the snapshots holding frontier bits: after the seeds, a level's gain
         holds = bitops.snapshot_any(frontier)
-        max_ext = boundary.max_level if boundary is not None else -1
+        # the last level a boundary plane feeds: level m's plane joins level
+        # m + 1's carry, or level m itself when causal edges are free
+        last_fed = boundary.max_level + causal_cost if boundary is not None else 0
         level = 0
         alive = bool(frontier.any())
-        while alive or level <= max_ext:
+        while alive or level < last_fed:
             level += 1
-            ext = boundary.lanes(level - 1) if boundary is not None else None
+            ext = boundary.lanes(level - causal_cost) if boundary is not None else None
             if not alive and ext is None:
                 continue  # nothing to advance until the next boundary level
             remaining = active & ~visited
@@ -821,6 +754,8 @@ class FrontierKernel(BatchedSweeps):
             # searches later ones, and the boundary) feeds it
             if ext is not None:
                 live = open_
+            elif not causal_cost:  # only a unit spatial advance feeds it
+                live = open_ & holds & bool(spatial_cost)
             elif forward:
                 live = open_ & np.logical_or.accumulate(holds)
             else:
@@ -832,7 +767,9 @@ class FrontierKernel(BatchedSweeps):
                 continue
             spans = bitops.runs(live)
             lo, hi = spans[0][0], spans[-1][1]
-            if forward:
+            if not causal_cost:  # the frontier's causal reach is in its level
+                carry = np.zeros((hi - lo, *frontier.shape[1:]), frontier.dtype)
+            elif forward:
                 carry = bitops.causal_or_accumulate(frontier[:hi])[lo:]
             else:
                 carry = bitops.causal_or_accumulate(frontier[lo:], forward=False)
@@ -845,7 +782,7 @@ class FrontierKernel(BatchedSweeps):
             if closed.any():
                 frontier[closed] = 0
             moving = holds & open_
-            if moving.any():
+            if spatial_cost and moving.any():
                 s_lo, s_hi = bitops.span(moving)
                 spatial = bitops.advance_blocked(
                     stacked,
@@ -873,6 +810,9 @@ class FrontierKernel(BatchedSweeps):
                 if counter is not None:
                     words = bitops.word_count(fresh[a:b])
                     counter.word_ops += bitops.FUSED_UPDATE_WORD_OPS * words
+            if free:
+                self._close_level(fresh, visited, active, None, ops, costs, forward)
+                lo, hi = 0, t_count
             gained = bitops.snapshot_any(fresh[lo:hi])
             alive = bool(gained.any())
             holds = np.zeros(t_count, dtype=bool)
@@ -884,6 +824,125 @@ class FrontierKernel(BatchedSweeps):
         if per_identity:
             return np.bitwise_or.reduce(visited, axis=0)
         return dist
+
+    def _close_level(
+        self,
+        fresh: np.ndarray,
+        visited: np.ndarray,
+        active: np.ndarray,
+        entering: np.ndarray | None,
+        ops: tuple,
+        costs: tuple[int, int],
+        forward: bool,
+    ) -> None:
+        """Add to a :meth:`_run` level every slot its free edges reach.
+
+        ``fresh`` holds the level's ``(T, N, L)`` lanes; each slot the free
+        edge families of ``costs`` reach from them joins ``fresh`` and
+        ``visited`` in place.  A free causal family takes one prefix-OR
+        pass, which reaches every later (backward: earlier) active
+        appearance at once, so it needs no fixpoint test; ``entering``, a
+        boundary's ``(N, L)`` plane, joins that pass.  A free spatial family
+        repeats the windowed advance over ``ops`` (the stack, its twin and
+        the column count) from the last round's new bits until a round adds
+        none, each round followed by a causal pass when both are free.  A
+        counter is charged a fused update per pass and a saturation probe
+        per advance.
+        """
+        stacked, twin, r = ops
+        spatial_cost, causal_cost = costs
+        t_count, n, _ = fresh.shape
+        slots = (t_count * n, fresh.shape[-1])
+        counter = self.counter
+        delta = fresh
+        while True:
+            if not causal_cost:
+                reach = bitops.causal_or_accumulate(delta, forward=forward)
+                if entering is not None:
+                    reach |= entering
+                    entering = None
+                reach &= active
+                reach &= ~visited
+                visited |= reach
+                fresh |= reach
+                if delta is not fresh:
+                    delta |= reach
+                if counter is not None:
+                    words = bitops.word_count(reach)
+                    counter.word_ops += bitops.FUSED_UPDATE_WORD_OPS * words
+            if spatial_cost:
+                return
+            remaining = active & ~visited
+            moving = bitops.snapshot_any(delta) & bitops.snapshot_any(remaining)
+            if not moving.any():
+                return
+            lo, hi = bitops.span(moving)
+            delta = bitops.advance_blocked(
+                stacked,
+                delta.reshape(slots),
+                r,
+                twin=twin,
+                remaining=remaining.reshape(slots),
+                counter=counter,
+                window=(lo * n, hi * n),
+            ).reshape(fresh.shape)
+            delta &= remaining
+            if counter is not None:
+                words = bitops.word_count(remaining)
+                counter.word_ops += (2 + bitops.FUSED_UPDATE_WORD_OPS) * words
+            if not delta.any():
+                return
+            visited |= delta
+            fresh |= delta
+
+    def _tang_sweep(
+        self,
+        informed: np.ndarray,
+        steps: np.ndarray,
+        first_snapshot: int,
+        first_step: int,
+        horizon: int,
+    ) -> None:
+        """The one sweep loop of the Tang family, in place.
+
+        ``informed`` holds the ``(N, L)`` root lanes of the nodes informed
+        before ``first_snapshot``; snapshot ``first_snapshot + k`` is step
+        ``first_step + k``, and every node it newly informs gets that step
+        in the ``(N, R)`` block ``steps``.  Each within-snapshot round is
+        one :func:`~repro.engine.bitops.advance_blocked` whose remaining
+        lanes are the uninformed ones (Tang's convention has no activeness
+        requirement), and only the fresh lanes are decoded.  The Tang state
+        is time-free, so the lanes left in ``informed`` are the whole state
+        a later time shard needs.
+        """
+        mats = self.compiled.forward_operators
+        twins = self.compiled.forward_twins
+        t_count = self.compiled.num_snapshots
+        n, r = steps.shape
+        every = bitops.lane_mask(np.ones(n, dtype=bool), r)
+        counter = self.counter
+        for step, ti in enumerate(range(first_snapshot, t_count), start=first_step):
+            if bitops.popcount(informed) == n * r:
+                break
+            if not mats[ti].nnz:
+                continue
+            fresh = np.zeros_like(informed)
+            for _ in range(max(1, horizon)):
+                spread = bitops.advance_blocked(
+                    mats[ti],
+                    informed,
+                    r,
+                    twin=twins[ti],
+                    remaining=every & ~informed,
+                    counter=counter,
+                )
+                newly = spread & ~informed
+                if not newly.any():
+                    break
+                informed |= newly
+                fresh |= newly
+            if fresh.any():
+                steps[bitops.unpack_bits(fresh, r)] = step
 
     def _parent_slots(
         self, dist: np.ndarray, direction: str, reverse_edges: bool

@@ -5,20 +5,21 @@ snapshots: influence crosses a time-shard boundary only forward (or, for
 backward searches, only backward), and the complete cross-boundary state of
 a sweep is one packed block per root column — which node identities the
 earlier shards reached, at what minimal level.  That is what makes the
-sweeps of :class:`~repro.engine.frontier.FrontierKernel` and
-:class:`~repro.engine.labels.LabelKernel` shardable *bit-identically* (the
-paper's Theorem 4 reading: causal blocks act only forward in time), and a
-monolithic sweep the one-shard case of a sharded one:
+sweeps of :class:`~repro.engine.frontier.FrontierKernel` shardable
+*bit-identically* (the paper's Theorem 4 reading: causal blocks act only
+forward in time), and a monolithic sweep the one-shard case of a sharded
+one:
 
 * shard ``i`` calls the kernel's own sweep loop over its ``(T_i, N, L)``
   root lanes (:mod:`~repro.engine.bitops`: one bitset of root columns per
   node, the MS-BFS layout of Then et al., PVLDB 2014), started from the
   incoming boundary — the loop ORs the external nodes whose minimal
-  earlier-shard level is ``m`` into every snapshot's causal reach at level
-  ``m + 1`` (BFS, beside the prefix-OR of the level's own frontier), the
-  zero-cost saturation (``causal_cost=0`` label sweeps) or the unit
-  expansion (``causal_cost=1``), which is precisely when and how the
-  monolithic prefix-OR would have delivered them;
+  earlier-shard level is ``m`` into every snapshot's causal reach: into
+  the carry of level ``m + 1`` beside the prefix-OR of level ``m``'s
+  frontier when causal edges cost 1 (BFS and the unit-causal label
+  sweeps), and into level ``m`` itself when they are free, which is
+  precisely when and how the monolithic prefix-OR would have delivered
+  them;
 * injecting each node once, at its *minimal* level, is exact: the causal
   step reaches every later snapshot of the node in one level, so the first
   injection visits every slot a later appearance could, and the sweep's
@@ -84,7 +85,6 @@ import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
-from repro.engine.labels import LabelKernel
 from repro.engine.reached import ReachedView, SlotTable
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph.base import Node, TemporalNodeTuple, Time
@@ -391,9 +391,10 @@ def _run_shard_task(
     chain, so the process backend returns reductions (reach masks, harmonic
     rows, hit indices) instead of full blocks whenever the readout allows.
     Returns ``(partial, boundary out)``; the boundary out is ``None``
-    without ``handoff`` (the last shard of a chain).
-    Label-family sweeps run through a :class:`LabelKernel` over the shard's
-    kernel.
+    without ``handoff`` (the last shard of a chain).  A 0/1 label sweep is
+    the shard kernel's :meth:`~repro.engine.frontier.FrontierKernel._run`
+    at the spec's costs, and a Tang sweep its
+    :meth:`~repro.engine.frontier.FrontierKernel._tang_sweep`.
     """
     family = spec[0]
     if family == "tang":
@@ -406,7 +407,7 @@ def _run_shard_task(
         informed, r = boundary
         steps = np.full((kernel.num_nodes, r), -1, dtype=np.int32)
         first = max(0, start_index - global_start)
-        LabelKernel(kernel)._tang_sweep(
+        kernel._tang_sweep(
             informed, steps, first, global_start + first - start_index + 1, horizon
         )
         return steps, (informed, r) if handoff else None
@@ -421,8 +422,12 @@ def _run_shard_task(
             per_identity=kind == "reach",
         )
     else:
-        block = LabelKernel(kernel)._zero_one_run(
-            seeds, spec[1], spec[2], boundary=boundary
+        block = kernel._run(
+            seeds,
+            "forward",
+            boundary=boundary,
+            spatial_cost=spec[1],
+            causal_cost=spec[2],
         )
         boundary_out = _handoff(block, boundary) if handoff else None
     return _reduce_block(kind, block, global_start), boundary_out
@@ -803,8 +808,8 @@ class BatchedSweeps:
 
         Yields ``(chunk, labels)`` pairs where ``labels`` is the ``(T, N, R)``
         int32 block of minimal path costs (``-1`` unreachable), swept by
-        :meth:`LabelKernel._zero_one_run
-        <repro.engine.labels.LabelKernel._zero_one_run>`.
+        the level loop :meth:`FrontierKernel._run
+        <repro.engine.frontier.FrontierKernel._run>` at these costs.
         ``(spatial_cost=1, causal_cost=0)`` is the Grindrod–Higham
         fewest-spatial-hops convention; ``(1, 1)`` recovers the paper's
         Definition-6 distance.
@@ -842,8 +847,8 @@ class BatchedSweeps:
         """Per source node: Tang snapshot-count distance to every node identity.
 
         Seeds one column per source and sweeps the time axis once
-        (:meth:`LabelKernel._tang_sweep
-        <repro.engine.labels.LabelKernel._tang_sweep>`), the informed lanes
+        (:meth:`FrontierKernel._tang_sweep
+        <repro.engine.frontier.FrontierKernel._tang_sweep>`), the informed lanes
         flowing shard to shard: within-snapshot spreading runs at most
         ``horizon`` advance rounds, and informed nodes persist across
         snapshots with no activeness requirement — Tang's convention,

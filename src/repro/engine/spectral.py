@@ -9,9 +9,9 @@ communicability matrix is the ordered product
 over the symmetrized snapshot adjacencies ``S[t]``.  The reference
 implementation densifies every snapshot, inverts it with ``np.linalg.inv``
 and bounds the spectral radius with dense ``eigvals`` — an ``O(T * N^3)``
-wall.  :class:`SpectralKernel` is the third kernel sibling (after
-:class:`~repro.engine.frontier.FrontierKernel` and
-:class:`~repro.engine.labels.LabelKernel`) over the same shared
+wall.  :class:`SpectralKernel` is the sibling of
+:class:`~repro.engine.frontier.FrontierKernel` (whose level loop runs the
+distance and 0/1 label families) over the same shared
 :class:`~repro.graph.compiled.CompiledTemporalGraph`, executing the whole
 family sparsely:
 

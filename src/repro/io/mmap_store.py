@@ -210,7 +210,10 @@ class _MmapShardStore:
                     f"its manifest implies {size}"
                 )
         shape = (len(manifest["times"]), n)
-        self.active_mask = np.memmap(mask, dtype=bool, mode="r", shape=shape)
+        if shape[0] * n == 0:  # an empty file cannot be mapped
+            self.active_mask = np.zeros(shape, dtype=bool)
+        else:
+            self.active_mask = np.memmap(mask, dtype=bool, mode="r", shape=shape)
         # every shard shares one label index instead of building its own
         self._node_index = {v: i for i, v in enumerate(manifest["node_labels"])}
 

@@ -15,7 +15,7 @@ packing bugs live:
 * :func:`~repro.engine.bitops.seed_lanes` and ``lane_mask`` vs packing
   the boolean block they stand for;
 * :func:`~repro.engine.bitops.causal_or_accumulate` vs the unpacked shifted
-  ``np.logical_or.accumulate`` (both directions, with/without activeness);
+  ``np.logical_or.accumulate`` (both directions);
 * :func:`~repro.engine.bitops.fused_update` vs its unfused boolean formula;
 * :func:`~repro.engine.bitops.advance_blocked` vs the dense CSR product
   under every push/pull threshold configuration (the three branches must
@@ -193,21 +193,18 @@ def test_seed_lanes_and_lane_mask_match_packed_blocks(r, seed):
 
 @st.composite
 def causal_blocks(draw):
-    """A ``(T, N, R)`` boolean block plus an optional ``(T, N)`` active mask."""
+    """A ``(T, N, R)`` boolean block."""
     r = draw(column_counts)
     n = draw(st.integers(min_value=1, max_value=20))
     t = draw(st.integers(min_value=1, max_value=5))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    block = rng.random((t, n, r)) < draw(st.sampled_from([0.05, 0.5]))
-    active = rng.random((t, n)) < 0.7 if draw(st.booleans()) else None
-    return block, active
+    return rng.random((t, n, r)) < draw(st.sampled_from([0.05, 0.5]))
 
 
 @BITOPS_SETTINGS
 @given(causal_blocks(), st.booleans())
-def test_causal_or_accumulate_matches_logical_accumulate(block_active, forward):
-    block, active = block_active
+def test_causal_or_accumulate_matches_logical_accumulate(block, forward):
     r = block.shape[-1]
     # the unpacked shifted accumulate, on the (T, N, R) boolean layout
     expected = np.zeros_like(block)
@@ -218,12 +215,7 @@ def test_causal_or_accumulate_matches_logical_accumulate(block_active, forward):
         else:
             acc = np.logical_or.accumulate(block[::-1], axis=0)[::-1]
             expected[:-1] = acc[1:]
-        if active is not None:
-            expected &= active[:, :, None]
-    active_lanes = None if active is None else bitops.lane_mask(active, r)
-    got = bitops.causal_or_accumulate(
-        bitops.pack_bits(block), active_lanes, forward=forward
-    )
+    got = bitops.causal_or_accumulate(bitops.pack_bits(block), forward=forward)
     np.testing.assert_array_equal(bitops.unpack_bits(got, r), expected)
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.temporal_paths import fewest_spatial_hops_from
 from repro.analysis import measure_batch_scaling
 from repro.core import (
     algebraic_bfs_blocked,
@@ -471,6 +472,46 @@ class TestFusedSweeps:
         for root in roots:
             assert (packed[root].reached
                     == evolving_bfs(graph, root, backend="python").reached)
+
+    def test_zero_one_sweeps_charge_the_counter(self):
+        """A 0/1 label sweep runs the BFS level loop, so it charges an
+        attached counter the same way: every cost pair charges multiply-adds
+        and word ops, and the fewest-hops sweep (``(1, 0)``) undercuts the
+        Theorem-5/6 charge read off its label block, one dense product per
+        label and snapshot holding a slot at it plus ``T · N · R`` column
+        checks per label, on the graph of the BFS test above."""
+        rng = np.random.default_rng(7)
+        edges = [
+            (int(rng.integers(250)), int(rng.integers(250)), int(rng.integers(6)))
+            for _ in range(2500)
+        ]
+        graph = AdjacencyListEvolvingGraph(
+            edges, timestamps=list(range(6)), directed=True
+        )
+        roots = graph.active_temporal_nodes()[:32]
+        for costs in ((1, 0), (1, 1), (0, 1), (0, 0)):
+            kernel = FrontierKernel(graph, counter=OperationCounter())
+            list(kernel.zero_one_labels(
+                roots, spatial_cost=costs[0], causal_cost=costs[1]
+            ))
+            assert kernel.counter.multiply_adds > 0, costs
+            assert kernel.counter.word_ops > 0, costs
+
+        kernel = FrontierKernel(graph, counter=OperationCounter())
+        hops = kernel.fewest_hops(roots)
+        packed_total = kernel.counter.total()
+        ((_, labels),) = FrontierKernel(graph).zero_one_labels(roots)
+        t_count, n, r = labels.shape
+        nnz = np.array([m.nnz for m in kernel.compiled.forward_operators])
+        theorem = 0
+        for label in range(int(labels.max()) + 1):
+            holds = (labels == label).any(axis=(1, 2))
+            theorem += 2 * int(nnz[holds].sum()) * r + t_count * n * r
+        assert theorem == 3_841_792
+        assert packed_total < theorem
+
+        for root in roots:
+            assert hops[root] == fewest_spatial_hops_from(graph, root, backend="python")
 
     def test_resweep_bit_identical_and_batched(self):
         """decrease_only_resweep: the packed rounds agree with a fresh search."""

@@ -1,9 +1,9 @@
 """Property-based equivalence for the semiring label-sweep engine (PR 3).
 
 Every label-family readout of the kernel's batched surface (earliest
-arrival, latest departure, the 0/1 label sweeps of
-:class:`~repro.engine.labels.LabelKernel`, Tang steps) keeps its original
-Python implementation as the correctness oracle behind ``backend="python"``.
+arrival, latest departure, the 0/1 label sweeps of ``FrontierKernel._run``
+under pluggable edge costs, Tang steps) keeps its original Python
+implementation as the correctness oracle behind ``backend="python"``.
 These tests draw random evolving graphs and assert that the default
 vectorized backend reproduces the oracle exactly: earliest
 arrival / latest departure / fewest spatial hops (single-target and
@@ -42,7 +42,7 @@ from repro.algorithms.temporal_paths import (
     latest_departure_times,
 )
 from repro.core.bfs import evolving_bfs
-from repro.engine import FrontierKernel, LabelKernel, bitops, get_compiled, get_kernel
+from repro.engine import FrontierKernel, bitops, get_compiled, get_kernel
 from repro.exceptions import GraphError
 from repro.generators import random_temporal_edges
 from repro.graph import AdjacencyListEvolvingGraph
@@ -383,14 +383,6 @@ def test_zero_one_labels_validates_costs():
         list(kernel.zero_one_labels([(1, "t1")], spatial_cost=2))
     with pytest.raises(GraphError):
         list(kernel.zero_one_labels([(1, "t1")], causal_cost=-1))
-
-
-def test_label_kernel_shares_compiled_artifact():
-    graph = AdjacencyListEvolvingGraph([(1, 2, "t1"), (2, 3, "t2")])
-    kernel = get_kernel(graph)
-    labels = LabelKernel(kernel)
-    assert labels.compiled is get_compiled(graph)
-    assert labels.frontier is kernel
 
 
 # --------------------------------------------------------------------------- #

@@ -17,14 +17,14 @@ logic branches on, each under every advance branch forced through
   entry count stay below ``2**31``;
 * a frontier only in the first or only in the last snapshot, a saturated
   snapshot inside the window, and backward searches with
-  ``reverse_edges``, through ``_run``, ``_zero_one_run`` and
+  ``reverse_edges``, through ``_run`` under every pair of edge costs and
   ``decrease_only_resweep``;
 * ``_run`` leaves a saturated snapshot inside the window out of the
   advance's frontier and out of the masked update;
 * each root column's time horizon: columns of several seeds at different
   snapshots and seedless columns, both directions, with ``reverse_edges``,
-  through ``_run`` and ``_zero_one_run``, and a chunk seeded where its
-  search ends, whose sweep stops at its last discovery;
+  through ``_run`` under every pair of edge costs, and a chunk seeded where
+  its search ends, whose sweep stops at its last discovery;
 * a reach sweep (``_run(..., per_identity=True)``) writes no level and
   returns one packed ``(N, L)`` plane of reached node identities, equal to
   the per-slot block's identity set whether its boundary is leveled or
@@ -45,7 +45,6 @@ from hypothesis import strategies as st
 
 from repro.core import backward_bfs, evolving_bfs
 from repro.engine import FrontierKernel, bitops
-from repro.engine.labels import LabelKernel
 from repro.engine.sharded_sweep import _FAR, BoundaryBlock
 from repro.graph import AdjacencyListEvolvingGraph
 from tests.test_delta_streaming import assert_same_buffers
@@ -55,7 +54,7 @@ from tests.test_labels_vectorized import _flipped, _zero_one_dijkstra
 THRESHOLDS = [(8, 4), (8, 0), (0, 4), (0, 0)]
 
 #: The cost pairs of the 0/1 label family under test.
-COSTS = [(1, 0), (1, 1), (0, 1)]
+COSTS = [(1, 0), (1, 1), (0, 1), (0, 0)]
 
 
 def _window_graph():
@@ -331,7 +330,9 @@ def test_zero_one_multi_seed_and_seedless_columns_match_oracle(
     slots = kernel._slots
     seeds = [[kernel._seed_index(root) for root in col] for col in HORIZON_COLUMNS]
     with bitops.sweep_thresholds(*thresholds):
-        block = LabelKernel(kernel)._zero_one_run(seeds, *costs)
+        block = kernel._run(
+            seeds, "forward", spatial_cost=costs[0], causal_cost=costs[1]
+        )
     for col, roots in enumerate(HORIZON_COLUMNS):
         t_arr, v_arr = np.nonzero(block[:, :, col] >= 0)
         decoded = {

@@ -218,7 +218,7 @@ def test_sharded_label_family_bit_identical(graph_root):
 
 
 @SHARD_SETTINGS
-@given(graphs_with_roots(), st.sampled_from([(1, 0), (1, 1), (0, 1)]))
+@given(graphs_with_roots(), st.sampled_from([(1, 0), (1, 1), (0, 1), (0, 0)]))
 def test_sharded_zero_one_blocks_bit_identical(graph_root, costs):
     graph, _ = graph_root
     spatial_cost, causal_cost = costs
@@ -464,6 +464,19 @@ def test_mmap_store_versioning_and_errors(tmp_path):
         with pytest.raises(GraphError, match="JSON round trip"):
             save_sharded(get_compiled(tuples), str(tmp_path / "tuples"))
         assert not os.path.exists(tmp_path / "tuples")
+
+
+def test_empty_universe_store_roundtrips(tmp_path):
+    """Registered snapshots and no node: every stored file is empty, and the
+    store loads without mapping any of them."""
+    graph = AdjacencyListEvolvingGraph([], directed=True, timestamps=[0, 1, 2])
+    save_sharded(get_compiled(graph), str(tmp_path), num_shards=2)
+    sharded = load_sharded(str(tmp_path))
+    assert sharded.num_nodes == 0
+    for index in range(sharded.num_shards):
+        assert sharded.shard(index).stack().shape == (0, 0)
+    with ShardedSweepDriver(sharded, backend="serial") as driver:
+        assert driver.tang_steps(["x"]) == get_kernel(graph).tang_steps(["x"])
 
 
 def test_load_sharded_rejects_a_v1_manifest(tmp_path):
@@ -1116,7 +1129,7 @@ def _assert_relay_sweeps_match_oracles(driver, graph, roots=RELAY_ROOTS):
                 assert driver._reached_view(dist, col) == expected
                 assert counts[root] == len({v for v, _ in expected} - {root[0]})
     slots = driver._slots
-    for costs in ((1, 0), (1, 1), (0, 1)):
+    for costs in ((1, 0), (1, 1), (0, 1), (0, 0)):
         ((chunk, block),) = driver.zero_one_labels(
             roots, spatial_cost=costs[0], causal_cost=costs[1]
         )
