@@ -284,13 +284,17 @@ class IncrementalEarliestArrival(IncrementalBFS):
 
     @property
     def arrivals(self) -> dict[Hashable, Hashable]:
-        """Current ``{node: earliest reachable time}`` map (a copy)."""
+        """Current ``{node: earliest reachable time}`` map, a plain ``dict``
+        the caller owns: on the vectorized backend the ``copy()`` of a
+        :class:`~repro.engine.reached.TimesView` over the block's first hits.
+        """
         if self._dist is None:
             # the python backend is the oracle; an inactive root reaches nothing
             return earliest_arrival_times(self._graph, self._root, backend="python")
-        from repro.engine.reached import SlotTable
-        from repro.engine.sharded_sweep import _decode_times, _time_hits
+        from repro.engine.reached import SlotTable, TimesView
+        from repro.engine.sharded_sweep import _time_hits
 
         axes = self._axes
         first = _time_hits(self._dist[:, :, None], "first")
-        return _decode_times(SlotTable(axes.node_labels, axes.times), first, 0)
+        slots = SlotTable(axes.node_labels, axes.times)
+        return TimesView(first[:, 0], slots).copy()

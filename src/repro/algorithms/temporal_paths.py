@@ -27,6 +27,13 @@ mirrored maximum over one backward sweep, and fewest spatial hops a
 ``"python"`` is the original per-node implementation, kept as the
 correctness oracle.
 
+The engine's answers are read-only mappings equal to the oracle's dicts,
+decoded into a dict only when a caller reads every entry: the all-targets
+earliest-arrival and latest-departure answers are a
+:class:`~repro.engine.reached.TimesView` over the root's ``(N,)`` hit
+column, and the fewest-hops answer a
+:class:`~repro.engine.reached.ReachedView`.  ``copy()`` gives a plain dict.
+
 The ``*_times`` / ``*_from`` variants answer the query for *all* targets in
 the same single sweep — the point of the engine port: one sweep per source
 replaces one traversal per (source, target) pair.
@@ -60,12 +67,14 @@ def earliest_arrival_times(
     source: TemporalNodeTuple,
     *,
     backend: str = "vectorized",
-) -> dict[Hashable, Hashable]:
+) -> Mapping[Hashable, Hashable]:
     """Earliest reachable timestamp of *every* node identity, in one sweep.
 
     Returns ``{node: time}`` for every node reachable from ``source``
     (including the source itself at its own time); unreachable nodes are
     absent.  An inactive source reaches nothing (Definition 4), giving ``{}``.
+    The engine's answer is a read-only
+    :class:`~repro.engine.reached.TimesView` equal to the oracle's dict.
     """
     from repro.engine import get_kernel, resolve_backend
 
@@ -119,7 +128,7 @@ def fewest_spatial_hops_from(
     Python oracle is the equivalent 0/1-weight Dijkstra run to exhaustion.
     An inactive source reaches nothing, giving ``{}``.  The engine's answer
     is a read-only :class:`~repro.engine.reached.ReachedView` equal to the
-    oracle's dict; ``copy()`` gives a plain one.
+    oracle's dict.
     """
     from repro.engine import get_kernel, resolve_backend
 
@@ -171,13 +180,15 @@ def latest_departure_times(
     target: TemporalNodeTuple,
     *,
     backend: str = "vectorized",
-) -> dict[Hashable, Hashable]:
+) -> Mapping[Hashable, Hashable]:
     """Latest departure timestamp of *every* node that can still reach ``target``.
 
     Returns ``{node: time}``: the largest ``t`` such that ``(node, t)``
     reaches ``target`` (the target itself maps to its own time).  One
     backward sweep on the lazily transposed operator stacks answers the
     question for all sources at once.  An inactive target gives ``{}``.
+    The engine's answer is a read-only
+    :class:`~repro.engine.reached.TimesView` equal to the oracle's dict.
     """
     from repro.engine import get_kernel, resolve_backend
 

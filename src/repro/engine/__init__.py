@@ -17,7 +17,9 @@
 * :class:`~repro.engine.reached.ReachedView` — the ``reached`` of every
   slot-keyed result: a read-only mapping over the root's ``(T, N)``
   distance column that equals the oracle's dict and decodes into one only
-  when a caller reads every entry.
+  when a caller reads every entry; :class:`~repro.engine.reached.TimesView`
+  is the same over the ``(N,)`` hit column of an earliest-arrival or
+  latest-departure answer.
 * :class:`~repro.engine.sharded_sweep.ShardedSweepDriver` — the same
   surface over :class:`~repro.graph.sharded.ShardedTemporalGraph` time
   shards: each shard calls the kernels' own sweep loops, started from the
@@ -72,7 +74,7 @@ from repro.engine.dispatch import (
     resolve_backend,
 )
 from repro.engine.frontier import FrontierKernel
-from repro.engine.reached import ReachedView
+from repro.engine.reached import ReachedView, TimesView
 from repro.engine.sharded_sweep import (
     SHARD_BACKENDS,
     BatchedSweeps,
@@ -91,6 +93,7 @@ __all__ = [
     "ShardedSweepDriver",
     "SpectralKernel",
     "SpectralOpStats",
+    "TimesView",
     "bitops",
     "get_compiled",
     "get_kernel",

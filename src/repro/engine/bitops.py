@@ -15,7 +15,13 @@ of root columns per node.
   ``np.unpackbits`` over the column axis), and bits past ``R`` are always
   zero.  Only this module knows the layout: the sweep loops allocate, seed,
   mask and unpack lanes through :func:`seed_lanes`, :func:`lane_mask` and
-  :func:`unpack_bits`;
+  :func:`unpack_bits`, and decode a sweep's levels through
+  :func:`decode_levels`;
+* a sweep keeps its levels as **bit planes**: plane ``b`` holds the lanes
+  of every slot whose level has bit ``b`` set, so a level costs one lane
+  OR per set bit of its number, and :func:`decode_levels` turns the
+  planes and the visited lanes into the ``(T, N, R)`` int32 level block
+  once, after the last level;
 * the causal step is a lane-wise ``bitwise_or.accumulate`` along the time
   axis (:func:`causal_or_accumulate`);
 * frontier sizes are read off the lanes by :func:`popcount` and
@@ -74,6 +80,7 @@ __all__ = [
     "FUSED_UPDATE_WORD_OPS",
     "advance_blocked",
     "causal_or_accumulate",
+    "decode_levels",
     "fused_update",
     "lane_mask",
     "node_popcount",
@@ -263,6 +270,29 @@ def unpack_bits(lanes: np.ndarray, r: int) -> np.ndarray:
     return bits.reshape(lanes.shape[:-1] + (8 * as_bytes.shape[-1],))[..., :r]
 
 
+def decode_levels(
+    planes: Sequence[np.ndarray], visited: np.ndarray, r: int, depth: int
+) -> np.ndarray:
+    """The ``(..., N, r)`` int32 level block of ``(..., N, L)`` level planes.
+
+    ``planes[b]`` holds the lanes of the slots whose level has bit ``b``
+    set, ``visited`` the lanes of every reached slot, and ``depth`` is the
+    deepest level; an unreached slot reads ``-1``.  The planes are unpacked
+    once each, from the highest down, into the narrowest unsigned
+    accumulator that holds ``depth + 1`` (shift it left, OR the plane in),
+    the visited bits are added, and one subtraction of 1 writes the int32
+    block: ``len(planes) + 1`` unpacks, whatever the number of levels.
+    """
+    dtype = np.min_scalar_type(depth + 1)
+    shape = visited.shape[:-1] + (r,)
+    acc = np.zeros(shape, dtype=dtype)
+    for plane in reversed(planes):
+        acc <<= 1
+        acc |= unpack_bits(plane, r)
+    acc += unpack_bits(visited, r)
+    return np.subtract(acc, 1, dtype=np.int32)
+
+
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -342,8 +372,8 @@ def causal_or_accumulate(block: np.ndarray, *, forward: bool = True) -> np.ndarr
 # --------------------------------------------------------------------------- #
 
 #: Word operations charged per word per :func:`fused_update` call (OR with
-#: the carry, two mask ANDs, the visited OR, the carry OR).
-FUSED_UPDATE_WORD_OPS = 5
+#: the carry, two mask ANDs, the visited OR).
+FUSED_UPDATE_WORD_OPS = 4
 
 
 def fused_update(
@@ -357,19 +387,20 @@ def fused_update(
     """One fused frontier update over the lanes of a run of snapshots.
 
     Computes ``out = (spatial | carry) & active & ~visited`` (the newly
-    discovered slots), then folds ``out`` into ``visited`` and the old
-    ``frontier`` into ``carry`` — the tail of a sweep level in one pass over
-    the lanes, with no boolean temporaries.  Every argument is an ``(N, L)``
-    plane or a ``(W, N, L)`` run of snapshots: a BFS level passes as
-    ``carry`` the run's causal reach, the shifted prefix-OR of the level's
-    frontier (:func:`causal_or_accumulate`) plus the lanes entering from
-    earlier shards.
+    discovered slots), then folds ``out`` into ``visited`` — the tail of a
+    sweep level in one pass over the lanes, with no boolean temporaries.
+    Every argument is an ``(N, L)`` plane or a ``(W, N, L)`` run of
+    snapshots: a BFS level passes as ``carry`` the run's causal reach, the
+    shifted prefix-OR of the level's frontier (:func:`causal_or_accumulate`)
+    plus the lanes entering from earlier shards, and ``carry`` is left as
+    it was.  ``frontier`` is unused: the layer ledger's probe reads ``out``
+    as the sixth positional argument, so the parameter keeps its place
+    until the ledger reads in-source instrumentation (ROADMAP item 2).
     """
     np.bitwise_or(spatial, carry, out=out)
     out &= active
     out &= ~visited
     visited |= out
-    carry |= frontier
     return out
 
 

@@ -26,11 +26,14 @@ instead of Python dictionaries:
   of the snapshots that can still gain bits then fuses it with the spatial
   reach and every mask (:func:`~repro.engine.bitops.fused_update`);
 * a temporal node is newly reached at level ``k`` when a bit lands on a
-  slot outside the visited lanes; only the snapshots holding such bits are
-  unpacked to write the ``(T, N, R)`` int32 distance block.  A reach
-  readout, which asks only *which node identities* a search reaches, writes
-  no level at all: its sweep returns the visited lanes ORed over time, one
-  packed ``(N, L)`` plane of reached identities.
+  slot outside the visited lanes; the level's fresh lanes are ORed into
+  bit plane ``b`` for every set bit ``b`` of ``k``, over the snapshots
+  that gained bits, and the ``(T, N, R)`` int32 distance block is decoded
+  once, after the last level, from the planes and the visited lanes
+  (:func:`~repro.engine.bitops.decode_levels`).  A reach readout, which
+  asks only *which node identities* a search reaches, keeps no plane at
+  all: its sweep returns the visited lanes ORed over time, one packed
+  ``(N, L)`` plane of reached identities.
 
 The same level loop, :meth:`FrontierKernel._run`, computes the 0/1 label
 semiring: each edge family costs 0 or 1.  ``(1, 1)`` is the paper's
@@ -105,32 +108,6 @@ from repro.graph.compiled import CompiledTemporalGraph
 from repro.linalg.csr import OperationCounter
 
 __all__ = ["FrontierKernel"]
-
-def _write_level(dist: np.ndarray, lanes: np.ndarray, level: int) -> None:
-    """Write ``level`` into a ``(W, N, R)`` distance window at the new bits of
-    its ``(W, N, L)`` lanes.
-
-    Every new bit still holds the -1 sentinel (a slot's bit enters visited
-    exactly once), so the write is a branch-free blend,
-    ``dist += (level + 1) * bits``.
-    When fewer than a quarter of the window's slots gained bits — the
-    tiny-frontier levels of deep sweeps, where unpacking the whole window
-    would cost more than the level's advance — it runs over just those
-    slots' rows; otherwise over each run of snapshots holding new bits, so
-    a snapshot that gained none is never unpacked.
-    """
-    r = dist.shape[-1]
-    flat = lanes.reshape(-1, lanes.shape[-1])
-    slots = flat.any(axis=-1).nonzero()[0]
-    if 4 * slots.size < len(flat):
-        rows = dist.reshape(-1, r)
-        bits = bitops.unpack_bits(flat[slots], r)
-        rows[slots] += np.multiply(bits, level + 1, dtype=np.int32)
-        return
-    for a, b in bitops.runs(bitops.snapshot_any(lanes)):
-        bits = bitops.unpack_bits(lanes[a:b], r)
-        dist[a:b] += np.multiply(bits, level + 1, dtype=np.int32)
-
 
 class FrontierKernel(BatchedSweeps):
     """Sparse execution engine for frontier expansion over one evolving graph.
@@ -641,10 +618,12 @@ class FrontierKernel(BatchedSweeps):
         """Level-synchronous expansion of ``R`` seed sets; an int32 level block.
 
         The block is ``(T, N, R)``: each temporal node's level per root
-        column, ``-1`` where unreached.  With ``per_identity`` it writes no
-        level and returns the visited lanes ORed over time: one packed
-        ``(N, L)`` plane of the node *identities* reached — all that
-        identity-reach readouts and their shard hand-off read.
+        column, ``-1`` where unreached, decoded once after the last level
+        from the level's bit planes (:func:`~repro.engine.bitops.decode_levels`).
+        With ``per_identity`` it keeps no plane and returns the visited
+        lanes ORed over time: one packed ``(N, L)`` plane of the node
+        *identities* reached — all that identity-reach readouts and their
+        shard hand-off read.
 
         The one sweep loop of the BFS and 0/1 label families: a level is a
         path cost when spatial and causal edges cost ``spatial_cost`` and
@@ -680,7 +659,8 @@ class FrontierKernel(BatchedSweeps):
         * :func:`~repro.engine.bitops.fused_update` over the snapshots that
           can gain bits — open and fed by a frontier or carry bit — once per
           run of them (one run, unless a saturated snapshot sits between
-          two), and one level write over the snapshots that did (none with
+          two), and one OR of the fresh lanes into each bit plane of the
+          level number over the snapshots that did (none with
           ``per_identity``).
 
         ``boundary`` is the state earlier time shards reached (a
@@ -700,12 +680,10 @@ class FrontierKernel(BatchedSweeps):
         t_count, n = active_mask.shape
         r = len(seeds_per_column)
         frontier = bitops.seed_lanes((t_count, n), seeds_per_column)
-        if not per_identity:
-            dist = np.full((t_count, n, r), -1, dtype=np.int32)
-            for col, seeds in enumerate(seeds_per_column):
-                for ti, vi in seeds:
-                    dist[ti, vi, col] = 0
         visited = frontier.copy()
+        # plane b: the lanes of the slots whose level has bit b set
+        planes: list[np.ndarray] = []
+        depth = 0
         # only the slots inside a column's time horizon are discoverable
         active = bitops.lane_mask(active_mask, r)
         active &= bitops.time_horizon(
@@ -731,8 +709,6 @@ class FrontierKernel(BatchedSweeps):
             if boundary is not None and not causal_cost:
                 entering = boundary.lanes(0)
             self._close_level(frontier, visited, active, entering, ops, costs, forward)
-            if not per_identity:
-                dist[bitops.unpack_bits(frontier, r)] = 0
         # the snapshots holding frontier bits: after the seeds, a level's gain
         holds = bitops.snapshot_any(frontier)
         # the last level a boundary plane feeds: level m's plane joins level
@@ -819,11 +795,17 @@ class FrontierKernel(BatchedSweeps):
             holds[lo:hi] = gained
             if alive and not per_identity:
                 a, b = bitops.span(gained)
-                _write_level(dist[lo + a : lo + b], fresh[lo + a : lo + b], level)
+                gain = fresh[lo + a : lo + b]
+                while len(planes) < level.bit_length():
+                    planes.append(np.zeros(fresh.shape, fresh.dtype))
+                for bit, plane in enumerate(planes):
+                    if level >> bit & 1:
+                        plane[lo + a : lo + b] |= gain
+                depth = level
             frontier = fresh
         if per_identity:
             return np.bitwise_or.reduce(visited, axis=0)
-        return dist
+        return bitops.decode_levels(planes, visited, r, depth)
 
     def _close_level(
         self,

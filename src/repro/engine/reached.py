@@ -1,4 +1,4 @@
-"""Slot-keyed search results: ``reached`` as a read-only view over a column.
+"""Search results as read-only views over a column, decoded on read.
 
 The paper's Algorithm 1 returns ``reached``, a dictionary from every
 reachable temporal node ``(v, t)`` to its distance.  A kernel sweep holds
@@ -6,26 +6,35 @@ the same answer as one ``(T, N)`` int32 column per root (``-1`` =
 unreached), and turning a column into that dictionary hashes one fresh
 ``(node, time)`` tuple per reached slot — the dominant cost of a batched
 sweep whose caller reads only sizes or a few distances.  So the engine hands
-out :class:`ReachedView` instead: a read-only
-:class:`~collections.abc.Mapping` over the column that builds the
-dictionary only when a caller reads every entry (late materialization,
-Abadi et al., ICDE 2007).
+out read-only :class:`~collections.abc.Mapping` views over the column that
+build the dictionary only when a caller reads every entry (late
+materialization, Abadi et al., ICDE 2007):
+
+* :class:`ReachedView` — ``{(node, time): distance}`` over a root's
+  ``(T, N)`` distance column, the ``reached`` of every slot-keyed result;
+* :class:`TimesView` — ``{node: time}`` over a root's ``(N,)`` hit column
+  (the snapshot index of each node's first or last reached slot, ``-1`` =
+  never reached), every earliest-arrival and latest-departure answer.
+
+Both share one base, and so the same contract:
 
 * ``len``, ``[]``, ``get`` and ``in`` read the column: ``len`` counts the
-  reached slots, and a lookup resolves one slot through the node and time
+  reached entries, and a lookup resolves one key through the node and time
   index dicts.
 * Iteration, ``keys``/``items``/``values``, ``==`` and ``repr`` decode the
-  column once (:func:`_decode_column`, in ``(t, v)`` order) and cache the
-  dictionary.  ``keys``/``items``/``values`` return that dictionary's own
-  views, and ``[]`` answers from it once it exists.
+  column once (:func:`_decode_column`, in ``(t, v)`` order, or
+  :func:`_decode_hits`, in node order) and cache the dictionary.
+  ``keys``/``items``/``values`` return that dictionary's own views, and
+  ``[]`` answers from it once it exists.
 * ``copy()`` returns a plain ``dict``, as ``MappingProxyType.copy()`` does.
 
 The first decode needs no lock: concurrent readers may each build an equal
 dictionary, and whichever is cached last is as good as the others.
 
 A view holds its own column and the sweeper's :class:`SlotTable` — never
-the sweep's ``(T, N, R)`` block or the compiled artifact — so a retained
-result pins ``4·T·N`` bytes plus the tables it shares with its siblings.
+the sweep's block or the compiled artifact — so a retained result pins
+``4·T·N`` (a time answer ``4·N``) bytes plus the tables it shares with its
+siblings.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import numpy as np
 
 from repro.graph.base import Node, Time
 
-__all__ = ["ReachedView", "SlotTable"]
+__all__ = ["ReachedView", "SlotTable", "TimesView"]
 
 
 def _slot_keys(labels: Sequence[Node], times: Sequence[Time]) -> np.ndarray:
@@ -61,6 +70,15 @@ def _decode_column(keys: np.ndarray, column: np.ndarray) -> dict:
     flat_column = column.ravel()
     flat = np.flatnonzero(flat_column >= 0)
     return dict(zip(keys[flat].tolist(), flat_column[flat].tolist()))
+
+
+def _decode_hits(slots: SlotTable, column: np.ndarray) -> dict:
+    """``{node: time}`` of an ``(N,)`` hit column's reached nodes, in node order."""
+    nodes = np.flatnonzero(column >= 0)
+    labels, times = slots.labels, slots.times
+    return {
+        labels[v]: times[t] for v, t in zip(nodes.tolist(), column[nodes].tolist())
+    }
 
 
 class SlotTable:
@@ -92,13 +110,16 @@ class SlotTable:
         return (SlotTable, (self.labels, self.times))
 
 
-class ReachedView(Mapping):
-    """``{(node, time): distance}`` of one search, read off its ``(T, N)`` column.
+#: What :meth:`_ColumnView._value` returns for a key the mapping lacks.
+_ABSENT = object()
 
-    Equal to the dictionary the Python oracle returns, in both directions of
-    ``==``; iteration and ``repr`` follow the ``(t, v)`` slot order of the
-    dictionaries the engine used to build.  Item assignment raises
-    :class:`TypeError`.  See the module docstring for which reads decode.
+
+class _ColumnView(Mapping):
+    """The read-only mapping machinery over one int32 column.
+
+    A subclass names the full decode (:meth:`_decode`) and one key's value
+    (:meth:`_value`, :data:`_ABSENT` when the mapping lacks the key); see
+    the module docstring for which reads decode.
     """
 
     __slots__ = ("_column", "_slots", "_len", "_dict")
@@ -112,7 +133,10 @@ class ReachedView(Mapping):
         self._dict: dict | None = None
 
     def _decode(self) -> dict:
-        return _decode_column(self._slots.key_table(), self._column)
+        raise NotImplementedError
+
+    def _value(self, key):
+        raise NotImplementedError
 
     def _decoded(self) -> dict:
         """The decoded dictionary, built on the first call and cached."""
@@ -121,34 +145,21 @@ class ReachedView(Mapping):
             decoded = self._dict = self._decode()
         return decoded
 
-    def _distance(self, key) -> int | None:
-        """The distance at ``key``'s slot; ``None`` when unreached or no slot."""
-        if not (isinstance(key, tuple) and len(key) == 2):
-            hash(key)  # an unhashable key raises, as a dict lookup would
-            return None
-        node, time = key
-        vi = self._slots.node_index.get(node)
-        ti = self._slots.time_index.get(time)
-        if vi is None or ti is None:
-            return None
-        distance = int(self._column[ti, vi])
-        return distance if distance >= 0 else None
-
-    def __getitem__(self, key) -> int:
+    def __getitem__(self, key):
         decoded = self._dict
         if decoded is not None:
             return decoded[key]
-        distance = self._distance(key)
-        if distance is None:
+        value = self._value(key)
+        if value is _ABSENT:
             raise KeyError(key)
-        return distance
+        return value
 
     def get(self, key, default=None):
-        distance = self._distance(key)
-        return default if distance is None else distance
+        value = self._value(key)
+        return default if value is _ABSENT else value
 
     def __contains__(self, key) -> bool:
-        return self._distance(key) is not None
+        return self._value(key) is not _ABSENT
 
     def __len__(self) -> int:
         count = self._len
@@ -174,7 +185,7 @@ class ReachedView(Mapping):
         return self._decode() if decoded is None else decoded.copy()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ReachedView):
+        if isinstance(other, _ColumnView):
             other = other._decoded()
         elif not isinstance(other, Mapping):
             return NotImplemented
@@ -184,4 +195,58 @@ class ReachedView(Mapping):
         return repr(self._decoded())
 
     def __reduce__(self):
-        return (ReachedView, (self._column, self._slots))
+        return (type(self), (self._column, self._slots))
+
+
+class ReachedView(_ColumnView):
+    """``{(node, time): distance}`` of one search, read off its ``(T, N)`` column.
+
+    Equal to the dictionary the Python oracle returns, in both directions of
+    ``==``; iteration and ``repr`` follow the ``(t, v)`` slot order of the
+    dictionaries the engine used to build.  Item assignment raises
+    :class:`TypeError`.  See the module docstring for which reads decode.
+    """
+
+    __slots__ = ()
+
+    def _decode(self) -> dict:
+        return _decode_column(self._slots.key_table(), self._column)
+
+    def _value(self, key):
+        """The distance at ``key``'s slot; :data:`_ABSENT` when unreached or no slot."""
+        if not (isinstance(key, tuple) and len(key) == 2):
+            hash(key)  # an unhashable key raises, as a dict lookup would
+            return _ABSENT
+        node, time = key
+        vi = self._slots.node_index.get(node)
+        ti = self._slots.time_index.get(time)
+        if vi is None or ti is None:
+            return _ABSENT
+        distance = int(self._column[ti, vi])
+        return distance if distance >= 0 else _ABSENT
+
+
+class TimesView(_ColumnView):
+    """``{node: time}`` of one time answer, read off its ``(N,)`` hit column.
+
+    The earliest-arrival answer maps each reached node to the time of its
+    first reached slot, the latest-departure answer to that of its last;
+    the column holds that slot's snapshot index (``-1`` = never reached).
+    Equal to the dictionary the Python oracle returns, in both directions
+    of ``==``; iteration and ``repr`` follow the node order of the
+    dictionaries the engine used to build.  Item assignment raises
+    :class:`TypeError`.  See the module docstring for which reads decode.
+    """
+
+    __slots__ = ()
+
+    def _decode(self) -> dict:
+        return _decode_hits(self._slots, self._column)
+
+    def _value(self, key):
+        """The time of ``key``'s hit; :data:`_ABSENT` when never reached or no node."""
+        vi = self._slots.node_index.get(key)  # an unhashable key raises here
+        if vi is None:
+            return _ABSENT
+        ti = int(self._column[vi])
+        return self._slots.times[ti] if ti >= 0 else _ABSENT

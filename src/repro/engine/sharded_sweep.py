@@ -85,7 +85,7 @@ import numpy as np
 
 from repro.core.bfs import BFSResult
 from repro.engine import bitops
-from repro.engine.reached import ReachedView, SlotTable
+from repro.engine.reached import ReachedView, SlotTable, TimesView
 from repro.exceptions import GraphError, InactiveNodeError, ShardWorkerError
 from repro.graph.base import Node, TemporalNodeTuple, Time
 from repro.graph.sharded import ShardedTemporalGraph
@@ -216,16 +216,6 @@ def _time_hits(block: np.ndarray, kind: str, global_start: int = 0) -> np.ndarra
     else:
         local = block.shape[0] - 1 - reached[::-1].argmax(axis=0)
     return np.where(hit, np.int32(global_start) + local, -1).astype(np.int32)
-
-
-def _decode_times(slots: SlotTable, hits: np.ndarray, col: int) -> dict[Node, Time]:
-    """``{node: time}`` of one column of a :func:`_time_hits` block."""
-    column = hits[:, col]
-    nodes = np.flatnonzero(column >= 0)
-    labels, times = slots.labels, slots.times
-    return {
-        labels[v]: times[t] for v, t in zip(nodes.tolist(), column[nodes].tolist())
-    }
 
 
 def _harmonic_rows(dist: np.ndarray) -> np.ndarray:
@@ -757,13 +747,15 @@ class BatchedSweeps:
         roots: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+    ) -> dict[TemporalNodeTuple, TimesView]:
         """Per root: the earliest reachable time stamp of *every* node identity.
 
         One forward sweep per chunk of roots, then the running-minimum
         readout along the time axis (:func:`_time_hits`): node ``v`` maps to
         the smallest ``t`` with ``(v, t)`` reached.  Roots themselves map to
-        their own time.
+        their own time.  Each answer is a read-only
+        :class:`~repro.engine.reached.TimesView` over its root's hit column,
+        decoded into a ``{node: time}`` dict only on a full read.
         """
         return self._time_readouts(roots, "forward", "first", chunk_size)
 
@@ -772,12 +764,13 @@ class BatchedSweeps:
         targets: Iterable[TemporalNodeTuple],
         *,
         chunk_size: int | None = None,
-    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
+    ) -> dict[TemporalNodeTuple, TimesView]:
         """Per target: the latest time stamp from which every node can still reach it.
 
         The mirrored readout of :meth:`earliest_arrivals`: one *backward*
         sweep (on the lazily transposed operator stacks), then the running
-        maximum along the time axis.
+        maximum along the time axis, each answer a
+        :class:`~repro.engine.reached.TimesView`.
         """
         return self._time_readouts(targets, "backward", "last", chunk_size)
 
@@ -787,13 +780,13 @@ class BatchedSweeps:
         direction: str,
         kind: str,
         chunk_size: int | None,
-    ) -> dict[TemporalNodeTuple, dict[Node, Time]]:
-        out: dict[TemporalNodeTuple, dict[Node, Time]] = {}
+    ) -> dict[TemporalNodeTuple, TimesView]:
+        out: dict[TemporalNodeTuple, TimesView] = {}
         for chunk, hits in self._sweep_chunks(
             roots, _bfs_spec(direction), kind, chunk_size
         ):
             for col, root in enumerate(chunk):
-                out[root] = _decode_times(self._slots, hits, col)
+                out[root] = TimesView(hits[:, col], self._slots)
         return out
 
     def zero_one_labels(

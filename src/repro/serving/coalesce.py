@@ -18,7 +18,11 @@ built with — through the batched surface both share
   read-only :class:`~repro.engine.reached.ReachedView` over its root's
   column),
   :func:`repro.algorithms.temporal_paths.earliest_arrival_times` and
-  friends;
+  friends.  The earliest-arrival and latest-departure answers take one
+  first- or last-hit pass over just the columns they read, and each is a
+  read-only :class:`~repro.engine.reached.TimesView` over its root's hit
+  column, so an answer shared by the cache and every joiner cannot be
+  edited by one of them;
 * **fewest-hops** queries pack their sources into one 0/1-semiring label
   sweep (``zero_one_labels``);
 * **Tang-distance** queries with equal ``(start_time, horizon)`` pack their
@@ -49,8 +53,8 @@ from repro.algorithms.queries import (
     ReachabilityQuery,
     rank_top_k,
 )
-from repro.engine.reached import ReachedView
-from repro.engine.sharded_sweep import _decode_times, _time_hits
+from repro.engine.reached import ReachedView, TimesView
+from repro.engine.sharded_sweep import _time_hits
 from repro.exceptions import GraphError, InactiveNodeError
 from repro.graph.base import BaseEvolvingGraph, TemporalNodeTuple
 
@@ -67,8 +71,9 @@ class GroupOutcome:
     (``1`` for whole-graph groups), ``sweeps`` the number of batched kernel
     executions (one per group unless the group was empty).  No distance
     block outlives the group: a BFS or fewest-hops answer keeps only its
-    root's own column.  A server prunes its cached answers on a mutation,
-    so a repeat after one is a miss that rides the next group's sweep.
+    root's own column, and a time answer its root's hit column.  A server
+    prunes its cached answers on a mutation, so a repeat after one is a
+    miss that rides the next group's sweep.
     """
 
     results: list = field(default_factory=list)
@@ -118,15 +123,25 @@ def _query_root(query: Query) -> TemporalNodeTuple:
     raise GraphError(f"{type(query).__name__} is not a frontier-family query")
 
 
+def _hit_kind(query: Query) -> str | None:
+    """The hit readout a time query reads (``"first"`` or ``"last"``), else ``None``."""
+    if isinstance(query, EarliestArrivalQuery):
+        return "first"
+    if isinstance(query, LatestDepartureQuery):
+        return "last"
+    return None
+
+
 def _decode_frontier(query: Query, dist: np.ndarray, col: int, sweeper):
     """Read one frontier-family answer off its ``(T, N, R)`` sweep column.
 
-    The one decode of every frontier-family answer, whether the query had
-    a column of its own or shared its root's column with other queries.  A
-    BFS answer is the batched surface's ``reached`` view of the column,
-    which copies the column out of the block and decodes on read; the
-    earliest-arrival and latest-departure answers use the first/last-hit
-    readouts (:func:`~repro.engine.sharded_sweep._time_hits`).
+    A BFS answer is the batched surface's ``reached`` view of the column,
+    which copies the column out of the block and decodes on read; a
+    reachability answer is one slot's distance; the earliest-arrival and
+    latest-departure answers are a :class:`~repro.engine.reached.TimesView`
+    over the column's first/last-hit readout
+    (:func:`~repro.engine.sharded_sweep._time_hits`), which
+    :func:`_frontier_group` runs once per group instead.
     """
     if isinstance(query, BFSQuery):
         return sweeper._reached_view(dist, col)
@@ -135,9 +150,8 @@ def _decode_frontier(query: Query, dist: np.ndarray, col: int, sweeper):
         if slot is None or dist[slot[0], slot[1], col] < 0:
             return None
         return int(dist[slot[0], slot[1], col])
-    kind = "first" if isinstance(query, EarliestArrivalQuery) else "last"
-    hits = _time_hits(dist[:, :, col : col + 1], kind)
-    return _decode_times(sweeper._slots, hits, 0)
+    hits = _time_hits(dist[:, :, col : col + 1], _hit_kind(query))
+    return TimesView(hits[:, 0], sweeper._slots)
 
 
 def decode_warm_block(kernel, query: Query, block: np.ndarray):
@@ -162,43 +176,66 @@ def _frontier_group(
     queries: list[Query],
     chunk_size: int,
 ) -> GroupOutcome:
-    """BFS / reachability / earliest-arrival / latest-departure, one sweep."""
+    """BFS / reachability / earliest-arrival / latest-departure, one sweep.
+
+    The time answers of each chunk come from one first- or last-hit pass
+    over just the columns whose queries read it.
+    """
     _, direction, reverse_edges = sweep_key
     outcome = GroupOutcome(results=[None] * len(queries), errors=[None] * len(queries))
 
     # roots become sweep columns; inactive roots never enter the sweep —
     # BFS/reachability mirror the functions' InactiveNodeError, the
-    # earliest/latest readouts mirror their documented empty-dict result
+    # earliest/latest readouts mirror their documented empty result
     roots: list[TemporalNodeTuple] = []
     seen: set[TemporalNodeTuple] = set()
     pending: list[int] = []
+    readers: dict[str, set[TemporalNodeTuple]] = {}
     for i, query in enumerate(queries):
         root = _query_root(query)
+        kind = _hit_kind(query)
         if not sweeper.is_active(*root):
-            if isinstance(query, (BFSQuery, ReachabilityQuery)):
+            if kind is None:
                 outcome.errors[i] = InactiveNodeError(*root)
             else:
-                outcome.results[i] = {}
+                unreached = np.full(sweeper.num_nodes, -1, dtype=np.int32)
+                outcome.results[i] = TimesView(unreached, sweeper._slots)
             continue
         if root not in seen:
             seen.add(root)
             roots.append(root)
+        if kind is not None:
+            readers.setdefault(kind, set()).add(root)
         pending.append(i)
     if not roots:
         return outcome
 
     blocks: dict[TemporalNodeTuple, tuple[np.ndarray, int]] = {}
+    times: dict[tuple[str, TemporalNodeTuple], TimesView] = {}
     for chunk, dist in sweeper.distance_blocks(
         roots, direction=direction, reverse_edges=reverse_edges, chunk_size=chunk_size
     ):
         for col, root in enumerate(chunk):
             blocks[root] = (dist, col)
+        for kind, wanted in readers.items():
+            cols = [col for col, root in enumerate(chunk) if root in wanted]
+            if not cols:
+                continue
+            block = dist if len(cols) == len(chunk) else dist[:, :, cols]
+            hits = _time_hits(block, kind)
+            for j, col in enumerate(cols):
+                times[kind, chunk[col]] = TimesView(hits[:, j], sweeper._slots)
     outcome.columns = len(roots)
     outcome.sweeps = 1
 
     for i in pending:
         query = queries[i]
-        dist, col = blocks[_query_root(query)]
+        root = _query_root(query)
+        kind = _hit_kind(query)
+        if kind is not None:
+            outcome.results[i] = times[kind, root]
+            continue
+        dist, col = blocks[root]
         outcome.results[i] = _decode_frontier(query, dist, col, sweeper)
     return outcome
 

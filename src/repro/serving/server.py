@@ -44,8 +44,11 @@ Overload robustness adds three mechanisms on the admission side:
   flagged ``swept=True``.
 
 A cached BFS answer holds its root's own ``(T, N)`` distance column as a
-read-only :class:`~repro.engine.reached.ReachedView`: only a client that
-reads every entry of an answer decodes it, once.  No entry retains a
+read-only :class:`~repro.engine.reached.ReachedView`, and an
+earliest-arrival or latest-departure answer its root's ``(N,)`` hit column
+as a read-only :class:`~repro.engine.reached.TimesView`: only a client
+that reads every entry of an answer decodes it, once, and no client can
+edit what the cache and the other joiners hold.  No entry retains a
 sweep's block.
 
 Cancellation contract: ``future.cancel()`` follows :mod:`concurrent.futures`.

@@ -28,7 +28,12 @@ logic branches on, each under every advance branch forced through
 * a reach sweep (``_run(..., per_identity=True)``) writes no level and
   returns one packed ``(N, L)`` plane of reached node identities, equal to
   the per-slot block's identity set whether its boundary is leveled or
-  flattened to level 0, and only the reach readout asks for it.
+  flattened to level 0, and only the reach readout asks for it;
+* every other sweep keeps its levels as bit planes and decodes them once
+  (:func:`~repro.engine.bitops.decode_levels`): a chain deeper than 255
+  hops widens the accumulator, the decode is exact on synthetic planes at
+  the 8- and 16-bit accumulator edges, and a sweep unpacks at most once
+  per plane plus once for its visited lanes, however many levels it runs.
 
 The cases that cross time shards (levels fed only by boundary lanes, and
 store-backed shards) live in ``tests/test_sharded.py``, so that the CI
@@ -492,3 +497,71 @@ def test_only_reach_sweeps_write_one_level_per_identity(monkeypatch, readout):
         assert shapes == [(plane.shape, plane.dtype)]
     else:
         assert shapes == [((t_count, n, width), np.dtype(np.int32))]
+
+
+# --------------------------------------------------------------------------- #
+# levels kept as bit planes                                                    #
+# --------------------------------------------------------------------------- #
+
+
+def _chain_graph(length: int) -> AdjacencyListEvolvingGraph:
+    """One snapshot holding the directed path ``0 → 1 → … → length``."""
+    return AdjacencyListEvolvingGraph(
+        [(v, v + 1, 0) for v in range(length)], directed=True
+    )
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_chain_deeper_than_255_hops_equals_the_oracle(direction):
+    """Levels past 255 need a 16-bit accumulator: an 8-bit one wraps the
+    level-255 slot to the unreached ``-1`` and every deeper level below it."""
+    length = 300
+    graph = _chain_graph(length)
+    kernel = FrontierKernel(graph)
+    search = evolving_bfs if direction == "forward" else backward_bfs
+    roots = [(0, 0), (40, 0)] if direction == "forward" else [(length, 0), (7, 0)]
+    ((chunk, dist),) = kernel.distance_blocks(roots, direction=direction)
+    assert int(dist.max()) == length
+    for col, root in enumerate(chunk):
+        expected = search(graph, root, backend="python").reached
+        assert kernel._reached_view(dist, col) == expected
+
+
+@pytest.mark.parametrize("depth", [1, 254, 255, 65534, 65535])
+@pytest.mark.parametrize("r", [3, 8, 70])
+def test_decode_levels_at_the_accumulator_edges(depth, r):
+    """Synthetic planes holding every level up to ``depth`` (it included),
+    level 0 and unreached slots decode exactly: ``depth + 1`` fills an
+    8-bit accumulator at 254 and a 16-bit one at 65534, so 255 and 65535
+    must widen it."""
+    rng = np.random.default_rng([depth, r])
+    t_count, n = 2, 9
+    levels = rng.choice([-1, 0, 1, depth // 2, depth - 1, depth], size=(t_count, n, r))
+    levels[0, 0, :] = depth
+    visited = bitops.pack_bits(levels >= 0)
+    planes = [
+        bitops.pack_bits((levels > 0) & ((levels >> bit) & 1 == 1))
+        for bit in range(depth.bit_length())
+    ]
+    block = bitops.decode_levels(planes, visited, r, depth)
+    assert block.dtype == np.int32 and block.flags.c_contiguous
+    np.testing.assert_array_equal(block, levels)
+
+
+def test_sweep_unpacks_once_per_plane_and_once_for_visited(monkeypatch):
+    """A 40-level sweep keeps six planes (40 < 2**6) and unpacks seven
+    times, where writing each level as it lands unpacked once per level."""
+    graph = _chain_graph(40)
+    kernel = FrontierKernel(graph)
+    unpack = bitops.unpack_bits
+    calls = []
+
+    def counting_unpack(lanes, r):
+        calls.append(lanes.shape)
+        return unpack(lanes, r)
+
+    monkeypatch.setattr(bitops, "unpack_bits", counting_unpack)
+    dist = kernel._run([[kernel._seed_index((0, 0))], []], "forward")
+    planes = int(dist.max()).bit_length()
+    assert int(dist.max()) == 40 and planes == 6
+    assert 0 < len(calls) <= planes + 1

@@ -1,15 +1,19 @@
-"""The engine's ``reached`` results: read-only views equal to the oracle dicts.
+"""The engine's answers: read-only views equal to the oracle dicts.
 
 Every slot-keyed engine result — ``bfs``, ``batch``, ``multi_source`` and
 ``fewest_hops`` on the kernel and on the serial and process shard drivers,
 and served BFS and fewest-hops answers — is a
 :class:`~repro.engine.reached.ReachedView` over its root's ``(T, N)``
-distance column.  These tests pin the view's contract against the Python
-oracles: ``==`` in both directions (``BFSResult`` included), ``repr`` and
-iteration in the ``(t, v)`` order the engine's dictionaries have always
-had, lookups of arbitrary keys, ``len`` without decoding, item assignment,
-pickling, and that a retained result pins neither its sweep block nor the
-compiled artifact.
+distance column, and every earliest-arrival and latest-departure answer —
+``earliest_arrivals`` and ``latest_departures`` on the same sweepers,
+``earliest_arrival_times`` and ``latest_departure_times``, and served
+answers — a :class:`~repro.engine.reached.TimesView` over its root's
+``(N,)`` hit column.  These tests pin both views' contract against the
+Python oracles: ``==`` in both directions (``BFSResult`` included),
+``repr`` and iteration in the order the engine's dictionaries have always
+had (``(t, v)`` slots, nodes), lookups of arbitrary keys, ``len`` without
+decoding, item assignment, pickling, and that a retained result pins
+neither its sweep block nor the compiled artifact.
 """
 
 from __future__ import annotations
@@ -24,12 +28,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.queries import BFSQuery, FewestHopsQuery
-from repro.algorithms.temporal_paths import fewest_spatial_hops_from
+from repro.algorithms.queries import (
+    BFSQuery,
+    EarliestArrivalQuery,
+    FewestHopsQuery,
+    LatestDepartureQuery,
+)
+from repro.algorithms.temporal_paths import (
+    earliest_arrival_times,
+    fewest_spatial_hops_from,
+    latest_departure_times,
+)
 from repro.core.bfs import evolving_bfs, multi_source_bfs
 from repro.engine import get_compiled, get_kernel, invalidate_kernel
 from repro.engine import reached as reached_module
-from repro.engine.reached import ReachedView
+from repro.engine.reached import ReachedView, TimesView
 from repro.engine.sharded_sweep import ShardedSweepDriver
 from repro.generators import random_evolving_graph
 from repro.graph import AdjacencyListEvolvingGraph, ShardedTemporalGraph
@@ -70,12 +83,45 @@ def _hops_oracle(graph, root):
     return fewest_spatial_hops_from(graph, root, backend="python")
 
 
+def _earliest_oracle(graph, root):
+    return earliest_arrival_times(graph, root, backend="python")
+
+
+def _latest_oracle(graph, root):
+    return latest_departure_times(graph, root, backend="python")
+
+
 def _slot_order(graph, oracle: dict) -> dict:
     """The oracle's entries in ``(t, v)`` slot order: the engine's dict order."""
     compiled = get_compiled(graph)
     times, nodes = compiled.time_index, compiled.node_index
     order = sorted(oracle, key=lambda key: (times[key[1]], nodes[key[0]]))
     return {key: oracle[key] for key in order}
+
+
+def _node_order(graph, oracle: dict) -> dict:
+    """A time oracle's entries in node order: the engine's dict order."""
+    nodes = get_compiled(graph).node_index
+    return {key: oracle[key] for key in sorted(oracle, key=nodes.__getitem__)}
+
+
+def _time_probe_keys(graph, oracle: dict) -> list:
+    """Keys to look up in a time answer: every node, unknown nodes,
+    equal-comparing aliases, temporal-node tuples and unhashable keys."""
+    node = next(iter(oracle))
+    return [
+        *graph.nodes(),
+        float(node),
+        99,
+        "x",
+        (node, oracle[node]),
+        (node,),
+        None,
+        frozenset({node}),
+        [node],
+        {node: 0},
+        (node, [0]),
+    ]
 
 
 def _probe_keys(graph, oracle: dict) -> list:
@@ -118,11 +164,13 @@ def _lookup(mapping, key) -> list:
     return out
 
 
-def _assert_view_matches(graph, view, oracle: dict) -> None:
-    """``view`` honours the whole mapping contract against ``oracle``."""
-    expected = _slot_order(graph, oracle)
-    keys = _probe_keys(graph, oracle)
-    assert isinstance(view, ReachedView) and isinstance(view, Mapping)
+def _assert_view_matches(graph, view, oracle: dict, cls=ReachedView) -> None:
+    """``view``, a ``cls``, honours the whole mapping contract against ``oracle``."""
+    if cls is ReachedView:
+        expected, keys = _slot_order(graph, oracle), _probe_keys(graph, oracle)
+    else:
+        expected, keys = _node_order(graph, oracle), _time_probe_keys(graph, oracle)
+    assert type(view) is cls and isinstance(view, Mapping)
     assert len(view) == len(oracle)
     # lookups before and after the decode ([] answers from the cached dict)
     undecoded = [_lookup(view, key) for key in keys]
@@ -147,7 +195,8 @@ def _assert_view_matches(graph, view, oracle: dict) -> None:
 
 
 def _assert_sweeper_views(graph, sweeper, roots) -> None:
-    """``bfs``, ``batch``, ``multi_source`` and ``fewest_hops`` of one sweeper."""
+    """``bfs``, ``batch``, ``multi_source``, ``fewest_hops``,
+    ``earliest_arrivals`` and ``latest_departures`` of one sweeper."""
     for root in roots:
         result = sweeper.bfs(root)
         oracle = evolving_bfs(graph, root, backend="python")
@@ -161,6 +210,10 @@ def _assert_sweeper_views(graph, sweeper, roots) -> None:
     _assert_view_matches(graph, result.reached, oracle.reached)
     for root, hops in sweeper.fewest_hops(roots, chunk_size=3).items():
         _assert_view_matches(graph, hops, _hops_oracle(graph, root))
+    for root, times in sweeper.earliest_arrivals(roots, chunk_size=3).items():
+        _assert_view_matches(graph, times, _earliest_oracle(graph, root), TimesView)
+    for root, times in sweeper.latest_departures(roots, chunk_size=3).items():
+        _assert_view_matches(graph, times, _latest_oracle(graph, root), TimesView)
 
 
 @VIEW_SETTINGS
@@ -168,6 +221,13 @@ def _assert_sweeper_views(graph, sweeper, roots) -> None:
 def test_kernel_and_serial_driver_views_equal_the_oracles(case):
     graph, roots = case
     _assert_sweeper_views(graph, get_kernel(graph), roots)
+    for root in roots:
+        for function, oracle in (
+            (earliest_arrival_times, _earliest_oracle),
+            (latest_departure_times, _latest_oracle),
+        ):
+            answer = function(graph, root)
+            _assert_view_matches(graph, answer, oracle(graph, root), TimesView)
     compiled = get_compiled(graph)
     shards = min(2, compiled.num_snapshots)
     sharded = ShardedTemporalGraph.from_compiled(compiled, shards)
@@ -184,6 +244,12 @@ def test_served_answers_are_views_equal_to_the_oracles(case):
             _assert_view_matches(graph, answer, _bfs_oracle(graph, root))
             answer = server.query(FewestHopsQuery(source=root))
             _assert_view_matches(graph, answer, _hops_oracle(graph, root))
+            answer = server.query(EarliestArrivalQuery(source=root))
+            oracle = _earliest_oracle(graph, root)
+            _assert_view_matches(graph, answer, oracle, TimesView)
+            answer = server.query(LatestDepartureQuery(target=root))
+            oracle = _latest_oracle(graph, root)
+            _assert_view_matches(graph, answer, oracle, TimesView)
 
 
 def test_process_driver_views_equal_the_oracles():
@@ -215,9 +281,31 @@ def test_len_and_lookups_do_not_decode(monkeypatch):
         list(result.reached)
 
 
+@pytest.mark.parametrize("readout", ["earliest_arrivals", "latest_departures"])
+def test_time_answer_len_and_lookups_do_not_decode(monkeypatch, readout):
+    graph = random_evolving_graph(30, 5, 120, seed=5)
+    root = graph.active_temporal_nodes()[0]
+    oracle = {
+        "earliest_arrivals": _earliest_oracle,
+        "latest_departures": _latest_oracle,
+    }[readout](graph, root)
+    answer = getattr(get_kernel(graph), readout)([root])[root]
+
+    def refuse(*args):
+        raise AssertionError("decoded")
+
+    monkeypatch.setattr(reached_module, "_decode_hits", refuse)
+    assert len(answer) == len(oracle)
+    for key in _time_probe_keys(graph, oracle):
+        assert _lookup(answer, key) == _lookup(oracle, key)
+    with pytest.raises(AssertionError, match="decoded"):
+        list(answer)
+
+
 def test_retained_results_pin_only_their_own_columns():
-    """A kept result holds its root's ``4·T·N`` column bytes — never the
-    chunk's ``(T, N, R)`` block — and does not keep the artifact alive."""
+    """A kept result holds its root's ``4·T·N`` column bytes (a time answer
+    its ``4·N`` hit column) — never the chunk's ``(T, N, R)`` block or its
+    ``(N, R)`` hits — and does not keep the artifact alive."""
     graph = random_evolving_graph(40, 5, 160, seed=7)
     roots = graph.active_temporal_nodes()[:6]
     compiled = get_compiled(graph)
@@ -229,10 +317,16 @@ def test_retained_results_pin_only_their_own_columns():
     }
     kept.update((("batch", r), res.reached) for r, res in kernel.batch(roots).items())
     kept.update((("hops", r), hops) for r, hops in kernel.fewest_hops(roots).items())
-    for view in kept.values():
-        column = view._column
-        owner = column if column.base is None else column.base
-        assert owner.nbytes == column_bytes
+    times = {("ea", r): v for r, v in kernel.earliest_arrivals(roots).items()}
+    times.update((("ld", r), v) for r, v in kernel.latest_departures(roots).items())
+    for views, nbytes in (
+        (kept.values(), column_bytes),
+        (times.values(), 4 * compiled.num_nodes),
+    ):
+        for view in views:
+            column = view._column
+            owner = column if column.base is None else column.base
+            assert owner.nbytes == nbytes
     artifact = weakref.ref(compiled)
     del compiled, kernel
     invalidate_kernel(graph)
@@ -244,3 +338,5 @@ def test_retained_results_pin_only_their_own_columns():
     for root in roots:
         assert kept[("batch", root)] == _bfs_oracle(graph, root)
         assert kept[("hops", root)] == _hops_oracle(graph, root)
+        assert times[("ea", root)] == _earliest_oracle(graph, root)
+        assert times[("ld", root)] == _latest_oracle(graph, root)

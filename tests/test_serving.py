@@ -933,3 +933,49 @@ def test_cancelled_pending_mutation_is_never_applied(monkeypatch):
     assert server.stats_snapshot()["mutations"] == 1
     assert server.query(BFSQuery(root=(0, 1)), timeout=5) == _oracle(graph, (0, 1))
     server.close(timeout=5)
+
+
+def _scribble(answer) -> None:
+    """Every edit a client might try on a dict answer; a read-only one refuses each."""
+    key = next(iter(answer))
+    for edit in (
+        lambda: answer.__setitem__(key, "edited"),
+        lambda: answer.__delitem__(key),
+        lambda: answer.update({"x": 1}),
+        lambda: answer.clear(),
+    ):
+        try:
+            edit()
+        except (AttributeError, TypeError):
+            pass
+
+
+@pytest.mark.parametrize(
+    ("make", "oracle"),
+    [
+        (lambda root: EarliestArrivalQuery(source=root), earliest_arrival_times),
+        (lambda root: LatestDepartureQuery(target=root), latest_departure_times),
+    ],
+    ids=["earliest_arrival", "latest_departure"],
+)
+def test_an_edited_time_answer_leaves_the_joiner_and_the_cache_intact(
+    monkeypatch, make, oracle
+):
+    """The cache entry and every in-flight joiner share one answer object: a
+    client that edits its earliest-arrival or latest-departure answer must
+    not change what the joiner or a later cache hit receives."""
+    graph = _ring_graph()
+    root = (3, 1)
+    want = oracle(graph, root, backend="python")
+    entered, release = _gate_execute_group(monkeypatch)
+    server = QueryServer(graph, window_s=0.0)
+    first = server.submit(make(root))
+    assert entered.wait(timeout=5)
+    joiner = server.submit(make(root))  # joins the computation in hand
+    release.set()
+    _scribble(first.result(timeout=5))
+    assert joiner.result(timeout=5) == want
+    assert server.query(make(root), timeout=5) == want  # a cache hit
+    stats = server.stats_snapshot()
+    assert stats["inflight_joins"] == 1 and stats["cache_hits"] == 1
+    server.close(timeout=5)
