@@ -39,10 +39,10 @@
   shared :class:`~repro.graph.compiled.CompiledTemporalGraph` artifact,
   keyed on the graph's exact ``mutation_version``.  On a version mismatch
   the stale artifact is *delta-recompiled*
-  (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile`): only the
-  snapshots whose per-snapshot stamps moved are rebuilt, the rest are
-  shared, so streaming mutation patterns pay per batch only for what the
-  batch touched.
+  (:meth:`~repro.graph.compiled.CompiledTemporalGraph.recompile`): the
+  graph's signed journal, its one change record, gives the net edits, which
+  are spliced into the stacks, so streaming mutation patterns pay per batch
+  only for what the batch touched.
 * :func:`~repro.engine.dispatch.get_kernel` /
   :func:`~repro.engine.dispatch.get_spectral_kernel` — the cached kernels
   over that artifact, used by the ``backend="vectorized"`` paths of

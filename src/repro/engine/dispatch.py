@@ -119,8 +119,8 @@ def _entry(
             cached = None
         if cached is not None and cached[0] == version:
             return cached[1], cached[2], cached[3]
-        # delta-aware refresh: patch the stale artifact in place of a full
-        # rebuild, reusing every snapshot whose version stamp did not move
+        # delta-aware refresh: splice the journal's net edits into the stale
+        # artifact in place of a full rebuild
         previous = cached[1] if cached is not None else None
         compiled = CompiledTemporalGraph.recompile(graph, previous)
         kernel = FrontierKernel(compiled)

@@ -71,15 +71,12 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         self._timestamps: list[Time] = []
         # node -> sorted list of timestamps at which the node is *active*
         self._active_times: dict[Node, list[Time]] = {}
-        # time -> mutation_version at the last edit touching that snapshot
-        # (delta compilation diffs these stamps to find dirty snapshots)
-        self._snapshot_versions: dict[Time, int] = {}
         # signed mutation journal: parallel (version, edge, sign) logs of
         # recent add_edge (+1) and remove_edge (-1) calls, complete for
-        # versions > _journal_floor.  Lets delta compilation splice a dirty
-        # snapshot's operator (see edge_mutations_since).  _journal_consumed
-        # is the newest version a delta consumer has read through; trimming
-        # never drops entries beyond it.
+        # versions > _journal_floor: the one change record delta compilation
+        # reads (see edge_mutations_since).  _journal_consumed is the newest
+        # version a delta consumer has read through; trimming never drops
+        # entries beyond it.
         self._journal_versions: list[int] = []
         self._journal_edges: list[TemporalEdgeTuple] = []
         self._journal_signs: list[int] = []
@@ -110,7 +107,6 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
         self._pred[time] = {}
         self._edge_sets[time] = set()
         self._bump_mutation_version()
-        self._snapshot_versions[time] = self._mutation_version
 
     def add_edge(self, u: Node, v: Node, time: Time) -> bool:
         """Insert the edge ``u -> v`` into the snapshot at ``time``.
@@ -135,7 +131,6 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
             self._mark_active(u, time)
             self._mark_active(v, time)
         self._bump_mutation_version()
-        self._snapshot_versions[time] = self._mutation_version
         self._journal_append((u, v, time), 1)
         return True
 
@@ -174,7 +169,6 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
                     if idx < len(times) and times[idx] == time:
                         times.pop(idx)
         self._bump_mutation_version()
-        self._snapshot_versions[time] = self._mutation_version
         self._journal_append((u, v, time), -1)
         return True
 
@@ -277,10 +271,6 @@ class AdjacencyListEvolvingGraph(BaseEvolvingGraph):
 
     def has_timestamp(self, time: Time) -> bool:
         return time in self._succ
-
-    def snapshot_versions(self) -> dict[Time, int]:
-        """Per-snapshot last-modified stamps (delta-compilation dirty tracking)."""
-        return dict(self._snapshot_versions)
 
     def edge_mutations_since(
         self, version: int

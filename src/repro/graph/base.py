@@ -111,21 +111,6 @@ class BaseEvolvingGraph(ABC):
         """Record a structural mutation (called by every mutating operation)."""
         self._mutation_version = self._mutation_version + 1
 
-    def snapshot_versions(self) -> dict[Time, int] | None:
-        """Per-snapshot last-modified stamps, or ``None`` when untracked.
-
-        Representations that know *which* snapshot each mutation touched
-        return ``{time: stamp}`` where a snapshot's stamp changes exactly when
-        one of its edges (or its existence) does.  Delta compilation
-        (:meth:`repro.graph.compiled.CompiledTemporalGraph.recompile`) diffs
-        these maps to find the dirty snapshots, then patches them from
-        :meth:`edge_mutations_since`; it needs both, and only the adjacency
-        list provides both.  The default ``None`` means "no per-snapshot
-        tracking": any :attr:`mutation_version` change recompiles the whole
-        graph.
-        """
-        return None
-
     def edge_mutations_since(
         self, version: int
     ) -> tuple[list[TemporalEdgeTuple], list[TemporalEdgeTuple]] | None:
@@ -136,10 +121,11 @@ class BaseEvolvingGraph(ABC):
         ``version`` plus the ``insertions`` minus the ``removals`` (netted per
         edge and time, so an edge inserted and removed inside the window
         appears in neither list; snapshot registrations may also have
-        happened, and they change no edge set).  Delta compilation splices
-        the net edits into the compiled stacks.  Representations without a
-        signed journal, or whose journal was trimmed past ``version``, return
-        ``None``, and delta compilation then recompiles the whole graph.
+        happened, and they change no edge set).  It is the one change record
+        delta compilation reads: the net edits are spliced into the compiled
+        stacks.  Representations without a signed journal, or whose journal
+        was trimmed past ``version``, return ``None``, and delta compilation
+        then recompiles the whole graph.
         """
         return None
 

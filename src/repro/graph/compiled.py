@@ -27,16 +27,16 @@ a first-class, immutable artifact that every consumer shares:
 * a ``(T, N)`` **activeness mask** (Definition 3);
 * a weak reference to the source graph plus its ``mutation_version``
   stamp, which let caches decide *exactly* whether the artifact still
-  describes that graph;
-* the source graph's **per-snapshot version stamps** and a ``(T, N)``
-  **label-presence matrix**, which together enable *delta compilation*
-  (:meth:`CompiledTemporalGraph.recompile`): on a version bump the signed
-  journal's net edits are spliced into every built stack in one pass, and
-  the mask and presence change only at the edited endpoints.  Streaming
-  workloads (Figure-5 growth, :func:`repro.generators.stream.apply_stream`,
-  :class:`repro.algorithms.incremental.IncrementalBFS`) therefore pay per
-  batch one O(batch) locate and one buffer copy per stack, never a
-  recompilation of a snapshot.
+  describes that graph.
+
+*Delta compilation* (:meth:`CompiledTemporalGraph.recompile`) reads one
+change record, the source graph's signed mutation journal: on a version
+bump the journal's net edits are spliced into every built stack in one
+pass, and the mask changes only at the edited endpoints.  Streaming
+workloads (Figure-5 growth, :func:`repro.generators.stream.apply_stream`,
+:class:`repro.algorithms.incremental.IncrementalBFS`) therefore pay per
+batch one O(batch) locate and one buffer copy per stack, never a
+recompilation of a snapshot.
 
 The artifact is consumed by :class:`repro.engine.frontier.FrontierKernel`
 (every BFS variant), by the vectorized analytics in :mod:`repro.algorithms`
@@ -87,9 +87,7 @@ class CompiledTemporalGraph:
         is_directed: bool,
         mutation_version: int,
         backward_stack: sp.csr_matrix | None = None,
-        snapshot_versions: dict[Time, int] | None = None,
         active_mask: np.ndarray | None = None,
-        label_presence: np.ndarray | None = None,
         node_index: dict[Node, int] | None = None,
     ) -> None:
         if not times:
@@ -119,18 +117,7 @@ class CompiledTemporalGraph:
         self._backward_used = backward_stack is not None
         # per-snapshot views, sliced from a stack on first read
         self._views: dict[bool, list[sp.csr_matrix]] = {}
-        self._symmetrized_built = False
         self._version = int(mutation_version)
-        # per-snapshot source-graph stamps and the (T, N) label-presence
-        # matrix: both None when the source offers no per-snapshot tracking,
-        # in which case recompile() always falls back to a full rebuild
-        self._snapshot_versions: dict[Time, int] | None = (
-            dict(snapshot_versions) if snapshot_versions is not None else None
-        )
-        if label_presence is not None:
-            label_presence = np.asarray(label_presence, dtype=bool)
-            label_presence.setflags(write=False)
-        self._presence: np.ndarray | None = label_presence
         #: Set by :meth:`recompile` when the delta path ran:
         #: ``{"rebuilt": <edited or new snapshot count>, "reused": <rest>}``.
         self.delta_stats: dict[str, int] | None = None
@@ -168,9 +155,8 @@ class CompiledTemporalGraph:
                 [graph.symmetrized_matrix_at(t).astype(np.int32) for t in times]
             )
             forward = _transposed(backward)
-            presence: np.ndarray | None = None
         else:
-            labels, forward, presence = _compile_forward_stack(graph, times)
+            labels, forward = _compile_forward_stack(graph, times)
             backward = None
         artifact = cls(
             node_labels=labels,
@@ -179,8 +165,6 @@ class CompiledTemporalGraph:
             is_directed=graph.is_directed,
             mutation_version=version,
             backward_stack=backward,
-            snapshot_versions=graph.snapshot_versions(),
-            label_presence=presence,
         )
         artifact._source = weakref.ref(graph)
         return artifact
@@ -194,29 +178,30 @@ class CompiledTemporalGraph:
         """Recompile ``graph`` by splicing its net edits into ``previous``'s stacks.
 
         When ``previous`` is current (:meth:`is_current`) it is returned
-        unchanged.  Otherwise the graph's per-snapshot stamps
-        (:meth:`BaseEvolvingGraph.snapshot_versions
-        <repro.graph.base.BaseEvolvingGraph.snapshot_versions>`) name the
-        dirty snapshots, and its signed mutation journal
+        unchanged.  Otherwise the graph's signed mutation journal
         (:meth:`BaseEvolvingGraph.edge_mutations_since
-        <repro.graph.base.BaseEvolvingGraph.edge_mutations_since>`) gives the
-        net insertions and removals since ``previous``, which become
-        slot-level entry edits.  Every stack ``previous`` built — the forward
-        one, and the backward one when a search, a per-snapshot read or the
-        push's twin built it — takes the edits in one splice
-        (:func:`_splice`): each edit is located inside its own row's
-        segment, then one copy of ``indices`` and one shift of ``indptr``
-        patch the buffers.  A batch that adds snapshots first re-lays the
-        stacks on the monotone map from old to new snapshot positions.  The
-        activeness and presence rows change only at the batch's endpoints,
-        removal endpoints being re-probed on the graph.  The cost is the
-        touched rows' locate plus one O(nnz) buffer copy per built stack,
-        and O(batch) Python work.  The node labels and index are shared with
-        ``previous``.  The artifact is bit-identical to :meth:`from_graph`
-        on the mutated graph, dtypes included (asserted by the hypothesis
-        suites in ``tests/test_delta_streaming.py`` and
+        <repro.graph.base.BaseEvolvingGraph.edge_mutations_since>`), the one
+        change record this path reads, gives the net insertions and removals
+        since ``previous``, which become slot-level entry edits.  Every
+        stack ``previous`` built — the forward one, and the backward one
+        when a search, a per-snapshot read or the push's twin built it —
+        takes the edits in one splice (:func:`_splice`): each edit is
+        located inside its own row's segment, then one copy of ``indices``
+        and one shift of ``indptr`` patch the buffers.  A batch that adds
+        snapshots first re-lays the stacks on the monotone map from old to
+        new snapshot positions.  The activeness rows change only at the
+        batch's endpoints, removal endpoints being re-probed on the graph;
+        only a net removal can take a label out of the node universe, so a
+        removal endpoint left inactive at every snapshot is probed once
+        more for any edge still holding it (a self-loop does).  The cost is
+        the touched rows' locate plus one O(nnz) buffer copy per built
+        stack, and O(batch) Python work.  The node labels and index are
+        shared with ``previous``.  The artifact is bit-identical to
+        :meth:`from_graph` on the mutated graph, dtypes included (asserted
+        by the hypothesis suites in ``tests/test_delta_streaming.py`` and
         ``tests/test_compiled_machine.py``), and its :attr:`delta_stats`
-        records how many snapshots were edited or added vs left alone.
+        records how many snapshots were added or edited by the journal vs
+        left alone.
 
         This is the package's one incremental path.  Everything derived from
         the artifact is rebuilt from the patched result: a shard driver's
@@ -228,42 +213,24 @@ class CompiledTemporalGraph:
 
         Every other case is a full :meth:`from_graph` build (``delta_stats``
         stays ``None``): an artifact compiled from another graph object (or
-        hand-built, or unpickled), a graph without per-snapshot stamps or
-        without a complete signed journal since ``previous`` (every
-        representation but the adjacency list, and an adjacency list whose
-        journal was trimmed past ``previous``), a journal that disagrees
-        with ``previous``'s stacks, a changed node universe (a new label
-        appeared, or a label lost its last appearance), removed snapshots,
-        or a directedness flip.
+        hand-built, or unpickled), a graph without a complete signed journal
+        since ``previous`` (every representation but the adjacency list,
+        and an adjacency list whose journal was trimmed past ``previous``),
+        a journal that disagrees with ``previous``'s stacks, a changed node
+        universe (a new label appeared, or a label lost its last edge),
+        removed snapshots, net removals from a snapshot ``previous`` never
+        compiled, or a directedness flip.
         """
         if previous is None or not previous._compiled_from(graph):
             return cls.from_graph(graph)
         version = graph.mutation_version
         if version == previous._version:
             return previous
-        snap_now = graph.snapshot_versions()
-        if (
-            snap_now is None
-            or previous._snapshot_versions is None
-            or previous._presence is None
-            or previous._directed != graph.is_directed
-        ):
-            return cls.from_graph(graph)
         times = list(graph.timestamps)
-        if not times:
-            return cls.from_graph(graph)  # raises the usual GraphError
-        prev_stamps = previous._snapshot_versions
-        if any(t not in snap_now for t in prev_stamps):  # snapshot removed
-            return cls.from_graph(graph)
         position = {t: k for k, t in enumerate(times)}
-        fresh = [position[t] for t in times if t not in previous._time_index]
-        dirty = fresh + [
-            position[t]
-            for t in previous._times
-            if prev_stamps.get(t) != snap_now.get(t)
-        ]
-        if not dirty:
-            # the version moved but no snapshot stamp did: unknown mutation
+        if previous._directed != graph.is_directed or any(
+            t not in position for t in previous._times  # a snapshot was removed
+        ):
             return cls.from_graph(graph)
         mutations = graph.edge_mutations_since(previous._version)
         if mutations is None:  # no complete signed journal since `previous`
@@ -273,9 +240,7 @@ class CompiledTemporalGraph:
             added, removed = (_edge_indices(e, index, position) for e in mutations)
         except KeyError:  # the node universe grew
             return cls.from_graph(graph)
-        edited = np.union1d(added[0], removed[0])
-        if not np.isin(edited, dirty).all():
-            return cls.from_graph(graph)  # inconsistent stamps
+        fresh = [position[t] for t in times if t not in previous._time_index]
         if np.isin(removed[0], fresh).any():
             # net removals from a snapshot `previous` never compiled
             # contradict the journal contract — trust neither
@@ -287,28 +252,26 @@ class CompiledTemporalGraph:
         # old snapshot k sits at new position moved[k]; the map is monotone
         moved = np.array([position[t] for t in previous._times], dtype=np.int64)
         active = np.zeros((t_count, n), dtype=bool)
-        presence = np.zeros((t_count, n), dtype=bool)
         active[moved] = previous._active
-        presence[moved] = previous._presence
-        # a removal endpoint stays active (present) iff the final graph still
-        # gives it an edge to another node (any edge, self-loops included)
-        # at t: probe only those endpoints
-        cut_t, cut_u, cut_v = removed
-        for key in np.unique(np.concatenate([cut_t * n + cut_u, cut_t * n + cut_v])):
-            k, i = divmod(int(key), n)
-            active[k, i] = graph.is_active(labels[i], times[k])
-            presence[k, i] = _endpoint_present(graph, labels[i], times[k])
         # net insertions are final edges; self-loops activate nothing
         add_t, add_u, add_v = added
         links = add_u != add_v
         active[add_t[links], add_u[links]] = True
         active[add_t[links], add_v[links]] = True
-        presence[add_t, add_u] = True
-        presence[add_t, add_v] = True
-        if not presence.any(axis=0).all():
-            # a label lost its last appearance: the from-scratch universe
-            # would shrink, so the reused index would no longer be identical
-            return cls.from_graph(graph)
+        # a removal endpoint stays active iff the final graph still gives it
+        # an edge to another node at t: probe only those endpoints
+        cut_t, cut_u, cut_v = removed
+        for key in np.unique(np.concatenate([cut_t * n + cut_u, cut_t * n + cut_v])):
+            k, i = divmod(int(key), n)
+            active[k, i] = graph.is_active(labels[i], times[k])
+        # only a net removal can take a label out of the universe: one now
+        # inactive everywhere stays in it iff an edge (a self-loop) holds it
+        idle = np.unique(np.concatenate([cut_u, cut_v]))
+        for i in idle[~active[:, idle].any(axis=0)].tolist():
+            if not any(_endpoint_present(graph, labels[i], t) for t in times):
+                # the from-scratch universe shrinks: the reused index would
+                # no longer be identical
+                return cls.from_graph(graph)
         insertions = _entries(add_t * n + add_u, add_t * n + add_v, directed)
         removals = _entries(cut_t * n + cut_u, cut_t * n + cut_v, directed)
         stacks: dict[bool, sp.csr_matrix] = {}
@@ -330,15 +293,13 @@ class CompiledTemporalGraph:
             forward_stack=stacks[True],
             is_directed=directed,
             mutation_version=version,
-            snapshot_versions=snap_now,
             active_mask=active,
-            label_presence=presence,
             node_index=index,
         )
         artifact._backward = stacks.get(False)
         artifact._backward_used = previous._backward_used
         artifact._source = previous._source
-        rebuilt = len(set(fresh) | set(edited.tolist()))
+        rebuilt = len(set(fresh).union(add_t.tolist(), cut_t.tolist()))
         artifact.delta_stats = {"rebuilt": rebuilt, "reused": t_count - rebuilt}
         return artifact
 
@@ -414,25 +375,6 @@ class CompiledTemporalGraph:
     def mutation_version(self) -> int:
         """The source graph's mutation version at compile time."""
         return self._version
-
-    @property
-    def snapshot_versions(self) -> dict[Time, int] | None:
-        """Per-snapshot source stamps at compile time (``None`` when untracked)."""
-        if self._snapshot_versions is None:
-            return None
-        return dict(self._snapshot_versions)
-
-    @property
-    def label_presence(self) -> np.ndarray | None:
-        """Read-only ``(T, N)`` matrix: label appears in an edge of snapshot ``t``.
-
-        Unlike :attr:`active_mask` this includes self-loop-only appearances
-        (which put a label in the node universe without activating it), so it
-        is exactly the information delta recompilation needs to prove the
-        universe unchanged.  ``None`` when the artifact was built without
-        per-snapshot tracking (matrix-sequence adoption).
-        """
-        return self._presence
 
     @property
     def active_mask(self) -> np.ndarray:
@@ -558,16 +500,10 @@ class CompiledTemporalGraph:
         backward views are aliased).  Frontier-only workloads therefore
         never pay for this property.
         """
-        self._symmetrized_built = True
         if self._directed:
             # F[t] = A[t]^T, so the adjacency orientation is the backward one
             return self.backward_operators
         return self.forward_operators
-
-    @property
-    def symmetrized_built(self) -> bool:
-        """Whether the symmetrized (spectral) stack has been materialized yet."""
-        return self._symmetrized_built
 
     # ------------------------------------------------------------------ #
     # point queries                                                       #
@@ -620,11 +556,8 @@ class CompiledTemporalGraph:
         if self._backward is not None:
             self._backward = _csr(*self._backward)
         # NumPy pickling does not preserve the WRITEABLE flag; re-freeze the
-        # mask (and presence matrix) so the immutability contract survives
-        # the round trip.
+        # mask so the immutability contract survives the round trip.
         self._active.setflags(write=False)
-        if self._presence is not None:
-            self._presence.setflags(write=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -637,9 +570,10 @@ class CompiledTemporalGraph:
 def _endpoint_present(graph: BaseEvolvingGraph, node: Node, time: Time) -> bool:
     """Whether ``node`` still touches any edge at ``time`` in ``graph``.
 
-    Presence (unlike activeness) counts self-loops, so it cannot be read off
-    the compiled operator; both directions are probed because a directed
-    node may survive on in-edges alone.
+    Self-loops count (one keeps a label in the node universe without
+    activating it), so this cannot be read off the compiled operator; both
+    directions are probed because a directed node may survive on in-edges
+    alone.
     """
     if next(graph.out_neighbors_at(node, time), None) is not None:
         return True
@@ -849,14 +783,13 @@ def _splice(
 
 def _compile_forward_stack(
     graph: BaseEvolvingGraph, times: list[Time]
-) -> tuple[list[Node], sp.csr_matrix, np.ndarray]:
-    """Bulk-compile any representation into its forward stack.
+) -> tuple[list[Node], sp.csr_matrix]:
+    """Bulk-compile any representation into its node labels and forward stack.
 
     One pass over ``temporal_edges_unordered()`` indexes every edge, and one
     slot-indexed COO over the ``T · N`` slots builds the stack straight in
     its transposed-adjacency orientation (row = destination slot, column =
-    source slot), its duplicates clamped to 0/1.  Also returns the
-    ``(T, N)`` label-presence matrix delta recompilation diffs against.
+    source slot), its duplicates clamped to 0/1.
     """
     time_index = {t: i for i, t in enumerate(times)}
     triples = list(graph.temporal_edges_unordered())
@@ -865,13 +798,10 @@ def _compile_forward_stack(
     index = {v: i for i, v in enumerate(labels)}
     n = len(labels)
     t_idx, u_idx, v_idx = _edge_indices(triples, index, time_index)
-    presence = np.zeros((len(times), n), dtype=bool)
-    presence[t_idx, u_idx] = True
-    presence[t_idx, v_idx] = True
     t_idx *= n  # the endpoints' slots, in place: the arrays are edge-sized
     u_idx += t_idx
     v_idx += t_idx
     rows, cols = _entries(u_idx, v_idx, graph.is_directed)
     stack = _coo_stack(rows, cols, np.ones(rows.size, dtype=np.int32), len(times) * n)
     stack.data[:] = 1
-    return labels, stack, presence
+    return labels, stack

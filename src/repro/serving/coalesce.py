@@ -31,6 +31,13 @@ built with — through the batched surface both share
   centrality) are computed once per group and fanned out to every query in
   it.
 
+Every answer is immutable, because the cache entry and every joiner share
+it: besides the views above, a fewest-hops answer is a
+:class:`~repro.engine.reached.ReachedView` (an inactive source's empty
+answer a :class:`types.MappingProxyType`), Tang and centrality answers are
+``MappingProxyType`` wrappers of the group's dicts, a reachability answer
+is an ``int`` or ``None`` and a top-k answer a tuple.
+
 The sweeper runs a group's chunks itself; the group is not fanned out over
 threads.  Duplicate queries never reach this module — the server's
 admission attaches a repeat of an in-flight ``cache_key`` to that query's
@@ -42,6 +49,7 @@ positionally; the server owns futures, caching and locking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -256,7 +264,8 @@ def _zero_one_group(
     for i, query in enumerate(queries):
         source = query.source
         if not sweeper.is_active(*source):
-            outcome.results[i] = {}  # fewest_spatial_hops_from's inactive answer
+            # fewest_spatial_hops_from's inactive answer, read-only
+            outcome.results[i] = MappingProxyType({})
             continue
         if source not in seen:
             seen.add(source)
@@ -293,10 +302,12 @@ def _tang_group(
     times = list(graph.timestamps)
     # the edge semantics of temporal_distances_tang_from, replicated exactly
     if start_time is not None and start_time not in times:
-        outcome.results = [{} for _ in queries]
+        outcome.results = [MappingProxyType({}) for _ in queries]
         return outcome
     if not times:
-        outcome.results = [{query.source_node: 0} for query in queries]
+        outcome.results = [
+            MappingProxyType({query.source_node: 0}) for query in queries
+        ]
         return outcome
     start_index = 0 if start_time is None else times.index(start_time)
     sources = list(dict.fromkeys(query.source_node for query in queries))
@@ -308,7 +319,7 @@ def _tang_group(
     for i, query in enumerate(queries):
         result = steps[query.source_node]
         result.setdefault(query.source_node, 0)
-        outcome.results[i] = result
+        outcome.results[i] = MappingProxyType(result)
     return outcome
 
 
@@ -353,7 +364,7 @@ def _spectral_group(
         return outcome
     outcome.columns = 1
     outcome.sweeps = 1
-    outcome.results = [value] * len(queries)
+    outcome.results = [MappingProxyType(value)] * len(queries)
     return outcome
 
 

@@ -68,8 +68,10 @@ exception; from then on :meth:`~QueryServer.submit` and
 Freshness contract: a query is answered at *some* mutation version at least
 as new as the one current when it was submitted (the usual serving model);
 :meth:`join` quiesces the server when a caller needs a fixed version.
-Results may be shared between callers (cache hits hand out the same object)
-— treat them as read-only.
+Results are shared between callers (cache hits and joiners get the same
+object), so every served answer is immutable: a dict-shaped answer is a
+read-only view or a :class:`types.MappingProxyType`, whose ``copy()`` gives
+a caller a plain ``dict`` of its own.
 
 Thread-safety: ``submit``/``query``/``mutate`` may be called from any number
 of threads.  All kernel execution happens on the dispatcher thread (a

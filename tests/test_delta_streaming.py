@@ -6,9 +6,9 @@ Two equivalence contracts are asserted here:
   sequences (edge insertions, removals, new snapshots, direct snapshot
   mutation), :meth:`CompiledTemporalGraph.recompile` chained delta-on-delta
   must produce an artifact structurally identical — labels, times, every
-  built stack's buffers and their per-snapshot views, mask, presence,
-  stamps — to a from-scratch :meth:`CompiledTemporalGraph.from_graph` of the
-  mutated graph.
+  built stack's buffers and their per-snapshot views, mask — to a
+  from-scratch :meth:`CompiledTemporalGraph.from_graph` of the mutated
+  graph.
 * **Streaming equivalence of the engine-backed incremental BFS** — after
   every stream batch, ``IncrementalBFS(backend="vectorized")`` must agree
   with the Python oracle *and* with a from-scratch ``evolving_bfs``.
@@ -93,7 +93,6 @@ def assert_bit_identical(a: CompiledTemporalGraph, b: CompiledTemporalGraph) -> 
     assert a.times == b.times
     assert a.is_directed == b.is_directed
     assert a.mutation_version == b.mutation_version
-    assert a.snapshot_versions == b.snapshot_versions
     assert a.num_snapshots * a.num_nodes == a.stack().shape[0]
     assert_same_buffers(a.stack(), b.stack())
     for ma, mb in zip(a.forward_operators, b.forward_operators, strict=True):
@@ -103,10 +102,6 @@ def assert_bit_identical(a: CompiledTemporalGraph, b: CompiledTemporalGraph) -> 
         for ma, mb in zip(a.forward_twins, b.forward_twins, strict=True):
             assert_same_buffers(ma, mb)
     assert np.array_equal(a.active_mask, b.active_mask)
-    if a.label_presence is None or b.label_presence is None:
-        assert a.label_presence is None and b.label_presence is None
-    else:
-        assert np.array_equal(a.label_presence, b.label_presence)
 
 
 def assert_delta_from(after: CompiledTemporalGraph, before: CompiledTemporalGraph):
@@ -136,8 +131,8 @@ SPLICE_EXAMPLES = [
     # self-loop already present there
     ([(0, 1, 0)], [("add", 1, 0, 2), ("add", 0, 1, 2)]),
     ([(0, 1, 0), (1, 1, 2)], [("add", 0, 1, 2)]),
-    # removing a self-loop changes presence (label 1 leaves snapshot 1),
-    # not the operator
+    # removing a self-loop changes no operator entry (label 1 keeps its
+    # edges at time 0)
     ([(0, 1, 0), (1, 2, 0), (1, 1, 1), (0, 2, 1)], [("remove", 1, 1, 1)]),
 ]
 
@@ -317,6 +312,78 @@ class TestDeltaRecompileBitIdentity:
         graph.snapshot(1).add_edge(0, 2)  # behind the container's back
         after = CompiledTemporalGraph.recompile(graph, before)
         assert after.delta_stats is None
+        assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
+
+
+class TestOneChangeRecord:
+    """The signed journal is the delta path's only change record.
+
+    Only a net removal can take a label out of the node universe, so the
+    path builds in full exactly when a removal endpoint is left with no
+    edge at any snapshot, self-loops included.
+    """
+
+    @staticmethod
+    def _recompile_after(edges, removal, *, directed):
+        graph = AdjacencyListEvolvingGraph(edges, directed=directed, timestamps=[0, 1])
+        before = CompiledTemporalGraph.from_graph(graph)
+        before.twin()  # the splice edits both stacks
+        graph.remove_edge(*removal)
+        after = CompiledTemporalGraph.recompile(graph, before)
+        assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
+        return before, after
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_label_held_by_a_self_loop_stays_on_the_delta_path(self, directed):
+        # label 2 keeps only its self-loop at snapshot 1, and no edge at 0
+        before, after = self._recompile_after(
+            [(0, 1, 0), (2, 2, 1), (1, 2, 1)], (1, 2, 1), directed=directed
+        )
+        assert_delta_from(after, before)
+        assert 2 in after.node_index
+        assert not after.active_mask[:, after.node_index[2]].any()
+
+    @pytest.mark.parametrize("kept", [(2, 0, 0), (2, 2, 0)], ids=["edge", "self-loop"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_label_with_an_edge_at_another_snapshot_stays(self, directed, kept):
+        # label 2 loses its only edge at snapshot 1 but keeps one at 0
+        before, after = self._recompile_after(
+            [(0, 1, 0), kept, (1, 2, 1)], (1, 2, 1), directed=directed
+        )
+        assert_delta_from(after, before)
+        assert 2 in after.node_index
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_window_netting_to_nothing_reuses_every_snapshot(self, directed):
+        graph = AdjacencyListEvolvingGraph(
+            TRIANGLE, directed=directed, timestamps=[0, 1, 2]
+        )
+        before = CompiledTemporalGraph.from_graph(graph)
+        graph.add_edge(0, 2, 1)
+        graph.remove_edge(0, 2, 1)
+        after = CompiledTemporalGraph.recompile(graph, before)
+        assert_delta_from(after, before)
+        assert after.delta_stats == {"rebuilt": 0, "reused": 3}
+        assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
+
+    @pytest.mark.parametrize(
+        "edges, removals",
+        [
+            # the label's last edge anywhere is a self-loop
+            ([(0, 1, 0), (2, 2, 1)], [(2, 2, 1)]),
+            # one window takes the label's last edges at both snapshots
+            ([(0, 1, 0), (2, 0, 0), (1, 2, 1)], [(2, 0, 0), (1, 2, 1)]),
+        ],
+        ids=["self-loop", "two-snapshots"],
+    )
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_label_losing_its_last_edge_builds_in_full(self, directed, edges, removals):
+        graph = AdjacencyListEvolvingGraph(edges, directed=directed, timestamps=[0, 1])
+        before = CompiledTemporalGraph.from_graph(graph)
+        graph.remove_edges_from(removals)
+        after = CompiledTemporalGraph.recompile(graph, before)
+        assert after.delta_stats is None
+        assert 2 not in after.node_index
         assert_bit_identical(after, CompiledTemporalGraph.from_graph(graph))
 
 

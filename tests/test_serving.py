@@ -979,3 +979,65 @@ def test_an_edited_time_answer_leaves_the_joiner_and_the_cache_intact(
     stats = server.stats_snapshot()
     assert stats["inflight_joins"] == 1 and stats["cache_hits"] == 1
     server.close(timeout=5)
+
+
+@pytest.mark.parametrize(
+    ("query", "direct"),
+    [
+        (
+            TangDistanceQuery(source_node=0),
+            lambda graph: temporal_distances_tang_from(graph, 0),
+        ),
+        # an unknown start time and an unknown source take the early answers
+        (
+            TangDistanceQuery(source_node=0, start_time=77),
+            lambda graph: temporal_distances_tang_from(graph, 0, start_time=77),
+        ),
+        (
+            TangDistanceQuery(source_node=99),
+            lambda graph: temporal_distances_tang_from(graph, 99),
+        ),
+        (
+            BroadcastCentralityQuery(alpha=0.01),
+            lambda graph: broadcast_centrality(graph, 0.01),
+        ),
+        (
+            ReceiveCentralityQuery(alpha=0.01),
+            lambda graph: receive_centrality(graph, 0.01),
+        ),
+        (
+            FewestHopsQuery(source=(99, 0)),  # inactive: the empty answer
+            lambda graph: fewest_spatial_hops_from(graph, (99, 0)),
+        ),
+    ],
+    ids=[
+        "tang",
+        "tang_unknown_start",
+        "tang_unknown_source",
+        "broadcast",
+        "receive",
+        "fewest_hops_inactive",
+    ],
+)
+def test_served_dict_answers_are_read_only(query, direct):
+    """Tang, centrality and inactive fewest-hops answers are shared by the cache
+    and every joiner: editing one raises, a later cache hit still equals the
+    direct function's answer, and ``copy()`` gives the client a plain dict."""
+    graph = _ring_graph()
+    want = direct(graph)
+    assert isinstance(want, dict)
+    with QueryServer(graph, window_s=0.0) as server:
+        answer = server.query(query, timeout=5)
+        assert answer == want
+        with pytest.raises(TypeError):
+            answer["x"] = 1
+        with pytest.raises(TypeError):
+            del answer[next(iter(answer), "x")]
+        for name in ("clear", "update", "pop", "setdefault"):
+            assert not hasattr(answer, name)
+        assert server.query(query, timeout=5) == want  # a cache hit
+        assert server.stats_snapshot()["cache_hits"] == 1
+        mine = answer.copy()
+        assert type(mine) is dict and mine == want
+        mine.clear()
+        assert server.query(query, timeout=5) == want
